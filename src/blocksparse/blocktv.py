@@ -4,22 +4,29 @@ Minimizes ``1/2 ||x - y||^2 + lam * sum_c ||(grad x)_c||_{2,eps}`` where each
 clique gathers the horizontal and vertical forward differences over one
 ``side x side`` patch (one group of ``2*side^2`` values per patch), coupling
 edge orientation within a neighborhood.  The smoothed objective is minimized
-by gradient descent with Armijo backtracking; the clique sums and their
-scatter use the same box-filter FFT path as the plain regularizer.
+by gradient descent with Armijo backtracking.
+
+The clique norms and their scatter come from the regularizer's FFT evaluator
+pair, applied to the per-pixel squared gradient magnitude ``dh^2 + dv^2``.
+Each evaluation of the objective returns, with its value, the forward
+differences and smoothed clique norms it computed.  The line search hands
+back those of the trial it accepts, and the next gradient is built from
+them, so an iteration makes one valid correlation per trial and one full
+correlation for its gradient: the accepted point is never evaluated twice.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .common import (AllocationTracker, ConfigError, ShapeError, SolverReport,
-                     backtrack_step)
-from .fftops import box_correlate_full, box_correlate_valid
-from .grids import GridShape, build_clique_system
+                     backtrack_step, check_finite)
+from .grids import GridShape
+from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
 
 class GradientField(NamedTuple):
@@ -75,10 +82,13 @@ class BlockTvConfig:
     alpha: Optional[float] = None
 
     def __post_init__(self):
+        check_finite(self.lam, "lam")
         if self.lam < 0:
             raise ConfigError("lam must be nonnegative")
-        if self.eps is not None and self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        if self.eps is not None:
+            check_finite(self.eps, "eps")
+            if self.eps <= 0:
+                raise ConfigError("eps must be positive")
         if self.clique_side < 1:
             raise ConfigError("clique side must be >= 1")
         if self.max_iters < 1:
@@ -100,10 +110,10 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     """
     y = np.asarray(y, dtype=float)
     shape = GridShape.of(y)
+    check_finite(y, "input image")
     side = cfg.clique_side
     if side > min(shape.height, shape.width):
         raise ConfigError(f"clique side {side} exceeds image {shape.height}x{shape.width}")
-    build_clique_system(shape, side)  # validates the geometry
     t0 = time.perf_counter()
 
     if cfg.eps is not None:
@@ -114,17 +124,17 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         eps = 1e-4 * max(1.0, gmax)
     lam = cfg.lam
 
-    def objective(x):
-        g = discrete_gradient(x)
-        group_sq = box_correlate_valid(g.dh * g.dh + g.dv * g.dv, side)
-        return 0.5 * float(np.sum((x - y) ** 2)) + lam * float(np.sqrt(group_sq + eps * eps).sum())
+    def evaluate(x):
+        """Objective at ``x``, and the forward differences and smoothed clique
+        norms it was computed from (the state :func:`gradient` needs)."""
+        d = discrete_gradient(x)
+        norms = smoothed_clique_norms(d.dh * d.dh + d.dv * d.dv, side, eps)
+        return 0.5 * float(np.sum((x - y) ** 2)) + lam * float(norms.sum()), (d, norms)
 
-    def gradient(x):
-        g = discrete_gradient(x)
-        group_sq = box_correlate_valid(g.dh * g.dh + g.dv * g.dv, side)
-        weight_map = box_correlate_full(1.0 / np.sqrt(group_sq + eps * eps), side)
+    def gradient(x, d, norms):
+        weight_map = smoothed_weight_map(norms, side)
         return (x - y) + lam * discrete_gradient_adjoint(
-            GradientField(g.dh * weight_map, g.dv * weight_map))
+            GradientField(d.dh * weight_map, d.dv * weight_map))
 
     tracker = AllocationTracker()
     tracker.register("tv-gradient-field", 2 * shape.n)
@@ -136,21 +146,22 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
-    obj_prev = objective(x)
+    obj_prev, state = evaluate(x)
     alpha = 1.0
 
     for _ in range(cfg.max_iters):
-        g = gradient(x)
+        g = gradient(x, *state)
+        state = None  # the gradient is built; drop its state before the trials
         gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol:
             reason = "converged"
             break
         if cfg.step == "backtracking":
-            alpha = backtrack_step(objective, x, g, alpha)
+            alpha, x, obj, state = backtrack_step(evaluate, x, obj_prev, g, alpha)
         else:
             alpha = cfg.alpha
-        x = x - alpha * g
-        obj = objective(x)
+            x = x - alpha * g
+            obj, state = evaluate(x)
         objective_trace.append(obj)
         residual_trace.append(gnorm)
         if abs(obj_prev - obj) <= cfg.tol_obj * max(1.0, abs(obj_prev)):

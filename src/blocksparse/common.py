@@ -1,9 +1,11 @@
-"""Shared solver plumbing: run reports, Armijo line search, allocation accounting."""
+"""Shared solver plumbing: run reports, input checks, Armijo line search,
+allocation accounting."""
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -85,29 +87,60 @@ class AllocationTracker:
         return self._peak
 
 
-def backtrack_step(f, x, g, alpha0: float, shrink: float = 0.5, c: float = 1e-4,
-                   max_halvings: int = 60) -> float:
+def check_finite(value, what: str) -> None:
+    """Raise :class:`ConfigError` unless every entry of ``value`` is finite.
+
+    Solvers call this on their data, and configs on their weights, before
+    any iteration: a NaN would otherwise run the whole iteration budget and
+    come back labelled ``"max-iterations"``, and ``nan < 0`` is false, so a
+    sign check alone lets it through.
+    """
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{what} must be finite")
+
+
+class AcceptedStep(NamedTuple):
+    """The step :func:`backtrack_step` accepted: its size, the new point
+    ``x - alpha*g``, and what ``f`` returned there (value and ``aux``)."""
+
+    alpha: float
+    x: np.ndarray
+    value: float
+    aux: Any
+
+
+def backtrack_step(f, x, fx: float, g, alpha0: float, shrink: float = 0.5,
+                   c: float = 1e-4, max_halvings: int = 60) -> AcceptedStep:
     """Armijo backtracking: largest ``alpha0 * shrink**k`` satisfying sufficient decrease.
 
-    Accepts ``alpha`` when ``f(x - alpha*g) <= f(x) - c*alpha*||g||^2``.
-    Returns ``alpha0`` unchanged for a zero gradient.  Raises
-    :class:`StepFailureError` after ``max_halvings`` rejected halvings.
+    ``f(z)`` returns ``(value, aux)``; ``fx`` is the caller's value of ``f``
+    at ``x``, so ``f`` is evaluated only at trial points.  Accepts ``alpha``
+    when ``f(x - alpha*g) <= fx - c*alpha*||g||^2`` and hands back the trial
+    point with ``f``'s value and ``aux`` there, so that the caller can reuse
+    whatever ``f`` computed along the way.  A rejected trial's ``aux`` is
+    dropped before the next trial is evaluated.  A zero gradient returns
+    ``alpha0`` with ``x`` and ``fx`` unchanged and ``aux=None`` (no trial is
+    made).  Raises :class:`StepFailureError` after ``max_halvings`` rejected
+    halvings.
     """
     if alpha0 <= 0:
         raise ConfigError("initial step must be positive")
-    fx = float(f(x))
+    fx = float(fx)
     if not np.isfinite(fx):
         raise ConfigError("objective is not finite at the current iterate")
     g = np.asarray(g)
     gsq = float(np.vdot(g, g).real)
     if gsq == 0.0:
-        return alpha0
+        return AcceptedStep(float(alpha0), x, fx, None)
     alpha = float(alpha0)
     for _ in range(max_halvings + 1):
-        f_new = float(f(x - alpha * g))
+        x_new = x - alpha * g
+        f_new, aux = f(x_new)
+        f_new = float(f_new)
         # strict decrease guards against roundoff plateaus spuriously
         # satisfying the Armijo inequality at vanishing steps
         if f_new <= fx - c * alpha * gsq and f_new < fx:
-            return alpha
+            return AcceptedStep(alpha, x_new, f_new, aux)
+        x_new = aux = None
         alpha *= shrink
     raise StepFailureError("no acceptable step after %d halvings" % max_halvings)

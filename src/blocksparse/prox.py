@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .common import AllocationTracker, ConfigError, ShapeError, SolverReport
+from .common import AllocationTracker, ConfigError, ShapeError, SolverReport, check_finite
 from .grids import CliqueSystem
 
 
@@ -58,10 +58,13 @@ class ProxConfig:
     tol_rel: float = 1e-6
 
     def __post_init__(self):
+        check_finite(self.lam, "lam")
         if self.lam < 0:
             raise ConfigError("lam must be nonnegative")
-        if self.rho is not None and self.rho <= 0:
-            raise ConfigError("rho must be positive")
+        if self.rho is not None:
+            check_finite(self.rho, "rho")
+            if self.rho <= 0:
+                raise ConfigError("rho must be positive")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if self.tol_abs < 0 or self.tol_rel < 0:
@@ -133,6 +136,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
     v = np.asarray(v, dtype=float)
     if v.shape != (cliques.shape.height, cliques.shape.width):
         raise ShapeError(f"prox center shape {v.shape} does not match clique grid")
+    check_finite(v, "prox center")
     t0 = time.perf_counter()
 
     if cfg.lam == 0.0:
@@ -150,6 +154,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != v.shape:
             raise ShapeError("warm start shape does not match prox center")
+        check_finite(x0, "warm start")
         x = x0.ravel().copy()
     else:
         x = vflat.copy()

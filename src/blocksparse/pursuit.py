@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .common import AllocationTracker, ConfigError, ShapeError, SolverReport
+from .common import AllocationTracker, ConfigError, ShapeError, SolverReport, check_finite
 from .grids import CliqueSystem
 from .prox import ProxConfig, prox_block_norm
 
@@ -82,6 +82,7 @@ class ColampConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("target sparsity k must be >= 1")
+        check_finite(self.lam0, "lam0")
         if self.lam0 < 0:
             raise ConfigError("lam0 must be nonnegative")
         if self.lam_growth < 1:
@@ -190,6 +191,8 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
         raise ShapeError("measurement length does not match operator rows")
     if model.n != cliques.shape.n:
         raise ShapeError("operator columns do not match the clique grid pixel count")
+    check_finite(y, "measurements")
+    check_finite(model.phi, "measurement matrix")
     shape = (cliques.shape.height, cliques.shape.width)
     eps_res = cfg.eps_res if cfg.eps_res is not None else 1e-6 * float(np.linalg.norm(y))
     t0 = time.perf_counter()

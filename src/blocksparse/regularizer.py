@@ -6,6 +6,22 @@ so the penalty becomes differentiable everywhere.  Two gradient paths are
 provided: a direct gather/scale/scatter evaluation (the correctness oracle)
 and a box-filter FFT pipeline whose cost does not grow with clique size
 (the performance path).  They agree to floating-point tolerance.
+
+The FFT pipeline is one evaluator pair, shared by every smoothed solver:
+
+- :func:`smoothed_clique_norms` turns a per-pixel squared magnitude ``sq``
+  into the smoothed clique norms ``sqrt(box_valid(sq, side) + eps^2)``; their
+  sum is the penalty.  ``sq`` is ``x*x`` for the plain penalty (frame-batched
+  in :mod:`rpca`) and ``dh^2 + dv^2`` for block-TV (:mod:`blocktv`).
+- :func:`smoothed_weight_map` turns those norms into the per-pixel weight
+  ``box_full(1/norms, side)``; the gradient is the weight times ``x`` (or
+  times each gradient channel, for block-TV).
+
+Splitting value and gradient at the norms lets a line search keep the norms
+of the trial it accepts and build the next gradient from them, with one valid
+and one full correlation per accepted point.  Both functions call the
+correlations through this module's names, so a wrapper installed there sees
+every correlation the smoothed solvers make.
 """
 
 from __future__ import annotations
@@ -71,37 +87,30 @@ def block_norm_smoothed_grad_naive(x, cliques: CliqueSystem, eps: float) -> np.n
     return out.reshape(x.shape)
 
 
-def block_norm_smoothed_grad_fft(x, cliques: CliqueSystem, eps: float) -> np.ndarray:
-    """Gradient of the smoothed penalty via two box-filter FFT correlations.
+def smoothed_clique_norms(sq, side: int, eps: float) -> np.ndarray:
+    """Smoothed clique norms ``sqrt(box_valid(sq, side) + eps^2)``.
 
-    Pipeline: square entries -> valid correlation with the ones box (squared
-    clique norms on the corner grid) -> add ``eps^2`` and raise to -1/2 ->
-    full correlation back to the pixel grid -> multiply by x.  Matches
+    ``sq`` holds per-pixel squared magnitudes ``(..., h, w)``, leading axes
+    batched; the result is indexed by clique corner ``(..., h-side+1,
+    w-side+1)`` and sums to the smoothed penalty.  Positive for ``eps > 0``.
+    """
+    return np.sqrt(box_correlate_valid(sq, side) + eps * eps)
+
+
+def smoothed_weight_map(norms: np.ndarray, side: int) -> np.ndarray:
+    """Per-pixel gradient weight ``box_full(1/norms, side)``: the sum of
+    ``1/norm`` over the cliques covering each pixel, from the
+    output of :func:`smoothed_clique_norms`."""
+    return box_correlate_full(1.0 / norms, side)
+
+
+def block_norm_smoothed_grad_fft(x, cliques: CliqueSystem, eps: float) -> np.ndarray:
+    """Gradient of the smoothed penalty via the FFT evaluator pair:
+    ``x * smoothed_weight_map(smoothed_clique_norms(x*x))``.  Matches
     :func:`block_norm_smoothed_grad_naive` to floating-point tolerance.
     """
     x = _checked(x, cliques)
     if eps <= 0:
         raise ConfigError("gradient evaluation requires eps > 0")
-    sq_norm_map = box_correlate_valid(x * x, cliques.side)
-    recip = 1.0 / np.sqrt(sq_norm_map + eps * eps)
-    weight_map = box_correlate_full(recip, cliques.side)
-    return x * weight_map
-
-
-def stack_smoothed_value(stack: np.ndarray, side: int, eps: float) -> float:
-    """Smoothed penalty summed over the frames of an ``(H, W, L)`` stack,
-    evaluated with the FFT box filter (used inside frame-batched solvers)."""
-    frames = np.moveaxis(np.asarray(stack, dtype=float), -1, 0)
-    sq_norm_map = box_correlate_valid(frames * frames, side)
-    return float(np.sqrt(sq_norm_map + eps * eps).sum())
-
-
-def stack_smoothed_value_and_grad(stack: np.ndarray, side: int, eps: float):
-    """Smoothed penalty and its gradient for an ``(H, W, L)`` stack, frame-batched."""
-    stack = np.asarray(stack, dtype=float)
-    frames = np.moveaxis(stack, -1, 0)
-    sq_norm_map = box_correlate_valid(frames * frames, side)
-    smoothed = np.sqrt(sq_norm_map + eps * eps)
-    weight_map = box_correlate_full(1.0 / smoothed, side)
-    grad = np.moveaxis(frames * weight_map, 0, -1)
-    return float(smoothed.sum()), grad
+    norms = smoothed_clique_norms(x * x, cliques.side, eps)
+    return x * smoothed_weight_map(norms, cliques.side)

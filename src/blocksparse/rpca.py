@@ -9,6 +9,13 @@ on the nuclear norm.  Working storage beyond the input is four stack-sized
 buffers (X, Z, gradient, residual): ``4 * N * L`` entries, versus
 ``(2*side^2 + 4) * N * L`` for a consensus-ADMM treatment of the same
 objective.
+
+The block penalty comes from the regularizer's FFT evaluator pair, batched
+over frames.  Each line-search trial computes the smoothed clique norms of
+its sparse part, whose sum is the trial's penalty value.  The accepted
+trial's norms give the next iteration's gradient through one full
+correlation, and its smooth value is the next iteration's starting value, so
+no correlation is repeated at an accepted point.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .common import AllocationTracker, ConfigError, NumericalError, ShapeError, SolverReport
+from .common import (AllocationTracker, ConfigError, NumericalError, ShapeError,
+                     SolverReport, check_finite)
 from .grids import CliqueSystem, GridShape, build_clique_system
-from .regularizer import (block_norm_smoothed, stack_smoothed_value,
-                          stack_smoothed_value_and_grad)
+from .regularizer import block_norm_smoothed, smoothed_clique_norms, smoothed_weight_map
 
 _BACKTRACK_SHRINK = 0.5
 _BACKTRACK_GROW = 1.25
@@ -57,17 +64,22 @@ class RpcaConfig:
     clique_side: int = 2
 
     def __post_init__(self):
+        check_finite(self.mu, "mu")
         if self.mu <= 0:
             raise ConfigError("mu must be positive")
-        if self.lam is not None and self.lam < 0:
-            raise ConfigError("lam must be nonnegative")
+        if self.lam is not None:
+            check_finite(self.lam, "lam")
+            if self.lam < 0:
+                raise ConfigError("lam must be nonnegative")
         if isinstance(self.alpha, str):
             if self.alpha != "auto":
                 raise ConfigError("alpha must be a positive number or 'auto'")
         elif self.alpha <= 0:
             raise ConfigError("alpha must be positive when fixed")
-        if self.eps is not None and self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        if self.eps is not None:
+            check_finite(self.eps, "eps")
+            if self.eps <= 0:
+                raise ConfigError("eps must be positive")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if self.tol_obj < 0:
@@ -135,8 +147,7 @@ def _check_stack(y) -> tuple[np.ndarray, GridShape]:
         raise ShapeError(f"expected an (H, W, L) stack, got shape {y.shape}")
     if y.shape[2] < 1:
         raise ConfigError("stack must contain at least one frame")
-    if not np.all(np.isfinite(y)):
-        raise ConfigError("stack entries must be finite")
+    check_finite(y, "stack entries")
     return y, GridShape(y.shape[0], y.shape[1])
 
 
@@ -208,21 +219,27 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     auto_step = cfg.alpha == "auto"
     alpha = 1.0 / (mu + lam / eps) if auto_step else float(cfg.alpha)
 
-    def smooth_value(x_, resid_sq_sum):
-        return lam * stack_smoothed_value(x_, side, eps) + 0.5 * mu * resid_sq_sum
+    def clique_norms(x_):
+        frames = np.moveaxis(x_, -1, 0)
+        return smoothed_clique_norms(frames * frames, side, eps)
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
-    obj_start = smooth_value(x, float(np.sum(y ** 2)))  # nuclear norm of Z0 = 0
+    # clique norms and smooth part at the current point, later those of the
+    # accepted trial; Z0 = 0 has nuclear norm 0
+    norms = clique_norms(x)
+    h_new = lam * float(norms.sum()) + 0.5 * mu * float(np.sum(y ** 2))
+    obj_start = h_new
     obj_prev = obj_start
     extra = {"lambda": lam, "epsilon": eps, "mu": mu}
 
     for _ in range(cfg.max_iters):
         resid = y - z - x
-        jval, jgrad = stack_smoothed_value_and_grad(x, side, eps)
-        h_old = lam * jval + 0.5 * mu * float(np.sum(resid ** 2))
-        gx = lam * jgrad - mu * resid
+        h_old = h_new
+        frames = np.moveaxis(x, -1, 0)
+        gx = lam * np.moveaxis(frames * smoothed_weight_map(norms, side), 0, -1) - mu * resid
+        norms = None  # the gradient is built; drop the norms before the trials
         gz = -mu * resid
 
         halvings = 0
@@ -233,7 +250,8 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
             z_new = z_mat.reshape(y.shape)
             resid_new = y - z_new - x_new
             resid_sq = float(np.sum(resid_new ** 2))
-            h_new = smooth_value(x_new, resid_sq)
+            norms = clique_norms(x_new)
+            h_new = lam * float(norms.sum()) + 0.5 * mu * resid_sq
             if not auto_step:
                 break
             dx = x_new - x
@@ -242,6 +260,7 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
                      + (float(np.sum(dx ** 2)) + float(np.sum(dz ** 2))) / (2.0 * alpha))
             if h_new <= model + 1e-12 * max(1.0, abs(h_old)):
                 break
+            norms = None  # rejected trial
             halvings += 1
             if halvings > _MAX_HALVINGS:
                 raise NumericalError("backtracking failed; the smooth gradient is suspect")

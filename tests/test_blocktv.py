@@ -142,3 +142,20 @@ def test_fixed_step_runs():
                                                   max_iters=50))
     assert report.iterations <= 50
     assert np.all(np.isfinite(x))
+
+
+def test_denoise_rejects_nonfinite_input():
+    y = np.zeros((6, 6))
+    y[2, 3] = np.nan
+    with pytest.raises(ConfigError, match="input image must be finite"):
+        denoise_block_tv(y, BlockTvConfig(lam=0.1))
+
+
+def test_config_rejects_nan_lam():
+    with pytest.raises(ConfigError, match="lam"):
+        BlockTvConfig(lam=float("nan"))
+
+
+def test_config_rejects_nan_eps():
+    with pytest.raises(ConfigError, match="eps"):
+        BlockTvConfig(lam=0.1, eps=float("nan"))

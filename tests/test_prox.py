@@ -262,3 +262,22 @@ def test_prox_warm_start_same_solution():
     cold = prox_block_norm(v, cs, cfg).x
     warm = prox_block_norm(v, cs, cfg, x0=rng.standard_normal((5, 5))).x
     assert np.max(np.abs(cold - warm)) < 1e-6
+
+
+def test_prox_rejects_nonfinite_center():
+    v = np.ones((6, 6))
+    v[0, 0] = np.nan
+    with pytest.raises(ConfigError, match="prox center must be finite"):
+        prox_block_norm(v, system(6, 6, 2), ProxConfig(lam=0.5))
+
+
+def test_prox_rejects_nonfinite_warm_start():
+    x0 = np.zeros((6, 6))
+    x0[3, 3] = np.inf
+    with pytest.raises(ConfigError, match="warm start must be finite"):
+        prox_block_norm(np.ones((6, 6)), system(6, 6, 2), ProxConfig(lam=0.5), x0=x0)
+
+
+def test_prox_config_rejects_nan_lam():
+    with pytest.raises(ConfigError, match="lam"):
+        ProxConfig(lam=float("nan"))

@@ -235,3 +235,26 @@ def test_support_step_matches_cosamp_style_at_l1():
         if top == helpers.cosamp_support_step(phi.T @ y, 2 * k):
             matches += 1
     assert matches >= 0.9 * trials
+
+
+def test_colamp_rejects_nonfinite_measurements():
+    rng = np.random.default_rng(30)
+    model = MeasurementModel(rng.standard_normal((12, 36)))
+    y = rng.standard_normal(12)
+    y[4] = np.nan
+    with pytest.raises(ConfigError, match="measurements must be finite"):
+        colamp_solve(y, model, system(6, 6, 2), ColampConfig(k=4))
+
+
+def test_colamp_rejects_nonfinite_operator():
+    rng = np.random.default_rng(31)
+    phi = rng.standard_normal((12, 36))
+    phi[0, 5] = np.inf
+    with pytest.raises(ConfigError, match="measurement matrix must be finite"):
+        colamp_solve(rng.standard_normal(12), MeasurementModel(phi), system(6, 6, 2),
+                     ColampConfig(k=4))
+
+
+def test_config_rejects_nan_lam0():
+    with pytest.raises(ConfigError, match="lam0"):
+        ColampConfig(k=4, lam0=float("nan"))

@@ -7,7 +7,7 @@ from blocksparse import (ConfigError, GridShape, ShapeError, block_norm,
                          block_norm_smoothed, block_norm_smoothed_grad_fft,
                          block_norm_smoothed_grad_naive, build_clique_system,
                          default_epsilon)
-from blocksparse.regularizer import stack_smoothed_value, stack_smoothed_value_and_grad
+from blocksparse.regularizer import smoothed_clique_norms, smoothed_weight_map
 
 import helpers
 
@@ -168,14 +168,40 @@ def test_default_epsilon_scale():
 
 
 def test_stack_helpers_match_framewise():
+    # the evaluator pair batched over leading (frame) axes
     rng = np.random.default_rng(9)
     cs = system(8, 8, 3)
-    stack = rng.standard_normal((8, 8, 4))
+    frames = rng.standard_normal((4, 8, 8))
     eps = 0.07
-    val, grad = stack_smoothed_value_and_grad(stack, 3, eps)
-    expected_val = sum(block_norm_smoothed(stack[:, :, t], cs, eps) for t in range(4))
-    assert val == pytest.approx(expected_val, rel=1e-12)
-    assert stack_smoothed_value(stack, 3, eps) == pytest.approx(expected_val, rel=1e-12)
+    norms = smoothed_clique_norms(frames * frames, 3, eps)
+    assert norms.shape == (4, 6, 6)
     for t in range(4):
-        g = block_norm_smoothed_grad_naive(stack[:, :, t], cs, eps)
-        assert np.allclose(grad[:, :, t], g, rtol=1e-10, atol=1e-12)
+        assert float(norms[t].sum()) == pytest.approx(
+            block_norm_smoothed(frames[t], cs, eps), rel=1e-12)
+    grad = frames * smoothed_weight_map(norms, 3)
+    for t in range(4):
+        g = block_norm_smoothed_grad_naive(frames[t], cs, eps)
+        assert np.allclose(grad[t], g, rtol=1e-10, atol=1e-12)
+
+
+def test_clique_norms_match_loop_oracle():
+    rng = np.random.default_rng(10)
+    h, w, side, eps = 7, 5, 3, 0.2
+    sq = rng.uniform(0.0, 2.0, (h, w))
+    norms = smoothed_clique_norms(sq, side, eps)
+    expected = [[math.sqrt(sq[r:r + side, c:c + side].sum() + eps * eps)
+                 for c in range(w - side + 1)] for r in range(h - side + 1)]
+    assert np.allclose(norms, expected, rtol=1e-12)
+
+
+def test_weight_map_sums_reciprocal_norms_over_covering_cliques():
+    rng = np.random.default_rng(11)
+    h, w, side = 6, 7, 2
+    norms = rng.uniform(0.5, 2.0, (h - side + 1, w - side + 1))
+    weights = smoothed_weight_map(norms, side)
+    expected = np.zeros((h, w))
+    for r in range(norms.shape[0]):
+        for c in range(norms.shape[1]):
+            expected[r:r + side, c:c + side] += 1.0 / norms[r, c]
+    assert np.allclose(weights, expected, rtol=1e-12)
+

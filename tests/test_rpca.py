@@ -194,15 +194,20 @@ def test_gradient_step_richardson_consistency():
     lowrank, sparse = make_lowrank_blocksparse_stack(8, 8, 3, 1, rng, fg_side=3)
     y = lowrank + sparse
     lam, mu, eps = 0.05, 1.0, 0.01
-    from blocksparse.regularizer import stack_smoothed_value_and_grad
+    from blocksparse.regularizer import smoothed_clique_norms, smoothed_weight_map
+
+    def penalty(x):
+        frames = np.moveaxis(x, -1, 0)
+        norms = smoothed_clique_norms(frames * frames, 2, eps)
+        return float(norms.sum()), norms
 
     def smooth(x, z):
-        jv = stack_smoothed_value_and_grad(x, 2, eps)[0]
-        return lam * jv + 0.5 * mu * float(np.sum((y - z - x) ** 2))
+        return lam * penalty(x)[0] + 0.5 * mu * float(np.sum((y - z - x) ** 2))
 
     x = 0.1 * rng.standard_normal(y.shape)
     z = 0.1 * rng.standard_normal(y.shape)
-    jval, jgrad = stack_smoothed_value_and_grad(x, 2, eps)
+    frames = np.moveaxis(x, -1, 0)
+    jgrad = np.moveaxis(frames * smoothed_weight_map(penalty(x)[1], 2), 0, -1)
     resid = y - z - x
     gx = lam * jgrad - mu * resid
     gz = -mu * resid
@@ -215,3 +220,25 @@ def test_gradient_step_richardson_consistency():
     h = 1e-5
     extrapolated = 2.0 * slope(h) - slope(2.0 * h)  # cancels the O(alpha) term
     assert extrapolated == pytest.approx(-g_sq, rel=1e-4)
+
+
+def test_solve_rejects_nonfinite_stack():
+    y = np.zeros((6, 6, 2))
+    y[1, 1, 1] = np.inf
+    with pytest.raises(ConfigError, match="finite"):
+        solve_rpca(y, RpcaConfig())
+
+
+def test_config_rejects_nan_mu():
+    with pytest.raises(ConfigError, match="mu"):
+        RpcaConfig(mu=float("nan"))
+
+
+def test_config_rejects_nan_lam():
+    with pytest.raises(ConfigError, match="lam"):
+        RpcaConfig(lam=float("nan"))
+
+
+def test_config_rejects_nan_eps():
+    with pytest.raises(ConfigError, match="eps"):
+        RpcaConfig(eps=float("nan"))
