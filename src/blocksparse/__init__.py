@@ -17,7 +17,7 @@ from .prox import ProxConfig, ProxResult, group_shrink, prox_block_norm, prox_bl
 from .pursuit import (ColampConfig, MeasurementModel, cg_solve_normal, colamp_solve,
                       truncate_top_k)
 from .regularizer import (block_norm, block_norm_smoothed, block_norm_smoothed_grad_fft,
-                          block_norm_smoothed_grad_naive, default_epsilon)
+                          default_epsilon)
 from .rpca import (RpcaConfig, RpcaResult, default_lambda, numerical_rank,
                    rpca_objective, solve_rpca, svt)
 from .synthetic import SyntheticData, SyntheticSpec, gen_synthetic
@@ -30,10 +30,9 @@ __all__ = [
     "NumericalError", "ProxConfig", "ProxResult", "RpcaConfig", "RpcaResult",
     "ShapeError", "SolverReport", "StepFailureError", "SyntheticData",
     "SyntheticSpec", "backtrack_step", "block_norm", "block_norm_smoothed",
-    "block_norm_smoothed_grad_fft", "block_norm_smoothed_grad_naive",
-    "build_clique_system", "cg_solve_normal", "colamp_solve", "default_epsilon",
-    "default_lambda", "denoise_block_tv", "discrete_gradient",
-    "discrete_gradient_adjoint", "gen_synthetic", "group_shrink",
+    "block_norm_smoothed_grad_fft", "build_clique_system", "cg_solve_normal",
+    "colamp_solve", "default_epsilon", "default_lambda", "denoise_block_tv",
+    "discrete_gradient", "discrete_gradient_adjoint", "gen_synthetic", "group_shrink",
     "measured_snr_db", "numerical_rank", "prox_block_norm",
     "prox_block_norm_framewise", "psnr_db", "relative_error", "rpca_objective",
     "solve_rpca", "support_prf", "support_set", "svt", "truncate_top_k",

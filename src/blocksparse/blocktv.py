@@ -93,6 +93,7 @@ class BlockTvConfig:
             raise ConfigError("clique side must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        check_finite(self.tol_obj, "tol_obj")
         if self.tol_obj < 0:
             raise ConfigError("tol_obj must be nonnegative")
         if self.step not in ("backtracking", "fixed"):

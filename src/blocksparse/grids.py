@@ -55,6 +55,14 @@ class CliqueSystem:
     fully-contained patches count: no wraparound, no zero padding, so border
     pixels simply belong to fewer cliques.
 
+    Tile geometry: subset ``i = a*side + b`` (``0 <= a, b < side``) is the
+    ``nh x nw`` grid of cliques with corners ``(a + p*side, b + q*side)``,
+    ``nh = (H - a)//side`` and ``nw = (W - b)//side``.  They tile rows
+    ``[a, a + nh*side)`` and columns ``[b, b + nw*side)`` exactly, so the
+    subset is that region cropped and reshaped to ``(nh, side, nw, side)``;
+    it is empty when ``nh`` or ``nw`` is 0.  The prox reads its copies
+    through such strided views, not through :attr:`indices`.
+
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -81,7 +89,6 @@ class CliqueSystem:
         self.subset_of = (tops % side) * side + (lefts % side)
         self.n_subsets = side * side
         self.subsets = tuple(np.flatnonzero(self.subset_of == i) for i in range(self.n_subsets))
-        self.subset_indices = tuple(self.indices[ids] for ids in self.subsets)
 
         coverage = np.zeros(shape.n, dtype=np.int64)
         np.add.at(coverage, self.indices.ravel(), 1)

@@ -10,6 +10,19 @@ The penalty is split over the ``side**2`` disjoint clique subsets, one
 consensus copy ``z^i`` per subset, which makes every z-update a closed-form
 group shrinkage.
 
+**Tile layout.**  Subset ``i = a*side + b`` holds the cliques whose top-left
+corner ``(top, left)`` has ``top % side == a`` and ``left % side == b``.
+They tile rows ``[a, a + nh*side)`` and columns ``[b, b + nw*side)`` of the
+grid, with ``nh = (H - a)//side`` and ``nw = (W - b)//side``, and no two of
+them share a pixel.  Copy ``z^i``, seen as an ``H x W`` image, is therefore
+read through one strided ``(nh, side, nw*side)`` view of that region: the
+squared norm of tile ``(p, q)`` is the sum over the view's middle axis and
+over columns ``[q*side, (q+1)*side)`` of its last axis.  The z-update sets
+``z^i = x - u^i`` and scales each tile of the view in place by
+``max(1 - tau/||tile||, 0)`` with ``tau = lam/rho``; pixels outside the tiles
+(a border narrower than ``side``) keep ``x - u^i``.  A subset with
+``nh == 0`` or ``nw == 0`` holds no clique.  No index array is read.
+
 Each iteration updates ``x``, then the stacked copies ``Z`` (``s x n``), then
 the scaled duals ``U``.  In the generic ADMM form ``Ax + BZ = 0`` with ``A``
 the ``s`` stacked identities and ``B = -I`` (Boyd et al. 2011, *Distributed
@@ -23,7 +36,14 @@ has
 - tolerances ``eps_pri = sqrt(s*n)*tol_abs + tol_rel*max(sqrt(s)*||x_k||,
   ||Z_k||_F)`` and ``eps_dual = sqrt(n)*tol_abs + tol_rel*rho*s*||ubar_k||``.
 
-The solve stops when ``r_k <= eps_pri`` and ``s_k <= eps_dual``.
+The x-update ``x = (2v + rho * sum_i (z^i + u^i)) / (2 + s*rho)`` needs only
+the means: ``sum_i (z^i + u^i) = s*(zbar + ubar)``.  ``zbar`` is formed for
+the dual residual anyway, and ``ubar`` is kept as an n-vector updated by
+``ubar += zbar - x``, which is exact because ``U += Z - 1 x^T``.
+
+The solve stops when ``r_k <= eps_pri`` and ``s_k <= eps_dual``.  The dual
+test is checked first; ``||Z_k||_F``, an ``s x n`` pass, is taken only when
+it passes, which leaves every stop decision unchanged.
 ``residual_trace`` holds ``r_k + s_k`` per iteration.  That sum is not
 guaranteed to be monotone.  What ADMM does guarantee is that
 ``||Z_k - Z_{k-1}||_F^2 + ||U_k - U_{k-1}||_F^2`` never increases (He & Yuan
@@ -40,6 +60,7 @@ import numpy as np
 
 from .common import AllocationTracker, ConfigError, ShapeError, SolverReport, check_finite
 from .grids import CliqueSystem
+from .regularizer import block_norm
 
 
 @dataclass(frozen=True)
@@ -67,6 +88,8 @@ class ProxConfig:
                 raise ConfigError("rho must be positive")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        check_finite(self.tol_abs, "tol_abs")
+        check_finite(self.tol_rel, "tol_rel")
         if self.tol_abs < 0 or self.tol_rel < 0:
             raise ConfigError("tolerances must be nonnegative")
 
@@ -101,9 +124,21 @@ def group_shrink(v, tau: float) -> np.ndarray:
     return (1.0 - tau / nv) * v
 
 
-def _block_norm_flat(flat: np.ndarray, cliques: CliqueSystem) -> float:
-    vals = flat[cliques.indices]
-    return float(np.sqrt(np.einsum("ij,ij->i", vals, vals)).sum())
+def _tile_views(z: np.ndarray, cliques: CliqueSystem) -> list:
+    """Per subset, the ``(nh, side, nw*side)`` view of copy ``z[i]`` over
+    the region its cliques tile (see the module docstring), or ``None`` for
+    an empty subset."""
+    h, w, side = cliques.shape.height, cliques.shape.width, cliques.side
+    views = []
+    for i in range(cliques.n_subsets):
+        a, b = divmod(i, side)
+        nh, nw = (h - a) // side, (w - b) // side
+        if nh == 0 or nw == 0:
+            views.append(None)
+            continue
+        region = z[i].reshape(h, w)[a:a + nh * side, b:b + nw * side]
+        views.append(region.reshape(nh, side, nw * side))
+    return views
 
 
 def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
@@ -165,52 +200,57 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
         tracker = AllocationTracker()
     tracker.register("prox-consensus-z", z.size)
     tracker.register("prox-scaled-duals", u.size)
+    # r = Z - 1 x^T: one s x n buffer, rewritten every iteration
+    r = np.empty_like(z)
+    tiles = _tile_views(z, cliques)
+    side = cliques.side
+    shape = (cliques.shape.height, cliques.shape.width)
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
     denom = 2.0 + s * rho
-    zbar_prev = z.mean(axis=0)
+    zbar = z.mean(axis=0)
+    ubar = np.zeros(n)
 
     for _ in range(cfg.max_iters):
-        x = (2.0 * vflat + rho * (z + u).sum(axis=0)) / denom
+        x = (2.0 * vflat + (rho * s) * (zbar + ubar)) / denom
 
         np.subtract(x[None, :], u, out=z)
-        for i in range(s):
-            idx = cliques.subset_indices[i]
-            if idx.size == 0:
-                continue
-            vals = z[i, idx]
-            norms = np.sqrt(np.einsum("ij,ij->i", vals, vals))
-            scale = np.zeros_like(norms)
-            live = norms > tau
-            scale[live] = 1.0 - tau / norms[live]
-            z[i, idx] = vals * scale[:, None]
-        r = z - x[None, :]
+        # an all-zero tile has norm 0; tau/0 = inf gives it scale 0
+        with np.errstate(divide="ignore"):
+            for view in tiles:
+                if view is None:
+                    continue
+                nh, _, cols = view.shape
+                norms = np.sqrt(np.einsum("ijk,ijk->ik", view, view)
+                                .reshape(nh, cols // side, side).sum(axis=2))
+                scale = np.maximum(1.0 - tau / norms, 0.0)
+                view *= np.repeat(scale, side, axis=1)[:, None, :]
+        np.subtract(z, x[None, :], out=r)
         u += r
         primal = float(np.linalg.norm(r))
-        del r  # the next x-update forms its own s x n temporary
 
-        zbar = z.mean(axis=0)
-        dual = rho * s * float(np.linalg.norm(zbar - zbar_prev))
         zbar_prev = zbar
+        zbar = z.mean(axis=0)
+        ubar += zbar - x
+        dual = rho * s * float(np.linalg.norm(zbar - zbar_prev))
         objective_trace.append(
-            float(np.sum((x - vflat) ** 2)) + cfg.lam * _block_norm_flat(x, cliques))
+            float(np.sum((x - vflat) ** 2)) + cfg.lam * block_norm(x.reshape(shape), cliques))
         residual_trace.append(primal + dual)
 
-        primal_tol = (np.sqrt(s * n) * cfg.tol_abs
-                      + cfg.tol_rel * max(np.sqrt(s) * np.linalg.norm(x), np.linalg.norm(z)))
-        dual_tol = (np.sqrt(n) * cfg.tol_abs
-                    + cfg.tol_rel * rho * s * np.linalg.norm(u.mean(axis=0)))
-        if primal <= primal_tol and dual <= dual_tol:
-            reason = "converged"
-            break
+        dual_tol = np.sqrt(n) * cfg.tol_abs + cfg.tol_rel * rho * s * np.linalg.norm(ubar)
+        if dual <= dual_tol:
+            primal_tol = (np.sqrt(s * n) * cfg.tol_abs
+                          + cfg.tol_rel * max(np.sqrt(s) * np.linalg.norm(x), np.linalg.norm(z)))
+            if primal <= primal_tol:
+                reason = "converged"
+                break
 
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,
                           reason, peak_aux_entries=tracker.peak,
                           wall_clock=time.perf_counter() - t0,
                           extra={"rho": rho})
-    shape = (cliques.shape.height, cliques.shape.width)
     tracker.release("prox-consensus-z")
     tracker.release("prox-scaled-duals")
     return ProxResult(x.reshape(shape), report, z=z, u=u)

@@ -85,12 +85,15 @@ class ColampConfig:
         check_finite(self.lam0, "lam0")
         if self.lam0 < 0:
             raise ConfigError("lam0 must be nonnegative")
+        check_finite(self.lam_growth, "lam_growth")
         if self.lam_growth < 1:
             raise ConfigError("lam_growth must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
-        if self.eps_res is not None and self.eps_res < 0:
-            raise ConfigError("eps_res must be nonnegative")
+        if self.eps_res is not None:
+            check_finite(self.eps_res, "eps_res")
+            if self.eps_res < 0:
+                raise ConfigError("eps_res must be nonnegative")
 
 
 def cg_solve_normal(phi_s: np.ndarray, y: np.ndarray, tol: float = 1e-10,

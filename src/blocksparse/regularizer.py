@@ -2,10 +2,16 @@
 
 The penalty sums the l2 norms of all clique restrictions of an image; the
 smoothed variant replaces each norm ``||x_c||`` by ``sqrt(||x_c||^2 + eps^2)``
-so the penalty becomes differentiable everywhere.  Two gradient paths are
-provided: a direct gather/scale/scatter evaluation (the correctness oracle)
-and a box-filter FFT pipeline whose cost does not grow with clique size
-(the performance path).  They agree to floating-point tolerance.
+so the penalty becomes differentiable everywhere.
+
+Values come from exact sliding-window sums of ``x*x`` (``side`` shifted-slice
+adds along rows, then ``side`` along columns): a clique that is zero
+everywhere gets a norm of exactly 0, which the FFT correlation does not
+guarantee.  :func:`block_norm`, :func:`block_norm_smoothed` and the objective
+trace of :func:`blocksparse.prox.prox_block_norm` use them.  Gradients come
+from a box-filter FFT pipeline whose cost does not grow with clique size;
+``tests/helpers.py`` assembles the same gradient clique by clique as the
+reference.
 
 The FFT pipeline is one evaluator pair, shared by every smoothed solver:
 
@@ -49,15 +55,26 @@ def _checked(x, cliques: CliqueSystem) -> np.ndarray:
     return x
 
 
-def _clique_sq_norms(flat: np.ndarray, cliques: CliqueSystem) -> np.ndarray:
-    vals = flat[cliques.indices]
-    return np.einsum("ij,ij->i", vals, vals)
+def _clique_sq_norms(x: np.ndarray, side: int) -> np.ndarray:
+    """Squared l2 norm of every ``side x side`` clique of image ``x``, indexed
+    by top-left corner ``(h - side + 1, w - side + 1)``, by exact
+    sliding-window sums."""
+    sq = x * x
+    h, w = sq.shape
+    hv, wv = h - side + 1, w - side + 1
+    rows = sq[:hv].copy()
+    for k in range(1, side):
+        rows += sq[k:k + hv]
+    out = rows[:, :wv].copy()
+    for k in range(1, side):
+        out += rows[:, k:k + wv]
+    return out
 
 
 def block_norm(x, cliques: CliqueSystem) -> float:
     """Sum of clique l2 norms.  Zero iff x vanishes on every covered pixel."""
     x = _checked(x, cliques)
-    return float(np.sqrt(_clique_sq_norms(x.ravel(), cliques)).sum())
+    return float(np.sqrt(_clique_sq_norms(x, cliques.side)).sum())
 
 
 def block_norm_smoothed(x, cliques: CliqueSystem, eps: float) -> float:
@@ -66,25 +83,7 @@ def block_norm_smoothed(x, cliques: CliqueSystem, eps: float) -> float:
     x = _checked(x, cliques)
     if eps < 0:
         raise ConfigError("smoothing eps must be nonnegative")
-    return float(np.sqrt(_clique_sq_norms(x.ravel(), cliques) + eps * eps).sum())
-
-
-def block_norm_smoothed_grad_naive(x, cliques: CliqueSystem, eps: float) -> np.ndarray:
-    """Gradient of the smoothed penalty by per-clique gather/scale/scatter-add.
-
-    Per pixel p the gradient is ``x_p * sum_{c containing p} (||x_c||^2 + eps^2)^(-1/2)``.
-    Requires ``eps > 0`` (the unsmoothed penalty is not differentiable at zero
-    cliques).
-    """
-    x = _checked(x, cliques)
-    if eps <= 0:
-        raise ConfigError("gradient evaluation requires eps > 0")
-    flat = x.ravel()
-    weights = 1.0 / np.sqrt(_clique_sq_norms(flat, cliques) + eps * eps)
-    contrib = flat[cliques.indices] * weights[:, None]
-    out = np.zeros_like(flat)
-    np.add.at(out, cliques.indices, contrib)
-    return out.reshape(x.shape)
+    return float(np.sqrt(_clique_sq_norms(x, cliques.side) + eps * eps).sum())
 
 
 def smoothed_clique_norms(sq, side: int, eps: float) -> np.ndarray:
@@ -106,8 +105,11 @@ def smoothed_weight_map(norms: np.ndarray, side: int) -> np.ndarray:
 
 def block_norm_smoothed_grad_fft(x, cliques: CliqueSystem, eps: float) -> np.ndarray:
     """Gradient of the smoothed penalty via the FFT evaluator pair:
-    ``x * smoothed_weight_map(smoothed_clique_norms(x*x))``.  Matches
-    :func:`block_norm_smoothed_grad_naive` to floating-point tolerance.
+    ``x * smoothed_weight_map(smoothed_clique_norms(x*x))``.
+
+    Per pixel p the gradient is ``x_p * sum_{c containing p} (||x_c||^2 +
+    eps^2)^(-1/2)``.  Requires ``eps > 0`` (the unsmoothed penalty is not
+    differentiable at zero cliques).
     """
     x = _checked(x, cliques)
     if eps <= 0:

@@ -82,6 +82,7 @@ class RpcaConfig:
                 raise ConfigError("eps must be positive")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        check_finite(self.tol_obj, "tol_obj")
         if self.tol_obj < 0:
             raise ConfigError("tol_obj must be nonnegative")
         if self.clique_side < 1:

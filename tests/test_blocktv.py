@@ -156,6 +156,11 @@ def test_config_rejects_nan_lam():
         BlockTvConfig(lam=float("nan"))
 
 
+def test_config_rejects_nan_tol_obj():
+    with pytest.raises(ConfigError, match="tol_obj must be finite"):
+        BlockTvConfig(lam=0.1, tol_obj=float("nan"))
+
+
 def test_config_rejects_nan_eps():
     with pytest.raises(ConfigError, match="eps"):
         BlockTvConfig(lam=0.1, eps=float("nan"))

@@ -73,8 +73,8 @@ def test_partition_and_disjointness(height, width, side):
         owners[ids] += 1
     assert np.all(owners == 1)
     # cliques within a subset share no pixel
-    for idx in cs.subset_indices:
-        flat = idx.ravel()
+    for ids in cs.subsets:
+        flat = cs.indices[ids].ravel()
         assert len(set(flat.tolist())) == flat.size
 
 

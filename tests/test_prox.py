@@ -144,7 +144,7 @@ def test_prox_optimality_certificate():
         assert np.max(np.abs(g.sum(axis=0) + 2.0 * (x - v.ravel()))) < tol
         for i in range(cs.n_subsets):
             covered = np.zeros(cs.shape.n, dtype=bool)
-            idx = cs.subset_indices[i]
+            idx = cs.indices[cs.subsets[i]]
             if idx.size:
                 covered[idx.ravel()] = True
                 for row in idx:
@@ -281,3 +281,77 @@ def test_prox_rejects_nonfinite_warm_start():
 def test_prox_config_rejects_nan_lam():
     with pytest.raises(ConfigError, match="lam"):
         ProxConfig(lam=float("nan"))
+
+
+def test_prox_config_rejects_nan_tol_abs():
+    with pytest.raises(ConfigError, match="tol_abs must be finite"):
+        ProxConfig(lam=1.0, tol_abs=float("nan"))
+
+
+def test_prox_config_rejects_nan_tol_rel():
+    with pytest.raises(ConfigError, match="tol_rel must be finite"):
+        ProxConfig(lam=1.0, tol_rel=float("nan"))
+
+
+def admm_by_loop(v, side, lam, rho, iters):
+    """The prox's ADMM iterates by definition: one copy per subset of
+    brute-force cliques, each clique shrunk on its own, every sum taken over
+    the full s x n stacks."""
+    h, w = v.shape
+    s = side * side
+    subsets = [[] for _ in range(s)]
+    for top, left, idx in helpers.brute_force_cliques(h, w, side):
+        subsets[(top % side) * side + left % side].append(idx)
+    vflat = v.ravel()
+    z = np.tile(vflat, (s, 1))
+    u = np.zeros_like(z)
+    for _ in range(iters):
+        x = (2.0 * vflat + rho * (z + u).sum(axis=0)) / (2.0 + s * rho)
+        for i in range(s):
+            z[i] = x - u[i]
+            for idx in subsets[i]:
+                z[i, idx] = group_shrink(z[i, idx], lam / rho)
+        u += z - x
+    return x, z, u
+
+
+# 7x5 side 5 and 2x2 side 2 have empty subsets; 5x5 side 1 has a single one;
+# the others leave borders narrower than a tile in some subsets
+GEOMETRIES = [(7, 5, 5), (6, 9, 4), (5, 5, 1), (9, 9, 3), (10, 7, 2), (2, 2, 2), (12, 13, 6)]
+
+
+@pytest.mark.parametrize("height,width,side", GEOMETRIES)
+def test_strided_z_update_matches_clique_loop(height, width, side):
+    rng = np.random.default_rng(height * 100 + width * 10 + side)
+    cs = system(height, width, side)
+    v = rng.standard_normal((height, width))
+    v[rng.uniform(size=v.shape) < 0.3] = 0.0  # some all-zero cliques
+    for lam in (0.3, 2.0):
+        for cap in (1, 2, 7):
+            res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=cap,
+                                                    tol_abs=0.0, tol_rel=0.0))
+            assert res.report.iterations == cap
+            x, z, u = admm_by_loop(v, side, lam, res.report.extra["rho"], cap)
+            assert np.max(np.abs(res.x.ravel() - x)) < 1e-12
+            assert np.max(np.abs(res.z - z)) < 1e-12
+            assert np.max(np.abs(res.u - u)) < 1e-12
+
+
+_entries = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.data(),
+       st.floats(1e-3, 1e3), st.floats(0.05, 5.0), st.floats(0.1, 10.0))
+def test_prox_scale_equivariance(height, width, side, data, c, lam, rho):
+    # with rho fixed and no tolerance test, prox(c*v, c*lam) follows c times
+    # the path of prox(v, lam), iteration for iteration
+    side = min(side, height, width)
+    cs = system(height, width, side)
+    v = np.array(data.draw(st.lists(_entries, min_size=height * width,
+                                    max_size=height * width))).reshape(height, width)
+    x = prox_block_norm(v, cs, ProxConfig(lam=lam, rho=rho, max_iters=30,
+                                          tol_abs=0.0, tol_rel=0.0)).x
+    xc = prox_block_norm(c * v, cs, ProxConfig(lam=c * lam, rho=rho, max_iters=30,
+                                               tol_abs=0.0, tol_rel=0.0)).x
+    assert np.linalg.norm(xc - c * x) <= 1e-9 * c * np.linalg.norm(v)

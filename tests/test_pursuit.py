@@ -258,3 +258,13 @@ def test_colamp_rejects_nonfinite_operator():
 def test_config_rejects_nan_lam0():
     with pytest.raises(ConfigError, match="lam0"):
         ColampConfig(k=4, lam0=float("nan"))
+
+
+def test_config_rejects_nan_lam_growth():
+    with pytest.raises(ConfigError, match="lam_growth must be finite"):
+        ColampConfig(k=4, lam_growth=float("nan"))
+
+
+def test_config_rejects_nan_eps_res():
+    with pytest.raises(ConfigError, match="eps_res must be finite"):
+        ColampConfig(k=4, eps_res=float("nan"))

@@ -5,8 +5,7 @@ import pytest
 
 from blocksparse import (ConfigError, GridShape, ShapeError, block_norm,
                          block_norm_smoothed, block_norm_smoothed_grad_fft,
-                         block_norm_smoothed_grad_naive, build_clique_system,
-                         default_epsilon)
+                         build_clique_system, default_epsilon)
 from blocksparse.regularizer import smoothed_clique_norms, smoothed_weight_map
 
 import helpers
@@ -99,14 +98,13 @@ def test_convexity_surrogate():
 
 def test_grad_zero_image():
     cs = system(4, 4, 2)
-    assert np.all(block_norm_smoothed_grad_naive(np.zeros((4, 4)), cs, 0.1) == 0)
+    idx = cs.indices.tolist()
+    assert np.all(helpers.smoothed_grad_by_loop(np.zeros((4, 4)), idx, 0.1) == 0)
     assert np.allclose(block_norm_smoothed_grad_fft(np.zeros((4, 4)), cs, 0.1), 0.0)
 
 
 def test_grad_requires_positive_eps():
     cs = system(3, 3, 2)
-    with pytest.raises(ConfigError):
-        block_norm_smoothed_grad_naive(np.ones((3, 3)), cs, 0.0)
     with pytest.raises(ConfigError):
         block_norm_smoothed_grad_fft(np.ones((3, 3)), cs, 0.0)
 
@@ -114,9 +112,10 @@ def test_grad_requires_positive_eps():
 def test_grad_single_clique_direction():
     cs = system(2, 2, 2)
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
-    g = block_norm_smoothed_grad_naive(x, cs, 1e-9)
-    assert g[0, 0] == pytest.approx(0.6, abs=1e-9)
-    assert g[0, 1] == pytest.approx(0.8, abs=1e-9)
+    for g in (helpers.smoothed_grad_by_loop(x, cs.indices.tolist(), 1e-9),
+              block_norm_smoothed_grad_fft(x, cs, 1e-9)):
+        assert g[0, 0] == pytest.approx(0.6, abs=1e-9)
+        assert g[0, 1] == pytest.approx(0.8, abs=1e-9)
 
 
 def test_grad_constant_image_interior():
@@ -132,7 +131,7 @@ def test_grad_matches_loop_oracle():
     cs = system(6, 6, 2)
     x = rng.standard_normal((6, 6))
     expected = helpers.smoothed_grad_by_loop(x, cs.indices.tolist(), 0.1)
-    assert np.allclose(block_norm_smoothed_grad_naive(x, cs, 0.1), expected, rtol=1e-12)
+    assert np.allclose(block_norm_smoothed_grad_fft(x, cs, 0.1), expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("side", [1, 2, 3, 4, 8])
@@ -143,10 +142,10 @@ def test_grad_paths_agree(side):
             continue
         cs = system(h, w, side)
         x = rng.standard_normal((h, w))
-        g_naive = block_norm_smoothed_grad_naive(x, cs, 0.05)
+        g_loop = helpers.smoothed_grad_by_loop(x, cs.indices.tolist(), 0.05)
         g_fft = block_norm_smoothed_grad_fft(x, cs, 0.05)
-        denom = np.linalg.norm(g_naive)
-        assert np.linalg.norm(g_fft - g_naive) <= 1e-10 * denom
+        denom = np.linalg.norm(g_loop)
+        assert np.linalg.norm(g_fft - g_loop) <= 1e-10 * denom
 
 
 def test_grad_matches_finite_differences():
@@ -157,7 +156,7 @@ def test_grad_matches_finite_differences():
     step = 1e-6 * float(np.max(np.abs(x)))
     fd = helpers.central_difference_gradient(
         lambda z: block_norm_smoothed(z, cs, eps), x, step)
-    for g in (block_norm_smoothed_grad_naive(x, cs, eps),
+    for g in (helpers.smoothed_grad_by_loop(x, cs.indices.tolist(), eps),
               block_norm_smoothed_grad_fft(x, cs, eps)):
         assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
 
@@ -180,7 +179,7 @@ def test_stack_helpers_match_framewise():
             block_norm_smoothed(frames[t], cs, eps), rel=1e-12)
     grad = frames * smoothed_weight_map(norms, 3)
     for t in range(4):
-        g = block_norm_smoothed_grad_naive(frames[t], cs, eps)
+        g = helpers.smoothed_grad_by_loop(frames[t], cs.indices.tolist(), eps)
         assert np.allclose(grad[t], g, rtol=1e-10, atol=1e-12)
 
 

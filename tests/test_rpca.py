@@ -239,6 +239,11 @@ def test_config_rejects_nan_lam():
         RpcaConfig(lam=float("nan"))
 
 
+def test_config_rejects_nan_tol_obj():
+    with pytest.raises(ConfigError, match="tol_obj must be finite"):
+        RpcaConfig(tol_obj=float("nan"))
+
+
 def test_config_rejects_nan_eps():
     with pytest.raises(ConfigError, match="eps"):
         RpcaConfig(eps=float("nan"))
