@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .common import (AllocationTracker, ConfigError, ShapeError, SolverReport,
-                     backtrack_step, check_finite)
+                     backtrack_step, check_count, check_finite)
 from .grids import GridShape
 from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
@@ -70,7 +70,11 @@ class BlockTvConfig:
 
     ``eps=None`` resolves to the scale-relative smoothing default of the
     input's gradient field.  ``step="backtracking"`` uses Armijo line search;
-    ``step="fixed"`` takes constant steps of size ``alpha``.
+    ``step="fixed"`` takes constant steps of size ``alpha``.  The run stops
+    once an iteration changes the objective by at most ``tol_obj`` times its
+    magnitude, or once the gradient norm is at most ``1e-12 * ||y||``.
+    Neither test has an absolute floor, so scaling ``y``, ``lam`` and
+    ``eps`` by ``c`` leaves the iteration count unchanged.
     """
 
     lam: float
@@ -89,15 +93,15 @@ class BlockTvConfig:
             check_finite(self.eps, "eps")
             if self.eps <= 0:
                 raise ConfigError("eps must be positive")
-        if self.clique_side < 1:
-            raise ConfigError("clique side must be >= 1")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
+        check_count(self.clique_side, "clique side")
+        check_count(self.max_iters, "max_iters")
         check_finite(self.tol_obj, "tol_obj")
         if self.tol_obj < 0:
             raise ConfigError("tol_obj must be nonnegative")
         if self.step not in ("backtracking", "fixed"):
             raise ConfigError("step policy must be 'backtracking' or 'fixed'")
+        if self.alpha is not None:
+            check_finite(self.alpha, "alpha")
         if self.step == "fixed" and (self.alpha is None or self.alpha <= 0):
             raise ConfigError("fixed stepping requires a positive alpha")
 
@@ -143,7 +147,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     tracker.register("tv-descent-direction", shape.n)
 
     x = y.copy()
-    grad_tol = 1e-12 * max(1.0, float(np.linalg.norm(y)))
+    grad_tol = 1e-12 * float(np.linalg.norm(y))
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
@@ -165,7 +169,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
             obj, state = evaluate(x)
         objective_trace.append(obj)
         residual_trace.append(gnorm)
-        if abs(obj_prev - obj) <= cfg.tol_obj * max(1.0, abs(obj_prev)):
+        if abs(obj_prev - obj) <= cfg.tol_obj * abs(obj_prev):
             reason = "converged"
             break
         obj_prev = obj

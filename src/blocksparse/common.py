@@ -3,6 +3,7 @@ allocation accounting."""
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
@@ -97,6 +98,20 @@ def check_finite(value, what: str) -> None:
     """
     if not np.all(np.isfinite(value)):
         raise ConfigError(f"{what} must be finite")
+
+
+def check_count(value, what: str) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer (Python or
+    NumPy, not ``bool``) of at least 1.
+
+    Iteration caps, sparsity targets and clique sides feed ``range`` and
+    array shapes; a float there, even NaN, passes a ``< 1`` check and fails
+    later with a ``TypeError``, or not at all.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{what} must be >= 1")
 
 
 class AcceptedStep(NamedTuple):

@@ -24,30 +24,34 @@ over columns ``[q*side, (q+1)*side)`` of its last axis.  The z-update sets
 ``nh == 0`` or ``nw == 0`` holds no clique.  No index array is read.
 
 Each iteration updates ``x``, then the stacked copies ``Z`` (``s x n``), then
-the scaled duals ``U``.  In the generic ADMM form ``Ax + BZ = 0`` with ``A``
-the ``s`` stacked identities and ``B = -I`` (Boyd et al. 2011, *Distributed
-Optimization and Statistical Learning via ADMM*, section 3.3), iteration ``k``
-has
+the scaled duals ``U``.  The x-update
+``x = (2v + rho * sum_i (z^i + u^i)) / (2 + s*rho)`` needs only the means:
+``sum_i (z^i + u^i) = s*(zbar + ubar)``.  ``zbar`` is one pass over ``Z``;
+``ubar`` is kept as an n-vector updated by ``ubar += zbar - x``, which is
+exact because ``U += Z - 1 x^T``.
 
-- primal residual ``r_k = ||Z_k - 1 x_k^T||_F``;
-- dual residual ``s_k = rho * s * ||zbar_k - zbar_{k-1}||``, where ``zbar``
-  is the mean copy.  ``Z`` is the second block updated, so the dual residual
-  comes from its change; ``zbar_0`` is the mean of the starting copies;
-- tolerances ``eps_pri = sqrt(s*n)*tol_abs + tol_rel*max(sqrt(s)*||x_k||,
-  ||Z_k||_F)`` and ``eps_dual = sqrt(n)*tol_abs + tol_rel*rho*s*||ubar_k||``.
+**Duality-gap certificate.**  The prox has the dual
+``max_g <g, v> - ||g||^2/4`` over ``g = sum_c P_c^T w_c`` with every
+``||w_c|| <= lam``; any such ``g`` bounds the optimum from below, and
+``x = v - g/2`` at the optimum (Bach et al. 2012, *Optimization with
+Sparsity-Inducing Penalties*, section 5).  After each z-update the
+optimality of ``z^i`` gives ``-rho*u^i in lam * d||z^i_c||`` on each tile,
+so every clique block of ``-rho*u^i`` already has norm at most ``lam``, and
+``u^i`` is 0 off the tiles.  The dual point ``g = -rho * sum_i u^i =
+-rho*s*ubar`` is therefore feasible as it stands, and the dual value
+``D = <g, v> - ||g||^2/4`` costs two n-vector dot products.  The primal value
+``P = ||x - v||^2 + lam * J(x)`` is the objective the loop traces.
 
-The x-update ``x = (2v + rho * sum_i (z^i + u^i)) / (2 + s*rho)`` needs only
-the means: ``sum_i (z^i + u^i) = s*(zbar + ubar)``.  ``zbar`` is formed for
-the dual residual anyway, and ``ubar`` is kept as an n-vector updated by
-``ubar += zbar - x``, which is exact because ``U += Z - 1 x^T``.
-
-The solve stops when ``r_k <= eps_pri`` and ``s_k <= eps_dual``.  The dual
-test is checked first; ``||Z_k||_F``, an ``s x n`` pass, is taken only when
-it passes, which leaves every stop decision unchanged.
-``residual_trace`` holds ``r_k + s_k`` per iteration.  That sum is not
-guaranteed to be monotone.  What ADMM does guarantee is that
-``||Z_k - Z_{k-1}||_F^2 + ||U_k - U_{k-1}||_F^2`` never increases (He & Yuan
-2015, *On non-ergodic convergence rate of Douglas-Rachford ADMM*).
+The solve stops when ``P - D <= tol_rel*P + tol_abs*||v||^2``.  Both terms
+scale with the data: ``||v||^2`` is ``P(0)``.  The data term gives
+``P(x) - P(x*) >= ||x - x*||^2``, so the returned ``x`` satisfies
+``||x - x*||^2 <= P - D``.  With ``tol_abs = tol_rel = 0`` no stop is tested
+and the solve runs exactly ``max_iters`` iterations, so a gap that roundoff
+makes zero or negative cannot end it.  ``residual_trace`` holds ``P - D``
+per iteration, in the units of ``objective_trace``.  ADMM does not make the
+gap monotone; it does make ``||Z_k - Z_{k-1}||_F^2 + ||U_k - U_{k-1}||_F^2``
+nonincreasing (He & Yuan 2015, *On non-ergodic convergence rate of
+Douglas-Rachford ADMM*).
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ from typing import Optional
 
 import numpy as np
 
-from .common import AllocationTracker, ConfigError, ShapeError, SolverReport, check_finite
+from .common import (AllocationTracker, ConfigError, ShapeError, SolverReport, check_count,
+                     check_finite)
 from .grids import CliqueSystem
 from .regularizer import block_norm
 
@@ -67,9 +72,12 @@ from .regularizer import block_norm
 class ProxConfig:
     """Weight and ADMM controls for :func:`prox_block_norm`.
 
-    ``rho=None`` resolves to ``lam + 1``.  Stopping follows the primal/dual
-    residual rule with absolute plus relative tolerances, as defined in the
-    module docstring.
+    ``rho=None`` resolves to ``lam + 1``.  The solve stops once the duality
+    gap ``P - D`` of the module docstring is at most
+    ``tol_rel*P + tol_abs*||v||^2``: ``P`` is the prox objective at the
+    current ``x`` and ``D`` the dual value of ``g = -rho * sum_i u^i``, which
+    the z-update keeps feasible.  ``tol_abs = tol_rel = 0`` disables the test,
+    so exactly ``max_iters`` iterations run.
     """
 
     lam: float
@@ -86,8 +94,7 @@ class ProxConfig:
             check_finite(self.rho, "rho")
             if self.rho <= 0:
                 raise ConfigError("rho must be positive")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
+        check_count(self.max_iters, "max_iters")
         check_finite(self.tol_abs, "tol_abs")
         check_finite(self.tol_rel, "tol_rel")
         if self.tol_abs < 0 or self.tol_rel < 0:
@@ -200,8 +207,6 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
         tracker = AllocationTracker()
     tracker.register("prox-consensus-z", z.size)
     tracker.register("prox-scaled-duals", u.size)
-    # r = Z - 1 x^T: one s x n buffer, rewritten every iteration
-    r = np.empty_like(z)
     tiles = _tile_views(z, cliques)
     side = cliques.side
     shape = (cliques.shape.height, cliques.shape.width)
@@ -209,12 +214,15 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
-    denom = 2.0 + s * rho
+    rs = rho * s
+    denom = 2.0 + rs
     zbar = z.mean(axis=0)
     ubar = np.zeros(n)
+    certify = cfg.tol_abs > 0 or cfg.tol_rel > 0
+    gap_floor = cfg.tol_abs * float(vflat @ vflat)
 
     for _ in range(cfg.max_iters):
-        x = (2.0 * vflat + (rho * s) * (zbar + ubar)) / denom
+        x = (2.0 * vflat + rs * (zbar + ubar)) / denom
 
         np.subtract(x[None, :], u, out=z)
         # an all-zero tile has norm 0; tau/0 = inf gives it scale 0
@@ -227,25 +235,21 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
                                 .reshape(nh, cols // side, side).sum(axis=2))
                 scale = np.maximum(1.0 - tau / norms, 0.0)
                 view *= np.repeat(scale, side, axis=1)[:, None, :]
-        np.subtract(z, x[None, :], out=r)
-        u += r
-        primal = float(np.linalg.norm(r))
-
-        zbar_prev = zbar
+        u += z
+        u -= x
         zbar = z.mean(axis=0)
         ubar += zbar - x
-        dual = rho * s * float(np.linalg.norm(zbar - zbar_prev))
-        objective_trace.append(
-            float(np.sum((x - vflat) ** 2)) + cfg.lam * block_norm(x.reshape(shape), cliques))
-        residual_trace.append(primal + dual)
 
-        dual_tol = np.sqrt(n) * cfg.tol_abs + cfg.tol_rel * rho * s * np.linalg.norm(ubar)
-        if dual <= dual_tol:
-            primal_tol = (np.sqrt(s * n) * cfg.tol_abs
-                          + cfg.tol_rel * max(np.sqrt(s) * np.linalg.norm(x), np.linalg.norm(z)))
-            if primal <= primal_tol:
-                reason = "converged"
-                break
+        d = x - vflat
+        primal = float(d @ d) + cfg.lam * block_norm(x.reshape(shape), cliques)
+        # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
+        dual = -rs * float(ubar @ vflat) - 0.25 * rs * rs * float(ubar @ ubar)
+        gap = primal - dual
+        objective_trace.append(primal)
+        residual_trace.append(gap)
+        if certify and gap <= cfg.tol_rel * primal + gap_floor:
+            reason = "converged"
+            break
 
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,
                           reason, peak_aux_entries=tracker.peak,

@@ -18,7 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .common import AllocationTracker, ConfigError, ShapeError, SolverReport, check_finite
+from .common import (AllocationTracker, ConfigError, ShapeError, SolverReport, check_count,
+                     check_finite)
 from .grids import CliqueSystem
 from .prox import ProxConfig, prox_block_norm
 
@@ -57,8 +58,10 @@ class MeasurementModel:
 
 
 def _default_prox_cfg() -> ProxConfig:
-    # Tight tolerances so entries that belong off-support fall below the
-    # SUPPORT_REL_TOL threshold instead of lingering at ADMM-residual level.
+    # Tight gap tolerances: a stop certifies ||x - x*||^2 <= 1e-10*P + 1e-12*||v||^2
+    # for the exact prox x*.  _support_of reads the support off x, so x must
+    # be near x*; SUPPORT_REL_TOL then drops the ADMM residue left on pixels
+    # that x* zeroes.
     return ProxConfig(lam=0.0, max_iters=2000, tol_abs=1e-12, tol_rel=1e-10)
 
 
@@ -80,16 +83,14 @@ class ColampConfig:
     prox: ProxConfig = field(default_factory=_default_prox_cfg)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("target sparsity k must be >= 1")
+        check_count(self.k, "target sparsity k")
         check_finite(self.lam0, "lam0")
         if self.lam0 < 0:
             raise ConfigError("lam0 must be nonnegative")
         check_finite(self.lam_growth, "lam_growth")
         if self.lam_growth < 1:
             raise ConfigError("lam_growth must be >= 1")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
+        check_count(self.max_iters, "max_iters")
         if self.eps_res is not None:
             check_finite(self.eps_res, "eps_res")
             if self.eps_res < 0:

@@ -28,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .common import (AllocationTracker, ConfigError, NumericalError, ShapeError,
-                     SolverReport, check_finite)
+                     SolverReport, check_count, check_finite)
 from .grids import CliqueSystem, GridShape, build_clique_system
 from .regularizer import block_norm_smoothed, smoothed_clique_norms, smoothed_weight_map
 
@@ -52,7 +52,10 @@ class RpcaConfig:
     ``eps=None`` resolves to the scale-relative smoothing default of the
     observed stack.  ``alpha="auto"`` enables backtracking line search with
     a Lipschitz-motivated initial step ``1 / (mu + lam/eps)``; a float fixes
-    the step size.
+    the step size.  The run stops once an iteration changes the objective by
+    at most ``tol_obj`` times its magnitude.  That test and the line search's
+    slack are relative with no absolute floor, so scaling ``y`` and ``eps``
+    by ``c`` and ``mu`` by ``1/c`` leaves the iteration count unchanged.
     """
 
     lam: Optional[float] = None
@@ -74,19 +77,19 @@ class RpcaConfig:
         if isinstance(self.alpha, str):
             if self.alpha != "auto":
                 raise ConfigError("alpha must be a positive number or 'auto'")
-        elif self.alpha <= 0:
-            raise ConfigError("alpha must be positive when fixed")
+        else:
+            check_finite(self.alpha, "alpha")
+            if self.alpha <= 0:
+                raise ConfigError("alpha must be positive when fixed")
         if self.eps is not None:
             check_finite(self.eps, "eps")
             if self.eps <= 0:
                 raise ConfigError("eps must be positive")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
+        check_count(self.max_iters, "max_iters")
         check_finite(self.tol_obj, "tol_obj")
         if self.tol_obj < 0:
             raise ConfigError("tol_obj must be nonnegative")
-        if self.clique_side < 1:
-            raise ConfigError("clique side must be >= 1")
+        check_count(self.clique_side, "clique side")
 
 
 @dataclass
@@ -259,7 +262,7 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
             dz = z_new - z
             model = (h_old + float(np.vdot(gx, dx).real) + float(np.vdot(gz, dz).real)
                      + (float(np.sum(dx ** 2)) + float(np.sum(dz ** 2))) / (2.0 * alpha))
-            if h_new <= model + 1e-12 * max(1.0, abs(h_old)):
+            if h_new <= model + 1e-12 * abs(h_old):
                 break
             norms = None  # rejected trial
             halvings += 1
@@ -276,7 +279,7 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
             reason = "diverged"
             extra["advice"] = "objective grew 10x from its starting value; reduce alpha"
             break
-        if abs(obj_prev - obj) <= cfg.tol_obj * max(1.0, abs(obj_prev)):
+        if abs(obj_prev - obj) <= cfg.tol_obj * abs(obj_prev):
             reason = "converged"
             break
         obj_prev = obj

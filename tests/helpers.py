@@ -78,6 +78,31 @@ def prox_objective(x, v, cliques_idx, lam):
     return float(np.sum((x - v) ** 2)) + lam * block_norm_by_loop(x, cliques_idx)
 
 
+def prox_gap_by_projection(v, x, u, rho, lam, side):
+    """Duality gap ``P(x) - D(g)`` of the prox ``||x - v||^2 + lam * J(x)``.
+
+    ``g`` is built clique by clique from the scaled duals: row ``i`` of
+    ``-rho * u`` belongs to subset ``i = (top % side) * side + left % side``,
+    each clique block of it is projected onto the ball of radius ``lam``,
+    and the projections are summed.  Any such ``g`` is dual feasible, so
+    ``D(g) = <g, v> - ||g||^2 / 4`` bounds the optimum from below.
+    """
+    v = np.asarray(v, dtype=float)
+    h, w = v.shape
+    share = -rho * np.asarray(u, dtype=float)
+    g = np.zeros(h * w)
+    cliques = brute_force_cliques(h, w, side)
+    for top, left, idx in cliques:
+        block = share[(top % side) * side + left % side, idx]
+        norm = float(np.linalg.norm(block))
+        if norm > lam:
+            block = block * (lam / norm)
+        g[idx] += block
+    primal = prox_objective(x, v, [idx for _, _, idx in cliques], lam)
+    dual = float(g @ v.ravel()) - float(g @ g) / 4.0
+    return primal - dual
+
+
 def prox_by_smoothed_descent(v, cliques_idx, lam, eps=1e-8, max_iters=100000):
     """High-accuracy prox oracle: Armijo gradient descent on the smoothed
     objective ``||x - v||^2 + lam * sum_c sqrt(||x_c||^2 + eps^2)``.

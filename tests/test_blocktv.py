@@ -164,3 +164,38 @@ def test_config_rejects_nan_tol_obj():
 def test_config_rejects_nan_eps():
     with pytest.raises(ConfigError, match="eps"):
         BlockTvConfig(lam=0.1, eps=float("nan"))
+
+
+def test_config_rejects_nan_alpha():
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        BlockTvConfig(lam=0.1, step="fixed", alpha=float("nan"))
+
+
+def test_config_rejects_non_integer_clique_side():
+    for bad in (float("nan"), 2.5, 2.0, True):
+        with pytest.raises(ConfigError, match="clique side must be an integer"):
+            BlockTvConfig(lam=0.1, clique_side=bad)
+    assert BlockTvConfig(lam=0.1, clique_side=np.int64(3)).clique_side == 3
+
+
+def test_config_rejects_non_integer_max_iters():
+    for bad in (float("nan"), 2.5, 2.0, True):
+        with pytest.raises(ConfigError, match="max_iters must be an integer"):
+            BlockTvConfig(lam=0.1, max_iters=bad)
+    assert BlockTvConfig(lam=0.1, max_iters=np.int32(7)).max_iters == 7
+
+
+@pytest.mark.parametrize("c", [2.0 ** -10, 2.0 ** -20, 2.0 ** 10])
+def test_scaled_run_stops_at_the_same_iteration(c):
+    # y, lam and eps scaled by c scale the objective by c^2 and the path by c;
+    # with a power-of-two c the arithmetic scales exactly, so a stopping rule
+    # with no absolute floor stops both runs at the same iteration
+    rng = np.random.default_rng(14)
+    y = make_piecewise_constant(32, 32, rng) + 0.1 * rng.standard_normal((32, 32))
+    x, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, eps=1e-3, max_iters=300,
+                                                  tol_obj=1e-9))
+    xc, report_c = denoise_block_tv(c * y, BlockTvConfig(lam=0.1 * c, eps=1e-3 * c,
+                                                         max_iters=300, tol_obj=1e-9))
+    assert report_c.iterations == report.iterations
+    assert report_c.termination_reason == report.termination_reason
+    assert np.max(np.abs(xc - c * x)) <= 1e-12 * c

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,14 @@ import helpers
 
 def system(h, w, side):
     return build_clique_system(GridShape(h, w), side)
+
+
+def certifying_tol_rel(v, dist):
+    """A ``tol_rel`` whose stop certifies ``||x - x*|| <= dist``: the gap
+    bounds ``||x - x*||^2`` and, at a stop, is at most
+    ``tol_rel * P <= tol_rel * (||v||^2 + gap)``."""
+    bound = 0.5 * dist * dist
+    return bound / (np.sum(np.asarray(v) ** 2) + bound)
 
 
 # --- group_shrink -----------------------------------------------------------
@@ -69,8 +79,9 @@ def test_prox_single_clique_matches_group_shrink():
     cs = system(2, 2, 2)
     for lam in (0.5, 2.0, 12.0):
         v = rng.standard_normal((2, 2))
-        res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=20000,
-                                                tol_abs=1e-12, tol_rel=1e-10))
+        res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=20000, tol_abs=0.0,
+                                                tol_rel=certifying_tol_rel(v, 1e-6)))
+        assert res.report.termination_reason == "converged"
         expected = group_shrink(v.ravel(), lam / 2.0).reshape(2, 2)
         assert np.max(np.abs(res.x - expected)) < 1e-6
 
@@ -162,11 +173,11 @@ def test_prox_optimality_certificate():
 
 
 def test_prox_residual_mostly_monotone():
-    # ADMM does not promise a monotone primal + dual trace.  It does promise
-    # (He & Yuan 2015) that ||Z_k - Z_{k-1}||^2 + ||U_k - U_{k-1}||^2 never
-    # increases, Z being the second block updated.  The path is deterministic,
-    # so iterate k is the final state of a solve capped at k iterations; the
-    # cold-start state at k = 0 is Z = tile(v), U = 0.
+    # ADMM does not promise a monotone gap.  It does promise (He & Yuan 2015)
+    # that ||Z_k - Z_{k-1}||^2 + ||U_k - U_{k-1}||^2 never increases, Z being
+    # the second block updated.  The path is deterministic, so iterate k is
+    # the final state of a solve capped at k iterations; the cold-start state
+    # at k = 0 is Z = tile(v), U = 0.
     rng = np.random.default_rng(7)
     cs = system(5, 5, 2)
     s = cs.n_subsets
@@ -177,11 +188,12 @@ def test_prox_residual_mostly_monotone():
         us = [np.zeros((s, 25))]
         xs = [None]
         for k in range(1, iters + 1):
-            res = prox_block_norm(v, cs, ProxConfig(lam=1.0, max_iters=k))
+            res = prox_block_norm(v, cs, ProxConfig(lam=1.0, max_iters=k,
+                                                    tol_abs=0.0, tol_rel=0.0))
             assert res.report.iterations == k
             zs.append(res.z)
             us.append(res.u)
-            xs.append(res.x.ravel())
+            xs.append(res.x)
         rho = res.report.extra["rho"]
         trace = res.report.residual_trace
 
@@ -191,9 +203,82 @@ def test_prox_residual_mostly_monotone():
             assert b <= a * (1 + 1e-9)
 
         for k in range(1, iters + 1):
-            primal = np.linalg.norm(zs[k] - xs[k][None, :])
-            dual = rho * s * np.linalg.norm(zs[k].mean(axis=0) - zs[k - 1].mean(axis=0))
-            assert trace[k - 1] == pytest.approx(primal + dual, rel=1e-9)
+            gap = helpers.prox_gap_by_projection(v, xs[k], us[k], rho, 1.0, 2)
+            assert trace[k - 1] == pytest.approx(gap, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol_abs,tol_rel", [(1e-8, 1e-6), (0.0, 1e-9), (1e-6, 0.0)])
+def test_prox_converged_solve_satisfies_gap_rule(tol_abs, tol_rel):
+    # the reported gap is the oracle's, and a converged solve meets the rule
+    # under it; the oracle gap certifies ||x - x*||^2 against a tight solve
+    rng = np.random.default_rng(20)
+    cs = system(9, 8, 3)
+    tight = ProxConfig(lam=0.7, max_iters=50000, tol_abs=0.0, tol_rel=1e-14)
+    for _ in range(3):
+        v = 5.0 * rng.standard_normal((9, 8))
+        res = prox_block_norm(v, cs, ProxConfig(lam=0.7, max_iters=50000,
+                                                tol_abs=tol_abs, tol_rel=tol_rel))
+        assert res.report.termination_reason == "converged"
+        primal = res.report.objective_trace[-1]
+        gap = helpers.prox_gap_by_projection(v, res.x, res.u, res.report.extra["rho"], 0.7, 3)
+        assert res.report.residual_trace[-1] == pytest.approx(gap, rel=1e-6, abs=1e-12 * primal)
+        assert gap <= tol_rel * primal + tol_abs * np.sum(v ** 2) + 1e-12 * primal
+        x_star = prox_block_norm(v, cs, tight).x
+        assert np.sum((res.x - x_star) ** 2) <= gap + 1e-12 * primal
+
+
+def test_prox_gap_nonnegative():
+    # weak duality: every traced gap is >= 0 up to roundoff.  D sums terms
+    # of the size of ||v||^2 = P(0), which can exceed P many times over, so
+    # the roundoff is measured against ||v||^2
+    rng = np.random.default_rng(21)
+    for h, w, side in GEOMETRIES:
+        cs = system(h, w, side)
+        v = rng.standard_normal((h, w))
+        for lam in (0.1, 1.0, 10.0):
+            rep = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=300, tol_abs=0.0,
+                                                    tol_rel=0.0)).report
+            assert min(rep.residual_trace) >= -1e-12 * np.sum(v ** 2)
+
+
+def test_prox_zero_tolerances_run_max_iters():
+    # a zero center has gap exactly 0 from the first iteration; a converged
+    # solve reaches roundoff, where the gap can be 0 or negative.  Neither
+    # stops a solve whose tolerances are zero.
+    cs = system(4, 4, 2)
+    rep = prox_block_norm(np.zeros((4, 4)), cs, ProxConfig(lam=1.0, max_iters=25, tol_abs=0.0,
+                                                           tol_rel=0.0)).report
+    assert rep.iterations == 25 and rep.termination_reason == "max-iterations"
+    assert max(rep.residual_trace) == 0.0
+    v = np.random.default_rng(22).standard_normal((4, 4))
+    rep = prox_block_norm(v, cs, ProxConfig(lam=1.0, max_iters=2000, tol_abs=0.0,
+                                            tol_rel=0.0)).report
+    assert rep.iterations == 2000 and rep.termination_reason == "max-iterations"
+    assert min(rep.residual_trace) <= 1e-14 * rep.objective_trace[-1]
+    # with any positive tolerance the zero center stops at once
+    rep = prox_block_norm(np.zeros((4, 4)), cs, ProxConfig(lam=1.0, tol_abs=0.0,
+                                                           tol_rel=1e-12)).report
+    assert rep.iterations == 1 and rep.termination_reason == "converged"
+
+
+def test_prox_holds_two_copy_stacks():
+    # measured, not declared: beyond its inputs a solve holds the copies z and
+    # the duals u (s x n each) plus O(n) working vectors, and no third stack
+    side, h, w = 6, 48, 48
+    cs = system(h, w, side)
+    s, n = cs.n_subsets, h * w
+    v = np.random.default_rng(23).standard_normal((h, w))
+    cfg = ProxConfig(lam=0.5, max_iters=3, tol_abs=0.0, tol_rel=0.0)
+    prox_block_norm(v, cs, cfg)  # warm any lazily built state
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prox_block_norm(v, cs, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    stack = s * n * 8
+    assert 2 * stack <= peak <= 2 * stack + 16 * n * 8
 
 
 def test_prox_peak_storage_is_2sN():
@@ -258,10 +343,13 @@ def test_prox_warm_start_same_solution():
     rng = np.random.default_rng(13)
     cs = system(5, 5, 2)
     v = rng.standard_normal((5, 5))
-    cfg = ProxConfig(lam=1.0, max_iters=20000, tol_abs=1e-12, tol_rel=1e-10)
-    cold = prox_block_norm(v, cs, cfg).x
-    warm = prox_block_norm(v, cs, cfg, x0=rng.standard_normal((5, 5))).x
-    assert np.max(np.abs(cold - warm)) < 1e-6
+    # each solve within 5e-7 of the solution keeps them within 1e-6 of each other
+    cfg = ProxConfig(lam=1.0, max_iters=20000, tol_abs=0.0,
+                     tol_rel=certifying_tol_rel(v, 5e-7))
+    cold = prox_block_norm(v, cs, cfg)
+    warm = prox_block_norm(v, cs, cfg, x0=rng.standard_normal((5, 5)))
+    assert cold.report.termination_reason == warm.report.termination_reason == "converged"
+    assert np.max(np.abs(cold.x - warm.x)) < 1e-6
 
 
 def test_prox_rejects_nonfinite_center():
@@ -291,6 +379,13 @@ def test_prox_config_rejects_nan_tol_abs():
 def test_prox_config_rejects_nan_tol_rel():
     with pytest.raises(ConfigError, match="tol_rel must be finite"):
         ProxConfig(lam=1.0, tol_rel=float("nan"))
+
+
+def test_prox_config_rejects_non_integer_max_iters():
+    for bad in (float("nan"), 2.5, 2.0, True):
+        with pytest.raises(ConfigError, match="max_iters must be an integer"):
+            ProxConfig(lam=1.0, max_iters=bad)
+    assert ProxConfig(lam=1.0, max_iters=np.int64(7)).max_iters == 7
 
 
 def admm_by_loop(v, side, lam, rho, iters):

@@ -268,3 +268,17 @@ def test_config_rejects_nan_lam_growth():
 def test_config_rejects_nan_eps_res():
     with pytest.raises(ConfigError, match="eps_res must be finite"):
         ColampConfig(k=4, eps_res=float("nan"))
+
+
+def test_config_rejects_non_integer_k():
+    for bad in (float("nan"), 2.5, 2.0, True):
+        with pytest.raises(ConfigError, match="target sparsity k must be an integer"):
+            ColampConfig(k=bad)
+    assert ColampConfig(k=np.int64(40)).k == 40
+
+
+def test_config_rejects_non_integer_max_iters():
+    for bad in (float("nan"), 2.5, 2.0, True):
+        with pytest.raises(ConfigError, match="max_iters must be an integer"):
+            ColampConfig(k=4, max_iters=bad)
+    assert ColampConfig(k=4, max_iters=np.int32(7)).max_iters == 7

@@ -247,3 +247,38 @@ def test_config_rejects_nan_tol_obj():
 def test_config_rejects_nan_eps():
     with pytest.raises(ConfigError, match="eps"):
         RpcaConfig(eps=float("nan"))
+
+
+def test_config_rejects_nan_alpha():
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        RpcaConfig(alpha=float("nan"))
+
+
+def test_config_rejects_non_integer_clique_side():
+    for bad in (float("nan"), 2.5, 2.0, True):
+        with pytest.raises(ConfigError, match="clique side must be an integer"):
+            RpcaConfig(clique_side=bad)
+    assert RpcaConfig(clique_side=np.int64(3)).clique_side == 3
+
+
+def test_config_rejects_non_integer_max_iters():
+    for bad in (float("nan"), 2.5, 2.0, True):
+        with pytest.raises(ConfigError, match="max_iters must be an integer"):
+            RpcaConfig(max_iters=bad)
+    assert RpcaConfig(max_iters=np.int32(7)).max_iters == 7
+
+
+@pytest.mark.parametrize("c", [2.0 ** -20, 2.0 ** 10])
+def test_scaled_run_stops_at_the_same_iteration(c):
+    # y and eps scaled by c and mu by 1/c scale the objective and the path by
+    # c (lam is set by the frame size); with a power-of-two c the arithmetic
+    # scales all but exactly, so a stopping rule with no absolute floor stops
+    # both runs at the same iteration
+    rng = np.random.default_rng(15)
+    lowrank, sparse = make_lowrank_blocksparse_stack(16, 16, 5, 2, rng)
+    y = lowrank + sparse
+    res = solve_rpca(y, RpcaConfig(eps=0.01, max_iters=500))
+    res_c = solve_rpca(c * y, RpcaConfig(eps=0.01 * c, mu=1.0 / c, max_iters=500))
+    assert res_c.report.iterations == res.report.iterations
+    assert res_c.report.termination_reason == res.report.termination_reason
+    assert relative_error(res_c.x, c * res.x) < 1e-9
