@@ -13,14 +13,13 @@ from .common import (AllocationTracker, ConfigError, NumericalError, ShapeError,
                      SolverReport, StepFailureError, backtrack_step)
 from .grids import CliqueSystem, GridShape, build_clique_system
 from .metrics import measured_snr_db, psnr_db, relative_error, support_prf, support_set
-from .prox import ProxConfig, ProxResult, group_shrink, prox_block_norm, prox_block_norm_framewise
+from .prox import ProxConfig, ProxResult, group_shrink, prox_block_norm
 from .pursuit import (ColampConfig, MeasurementModel, cg_solve_normal, colamp_solve,
                       truncate_top_k)
 from .regularizer import (block_norm, block_norm_smoothed, block_norm_smoothed_grad_fft,
                           default_epsilon)
 from .rpca import (RpcaConfig, RpcaResult, default_lambda, numerical_rank,
                    rpca_objective, solve_rpca, svt)
-from .synthetic import SyntheticData, SyntheticSpec, gen_synthetic
 
 __version__ = "0.1.0"
 
@@ -28,12 +27,12 @@ __all__ = [
     "AllocationTracker", "BlockTvConfig", "CliqueSystem", "ColampConfig",
     "ConfigError", "GradientField", "GridShape", "MeasurementModel",
     "NumericalError", "ProxConfig", "ProxResult", "RpcaConfig", "RpcaResult",
-    "ShapeError", "SolverReport", "StepFailureError", "SyntheticData",
-    "SyntheticSpec", "backtrack_step", "block_norm", "block_norm_smoothed",
-    "block_norm_smoothed_grad_fft", "build_clique_system", "cg_solve_normal",
-    "colamp_solve", "default_epsilon", "default_lambda", "denoise_block_tv",
-    "discrete_gradient", "discrete_gradient_adjoint", "gen_synthetic", "group_shrink",
-    "measured_snr_db", "numerical_rank", "prox_block_norm",
-    "prox_block_norm_framewise", "psnr_db", "relative_error", "rpca_objective",
-    "solve_rpca", "support_prf", "support_set", "svt", "truncate_top_k",
+    "ShapeError", "SolverReport", "StepFailureError", "backtrack_step",
+    "block_norm", "block_norm_smoothed", "block_norm_smoothed_grad_fft",
+    "build_clique_system", "cg_solve_normal", "colamp_solve", "default_epsilon",
+    "default_lambda", "denoise_block_tv", "discrete_gradient",
+    "discrete_gradient_adjoint", "group_shrink", "measured_snr_db",
+    "numerical_rank", "prox_block_norm", "psnr_db", "relative_error",
+    "rpca_objective", "solve_rpca", "support_prf", "support_set", "svt",
+    "truncate_top_k",
 ]

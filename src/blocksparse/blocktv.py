@@ -26,7 +26,7 @@ import numpy as np
 from .common import (AllocationTracker, ConfigError, ShapeError, SolverReport,
                      backtrack_step, check_count, check_finite)
 from .grids import GridShape
-from .regularizer import smoothed_clique_norms, smoothed_weight_map
+from .regularizer import default_epsilon, smoothed_clique_norms, smoothed_weight_map
 
 
 class GradientField(NamedTuple):
@@ -125,8 +125,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         eps = cfg.eps
     else:
         g0 = discrete_gradient(y)
-        gmax = max(float(np.max(np.abs(g0.dh))), float(np.max(np.abs(g0.dv))))
-        eps = 1e-4 * max(1.0, gmax)
+        eps = max(default_epsilon(g0.dh), default_epsilon(g0.dv))
     lam = cfg.lam
 
     def evaluate(x):

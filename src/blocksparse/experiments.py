@@ -57,8 +57,14 @@ TIMING_COLUMNS = ("timestamp", "wall_clock_s", "per_iter_seconds")
 
 # Defaults tuned for the unit-amplitude synthetic generators; CLI flags
 # override them.
+CLIQUE_SIDE = 2
+MEMORY_CLIQUE_SIDE = 10
 CS_LAMBDA0 = 0.6
+CS_LAMBDA_GROWTH = 1.02
 CS_BLOCKS = 2
+ROBUST_M_OVER_K = 2.0
+BLOCKTV_INPUT_PSNR_DB = 20.0
+RPCA_SIZE = 32
 BLOCKTV_LAMBDA_GRID = (0.05, 0.1, 0.15, 0.25, 0.4, 0.6)
 SNR_SWEEP_POINTS = (5.0, 10.0, 15.0, 20.0)
 M_OVER_K_SWEEP = (1.0, 2.0, 3.0, 4.0, 5.0)
@@ -93,6 +99,12 @@ class HarnessConfig:
             raise ConfigError("jobs must be >= 1")
         if self.clique_side is not None and self.clique_side < 1:
             raise ConfigError("clique side must be >= 1")
+
+
+def _clique_side(name: str, cfg: HarnessConfig) -> int:
+    if cfg.clique_side is not None:
+        return cfg.clique_side
+    return MEMORY_CLIQUE_SIDE if name == "memory-benchmark" else CLIQUE_SIDE
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -179,7 +191,8 @@ def _pgm(path, image) -> None:
 
 def _pursuit_config(cfg: HarnessConfig, k: int, eps_res: Optional[float] = None) -> ColampConfig:
     lam0 = cfg.lam if cfg.lam is not None else CS_LAMBDA0
-    return ColampConfig(k=k, lam0=lam0, lam_growth=1.02, max_iters=50, eps_res=eps_res,
+    return ColampConfig(k=k, lam0=lam0, lam_growth=CS_LAMBDA_GROWTH, max_iters=50,
+                        eps_res=eps_res,
                         prox=ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9))
 
 
@@ -187,7 +200,7 @@ def exp_cs_recovery_sweep(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
     name = "cs-recovery-sweep"
     height = width = 32
     k = cfg.k_sparsity
-    side = cfg.clique_side if cfg.clique_side is not None else 2
+    side = _clique_side(name, cfg)
     ratios = (cfg.m_over_k,) if cfg.m_over_k is not None else M_OVER_K_SWEEP
     cliques = build_clique_system(GridShape(height, width), side)
 
@@ -247,10 +260,10 @@ def exp_robust_cs_snr_sweep(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
     name = "robust-cs-snr-sweep"
     height = width = 32
     k = cfg.k_sparsity
-    ratio = cfg.m_over_k if cfg.m_over_k is not None else 2.0
+    ratio = cfg.m_over_k if cfg.m_over_k is not None else ROBUST_M_OVER_K
     m = round(ratio * k)
     snrs = (cfg.snr_db,) if cfg.snr_db is not None else SNR_SWEEP_POINTS
-    block_side = cfg.clique_side if cfg.clique_side is not None else 2
+    block_side = _clique_side(name, cfg)
     sides = (block_side, 1) if block_side != 1 else (1,)
     systems = {s: build_clique_system(GridShape(height, width), s) for s in sides}
 
@@ -313,10 +326,10 @@ def exp_robust_cs_snr_sweep(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
 def exp_blocktv_denoise(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
     name = "blocktv-denoise"
     height = width = 64
-    input_psnr = cfg.snr_db if cfg.snr_db is not None else 20.0
+    input_psnr = cfg.snr_db if cfg.snr_db is not None else BLOCKTV_INPUT_PSNR_DB
     sigma = sigma_for_psnr_db(1.0, input_psnr)
     lams = (cfg.lam,) if cfg.lam is not None else BLOCKTV_LAMBDA_GRID
-    block_side = cfg.clique_side if cfg.clique_side is not None else 2
+    block_side = _clique_side(name, cfg)
     sides = (block_side, 1) if block_side != 1 else (1,)
 
     def task(trial: int, lam: float, side: int):
@@ -382,9 +395,9 @@ def exp_rpca_decompose(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
         raise UsageError("rpca-decompose runs the forward-backward solver only; "
                          "the consensus-ADMM alternative appears in memory-benchmark "
                          "accounting")
-    height = width = 32
+    height = width = RPCA_SIZE
     frames, rank_true = 10, 2
-    side = cfg.clique_side if cfg.clique_side is not None else 2
+    side = _clique_side(name, cfg)
 
     def task(trial: int):
         params = {"clique_side": side, "mu": cfg.mu, "alpha": cfg.alpha,
@@ -444,7 +457,7 @@ def admm_formula_entries(side: int, n_pixels: int, frames: int) -> int:
 
 def exp_memory_benchmark(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
     name = "memory-benchmark"
-    side = cfg.clique_side if cfg.clique_side is not None else 10
+    side = _clique_side(name, cfg)
 
     rows: list[dict] = []
 
@@ -541,13 +554,12 @@ def resolve_config(name: str, cfg: HarnessConfig) -> dict:
     resolved = asdict(cfg)
     resolved["experiment"] = name
     resolved["schema_version"] = SCHEMA_VERSION
-    if cfg.clique_side is None:
-        resolved["clique_side"] = 10 if name == "memory-benchmark" else 2
+    resolved["clique_side"] = _clique_side(name, cfg)
     if name in ("cs-recovery-sweep", "robust-cs-snr-sweep"):
         resolved.setdefault("lam0", cfg.lam if cfg.lam is not None else CS_LAMBDA0)
-        resolved["lam_growth"] = 1.02
+        resolved["lam_growth"] = CS_LAMBDA_GROWTH
         if cfg.m_over_k is None:
-            resolved["m_over_k"] = (2.0 if name == "robust-cs-snr-sweep"
+            resolved["m_over_k"] = (ROBUST_M_OVER_K if name == "robust-cs-snr-sweep"
                                     else list(M_OVER_K_SWEEP))
         if name == "robust-cs-snr-sweep" and cfg.snr_db is None:
             resolved["snr_db"] = list(SNR_SWEEP_POINTS)
@@ -555,11 +567,12 @@ def resolve_config(name: str, cfg: HarnessConfig) -> dict:
     elif name == "blocktv-denoise":
         if cfg.lam is None:
             resolved["lam"] = list(BLOCKTV_LAMBDA_GRID)
-        resolved["input_psnr_db"] = cfg.snr_db if cfg.snr_db is not None else 20.0
+        resolved["input_psnr_db"] = (cfg.snr_db if cfg.snr_db is not None
+                                     else BLOCKTV_INPUT_PSNR_DB)
     elif name == "rpca-decompose":
         side = resolved["clique_side"]
         if cfg.lam is None:
-            resolved["lam"] = default_lambda(side, 32 * 32)
+            resolved["lam"] = default_lambda(side, RPCA_SIZE * RPCA_SIZE)
         resolved["solver"] = "fbs"
     return resolved
 

@@ -1,10 +1,15 @@
-"""Pixel grids and overlapping square cliques with a disjoint-subset decomposition.
+"""Pixel grids and overlapping square cliques, split into disjoint tilings.
 
 Vectorization convention (used by every module): an ``H x W`` grid is
 flattened row-major (C order), so pixel ``(r, c)`` has linear index
 ``r * W + c``.  Images are plain float ndarrays of shape ``(H, W)``;
 multi-frame stacks are ``(H, W, L)`` and ``stack.reshape(N, L)`` yields the
 matrix whose column ``t`` is frame ``t`` vectorized.
+
+A :class:`CliqueSystem` describes the ``side x side`` cliques of a grid by
+tile geometry alone.  Each of its ``side**2`` disjoint subsets tiles one
+rectangular region of the grid, so a solver reads a subset through one
+reshaped view of an image, and no per-clique index list is stored.
 """
 
 from __future__ import annotations
@@ -31,10 +36,6 @@ class GridShape:
     def n(self) -> int:
         return self.height * self.width
 
-    def index(self, row: int, col: int) -> int:
-        """Linear index of pixel ``(row, col)`` under row-major vectorization."""
-        return row * self.width + col
-
     @classmethod
     def of(cls, image: np.ndarray) -> "GridShape":
         a = np.asarray(image)
@@ -44,24 +45,20 @@ class GridShape:
 
 
 class CliqueSystem:
-    """All fully-contained ``side x side`` patches of a grid, partitioned into
-    disjoint subsets.
+    """All fully-contained ``side x side`` patches of a grid, split into
+    ``side**2`` disjoint subsets that each tile a region of the grid.
 
-    Cliques are ordered row-major by top-left corner, and each clique lists
-    its ``side**2`` pixel indices row-major within the patch.  Subset
-    ``(top % side) * side + (left % side)`` tiles the grid with stride
-    ``side``, so cliques within one subset never share a pixel; there are
-    exactly ``side**2`` subsets (some may be empty on small grids).  Only
-    fully-contained patches count: no wraparound, no zero padding, so border
-    pixels simply belong to fewer cliques.
-
-    Tile geometry: subset ``i = a*side + b`` (``0 <= a, b < side``) is the
-    ``nh x nw`` grid of cliques with corners ``(a + p*side, b + q*side)``,
-    ``nh = (H - a)//side`` and ``nw = (W - b)//side``.  They tile rows
-    ``[a, a + nh*side)`` and columns ``[b, b + nw*side)`` exactly, so the
-    subset is that region cropped and reshaped to ``(nh, side, nw, side)``;
-    it is empty when ``nh`` or ``nw`` is 0.  The prox reads its copies
-    through such strided views, not through :attr:`indices`.
+    Subset ``i = a*side + b`` (``0 <= a, b < side``) holds the cliques whose
+    top-left corner ``(top, left)`` has ``top % side == a`` and
+    ``left % side == b``: the ``nh x nw`` cliques with corners
+    ``(a + p*side, b + q*side)``, where ``nh = (H - a)//side`` and
+    ``nw = (W - b)//side``.  They tile rows ``[a, a + nh*side)`` and columns
+    ``[b, b + nw*side)`` exactly, so cliques within one subset never share a
+    pixel, and the subset is that region reshaped to ``(nh, side, nw, side)``.
+    :attr:`tiles` holds ``(a, b, nh, nw)`` per subset, or ``None`` when
+    ``nh`` or ``nw`` is 0 and the subset is empty (possible on small grids).
+    Only fully-contained patches count: no wraparound, no zero padding, so
+    border pixels simply belong to fewer cliques.
 
     Instances are immutable after construction and safe to share across
     threads.
@@ -76,64 +73,15 @@ class CliqueSystem:
                 f"clique side {side} exceeds grid {shape.height}x{shape.width}")
         self.shape = shape
         self.side = side
-
-        h_tops = shape.height - side + 1
-        w_lefts = shape.width - side + 1
-        tops, lefts = np.divmod(np.arange(h_tops * w_lefts), w_lefts)
-        self.corners = np.column_stack([tops, lefts])
-
-        offsets = (np.arange(side)[:, None] * shape.width + np.arange(side)[None, :]).ravel()
-        base = tops * shape.width + lefts
-        self.indices = base[:, None] + offsets[None, :]
-
-        self.subset_of = (tops % side) * side + (lefts % side)
         self.n_subsets = side * side
-        self.subsets = tuple(np.flatnonzero(self.subset_of == i) for i in range(self.n_subsets))
-
-        coverage = np.zeros(shape.n, dtype=np.int64)
-        np.add.at(coverage, self.indices.ravel(), 1)
-        self.coverage = coverage
-
-    @property
-    def n_cliques(self) -> int:
-        return self.indices.shape[0]
-
-    def _check_image(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.shape.height, self.shape.width):
-            raise ShapeError(
-                f"image shape {x.shape} does not match grid "
-                f"{self.shape.height}x{self.shape.width}")
-        return x
-
-    def gather(self, x, c: int) -> np.ndarray:
-        """Entries of image ``x`` at clique ``c``, in the clique's fixed order."""
-        x = self._check_image(x)
-        if not 0 <= c < self.n_cliques:
-            raise IndexError(f"clique index {c} out of range [0, {self.n_cliques})")
-        return x.ravel()[self.indices[c]]
-
-    def scatter_add(self, acc: np.ndarray, c: int, values) -> np.ndarray:
-        """Add ``values`` into ``acc`` at clique ``c``'s pixels, in place.
-
-        Adjoint of :meth:`gather`: ``<gather(x, c), g> == <x, scatter_add(0, c, g)>``.
-        Returns ``acc``.
-        """
-        if not 0 <= c < self.n_cliques:
-            raise IndexError(f"clique index {c} out of range [0, {self.n_cliques})")
-        if acc.shape != (self.shape.height, self.shape.width):
-            raise ShapeError(f"accumulator shape {acc.shape} does not match grid")
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.side * self.side,):
-            raise ShapeError(
-                f"expected {self.side * self.side} values, got shape {values.shape}")
-        flat = acc.reshape(-1)
-        np.add.at(flat, self.indices[c], values)
-        if not np.shares_memory(flat, acc):
-            acc[...] = flat.reshape(acc.shape)
-        return acc
+        tiles = []
+        for a in range(side):
+            for b in range(side):
+                nh, nw = (shape.height - a) // side, (shape.width - b) // side
+                tiles.append((a, b, nh, nw) if nh and nw else None)
+        self.tiles = tuple(tiles)
 
 
 def build_clique_system(shape: GridShape, side: int) -> CliqueSystem:
-    """Enumerate all fully-contained ``side x side`` cliques of ``shape``."""
+    """The tiled subsets of all fully-contained ``side x side`` cliques of ``shape``."""
     return CliqueSystem(shape, side)

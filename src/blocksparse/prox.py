@@ -10,18 +10,14 @@ The penalty is split over the ``side**2`` disjoint clique subsets, one
 consensus copy ``z^i`` per subset, which makes every z-update a closed-form
 group shrinkage.
 
-**Tile layout.**  Subset ``i = a*side + b`` holds the cliques whose top-left
-corner ``(top, left)`` has ``top % side == a`` and ``left % side == b``.
-They tile rows ``[a, a + nh*side)`` and columns ``[b, b + nw*side)`` of the
-grid, with ``nh = (H - a)//side`` and ``nw = (W - b)//side``, and no two of
-them share a pixel.  Copy ``z^i``, seen as an ``H x W`` image, is therefore
-read through one strided ``(nh, side, nw*side)`` view of that region: the
-squared norm of tile ``(p, q)`` is the sum over the view's middle axis and
-over columns ``[q*side, (q+1)*side)`` of its last axis.  The z-update sets
-``z^i = x - u^i`` and scales each tile of the view in place by
+**Tile layout.**  The cliques of subset ``i`` tile one region of the grid
+(:attr:`blocksparse.grids.CliqueSystem.tiles`), so copy ``z^i``, seen as an
+``H x W`` image, is read through one strided ``(nh, side, nw*side)`` view of
+that region: the squared norm of tile ``(p, q)`` is the sum over the view's
+middle axis and over columns ``[q*side, (q+1)*side)`` of its last axis.  The
+z-update sets ``z^i = x - u^i`` and scales each tile of the view in place by
 ``max(1 - tau/||tile||, 0)`` with ``tau = lam/rho``; pixels outside the tiles
-(a border narrower than ``side``) keep ``x - u^i``.  A subset with
-``nh == 0`` or ``nw == 0`` holds no clique.  No index array is read.
+(a border narrower than ``side``) keep ``x - u^i``.  No index array is read.
 
 Each iteration updates ``x``, then the stacked copies ``Z`` (``s x n``), then
 the scaled duals ``U``.  The x-update
@@ -132,17 +128,14 @@ def group_shrink(v, tau: float) -> np.ndarray:
 
 
 def _tile_views(z: np.ndarray, cliques: CliqueSystem) -> list:
-    """Per subset, the ``(nh, side, nw*side)`` view of copy ``z[i]`` over
-    the region its cliques tile (see the module docstring), or ``None`` for
-    an empty subset."""
+    """The ``(nh, side, nw*side)`` view of copy ``z[i]`` over the region each
+    non-empty subset ``i`` tiles."""
     h, w, side = cliques.shape.height, cliques.shape.width, cliques.side
     views = []
-    for i in range(cliques.n_subsets):
-        a, b = divmod(i, side)
-        nh, nw = (h - a) // side, (w - b) // side
-        if nh == 0 or nw == 0:
-            views.append(None)
+    for i, tile in enumerate(cliques.tiles):
+        if tile is None:
             continue
+        a, b, nh, nw = tile
         region = z[i].reshape(h, w)[a:a + nh * side, b:b + nw * side]
         views.append(region.reshape(nh, side, nw * side))
     return views
@@ -228,8 +221,6 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
         # an all-zero tile has norm 0; tau/0 = inf gives it scale 0
         with np.errstate(divide="ignore"):
             for view in tiles:
-                if view is None:
-                    continue
                 nh, _, cols = view.shape
                 norms = np.sqrt(np.einsum("ijk,ijk->ik", view, view)
                                 .reshape(nh, cols // side, side).sum(axis=2))
@@ -258,20 +249,3 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
     tracker.release("prox-consensus-z")
     tracker.release("prox-scaled-duals")
     return ProxResult(x.reshape(shape), report, z=z, u=u)
-
-
-def prox_block_norm_framewise(stack, cliques: CliqueSystem, cfg: ProxConfig,
-                              x0=None) -> tuple[np.ndarray, list[SolverReport]]:
-    """Apply :func:`prox_block_norm` independently to each frame of an
-    ``(H, W, L)`` stack; returns the denoised stack and per-frame reports."""
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[:2] != (cliques.shape.height, cliques.shape.width):
-        raise ShapeError(f"stack shape {stack.shape} does not match clique grid")
-    out = np.empty_like(stack)
-    reports = []
-    for t in range(stack.shape[2]):
-        warm = None if x0 is None else np.asarray(x0, dtype=float)[:, :, t]
-        res = prox_block_norm(stack[:, :, t], cliques, cfg, x0=warm)
-        out[:, :, t] = res.x
-        reports.append(res.report)
-    return out, reports

@@ -29,7 +29,7 @@ import numpy as np
 
 from .common import (AllocationTracker, ConfigError, NumericalError, ShapeError,
                      SolverReport, check_count, check_finite)
-from .grids import CliqueSystem, GridShape, build_clique_system
+from .grids import GridShape, build_clique_system
 from .regularizer import block_norm_smoothed, smoothed_clique_norms, smoothed_weight_map
 
 _BACKTRACK_SHRINK = 0.5
@@ -165,19 +165,18 @@ def _resolve(y: np.ndarray, shape: GridShape, cfg: RpcaConfig) -> tuple[float, f
     return lam, eps
 
 
-def rpca_objective(x, z, y, cfg: RpcaConfig, cliques: Optional[CliqueSystem] = None) -> float:
+def rpca_objective(x, z, y, cfg: RpcaConfig) -> float:
     """Exact objective ``||Z||_* + lam * Jeps(X) + mu/2 * ||Y - Z - X||_F^2``.
 
-    The smoothed penalty is evaluated per frame by direct clique gathers
-    (independent of the solver's FFT path).
+    The smoothed penalty is evaluated per frame from the regularizer's exact
+    sliding-window sums (independent of the solver's FFT path).
     """
     y, shape = _check_stack(y)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if x.shape != y.shape or z.shape != y.shape:
         raise ShapeError("X, Z, Y shapes must agree")
-    if cliques is None:
-        cliques = build_clique_system(shape, cfg.clique_side)
+    cliques = build_clique_system(shape, cfg.clique_side)
     lam, eps = _resolve(y, shape, cfg)
     penalty = sum(block_norm_smoothed(x[:, :, t], cliques, eps) for t in range(y.shape[2]))
     nuclear = float(np.linalg.svd(z.reshape(shape.n, -1), compute_uv=False).sum())

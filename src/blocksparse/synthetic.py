@@ -1,86 +1,19 @@
-"""Seeded synthetic problem generators: blocky sparse images, an
-ellipse-composite phantom, low-rank-plus-blocksparse stacks, and
-piecewise-constant images, plus Gaussian measurement plumbing.
+"""Seeded synthetic problem generators: blocky sparse images,
+low-rank-plus-blocksparse stacks and piecewise-constant images, plus
+Gaussian measurement matrices and the noise levels for a requested SNR or
+PSNR.
 
-Every generator is a pure function of a spec and its seed: the same
-(spec, seed) pair reproduces identical bytes.
+Every generator is a pure function of its arguments and the random
+generator it is handed: the same seed reproduces identical bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .common import ConfigError
-from .pursuit import MeasurementModel
-
-KINDS = (
-    "blocky-sparse-image",
-    "shepp-logan-like-phantom",
-    "lowrank-plus-blocksparse-stack",
-    "piecewise-constant-image",
-)
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Recipe for one synthetic instance.
-
-    ``measurements`` switches the observation to compressive samples through
-    a fresh Gaussian matrix (iid entries scaled by ``1/sqrt(M)``); otherwise
-    the observation is the (optionally noisy) signal itself.  Noise is either
-    an absolute ``sigma`` or a measurement ``snr_db``.
-    """
-
-    kind: str
-    height: int
-    width: int
-    frames: int = 1
-    sparsity: int = 0
-    rank: int = 0
-    blocks: int = 4
-    measurements: Optional[int] = None
-    sigma: Optional[float] = None
-    snr_db: Optional[float] = None
-    amplitude: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown synthetic kind {self.kind!r}")
-        if self.height < 1 or self.width < 1 or self.frames < 1:
-            raise ConfigError("dimensions must be positive")
-        n = self.height * self.width
-        if self.kind == "blocky-sparse-image":
-            if not 1 <= self.sparsity <= n:
-                raise ConfigError(f"sparsity {self.sparsity} infeasible for {n} pixels")
-            if self.blocks < 1 or self.blocks > self.sparsity:
-                raise ConfigError("block count must be in [1, sparsity]")
-        if self.kind == "lowrank-plus-blocksparse-stack":
-            if not 1 <= self.rank <= min(n, self.frames):
-                raise ConfigError(f"rank {self.rank} infeasible for {n}x{self.frames}")
-        if self.measurements is not None and self.measurements < 1:
-            raise ConfigError("measurement count must be positive")
-        if self.sigma is not None and self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
-        if self.sigma is not None and self.snr_db is not None:
-            raise ConfigError("give either sigma or snr_db, not both")
-
-
-@dataclass
-class SyntheticData:
-    """Generated instance: ground truth, observation, and the operator when
-    the observation is compressive.  For stacks, ``truth`` is the sparse
-    foreground and ``lowrank`` the planted background."""
-
-    spec: SyntheticSpec
-    truth: np.ndarray
-    observation: np.ndarray
-    operator: Optional[MeasurementModel] = None
-    lowrank: Optional[np.ndarray] = None
 
 
 def gaussian_measurement_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,33 +70,6 @@ def make_blocky_image(height: int, width: int, sparsity: int, blocks: int,
             raise ConfigError("could not place disjoint blocks; spec too dense")
     return img
 
-# Ellipse composite (value, center x, center y, semi-axis a, semi-axis b,
-# rotation degrees) in [-1, 1]^2 coordinates; values add where ellipses overlap.
-_PHANTOM_ELLIPSES = (
-    (1.0, 0.0, 0.0, 0.72, 0.92, 0.0),
-    (-0.8, 0.0, -0.02, 0.65, 0.85, 0.0),
-    (-0.2, 0.25, 0.0, 0.12, 0.32, -18.0),
-    (-0.2, -0.25, 0.0, 0.16, 0.41, 18.0),
-    (0.3, 0.0, 0.38, 0.21, 0.25, 0.0),
-    (0.15, 0.0, -0.1, 0.046, 0.046, 0.0),
-    (0.15, -0.08, -0.6, 0.046, 0.023, 0.0),
-    (0.15, 0.06, -0.6, 0.023, 0.046, 0.0),
-)
-
-
-def make_phantom(height: int, width: int) -> np.ndarray:
-    """Deterministic ellipse-composite phantom with sparse support against a
-    zero background."""
-    ys = np.linspace(-1.0, 1.0, height)[:, None]
-    xs = np.linspace(-1.0, 1.0, width)[None, :]
-    img = np.zeros((height, width))
-    for value, cx, cy, a, b, angle in _PHANTOM_ELLIPSES:
-        t = math.radians(angle)
-        xr = (xs - cx) * math.cos(t) + (ys - cy) * math.sin(t)
-        yr = -(xs - cx) * math.sin(t) + (ys - cy) * math.cos(t)
-        img += value * ((xr / a) ** 2 + (yr / b) ** 2 <= 1.0)
-    return img
-
 
 def make_lowrank_blocksparse_stack(height: int, width: int, frames: int, rank: int,
                                    rng: np.random.Generator, fg_side: int = 6,
@@ -200,41 +106,3 @@ def make_piecewise_constant(height: int, width: int, rng: np.random.Generator,
         img[r:r + rh, c:c + rw] = float(rng.uniform(0.0, 1.0))
     return img
 
-
-def gen_synthetic(spec: SyntheticSpec) -> SyntheticData:
-    """Generate ground truth and observation for a spec, deterministically."""
-    rng = np.random.default_rng(spec.seed)
-
-    if spec.kind == "blocky-sparse-image":
-        truth = make_blocky_image(spec.height, spec.width, spec.sparsity,
-                                  spec.blocks, rng, spec.amplitude)
-    elif spec.kind == "shepp-logan-like-phantom":
-        truth = make_phantom(spec.height, spec.width)
-    elif spec.kind == "piecewise-constant-image":
-        truth = make_piecewise_constant(spec.height, spec.width, rng)
-    else:
-        lowrank, sparse = make_lowrank_blocksparse_stack(
-            spec.height, spec.width, spec.frames, spec.rank, rng,
-            fg_amplitude=6.0 * spec.amplitude)
-        observation = lowrank + sparse
-        if spec.sigma:
-            observation = observation + spec.sigma * rng.standard_normal(observation.shape)
-        return SyntheticData(spec, truth=sparse, observation=observation, lowrank=lowrank)
-
-    if spec.measurements is not None:
-        phi = gaussian_measurement_matrix(spec.measurements, truth.size, rng)
-        clean = phi @ truth.ravel()
-        sigma = spec.sigma
-        if spec.snr_db is not None:
-            sigma = sigma_for_snr_db(clean, spec.snr_db)
-        y = clean if not sigma else clean + sigma * rng.standard_normal(clean.shape)
-        return SyntheticData(spec, truth=truth, observation=y,
-                             operator=MeasurementModel(phi))
-
-    observation = truth
-    sigma = spec.sigma
-    if spec.snr_db is not None:
-        sigma = sigma_for_snr_db(truth, spec.snr_db)
-    if sigma:
-        observation = truth + sigma * rng.standard_normal(truth.shape)
-    return SyntheticData(spec, truth=truth, observation=observation)

@@ -8,6 +8,11 @@ share.
 
 import numpy as np
 
+# Grids (height, width, side) whose clique subsets take every shape: 7x5 side 5
+# and 2x2 side 2 have empty subsets; 5x5 side 1 has a single one; the others
+# leave borders narrower than a tile in some subsets
+GEOMETRIES = [(7, 5, 5), (6, 9, 4), (5, 5, 1), (9, 9, 3), (10, 7, 2), (2, 2, 2), (12, 13, 6)]
+
 
 def brute_force_cliques(height, width, side):
     """All fully-contained side x side patches by direct double loop."""
@@ -20,6 +25,11 @@ def brute_force_cliques(height, width, side):
                     idx.append((top + dr) * width + (left + dc))
             cliques.append((top, left, idx))
     return cliques
+
+
+def clique_index_lists(height, width, side):
+    """The pixel index list of every clique, in :func:`brute_force_cliques` order."""
+    return [idx for _, _, idx in brute_force_cliques(height, width, side)]
 
 
 def coverage_by_enumeration(height, width, side):

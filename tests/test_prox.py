@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksparse import (ConfigError, GridShape, ProxConfig, block_norm,
-                         build_clique_system, group_shrink, prox_block_norm,
-                         prox_block_norm_framewise)
+                         build_clique_system, group_shrink, prox_block_norm)
 
 import helpers
 
@@ -89,7 +88,7 @@ def test_prox_single_clique_matches_group_shrink():
 def test_prox_objective_matches_smoothed_descent_oracle():
     rng = np.random.default_rng(2)
     cs = system(6, 6, 2)
-    idx = cs.indices.tolist()
+    idx = helpers.clique_index_lists(6, 6, 2)
     for lam in (0.1, 1.0, 10.0):
         v = rng.standard_normal((6, 6))
         res = prox_block_norm(v, cs, ProxConfig(lam=lam))
@@ -106,12 +105,13 @@ def test_prox_against_convex_solver():
     v = rng.standard_normal((5, 5))
     lam = 1.5
     x = cvxpy.Variable(25)
+    idx = helpers.clique_index_lists(5, 5, 2)
     obj = cvxpy.sum_squares(x - v.ravel()) + lam * sum(
-        cvxpy.norm(x[idx.tolist()], 2) for idx in cs.indices)
+        cvxpy.norm(x[c], 2) for c in idx)
     cvxpy.Problem(cvxpy.Minimize(obj)).solve()
     res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=20000,
                                             tol_abs=1e-12, tol_rel=1e-10))
-    f_admm = helpers.prox_objective(res.x, v, cs.indices.tolist(), lam)
+    f_admm = helpers.prox_objective(res.x, v, idx, lam)
     assert f_admm <= obj.value * (1 + 1e-6) + 1e-9
     assert np.max(np.abs(res.x.ravel() - x.value)) < 1e-4
 
@@ -145,6 +145,9 @@ def test_prox_optimality_certificate():
     cs = system(4, 4, 2)
     lam = 1.0
     tol = 1e-4
+    subsets = [[] for _ in range(cs.n_subsets)]
+    for top, left, idx in helpers.brute_force_cliques(4, 4, 2):
+        subsets[(top % 2) * 2 + left % 2].append(idx)
     for _ in range(10):
         v = rng.standard_normal((4, 4))
         res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=50000,
@@ -155,7 +158,7 @@ def test_prox_optimality_certificate():
         assert np.max(np.abs(g.sum(axis=0) + 2.0 * (x - v.ravel()))) < tol
         for i in range(cs.n_subsets):
             covered = np.zeros(cs.shape.n, dtype=bool)
-            idx = cs.indices[cs.subsets[i]]
+            idx = np.array(subsets[i])
             if idx.size:
                 covered[idx.ravel()] = True
                 for row in idx:
@@ -232,7 +235,7 @@ def test_prox_gap_nonnegative():
     # of the size of ||v||^2 = P(0), which can exceed P many times over, so
     # the roundoff is measured against ||v||^2
     rng = np.random.default_rng(21)
-    for h, w, side in GEOMETRIES:
+    for h, w, side in helpers.GEOMETRIES:
         cs = system(h, w, side)
         v = rng.standard_normal((h, w))
         for lam in (0.1, 1.0, 10.0):
@@ -308,37 +311,6 @@ def test_prox_config_validation():
         ProxConfig(lam=1.0, tol_abs=-1e-9)
 
 
-def test_framewise_single_column_reduces_to_prox():
-    rng = np.random.default_rng(10)
-    cs = system(4, 4, 2)
-    v = rng.standard_normal((4, 4, 1))
-    cfg = ProxConfig(lam=0.8)
-    out, reports = prox_block_norm_framewise(v, cs, cfg)
-    direct = prox_block_norm(v[:, :, 0], cs, cfg)
-    assert np.array_equal(out[:, :, 0], direct.x)
-    assert len(reports) == 1
-
-
-def test_framewise_duplicate_columns_identical():
-    rng = np.random.default_rng(11)
-    cs = system(4, 4, 2)
-    col = rng.standard_normal((4, 4))
-    stack = np.dstack([col, col, col])
-    out, _ = prox_block_norm_framewise(stack, cs, ProxConfig(lam=1.0))
-    assert np.array_equal(out[:, :, 0], out[:, :, 1])
-    assert np.array_equal(out[:, :, 0], out[:, :, 2])
-
-
-def test_framewise_matches_independent_calls_bitwise():
-    rng = np.random.default_rng(12)
-    cs = system(6, 6, 2)
-    stack = rng.standard_normal((6, 6, 3))
-    cfg = ProxConfig(lam=1.3)
-    out, _ = prox_block_norm_framewise(stack, cs, cfg)
-    for t in range(3):
-        assert np.array_equal(out[:, :, t], prox_block_norm(stack[:, :, t], cs, cfg).x)
-
-
 def test_prox_warm_start_same_solution():
     rng = np.random.default_rng(13)
     cs = system(5, 5, 2)
@@ -410,12 +382,7 @@ def admm_by_loop(v, side, lam, rho, iters):
     return x, z, u
 
 
-# 7x5 side 5 and 2x2 side 2 have empty subsets; 5x5 side 1 has a single one;
-# the others leave borders narrower than a tile in some subsets
-GEOMETRIES = [(7, 5, 5), (6, 9, 4), (5, 5, 1), (9, 9, 3), (10, 7, 2), (2, 2, 2), (12, 13, 6)]
-
-
-@pytest.mark.parametrize("height,width,side", GEOMETRIES)
+@pytest.mark.parametrize("height,width,side", helpers.GEOMETRIES)
 def test_strided_z_update_matches_clique_loop(height, width, side):
     rng = np.random.default_rng(height * 100 + width * 10 + side)
     cs = system(height, width, side)

@@ -34,7 +34,7 @@ def test_value_matches_loop_oracle():
     for h, w, side in [(5, 5, 2), (6, 4, 3), (7, 7, 1)]:
         cs = system(h, w, side)
         x = rng.standard_normal((h, w))
-        expected = helpers.block_norm_by_loop(x, cs.indices.tolist())
+        expected = helpers.block_norm_by_loop(x, helpers.clique_index_lists(h, w, side))
         assert block_norm(x, cs) == pytest.approx(expected, rel=1e-12)
 
 
@@ -68,7 +68,8 @@ def test_smoothing_bound():
         x = rng.standard_normal((6, 6))
         for eps in (0.01, 0.1, 1.0):
             gap = block_norm_smoothed(x, cs, eps) - block_norm(x, cs)
-            assert -1e-12 <= gap <= cs.n_cliques * eps + 1e-12
+            n_cliques = len(helpers.brute_force_cliques(6, 6, side))
+            assert -1e-12 <= gap <= n_cliques * eps + 1e-12
 
 
 def test_smoothed_rejects_negative_eps():
@@ -98,7 +99,7 @@ def test_convexity_surrogate():
 
 def test_grad_zero_image():
     cs = system(4, 4, 2)
-    idx = cs.indices.tolist()
+    idx = helpers.clique_index_lists(4, 4, 2)
     assert np.all(helpers.smoothed_grad_by_loop(np.zeros((4, 4)), idx, 0.1) == 0)
     assert np.allclose(block_norm_smoothed_grad_fft(np.zeros((4, 4)), cs, 0.1), 0.0)
 
@@ -112,7 +113,7 @@ def test_grad_requires_positive_eps():
 def test_grad_single_clique_direction():
     cs = system(2, 2, 2)
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
-    for g in (helpers.smoothed_grad_by_loop(x, cs.indices.tolist(), 1e-9),
+    for g in (helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(2, 2, 2), 1e-9),
               block_norm_smoothed_grad_fft(x, cs, 1e-9)):
         assert g[0, 0] == pytest.approx(0.6, abs=1e-9)
         assert g[0, 1] == pytest.approx(0.8, abs=1e-9)
@@ -130,7 +131,7 @@ def test_grad_matches_loop_oracle():
     rng = np.random.default_rng(6)
     cs = system(6, 6, 2)
     x = rng.standard_normal((6, 6))
-    expected = helpers.smoothed_grad_by_loop(x, cs.indices.tolist(), 0.1)
+    expected = helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(6, 6, 2), 0.1)
     assert np.allclose(block_norm_smoothed_grad_fft(x, cs, 0.1), expected, rtol=1e-12)
 
 
@@ -142,7 +143,7 @@ def test_grad_paths_agree(side):
             continue
         cs = system(h, w, side)
         x = rng.standard_normal((h, w))
-        g_loop = helpers.smoothed_grad_by_loop(x, cs.indices.tolist(), 0.05)
+        g_loop = helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(h, w, side), 0.05)
         g_fft = block_norm_smoothed_grad_fft(x, cs, 0.05)
         denom = np.linalg.norm(g_loop)
         assert np.linalg.norm(g_fft - g_loop) <= 1e-10 * denom
@@ -156,7 +157,7 @@ def test_grad_matches_finite_differences():
     step = 1e-6 * float(np.max(np.abs(x)))
     fd = helpers.central_difference_gradient(
         lambda z: block_norm_smoothed(z, cs, eps), x, step)
-    for g in (helpers.smoothed_grad_by_loop(x, cs.indices.tolist(), eps),
+    for g in (helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(6, 6, 2), eps),
               block_norm_smoothed_grad_fft(x, cs, eps)):
         assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
 
@@ -179,7 +180,7 @@ def test_stack_helpers_match_framewise():
             block_norm_smoothed(frames[t], cs, eps), rel=1e-12)
     grad = frames * smoothed_weight_map(norms, 3)
     for t in range(4):
-        g = helpers.smoothed_grad_by_loop(frames[t], cs.indices.tolist(), eps)
+        g = helpers.smoothed_grad_by_loop(frames[t], helpers.clique_index_lists(8, 8, 3), eps)
         assert np.allclose(grad[t], g, rtol=1e-10, atol=1e-12)
 
 

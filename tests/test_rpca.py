@@ -11,6 +11,8 @@ from blocksparse.regularizer import block_norm_smoothed
 from blocksparse.rpca import EPS_SCALE_REL
 from blocksparse.synthetic import make_lowrank_blocksparse_stack
 
+import helpers
+
 
 def test_svt_zero():
     assert np.all(svt(np.zeros((4, 3)), 1.0) == 0)
@@ -72,9 +74,9 @@ def test_objective_at_origin():
     rng = np.random.default_rng(4)
     y = rng.standard_normal((6, 6, 3))
     cfg = RpcaConfig(lam=0.5, mu=2.0, eps=0.01, clique_side=2)
-    cs = build_clique_system(GridShape(6, 6), 2)
+    n_cliques = len(helpers.brute_force_cliques(6, 6, 2))
     zeros = np.zeros_like(y)
-    expected = 0.5 * 3 * cs.n_cliques * 0.01 + 1.0 * np.sum(y ** 2)
+    expected = 0.5 * 3 * n_cliques * 0.01 + 1.0 * np.sum(y ** 2)
     assert rpca_objective(zeros, zeros, y, cfg) == pytest.approx(expected, rel=1e-12)
 
 
@@ -82,9 +84,9 @@ def test_objective_y_equals_z():
     rng = np.random.default_rng(5)
     y = rng.standard_normal((5, 5, 4))
     cfg = RpcaConfig(lam=0.3, mu=1.0, eps=0.02, clique_side=2)
-    cs = build_clique_system(GridShape(5, 5), 2)
+    n_cliques = len(helpers.brute_force_cliques(5, 5, 2))
     nuclear = np.linalg.svd(y.reshape(25, 4), compute_uv=False).sum()
-    expected = nuclear + 0.3 * 4 * cs.n_cliques * 0.02
+    expected = nuclear + 0.3 * 4 * n_cliques * 0.02
     assert rpca_objective(np.zeros_like(y), y, y, cfg) == pytest.approx(expected, rel=1e-12)
 
 

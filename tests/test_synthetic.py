@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from blocksparse import ConfigError, measured_snr_db, numerical_rank
-from blocksparse.synthetic import (SyntheticSpec, gaussian_measurement_matrix,
-                                   gen_synthetic, make_blocky_image,
-                                   make_lowrank_blocksparse_stack, make_phantom,
-                                   make_piecewise_constant, sigma_for_psnr_db,
-                                   sigma_for_snr_db)
+from blocksparse.synthetic import (gaussian_measurement_matrix, make_blocky_image,
+                                   make_lowrank_blocksparse_stack, make_piecewise_constant,
+                                   sigma_for_psnr_db, sigma_for_snr_db)
 
 
 def test_blocky_support_size_exact():
@@ -42,26 +40,7 @@ def test_blocky_blocks_are_contiguous():
 
 def test_blocky_infeasible_spec():
     with pytest.raises(ConfigError):
-        SyntheticSpec(kind="blocky-sparse-image", height=4, width=4, sparsity=40)
-
-
-def test_spec_validation():
-    with pytest.raises(ConfigError):
-        SyntheticSpec(kind="mystery", height=8, width=8)
-    with pytest.raises(ConfigError):
-        SyntheticSpec(kind="lowrank-plus-blocksparse-stack", height=4, width=4,
-                      frames=3, rank=5)
-    with pytest.raises(ConfigError):
-        SyntheticSpec(kind="piecewise-constant-image", height=8, width=8,
-                      sigma=0.1, snr_db=10.0)
-
-
-def test_phantom_deterministic_and_sparse():
-    a = make_phantom(64, 64)
-    b = make_phantom(64, 64)
-    assert np.array_equal(a, b)
-    support = np.count_nonzero(a)
-    assert 0 < support < a.size  # sparse against a zero background
+        make_blocky_image(4, 4, 40, 4, np.random.default_rng(0))
 
 
 def test_lowrank_stack_has_exact_rank():
@@ -100,37 +79,3 @@ def test_snr_sigma_roundtrip():
 
 def test_psnr_sigma_formula():
     assert sigma_for_psnr_db(1.0, 20.0) == pytest.approx(0.1)
-
-
-def test_gen_synthetic_deterministic_bytes():
-    spec = SyntheticSpec(kind="blocky-sparse-image", height=16, width=16,
-                         sparsity=12, blocks=3, measurements=36, snr_db=10.0, seed=7)
-    a = gen_synthetic(spec)
-    b = gen_synthetic(spec)
-    assert a.truth.tobytes() == b.truth.tobytes()
-    assert a.observation.tobytes() == b.observation.tobytes()
-    assert a.operator.phi.tobytes() == b.operator.phi.tobytes()
-
-
-def test_gen_synthetic_stack_kind():
-    spec = SyntheticSpec(kind="lowrank-plus-blocksparse-stack", height=12, width=12,
-                         frames=5, rank=2, seed=3)
-    data = gen_synthetic(spec)
-    assert data.observation.shape == (12, 12, 5)
-    assert np.allclose(data.observation, data.lowrank + data.truth)
-
-
-def test_gen_synthetic_noisy_image():
-    spec = SyntheticSpec(kind="piecewise-constant-image", height=16, width=16,
-                         sigma=0.1, seed=9)
-    data = gen_synthetic(spec)
-    assert data.observation.shape == (16, 16)
-    assert not np.array_equal(data.observation, data.truth)
-
-
-def test_gen_synthetic_measured_snr_tracks_request():
-    spec = SyntheticSpec(kind="shepp-logan-like-phantom", height=24, width=24,
-                         measurements=200, snr_db=12.0, seed=11)
-    data = gen_synthetic(spec)
-    clean = data.operator.phi @ data.truth.ravel()
-    assert abs(measured_snr_db(clean, data.observation) - 12.0) < 2.0
