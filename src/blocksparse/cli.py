@@ -13,14 +13,6 @@ import sys
 from .common import ConfigError
 from .experiments import EXPERIMENTS, HarnessConfig, UsageError, resolve_config, run_experiment
 
-_EXPERIMENT_HELP = {
-    "cs-recovery-sweep": "compressive recovery of blocky images vs. measurement budget",
-    "robust-cs-snr-sweep": "noisy compressive recovery vs. SNR, with an l=1 baseline",
-    "blocktv-denoise": "block total-variation denoising, with an l=1 baseline",
-    "rpca-decompose": "sparse-plus-low-rank decomposition of a planted stack",
-    "memory-benchmark": "ADMM-vs-FBS memory accounting and per-iteration runtime",
-}
-
 
 def _step_size(text: str):
     if text == "auto":
@@ -34,55 +26,51 @@ def _step_size(text: str):
     return value
 
 
-def _add_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--trials", type=int, default=20, help="trials per parameter point")
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent trial workers")
-    parser.add_argument("--out-dir", default=".", help="output directory for CSV and images")
-    parser.add_argument("--clique-side", type=int, default=None,
-                        help="clique patch side length (per-experiment default)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="regularization weight (per-experiment default)")
-    parser.add_argument("--mu", type=float, default=1.0, help="decomposition fidelity weight")
-    parser.add_argument("--alpha", type=_step_size, default="auto",
-                        help="step size, or 'auto' for backtracking")
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help="smoothing parameter (default: scale-relative)")
-    parser.add_argument("--k-sparsity", type=int, default=40, help="planted sparsity K")
-    parser.add_argument("--m-over-k", type=float, default=None,
-                        help="measurement budget as a multiple of K")
-    parser.add_argument("--snr-db", type=float, default=None,
-                        help="measurement SNR (or input PSNR for denoising)")
-    parser.add_argument("--solver", choices=("admm", "fbs"), default=None,
-                        help="solver family where a choice exists")
-    parser.add_argument("--dump-config", action="store_true",
-                        help="print the fully-resolved configuration and exit")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Unset flags stay out of the namespace, so HarnessConfig supplies every default.
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--seed", type=int, help="master RNG seed")
+    flags.add_argument("--trials", type=int, help="trials per parameter point")
+    flags.add_argument("--jobs", type=int, help="trial worker processes")
+    flags.add_argument("--out-dir", help="output directory for CSV and images")
+    flags.add_argument("--clique-side", type=int,
+                       help="clique patch side length (per-experiment default)")
+    flags.add_argument("--lambda", dest="lam", type=float,
+                       help="regularization weight (per-experiment default)")
+    flags.add_argument("--mu", type=float, help="decomposition fidelity weight")
+    flags.add_argument("--alpha", type=_step_size,
+                       help="step size, or 'auto' for backtracking")
+    flags.add_argument("--epsilon", type=float,
+                       help="smoothing parameter (default: scale-relative)")
+    flags.add_argument("--k-sparsity", type=int, help="planted sparsity K")
+    flags.add_argument("--m-over-k", type=float,
+                       help="measurement budget as a multiple of K")
+    flags.add_argument("--snr-db", type=float,
+                       help="measurement SNR (or input PSNR for denoising)")
+    flags.add_argument("--solver", choices=("admm", "fbs"),
+                       help="solver family where a choice exists")
+    flags.add_argument("--dump-config", action="store_true", default=False,
+                       help="print the fully-resolved configuration and exit")
     parser = argparse.ArgumentParser(
         prog="blocksparse",
         description="Desk-scale experiments for overlapping block-sparsity solvers.")
     subparsers = parser.add_subparsers(dest="experiment", required=True,
                                        metavar="<experiment>")
-    for name in EXPERIMENTS:
-        sub = subparsers.add_parser(name, help=_EXPERIMENT_HELP[name])
-        _add_flags(sub)
+    for name, experiment in EXPERIMENTS.items():
+        subparsers.add_parser(name, help=getattr(experiment, "help", experiment.__doc__),
+                              parents=[flags])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    name, dump_config = flags.pop("experiment"), flags.pop("dump_config")
     try:
-        cfg = HarnessConfig(
-            seed=args.seed, trials=args.trials, jobs=args.jobs, out_dir=args.out_dir,
-            clique_side=args.clique_side, lam=args.lam, mu=args.mu, alpha=args.alpha,
-            epsilon=args.epsilon, k_sparsity=args.k_sparsity, m_over_k=args.m_over_k,
-            snr_db=args.snr_db, solver=args.solver)
-        if args.dump_config:
-            print(json.dumps(resolve_config(args.experiment, cfg), indent=2, sort_keys=True))
+        cfg = HarnessConfig(**flags)
+        if dump_config:
+            print(json.dumps(resolve_config(name, cfg), indent=2, sort_keys=True))
             return 0
-        csv_path = run_experiment(args.experiment, cfg)
+        csv_path = run_experiment(name, cfg)
     except (UsageError, ConfigError) as exc:
         print(f"blocksparse: {exc}", file=sys.stderr)
         return 2

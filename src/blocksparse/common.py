@@ -108,7 +108,9 @@ def check_count(value, what: str) -> None:
     array shapes; a float there, even NaN, passes a ``< 1`` check and fails
     later with a ``TypeError``, or not at all.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # the exact-type test spares plain ints the slower abstract-class check
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     if value < 1:
         raise ConfigError(f"{what} must be >= 1")

@@ -1,35 +1,36 @@
-"""Experiment harness: seeded synthetic sweeps, CSV emission, image dumps.
+"""Experiment harness: one table of experiments, one sweep runner, CSV rows.
 
-Five experiments are exposed through the CLI: compressive recovery versus
-measurement budget, noisy compressive recovery versus SNR (with an l=1
-baseline), block-TV denoising (with an l=1 baseline), sparse-plus-low-rank
-decomposition, and the ADMM-versus-FBS memory/runtime benchmark.
-
-Every sweep is seed-deterministic end to end: per-task RNG streams derive
-from (master seed, trial, parameter index), tasks are pure, and rows are
-written in task order through a single writer, so reruns reproduce the CSV
-byte-for-byte apart from the timing columns.
+:data:`EXPERIMENTS` holds the five CLI experiments.  Four are :class:`Sweep`
+specs (compressive recovery versus measurement budget, noisy recovery versus
+SNR, block-TV denoising, sparse-plus-low-rank decomposition), which one runner
+gives their rows, timing, failure rows and worker processes; ``--dump-config``
+reads its axis values from the same points.  The ADMM-versus-FBS memory
+benchmark is a plain function.  RNG streams derive from (seed, trial, point
+stream) and rows are written trials outer, points inner, so a rerun
+reproduces the CSV byte-for-byte apart from the timing columns.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
+import numbers
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .blocktv import BlockTvConfig, denoise_block_tv
-from .common import ConfigError
+from .common import ConfigError, SolverReport, check_count, check_finite
 from .grids import GridShape, build_clique_system
 from .matrixio import write_matrix, write_pgm
-from .metrics import (measured_snr_db, psnr_db, relative_error, support_prf,
-                      support_set)
+from .metrics import psnr_db, relative_error, support_prf, support_set
 from .prox import ProxConfig, prox_block_norm
 from .pursuit import ColampConfig, MeasurementModel, colamp_solve
 from .rpca import RpcaConfig, default_lambda, solve_rpca
@@ -59,15 +60,25 @@ TIMING_COLUMNS = ("timestamp", "wall_clock_s", "per_iter_seconds")
 # override them.
 CLIQUE_SIDE = 2
 MEMORY_CLIQUE_SIDE = 10
+CS_SIZE = 32
 CS_LAMBDA0 = 0.6
 CS_LAMBDA_GROWTH = 1.02
 CS_BLOCKS = 2
 ROBUST_M_OVER_K = 2.0
+BLOCKTV_SIZE = 64
 BLOCKTV_INPUT_PSNR_DB = 20.0
 RPCA_SIZE = 32
 BLOCKTV_LAMBDA_GRID = (0.05, 0.1, 0.15, 0.25, 0.4, 0.6)
 SNR_SWEEP_POINTS = (5.0, 10.0, 15.0, 20.0)
 M_OVER_K_SWEEP = (1.0, 2.0, 3.0, 4.0, 5.0)
+
+# Worker processes run one BLAS thread each, so that --jobs workers share the
+# cores instead of oversubscribing them.  A threaded BLAS splits long dot
+# products (OpenBLAS: above 10,000 entries), so a worker may round such a sum
+# differently from an in-process run, in the last digit.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_SOLVER_NAMES = {"admm": "consensus-ADMM", "fbs": "forward-backward"}
 
 
 class UsageError(ValueError):
@@ -93,12 +104,27 @@ class HarnessConfig:
     solver: Optional[str] = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        if self.clique_side is not None and self.clique_side < 1:
-            raise ConfigError("clique side must be >= 1")
+        integral = isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+        if not integral or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        check_count(self.trials, "trials")
+        check_count(self.jobs, "jobs")
+        check_count(self.k_sparsity, "k sparsity")
+        if self.clique_side is not None:
+            check_count(self.clique_side, "clique side")
+        positive = {"mu": self.mu, "epsilon": self.epsilon,
+                    "alpha": None if self.alpha == "auto" else self.alpha}
+        # snr_db may be negative: noise louder than the signal is a valid point
+        for what, value in {**positive, "lambda": self.lam, "m/K": self.m_over_k,
+                            "snr_db": self.snr_db}.items():
+            if value is not None:
+                check_finite(value, what)
+                if what in positive and value <= 0:
+                    raise ConfigError(f"{what} must be positive")
+        if self.lam is not None and self.lam < 0:
+            raise ConfigError("lambda must be nonnegative")
+        if self.m_over_k is not None and round(self.m_over_k * self.k_sparsity) < 1:
+            raise ConfigError("m/K times K must round to at least one measurement")
 
 
 def _clique_side(name: str, cfg: HarnessConfig) -> int:
@@ -107,16 +133,16 @@ def _clique_side(name: str, cfg: HarnessConfig) -> int:
     return MEMORY_CLIQUE_SIDE if name == "memory-benchmark" else CLIQUE_SIDE
 
 
+def _sides(name: str, cfg: HarnessConfig, size: int, baseline: bool) -> tuple[int, ...]:
+    """The resolved clique side, then the l=1 baseline if ``baseline`` is set."""
+    side = _clique_side(name, cfg)
+    if side > size:
+        raise ConfigError(f"clique side {side} exceeds the {size}x{size} image of {name}")
+    return (side, 1) if baseline and side != 1 else (side,)
+
+
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
-
-
-def _run_tasks(tasks: list[Callable[[], object]], jobs: int) -> list:
-    if jobs <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
 
 
 def _fmt(value) -> str:
@@ -160,293 +186,215 @@ def read_csv_without_timing(path) -> list[tuple[str, ...]]:
 
 
 def _base_row(name: str, cfg: HarnessConfig, trial: int) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": name,
-        "trial": trial,
-        "seed": cfg.seed,
-        "failed": False,
-    }
-
-
-def _failure_row(name: str, cfg: HarnessConfig, trial: int, exc: Exception, **params) -> dict:
-    row = _base_row(name, cfg, trial)
-    row.update(params)
-    row["failed"] = True
-    row["termination"] = f"error: {type(exc).__name__}: {exc}"
-    return row
+    return {"schema_version": SCHEMA_VERSION, "experiment": name, "trial": trial,
+            "seed": cfg.seed, "failed": False}
 
 
 def _objective_monotone(trace: list[float]) -> bool:
     return all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(trace, trace[1:]))
 
 
+def _report_fields(report: SolverReport) -> dict:
+    return {"iterations": report.iterations, "peak_aux_entries": report.peak_aux_entries,
+            "termination": report.termination_reason}
+
+
 def _pgm(path, image) -> None:
     write_pgm(path, image, maxval=255)
 
 
-# ---------------------------------------------------------------------------
-# cs-recovery-sweep
+class Point(NamedTuple):
+    """A sweep's parameter point: its CSV parameter columns, and the key of
+    the random data its trials draw (equal streams see the same data)."""
+
+    stream: int
+    params: dict
 
 
-def _pursuit_config(cfg: HarnessConfig, k: int, eps_res: Optional[float] = None) -> ColampConfig:
-    lam0 = cfg.lam if cfg.lam is not None else CS_LAMBDA0
-    return ColampConfig(k=k, lam0=lam0, lam_growth=CS_LAMBDA_GROWTH, max_iters=50,
-                        eps_res=eps_res,
-                        prox=ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9))
+@dataclass(frozen=True)
+class Sweep:
+    """A pure, module-level ``trial(cfg, trial, point) -> (result fields,
+    artifacts)`` run at each of ``points(cfg)``.  ``write(out_dir, done)``
+    gets ``(point, artifacts)`` of each trial-0 task that succeeded.
+    ``--dump-config`` reports the point parameters named in ``axes`` (a
+    scalar for one value, else a list) and ``settings(cfg)``."""
+
+    help: str
+    points: Callable[[HarnessConfig], list[Point]]
+    trial: Callable[[HarnessConfig, int, Point], tuple[dict, object]]
+    write: Callable[[Path, list[tuple[Point, object]]], None]
+    axes: tuple[str, ...]
+    settings: Callable[[HarnessConfig], dict] = lambda cfg: {}
 
 
-def exp_cs_recovery_sweep(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
-    name = "cs-recovery-sweep"
-    height = width = 32
-    k = cfg.k_sparsity
-    side = _clique_side(name, cfg)
-    ratios = (cfg.m_over_k,) if cfg.m_over_k is not None else M_OVER_K_SWEEP
-    cliques = build_clique_system(GridShape(height, width), side)
+def _task(name: str, cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, object]:
+    """One task's row, and its artifacts if it is trial 0 and succeeded."""
+    row = {**_base_row(name, cfg, trial), **point.params}
+    try:
+        t0 = time.perf_counter()
+        fields, artifacts = EXPERIMENTS[name].trial(cfg, trial, point)
+        row["wall_clock_s"] = time.perf_counter() - t0
+    except Exception as exc:  # the sweep continues; the row records the failure
+        row["failed"] = True
+        row["termination"] = f"error: {type(exc).__name__}: {exc}"
+        return row, None
+    row.update(fields)
+    return row, artifacts if trial == 0 else None
 
-    def task(trial: int, pi: int, ratio: float):
-        params = {"clique_side": side, "k_sparsity": k, "m_over_k": ratio,
-                  "m": round(ratio * k), "lam": cfg.lam if cfg.lam is not None else CS_LAMBDA0,
-                  "solver": "admm"}
+
+def _run_sweep(name: str, sweep: Sweep, points: list[Point], cfg: HarnessConfig,
+               out_dir: Path) -> list[dict]:
+    tasks = [(name, cfg, trial, point) for trial in range(cfg.trials) for point in points]
+    workers = min(cfg.jobs, os.cpu_count() or 1)
+    if workers == 1:
+        results = [_task(*task) for task in tasks]
+    else:
+        saved = dict(os.environ)
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
         try:
-            truth = make_blocky_image(height, width, k, CS_BLOCKS, _rng(cfg.seed, trial, 7))
-            m = round(ratio * k)
-            phi = gaussian_measurement_matrix(m, height * width, _rng(cfg.seed, trial, 11, pi))
-            y = phi @ truth.ravel()
-            t0 = time.perf_counter()
-            xhat, report = colamp_solve(y, MeasurementModel(phi), cliques,
-                                        _pursuit_config(cfg, k))
-            wall = time.perf_counter() - t0
-            prec, rec, fmeas = support_prf(support_set(xhat), np.flatnonzero(truth.ravel()))
-            row = _base_row(name, cfg, trial)
-            row.update(params)
-            row.update({
-                "rel_error": relative_error(xhat, truth),
-                "precision": prec, "recall": rec, "f_measure": fmeas,
-                "iterations": report.iterations,
-                "wall_clock_s": wall,
-                "peak_aux_entries": report.peak_aux_entries,
-                "termination": report.termination_reason,
-            })
-            artifacts = (truth, xhat, y) if trial == 0 else None
-            return row, artifacts
-        except Exception as exc:  # sweep continues; row records the failure
-            return _failure_row(name, cfg, trial, exc, **params), None
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+                results = list(pool.map(_task, *zip(*tasks)))
+        finally:
+            os.environ.clear()
+            os.environ.update(saved)
+    done = [(point, artifacts) for (_, _, _, point), (_, artifacts) in zip(tasks, results)
+            if artifacts is not None]
+    if done:
+        sweep.write(out_dir, done)
+    return [row for row, _ in results]
 
-    tasks = [lambda t=t, pi=pi, r=r: task(t, pi, r)
-             for t in range(cfg.trials) for pi, r in enumerate(ratios)]
-    results = _run_tasks(tasks, cfg.jobs)
 
-    rows = [row for row, _ in results]
-    wrote_truth = False
-    for (row, artifacts) in results:
-        if artifacts is None:
-            continue
-        truth, xhat, y = artifacts
-        if not wrote_truth:
-            _pgm(out_dir / "cs_truth.pgm", truth)
-            wrote_truth = True
-        m = row["m"]
+def _cs_lambda0(cfg: HarnessConfig) -> float:
+    return cfg.lam if cfg.lam is not None else CS_LAMBDA0
+
+
+def _cs_params(cfg: HarnessConfig, side: int, ratio: float) -> dict:
+    k = cfg.k_sparsity
+    return {"clique_side": side, "k_sparsity": k, "m_over_k": ratio, "m": round(ratio * k),
+            "lam": _cs_lambda0(cfg), "solver": "admm"}
+
+
+def _cs_settings(cfg: HarnessConfig) -> dict:
+    return {"lam0": _cs_lambda0(cfg), "lam_growth": CS_LAMBDA_GROWTH}
+
+
+def _cs_points(cfg: HarnessConfig) -> list[Point]:
+    (side,) = _sides("cs-recovery-sweep", cfg, CS_SIZE, baseline=False)
+    ratios = (cfg.m_over_k,) if cfg.m_over_k is not None else M_OVER_K_SWEEP
+    return [Point(i, _cs_params(cfg, side, ratio)) for i, ratio in enumerate(ratios)]
+
+
+def _robust_points(cfg: HarnessConfig) -> list[Point]:
+    sides = _sides("robust-cs-snr-sweep", cfg, CS_SIZE, baseline=True)
+    ratio = cfg.m_over_k if cfg.m_over_k is not None else ROBUST_M_OVER_K
+    snrs = (cfg.snr_db,) if cfg.snr_db is not None else SNR_SWEEP_POINTS
+    return [Point(i, {**_cs_params(cfg, side, ratio), "snr_db": snr})
+            for i, snr in enumerate(snrs) for side in sides]
+
+
+def _cs_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, object]:
+    """CoLaMP recovery from ``m`` measurements, noisy when the point has ``snr_db``."""
+    p = point.params
+    k, m = p["k_sparsity"], p["m"]
+    truth = make_blocky_image(CS_SIZE, CS_SIZE, k, CS_BLOCKS, _rng(cfg.seed, trial, 7))
+    phi = gaussian_measurement_matrix(m, truth.size, _rng(cfg.seed, trial, 11, point.stream))
+    y = phi @ truth.ravel()
+    eps_res = None
+    if "snr_db" in p:
+        sigma = sigma_for_snr_db(y, p["snr_db"])
+        y = y + sigma * _rng(cfg.seed, trial, 13, point.stream).standard_normal(m)
+        eps_res = sigma * math.sqrt(m)
+    pursuit = ColampConfig(k=k, lam0=p["lam"], lam_growth=CS_LAMBDA_GROWTH, max_iters=50,
+                           eps_res=eps_res,
+                           prox=ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9))
+    cliques = build_clique_system(GridShape(CS_SIZE, CS_SIZE), p["clique_side"])
+    xhat, report = colamp_solve(y, MeasurementModel(phi), cliques, pursuit)
+    prec, rec, fmeas = support_prf(support_set(xhat), np.flatnonzero(truth.ravel()))
+    return {"rel_error": relative_error(xhat, truth),
+            "precision": prec, "recall": rec, "f_measure": fmeas,
+            **_report_fields(report)}, (truth, xhat, y)
+
+
+def _write_cs(out_dir: Path, done: list[tuple[Point, object]]) -> None:
+    _pgm(out_dir / "cs_truth.pgm", done[0][1][0])
+    for point, (_, xhat, y) in done:
+        m = point.params["m"]
         _pgm(out_dir / f"cs_recovered_m{m}.pgm", xhat)
         write_matrix(out_dir / f"cs_measurements_m{m}.bsm", y[None, :])
-    return rows
 
 
-# ---------------------------------------------------------------------------
-# robust-cs-snr-sweep
+def _write_robust(out_dir: Path, done: list[tuple[Point, object]]) -> None:
+    first_snr = [(point, artifacts) for point, artifacts in done if point.stream == 0]
+    if first_snr:
+        _pgm(out_dir / "robust_truth.pgm", first_snr[0][1][0])
+    for point, (_, xhat, _) in first_snr:
+        _pgm(out_dir / f"robust_recovered_l{point.params['clique_side']}.pgm", xhat)
 
 
-def exp_robust_cs_snr_sweep(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
-    name = "robust-cs-snr-sweep"
-    height = width = 32
-    k = cfg.k_sparsity
-    ratio = cfg.m_over_k if cfg.m_over_k is not None else ROBUST_M_OVER_K
-    m = round(ratio * k)
-    snrs = (cfg.snr_db,) if cfg.snr_db is not None else SNR_SWEEP_POINTS
-    block_side = _clique_side(name, cfg)
-    sides = (block_side, 1) if block_side != 1 else (1,)
-    systems = {s: build_clique_system(GridShape(height, width), s) for s in sides}
-
-    def task(trial: int, si: int, snr: float, side: int):
-        params = {"clique_side": side, "k_sparsity": k, "m": m, "m_over_k": ratio,
-                  "snr_db": snr, "lam": cfg.lam if cfg.lam is not None else CS_LAMBDA0,
-                  "solver": "admm"}
-        try:
-            truth = make_blocky_image(height, width, k, CS_BLOCKS, _rng(cfg.seed, trial, 7))
-            phi = gaussian_measurement_matrix(m, height * width, _rng(cfg.seed, trial, 11, si))
-            clean = phi @ truth.ravel()
-            sigma = sigma_for_snr_db(clean, snr)
-            y = clean + sigma * _rng(cfg.seed, trial, 13, si).standard_normal(m)
-            eps_res = sigma * math.sqrt(m)
-            t0 = time.perf_counter()
-            xhat, report = colamp_solve(y, MeasurementModel(phi), systems[side],
-                                        _pursuit_config(cfg, k, eps_res=eps_res))
-            wall = time.perf_counter() - t0
-            prec, rec, fmeas = support_prf(support_set(xhat), np.flatnonzero(truth.ravel()))
-            row = _base_row(name, cfg, trial)
-            row.update(params)
-            row.update({
-                "rel_error": relative_error(xhat, truth),
-                "precision": prec, "recall": rec, "f_measure": fmeas,
-                "snr_db": measured_snr_db(clean, y),
-                "iterations": report.iterations,
-                "wall_clock_s": wall,
-                "peak_aux_entries": report.peak_aux_entries,
-                "termination": report.termination_reason,
-            })
-            # keep the requested operating point as the sweep key
-            row["snr_db"] = snr
-            artifacts = (truth, xhat) if trial == 0 and snr == snrs[0] else None
-            return row, artifacts
-        except Exception as exc:
-            return _failure_row(name, cfg, trial, exc, **params), None
-
-    tasks = [lambda t=t, si=si, s=s, l=l: task(t, si, s, l)
-             for t in range(cfg.trials)
-             for si, s in enumerate(snrs)
-             for l in sides]
-    results = _run_tasks(tasks, cfg.jobs)
-    rows = [row for row, _ in results]
-    wrote_truth = False
-    for row, artifacts in results:
-        if artifacts is None:
-            continue
-        truth, xhat = artifacts
-        if not wrote_truth:
-            _pgm(out_dir / "robust_truth.pgm", truth)
-            wrote_truth = True
-        _pgm(out_dir / f"robust_recovered_l{row['clique_side']}.pgm", xhat)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# blocktv-denoise
-
-
-def exp_blocktv_denoise(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
-    name = "blocktv-denoise"
-    height = width = 64
-    input_psnr = cfg.snr_db if cfg.snr_db is not None else BLOCKTV_INPUT_PSNR_DB
-    sigma = sigma_for_psnr_db(1.0, input_psnr)
+def _blocktv_points(cfg: HarnessConfig) -> list[Point]:
+    sides = _sides("blocktv-denoise", cfg, BLOCKTV_SIZE, baseline=True)
     lams = (cfg.lam,) if cfg.lam is not None else BLOCKTV_LAMBDA_GRID
-    block_side = _clique_side(name, cfg)
-    sides = (block_side, 1) if block_side != 1 else (1,)
-
-    def task(trial: int, lam: float, side: int):
-        params = {"clique_side": side, "lam": lam, "input_psnr_db": input_psnr,
-                  "epsilon": cfg.epsilon}
-        try:
-            truth = make_piecewise_constant(height, width, _rng(cfg.seed, trial, 7))
-            noisy = truth + sigma * _rng(cfg.seed, trial, 13).standard_normal(truth.shape)
-            tv_cfg = BlockTvConfig(lam=lam, eps=cfg.epsilon, clique_side=side,
-                                   max_iters=300, tol_obj=1e-9)
-            t0 = time.perf_counter()
-            xhat, report = denoise_block_tv(noisy, tv_cfg)
-            wall = time.perf_counter() - t0
-            p_in = psnr_db(noisy, truth, peak=1.0)
-            p_out = psnr_db(xhat, truth, peak=1.0)
-            row = _base_row(name, cfg, trial)
-            row.update(params)
-            row.update({
-                "rel_error": relative_error(xhat, truth),
-                "psnr_db": p_out,
-                "psnr_gain_db": p_out - p_in,
-                "iterations": report.iterations,
-                "objective_monotone": _objective_monotone(report.objective_trace),
-                "wall_clock_s": wall,
-                "peak_aux_entries": report.peak_aux_entries,
-                "termination": report.termination_reason,
-            })
-            artifacts = (truth, noisy, xhat, p_out) if trial == 0 else None
-            return row, artifacts
-        except Exception as exc:
-            return _failure_row(name, cfg, trial, exc, **params), None
-
-    tasks = [lambda t=t, lam=lam, l=l: task(t, lam, l)
-             for t in range(cfg.trials) for lam in lams for l in sides]
-    results = _run_tasks(tasks, cfg.jobs)
-    rows = [row for row, _ in results]
-
-    best: dict[int, tuple[float, np.ndarray]] = {}
-    base_images = None
-    for row, artifacts in results:
-        if artifacts is None:
-            continue
-        truth, noisy, xhat, p_out = artifacts
-        base_images = (truth, noisy)
-        side = row["clique_side"]
-        if side not in best or p_out > best[side][0]:
-            best[side] = (p_out, xhat)
-    if base_images is not None:
-        _pgm(out_dir / "tv_truth.pgm", base_images[0])
-        _pgm(out_dir / "tv_noisy.pgm", base_images[1])
-        for side, (_, img) in sorted(best.items()):
-            _pgm(out_dir / f"tv_denoised_l{side}.pgm", img)
-    return rows
+    input_psnr = cfg.snr_db if cfg.snr_db is not None else BLOCKTV_INPUT_PSNR_DB
+    return [Point(0, {"clique_side": side, "lam": lam, "input_psnr_db": input_psnr,
+                      "epsilon": cfg.epsilon})
+            for lam in lams for side in sides]
 
 
-# ---------------------------------------------------------------------------
-# rpca-decompose
+def _blocktv_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, object]:
+    p = point.params
+    truth = make_piecewise_constant(BLOCKTV_SIZE, BLOCKTV_SIZE, _rng(cfg.seed, trial, 7))
+    sigma = sigma_for_psnr_db(1.0, p["input_psnr_db"])
+    noisy = truth + sigma * _rng(cfg.seed, trial, 13).standard_normal(truth.shape)
+    xhat, report = denoise_block_tv(noisy, BlockTvConfig(
+        lam=p["lam"], eps=p["epsilon"], clique_side=p["clique_side"], max_iters=300,
+        tol_obj=1e-9))
+    p_in = psnr_db(noisy, truth, peak=1.0)
+    p_out = psnr_db(xhat, truth, peak=1.0)
+    return {"rel_error": relative_error(xhat, truth),
+            "psnr_db": p_out, "psnr_gain_db": p_out - p_in,
+            "objective_monotone": _objective_monotone(report.objective_trace),
+            **_report_fields(report)}, (truth, noisy, xhat, p_out)
 
 
-def exp_rpca_decompose(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
-    name = "rpca-decompose"
-    if cfg.solver not in (None, "fbs"):
-        raise UsageError("rpca-decompose runs the forward-backward solver only; "
-                         "the consensus-ADMM alternative appears in memory-benchmark "
-                         "accounting")
-    height = width = RPCA_SIZE
-    frames, rank_true = 10, 2
-    side = _clique_side(name, cfg)
-
-    def task(trial: int):
-        params = {"clique_side": side, "mu": cfg.mu, "alpha": cfg.alpha,
-                  "epsilon": cfg.epsilon, "n_frames": frames, "rank_true": rank_true,
-                  "solver": "fbs",
-                  "lam": cfg.lam if cfg.lam is not None else default_lambda(side, height * width)}
-        try:
-            lowrank, sparse = make_lowrank_blocksparse_stack(
-                height, width, frames, rank_true, _rng(cfg.seed, trial, 7))
-            y = lowrank + sparse
-            rpca_cfg = RpcaConfig(lam=cfg.lam, mu=cfg.mu, alpha=cfg.alpha,
-                                  eps=cfg.epsilon, clique_side=side)
-            t0 = time.perf_counter()
-            result = solve_rpca(y, rpca_cfg)
-            wall = time.perf_counter() - t0
-            prec, rec, fmeas = support_prf(support_set(result.x, 0.1),
-                                           np.flatnonzero(sparse.ravel()))
-            row = _base_row(name, cfg, trial)
-            row.update(params)
-            row.update({
-                "rel_error": relative_error(result.x, sparse),
-                "precision": prec, "recall": rec, "f_measure": fmeas,
-                "rank_est": result.report.extra["rank"],
-                "iterations": result.report.iterations,
-                "objective_monotone": _objective_monotone(result.report.objective_trace),
-                "wall_clock_s": wall,
-                "peak_aux_entries": result.report.peak_aux_entries,
-                "termination": result.report.termination_reason,
-            })
-            artifacts = (y, result.x, result.z) if trial == 0 else None
-            return row, artifacts
-        except Exception as exc:
-            return _failure_row(name, cfg, trial, exc, **params), None
-
-    results = _run_tasks([lambda t=t: task(t) for t in range(cfg.trials)], cfg.jobs)
-    rows = [row for row, _ in results]
-    for row, artifacts in results:
-        if artifacts is None:
-            continue
-        y, x, z = artifacts
-        _pgm(out_dir / "rpca_observed_f0.pgm", y[:, :, 0])
-        _pgm(out_dir / "rpca_foreground_f0.pgm", x[:, :, 0])
-        _pgm(out_dir / "rpca_background_f0.pgm", z[:, :, 0])
-        write_matrix(out_dir / "rpca_foreground.bsm", x.reshape(height * width, frames))
-    return rows
+def _write_blocktv(out_dir: Path, done: list[tuple[Point, object]]) -> None:
+    truth, noisy = done[0][1][:2]
+    _pgm(out_dir / "tv_truth.pgm", truth)
+    _pgm(out_dir / "tv_noisy.pgm", noisy)
+    for side in sorted({point.params["clique_side"] for point, _ in done}):
+        best = max((a for p, a in done if p.params["clique_side"] == side), key=lambda a: a[3])
+        _pgm(out_dir / f"tv_denoised_l{side}.pgm", best[2])
 
 
-# ---------------------------------------------------------------------------
-# memory-benchmark
+def _rpca_points(cfg: HarnessConfig) -> list[Point]:
+    (side,) = _sides("rpca-decompose", cfg, RPCA_SIZE, baseline=False)
+    lam = cfg.lam if cfg.lam is not None else default_lambda(side, RPCA_SIZE * RPCA_SIZE)
+    return [Point(0, {"clique_side": side, "mu": cfg.mu, "alpha": cfg.alpha,
+                      "epsilon": cfg.epsilon, "n_frames": 10, "rank_true": 2,
+                      "solver": "fbs", "lam": lam})]
+
+
+def _rpca_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, object]:
+    p = point.params
+    lowrank, sparse = make_lowrank_blocksparse_stack(
+        RPCA_SIZE, RPCA_SIZE, p["n_frames"], p["rank_true"], _rng(cfg.seed, trial, 7))
+    y = lowrank + sparse
+    result = solve_rpca(y, RpcaConfig(lam=p["lam"], mu=p["mu"], alpha=p["alpha"],
+                                      eps=p["epsilon"], clique_side=p["clique_side"]))
+    prec, rec, fmeas = support_prf(support_set(result.x, 0.1), np.flatnonzero(sparse.ravel()))
+    return {"rel_error": relative_error(result.x, sparse),
+            "precision": prec, "recall": rec, "f_measure": fmeas,
+            "rank_est": result.report.extra["rank"],
+            "objective_monotone": _objective_monotone(result.report.objective_trace),
+            **_report_fields(result.report)}, (y, result.x, result.z)
+
+
+def _write_rpca(out_dir: Path, done: list[tuple[Point, object]]) -> None:
+    y, x, z = done[0][1]
+    _pgm(out_dir / "rpca_observed_f0.pgm", y[:, :, 0])
+    _pgm(out_dir / "rpca_foreground_f0.pgm", x[:, :, 0])
+    _pgm(out_dir / "rpca_background_f0.pgm", z[:, :, 0])
+    write_matrix(out_dir / "rpca_foreground.bsm", x.reshape(-1, x.shape[2]))
 
 
 def admm_formula_entries(side: int, n_pixels: int, frames: int) -> int:
@@ -456,10 +404,9 @@ def admm_formula_entries(side: int, n_pixels: int, frames: int) -> int:
 
 
 def exp_memory_benchmark(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
+    """ADMM-vs-FBS memory accounting and per-iteration runtime"""
     name = "memory-benchmark"
     side = _clique_side(name, cfg)
-
-    rows: list[dict] = []
 
     # Measured FBS peak on a small planted stack; the formula ratio at `side`.
     height = width = 16
@@ -473,19 +420,16 @@ def exp_memory_benchmark(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
     n = height * width
     fbs_entries = result.report.peak_aux_entries
     formula = admm_formula_entries(side, n, frames)
-    row = _base_row(name, cfg, 0)
-    row.update({
+    rows = [{
+        **_base_row(name, cfg, 0),
         "clique_side": side, "n_frames": frames,
         "fbs_measured_entries": fbs_entries,
         "admm_formula_entries": formula,
         "memory_ratio": formula / fbs_entries,
-        "peak_aux_entries": fbs_entries,
-        "iterations": result.report.iterations,
+        **_report_fields(result.report),
         "wall_clock_s": wall,
-        "termination": result.report.termination_reason,
         "solver": "fbs",
-    })
-    rows.append(row)
+    }]
     _pgm(out_dir / "memory_observed_f0.pgm", y[:, :, 0])
     _pgm(out_dir / "memory_foreground_f0.pgm", result.x[:, :, 0])
 
@@ -494,28 +438,23 @@ def exp_memory_benchmark(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
         cliques = build_clique_system(GridShape(height, width), side)
         prox_res = prox_block_norm(y[:, :, 0], cliques,
                                    ProxConfig(lam=0.1, max_iters=5))
-        row = _base_row(name, cfg, 1)
-        row.update({
+        rows.append({
+            **_base_row(name, cfg, 1),
             "clique_side": side, "n_frames": 1, "solver": "admm",
             "admm_measured_entries": prox_res.report.peak_aux_entries,
             "admm_formula_entries": 2 * side * side * n,
-            "peak_aux_entries": prox_res.report.peak_aux_entries,
-            "iterations": prox_res.report.iterations,
+            **_report_fields(prox_res.report),
             "wall_clock_s": prox_res.report.wall_clock,
-            "termination": prox_res.report.termination_reason,
         })
-        rows.append(row)
 
     # Per-iteration runtime at two clique sizes on a 64x64x10 stack: the FFT
     # gradient path makes these comparable.
     for trial, timing_side in enumerate((4, 16), start=2):
-        secs = fbs_per_iteration_seconds(timing_side, seed=cfg.seed)
-        row = _base_row(name, cfg, trial)
-        row.update({
+        rows.append({
+            **_base_row(name, cfg, trial),
             "clique_side": timing_side, "n_frames": 10, "solver": "fbs",
-            "per_iter_seconds": secs,
+            "per_iter_seconds": fbs_per_iteration_seconds(timing_side, seed=cfg.seed),
         })
-        rows.append(row)
     return rows
 
 
@@ -538,42 +477,50 @@ def fbs_per_iteration_seconds(side: int, seed: int = 0, iters: int = 30,
     return float(np.median(samples))
 
 
-EXPERIMENTS: dict[str, Callable[[HarnessConfig, Path], list[dict]]] = {
-    "cs-recovery-sweep": exp_cs_recovery_sweep,
-    "robust-cs-snr-sweep": exp_robust_cs_snr_sweep,
-    "blocktv-denoise": exp_blocktv_denoise,
-    "rpca-decompose": exp_rpca_decompose,
+EXPERIMENTS: dict[str, Union[Sweep, Callable[[HarnessConfig, Path], list[dict]]]] = {
+    "cs-recovery-sweep": Sweep(
+        "compressive recovery of blocky images vs. measurement budget",
+        _cs_points, _cs_trial, _write_cs, ("m_over_k", "solver"), _cs_settings),
+    "robust-cs-snr-sweep": Sweep(
+        "noisy compressive recovery vs. SNR, with an l=1 baseline",
+        _robust_points, _cs_trial, _write_robust, ("m_over_k", "snr_db", "solver"),
+        _cs_settings),
+    "blocktv-denoise": Sweep(
+        "block total-variation denoising, with an l=1 baseline",
+        _blocktv_points, _blocktv_trial, _write_blocktv, ("lam", "input_psnr_db")),
+    "rpca-decompose": Sweep(
+        "sparse-plus-low-rank decomposition of a planted stack",
+        _rpca_points, _rpca_trial, _write_rpca, ("lam", "solver")),
     "memory-benchmark": exp_memory_benchmark,
 }
 
 
-def resolve_config(name: str, cfg: HarnessConfig) -> dict:
-    """Fully-resolved configuration for ``--dump-config``."""
+def _lookup(name: str, cfg: HarnessConfig):
+    """The table entry for ``name`` and a sweep's points; checks ``cfg.solver``."""
     if name not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {name!r}")
-    resolved = asdict(cfg)
-    resolved["experiment"] = name
-    resolved["schema_version"] = SCHEMA_VERSION
-    resolved["clique_side"] = _clique_side(name, cfg)
-    if name in ("cs-recovery-sweep", "robust-cs-snr-sweep"):
-        resolved.setdefault("lam0", cfg.lam if cfg.lam is not None else CS_LAMBDA0)
-        resolved["lam_growth"] = CS_LAMBDA_GROWTH
-        if cfg.m_over_k is None:
-            resolved["m_over_k"] = (ROBUST_M_OVER_K if name == "robust-cs-snr-sweep"
-                                    else list(M_OVER_K_SWEEP))
-        if name == "robust-cs-snr-sweep" and cfg.snr_db is None:
-            resolved["snr_db"] = list(SNR_SWEEP_POINTS)
-        resolved["solver"] = "admm"
-    elif name == "blocktv-denoise":
-        if cfg.lam is None:
-            resolved["lam"] = list(BLOCKTV_LAMBDA_GRID)
-        resolved["input_psnr_db"] = (cfg.snr_db if cfg.snr_db is not None
-                                     else BLOCKTV_INPUT_PSNR_DB)
-    elif name == "rpca-decompose":
-        side = resolved["clique_side"]
-        if cfg.lam is None:
-            resolved["lam"] = default_lambda(side, RPCA_SIZE * RPCA_SIZE)
-        resolved["solver"] = "fbs"
+    experiment = EXPERIMENTS[name]
+    if not isinstance(experiment, Sweep):
+        return experiment, None
+    points = experiment.points(cfg)
+    runs = sorted({p.params["solver"] for p in points if "solver" in p.params})
+    if cfg.solver not in (None, *runs):
+        raise UsageError(f"{name} does not run the {_SOLVER_NAMES[cfg.solver]} solver "
+                         f"(it runs: {', '.join(_SOLVER_NAMES[s] for s in runs) or 'neither'})")
+    return experiment, points
+
+
+def resolve_config(name: str, cfg: HarnessConfig) -> dict:
+    """Fully-resolved configuration for ``--dump-config``: the flags, with
+    each swept axis replaced by the values the runner iterates."""
+    experiment, points = _lookup(name, cfg)
+    resolved = {**asdict(cfg), "experiment": name, "schema_version": SCHEMA_VERSION,
+                "clique_side": _clique_side(name, cfg)}
+    if points is not None:
+        for axis in experiment.axes:
+            values = list(dict.fromkeys(p.params[axis] for p in points))
+            resolved[axis] = values[0] if len(values) == 1 else values
+        resolved.update(experiment.settings(cfg))
     return resolved
 
 
@@ -581,15 +528,20 @@ def run_experiment(name: str, cfg: HarnessConfig) -> Path:
     """Run one experiment, write ``<name>.csv`` plus image files into
     ``cfg.out_dir``, and return the CSV path.
 
-    Solver failures inside a sweep are recorded as rows with the failure
-    flag; unknown names raise :class:`UsageError`.
+    A sweep trial that raises becomes a row with the failure flag; unknown
+    names and unsupported ``--solver`` values raise :class:`UsageError`.
+    With ``cfg.jobs > 1`` trials run on up to ``os.cpu_count()`` ``spawn``
+    worker processes with one BLAS thread each.  ``spawn`` re-imports the
+    caller's ``__main__`` in every worker, so only callers whose entry code
+    sits under an ``if __name__ == "__main__":`` guard (as the CLI's does)
+    may pass ``jobs > 1``.
     """
-    if name not in EXPERIMENTS:
-        raise UsageError(f"unknown experiment {name!r}")
+    experiment, points = _lookup(name, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now(timezone.utc).isoformat()
-    rows = EXPERIMENTS[name](cfg, out_dir)
+    rows = (experiment(cfg, out_dir) if points is None
+            else _run_sweep(name, experiment, points, cfg, out_dir))
     for row in rows:
         row.setdefault("timestamp", stamp)
     csv_path = out_dir / f"{name}.csv"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import ConfigError, ShapeError
+from .common import ConfigError, ShapeError, check_count
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class GridShape:
     width: int
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ConfigError("grid dimensions must be positive")
+        check_count(self.height, "grid height")
+        check_count(self.width, "grid width")
 
     @property
     def n(self) -> int:
@@ -65,9 +65,8 @@ class CliqueSystem:
     """
 
     def __init__(self, shape: GridShape, side: int):
+        check_count(side, "clique side")
         side = int(side)
-        if side < 1:
-            raise ConfigError("clique side must be >= 1")
         if side > min(shape.height, shape.width):
             raise ConfigError(
                 f"clique side {side} exceeds grid {shape.height}x{shape.width}")

@@ -47,6 +47,32 @@ def test_rpca_admm_combination_rejected(tmp_path, capsys):
     assert "forward-backward" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["memory-benchmark", "--seed", "-1"],
+    ["cs-recovery-sweep", "--trials", "0"],
+    ["cs-recovery-sweep", "--jobs", "0"],
+    ["cs-recovery-sweep", "--k-sparsity", "0"],
+    ["cs-recovery-sweep", "--clique-side", "0"],
+    ["cs-recovery-sweep", "--clique-side", "33"],
+    ["cs-recovery-sweep", "--lambda", "nan"],
+    ["blocktv-denoise", "--lambda", "-0.1"],
+    ["rpca-decompose", "--mu", "0"],
+    ["rpca-decompose", "--alpha", "nan"],
+    ["blocktv-denoise", "--epsilon", "-1"],
+    ["cs-recovery-sweep", "--m-over-k", "-1"],
+    ["cs-recovery-sweep", "--m-over-k", "nan"],
+    ["robust-cs-snr-sweep", "--snr-db", "inf"],
+    ["cs-recovery-sweep", "--solver", "fbs"],
+    ["robust-cs-snr-sweep", "--solver", "fbs"],
+    ["blocktv-denoise", "--solver", "admm"],
+])
+def test_bad_flag_value_exits_2_before_running(argv, tmp_path, capsys):
+    name, *flags = argv
+    assert main([name, "--trials", "1", *flags, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("blocksparse: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_io_error_exit_3(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -51,6 +51,24 @@ def test_clique_side_below_one_rejected():
         build_clique_system(GridShape(4, 4), 0)
 
 
+@pytest.mark.parametrize("side", [2.7, float("nan"), True])
+def test_non_integer_clique_side_rejected(side):
+    with pytest.raises(ConfigError):
+        build_clique_system(GridShape(4, 4), side)
+
+
+@pytest.mark.parametrize("height, width", [(2.5, 3), (3, float("nan"))])
+def test_grid_shape_rejects_non_integer(height, width):
+    with pytest.raises(ConfigError):
+        GridShape(height, width)
+
+
+def test_numpy_integer_sizes_accepted():
+    cs = build_clique_system(GridShape(np.int64(4), np.int32(5)), np.int64(2))
+    assert cs.shape.n == 20
+    assert type(cs.side) is int and cs.side == 2
+
+
 def test_2x2_l2_has_empty_subsets():
     cs = build_clique_system(GridShape(2, 2), 2)
     assert cs.n_subsets == 4

@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 
+from blocksparse import experiments
+from blocksparse.common import ConfigError
 from blocksparse.experiments import (CSV_COLUMNS, HarnessConfig, UsageError,
                                      admm_formula_entries, read_csv_without_timing,
                                      resolve_config, run_experiment, write_rows)
@@ -134,3 +136,91 @@ def test_config_validation():
         HarnessConfig(trials=0)
     with pytest.raises(Exception):
         HarnessConfig(jobs=0)
+
+
+@pytest.mark.parametrize("field", ["seed", "trials", "jobs", "k_sparsity", "clique_side"])
+def test_config_rejects_non_integer_count(field):
+    with pytest.raises(ConfigError):
+        HarnessConfig(**{field: 2.5})
+
+
+def test_failed_trial_becomes_a_row_and_the_sweep_continues(tmp_path, monkeypatch):
+    real = experiments.denoise_block_tv
+
+    def fail_on_baseline(noisy, tv_cfg):
+        if tv_cfg.clique_side == 1:
+            raise RuntimeError("injected")
+        return real(noisy, tv_cfg)
+
+    monkeypatch.setattr(experiments, "denoise_block_tv", fail_on_baseline)
+    path = run_experiment("blocktv-denoise", small_cfg(tmp_path, trials=1, lam=0.1))
+    ok, failed = list(csv.DictReader(open(path, newline="")))
+    assert failed["failed"] == "1"
+    assert failed["termination"] == "error: RuntimeError: injected"
+    assert (failed["experiment"], failed["trial"], failed["seed"]) == ("blocktv-denoise", "0", "0")
+    assert (failed["clique_side"], failed["lam"], failed["input_psnr_db"]) == ("1", "0.1", "20.0")
+    assert failed["rel_error"] == failed["iterations"] == ""
+    assert ok["failed"] == "0" and ok["clique_side"] == "2"
+    assert ok["termination"] in ("converged", "max-iterations")
+    assert float(ok["psnr_gain_db"]) > 0
+    assert (tmp_path / "tv_denoised_l2.pgm").exists()
+    assert not (tmp_path / "tv_denoised_l1.pgm").exists()
+
+
+def _csv_values(value):
+    return {"" if v is None else repr(float(v))
+            for v in (value if isinstance(value, list) else [value])}
+
+
+# Per sweep: whether it adds the l=1 baseline side, and the dump key that
+# holds each swept column (the CS sweeps report their lambda as lam0).
+_SWEEP_COLUMNS = {
+    "cs-recovery-sweep": (False, {"m_over_k": "m_over_k", "lam": "lam0"}),
+    "robust-cs-snr-sweep": (True, {"m_over_k": "m_over_k", "snr_db": "snr_db", "lam": "lam0"}),
+    "blocktv-denoise": (True, {"lam": "lam", "input_psnr_db": "input_psnr_db"}),
+    "rpca-decompose": (False, {"lam": "lam"}),
+}
+
+
+@pytest.mark.parametrize("flags", [{}, dict(m_over_k=3.0, snr_db=10.0, lam=0.2, clique_side=3)])
+@pytest.mark.parametrize("name", sorted(_SWEEP_COLUMNS))
+def test_dump_config_lists_the_points_the_sweep_runs(tmp_path, monkeypatch, name, flags):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("solver stubbed out")
+
+    # Failure rows carry every parameter column, so stubbed solvers keep this fast.
+    for solver in ("colamp_solve", "denoise_block_tv", "solve_rpca"):
+        monkeypatch.setattr(experiments, solver, refuse)
+    cfg = small_cfg(tmp_path, trials=1, **flags)
+    dump = resolve_config(name, cfg)
+    baseline, columns = _SWEEP_COLUMNS[name]
+    swept = ("clique_side", "m_over_k", "snr_db", "lam", "input_psnr_db")
+    expected = {(str(side),) for side in ({dump["clique_side"], 1} if baseline
+                                          else {dump["clique_side"]})}
+    for column in swept[1:]:
+        values = _csv_values(dump[columns[column]]) if column in columns else {""}
+        expected = {point + (value,) for point in expected for value in values}
+    rows = list(csv.DictReader(open(run_experiment(name, cfg), newline="")))
+    assert all(r["failed"] == "1" for r in rows)
+    assert len(rows) == len(expected)
+    assert {tuple(r[c] for c in swept) for r in rows} == expected
+
+
+_DEFAULT_FLAGS = {"alpha": "auto", "clique_side": 2, "epsilon": None, "jobs": 1,
+                  "k_sparsity": 40, "lam": None, "m_over_k": None, "mu": 1.0, "out_dir": ".",
+                  "schema_version": "1", "seed": 0, "snr_db": None, "solver": None,
+                  "trials": 20}
+
+
+@pytest.mark.parametrize("name, resolved", [
+    ("cs-recovery-sweep", {"lam0": 0.6, "lam_growth": 1.02,
+                           "m_over_k": [1.0, 2.0, 3.0, 4.0, 5.0], "solver": "admm"}),
+    ("robust-cs-snr-sweep", {"lam0": 0.6, "lam_growth": 1.02, "m_over_k": 2.0,
+                             "snr_db": [5.0, 10.0, 15.0, 20.0], "solver": "admm"}),
+    ("blocktv-denoise", {"input_psnr_db": 20.0, "lam": [0.05, 0.1, 0.15, 0.25, 0.4, 0.6]}),
+    ("rpca-decompose", {"lam": 0.015625, "solver": "fbs"}),
+    ("memory-benchmark", {"clique_side": 10}),
+])
+def test_resolve_config_at_default_flags_is_pinned(name, resolved):
+    assert resolve_config(name, HarnessConfig()) == {**_DEFAULT_FLAGS, "experiment": name,
+                                                     **resolved}
