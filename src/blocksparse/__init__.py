@@ -9,8 +9,8 @@ total-variation denoising applies the penalty to image gradients.
 """
 
 from .blocktv import BlockTvConfig, GradientField, denoise_block_tv, discrete_gradient, discrete_gradient_adjoint
-from .common import (AllocationTracker, ConfigError, NumericalError, ShapeError,
-                     SolverReport, StepFailureError, backtrack_step)
+from .common import (ConfigError, NumericalError, ShapeError, SolverReport, StepFailureError,
+                     backtrack_step)
 from .grids import CliqueSystem, GridShape, build_clique_system
 from .metrics import measured_snr_db, psnr_db, relative_error, support_prf, support_set
 from .prox import ProxConfig, ProxResult, group_shrink, prox_block_norm
@@ -24,7 +24,7 @@ from .rpca import (RpcaConfig, RpcaResult, default_lambda, numerical_rank,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocationTracker", "BlockTvConfig", "CliqueSystem", "ColampConfig",
+    "BlockTvConfig", "CliqueSystem", "ColampConfig",
     "ConfigError", "GradientField", "GridShape", "MeasurementModel",
     "NumericalError", "ProxConfig", "ProxResult", "RpcaConfig", "RpcaResult",
     "ShapeError", "SolverReport", "StepFailureError", "backtrack_step",

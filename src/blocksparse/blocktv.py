@@ -23,8 +23,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .common import (AllocationTracker, ConfigError, ShapeError, SolverReport,
-                     backtrack_step, check_count, check_finite)
+from .common import (ConfigError, ShapeError, SolverReport, backtrack_step, check_count,
+                     check_finite)
 from .grids import GridShape
 from .regularizer import default_epsilon, smoothed_clique_norms, smoothed_weight_map
 
@@ -140,11 +140,6 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         return (x - y) + lam * discrete_gradient_adjoint(
             GradientField(d.dh * weight_map, d.dv * weight_map))
 
-    tracker = AllocationTracker()
-    tracker.register("tv-gradient-field", 2 * shape.n)
-    tracker.register("tv-weight-map", shape.n)
-    tracker.register("tv-descent-direction", shape.n)
-
     x = y.copy()
     grad_tol = 1e-12 * float(np.linalg.norm(y))
     objective_trace: list[float] = []
@@ -176,7 +171,6 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
             alpha *= 2.0  # retry a larger step next iteration; Armijo halves as needed
 
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,
-                          reason, peak_aux_entries=tracker.peak,
-                          wall_clock=time.perf_counter() - t0,
+                          reason, wall_clock=time.perf_counter() - t0,
                           extra={"epsilon": eps})
     return x, report

@@ -1,10 +1,8 @@
-"""Shared solver plumbing: run reports, input checks, Armijo line search,
-allocation accounting."""
+"""Shared solver plumbing: run reports, input checks, Armijo line search."""
 
 from __future__ import annotations
 
 import numbers
-import threading
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
@@ -34,16 +32,15 @@ class SolverReport:
     """Outcome of a single solver run.
 
     ``objective_trace`` and ``residual_trace`` hold one entry per completed
-    iteration.  ``peak_aux_entries`` counts declared working-buffer entries
-    (element counts, not bytes) and excludes problem inputs.  Solver-specific
-    scalars (ranks, resolved weights, ...) live in ``extra``.
+    iteration.  Solver-specific scalars (ranks, resolved weights, ...) live
+    in ``extra``.  No solver counts its own memory; the memory benchmark
+    measures peaks from outside with ``tracemalloc``.
     """
 
     iterations: int
     objective_trace: list[float]
     residual_trace: list[float]
     termination_reason: str
-    peak_aux_entries: int = 0
     wall_clock: float = 0.0
     extra: dict = field(default_factory=dict)
 
@@ -52,40 +49,6 @@ class SolverReport:
             raise ValueError(f"unknown termination reason {self.termination_reason!r}")
         if len(self.objective_trace) != self.iterations or len(self.residual_trace) != self.iterations:
             raise ValueError("trace lengths must equal the number of iterations performed")
-
-
-class AllocationTracker:
-    """Counts live working-buffer entries and remembers the peak for one run.
-
-    The peak is nondecreasing during a run; use a fresh tracker per run.
-    Registration is thread-safe so frame-parallel workers can share one
-    tracker.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._live: dict[str, int] = {}
-        self._current = 0
-        self._peak = 0
-
-    def register(self, tag: str, entries: int):
-        with self._lock:
-            self._current += int(entries)
-            self._live[tag] = self._live.get(tag, 0) + int(entries)
-            if self._current > self._peak:
-                self._peak = self._current
-
-    def release(self, tag: str):
-        with self._lock:
-            self._current -= self._live.pop(tag, 0)
-
-    @property
-    def current(self) -> int:
-        return self._current
-
-    @property
-    def peak(self) -> int:
-        return self._peak
 
 
 def check_finite(value, what: str) -> None:

@@ -5,9 +5,10 @@ specs (compressive recovery versus measurement budget, noisy recovery versus
 SNR, block-TV denoising, sparse-plus-low-rank decomposition), which one runner
 gives their rows, timing, failure rows and worker processes; ``--dump-config``
 reads its axis values from the same points.  The ADMM-versus-FBS memory
-benchmark is a plain function.  RNG streams derive from (seed, trial, point
-stream) and rows are written trials outer, points inner, so a rerun
-reproduces the CSV byte-for-byte apart from the timing columns.
+benchmark is a plain function that measures each solver's peak allocation
+with tracemalloc.  RNG streams derive from (seed, trial, point stream) and
+rows are written trials outer, points inner, so a rerun reproduces the CSV
+byte-for-byte apart from the timing and measured-memory columns.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import multiprocessing
 import numbers
 import os
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -38,7 +40,7 @@ from .synthetic import (gaussian_measurement_matrix, make_blocky_image,
                         make_lowrank_blocksparse_stack, make_piecewise_constant,
                         sigma_for_psnr_db, sigma_for_snr_db)
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 CSV_COLUMNS = (
     "schema_version", "experiment", "trial", "seed", "timestamp",
@@ -48,18 +50,20 @@ CSV_COLUMNS = (
     "rel_error", "psnr_db", "psnr_gain_db", "precision", "recall", "f_measure",
     "rank_est", "iterations", "objective_monotone",
     "fbs_measured_entries", "admm_measured_entries", "admm_formula_entries",
-    "memory_ratio", "per_iter_seconds", "wall_clock_s", "peak_aux_entries",
-    "termination", "failed",
+    "memory_ratio", "per_iter_seconds", "wall_clock_s", "termination", "failed",
 )
 
-# Wall-clock readings are inherently nondeterministic, so byte-determinism
-# comparisons exclude these columns along with the timestamp.
-TIMING_COLUMNS = ("timestamp", "wall_clock_s", "per_iter_seconds")
+# Columns that differ between reruns of the same seed, which byte-determinism
+# comparisons exclude: the timestamp, wall-clock readings, and tracemalloc
+# peaks, which move by tens of bytes with the interpreter's own allocations.
+UNREPEATABLE_COLUMNS = ("timestamp", "wall_clock_s", "per_iter_seconds",
+                        "fbs_measured_entries", "admm_measured_entries", "memory_ratio")
 
 # Defaults tuned for the unit-amplitude synthetic generators; CLI flags
 # override them.
 CLIQUE_SIDE = 2
 MEMORY_CLIQUE_SIDE = 10
+MEMORY_SIZE = 16
 CS_SIZE = 32
 CS_LAMBDA0 = 0.6
 CS_LAMBDA_GROWTH = 1.02
@@ -73,9 +77,9 @@ SNR_SWEEP_POINTS = (5.0, 10.0, 15.0, 20.0)
 M_OVER_K_SWEEP = (1.0, 2.0, 3.0, 4.0, 5.0)
 
 # Worker processes run one BLAS thread each, so that --jobs workers share the
-# cores instead of oversubscribing them.  A threaded BLAS splits long dot
-# products (OpenBLAS: above 10,000 entries), so a worker may round such a sum
-# differently from an in-process run, in the last digit.
+# cores instead of oversubscribing them.  Results do not depend on it: the
+# metrics sum without BLAS, whose threaded dot products (OpenBLAS: above 10,000
+# entries) round differently at each thread count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _SOLVER_NAMES = {"admm": "consensus-ADMM", "fbs": "forward-backward"}
@@ -112,6 +116,8 @@ class HarnessConfig:
         check_count(self.k_sparsity, "k sparsity")
         if self.clique_side is not None:
             check_count(self.clique_side, "clique side")
+        if isinstance(self.alpha, str) and self.alpha != "auto":
+            raise ConfigError(f"alpha must be a positive number or 'auto', got {self.alpha!r}")
         positive = {"mu": self.mu, "epsilon": self.epsilon,
                     "alpha": None if self.alpha == "auto" else self.alpha}
         # snr_db may be negative: noise louder than the signal is a valid point
@@ -174,12 +180,12 @@ def write_rows(path, rows: list[dict]) -> None:
 
 
 def read_csv_without_timing(path) -> list[tuple[str, ...]]:
-    """Rows of a results CSV with the timing columns removed, for
-    byte-determinism comparisons."""
+    """Rows of a results CSV without the columns that differ between reruns
+    (timing and measured memory), for byte-determinism comparisons."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        keep = [i for i, name in enumerate(header) if name not in TIMING_COLUMNS]
+        keep = [i for i, name in enumerate(header) if name not in UNREPEATABLE_COLUMNS]
         out = [tuple(header[i] for i in keep)]
         out.extend(tuple(line[i] for i in keep) for line in reader)
     return out
@@ -195,8 +201,7 @@ def _objective_monotone(trace: list[float]) -> bool:
 
 
 def _report_fields(report: SolverReport) -> dict:
-    return {"iterations": report.iterations, "peak_aux_entries": report.peak_aux_entries,
-            "termination": report.termination_reason}
+    return {"iterations": report.iterations, "termination": report.termination_reason}
 
 
 def _pgm(path, image) -> None:
@@ -403,49 +408,53 @@ def admm_formula_entries(side: int, n_pixels: int, frames: int) -> int:
     return (2 * side * side + 4) * n_pixels * frames
 
 
+def _traced_peak(solve: Callable[[], object]) -> tuple[object, int]:
+    """Run ``solve()`` once untraced, so that caches such as the FFT kernels
+    are warm, then again under tracemalloc.  Returns the second run's result
+    and its peak allocation in float64 entries (bytes // 8)."""
+    solve()
+    tracemalloc.start()
+    try:
+        result = solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak // 8
+
+
 def exp_memory_benchmark(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
-    """ADMM-vs-FBS memory accounting and per-iteration runtime"""
+    """ADMM-vs-FBS peak memory, measured, and per-iteration runtime"""
     name = "memory-benchmark"
     side = _clique_side(name, cfg)
 
-    # Measured FBS peak on a small planted stack; the formula ratio at `side`.
-    height = width = 16
+    # Measured peaks at `side`: FBS on a planted stack, the ADMM prox on one
+    # of its frames.  Row 0 compares them per frame, beside the paper's formula.
     frames = 4
-    lowrank, sparse = make_lowrank_blocksparse_stack(height, width, frames, 2,
+    n = MEMORY_SIZE * MEMORY_SIZE
+    lowrank, sparse = make_lowrank_blocksparse_stack(MEMORY_SIZE, MEMORY_SIZE, frames, 2,
                                                      _rng(cfg.seed, 0, 7), fg_side=4)
     y = lowrank + sparse
-    t0 = time.perf_counter()
-    result = solve_rpca(y, RpcaConfig(clique_side=2, max_iters=20))
-    wall = time.perf_counter() - t0
-    n = height * width
-    fbs_entries = result.report.peak_aux_entries
-    formula = admm_formula_entries(side, n, frames)
+    result, fbs_entries = _traced_peak(
+        lambda: solve_rpca(y, RpcaConfig(clique_side=side, max_iters=20)))
+    cliques = build_clique_system(GridShape(MEMORY_SIZE, MEMORY_SIZE), side)
+    prox_res, admm_entries = _traced_peak(
+        lambda: prox_block_norm(y[:, :, 0], cliques, ProxConfig(lam=0.1, max_iters=5)))
     rows = [{
         **_base_row(name, cfg, 0),
-        "clique_side": side, "n_frames": frames,
+        "clique_side": side, "n_frames": frames, "solver": "fbs",
         "fbs_measured_entries": fbs_entries,
-        "admm_formula_entries": formula,
-        "memory_ratio": formula / fbs_entries,
+        "admm_formula_entries": admm_formula_entries(side, n, frames),
+        "memory_ratio": frames * admm_entries / fbs_entries,
         **_report_fields(result.report),
-        "wall_clock_s": wall,
-        "solver": "fbs",
+    }, {
+        **_base_row(name, cfg, 1),
+        "clique_side": side, "n_frames": 1, "solver": "admm",
+        "admm_measured_entries": admm_entries,
+        "admm_formula_entries": 2 * side * side * n,
+        **_report_fields(prox_res.report),
     }]
     _pgm(out_dir / "memory_observed_f0.pgm", y[:, :, 0])
     _pgm(out_dir / "memory_foreground_f0.pgm", result.x[:, :, 0])
-
-    # Measured per-frame ADMM prox auxiliaries (consensus copies + duals).
-    if side <= min(height, width):
-        cliques = build_clique_system(GridShape(height, width), side)
-        prox_res = prox_block_norm(y[:, :, 0], cliques,
-                                   ProxConfig(lam=0.1, max_iters=5))
-        rows.append({
-            **_base_row(name, cfg, 1),
-            "clique_side": side, "n_frames": 1, "solver": "admm",
-            "admm_measured_entries": prox_res.report.peak_aux_entries,
-            "admm_formula_entries": 2 * side * side * n,
-            **_report_fields(prox_res.report),
-            "wall_clock_s": prox_res.report.wall_clock,
-        })
 
     # Per-iteration runtime at two clique sizes on a 64x64x10 stack: the FFT
     # gradient path makes these comparable.
@@ -501,6 +510,7 @@ def _lookup(name: str, cfg: HarnessConfig):
         raise UsageError(f"unknown experiment {name!r}")
     experiment = EXPERIMENTS[name]
     if not isinstance(experiment, Sweep):
+        _sides(name, cfg, MEMORY_SIZE, baseline=False)  # it measures on MEMORY_SIZE frames
         return experiment, None
     points = experiment.points(cfg)
     runs = sorted({p.params["solver"] for p in points if "solver" in p.params})

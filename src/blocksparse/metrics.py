@@ -7,15 +7,21 @@ import math
 import numpy as np
 
 
+def _norm(d: np.ndarray) -> float:
+    # NumPy's pairwise sum, not a BLAS dot product: a threaded BLAS splits long
+    # products across threads, so the last digit would depend on the thread count
+    return math.sqrt(float(np.sum(d * d)))
+
+
 def relative_error(estimate, truth) -> float:
     """``||estimate - truth|| / ||truth||`` (plain ``||estimate||`` scale-free
     fallback when the truth is identically zero)."""
     e = np.asarray(estimate, dtype=float)
     t = np.asarray(truth, dtype=float)
-    denom = float(np.linalg.norm(t))
+    denom = _norm(t)
     if denom == 0.0:
-        return float(np.linalg.norm(e))
-    return float(np.linalg.norm(e - t)) / denom
+        return _norm(e)
+    return _norm(e - t) / denom
 
 
 def psnr_db(estimate, truth, peak: float) -> float:

@@ -58,8 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .common import (AllocationTracker, ConfigError, ShapeError, SolverReport, check_count,
-                     check_finite)
+from .common import ConfigError, ShapeError, SolverReport, check_count, check_finite
 from .grids import CliqueSystem
 from .regularizer import block_norm
 
@@ -141,9 +140,11 @@ def _tile_views(z: np.ndarray, cliques: CliqueSystem) -> list:
     return views
 
 
-def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
-                    tracker: Optional[AllocationTracker] = None) -> ProxResult:
+def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None) -> ProxResult:
     """Consensus-ADMM prox of the overlapping-block penalty.
+
+    Beyond its inputs a solve holds the consensus copies and the scaled
+    duals, ``2 * side**2 * N`` entries, plus ``O(N)`` working vectors.
 
     Parameters
     ----------
@@ -156,10 +157,6 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
     x0 : (H, W) array, optional
         Warm start for the consensus variable (pursuit loops reuse the
         previous estimate).
-    tracker : AllocationTracker, optional
-        Shared accounting for the ``2 * side**2 * N`` auxiliary entries
-        (consensus copies plus scaled duals); a fresh tracker is used when
-        omitted.
 
     Returns
     -------
@@ -175,8 +172,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
     t0 = time.perf_counter()
 
     if cfg.lam == 0.0:
-        report = SolverReport(0, [], [], "converged", peak_aux_entries=0,
-                              wall_clock=time.perf_counter() - t0)
+        report = SolverReport(0, [], [], "converged", wall_clock=time.perf_counter() - t0)
         return ProxResult(v.copy(), report)
 
     n = cliques.shape.n
@@ -196,10 +192,6 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
 
     z = np.tile(x, (s, 1))
     u = np.zeros((s, n))
-    if tracker is None:
-        tracker = AllocationTracker()
-    tracker.register("prox-consensus-z", z.size)
-    tracker.register("prox-scaled-duals", u.size)
     tiles = _tile_views(z, cliques)
     side = cliques.side
     shape = (cliques.shape.height, cliques.shape.width)
@@ -243,9 +235,6 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None,
             break
 
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,
-                          reason, peak_aux_entries=tracker.peak,
-                          wall_clock=time.perf_counter() - t0,
+                          reason, wall_clock=time.perf_counter() - t0,
                           extra={"rho": rho})
-    tracker.release("prox-consensus-z")
-    tracker.release("prox-scaled-duals")
     return ProxResult(x.reshape(shape), report, z=z, u=u)

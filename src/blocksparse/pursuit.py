@@ -18,8 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .common import (AllocationTracker, ConfigError, ShapeError, SolverReport, check_count,
-                     check_finite)
+from .common import ConfigError, ShapeError, SolverReport, check_count, check_finite
 from .grids import CliqueSystem
 from .prox import ProxConfig, prox_block_norm
 
@@ -201,7 +200,6 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
     eps_res = cfg.eps_res if cfg.eps_res is not None else 1e-6 * float(np.linalg.norm(y))
     t0 = time.perf_counter()
 
-    tracker = AllocationTracker()
     x = np.zeros(model.n)
     r = y.copy()
     objective_trace: list[float] = []
@@ -215,24 +213,20 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
     while n < cfg.max_iters and float(np.linalg.norm(r)) > eps_res:
         n += 1
         lam_n = cfg.lam0 * cfg.lam_growth ** (n - 1)
-        tracker.register("pursuit-proxy", model.n)
         v = (model.adjoint(r) + x).reshape(shape)
 
         warm = x.reshape(shape)
-        prox_res = prox_block_norm(v, cliques, replace(cfg.prox, lam=lam_n),
-                                   x0=warm, tracker=tracker)
+        prox_res = prox_block_norm(v, cliques, replace(cfg.prox, lam=lam_n), x0=warm)
         support = _support_of(prox_res.x, v)
         if support.size == 0:
             prox_res = prox_block_norm(v, cliques, replace(cfg.prox, lam=lam_n / 2.0),
-                                       x0=warm, tracker=tracker)
+                                       x0=warm)
             support = _support_of(prox_res.x, v)
             if support.size == 0:
-                tracker.release("pursuit-proxy")
                 reason = "support-collapse"
                 objective_trace.append(float(r @ r))
                 residual_trace.append(float(np.linalg.norm(r)))
                 break
-        tracker.release("pursuit-proxy")
 
         x_s, degen = cg_solve_normal(model.columns(support), y, tol=1e-10,
                                      max_iters=4 * support.size)
@@ -249,8 +243,7 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
         reason = "converged"
 
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,
-                          reason, peak_aux_entries=tracker.peak,
-                          wall_clock=time.perf_counter() - t0,
+                          reason, wall_clock=time.perf_counter() - t0,
                           extra={"final_lambda": lam_n, "support_size": support_size,
                                  "cg_degenerate_iterations": degenerate_count})
     return x.reshape(shape), report

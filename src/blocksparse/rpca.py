@@ -5,10 +5,11 @@ Minimizes ``||Z||_* + lam * Jeps(X) + mu/2 * ||Y - Z - X||_F^2`` over an
 penalty applied frame-wise.  Each iteration takes forward gradient steps on
 the smooth terms (block gradient evaluated with the FFT path, so cost is
 independent of clique size) and a backward singular-value-thresholding step
-on the nuclear norm.  Working storage beyond the input is four stack-sized
-buffers (X, Z, gradient, residual): ``4 * N * L`` entries, versus
+on the nuclear norm.  In the paper's count the algorithm's state is four
+stack-sized buffers (X, Z, gradient, residual): ``4 * N * L`` entries, versus
 ``(2*side^2 + 4) * N * L`` for a consensus-ADMM treatment of the same
-objective.
+objective.  Line-search trials and batched FFTs add temporaries on top; the
+``memory-benchmark`` experiment reports the peak measured with tracemalloc.
 
 The block penalty comes from the regularizer's FFT evaluator pair, batched
 over frames.  Each line-search trial computes the smoothed clique norms of
@@ -27,8 +28,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .common import (AllocationTracker, ConfigError, NumericalError, ShapeError,
-                     SolverReport, check_count, check_finite)
+from .common import (ConfigError, NumericalError, ShapeError, SolverReport, check_count,
+                     check_finite)
 from .grids import GridShape, build_clique_system
 from .regularizer import block_norm_smoothed, smoothed_clique_norms, smoothed_weight_map
 
@@ -211,13 +212,8 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     n, n_frames = shape.n, y.shape[2]
     t0 = time.perf_counter()
 
-    tracker = AllocationTracker()
     x = np.zeros_like(y)
     z = np.zeros_like(y)
-    tracker.register("rpca-sparse", x.size)
-    tracker.register("rpca-lowrank", z.size)
-    tracker.register("rpca-gradient", x.size)
-    tracker.register("rpca-residual", x.size)
 
     auto_step = cfg.alpha == "auto"
     alpha = 1.0 / (mu + lam / eps) if auto_step else float(cfg.alpha)
@@ -288,6 +284,5 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     extra["rank"] = numerical_rank(z.reshape(n, n_frames))
     extra["alpha_final"] = alpha
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,
-                          reason, peak_aux_entries=tracker.peak,
-                          wall_clock=time.perf_counter() - t0, extra=extra)
+                          reason, wall_clock=time.perf_counter() - t0, extra=extra)
     return RpcaResult(x, z, report)

@@ -54,6 +54,7 @@ def test_rpca_admm_combination_rejected(tmp_path, capsys):
     ["cs-recovery-sweep", "--k-sparsity", "0"],
     ["cs-recovery-sweep", "--clique-side", "0"],
     ["cs-recovery-sweep", "--clique-side", "33"],
+    ["memory-benchmark", "--clique-side", "17"],
     ["cs-recovery-sweep", "--lambda", "nan"],
     ["blocktv-denoise", "--lambda", "-0.1"],
     ["rpca-decompose", "--mu", "0"],

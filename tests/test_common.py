@@ -1,11 +1,9 @@
-import threading
 import weakref
 
 import numpy as np
 import pytest
 
-from blocksparse import (AllocationTracker, ConfigError, SolverReport,
-                         StepFailureError, backtrack_step)
+from blocksparse import ConfigError, SolverReport, StepFailureError, backtrack_step
 from blocksparse.common import check_finite
 
 
@@ -17,41 +15,6 @@ def test_report_validates_trace_lengths():
 def test_report_validates_reason():
     with pytest.raises(ValueError):
         SolverReport(0, [], [], "finished")
-
-
-def test_tracker_peak_monotone():
-    t = AllocationTracker()
-    assert t.peak == 0
-    t.register("a", 100)
-    t.register("b", 50)
-    assert t.peak == 150
-    t.release("a")
-    assert t.current == 50
-    assert t.peak == 150  # peak never decreases within a run
-    t.register("c", 30)
-    assert t.peak == 150
-
-
-def test_tracker_empty():
-    assert AllocationTracker().peak == 0
-
-
-def test_tracker_thread_safety():
-    t = AllocationTracker()
-
-    def worker(i):
-        for k in range(200):
-            t.register(f"w{i}-{k}", 1)
-        for k in range(200):
-            t.release(f"w{i}-{k}")
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    assert t.current == 0
-    assert t.peak <= 1600
 
 
 def quadratic(curvature=1.0):

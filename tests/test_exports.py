@@ -1,10 +1,12 @@
 import blocksparse
-from blocksparse import GridShape, build_clique_system, prox, synthetic
+from blocksparse import GridShape, SolverReport, build_clique_system, common, prox, synthetic
 
 # Names removed from the package because nothing in it called them.
 DELETED = {
     blocksparse: ("prox_block_norm_framewise", "SyntheticSpec", "SyntheticData",
-                  "gen_synthetic"),
+                  "gen_synthetic", "AllocationTracker"),
+    common: ("AllocationTracker",),
+    SolverReport: ("peak_aux_entries",),
     prox: ("prox_block_norm_framewise",),
     synthetic: ("SyntheticSpec", "SyntheticData", "gen_synthetic", "KINDS", "make_phantom",
                 "_PHANTOM_ELLIPSES", "MeasurementModel"),

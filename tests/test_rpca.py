@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,11 +167,21 @@ def test_trace_consistent_with_public_objective():
     assert res.report.objective_trace[-1] == pytest.approx(final, rel=1e-8)
 
 
-def test_peak_storage_is_exactly_4nl():
-    rng = np.random.default_rng(11)
-    y = rng.standard_normal((8, 8, 3))
-    res = solve_rpca(y, RpcaConfig(clique_side=2, max_iters=10))
-    assert res.report.peak_aux_entries == 4 * 64 * 3
+def test_peak_storage_is_measured_within_bounds():
+    # the paper counts 4 stack-sized buffers (X, Z, gradient, residual); the
+    # line search's trial point and the FFTs add temporaries, measured at
+    # about 15.4 stack copies here, and the bound leaves room for other NumPy
+    # and SciPy versions without admitting a stack kept per iteration
+    y = np.random.default_rng(11).standard_normal((32, 32, 4))
+    cfg = RpcaConfig(clique_side=2, max_iters=10)
+    solve_rpca(y, cfg)  # warm the FFT kernel cache
+    tracemalloc.start()
+    try:
+        solve_rpca(y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4 * y.nbytes <= peak <= 20 * y.nbytes
 
 
 def test_divergence_detected_with_fixed_step():
