@@ -2,10 +2,11 @@
 
 The penalty sums l2 norms over all translated square pixel cliques of an
 image, promoting sparse supports with smooth, contiguous boundaries.  Three
-solver families build on it: a consensus-ADMM proximal operator, an
-FFT-accelerated forward-backward splitting for sparse-plus-low-rank
-decomposition, and a greedy pursuit (CoLaMP) for compressive recovery; block
-total-variation denoising applies the penalty to image gradients.
+solver families build on it: a consensus-ADMM proximal operator, a
+forward-backward splitting for sparse-plus-low-rank decomposition, and a
+greedy pursuit (CoLaMP) for compressive recovery; block total-variation
+denoising applies the penalty to image gradients.  Every clique sum comes
+from one exact window-sum primitive (:mod:`blocksparse.fftops`).
 """
 
 from .blocktv import BlockTvConfig, GradientField, denoise_block_tv, discrete_gradient, discrete_gradient_adjoint
@@ -16,8 +17,7 @@ from .metrics import measured_snr_db, psnr_db, relative_error, support_prf, supp
 from .prox import ProxConfig, ProxResult, group_shrink, prox_block_norm
 from .pursuit import (ColampConfig, MeasurementModel, cg_solve_normal, colamp_solve,
                       truncate_top_k)
-from .regularizer import (block_norm, block_norm_smoothed, block_norm_smoothed_grad_fft,
-                          default_epsilon)
+from .regularizer import block_norm, block_norm_smoothed, block_norm_smoothed_grad, default_epsilon
 from .rpca import (RpcaConfig, RpcaResult, default_lambda, numerical_rank,
                    rpca_objective, solve_rpca, svt)
 
@@ -28,7 +28,7 @@ __all__ = [
     "ConfigError", "GradientField", "GridShape", "MeasurementModel",
     "NumericalError", "ProxConfig", "ProxResult", "RpcaConfig", "RpcaResult",
     "ShapeError", "SolverReport", "StepFailureError", "backtrack_step",
-    "block_norm", "block_norm_smoothed", "block_norm_smoothed_grad_fft",
+    "block_norm", "block_norm_smoothed", "block_norm_smoothed_grad",
     "build_clique_system", "cg_solve_normal", "colamp_solve", "default_epsilon",
     "default_lambda", "denoise_block_tv", "discrete_gradient",
     "discrete_gradient_adjoint", "group_shrink", "measured_snr_db",

@@ -6,13 +6,13 @@ clique gathers the horizontal and vertical forward differences over one
 edge orientation within a neighborhood.  The smoothed objective is minimized
 by gradient descent with Armijo backtracking.
 
-The clique norms and their scatter come from the regularizer's FFT evaluator
-pair, applied to the per-pixel squared gradient magnitude ``dh^2 + dv^2``.
-Each evaluation of the objective returns, with its value, the forward
-differences and smoothed clique norms it computed.  The line search hands
-back those of the trial it accepts, and the next gradient is built from
-them, so an iteration makes one valid correlation per trial and one full
-correlation for its gradient: the accepted point is never evaluated twice.
+The clique norms and their scatter come from the regularizer's evaluator
+pair, exact window sums of the per-pixel squared gradient magnitude
+``dh^2 + dv^2``.  Each evaluation of the objective returns, with its value,
+the forward differences and smoothed clique norms it computed.  The line
+search hands back those of the trial it accepts, and the next gradient is
+built from them, so an iteration makes one valid window sum per trial and one
+full window sum for its gradient: the accepted point is never evaluated twice.
 """
 
 from __future__ import annotations

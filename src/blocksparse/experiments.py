@@ -409,9 +409,12 @@ def admm_formula_entries(side: int, n_pixels: int, frames: int) -> int:
 
 
 def _traced_peak(solve: Callable[[], object]) -> tuple[object, int]:
-    """Run ``solve()`` once untraced, so that caches such as the FFT kernels
-    are warm, then again under tracemalloc.  Returns the second run's result
-    and its peak allocation in float64 entries (bytes // 8)."""
+    """Run ``solve()`` once untraced, then again under tracemalloc.  Returns
+    the second run's result and its peak allocation in float64 entries
+    (bytes // 8).  The first call of a solve in a process allocates more than
+    later ones (memory-benchmark's FBS solve at side 10: about 18,150 entries
+    cold against 17,770 warm), so the warm-up keeps that one-off cost out of
+    the measured peak."""
     solve()
     tracemalloc.start()
     try:
@@ -456,8 +459,8 @@ def exp_memory_benchmark(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
     _pgm(out_dir / "memory_observed_f0.pgm", y[:, :, 0])
     _pgm(out_dir / "memory_foreground_f0.pgm", result.x[:, :, 0])
 
-    # Per-iteration runtime at two clique sizes on a 64x64x10 stack: the FFT
-    # gradient path makes these comparable.
+    # Per-iteration runtime at two clique sizes on a 64x64x10 stack: the
+    # window sums cost 2*(side-1) adds per pixel, so time grows with the side.
     for trial, timing_side in enumerate((4, 16), start=2):
         rows.append({
             **_base_row(name, cfg, trial),
@@ -477,7 +480,7 @@ def fbs_per_iteration_seconds(side: int, seed: int = 0, iters: int = 30,
                                                      _rng(seed, 99, side))
     y = lowrank + sparse
     cfg = RpcaConfig(clique_side=side, max_iters=iters, tol_obj=0.0)
-    solve_rpca(y, RpcaConfig(clique_side=side, max_iters=2, tol_obj=0.0))  # warm caches
+    solve_rpca(y, RpcaConfig(clique_side=side, max_iters=2, tol_obj=0.0))  # warm-up run
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()

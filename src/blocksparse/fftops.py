@@ -1,60 +1,19 @@
-"""Frequency-domain correlations with an all-ones box filter.
+"""Exact sums of an array over ``side x side`` windows.
 
-Both operations convolve with a ``side x side`` ones kernel (a symmetric
-filter, so correlation equals convolution) using zero-padded real FFTs.
-The padded size is the next fast composite length >= ``dim + side - 1`` and
-the transformed kernel is cached per (padded shape, side), so repeated calls
-inside solver loops only pay for the data transforms.  Arithmetic cost is
-independent of ``side``.
+Every clique sum of the package comes from :func:`box_correlate_valid`: it
+adds ``side`` shifted slices along the rows, then ``side`` along the columns,
+so it costs ``2 (side - 1)`` adds per entry.  Each sum is a plain sum of its
+window's entries, so a window of zeros sums to exactly 0 and a nonnegative
+input gives nonnegative sums.  :func:`box_correlate_full` is the same sum
+over the zero-padded array; it is the adjoint of the valid sum.
 
-Inputs may carry leading batch axes; the transform runs over the last two.
+Inputs may carry leading batch axes; the windows slide over the last two.
+The module keeps its old name because the benchmark imports it by that name.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
-from scipy import fft as spfft
-
-_kernel_cache: dict[tuple[int, int, int], np.ndarray] = {}
-_cache_lock = threading.Lock()
-
-
-def _padded_shape(h: int, w: int, side: int) -> tuple[int, int]:
-    return (spfft.next_fast_len(h + side - 1, real=True),
-            spfft.next_fast_len(w + side - 1, real=True))
-
-
-def _kernel_fft(fshape: tuple[int, int], side: int) -> np.ndarray:
-    key = (fshape[0], fshape[1], side)
-    k = _kernel_cache.get(key)
-    if k is None:
-        with _cache_lock:
-            k = _kernel_cache.get(key)
-            if k is None:
-                k = spfft.rfft2(np.ones((side, side)), s=fshape)
-                _kernel_cache[key] = k
-    return k
-
-
-def _box_convolve_full(a: np.ndarray, side: int) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    h, w = a.shape[-2:]
-    fshape = _padded_shape(h, w, side)
-    spec = spfft.rfft2(a, s=fshape, axes=(-2, -1))
-    spec *= _kernel_fft(fshape, side)
-    out = spfft.irfft2(spec, s=fshape, axes=(-2, -1))
-    return out[..., : h + side - 1, : w + side - 1]
-
-
-def box_correlate_full(a: np.ndarray, side: int) -> np.ndarray:
-    """Full-mode correlation of ``a`` (..., h, w) with a ``side``-box filter.
-
-    Output spatial shape is ``(h + side - 1, w + side - 1)``; entry ``(r, c)``
-    sums ``a`` over the box positions that cover it.
-    """
-    return _box_convolve_full(a, side)
 
 
 def box_correlate_valid(a: np.ndarray, side: int) -> np.ndarray:
@@ -63,8 +22,26 @@ def box_correlate_valid(a: np.ndarray, side: int) -> np.ndarray:
     Output spatial shape is ``(h - side + 1, w - side + 1)``, indexed by the
     box's top-left corner.
     """
-    h, w = np.asarray(a).shape[-2:]
+    a = np.asarray(a, dtype=float)
+    h, w = a.shape[-2:]
     if side > min(h, w):
         raise ValueError(f"box side {side} exceeds array extent {h}x{w}")
-    full = _box_convolve_full(a, side)
-    return full[..., side - 1: h, side - 1: w]
+    hv, wv = h - side + 1, w - side + 1
+    rows = a[..., :hv, :].copy()
+    for k in range(1, side):
+        rows += a[..., k:k + hv, :]
+    out = rows[..., :wv].copy()
+    for k in range(1, side):
+        out += rows[..., k:k + wv]
+    return out
+
+
+def box_correlate_full(a: np.ndarray, side: int) -> np.ndarray:
+    """Full-mode correlation of ``a`` (..., h, w) with a ``side``-box filter.
+
+    Output spatial shape is ``(h + side - 1, w + side - 1)``; entry ``(r, c)``
+    sums ``a`` over the box positions that cover it.
+    """
+    a = np.asarray(a, dtype=float)
+    pad = [(0, 0)] * (a.ndim - 2) + [(side - 1, side - 1)] * 2
+    return box_correlate_valid(np.pad(a, pad), side)

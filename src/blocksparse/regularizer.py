@@ -4,16 +4,15 @@ The penalty sums the l2 norms of all clique restrictions of an image; the
 smoothed variant replaces each norm ``||x_c||`` by ``sqrt(||x_c||^2 + eps^2)``
 so the penalty becomes differentiable everywhere.
 
-Values come from exact sliding-window sums of ``x*x`` (``side`` shifted-slice
-adds along rows, then ``side`` along columns): a clique that is zero
-everywhere gets a norm of exactly 0, which the FFT correlation does not
-guarantee.  :func:`block_norm`, :func:`block_norm_smoothed` and the objective
-trace of :func:`blocksparse.prox.prox_block_norm` use them.  Gradients come
-from a box-filter FFT pipeline whose cost does not grow with clique size;
-``tests/helpers.py`` assembles the same gradient clique by clique as the
+Every clique sum is an exact window sum from :mod:`blocksparse.fftops`
+(``side`` shifted-slice adds along rows, then ``side`` along columns): a
+clique that is zero everywhere gets a norm of exactly 0.  :func:`block_norm`,
+:func:`block_norm_smoothed` and the objective trace of
+:func:`blocksparse.prox.prox_block_norm` take the valid sum of ``x*x``;
+``tests/helpers.py`` assembles the gradient clique by clique as the
 reference.
 
-The FFT pipeline is one evaluator pair, shared by every smoothed solver:
+The smoothed solvers share one evaluator pair:
 
 - :func:`smoothed_clique_norms` turns a per-pixel squared magnitude ``sq``
   into the smoothed clique norms ``sqrt(box_valid(sq, side) + eps^2)``; their
@@ -25,9 +24,9 @@ The FFT pipeline is one evaluator pair, shared by every smoothed solver:
 
 Splitting value and gradient at the norms lets a line search keep the norms
 of the trial it accepts and build the next gradient from them, with one valid
-and one full correlation per accepted point.  Both functions call the
-correlations through this module's names, so a wrapper installed there sees
-every correlation the smoothed solvers make.
+and one full window sum per accepted point.  Every function here calls the
+window sums through this module's names, so a wrapper installed there sees
+every sum the penalty and the smoothed solvers make.
 """
 
 from __future__ import annotations
@@ -55,26 +54,10 @@ def _checked(x, cliques: CliqueSystem) -> np.ndarray:
     return x
 
 
-def _clique_sq_norms(x: np.ndarray, side: int) -> np.ndarray:
-    """Squared l2 norm of every ``side x side`` clique of image ``x``, indexed
-    by top-left corner ``(h - side + 1, w - side + 1)``, by exact
-    sliding-window sums."""
-    sq = x * x
-    h, w = sq.shape
-    hv, wv = h - side + 1, w - side + 1
-    rows = sq[:hv].copy()
-    for k in range(1, side):
-        rows += sq[k:k + hv]
-    out = rows[:, :wv].copy()
-    for k in range(1, side):
-        out += rows[:, k:k + wv]
-    return out
-
-
 def block_norm(x, cliques: CliqueSystem) -> float:
     """Sum of clique l2 norms.  Zero iff x vanishes on every covered pixel."""
     x = _checked(x, cliques)
-    return float(np.sqrt(_clique_sq_norms(x, cliques.side)).sum())
+    return float(np.sqrt(box_correlate_valid(x * x, cliques.side)).sum())
 
 
 def block_norm_smoothed(x, cliques: CliqueSystem, eps: float) -> float:
@@ -83,7 +66,7 @@ def block_norm_smoothed(x, cliques: CliqueSystem, eps: float) -> float:
     x = _checked(x, cliques)
     if eps < 0:
         raise ConfigError("smoothing eps must be nonnegative")
-    return float(np.sqrt(_clique_sq_norms(x, cliques.side) + eps * eps).sum())
+    return float(np.sqrt(box_correlate_valid(x * x, cliques.side) + eps * eps).sum())
 
 
 def smoothed_clique_norms(sq, side: int, eps: float) -> np.ndarray:
@@ -103,8 +86,8 @@ def smoothed_weight_map(norms: np.ndarray, side: int) -> np.ndarray:
     return box_correlate_full(1.0 / norms, side)
 
 
-def block_norm_smoothed_grad_fft(x, cliques: CliqueSystem, eps: float) -> np.ndarray:
-    """Gradient of the smoothed penalty via the FFT evaluator pair:
+def block_norm_smoothed_grad(x, cliques: CliqueSystem, eps: float) -> np.ndarray:
+    """Gradient of the smoothed penalty via the evaluator pair:
     ``x * smoothed_weight_map(smoothed_clique_norms(x*x))``.
 
     Per pixel p the gradient is ``x_p * sum_{c containing p} (||x_c||^2 +

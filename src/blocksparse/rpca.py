@@ -3,20 +3,20 @@
 Minimizes ``||Z||_* + lam * Jeps(X) + mu/2 * ||Y - Z - X||_F^2`` over an
 ``(H, W, L)`` frame stack, where ``Jeps`` is the smoothed overlapping-block
 penalty applied frame-wise.  Each iteration takes forward gradient steps on
-the smooth terms (block gradient evaluated with the FFT path, so cost is
-independent of clique size) and a backward singular-value-thresholding step
-on the nuclear norm.  In the paper's count the algorithm's state is four
+the smooth terms (block gradient from exact window sums, ``2 (side - 1)``
+adds per pixel and sum) and a backward singular-value-thresholding step on
+the nuclear norm.  In the paper's count the algorithm's state is four
 stack-sized buffers (X, Z, gradient, residual): ``4 * N * L`` entries, versus
 ``(2*side^2 + 4) * N * L`` for a consensus-ADMM treatment of the same
-objective.  Line-search trials and batched FFTs add temporaries on top; the
+objective.  Line-search trials and window sums add temporaries on top; the
 ``memory-benchmark`` experiment reports the peak measured with tracemalloc.
 
-The block penalty comes from the regularizer's FFT evaluator pair, batched
-over frames.  Each line-search trial computes the smoothed clique norms of
-its sparse part, whose sum is the trial's penalty value.  The accepted
-trial's norms give the next iteration's gradient through one full
-correlation, and its smooth value is the next iteration's starting value, so
-no correlation is repeated at an accepted point.
+The block penalty comes from the regularizer's evaluator pair, batched over
+frames.  Each line-search trial computes the smoothed clique norms of its
+sparse part, whose sum is the trial's penalty value.  The accepted trial's
+norms give the next iteration's gradient through one full window sum, and
+its smooth value is the next iteration's starting value, so no window sum is
+repeated at an accepted point.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ def _resolve(y: np.ndarray, shape: GridShape, cfg: RpcaConfig) -> tuple[float, f
 def rpca_objective(x, z, y, cfg: RpcaConfig) -> float:
     """Exact objective ``||Z||_* + lam * Jeps(X) + mu/2 * ||Y - Z - X||_F^2``.
 
-    The smoothed penalty is evaluated per frame from the regularizer's exact
-    sliding-window sums (independent of the solver's FFT path).
+    The smoothed penalty is evaluated frame by frame with
+    :func:`block_norm_smoothed`, not through the solver's batched evaluator.
     """
     y, shape = _check_stack(y)
     x = np.asarray(x, dtype=float)
@@ -248,15 +248,17 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
             z_mat, svals = _svd_soft(z_fwd.reshape(n, n_frames), alpha)
             z_new = z_mat.reshape(y.shape)
             resid_new = y - z_new - x_new
-            resid_sq = float(np.sum(resid_new ** 2))
+            resid_sq = float(np.square(resid_new, out=resid_new).sum())
             norms = clique_norms(x_new)
             h_new = lam * float(norms.sum()) + 0.5 * mu * resid_sq
             if not auto_step:
                 break
             dx = x_new - x
             dz = z_new - z
-            model = (h_old + float(np.vdot(gx, dx).real) + float(np.vdot(gz, dz).real)
-                     + (float(np.sum(dx ** 2)) + float(np.sum(dz ** 2))) / (2.0 * alpha))
+            model = h_old + float(np.vdot(gx, dx).real) + float(np.vdot(gz, dz).real)
+            # the steps are not read again: square them in place
+            model += (float(np.square(dx, out=dx).sum())
+                      + float(np.square(dz, out=dz).sum())) / (2.0 * alpha)
             if h_new <= model + 1e-12 * abs(h_old):
                 break
             norms = None  # rejected trial

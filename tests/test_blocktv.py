@@ -78,6 +78,17 @@ def test_objective_trace_nonincreasing():
     assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
 
 
+def test_tiny_eps_keeps_objective_finite():
+    # clique sums are exact, so flat regions give norms of exactly eps and
+    # never the square root of a negative rounding residue
+    y = make_piecewise_constant(64, 64, np.random.default_rng(0))
+    x, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, eps=1e-9, max_iters=20))
+    assert np.all(np.isfinite(x))
+    tr = report.objective_trace
+    assert len(tr) == report.iterations > 0
+    assert all(b <= a for a, b in zip(tr, tr[1:]))
+
+
 def test_composite_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     y = rng.standard_normal((8, 8))

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -108,3 +109,12 @@ def test_seed_rerun_reproduces_csv(tmp_path):
         assert code == 0
     assert (read_csv_without_timing(a / "blocktv-denoise.csv")
             == read_csv_without_timing(b / "blocktv-denoise.csv"))
+
+
+def test_blocktv_tiny_epsilon_writes_no_failed_row(tmp_path):
+    code = main(["blocktv-denoise", "--trials", "1", "--epsilon", "1e-9",
+                 "--snr-db", "200", "--out-dir", str(tmp_path)])
+    assert code == 0
+    with open(tmp_path / "blocktv-denoise.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and [row["failed"] for row in rows] == ["0"] * len(rows)

@@ -1,13 +1,17 @@
 import blocksparse
-from blocksparse import GridShape, SolverReport, build_clique_system, common, prox, synthetic
+from blocksparse import (GridShape, SolverReport, build_clique_system, common, fftops, prox,
+                         regularizer, synthetic)
 
-# Names removed from the package because nothing in it called them.
+# Names removed from the package: code nothing called, and names since replaced.
 DELETED = {
     blocksparse: ("prox_block_norm_framewise", "SyntheticSpec", "SyntheticData",
-                  "gen_synthetic", "AllocationTracker"),
+                  "gen_synthetic", "AllocationTracker", "block_norm_smoothed_grad_fft"),
     common: ("AllocationTracker",),
     SolverReport: ("peak_aux_entries",),
     prox: ("prox_block_norm_framewise",),
+    regularizer: ("block_norm_smoothed_grad_fft", "_clique_sq_norms"),
+    fftops: ("_kernel_cache", "_cache_lock", "_padded_shape", "_kernel_fft",
+             "_box_convolve_full"),
     synthetic: ("SyntheticSpec", "SyntheticData", "gen_synthetic", "KINDS", "make_phantom",
                 "_PHANTOM_ELLIPSES", "MeasurementModel"),
     GridShape: ("index",),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blocksparse import (ConfigError, GridShape, ShapeError, block_norm,
-                         block_norm_smoothed, block_norm_smoothed_grad_fft,
+                         block_norm_smoothed, block_norm_smoothed_grad,
                          build_clique_system, default_epsilon)
 from blocksparse.regularizer import smoothed_clique_norms, smoothed_weight_map
 
@@ -101,20 +101,20 @@ def test_grad_zero_image():
     cs = system(4, 4, 2)
     idx = helpers.clique_index_lists(4, 4, 2)
     assert np.all(helpers.smoothed_grad_by_loop(np.zeros((4, 4)), idx, 0.1) == 0)
-    assert np.allclose(block_norm_smoothed_grad_fft(np.zeros((4, 4)), cs, 0.1), 0.0)
+    assert np.allclose(block_norm_smoothed_grad(np.zeros((4, 4)), cs, 0.1), 0.0)
 
 
 def test_grad_requires_positive_eps():
     cs = system(3, 3, 2)
     with pytest.raises(ConfigError):
-        block_norm_smoothed_grad_fft(np.ones((3, 3)), cs, 0.0)
+        block_norm_smoothed_grad(np.ones((3, 3)), cs, 0.0)
 
 
 def test_grad_single_clique_direction():
     cs = system(2, 2, 2)
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
     for g in (helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(2, 2, 2), 1e-9),
-              block_norm_smoothed_grad_fft(x, cs, 1e-9)):
+              block_norm_smoothed_grad(x, cs, 1e-9)):
         assert g[0, 0] == pytest.approx(0.6, abs=1e-9)
         assert g[0, 1] == pytest.approx(0.8, abs=1e-9)
 
@@ -122,7 +122,7 @@ def test_grad_single_clique_direction():
 def test_grad_constant_image_interior():
     side, val, eps = 2, 1.7, 0.05
     cs = system(8, 8, side)
-    g = block_norm_smoothed_grad_fft(np.full((8, 8), val), cs, eps)
+    g = block_norm_smoothed_grad(np.full((8, 8), val), cs, eps)
     expected = val * side ** 2 / math.sqrt(side ** 2 * val ** 2 + eps ** 2)
     assert g[3, 3] == pytest.approx(expected, rel=1e-12)
 
@@ -132,7 +132,7 @@ def test_grad_matches_loop_oracle():
     cs = system(6, 6, 2)
     x = rng.standard_normal((6, 6))
     expected = helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(6, 6, 2), 0.1)
-    assert np.allclose(block_norm_smoothed_grad_fft(x, cs, 0.1), expected, rtol=1e-12)
+    assert np.allclose(block_norm_smoothed_grad(x, cs, 0.1), expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("side", [1, 2, 3, 4, 8])
@@ -144,9 +144,9 @@ def test_grad_paths_agree(side):
         cs = system(h, w, side)
         x = rng.standard_normal((h, w))
         g_loop = helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(h, w, side), 0.05)
-        g_fft = block_norm_smoothed_grad_fft(x, cs, 0.05)
+        g_sum = block_norm_smoothed_grad(x, cs, 0.05)
         denom = np.linalg.norm(g_loop)
-        assert np.linalg.norm(g_fft - g_loop) <= 1e-10 * denom
+        assert np.linalg.norm(g_sum - g_loop) <= 1e-10 * denom
 
 
 def test_grad_matches_finite_differences():
@@ -158,7 +158,7 @@ def test_grad_matches_finite_differences():
     fd = helpers.central_difference_gradient(
         lambda z: block_norm_smoothed(z, cs, eps), x, step)
     for g in (helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(6, 6, 2), eps),
-              block_norm_smoothed_grad_fft(x, cs, eps)):
+              block_norm_smoothed_grad(x, cs, eps)):
         assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
 
 

@@ -169,12 +169,12 @@ def test_trace_consistent_with_public_objective():
 
 def test_peak_storage_is_measured_within_bounds():
     # the paper counts 4 stack-sized buffers (X, Z, gradient, residual); the
-    # line search's trial point and the FFTs add temporaries, measured at
-    # about 15.4 stack copies here, and the bound leaves room for other NumPy
-    # and SciPy versions without admitting a stack kept per iteration
+    # line search's trial point and the window sums add temporaries, measured
+    # at about 15.2 stack copies here, and the bound leaves room for other
+    # NumPy versions without admitting a stack kept per iteration
     y = np.random.default_rng(11).standard_normal((32, 32, 4))
     cfg = RpcaConfig(clique_side=2, max_iters=10)
-    solve_rpca(y, cfg)  # warm the FFT kernel cache
+    solve_rpca(y, cfg)  # the first call in a process allocates more
     tracemalloc.start()
     try:
         solve_rpca(y, cfg)
