@@ -15,8 +15,7 @@ from .common import (ConfigError, NumericalError, ShapeError, SolverReport, Step
 from .grids import CliqueSystem, GridShape, build_clique_system
 from .metrics import measured_snr_db, psnr_db, relative_error, support_prf, support_set
 from .prox import ProxConfig, ProxResult, group_shrink, prox_block_norm
-from .pursuit import (ColampConfig, MeasurementModel, cg_solve_normal, colamp_solve,
-                      truncate_top_k)
+from .pursuit import ColampConfig, MeasurementModel, colamp_solve, truncate_top_k
 from .regularizer import block_norm, block_norm_smoothed, block_norm_smoothed_grad, default_epsilon
 from .rpca import (RpcaConfig, RpcaResult, default_lambda, numerical_rank,
                    rpca_objective, solve_rpca, svt)
@@ -29,7 +28,7 @@ __all__ = [
     "NumericalError", "ProxConfig", "ProxResult", "RpcaConfig", "RpcaResult",
     "ShapeError", "SolverReport", "StepFailureError", "backtrack_step",
     "block_norm", "block_norm_smoothed", "block_norm_smoothed_grad",
-    "build_clique_system", "cg_solve_normal", "colamp_solve", "default_epsilon",
+    "build_clique_system", "colamp_solve", "default_epsilon",
     "default_lambda", "denoise_block_tv", "discrete_gradient",
     "discrete_gradient_adjoint", "group_shrink", "measured_snr_db",
     "numerical_rank", "prox_block_norm", "psnr_db", "relative_error",

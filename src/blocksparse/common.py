@@ -8,7 +8,8 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-TERMINATION_REASONS = ("converged", "max-iterations", "diverged", "support-collapse")
+TERMINATION_REASONS = ("converged", "max-iterations", "diverged", "support-collapse",
+                       "support-certified")
 
 
 class ConfigError(ValueError):

@@ -311,8 +311,7 @@ def _cs_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, objec
         y = y + sigma * _rng(cfg.seed, trial, 13, point.stream).standard_normal(m)
         eps_res = sigma * math.sqrt(m)
     pursuit = ColampConfig(k=k, lam0=p["lam"], lam_growth=CS_LAMBDA_GROWTH, max_iters=50,
-                           eps_res=eps_res,
-                           prox=ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9))
+                           eps_res=eps_res)
     cliques = build_clique_system(GridShape(CS_SIZE, CS_SIZE), p["clique_side"])
     xhat, report = colamp_solve(y, MeasurementModel(phi), cliques, pursuit)
     prec, rec, fmeas = support_prf(support_set(xhat), np.flatnonzero(truth.ravel()))

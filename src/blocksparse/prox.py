@@ -41,9 +41,17 @@ so every clique block of ``-rho*u^i`` already has norm at most ``lam``, and
 The solve stops when ``P - D <= tol_rel*P + tol_abs*||v||^2``.  Both terms
 scale with the data: ``||v||^2`` is ``P(0)``.  The data term gives
 ``P(x) - P(x*) >= ||x - x*||^2``, so the returned ``x`` satisfies
-``||x - x*||^2 <= P - D``.  With ``tol_abs = tol_rel = 0`` no stop is tested
-and the solve runs exactly ``max_iters`` iterations, so a gap that roundoff
-makes zero or negative cannot end it.  ``residual_trace`` holds ``P - D``
+``||x - x*||^2 <= P - D``.  With ``tol_abs = tol_rel = 0`` no gap stop is
+tested and the solve runs exactly ``max_iters`` iterations, so a gap that
+roundoff makes zero or negative cannot end it.
+
+A caller that reads only the support of ``x`` can ask for an earlier stop,
+``sqrt(P - D) <= support_tol * max|x|``.  The same bound gives
+``||x - x*||_inf <= sqrt(P - D)``, so every pixel above
+``support_tol * max|x|`` is then certainly nonzero in ``x*``; gap-safe
+screening rests on the same bound (Ndiaye, Fercoq, Gramfort & Salmon 2017,
+*Gap Safe screening rules for sparsity enforcing penalties*).  Whichever of
+the two stops comes first ends the solve.  ``residual_trace`` holds ``P - D``
 per iteration, in the units of ``objective_trace``.  ADMM does not make the
 gap monotone; it does make ``||Z_k - Z_{k-1}||_F^2 + ||U_k - U_{k-1}||_F^2``
 nonincreasing (He & Yuan 2015, *On non-ergodic convergence rate of
@@ -140,7 +148,8 @@ def _tile_views(z: np.ndarray, cliques: CliqueSystem) -> list:
     return views
 
 
-def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None) -> ProxResult:
+def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
+                    support_tol: Optional[float] = None) -> ProxResult:
     """Consensus-ADMM prox of the overlapping-block penalty.
 
     Beyond its inputs a solve holds the consensus copies and the scaled
@@ -157,6 +166,11 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None) -> ProxR
     x0 : (H, W) array, optional
         Warm start for the consensus variable (pursuit loops reuse the
         previous estimate).
+    support_tol : float, optional
+        Also stop, with reason ``"support-certified"``, once
+        ``sqrt(P - D) <= support_tol * max|x|``: every pixel of ``x`` above
+        ``support_tol * max|x|`` is then nonzero in the exact prox.  A caller
+        that reads only that support passes it; ``None`` tests no such stop.
 
     Returns
     -------
@@ -165,6 +179,10 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None) -> ProxR
         within ``max_iters`` is reported as termination reason
         ``"max-iterations"``, not raised.
     """
+    if support_tol is not None:
+        check_finite(support_tol, "support_tol")
+        if support_tol <= 0:
+            raise ConfigError("support_tol must be positive")
     v = np.asarray(v, dtype=float)
     if v.shape != (cliques.shape.height, cliques.shape.width):
         raise ShapeError(f"prox center shape {v.shape} does not match clique grid")
@@ -232,6 +250,9 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None) -> ProxR
         residual_trace.append(gap)
         if certify and gap <= cfg.tol_rel * primal + gap_floor:
             reason = "converged"
+            break
+        if support_tol is not None and gap <= (support_tol * float(np.abs(x).max())) ** 2:
+            reason = "support-certified"
             break
 
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,

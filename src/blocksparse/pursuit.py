@@ -3,16 +3,16 @@
 Solves ``argmin ||Phi x - y||^2 + lam * J(x)  s.t.  ||x||_0 <= K`` by
 alternating (1) a matched-filter proxy ``v = Phi^T r + x``, (2) support
 detection through the overlapping-block prox (every sub-step is convex, so
-each support refinement is a global minimizer), (3) least squares on the
-detected support via conjugate gradients plus truncation to the K largest
+each support refinement is a global minimizer), (3) the minimum-norm least
+squares fit on the detected support columns plus truncation to the K largest
 entries, and (4) a residual update.  The prox weight grows geometrically
 across iterations, which increasingly penalizes isolated blocky noise.
 """
 
 from __future__ import annotations
 
-import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -22,7 +22,9 @@ from .common import ConfigError, ShapeError, SolverReport, check_count, check_fi
 from .grids import CliqueSystem
 from .prox import ProxConfig, prox_block_norm
 
-SUPPORT_REL_TOL = 1e-10  # prox output below this (relative to its max) counts as zero
+# Prox output below this (relative to its max) counts as zero, and each prox
+# solve stops once its duality gap certifies every pixel above it as support
+SUPPORT_REL_TOL = 3e-3
 ZERO_SOLUTION_REL_TOL = 1e-8  # all-shrunk prox outputs leave only solver-noise entries
 
 
@@ -57,11 +59,13 @@ class MeasurementModel:
 
 
 def _default_prox_cfg() -> ProxConfig:
-    # Tight gap tolerances: a stop certifies ||x - x*||^2 <= 1e-10*P + 1e-12*||v||^2
-    # for the exact prox x*.  _support_of reads the support off x, so x must
-    # be near x*; SUPPORT_REL_TOL then drops the ADMM residue left on pixels
-    # that x* zeroes.
-    return ProxConfig(lam=0.0, max_iters=2000, tol_abs=1e-12, tol_rel=1e-10)
+    # colamp_solve stops each prox once the gap certifies the support it
+    # reads (SUPPORT_REL_TOL), so the gap tolerances are only a backstop: an
+    # all-shrunk prox (x* = 0) never certifies a support and stops on them.
+    # The cap binds on calls that certify slowly; lowering it from 1500 to
+    # 1000 or 500 cut exact recoveries at m/K = 3 from 14 to 13 or 12 of 16
+    # blocky 32x32 problems (K = 40, side 2).
+    return ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)
 
 
 @dataclass(frozen=True)
@@ -94,60 +98,6 @@ class ColampConfig:
             check_finite(self.eps_res, "eps_res")
             if self.eps_res < 0:
                 raise ConfigError("eps_res must be nonnegative")
-
-
-def cg_solve_normal(phi_s: np.ndarray, y: np.ndarray, tol: float = 1e-10,
-                    max_iters: Optional[int] = None) -> tuple[np.ndarray, bool]:
-    """Conjugate gradients on the normal equations ``Phi_s^T Phi_s x = Phi_s^T y``.
-
-    Returns the iterate with the smallest normal-equation residual and a
-    degeneracy flag.  The flag is set for structurally rank-deficient
-    systems (more columns than rows) and when curvature collapse reveals
-    numerical deficiency; the iterate is still the best least-squares
-    estimate encountered.  Convergence target:
-    ``||Phi_s^T (Phi_s x - y)|| <= tol * ||Phi_s^T y||``.
-    """
-    a = np.asarray(phi_s, dtype=float)
-    if a.ndim != 2 or a.shape[1] < 1:
-        raise ShapeError("support submatrix must be 2-D with at least one column")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != a.shape[0]:
-        raise ShapeError("measurement vector length does not match matrix rows")
-    k = a.shape[1]
-    if max_iters is None:
-        max_iters = 4 * k
-
-    b = a.T @ y
-    b_norm = float(np.linalg.norm(b))
-    x = np.zeros(k)
-    degenerate = k > a.shape[0]
-    if b_norm == 0.0:
-        return x, degenerate
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    best_x = x.copy()
-    best_res = math.sqrt(rs)
-
-    for _ in range(max_iters):
-        if math.sqrt(rs) <= tol * b_norm:
-            break
-        ap = a.T @ (a @ p)
-        p_ap = float(p @ ap)
-        if p_ap <= 1e-14 * float(p @ p):
-            degenerate = True
-            break
-        step = rs / p_ap
-        x = x + step * p
-        r = r - step * ap
-        rs_new = float(r @ r)
-        if math.sqrt(rs_new) < best_res:
-            best_res = math.sqrt(rs_new)
-            best_x = x.copy()
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-
-    return best_x, degenerate
 
 
 def truncate_top_k(x_s: np.ndarray, k: int) -> np.ndarray:
@@ -187,7 +137,10 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
         Recovered image ``(H, W)`` and a report tracing ``||Phi x - y||^2``
         and ``||r||`` per iteration.  An empty support after the prox is
         retried once at half the weight; if it stays empty the run terminates
-        with reason ``"support-collapse"``.
+        with reason ``"support-collapse"``.  ``report.extra`` holds the
+        iteration count of every prox call, in call order
+        (``"prox_iterations"``), and how many calls stopped for each reason
+        (``"prox_terminations"``).
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != model.m:
@@ -206,7 +159,8 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
     residual_trace: list[float] = []
     reason = "max-iterations"
     support_size = 0
-    degenerate_count = 0
+    prox_iterations: list[int] = []
+    prox_terminations: Counter = Counter()
     lam_n = cfg.lam0
 
     n = 0
@@ -216,21 +170,21 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
         v = (model.adjoint(r) + x).reshape(shape)
 
         warm = x.reshape(shape)
-        prox_res = prox_block_norm(v, cliques, replace(cfg.prox, lam=lam_n), x0=warm)
-        support = _support_of(prox_res.x, v)
-        if support.size == 0:
-            prox_res = prox_block_norm(v, cliques, replace(cfg.prox, lam=lam_n / 2.0),
-                                       x0=warm)
+        for lam in (lam_n, lam_n / 2.0):
+            prox_res = prox_block_norm(v, cliques, replace(cfg.prox, lam=lam), x0=warm,
+                                       support_tol=SUPPORT_REL_TOL)
+            prox_iterations.append(prox_res.report.iterations)
+            prox_terminations[prox_res.report.termination_reason] += 1
             support = _support_of(prox_res.x, v)
-            if support.size == 0:
-                reason = "support-collapse"
-                objective_trace.append(float(r @ r))
-                residual_trace.append(float(np.linalg.norm(r)))
+            if support.size:
                 break
+        else:
+            reason = "support-collapse"
+            objective_trace.append(float(r @ r))
+            residual_trace.append(float(np.linalg.norm(r)))
+            break
 
-        x_s, degen = cg_solve_normal(model.columns(support), y, tol=1e-10,
-                                     max_iters=4 * support.size)
-        degenerate_count += int(degen)
+        x_s = np.linalg.lstsq(model.columns(support), y, rcond=None)[0]
         x = np.zeros(model.n)
         x[support] = truncate_top_k(x_s, cfg.k)
         r = y - model.forward(x)
@@ -245,15 +199,17 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,
                           reason, wall_clock=time.perf_counter() - t0,
                           extra={"final_lambda": lam_n, "support_size": support_size,
-                                 "cg_degenerate_iterations": degenerate_count})
+                                 "prox_iterations": prox_iterations,
+                                 "prox_terminations": dict(prox_terminations)})
     return x.reshape(shape), report
 
 
 def _support_of(x_r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Exact nonzeros of the prox output, with entries below
-    ``SUPPORT_REL_TOL * max|x_r|`` treated as zero.  An output whose peak is
-    at solver-noise level relative to the prox input is the all-shrunk
-    solution: its surviving entries are ADMM residue, not support."""
+    """Entries of the prox output above ``SUPPORT_REL_TOL * max|x_r|``.  When
+    the prox stopped with ``"support-certified"`` each of them is nonzero in
+    the exact prox.  An output whose peak is at solver-noise level relative to
+    the prox input is the all-shrunk solution: its surviving entries are ADMM
+    residue, not support."""
     flat = np.abs(np.asarray(x_r, dtype=float).ravel())
     peak = float(flat.max()) if flat.size else 0.0
     v_peak = float(np.max(np.abs(v))) if np.asarray(v).size else 0.0

@@ -1,14 +1,16 @@
 import blocksparse
 from blocksparse import (GridShape, SolverReport, build_clique_system, common, fftops, prox,
-                         regularizer, synthetic)
+                         pursuit, regularizer, synthetic)
 
 # Names removed from the package: code nothing called, and names since replaced.
 DELETED = {
     blocksparse: ("prox_block_norm_framewise", "SyntheticSpec", "SyntheticData",
-                  "gen_synthetic", "AllocationTracker", "block_norm_smoothed_grad_fft"),
+                  "gen_synthetic", "AllocationTracker", "block_norm_smoothed_grad_fft",
+                  "cg_solve_normal"),
     common: ("AllocationTracker",),
     SolverReport: ("peak_aux_entries",),
     prox: ("prox_block_norm_framewise",),
+    pursuit: ("cg_solve_normal",),
     regularizer: ("block_norm_smoothed_grad_fft", "_clique_sq_norms"),
     fftops: ("_kernel_cache", "_cache_lock", "_padded_shape", "_kernel_fft",
              "_box_convolve_full"),

@@ -331,6 +331,13 @@ def test_prox_rejects_nonfinite_warm_start():
         prox_block_norm(np.ones((6, 6)), system(6, 6, 2), ProxConfig(lam=0.5), x0=x0)
 
 
+def test_prox_rejects_bad_support_tol():
+    cs = system(4, 4, 2)
+    for bad in (float("nan"), float("inf"), 0.0, -1e-3):
+        with pytest.raises(ConfigError, match="support_tol"):
+            prox_block_norm(np.ones((4, 4)), cs, ProxConfig(lam=1.0), support_tol=bad)
+
+
 def test_prox_config_rejects_nan_lam():
     with pytest.raises(ConfigError, match="lam"):
         ProxConfig(lam=float("nan"))

@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from blocksparse import (ColampConfig, ConfigError, GridShape, MeasurementModel,
-                         ProxConfig, ShapeError, build_clique_system,
-                         cg_solve_normal, colamp_solve, prox_block_norm,
-                         truncate_top_k)
+                         ProxConfig, ShapeError, build_clique_system, colamp_solve,
+                         prox_block_norm, pursuit, truncate_top_k)
 from blocksparse.synthetic import gaussian_measurement_matrix, make_blocky_image
 
 import helpers
@@ -42,74 +45,6 @@ def test_model_columns():
     assert np.array_equal(sub, phi[:, [2, 4, 7]])
 
 
-# --- cg_solve_normal --------------------------------------------------------
-
-def test_cg_identity():
-    y = np.array([1.0, -2.0, 3.0])
-    x, degen = cg_solve_normal(np.eye(3), y)
-    assert not degen
-    assert np.allclose(x, y, atol=1e-12)
-
-
-def test_cg_orthonormal_columns():
-    rng = np.random.default_rng(2)
-    q, _ = np.linalg.qr(rng.standard_normal((10, 4)))
-    y = rng.standard_normal(10)
-    x, degen = cg_solve_normal(q, y)
-    assert not degen
-    assert np.allclose(x, q.T @ y, atol=1e-10)
-
-
-def test_cg_matches_dense_solve():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((20, 5))
-    y = rng.standard_normal(20)
-    x, degen = cg_solve_normal(a, y)
-    assert not degen
-    expected = helpers.dense_normal_solve(a, y)
-    assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
-
-
-def test_cg_residual_contract():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((30, 8))
-    y = rng.standard_normal(30)
-    x, _ = cg_solve_normal(a, y, tol=1e-10)
-    assert (np.linalg.norm(a.T @ (a @ x - y))
-            <= 1e-9 * np.linalg.norm(a.T @ y))
-
-
-def test_cg_rank_deficient_returns_min_residual():
-    # the normal system stays consistent under exact rank deficiency, so CG
-    # still reaches a least-squares solution; the flag must not corrupt it
-    rng = np.random.default_rng(5)
-    col = rng.standard_normal((12, 1))
-    a = np.hstack([col, col])  # exactly repeated column
-    y = rng.standard_normal(12)
-    x, _ = cg_solve_normal(a, y)
-    lstsq = np.linalg.lstsq(a, y, rcond=None)[0]
-    assert (np.linalg.norm(a @ x - y)
-            <= np.linalg.norm(a @ lstsq - y) + 1e-8)
-
-
-def test_cg_flags_structural_deficiency():
-    rng = np.random.default_rng(15)
-    a = rng.standard_normal((6, 10))  # more columns than rows
-    y = rng.standard_normal(6)
-    x, degen = cg_solve_normal(a, y, max_iters=100)
-    assert degen
-    lstsq = np.linalg.lstsq(a, y, rcond=None)[0]
-    assert (np.linalg.norm(a @ x - y)
-            <= np.linalg.norm(a @ lstsq - y) + 1e-6)
-
-
-def test_cg_zero_rhs():
-    a = np.eye(4)
-    x, degen = cg_solve_normal(a, np.zeros(4))
-    assert not degen
-    assert np.all(x == 0)
-
-
 # --- truncate_top_k ---------------------------------------------------------
 
 def test_truncate_shorter_than_k():
@@ -133,8 +68,7 @@ def test_truncate_rejects_k_zero():
 # --- colamp_solve -----------------------------------------------------------
 
 def _pursuit_cfg(k=40, lam0=0.2, **kw):
-    base = dict(k=k, lam0=lam0, lam_growth=1.02, max_iters=10,
-                prox=ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9))
+    base = dict(k=k, lam0=lam0, lam_growth=1.02, max_iters=10)
     base.update(kw)
     return ColampConfig(**base)
 
@@ -282,3 +216,79 @@ def test_config_rejects_non_integer_max_iters():
         with pytest.raises(ConfigError, match="max_iters must be an integer"):
             ColampConfig(k=4, max_iters=bad)
     assert ColampConfig(k=4, max_iters=np.int32(7)).max_iters == 7
+
+
+def test_support_fit_is_least_squares():
+    # with k above the support size nothing is truncated, so one outer
+    # iteration returns the least-squares fit on the prox support
+    rng = np.random.default_rng(12)
+    truth = make_blocky_image(16, 16, 12, 3, rng)
+    phi = gaussian_measurement_matrix(60, 256, rng)
+    y = phi @ truth.ravel()
+    xhat, _ = colamp_solve(y, MeasurementModel(phi), system(16, 16),
+                           _pursuit_cfg(k=256, lam0=0.8, max_iters=1))
+    support = np.flatnonzero(xhat)
+    assert 0 < support.size < 60
+    expected = helpers.dense_normal_solve(phi[:, support], y)
+    assert np.linalg.norm(xhat.ravel()[support] - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("seed,k,lam0,max_iters", [(7, 12, 0.5, 10), (9, 5, 1e6, 5)])
+def test_report_keeps_every_prox_report(monkeypatch, seed, k, lam0, max_iters):
+    # the second case collapses, so it also makes the half-weight retries
+    seen = []
+
+    def recording_prox(*args, **kwargs):
+        assert kwargs["support_tol"] == pursuit.SUPPORT_REL_TOL
+        res = prox_block_norm(*args, **kwargs)
+        seen.append(res.report)
+        return res
+
+    monkeypatch.setattr(pursuit, "prox_block_norm", recording_prox)
+    rng = np.random.default_rng(seed)
+    phi = gaussian_measurement_matrix(60, 256, rng)
+    y = phi @ make_blocky_image(16, 16, 12, 3, rng).ravel()
+    _, report = colamp_solve(y, MeasurementModel(phi), system(16, 16),
+                             _pursuit_cfg(k=k, lam0=lam0, max_iters=max_iters))
+    assert len(seen) >= report.iterations
+    assert report.extra["prox_iterations"] == [r.iterations for r in seen]
+    terminations = report.extra["prox_terminations"]
+    assert terminations == dict(Counter(r.termination_reason for r in seen))
+    assert sum(terminations.values()) == len(seen)
+    assert sum(report.extra["prox_iterations"]) == sum(r.iterations for r in seen)
+    if lam0 == 1e6:
+        assert report.termination_reason == "support-collapse"
+        assert len(seen) == 2 * report.iterations
+
+
+_entries = st.one_of(st.just(0.0), st.floats(0.05, 3.0), st.floats(-3.0, -0.05))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.data(),
+       st.floats(0.05, 2.0))
+def test_support_certificate(height, width, side, data, lam):
+    side = min(side, height, width)
+    cs = system(height, width, side)
+    v = np.array(data.draw(st.lists(_entries, min_size=height * width,
+                                    max_size=height * width))).reshape(height, width)
+    tau = pursuit.SUPPORT_REL_TOL
+    # no gap tolerance, so only the support test can stop the solve early
+    res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=5000, tol_abs=0.0,
+                                            tol_rel=0.0), support_tol=tau)
+    assume(res.report.termination_reason == "support-certified")
+    x = np.abs(res.x.ravel())
+    peak = float(x.max())
+    assert np.sqrt(max(res.report.residual_trace[-1], 0.0)) <= tau * peak
+
+    # the reference stops at a relative gap of 1e-12: roundoff in the dual
+    # value leaves some gaps near 2e-13 of P however long ADMM runs
+    ref = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=100000, tol_abs=0.0,
+                                            tol_rel=1e-12))
+    assert ref.report.termination_reason == "converged"
+    # ||x_ref - x*||_inf <= sqrt(gap): pixels above it are nonzero in x*
+    ref_err = np.sqrt(max(ref.report.residual_trace[-1], 0.0))
+    x_ref = np.abs(ref.x.ravel())
+    support = pursuit._support_of(res.x, v)
+    assert np.all(x_ref[support] > ref_err)
+    assert set(np.flatnonzero(x_ref > 2 * tau * peak + ref_err)) <= set(support.tolist())
