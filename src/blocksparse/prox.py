@@ -15,27 +15,41 @@ group shrinkage.
 ``H x W`` image, is read through one strided ``(nh, side, nw*side)`` view of
 that region: the squared norm of tile ``(p, q)`` is the sum over the view's
 middle axis and over columns ``[q*side, (q+1)*side)`` of its last axis.  The
-z-update sets ``z^i = x - u^i`` and scales each tile of the view in place by
-``max(1 - tau/||tile||, 0)`` with ``tau = lam/rho``; pixels outside the tiles
-(a border narrower than ``side``) keep ``x - u^i``.  No index array is read.
+z-update sets ``z^i`` to its input ``w^i`` and scales each tile of the view
+in place by ``max(1 - tau/||tile||, 0)`` with ``tau = lam/rho``; pixels
+outside the tiles (a border narrower than ``side``) keep ``w^i``.  No index
+array is read.
 
-Each iteration updates ``x``, then the stacked copies ``Z`` (``s x n``), then
-the scaled duals ``U``.  The x-update
+**Relaxed iteration.**  Each iteration updates ``x``, then the stacked copies
+``Z`` (``s x n``), then the scaled duals ``U``, with the z- and u-updates
+over-relaxed (Eckstein & Bertsekas 1992; Boyd et al. 2011, *Distributed
+Optimization and Statistical Learning via ADMM*, section 3.4.3): they read
+``xhat^i = alpha*x + (1 - alpha)*z^i`` in place of ``x``, so
+``z^i = shrink(xhat^i - u^i)`` and ``u^i += z^i - xhat^i``, with
+``alpha = RELAXATION``.  The x-update
 ``x = (2v + rho * sum_i (z^i + u^i)) / (2 + s*rho)`` needs only the means:
 ``sum_i (z^i + u^i) = s*(zbar + ubar)``.  ``zbar`` is one pass over ``Z``;
-``ubar`` is kept as an n-vector updated by ``ubar += zbar - x``, which is
-exact because ``U += Z - 1 x^T``.
+``ubar`` is kept as an n-vector updated by
+``ubar += zbar - (alpha*x + (1 - alpha)*zbar_old)``, the mean of the
+u-update.  The loop carries ``r = (U - (1 - alpha) Z) / alpha`` in place of
+``U``: then ``w = xhat - U = alpha*(x - r)`` and the new
+``alpha*r = U - (1 - alpha) Z = Z - w``, so besides the tile scaling and
+the mean an iteration makes three passes over the stacks (``r = x - r``,
+``Z = alpha*r``, ``r = Z - r``), as many as plain ADMM's ``Z = x - U``,
+``U += Z``, ``U -= x``.  ``U`` is formed once, at the end.
 
 **Duality-gap certificate.**  The prox has the dual
 ``max_g <g, v> - ||g||^2/4`` over ``g = sum_c P_c^T w_c`` with every
 ``||w_c|| <= lam``; any such ``g`` bounds the optimum from below, and
 ``x = v - g/2`` at the optimum (Bach et al. 2012, *Optimization with
 Sparsity-Inducing Penalties*, section 5).  After each z-update the
-optimality of ``z^i`` gives ``-rho*u^i in lam * d||z^i_c||`` on each tile,
-so every clique block of ``-rho*u^i`` already has norm at most ``lam``, and
-``u^i`` is 0 off the tiles.  The dual point ``g = -rho * sum_i u^i =
--rho*s*ubar`` is therefore feasible as it stands, and the dual value
-``D = <g, v> - ||g||^2/4`` costs two n-vector dot products.  The primal value
+optimality of ``z^i`` for its input ``xhat^i - u^i`` gives
+``-rho*u^i in lam * d||z^i_c||`` on each tile, with ``u^i`` already updated;
+relaxation changes the input, not this condition.  So every clique block of
+``-rho*u^i`` has norm at most ``lam``, and ``u^i`` is 0 off the tiles.  The
+dual point ``g = -rho * sum_i u^i = -rho*s*ubar`` is therefore feasible as
+it stands, and the dual value ``D = <g, v> - ||g||^2/4`` costs two n-vector
+dot products.  The primal value
 ``P = ||x - v||^2 + lam * J(x)`` is the objective the loop traces.
 
 The solve stops when ``P - D <= tol_rel*P + tol_abs*||v||^2``.  Both terms
@@ -53,9 +67,13 @@ screening rests on the same bound (Ndiaye, Fercoq, Gramfort & Salmon 2017,
 *Gap Safe screening rules for sparsity enforcing penalties*).  Whichever of
 the two stops comes first ends the solve.  ``residual_trace`` holds ``P - D``
 per iteration, in the units of ``objective_trace``.  ADMM does not make the
-gap monotone; it does make ``||Z_k - Z_{k-1}||_F^2 + ||U_k - U_{k-1}||_F^2``
-nonincreasing (He & Yuan 2015, *On non-ergodic convergence rate of
-Douglas-Rachford ADMM*).
+gap monotone.  Relaxed ADMM makes ``||dZ||_F^2 + 2(alpha - 1)<dZ, dU> +
+||dU||_F^2`` nonincreasing, ``dZ = Z_k - Z_{k-1}`` and ``dU = U_k -
+U_{k-1}``: a fixed positive-definite quadratic form of the step of ``Z`` and
+of the multiplier ``rho*U`` for ``0 < alpha < 2`` (Fang, He, Liu & Yuan
+2015, *Generalized alternating direction method of multipliers*).  At
+``alpha = 1`` it is He & Yuan's ``||dZ||_F^2 + ||dU||_F^2``, which the
+relaxed iterates need not keep monotone.
 """
 
 from __future__ import annotations
@@ -69,6 +87,11 @@ import numpy as np
 from .common import ConfigError, ShapeError, SolverReport, check_count, check_finite
 from .grids import CliqueSystem
 from .regularizer import block_norm
+
+# Over-relaxation factor alpha of the z- and u-updates, in (0, 2); alpha = 1
+# is plain ADMM.  Of 1.5, 1.6, 1.7 and 1.8, 1.8 took the fewest iterations on
+# cold 128x128 denoising (sides 4 and 8) and on CoLaMP's warm 32x32 calls.
+RELAXATION = 1.8
 
 
 @dataclass(frozen=True)
@@ -122,12 +145,21 @@ class ProxResult:
     u: Optional[np.ndarray] = None
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """``||a - b||^2``, with the difference freed on return: the prox calls
+    it beside the penalty's window sums, where a solve's memory peaks."""
+    d = a - b
+    return float(d @ d)
+
+
 def group_shrink(v, tau: float) -> np.ndarray:
     """Closed-form minimizer of ``tau*||z|| + 1/2*||z - v||^2``:
     ``max(1 - tau/||v||, 0) * v`` (zero when ``||v|| <= tau``)."""
+    check_finite(tau, "shrinkage threshold")
     if tau < 0:
         raise ConfigError("shrinkage threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
+    check_finite(v, "shrinkage input")
     nv = float(np.linalg.norm(v))
     if nv <= tau:
         return np.zeros_like(v)
@@ -208,53 +240,70 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
     else:
         x = vflat.copy()
 
+    alpha = RELAXATION
     z = np.tile(x, (s, 1))
-    u = np.zeros((s, n))
+    # the carried dual r = (U - (1 - alpha) Z) / alpha makes the relaxed
+    # z-update point w = alpha*x + (1 - alpha) Z - U = alpha * (x - r)
+    r = z * ((alpha - 1.0) / alpha)  # U = 0 at the start
     tiles = _tile_views(z, cliques)
     side = cliques.side
+    ones = np.ones(side)
     shape = (cliques.shape.height, cliques.shape.width)
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
     rs = rho * s
-    denom = 2.0 + rs
-    zbar = z.mean(axis=0)
+    c = rs / (2.0 + rs)
+    cv = (2.0 / (2.0 + rs)) * vflat
+    zbar = x.copy()
     ubar = np.zeros(n)
     certify = cfg.tol_abs > 0 or cfg.tol_rel > 0
     gap_floor = cfg.tol_abs * float(vflat @ vflat)
 
-    for _ in range(cfg.max_iters):
-        x = (2.0 * vflat + rs * (zbar + ubar)) / denom
+    # an all-zero tile has norm 0; tau/0 = inf gives it scale 0
+    with np.errstate(divide="ignore"):
+        for _ in range(cfg.max_iters):
+            # x = (2v + rs*(zbar + ubar)) / (2 + rs)
+            np.add(zbar, ubar, out=x)
+            x *= c
+            x += cv
 
-        np.subtract(x[None, :], u, out=z)
-        # an all-zero tile has norm 0; tau/0 = inf gives it scale 0
-        with np.errstate(divide="ignore"):
+            np.subtract(x, r, out=r)  # w / alpha
+            np.multiply(r, alpha, out=z)
             for view in tiles:
                 nh, _, cols = view.shape
+                # row sums by a product with ones: one call at every side,
+                # where a sum over the tiny last axis is several times slower
                 norms = np.sqrt(np.einsum("ijk,ijk->ik", view, view)
-                                .reshape(nh, cols // side, side).sum(axis=2))
+                                .reshape(nh, cols // side, side) @ ones)
                 scale = np.maximum(1.0 - tau / norms, 0.0)
                 view *= np.repeat(scale, side, axis=1)[:, None, :]
-        u += z
-        u -= x
-        zbar = z.mean(axis=0)
-        ubar += zbar - x
+            np.subtract(z, r, out=r)  # alpha*r = U - (1 - alpha) Z = Z - w
+            # ubar += zbar - mean(xhat), with mean(xhat) = alpha*x + (1 - alpha)*zbar_old
+            ubar -= alpha * x
+            zbar *= 1.0 - alpha
+            ubar -= zbar
+            z.mean(axis=0, out=zbar)
+            ubar += zbar
 
-        d = x - vflat
-        primal = float(d @ d) + cfg.lam * block_norm(x.reshape(shape), cliques)
-        # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
-        dual = -rs * float(ubar @ vflat) - 0.25 * rs * rs * float(ubar @ ubar)
-        gap = primal - dual
-        objective_trace.append(primal)
-        residual_trace.append(gap)
-        if certify and gap <= cfg.tol_rel * primal + gap_floor:
-            reason = "converged"
-            break
-        if support_tol is not None and gap <= (support_tol * float(np.abs(x).max())) ** 2:
-            reason = "support-certified"
-            break
+            primal = _sq_dist(x, vflat) + cfg.lam * block_norm(x.reshape(shape), cliques)
+            # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
+            dual = -rs * float(ubar @ vflat) - 0.25 * rs * rs * float(ubar @ ubar)
+            gap = primal - dual
+            objective_trace.append(primal)
+            residual_trace.append(gap)
+            if certify and gap <= cfg.tol_rel * primal + gap_floor:
+                reason = "converged"
+                break
+            if support_tol is not None and gap <= (support_tol * float(np.abs(x).max())) ** 2:
+                reason = "support-certified"
+                break
 
+    u = r  # U = alpha*r + (1 - alpha) Z, a copy at a time so no third stack is made
+    for zi, ui in zip(z, u):
+        ui *= alpha
+        ui += (1.0 - alpha) * zi
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,
                           reason, wall_clock=time.perf_counter() - t0,
                           extra={"rho": rho})

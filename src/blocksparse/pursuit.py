@@ -62,9 +62,9 @@ def _default_prox_cfg() -> ProxConfig:
     # colamp_solve stops each prox once the gap certifies the support it
     # reads (SUPPORT_REL_TOL), so the gap tolerances are only a backstop: an
     # all-shrunk prox (x* = 0) never certifies a support and stops on them.
-    # The cap binds on calls that certify slowly; lowering it from 1500 to
-    # 1000 or 500 cut exact recoveries at m/K = 3 from 14 to 13 or 12 of 16
-    # blocky 32x32 problems (K = 40, side 2).
+    # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
+    # problems at m/K = 3 (K = 40, side 2), 14 recover exactly at 1500 and
+    # 1000 and 13 at 500, with the relaxed prox (plain ADMM: 14, 13, 12).
     return ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)
 
 
@@ -103,8 +103,7 @@ class ColampConfig:
 def truncate_top_k(x_s: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries (ties broken by lowest index),
     zero the rest.  Shorter inputs pass through unchanged."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    check_count(k, "k")
     x_s = np.asarray(x_s, dtype=float)
     if x_s.size <= k:
         return x_s.copy()

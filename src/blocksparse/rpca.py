@@ -130,10 +130,10 @@ def svt(q, delta: float) -> np.ndarray:
     Soft-thresholds all singular values by ``delta``; never increases rank.
     """
     q = np.asarray(q, dtype=float)
+    check_finite(delta, "threshold")
     if delta < 0:
         raise ConfigError("threshold must be nonnegative")
-    if not np.all(np.isfinite(q)):
-        raise ConfigError("input matrix must be finite")
+    check_finite(q, "input matrix")
     out, _ = _svd_soft(q, delta)
     return out
 

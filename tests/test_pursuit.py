@@ -65,6 +65,13 @@ def test_truncate_rejects_k_zero():
         truncate_top_k(np.ones(3), 0)
 
 
+def test_truncate_rejects_non_integer_k():
+    for bad in (2.5, 2.0, float("nan"), True):
+        with pytest.raises(ConfigError, match="k must be an integer"):
+            truncate_top_k(np.arange(5.0), bad)
+    assert np.count_nonzero(truncate_top_k(np.arange(5.0), np.int64(2))) == 2
+
+
 # --- colamp_solve -----------------------------------------------------------
 
 def _pursuit_cfg(k=40, lam0=0.2, **kw):

@@ -34,6 +34,12 @@ def test_svt_rank_one():
     assert np.allclose(svt(q, 2.0), 3.0 * np.outer(u, v), atol=1e-10)
 
 
+def test_svt_rejects_nonfinite_threshold():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="threshold must be finite"):
+            svt(np.eye(3), bad)
+
+
 def test_svt_never_increases_rank():
     rng = np.random.default_rng(1)
     q = rng.standard_normal((6, 4))
