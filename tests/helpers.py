@@ -179,3 +179,9 @@ def cosamp_support_step(proxy, k2):
     magnitudes (stable tie-break by lowest index)."""
     order = np.argsort(-np.abs(np.asarray(proxy, dtype=float)), kind="stable")
     return set(order[:k2].tolist())
+
+
+def svt_by_svd(q, delta):
+    """Singular value thresholding from a full LAPACK SVD of ``q``."""
+    u, s, vt = np.linalg.svd(np.asarray(q, dtype=float), full_matrices=False)
+    return (u * np.maximum(s - delta, 0.0)) @ vt

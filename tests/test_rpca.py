@@ -3,8 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blocksparse import (ConfigError, GridShape, NumericalError, RpcaConfig,
+from blocksparse import (ConfigError, GridShape, NumericalError, RpcaConfig, ShapeError,
                          build_clique_system, default_lambda, numerical_rank,
                          relative_error, rpca_objective, solve_rpca, support_prf,
                          support_set, svt)
@@ -68,6 +70,97 @@ def test_svt_nonexpansive():
 def test_svt_rejects_nonfinite():
     with pytest.raises((ConfigError, NumericalError)):
         svt(np.array([[np.nan, 0.0], [0.0, 1.0]]), 0.1)
+
+
+def test_svt_rejects_a_vector():
+    with pytest.raises(ShapeError, match="2-D"):
+        svt(np.ones(3), 0.1)
+
+
+def test_svt_rejects_a_stack_of_matrices():
+    with pytest.raises(ShapeError, match="2-D"):
+        svt(np.ones((2, 2, 2)), 0.1)
+
+
+def test_svt_keeps_empty_and_extreme_scale_input():
+    assert svt(np.zeros((0, 3)), 0.1).shape == (0, 3)
+    # squaring these entries would overflow or underflow; the SVT rescales
+    # by a power of two, so the result is the exact scaled one
+    for c in (2.0 ** 700, 2.0 ** -700):
+        q = c * np.diag([3.0, 1.0])
+        assert np.allclose(svt(q, c * 2.0), c * np.diag([1.0, 0.0]), rtol=0, atol=c * 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 30), st.booleans(),
+       st.lists(st.floats(0.0, 1.0), min_size=10, max_size=10), st.floats(0.0, 8.0),
+       st.one_of(st.floats(-9.0, 0.0), st.tuples(st.integers(0, 9), st.floats(-1e-3, 1e-3))),
+       st.integers(0, 2 ** 32 - 1))
+def test_svt_matches_the_svd_oracle(short, extra, tall, positions, log_cond, threshold, seed):
+    # the Gram route squares the condition number; up to 1e8, and with the
+    # threshold anywhere from 1e-9 sigma_max to sigma_max or next to one
+    # singular value (clusters come from repeated positions), it keeps the
+    # relative error below 1e-10.  The SVT is 1-Lipschitz, so any backward
+    # stable route, the oracle too, errs by about eps*||q||: where the result
+    # vanishes (threshold near sigma_max) the error is taken relative to
+    # 1e-3*||q|| instead
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((short + extra, short)))[0]
+    right = np.linalg.qr(rng.standard_normal((short, short)))[0]
+    pos = np.array(positions[:short])
+    if np.ptp(pos) > 0.0:
+        pos = (pos - pos.min()) / np.ptp(pos)  # singular values from 1 down to 1/cond
+    s = 10.0 ** (-log_cond * pos)
+    q = (left * s) @ right.T
+    if not tall:
+        q = q.T
+    if isinstance(threshold, tuple):
+        delta = min(float(s[threshold[0] % short]) * (1.0 + threshold[1]), 1.0)
+    else:
+        delta = 10.0 ** threshold
+    want = helpers.svt_by_svd(q, delta)
+    err = np.linalg.norm(svt(q, delta) - want)
+    assert err <= 1e-10 * max(np.linalg.norm(want), 1e-3 * np.linalg.norm(q))
+
+
+def test_svt_resolves_singular_values_far_below_the_largest():
+    # a threshold just under sigma_min = 1e-8 sigma_max keeps sigma_min, whose
+    # square is at the rounding level of the Gram matrix: read from that
+    # matrix alone it is wrong by more than itself
+    rng = np.random.default_rng(16)
+    left = np.linalg.qr(rng.standard_normal((40, 6)))[0]
+    right = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    s = np.logspace(0.0, -8.0, 6)
+    for q in ((left * s) @ right.T, right @ (left * s).T):
+        delta = 0.999 * s[-1]
+        want = helpers.svt_by_svd(q, delta)
+        assert np.linalg.norm(svt(q, delta) - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_numerical_rank_rejects_nonfinite_entries():
+    with pytest.raises(ConfigError, match="finite"):
+        numerical_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_numerical_rank_rejects_a_vector():
+    with pytest.raises(ShapeError, match="2-D"):
+        numerical_rank(np.ones(3))
+
+
+def test_numerical_rank_rejects_nan_tolerance():
+    with pytest.raises(ConfigError, match="rel_tol must be finite"):
+        numerical_rank(np.eye(3), float("nan"))
+
+
+def test_objective_rejects_nonfinite_parts():
+    y = np.zeros((4, 4, 2))
+    bad = y.copy()
+    bad[0, 0, 1] = np.inf
+    cfg = RpcaConfig(clique_side=2)
+    with pytest.raises(ConfigError, match="X entries must be finite"):
+        rpca_objective(bad, y, y, cfg)
+    with pytest.raises(ConfigError, match="Z entries must be finite"):
+        rpca_objective(y, bad * np.nan, y, cfg)
 
 
 def test_default_lambda_values():
@@ -176,8 +269,9 @@ def test_trace_consistent_with_public_objective():
 def test_peak_storage_is_measured_within_bounds():
     # the paper counts 4 stack-sized buffers (X, Z, gradient, residual); the
     # line search's trial point and the window sums add temporaries, measured
-    # at about 15.2 stack copies here, and the bound leaves room for other
-    # NumPy versions without admitting a stack kept per iteration
+    # at about 13.2 stack copies here (set in the gradient's window sum), and
+    # the bound leaves room for other NumPy versions without admitting a
+    # stack kept per iteration
     y = np.random.default_rng(11).standard_normal((32, 32, 4))
     cfg = RpcaConfig(clique_side=2, max_iters=10)
     solve_rpca(y, cfg)  # the first call in a process allocates more
@@ -301,3 +395,21 @@ def test_scaled_run_stops_at_the_same_iteration(c):
     assert res_c.report.iterations == res.report.iterations
     assert res_c.report.termination_reason == res.report.termination_reason
     assert relative_error(res_c.x, c * res.x) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(-6, 6), st.integers(0, 2 ** 32 - 1))
+def test_rpca_scale_equivariance(k, seed):
+    # y and eps scaled by c = 2^k and mu by 1/c: the objective and the path
+    # scale by c, so the solve stops at the same iteration for the same reason
+    c = 2.0 ** k
+    lowrank, sparse = make_lowrank_blocksparse_stack(8, 8, 4, 1, np.random.default_rng(seed),
+                                                     fg_side=3)
+    y = lowrank + sparse
+    res = solve_rpca(y, RpcaConfig(eps=0.02, clique_side=2, max_iters=80))
+    res_c = solve_rpca(c * y, RpcaConfig(eps=0.02 * c, mu=1.0 / c, clique_side=2, max_iters=80))
+    assert res_c.report.iterations == res.report.iterations
+    assert res_c.report.termination_reason == res.report.termination_reason
+    scale = c * np.linalg.norm(y)
+    assert np.linalg.norm(res_c.x - c * res.x) <= 1e-9 * scale
+    assert np.linalg.norm(res_c.z - c * res.z) <= 1e-9 * scale
