@@ -69,9 +69,9 @@ class BlockTvConfig:
     """Denoiser controls.
 
     ``eps=None`` resolves to the scale-relative smoothing default of the
-    input's gradient field.  ``step="backtracking"`` uses Armijo line search;
-    ``step="fixed"`` takes constant steps of size ``alpha``.  The run stops
-    once an iteration changes the objective by at most ``tol_obj`` times its
+    input's gradient field.  Each step is chosen by Armijo line search,
+    starting from twice the last accepted step.  The run stops once an
+    iteration changes the objective by at most ``tol_obj`` times its
     magnitude, or once the gradient norm is at most ``1e-12 * ||y||``.
     Neither test has an absolute floor, so scaling ``y``, ``lam`` and
     ``eps`` by ``c`` leaves the iteration count unchanged.
@@ -82,8 +82,6 @@ class BlockTvConfig:
     clique_side: int = 2
     max_iters: int = 500
     tol_obj: float = 1e-10
-    step: str = "backtracking"
-    alpha: Optional[float] = None
 
     def __post_init__(self):
         check_finite(self.lam, "lam")
@@ -98,19 +96,13 @@ class BlockTvConfig:
         check_finite(self.tol_obj, "tol_obj")
         if self.tol_obj < 0:
             raise ConfigError("tol_obj must be nonnegative")
-        if self.step not in ("backtracking", "fixed"):
-            raise ConfigError("step policy must be 'backtracking' or 'fixed'")
-        if self.alpha is not None:
-            check_finite(self.alpha, "alpha")
-        if self.step == "fixed" and (self.alpha is None or self.alpha <= 0):
-            raise ConfigError("fixed stepping requires a positive alpha")
 
 
 def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     """Denoise ``y`` by smoothed block-TV gradient descent.
 
-    Returns the restored image and a report; with backtracking the objective
-    trace is nonincreasing.  If the starting point already satisfies the
+    Returns the restored image and a report whose objective trace is
+    nonincreasing.  If the starting point already satisfies the
     gradient-norm certificate the solver exits without stepping.
     """
     y = np.asarray(y, dtype=float)
@@ -155,20 +147,14 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         if gnorm <= grad_tol:
             reason = "converged"
             break
-        if cfg.step == "backtracking":
-            alpha, x, obj, state = backtrack_step(evaluate, x, obj_prev, g, alpha)
-        else:
-            alpha = cfg.alpha
-            x = x - alpha * g
-            obj, state = evaluate(x)
+        alpha, x, obj, state = backtrack_step(evaluate, x, obj_prev, g, alpha)
         objective_trace.append(obj)
         residual_trace.append(gnorm)
         if abs(obj_prev - obj) <= cfg.tol_obj * abs(obj_prev):
             reason = "converged"
             break
         obj_prev = obj
-        if cfg.step == "backtracking":
-            alpha *= 2.0  # retry a larger step next iteration; Armijo halves as needed
+        alpha *= 2.0  # retry a larger step next iteration; Armijo halves as needed
 
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,
                           reason, wall_clock=time.perf_counter() - t0,

@@ -14,18 +14,6 @@ from .common import ConfigError
 from .experiments import EXPERIMENTS, HarnessConfig, UsageError, resolve_config, run_experiment
 
 
-def _step_size(text: str):
-    if text == "auto":
-        return text
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("step size must be positive")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     # Unset flags stay out of the namespace, so HarnessConfig supplies every default.
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -38,8 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
     flags.add_argument("--lambda", dest="lam", type=float,
                        help="regularization weight (per-experiment default)")
     flags.add_argument("--mu", type=float, help="decomposition fidelity weight")
-    flags.add_argument("--alpha", type=_step_size,
-                       help="step size, or 'auto' for backtracking")
     flags.add_argument("--epsilon", type=float,
                        help="smoothing parameter (default: scale-relative)")
     flags.add_argument("--k-sparsity", type=int, help="planted sparsity K")
@@ -47,8 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measurement budget as a multiple of K")
     flags.add_argument("--snr-db", type=float,
                        help="measurement SNR (or input PSNR for denoising)")
-    flags.add_argument("--solver", choices=("admm", "fbs"),
-                       help="solver family where a choice exists")
     flags.add_argument("--dump-config", action="store_true", default=False,
                        help="print the fully-resolved configuration and exit")
     parser = argparse.ArgumentParser(

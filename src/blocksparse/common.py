@@ -8,8 +8,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-TERMINATION_REASONS = ("converged", "max-iterations", "diverged", "support-collapse",
-                       "support-certified")
+TERMINATION_REASONS = ("converged", "max-iterations", "support-collapse", "support-certified")
 
 
 class ConfigError(ValueError):

@@ -40,11 +40,11 @@ from .synthetic import (gaussian_measurement_matrix, make_blocky_image,
                         make_lowrank_blocksparse_stack, make_piecewise_constant,
                         sigma_for_psnr_db, sigma_for_snr_db)
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 CSV_COLUMNS = (
     "schema_version", "experiment", "trial", "seed", "timestamp",
-    "clique_side", "lam", "mu", "alpha", "epsilon",
+    "clique_side", "lam", "mu", "epsilon",
     "k_sparsity", "m", "m_over_k", "snr_db", "input_psnr_db", "solver",
     "n_frames", "rank_true",
     "rel_error", "psnr_db", "psnr_gain_db", "precision", "recall", "f_measure",
@@ -82,11 +82,9 @@ M_OVER_K_SWEEP = (1.0, 2.0, 3.0, 4.0, 5.0)
 # entries) round differently at each thread count.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-_SOLVER_NAMES = {"admm": "consensus-ADMM", "fbs": "forward-backward"}
-
 
 class UsageError(ValueError):
-    """Unknown experiment or invalid flag combination."""
+    """Unknown experiment."""
 
 
 @dataclass
@@ -100,12 +98,10 @@ class HarnessConfig:
     clique_side: Optional[int] = None
     lam: Optional[float] = None
     mu: float = 1.0
-    alpha: Union[float, str] = "auto"
     epsilon: Optional[float] = None
     k_sparsity: int = 40
     m_over_k: Optional[float] = None
     snr_db: Optional[float] = None
-    solver: Optional[str] = None
 
     def __post_init__(self):
         integral = isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
@@ -116,10 +112,7 @@ class HarnessConfig:
         check_count(self.k_sparsity, "k sparsity")
         if self.clique_side is not None:
             check_count(self.clique_side, "clique side")
-        if isinstance(self.alpha, str) and self.alpha != "auto":
-            raise ConfigError(f"alpha must be a positive number or 'auto', got {self.alpha!r}")
-        positive = {"mu": self.mu, "epsilon": self.epsilon,
-                    "alpha": None if self.alpha == "auto" else self.alpha}
+        positive = {"mu": self.mu, "epsilon": self.epsilon}
         # snr_db may be negative: noise louder than the signal is a valid point
         for what, value in {**positive, "lambda": self.lam, "m/K": self.m_over_k,
                             "snr_db": self.snr_db}.items():
@@ -373,9 +366,8 @@ def _write_blocktv(out_dir: Path, done: list[tuple[Point, object]]) -> None:
 def _rpca_points(cfg: HarnessConfig) -> list[Point]:
     (side,) = _sides("rpca-decompose", cfg, RPCA_SIZE, baseline=False)
     lam = cfg.lam if cfg.lam is not None else default_lambda(side, RPCA_SIZE * RPCA_SIZE)
-    return [Point(0, {"clique_side": side, "mu": cfg.mu, "alpha": cfg.alpha,
-                      "epsilon": cfg.epsilon, "n_frames": 10, "rank_true": 2,
-                      "solver": "fbs", "lam": lam})]
+    return [Point(0, {"clique_side": side, "mu": cfg.mu, "epsilon": cfg.epsilon,
+                      "n_frames": 10, "rank_true": 2, "solver": "fbs", "lam": lam})]
 
 
 def _rpca_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, object]:
@@ -383,8 +375,8 @@ def _rpca_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, obj
     lowrank, sparse = make_lowrank_blocksparse_stack(
         RPCA_SIZE, RPCA_SIZE, p["n_frames"], p["rank_true"], _rng(cfg.seed, trial, 7))
     y = lowrank + sparse
-    result = solve_rpca(y, RpcaConfig(lam=p["lam"], mu=p["mu"], alpha=p["alpha"],
-                                      eps=p["epsilon"], clique_side=p["clique_side"]))
+    result = solve_rpca(y, RpcaConfig(lam=p["lam"], mu=p["mu"], eps=p["epsilon"],
+                                      clique_side=p["clique_side"]))
     prec, rec, fmeas = support_prf(support_set(result.x, 0.1), np.flatnonzero(sparse.ravel()))
     return {"rel_error": relative_error(result.x, sparse),
             "precision": prec, "recall": rec, "f_measure": fmeas,
@@ -507,19 +499,14 @@ EXPERIMENTS: dict[str, Union[Sweep, Callable[[HarnessConfig, Path], list[dict]]]
 
 
 def _lookup(name: str, cfg: HarnessConfig):
-    """The table entry for ``name`` and a sweep's points; checks ``cfg.solver``."""
+    """The table entry for ``name``, and its points if it is a sweep."""
     if name not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {name!r}")
     experiment = EXPERIMENTS[name]
     if not isinstance(experiment, Sweep):
         _sides(name, cfg, MEMORY_SIZE, baseline=False)  # it measures on MEMORY_SIZE frames
         return experiment, None
-    points = experiment.points(cfg)
-    runs = sorted({p.params["solver"] for p in points if "solver" in p.params})
-    if cfg.solver not in (None, *runs):
-        raise UsageError(f"{name} does not run the {_SOLVER_NAMES[cfg.solver]} solver "
-                         f"(it runs: {', '.join(_SOLVER_NAMES[s] for s in runs) or 'neither'})")
-    return experiment, points
+    return experiment, experiment.points(cfg)
 
 
 def resolve_config(name: str, cfg: HarnessConfig) -> dict:
@@ -541,7 +528,7 @@ def run_experiment(name: str, cfg: HarnessConfig) -> Path:
     ``cfg.out_dir``, and return the CSV path.
 
     A sweep trial that raises becomes a row with the failure flag; unknown
-    names and unsupported ``--solver`` values raise :class:`UsageError`.
+    names raise :class:`UsageError`.
     With ``cfg.jobs > 1`` trials run on up to ``os.cpu_count()`` ``spawn``
     worker processes with one BLAS thread each.  ``spawn`` re-imports the
     caller's ``__main__`` in every worker, so only callers whose entry code

@@ -79,7 +79,7 @@ relaxed iterates need not keep monotone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

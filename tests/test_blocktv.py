@@ -41,10 +41,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         BlockTvConfig(lam=-0.1)
     with pytest.raises(ConfigError):
-        BlockTvConfig(lam=0.1, step="fixed")  # needs alpha
-    with pytest.raises(ConfigError):
-        BlockTvConfig(lam=0.1, step="momentum")
-    with pytest.raises(ConfigError):
         BlockTvConfig(lam=0.1, eps=0.0)
 
 
@@ -146,15 +142,6 @@ def test_small_eps_l1_limit_matches_convex_tv():
     assert np.linalg.norm(x.ravel() - xv.value) <= 1e-3 * np.linalg.norm(xv.value)
 
 
-def test_fixed_step_runs():
-    rng = np.random.default_rng(6)
-    y = rng.standard_normal((8, 8))
-    x, report = denoise_block_tv(y, BlockTvConfig(lam=0.05, step="fixed", alpha=0.2,
-                                                  max_iters=50))
-    assert report.iterations <= 50
-    assert np.all(np.isfinite(x))
-
-
 def test_denoise_rejects_nonfinite_input():
     y = np.zeros((6, 6))
     y[2, 3] = np.nan
@@ -175,11 +162,6 @@ def test_config_rejects_nan_tol_obj():
 def test_config_rejects_nan_eps():
     with pytest.raises(ConfigError, match="eps"):
         BlockTvConfig(lam=0.1, eps=float("nan"))
-
-
-def test_config_rejects_nan_alpha():
-    with pytest.raises(ConfigError, match="alpha must be finite"):
-        BlockTvConfig(lam=0.1, step="fixed", alpha=float("nan"))
 
 
 def test_config_rejects_non_integer_clique_side():

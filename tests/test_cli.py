@@ -22,9 +22,11 @@ def test_unknown_experiment_usage_error():
 
 
 def test_bad_flag_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["rpca-decompose", "--alpha", "-3"])
-    assert exc.value.code == 2
+    # a malformed value, and flags that do not exist: no step size or solver is user-set
+    for flags in (["--mu", "abc"], ["--alpha", "0.1"], ["--solver", "fbs"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["rpca-decompose", *flags])
+        assert exc.value.code == 2
 
 
 def test_dump_config_prints_json(capsys):
@@ -42,12 +44,6 @@ def test_solver_flag_choices():
     assert exc.value.code == 2
 
 
-def test_rpca_admm_combination_rejected(tmp_path, capsys):
-    code = main(["rpca-decompose", "--solver", "admm", "--out-dir", str(tmp_path)])
-    assert code == 2
-    assert "forward-backward" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     ["memory-benchmark", "--seed", "-1"],
     ["cs-recovery-sweep", "--trials", "0"],
@@ -59,14 +55,14 @@ def test_rpca_admm_combination_rejected(tmp_path, capsys):
     ["cs-recovery-sweep", "--lambda", "nan"],
     ["blocktv-denoise", "--lambda", "-0.1"],
     ["rpca-decompose", "--mu", "0"],
-    ["rpca-decompose", "--alpha", "nan"],
+    ["rpca-decompose", "--epsilon", "nan"],
     ["blocktv-denoise", "--epsilon", "-1"],
     ["cs-recovery-sweep", "--m-over-k", "-1"],
     ["cs-recovery-sweep", "--m-over-k", "nan"],
     ["robust-cs-snr-sweep", "--snr-db", "inf"],
-    ["cs-recovery-sweep", "--solver", "fbs"],
-    ["robust-cs-snr-sweep", "--solver", "fbs"],
-    ["blocktv-denoise", "--solver", "admm"],
+    ["rpca-decompose", "--clique-side", "33"],
+    ["blocktv-denoise", "--clique-side", "65"],
+    ["robust-cs-snr-sweep", "--m-over-k", "0.01"],
 ])
 def test_bad_flag_value_exits_2_before_running(argv, tmp_path, capsys):
     name, *flags = argv

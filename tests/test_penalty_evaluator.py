@@ -38,12 +38,10 @@ def assert_no_repeats(calls):
         f"{len(calls) - len(set(calls))} of {len(calls)} correlations repeat an earlier input")
 
 
-@pytest.mark.parametrize("step", ["backtracking", "fixed"])
-def test_blocktv_evaluates_each_point_once(correlations, step):
+def test_blocktv_evaluates_each_point_once(correlations):
     rng = np.random.default_rng(0)
     y = make_piecewise_constant(16, 16, rng) + 0.1 * rng.standard_normal((16, 16))
-    cfg = BlockTvConfig(lam=0.1, clique_side=2, max_iters=25, tol_obj=0.0, step=step,
-                        alpha=0.05 if step == "fixed" else None)
+    cfg = BlockTvConfig(lam=0.1, clique_side=2, max_iters=25, tol_obj=0.0)
     _, report = denoise_block_tv(y, cfg)
     assert report.iterations == 25
     assert_no_repeats(correlations)

@@ -119,8 +119,13 @@ def test_svt_matches_the_svd_oracle(short, extra, tall, positions, log_cond, thr
     else:
         delta = 10.0 ** threshold
     want = helpers.svt_by_svd(q, delta)
-    err = np.linalg.norm(svt(q, delta) - want)
-    assert err <= 1e-10 * max(np.linalg.norm(want), 1e-3 * np.linalg.norm(q))
+    out = svt(q, delta)
+    bound = 1e-10 * max(np.linalg.norm(want), 1e-3 * np.linalg.norm(q))
+    assert np.linalg.norm(out - want) <= bound
+    # solve_rpca's line-search model rests on ||svt(q) - q||^2 = sum(min(s, delta)^2);
+    # the two sides' square roots differ by at most the SVT's error
+    moved = math.sqrt(np.sum(np.minimum(np.linalg.svd(q, compute_uv=False), delta) ** 2))
+    assert abs(np.linalg.norm(out - q) - moved) <= bound
 
 
 def test_svt_resolves_singular_values_far_below_the_largest():
@@ -207,10 +212,6 @@ def test_solver_config_validation():
     with pytest.raises(ConfigError):
         RpcaConfig(mu=0.0)
     with pytest.raises(ConfigError):
-        RpcaConfig(alpha=-0.5)
-    with pytest.raises(ConfigError):
-        RpcaConfig(alpha="fast")
-    with pytest.raises(ConfigError):
         RpcaConfig(lam=-1.0)
 
 
@@ -269,7 +270,7 @@ def test_trace_consistent_with_public_objective():
 def test_peak_storage_is_measured_within_bounds():
     # the paper counts 4 stack-sized buffers (X, Z, gradient, residual); the
     # line search's trial point and the window sums add temporaries, measured
-    # at about 13.2 stack copies here (set in the gradient's window sum), and
+    # at about 11.2 stack copies here (set in the gradient's window sum), and
     # the bound leaves room for other NumPy versions without admitting a
     # stack kept per iteration
     y = np.random.default_rng(11).standard_normal((32, 32, 4))
@@ -282,14 +283,6 @@ def test_peak_storage_is_measured_within_bounds():
     finally:
         tracemalloc.stop()
     assert 4 * y.nbytes <= peak <= 20 * y.nbytes
-
-
-def test_divergence_detected_with_fixed_step():
-    rng = np.random.default_rng(12)
-    y = 5.0 * rng.standard_normal((8, 8, 3))
-    res = solve_rpca(y, RpcaConfig(clique_side=2, alpha=5.0, max_iters=400))
-    assert res.report.termination_reason == "diverged"
-    assert "advice" in res.report.extra
 
 
 def test_default_eps_resolution():
@@ -360,11 +353,6 @@ def test_config_rejects_nan_tol_obj():
 def test_config_rejects_nan_eps():
     with pytest.raises(ConfigError, match="eps"):
         RpcaConfig(eps=float("nan"))
-
-
-def test_config_rejects_nan_alpha():
-    with pytest.raises(ConfigError, match="alpha must be finite"):
-        RpcaConfig(alpha=float("nan"))
 
 
 def test_config_rejects_non_integer_clique_side():
