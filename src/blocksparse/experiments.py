@@ -40,7 +40,7 @@ from .synthetic import (gaussian_measurement_matrix, make_blocky_image,
                         make_lowrank_blocksparse_stack, make_piecewise_constant,
                         sigma_for_psnr_db, sigma_for_snr_db)
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 CSV_COLUMNS = (
     "schema_version", "experiment", "trial", "seed", "timestamp",
@@ -48,7 +48,7 @@ CSV_COLUMNS = (
     "k_sparsity", "m", "m_over_k", "snr_db", "input_psnr_db", "solver",
     "n_frames", "rank_true",
     "rel_error", "psnr_db", "psnr_gain_db", "precision", "recall", "f_measure",
-    "rank_est", "iterations", "objective_monotone",
+    "rank_est", "iterations", "inner_iterations", "inner_capped", "objective_monotone",
     "fbs_measured_entries", "admm_measured_entries", "admm_formula_entries",
     "memory_ratio", "per_iter_seconds", "wall_clock_s", "termination", "failed",
 )
@@ -308,9 +308,13 @@ def _cs_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, objec
     cliques = build_clique_system(GridShape(CS_SIZE, CS_SIZE), p["clique_side"])
     xhat, report = colamp_solve(y, MeasurementModel(phi), cliques, pursuit)
     prec, rec, fmeas = support_prf(support_set(xhat), np.flatnonzero(truth.ravel()))
+    # the pursuit's prox work: iterations summed over its calls, and the calls
+    # that stopped at their iteration cap
+    inner = {"inner_iterations": sum(report.extra["prox_iterations"]),
+             "inner_capped": report.extra["prox_terminations"].get("max-iterations", 0)}
     return {"rel_error": relative_error(xhat, truth),
             "precision": prec, "recall": rec, "f_measure": fmeas,
-            **_report_fields(report)}, (truth, xhat, y)
+            **_report_fields(report), **inner}, (truth, xhat, y)
 
 
 def _write_cs(out_dir: Path, done: list[tuple[Point, object]]) -> None:

@@ -8,8 +8,9 @@ matrix whose column ``t`` is frame ``t`` vectorized.
 
 A :class:`CliqueSystem` describes the ``side x side`` cliques of a grid by
 tile geometry alone.  Each of its ``side**2`` disjoint subsets tiles one
-rectangular region of the grid, so a solver reads a subset through one
-reshaped view of an image, and no per-clique index list is stored.
+rectangular region of the grid, so the prox reads the tiles of every subset
+through one strided view of its stack of per-subset copies
+(:mod:`blocksparse.prox`), and no per-clique index list is stored.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class CliqueSystem:
     ``nw = (W - b)//side``.  They tile rows ``[a, a + nh*side)`` and columns
     ``[b, b + nw*side)`` exactly, so cliques within one subset never share a
     pixel, and the subset is that region reshaped to ``(nh, side, nw, side)``.
+    The prox builds its strided view of all subsets from this geometry.
     :attr:`tiles` holds ``(a, b, nh, nw)`` per subset, or ``None`` when
     ``nh`` or ``nw`` is 0 and the subset is empty (possible on small grids).
     Only fully-contained patches count: no wraparound, no zero padding, so

@@ -10,15 +10,33 @@ The penalty is split over the ``side**2`` disjoint clique subsets, one
 consensus copy ``z^i`` per subset, which makes every z-update a closed-form
 group shrinkage.
 
-**Tile layout.**  The cliques of subset ``i`` tile one region of the grid
-(:attr:`blocksparse.grids.CliqueSystem.tiles`), so copy ``z^i``, seen as an
-``H x W`` image, is read through one strided ``(nh, side, nw*side)`` view of
-that region: the squared norm of tile ``(p, q)`` is the sum over the view's
-middle axis and over columns ``[q*side, (q+1)*side)`` of its last axis.  The
-z-update sets ``z^i`` to its input ``w^i`` and scales each tile of the view
-in place by ``max(1 - tau/||tile||, 0)`` with ``tau = lam/rho``; pixels
-outside the tiles (a border narrower than ``side``) keep ``w^i``.  No index
-array is read.
+**Tile layout.**  Subset ``i = a*side + b`` holds the cliques with corners
+``(a + p*side, b + q*side)``, ``p < nh`` and ``q < nw``
+(:attr:`blocksparse.grids.CliqueSystem.tiles`).  ``Z`` is held row-major at
+the front of a flat buffer, followed by a zero tail of ``(side-1)*(W+1)``
+entries, and one strided view covers the tiles of every copy: its shape is
+``(side, side, H//side, side, (W//side)*side)`` and its element strides are
+``(side*n + W, n + 1, side*W, W, 1)``, so tile ``(p, q)`` of copy ``(a, b)``
+is ``view[a, b, p, :, q*side:(q+1)*side]``.  The base of copy ``(a, b)`` is
+``(a*side + b)*n + a*W + b``, linear in both ``a`` and ``b``.  The view never
+aliases itself: within one copy each tile row covers at most ``W``
+consecutive entries, and the copies' address ranges are ordered.  Its shape
+is the same for every copy, so where a subset has one tile row or column
+fewer (``nh = (H - a)//side``, ``nw = (W - b)//side``) the view's last one
+spills into the next copy or the tail; those spill tiles are read and never
+written.
+
+The z-update sets ``Z`` to its input ``w`` and computes the norms of all
+tiles, one copy row ``a`` at a time: an ``einsum`` sums the squares over the
+view's tile rows, and one product with ones sums those over each tile's
+columns.  The scales ``max(1 - tau/||tile||, 0)``, ``tau = lam/rho``, are
+computed once over the ``(side, side, H//side, W//side)`` array of norms.
+The scaling in place then runs copy by copy, each through
+``view[a, b, :nh, :, :nw*side]``, which holds only the copy's own tiles,
+times the scales of its copy row repeated along the columns.  It cannot run through a view that spans several copies: NumPy's ufunc overlap
+check cannot prove such an output free of self-overlap, and it would copy the
+whole stack on every call.  Pixels outside the tiles (a border narrower than
+``side``) keep ``w``.  No index array is read.
 
 **Relaxed iteration.**  Each iteration updates ``x``, then the stacked copies
 ``Z`` (``s x n``), then the scaled duals ``U``, with the z- and u-updates
@@ -60,11 +78,15 @@ tested and the solve runs exactly ``max_iters`` iterations, so a gap that
 roundoff makes zero or negative cannot end it.
 
 A caller that reads only the support of ``x`` can ask for an earlier stop,
-``sqrt(P - D) <= support_tol * max|x|``.  The same bound gives
+``sqrt(P - D + e) <= support_tol * max|x|``.  The same bound gives
 ``||x - x*||_inf <= sqrt(P - D)``, so every pixel above
 ``support_tol * max|x|`` is then certainly nonzero in ``x*``; gap-safe
 screening rests on the same bound (Ndiaye, Fercoq, Gramfort & Salmon 2017,
-*Gap Safe screening rules for sparsity enforcing penalties*).  Whichever of
+*Gap Safe screening rules for sparsity enforcing penalties*).  The allowance
+``e = n*eps*(P + |<g, v>| + ||g||^2/4)`` bounds the rounding error of the
+computed gap: where ``x* = 0`` and ``x`` is solver residue, roundoff can make
+the computed ``P - D`` zero, and without ``e`` that residue would pass as
+support (``v`` one spike, ``lam`` at its shrink threshold).  Whichever of
 the two stops comes first ends the solve.  ``residual_trace`` holds ``P - D``
 per iteration, in the units of ``objective_trace``.  ADMM does not make the
 gap monotone.  Relaxed ADMM makes ``||dZ||_F^2 + 2(alpha - 1)<dZ, dU> +
@@ -83,10 +105,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .common import ConfigError, ShapeError, SolverReport, check_count, check_finite
+from .fftops import box_correlate_valid
 from .grids import CliqueSystem
-from .regularizer import block_norm
 
 # Over-relaxation factor alpha of the z- and u-updates, in (0, 2); alpha = 1
 # is plain ADMM.  Of 1.5, 1.6, 1.7 and 1.8, 1.8 took the fewest iterations on
@@ -145,13 +168,6 @@ class ProxResult:
     u: Optional[np.ndarray] = None
 
 
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """``||a - b||^2``, with the difference freed on return: the prox calls
-    it beside the penalty's window sums, where a solve's memory peaks."""
-    d = a - b
-    return float(d @ d)
-
-
 def group_shrink(v, tau: float) -> np.ndarray:
     """Closed-form minimizer of ``tau*||z|| + 1/2*||z - v||^2``:
     ``max(1 - tau/||v||, 0) * v`` (zero when ``||v|| <= tau``)."""
@@ -166,18 +182,72 @@ def group_shrink(v, tau: float) -> np.ndarray:
     return (1.0 - tau / nv) * v
 
 
-def _tile_views(z: np.ndarray, cliques: CliqueSystem) -> list:
-    """The ``(nh, side, nw*side)`` view of copy ``z[i]`` over the region each
-    non-empty subset ``i`` tiles."""
-    h, w, side = cliques.shape.height, cliques.shape.width, cliques.side
-    views = []
-    for i, tile in enumerate(cliques.tiles):
-        if tile is None:
-            continue
-        a, b, nh, nw = tile
-        region = z[i].reshape(h, w)[a:a + nh * side, b:b + nw * side]
-        views.append(region.reshape(nh, side, nw * side))
-    return views
+class _TileStack:
+    """The consensus copies and one strided view of the tiles of all of them.
+
+    ``z`` is the ``(s, n)`` stack of copies at the front of a flat buffer
+    whose zero tail holds the view's spill past the last copy; ``view`` is
+    the ``(side, side, H//side, side, (W//side)*side)`` view of the module
+    docstring.  ``work`` is an n-vector: a z-update keeps the tile scales in
+    its front (:attr:`scale`), and between z-updates the solver may use it as
+    scratch.
+    """
+
+    def __init__(self, cliques: CliqueSystem):
+        h, w, side = cliques.shape.height, cliques.shape.width, cliques.side
+        s, n = cliques.n_subsets, h * w
+        nh, nw = h // side, w // side
+        self.buffer = np.zeros(s * n + (side - 1) * (w + 1))
+        self.z = self.buffer[:s * n].reshape(s, n)
+        step = self.buffer.itemsize
+        self.view = as_strided(self.buffer, shape=(side, side, nh, side, nw * side),
+                               strides=(step * (side * n + w), step * (n + 1), step * side * w,
+                                        step * w, step))
+        self.work = np.empty(n)
+        self.scale = self.work[:s * nh * nw].reshape(side, side, nh, nw)
+        self._ones = np.ones(side)
+        self._row_scales = [self.scale[a].reshape(-1) for a in range(side)]
+        # per copy row a: each copy's own clique tiles, and where their scales
+        # sit in the row's scales repeated along the columns
+        self._copies = [[] for _ in range(side)]
+        for tile in cliques.tiles:
+            if tile is None:
+                continue
+            a, b, th, tw = tile
+            self._copies[a].append((self.view[a, b, :th, :, :tw * side],
+                                    (b, slice(th), None, slice(tw * side))))
+
+    def shrink(self, tau: float) -> None:
+        """Group-shrink every clique tile of every copy in place: scale it by
+        ``max(1 - tau/||tile||, 0)``.  An all-zero tile has norm 0 and
+        ``tau/0 = inf`` gives it scale 0, so the caller ignores division by
+        zero."""
+        scale, ones = self.scale, self._ones
+        for rows, row_scales in zip(self.view, self._row_scales):
+            # one copy row at a time keeps the squared row sums to at most n
+            # entries; their sums over each tile's columns are one product
+            # with ones, where a sum over the tiny last axis is several times
+            # slower
+            np.matmul(np.einsum("bprk,bprk->bpk", rows, rows).reshape(-1, len(ones)),
+                      ones, out=row_scales)
+        np.sqrt(scale, out=scale)
+        np.divide(tau, scale, out=scale)
+        np.subtract(1.0, scale, out=scale)
+        np.maximum(scale, 0.0, out=scale)
+        self.scale_tiles()
+
+    def scale_tiles(self) -> None:
+        """Multiply each clique tile of each copy in place by its entry of
+        :attr:`scale`; no other entry of the buffer changes."""
+        side = len(self._ones)
+        for row_scales, copies in zip(self.scale, self._copies):
+            # repeated, the factors run along whole tile rows; broadcast over
+            # each tile's side columns instead, NumPy loops over runs of side
+            # entries, and the product took twice as long or more
+            factors = row_scales.repeat(side, axis=-1)
+            for tile, cut in copies:
+                tile *= factors[cut]
+            del factors  # one row's factors alive at a time
 
 
 def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
@@ -200,7 +270,8 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
         previous estimate).
     support_tol : float, optional
         Also stop, with reason ``"support-certified"``, once
-        ``sqrt(P - D) <= support_tol * max|x|``: every pixel of ``x`` above
+        ``sqrt(P - D + e) <= support_tol * max|x|``, ``e`` the gap's rounding
+        allowance of the module docstring: every pixel of ``x`` above
         ``support_tol * max|x|`` is then nonzero in the exact prox.  A caller
         that reads only that support passes it; ``None`` tests no such stop.
 
@@ -241,13 +312,13 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
         x = vflat.copy()
 
     alpha = RELAXATION
-    z = np.tile(x, (s, 1))
+    stack = _TileStack(cliques)
+    z, work = stack.z, stack.work
+    z[:] = x
     # the carried dual r = (U - (1 - alpha) Z) / alpha makes the relaxed
     # z-update point w = alpha*x + (1 - alpha) Z - U = alpha * (x - r)
     r = z * ((alpha - 1.0) / alpha)  # U = 0 at the start
-    tiles = _tile_views(z, cliques)
     side = cliques.side
-    ones = np.ones(side)
     shape = (cliques.shape.height, cliques.shape.width)
 
     objective_trace: list[float] = []
@@ -255,48 +326,58 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
     reason = "max-iterations"
     rs = rho * s
     c = rs / (2.0 + rs)
-    cv = (2.0 / (2.0 + rs)) * vflat
+    cv = 2.0 / (2.0 + rs)
     zbar = x.copy()
     ubar = np.zeros(n)
     certify = cfg.tol_abs > 0 or cfg.tol_rel > 0
     gap_floor = cfg.tol_abs * float(vflat @ vflat)
+    # per unit of the magnitudes summed, a bound on the computed gap's
+    # rounding error, which the support stop adds to the gap
+    roundoff = n * np.finfo(float).eps
 
-    # an all-zero tile has norm 0; tau/0 = inf gives it scale 0
     with np.errstate(divide="ignore"):
         for _ in range(cfg.max_iters):
             # x = (2v + rs*(zbar + ubar)) / (2 + rs)
             np.add(zbar, ubar, out=x)
             x *= c
-            x += cv
+            # cv*v is formed in the scratch vector each time rather than kept:
+            # one n-vector fewer beside the z-update's row of scales
+            x += np.multiply(vflat, cv, out=work)
 
             np.subtract(x, r, out=r)  # w / alpha
             np.multiply(r, alpha, out=z)
-            for view in tiles:
-                nh, _, cols = view.shape
-                # row sums by a product with ones: one call at every side,
-                # where a sum over the tiny last axis is several times slower
-                norms = np.sqrt(np.einsum("ijk,ijk->ik", view, view)
-                                .reshape(nh, cols // side, side) @ ones)
-                scale = np.maximum(1.0 - tau / norms, 0.0)
-                view *= np.repeat(scale, side, axis=1)[:, None, :]
+            stack.shrink(tau)
             np.subtract(z, r, out=r)  # alpha*r = U - (1 - alpha) Z = Z - w
             # ubar += zbar - mean(xhat), with mean(xhat) = alpha*x + (1 - alpha)*zbar_old
             ubar -= alpha * x
             zbar *= 1.0 - alpha
             ubar -= zbar
-            z.mean(axis=0, out=zbar)
+            np.add.reduce(z, axis=0, out=zbar)  # z.mean without its Python overhead
+            zbar /= s
             ubar += zbar
 
-            primal = _sq_dist(x, vflat) + cfg.lam * block_norm(x.reshape(shape), cliques)
+            # P = ||x - v||^2 + lam * J(x), both through the scratch vector, so
+            # the window sums add only their own row sums and result to the
+            # solve's state
+            np.subtract(x, vflat, out=work)
+            primal = float(work @ work)
+            np.multiply(x, x, out=work)
+            sums = box_correlate_valid(work.reshape(shape), side)
+            primal += cfg.lam * float(np.sqrt(sums, out=sums).sum())
+            del sums  # not alive beside the next iteration's window sums
             # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
-            dual = -rs * float(ubar @ vflat) - 0.25 * rs * rs * float(ubar @ ubar)
+            dual_lin = -rs * float(ubar @ vflat)
+            dual_quad = 0.25 * rs * rs * float(ubar @ ubar)
+            dual = dual_lin - dual_quad
             gap = primal - dual
             objective_trace.append(primal)
             residual_trace.append(gap)
             if certify and gap <= cfg.tol_rel * primal + gap_floor:
                 reason = "converged"
                 break
-            if support_tol is not None and gap <= (support_tol * float(np.abs(x).max())) ** 2:
+            if support_tol is not None and (
+                    gap + roundoff * (primal + abs(dual_lin) + dual_quad)
+                    <= (support_tol * float(np.abs(x).max())) ** 2):
                 reason = "support-certified"
                 break
 

@@ -26,7 +26,9 @@ Splitting value and gradient at the norms lets a line search keep the norms
 of the trial it accepts and build the next gradient from them, with one valid
 and one full window sum per accepted point.  Every function here calls the
 window sums through this module's names, so a wrapper installed there sees
-every sum the penalty and the smoothed solvers make.
+every sum they make; the prox's objective trace calls the valid sum under
+the name :mod:`blocksparse.prox` binds.  Each function adds ``eps^2`` and
+takes the square root in place on the window sums it owns.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def _checked(x, cliques: CliqueSystem) -> np.ndarray:
 def block_norm(x, cliques: CliqueSystem) -> float:
     """Sum of clique l2 norms.  Zero iff x vanishes on every covered pixel."""
     x = _checked(x, cliques)
-    return float(np.sqrt(box_correlate_valid(x * x, cliques.side)).sum())
+    sums = box_correlate_valid(x * x, cliques.side)
+    return float(np.sqrt(sums, out=sums).sum())
 
 
 def block_norm_smoothed(x, cliques: CliqueSystem, eps: float) -> float:
@@ -66,7 +69,7 @@ def block_norm_smoothed(x, cliques: CliqueSystem, eps: float) -> float:
     x = _checked(x, cliques)
     if eps < 0:
         raise ConfigError("smoothing eps must be nonnegative")
-    return float(np.sqrt(box_correlate_valid(x * x, cliques.side) + eps * eps).sum())
+    return float(smoothed_clique_norms(x * x, cliques.side, eps).sum())
 
 
 def smoothed_clique_norms(sq, side: int, eps: float) -> np.ndarray:
@@ -76,7 +79,9 @@ def smoothed_clique_norms(sq, side: int, eps: float) -> np.ndarray:
     batched; the result is indexed by clique corner ``(..., h-side+1,
     w-side+1)`` and sums to the smoothed penalty.  Positive for ``eps > 0``.
     """
-    return np.sqrt(box_correlate_valid(sq, side) + eps * eps)
+    norms = box_correlate_valid(sq, side)
+    norms += eps * eps
+    return np.sqrt(norms, out=norms)
 
 
 def smoothed_weight_map(norms: np.ndarray, side: int) -> np.ndarray:

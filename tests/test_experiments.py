@@ -91,6 +91,8 @@ def test_blocktv_experiment_grid(tmp_path):
     assert len(rows) == 2
     assert sorted(int(r["clique_side"]) for r in rows) == [1, 2]
     assert all(float(r["psnr_gain_db"]) > 0 for r in rows)
+    # only the CoLaMP sweeps have inner prox solves to report
+    assert all(r["inner_iterations"] == r["inner_capped"] == "" for r in rows)
     assert (tmp_path / "tv_noisy.pgm").exists()
 
 
@@ -102,6 +104,27 @@ def test_cs_sweep_rows_failure_isolated(tmp_path):
     assert len(rows) == 2
     assert all(r["experiment"] == "cs-recovery-sweep" for r in rows)
     assert all(r["m"] == "36" for r in rows)
+
+
+def test_cs_rows_report_the_pursuits_prox_work(tmp_path, monkeypatch):
+    real = experiments.colamp_solve
+    reports = []
+
+    def recording(*args, **kwargs):
+        xhat, report = real(*args, **kwargs)
+        reports.append(report)
+        return xhat, report
+
+    monkeypatch.setattr(experiments, "colamp_solve", recording)
+    path = run_experiment("cs-recovery-sweep",
+                          small_cfg(tmp_path, trials=2, m_over_k=3.0, k_sparsity=12))
+    rows = list(csv.DictReader(open(path, newline="")))
+    assert len(rows) == len(reports) == 2
+    for row, report in zip(rows, reports):
+        calls = report.extra["prox_iterations"]
+        assert calls and int(row["inner_iterations"]) == sum(calls)
+        assert int(row["inner_capped"]) == report.extra["prox_terminations"].get(
+            "max-iterations", 0)
 
 
 def test_determinism_excluding_timing(tmp_path):
@@ -214,7 +237,7 @@ def test_dump_config_lists_the_points_the_sweep_runs(tmp_path, monkeypatch, name
 
 _DEFAULT_FLAGS = {"clique_side": 2, "epsilon": None, "jobs": 1, "k_sparsity": 40,
                   "lam": None, "m_over_k": None, "mu": 1.0, "out_dir": ".",
-                  "schema_version": "3", "seed": 0, "snr_db": None, "trials": 20}
+                  "schema_version": "4", "seed": 0, "snr_db": None, "trials": 20}
 
 
 @pytest.mark.parametrize("name, resolved", [

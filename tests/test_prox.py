@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from blocksparse import (ConfigError, GridShape, ProxConfig, block_norm,
                          build_clique_system, group_shrink, prox_block_norm)
 
-from blocksparse.prox import RELAXATION
+from blocksparse.prox import RELAXATION, _TileStack
 
 import helpers
 
@@ -404,14 +404,10 @@ def admm_by_loop(v, side, lam, rho, iters, alpha):
     return x, z, u
 
 
-@pytest.mark.parametrize("height,width,side", helpers.GEOMETRIES)
-def test_strided_z_update_matches_clique_loop(height, width, side):
-    rng = np.random.default_rng(height * 100 + width * 10 + side)
-    cs = system(height, width, side)
-    v = rng.standard_normal((height, width))
-    v[rng.uniform(size=v.shape) < 0.3] = 0.0  # some all-zero cliques
+def assert_matches_clique_loop(v, side, caps):
+    cs = system(*v.shape, side)
     for lam in (0.3, 2.0):
-        for cap in (1, 2, 7):
+        for cap in caps:
             res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=cap,
                                                     tol_abs=0.0, tol_rel=0.0))
             assert res.report.iterations == cap
@@ -421,7 +417,66 @@ def test_strided_z_update_matches_clique_loop(height, width, side):
             assert np.max(np.abs(res.u - u)) < 1e-12
 
 
+@pytest.mark.parametrize("height,width,side", helpers.GEOMETRIES)
+def test_strided_z_update_matches_clique_loop(height, width, side):
+    rng = np.random.default_rng(height * 100 + width * 10 + side)
+    v = rng.standard_normal((height, width))
+    v[rng.uniform(size=v.shape) < 0.3] = 0.0  # some all-zero cliques
+    assert_matches_clique_loop(v, side, (1, 2, 7))
+
+
 _entries = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+
+
+@st.composite
+def geometries(draw, max_extent=12):
+    """``(height, width, side)`` with every side the grid admits: sides above
+    half the extent leave some subsets empty."""
+    height = draw(st.integers(1, max_extent))
+    width = draw(st.integers(1, max_extent))
+    return height, width, draw(st.integers(1, min(height, width)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometries(), st.data())
+def test_strided_z_update_matches_clique_loop_on_any_geometry(geometry, data):
+    height, width, side = geometry
+    v = np.array(data.draw(st.lists(_entries, min_size=height * width,
+                                    max_size=height * width))).reshape(height, width)
+    # an all-zero block makes all-zero cliques whatever the entries drawn
+    top = data.draw(st.integers(0, height - side))
+    left = data.draw(st.integers(0, width - side))
+    v[top:top + side, left:left + side] = 0.0
+    assert_matches_clique_loop(v, side, (1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries(), st.integers(0, 2**32 - 1))
+def test_tile_scaling_touches_each_clique_pixel_once(geometry, seed):
+    # every entry of the buffer, tail included, and every scale, spill tiles
+    # included, is random: each in-clique pixel of each copy must come back
+    # multiplied by its own tile's scale exactly once, everything else as it was
+    height, width, side = geometry
+    cs = system(height, width, side)
+    stack = _TileStack(cs)
+    rng = np.random.default_rng(seed)
+    stack.buffer[:] = rng.uniform(1.0, 2.0, stack.buffer.size)
+    stack.scale[:] = rng.uniform(2.0, 3.0, stack.scale.shape)
+    before = stack.buffer.copy()
+    expected = before.copy()
+    copies = expected[:stack.z.size].reshape(cs.n_subsets, height, width)
+    for i, tile in enumerate(cs.tiles):
+        if tile is None:
+            continue
+        a, b, nh, nw = tile
+        for p in range(nh):
+            for q in range(nw):
+                rows = slice(a + p * side, a + (p + 1) * side)
+                cols = slice(b + q * side, b + (q + 1) * side)
+                copies[i, rows, cols] = copies[i, rows, cols] * stack.scale[a, b, p, q]
+    stack.scale_tiles()
+    assert np.array_equal(stack.buffer, expected)
+    assert np.array_equal(stack.buffer[stack.z.size:], before[stack.z.size:])
 
 
 @settings(max_examples=40, deadline=None)

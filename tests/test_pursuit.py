@@ -299,3 +299,16 @@ def test_support_certificate(height, width, side, data, lam):
     support = pursuit._support_of(res.x, v)
     assert np.all(x_ref[support] > ref_err)
     assert set(np.flatnonzero(x_ref > 2 * tau * peak + ref_err)) <= set(support.tolist())
+
+
+def test_support_certificate_allows_for_gap_roundoff():
+    # lam at the shrink threshold of one spike: x* = 0, and the computed gap of
+    # the solver residue reaches 0.0 through roundoff, which certifies nothing
+    v = np.zeros((2, 2))
+    v[1, 1] = 1.0
+    res = prox_block_norm(v, system(2, 2, 2), ProxConfig(lam=2.0, max_iters=5000, tol_abs=0.0,
+                                                          tol_rel=0.0),
+                          support_tol=pursuit.SUPPORT_REL_TOL)
+    assert min(res.report.residual_trace) <= 0.0
+    assert res.report.termination_reason == "max-iterations"
+    assert pursuit._support_of(res.x, v).size == 0
