@@ -5,18 +5,19 @@ image, promoting sparse supports with smooth, contiguous boundaries.  Three
 solver families build on it: a consensus-ADMM proximal operator, a
 forward-backward splitting for sparse-plus-low-rank decomposition, and a
 greedy pursuit (CoLaMP) for compressive recovery; block total-variation
-denoising applies the penalty to image gradients.  Every clique sum comes
-from one exact window-sum primitive (:mod:`blocksparse.fftops`).
+denoising applies the penalty to image gradients.  The two smoothed
+solvers, block-TV and the decomposition, each run their own Armijo line
+search.  Every clique sum comes from one exact window-sum primitive
+(:mod:`blocksparse.fftops`).
 """
 
 from .blocktv import BlockTvConfig, GradientField, denoise_block_tv, discrete_gradient, discrete_gradient_adjoint
-from .common import (ConfigError, NumericalError, ShapeError, SolverReport, StepFailureError,
-                     backtrack_step)
+from .common import ConfigError, NumericalError, ShapeError, SolverReport
 from .grids import CliqueSystem, GridShape, build_clique_system
 from .metrics import measured_snr_db, psnr_db, relative_error, support_prf, support_set
 from .prox import ProxConfig, ProxResult, group_shrink, prox_block_norm
 from .pursuit import ColampConfig, MeasurementModel, colamp_solve, truncate_top_k
-from .regularizer import block_norm, block_norm_smoothed, block_norm_smoothed_grad, default_epsilon
+from .regularizer import block_norm, block_norm_smoothed, block_norm_smoothed_grad
 from .rpca import (RpcaConfig, RpcaResult, default_lambda, numerical_rank,
                    rpca_objective, solve_rpca, svt)
 
@@ -26,9 +27,8 @@ __all__ = [
     "BlockTvConfig", "CliqueSystem", "ColampConfig",
     "ConfigError", "GradientField", "GridShape", "MeasurementModel",
     "NumericalError", "ProxConfig", "ProxResult", "RpcaConfig", "RpcaResult",
-    "ShapeError", "SolverReport", "StepFailureError", "backtrack_step",
-    "block_norm", "block_norm_smoothed", "block_norm_smoothed_grad",
-    "build_clique_system", "colamp_solve", "default_epsilon",
+    "ShapeError", "SolverReport", "block_norm", "block_norm_smoothed",
+    "block_norm_smoothed_grad", "build_clique_system", "colamp_solve",
     "default_lambda", "denoise_block_tv", "discrete_gradient",
     "discrete_gradient_adjoint", "group_shrink", "measured_snr_db",
     "numerical_rank", "prox_block_norm", "psnr_db", "relative_error",

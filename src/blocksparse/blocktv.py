@@ -4,15 +4,15 @@ Minimizes ``1/2 ||x - y||^2 + lam * sum_c ||(grad x)_c||_{2,eps}`` where each
 clique gathers the horizontal and vertical forward differences over one
 ``side x side`` patch (one group of ``2*side^2`` values per patch), coupling
 edge orientation within a neighborhood.  The smoothed objective is minimized
-by gradient descent with Armijo backtracking.
+by gradient descent with an Armijo line search of its own.
 
 The clique norms and their scatter come from the regularizer's evaluator
 pair, exact window sums of the per-pixel squared gradient magnitude
 ``dh^2 + dv^2``.  Each evaluation of the objective returns, with its value,
 the forward differences and smoothed clique norms it computed.  The line
-search hands back those of the trial it accepts, and the next gradient is
-built from them, so an iteration makes one valid window sum per trial and one
-full window sum for its gradient: the accepted point is never evaluated twice.
+search keeps those of the trial it accepts, and the next gradient is built
+from them, so an iteration makes one valid window sum per trial and one full
+window sum for its gradient: the accepted point is never evaluated twice.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .common import (ConfigError, ShapeError, SolverReport, backtrack_step, check_count,
+from .common import (ConfigError, NumericalError, ShapeError, SolverReport, check_count,
                      check_finite)
 from .grids import GridShape
-from .regularizer import default_epsilon, smoothed_clique_norms, smoothed_weight_map
+from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
 
 class GradientField(NamedTuple):
@@ -68,13 +68,13 @@ def discrete_gradient_adjoint(g: GradientField) -> np.ndarray:
 class BlockTvConfig:
     """Denoiser controls.
 
-    ``eps=None`` resolves to the scale-relative smoothing default of the
-    input's gradient field.  Each step is chosen by Armijo line search,
-    starting from twice the last accepted step.  The run stops once an
-    iteration changes the objective by at most ``tol_obj`` times its
-    magnitude, or once the gradient norm is at most ``1e-12 * ||y||``.
-    Neither test has an absolute floor, so scaling ``y``, ``lam`` and
-    ``eps`` by ``c`` leaves the iteration count unchanged.
+    ``eps=None`` resolves to ``1e-4 * max(1, max|forward difference of y|)``,
+    relative to the scale of the input's gradient field.  Each step is
+    chosen by Armijo line search, starting from twice the last accepted
+    step.  The run stops once an iteration changes the objective by at most
+    ``tol_obj`` times its magnitude, or once the gradient norm is at most
+    ``1e-12 * ||y||``.  Neither test has an absolute floor, so scaling
+    ``y``, ``lam`` and ``eps`` by ``c`` leaves the iteration count unchanged.
     """
 
     lam: float
@@ -117,15 +117,15 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         eps = cfg.eps
     else:
         g0 = discrete_gradient(y)
-        eps = max(default_epsilon(g0.dh), default_epsilon(g0.dv))
-    lam = cfg.lam
+        eps = 1e-4 * max(1.0, float(np.abs(g0.dh).max()), float(np.abs(g0.dv).max()))
+    lam = float(cfg.lam)
 
     def evaluate(x):
         """Objective at ``x``, and the forward differences and smoothed clique
         norms it was computed from (the state :func:`gradient` needs)."""
         d = discrete_gradient(x)
         norms = smoothed_clique_norms(d.dh * d.dh + d.dv * d.dv, side, eps)
-        return 0.5 * float(np.sum((x - y) ** 2)) + lam * float(norms.sum()), (d, norms)
+        return 0.5 * float(np.sum((x - y) ** 2)) + lam * float(norms.sum()), d, norms
 
     def gradient(x, d, norms):
         weight_map = smoothed_weight_map(norms, side)
@@ -137,17 +137,34 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
-    obj_prev, state = evaluate(x)
+    obj_prev, d, norms = evaluate(x)
+    if not np.isfinite(obj_prev):
+        raise ConfigError("objective is not finite at the starting point")
     alpha = 1.0
 
     for _ in range(cfg.max_iters):
-        g = gradient(x, *state)
-        state = None  # the gradient is built; drop its state before the trials
+        g = gradient(x, d, norms)
+        d = norms = None  # the gradient is built; drop its state before the trials
         gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol:
             reason = "converged"
             break
-        alpha, x, obj, state = backtrack_step(evaluate, x, obj_prev, g, alpha)
+        gsq = float(np.vdot(g, g))
+        halvings = 0
+        while True:
+            x_new = x - alpha * g
+            obj, d, norms = evaluate(x_new)
+            # strict decrease guards against roundoff plateaus spuriously
+            # satisfying the Armijo inequality at vanishing steps
+            if obj <= obj_prev - 1e-4 * alpha * gsq and obj < obj_prev:
+                break
+            x_new = d = norms = None  # rejected trial
+            halvings += 1
+            if halvings > 60:
+                raise NumericalError("no acceptable step after 60 halvings")
+            alpha *= 0.5
+
+        x = x_new
         objective_trace.append(obj)
         residual_trace.append(gnorm)
         if abs(obj_prev - obj) <= cfg.tol_obj * abs(obj_prev):

@@ -197,10 +197,6 @@ def _report_fields(report: SolverReport) -> dict:
     return {"iterations": report.iterations, "termination": report.termination_reason}
 
 
-def _pgm(path, image) -> None:
-    write_pgm(path, image, maxval=255)
-
-
 class Point(NamedTuple):
     """A sweep's parameter point: its CSV parameter columns, and the key of
     the random data its trials draw (equal streams see the same data)."""
@@ -318,19 +314,19 @@ def _cs_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, objec
 
 
 def _write_cs(out_dir: Path, done: list[tuple[Point, object]]) -> None:
-    _pgm(out_dir / "cs_truth.pgm", done[0][1][0])
+    write_pgm(out_dir / "cs_truth.pgm", done[0][1][0])
     for point, (_, xhat, y) in done:
         m = point.params["m"]
-        _pgm(out_dir / f"cs_recovered_m{m}.pgm", xhat)
+        write_pgm(out_dir / f"cs_recovered_m{m}.pgm", xhat)
         write_matrix(out_dir / f"cs_measurements_m{m}.bsm", y[None, :])
 
 
 def _write_robust(out_dir: Path, done: list[tuple[Point, object]]) -> None:
     first_snr = [(point, artifacts) for point, artifacts in done if point.stream == 0]
     if first_snr:
-        _pgm(out_dir / "robust_truth.pgm", first_snr[0][1][0])
+        write_pgm(out_dir / "robust_truth.pgm", first_snr[0][1][0])
     for point, (_, xhat, _) in first_snr:
-        _pgm(out_dir / f"robust_recovered_l{point.params['clique_side']}.pgm", xhat)
+        write_pgm(out_dir / f"robust_recovered_l{point.params['clique_side']}.pgm", xhat)
 
 
 def _blocktv_points(cfg: HarnessConfig) -> list[Point]:
@@ -360,11 +356,11 @@ def _blocktv_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, 
 
 def _write_blocktv(out_dir: Path, done: list[tuple[Point, object]]) -> None:
     truth, noisy = done[0][1][:2]
-    _pgm(out_dir / "tv_truth.pgm", truth)
-    _pgm(out_dir / "tv_noisy.pgm", noisy)
+    write_pgm(out_dir / "tv_truth.pgm", truth)
+    write_pgm(out_dir / "tv_noisy.pgm", noisy)
     for side in sorted({point.params["clique_side"] for point, _ in done}):
         best = max((a for p, a in done if p.params["clique_side"] == side), key=lambda a: a[3])
-        _pgm(out_dir / f"tv_denoised_l{side}.pgm", best[2])
+        write_pgm(out_dir / f"tv_denoised_l{side}.pgm", best[2])
 
 
 def _rpca_points(cfg: HarnessConfig) -> list[Point]:
@@ -391,9 +387,9 @@ def _rpca_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, obj
 
 def _write_rpca(out_dir: Path, done: list[tuple[Point, object]]) -> None:
     y, x, z = done[0][1]
-    _pgm(out_dir / "rpca_observed_f0.pgm", y[:, :, 0])
-    _pgm(out_dir / "rpca_foreground_f0.pgm", x[:, :, 0])
-    _pgm(out_dir / "rpca_background_f0.pgm", z[:, :, 0])
+    write_pgm(out_dir / "rpca_observed_f0.pgm", y[:, :, 0])
+    write_pgm(out_dir / "rpca_foreground_f0.pgm", x[:, :, 0])
+    write_pgm(out_dir / "rpca_background_f0.pgm", z[:, :, 0])
     write_matrix(out_dir / "rpca_foreground.bsm", x.reshape(-1, x.shape[2]))
 
 
@@ -451,8 +447,8 @@ def exp_memory_benchmark(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
         "admm_formula_entries": 2 * side * side * n,
         **_report_fields(prox_res.report),
     }]
-    _pgm(out_dir / "memory_observed_f0.pgm", y[:, :, 0])
-    _pgm(out_dir / "memory_foreground_f0.pgm", result.x[:, :, 0])
+    write_pgm(out_dir / "memory_observed_f0.pgm", y[:, :, 0])
+    write_pgm(out_dir / "memory_foreground_f0.pgm", result.x[:, :, 0])
 
     # Per-iteration runtime at two clique sizes on a 64x64x10 stack: the
     # window sums cost 2*(side-1) adds per pixel, so time grows with the side.

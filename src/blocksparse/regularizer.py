@@ -40,13 +40,6 @@ from .fftops import box_correlate_full, box_correlate_valid
 from .grids import CliqueSystem
 
 
-def default_epsilon(x) -> float:
-    """Scale-relative smoothing default: ``1e-4 * max(1, max|x|)``."""
-    x = np.asarray(x, dtype=float)
-    scale = float(np.max(np.abs(x))) if x.size else 0.0
-    return 1e-4 * max(1.0, scale)
-
-
 def _checked(x, cliques: CliqueSystem) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (cliques.shape.height, cliques.shape.width):

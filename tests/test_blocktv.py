@@ -1,8 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from blocksparse import (BlockTvConfig, ConfigError, GradientField, ShapeError,
-                         denoise_block_tv, discrete_gradient,
+from blocksparse import (BlockTvConfig, ConfigError, GradientField, NumericalError, ShapeError,
+                         blocktv, denoise_block_tv, discrete_gradient,
                          discrete_gradient_adjoint, psnr_db)
 from blocksparse.synthetic import make_piecewise_constant, sigma_for_psnr_db
 
@@ -66,12 +68,70 @@ def test_clique_side_exceeding_image_rejected():
 
 
 def test_objective_trace_nonincreasing():
+    # strictly: the line search accepts a step only if it lowers the objective
     rng = np.random.default_rng(2)
     y = make_piecewise_constant(16, 16, rng) + 0.1 * rng.standard_normal((16, 16))
     x, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, max_iters=100))
     tr = report.objective_trace
     assert len(tr) == report.iterations
-    assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
+    assert all(b < a for a, b in zip(tr, tr[1:]))
+
+
+def test_default_eps_scales_with_the_largest_forward_difference():
+    _, report = denoise_block_tv(np.full((4, 4), 7.0), BlockTvConfig(lam=0.1))
+    assert report.extra["epsilon"] == pytest.approx(1e-4)
+    y = np.zeros((4, 4))
+    y[1, 2] = -25.0
+    y[1, 3] = 25.0  # the largest forward difference is 50, horizontal
+    _, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, max_iters=1))
+    assert report.extra["epsilon"] == pytest.approx(5e-3)
+
+
+def test_ascent_direction_exhausts_the_line_search(monkeypatch):
+    # weights negated and scaled by 10 make -g an ascent direction at the
+    # start, x = y, so every halving is rejected
+    weights = blocktv.smoothed_weight_map
+    monkeypatch.setattr(blocktv, "smoothed_weight_map",
+                        lambda norms, side: -10.0 * weights(norms, side))
+    rng = np.random.default_rng(6)
+    y = make_piecewise_constant(16, 16, rng) + 0.1 * rng.standard_normal((16, 16))
+    with pytest.raises(NumericalError, match="no acceptable step after 60 halvings"):
+        denoise_block_tv(y, BlockTvConfig(lam=0.1))
+
+
+def test_line_search_holds_one_trial_state(monkeypatch):
+    # each evaluation may run only once every earlier point's clique norms,
+    # rejected trials' and the consumed accepted point's alike, are released
+    norms_fn = blocktv.smoothed_clique_norms
+    refs = []
+
+    def recording(sq, side, eps):
+        assert all(r() is None for r in refs), "an earlier point's clique norms are alive"
+        norms = norms_fn(sq, side, eps)
+        refs.append(weakref.ref(norms))
+        return norms
+
+    monkeypatch.setattr(blocktv, "smoothed_clique_norms", recording)
+    rng = np.random.default_rng(7)
+    y = make_piecewise_constant(16, 16, rng) + 0.1 * rng.standard_normal((16, 16))
+    _, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, max_iters=20, tol_obj=0.0))
+    assert report.iterations == 20
+    assert len(refs) > report.iterations + 1  # some trials were rejected
+
+
+@pytest.mark.parametrize("lam, value", [(0.1, np.inf), (0.0, np.nan)], ids=["inf", "nan"])
+def test_denoise_rejects_nonfinite_starting_objective(lam, value):
+    # finite data whose squared differences overflow give an infinite clique
+    # sum: weighted by lam > 0 the objective is inf, by lam = 0 it is
+    # 0 * inf = nan; stepping from either compares non-finite values
+    y = np.zeros((6, 6))
+    y[2, 3] = 1e160
+    with np.errstate(over="ignore"):
+        d = discrete_gradient(y)
+        norms = blocktv.smoothed_clique_norms(d.dh * d.dh + d.dv * d.dv, 2, 1.0)
+        np.testing.assert_equal(lam * float(norms.sum()), value)
+        with pytest.raises(ConfigError, match="objective is not finite"):
+            denoise_block_tv(y, BlockTvConfig(lam=lam, eps=1.0))
 
 
 def test_tiny_eps_keeps_objective_finite():

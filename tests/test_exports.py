@@ -6,12 +6,13 @@ from blocksparse import (GridShape, SolverReport, build_clique_system, common, f
 DELETED = {
     blocksparse: ("prox_block_norm_framewise", "SyntheticSpec", "SyntheticData",
                   "gen_synthetic", "AllocationTracker", "block_norm_smoothed_grad_fft",
-                  "cg_solve_normal"),
-    common: ("AllocationTracker",),
+                  "cg_solve_normal", "backtrack_step", "AcceptedStep", "StepFailureError",
+                  "default_epsilon"),
+    common: ("AllocationTracker", "backtrack_step", "AcceptedStep", "StepFailureError"),
     SolverReport: ("peak_aux_entries",),
     prox: ("prox_block_norm_framewise",),
     pursuit: ("cg_solve_normal",),
-    regularizer: ("block_norm_smoothed_grad_fft", "_clique_sq_norms"),
+    regularizer: ("block_norm_smoothed_grad_fft", "_clique_sq_norms", "default_epsilon"),
     fftops: ("_kernel_cache", "_cache_lock", "_padded_shape", "_kernel_fft",
              "_box_convolve_full"),
     synthetic: ("SyntheticSpec", "SyntheticData", "gen_synthetic", "KINDS", "make_phantom",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocksparse.fftops import box_correlate_full, box_correlate_valid
@@ -56,19 +56,29 @@ def test_nonnegative_input_gives_nonnegative_sums():
         assert np.all(box_correlate_full(a, side) >= 0.0)
 
 
-def _array(data, shape):
-    n = int(np.prod(shape))
+@st.composite
+def operands(draw):
+    """An image ``a``, a window-sum-shaped ``b`` and the side relating them."""
+    height, width, side = (draw(st.integers(1, 9)) for _ in range(3))
+    side = min(side, height, width)
     values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    return np.array(data.draw(st.lists(values, min_size=n, max_size=n))).reshape(shape)
+
+    def array(shape):
+        n = int(np.prod(shape))
+        return np.array(draw(st.lists(values, min_size=n, max_size=n))).reshape(shape)
+
+    return array((height, width)), array((height - side + 1, width - side + 1)), side
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.data())
-def test_full_is_adjoint_of_valid(height, width, side, data):
-    side = min(side, height, width)
-    a = _array(data, (height, width))
-    b = _array(data, (height - side + 1, width - side + 1))
+@given(operands())
+# the window sums are exact here, but the products with a subnormal b lose
+# all relative precision: the underflow term of the rounding model covers them
+@example((np.array([[0.0, 0.0], [1.0, 1.5]]), np.array([[5e-324]]), 2))
+def test_full_is_adjoint_of_valid(ops):
+    a, b, side = ops
     lhs = float(np.sum(box_correlate_valid(a, side) * b))
     rhs = float(np.sum(a * box_correlate_full(b, side)))
     scale = float(np.sum(np.abs(a) * box_correlate_full(np.abs(b), side)))
-    assert abs(lhs - rhs) <= 1e-12 * scale
+    tiny = max(a.size, b.size) * np.finfo(float).smallest_subnormal
+    assert abs(lhs - rhs) <= 1e-12 * scale + tiny

@@ -286,7 +286,8 @@ def test_prox_zero_tolerances_run_max_iters():
 
 def test_prox_holds_two_copy_stacks():
     # measured, not declared: beyond its inputs a solve holds the copies z and
-    # the duals u (s x n each) plus O(n) working vectors, and no third stack
+    # the duals u (s x n each) plus O(n) working vectors, and no third stack;
+    # the working vectors peak at 8.54 n here, so a leak of 1.5 n fails
     side, h, w = 6, 48, 48
     cs = system(h, w, side)
     s, n = cs.n_subsets, h * w
@@ -301,7 +302,7 @@ def test_prox_holds_two_copy_stacks():
     finally:
         tracemalloc.stop()
     stack = s * n * 8
-    assert 2 * stack <= peak <= 2 * stack + 16 * n * 8
+    assert 2 * stack <= peak <= 2 * stack + 10 * n * 8
 
 
 def test_prox_max_iterations_reported_not_raised():

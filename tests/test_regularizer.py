@@ -5,7 +5,7 @@ import pytest
 
 from blocksparse import (ConfigError, GridShape, ShapeError, block_norm,
                          block_norm_smoothed, block_norm_smoothed_grad,
-                         build_clique_system, default_epsilon)
+                         build_clique_system)
 from blocksparse.regularizer import smoothed_clique_norms, smoothed_weight_map
 
 import helpers
@@ -160,11 +160,6 @@ def test_grad_matches_finite_differences():
     for g in (helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(6, 6, 2), eps),
               block_norm_smoothed_grad(x, cs, eps)):
         assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
-
-
-def test_default_epsilon_scale():
-    assert default_epsilon(np.zeros((3, 3))) == pytest.approx(1e-4)
-    assert default_epsilon(np.full((2, 2), 50.0)) == pytest.approx(5e-3)
 
 
 def test_stack_helpers_match_framewise():
