@@ -33,9 +33,10 @@ columns.  The scales ``max(1 - tau/||tile||, 0)``, ``tau = lam/rho``, are
 computed once over the ``(side, side, H//side, W//side)`` array of norms.
 The scaling in place then runs copy by copy, each through
 ``view[a, b, :nh, :, :nw*side]``, which holds only the copy's own tiles,
-times the scales of its copy row repeated along the columns.  It cannot run through a view that spans several copies: NumPy's ufunc overlap
-check cannot prove such an output free of self-overlap, and it would copy the
-whole stack on every call.  Pixels outside the tiles (a border narrower than
+times the scales of its copy row repeated along the columns.  It cannot run
+through a view that spans several copies: NumPy's ufunc overlap check cannot
+prove such an output free of self-overlap, and it would copy the whole stack
+on every call.  Pixels outside the tiles (a border narrower than
 ``side``) keep ``w``.  No index array is read.
 
 **Relaxed iteration.**  Each iteration updates ``x``, then the stacked copies
@@ -55,6 +56,31 @@ u-update.  The loop carries ``r = (U - (1 - alpha) Z) / alpha`` in place of
 the mean an iteration makes three passes over the stacks (``r = x - r``,
 ``Z = alpha*r``, ``r = Z - r``), as many as plain ADMM's ``Z = x - U``,
 ``U += Z``, ``U -= x``.  ``U`` is formed once, at the end.
+
+**Adaptive penalty.**  ``rho`` starts at ``ProxConfig.rho`` and is balanced
+by residuals (Boyd et al. 2011, section 3.4.1).  At iterations
+``BALANCE_FIRST * 2**j`` (10, 20, 40, ...), after the stop tests, the loop
+compares the primal residual ``rp = ||Z - 1 x^T||_F``, summed a copy at a
+time through the scratch n-vector, with the dual residual
+``rd = rho*sqrt(s)*||zbar_k - zbar_{k-1}||``, the consensus form of Boyd et
+al.'s section 7.1; both live in the ``s x n`` stack space.  If
+``rp > BALANCE_RATIO*rd``, ``rho`` is multiplied by ``BALANCE_FACTOR``; if
+``rd > BALANCE_RATIO*rp``, it is divided by it.  Where both ``rp`` and
+``rd/rho`` are at most ``1024*s*eps*sqrt(s*n)*max|v|`` they are rounding
+error of a converged solve, not an imbalance, and ``rho`` stays.  A change by ``f =
+rho_old/rho_new`` scales the scaled duals to ``f*U``, which in the loop's
+variables is ``r = f*r + (f - 1)(1 - alpha)/alpha * Z``, a copy at a time,
+and ``ubar = f*ubar``; ``tau``, ``s*rho`` and the x-update's weights follow
+the new ``rho``.  The doubling schedule allows at most
+``floor(log2(max_iters/BALANCE_FIRST)) + 1`` changes, so ``rho`` is fixed
+after the last check and the fixed-penalty convergence theory applies from
+there (He, Yang & Wang 2000, *Alternating direction method with
+self-adaptive penalty parameters for monotone variational inequalities*).
+Both residuals scale with the data, so a scaled problem makes the same
+decisions.  The multiplier ``-rho*U`` is unchanged by the rescale, so the
+certificate below holds at every iteration with the ``rho`` its z-update
+used, and the ``rho`` reported is the final one, to be paired with the
+final ``u``.
 
 **Duality-gap certificate.**  The prox has the dual
 ``max_g <g, v> - ||g||^2/4`` over ``g = sum_c P_c^T w_c`` with every
@@ -89,13 +115,14 @@ the computed ``P - D`` zero, and without ``e`` that residue would pass as
 support (``v`` one spike, ``lam`` at its shrink threshold).  Whichever of
 the two stops comes first ends the solve.  ``residual_trace`` holds ``P - D``
 per iteration, in the units of ``objective_trace``.  ADMM does not make the
-gap monotone.  Relaxed ADMM makes ``||dZ||_F^2 + 2(alpha - 1)<dZ, dU> +
-||dU||_F^2`` nonincreasing, ``dZ = Z_k - Z_{k-1}`` and ``dU = U_k -
-U_{k-1}``: a fixed positive-definite quadratic form of the step of ``Z`` and
-of the multiplier ``rho*U`` for ``0 < alpha < 2`` (Fang, He, Liu & Yuan
-2015, *Generalized alternating direction method of multipliers*).  At
-``alpha = 1`` it is He & Yuan's ``||dZ||_F^2 + ||dU||_F^2``, which the
-relaxed iterates need not keep monotone.
+gap monotone.  Relaxed ADMM at a fixed ``rho`` makes ``||dZ||_F^2 +
+2(alpha - 1)<dZ, dU> + ||dU||_F^2`` nonincreasing, ``dZ = Z_k - Z_{k-1}``
+and ``dU = U_k - U_{k-1}``: a fixed positive-definite quadratic form of the
+step of ``Z`` and of the multiplier ``rho*U`` for ``0 < alpha < 2`` (Fang,
+He, Liu & Yuan 2015, *Generalized alternating direction method of
+multipliers*).  Here it holds over each stretch of iterations that share one
+``rho``.  At ``alpha = 1`` it is He & Yuan's ``||dZ||_F^2 + ||dU||_F^2``,
+which the relaxed iterates need not keep monotone.
 """
 
 from __future__ import annotations
@@ -116,12 +143,25 @@ from .grids import CliqueSystem
 # cold 128x128 denoising (sides 4 and 8) and on CoLaMP's warm 32x32 calls.
 RELAXATION = 1.8
 
+# Residual balancing of rho (module docstring): checked at iterations
+# BALANCE_FIRST, 2*BALANCE_FIRST, 4*BALANCE_FIRST, ..., rho is multiplied or
+# divided by BALANCE_FACTOR when one residual exceeds BALANCE_RATIO times the
+# other.  On the cs-colamp benchmark's problems (seed 0) CoLaMP's prox calls
+# took 28,486 iterations at a fixed rho, 23,456 at Boyd et al.'s ratio 10 and
+# 17,124 at ratio 2.
+BALANCE_FIRST = 10
+BALANCE_RATIO = 2.0
+BALANCE_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class ProxConfig:
     """Weight and ADMM controls for :func:`prox_block_norm`.
 
-    ``rho=None`` resolves to ``lam + 1``.  The solve stops once the duality
+    ``rho`` is the starting penalty, which the solve then balances by
+    residuals (module docstring); ``rho=None`` starts at ``lam + 1``.  The
+    final penalty is ``report.extra["rho"]`` and the number of changes
+    ``report.extra["rho_changes"]``.  The solve stops once the duality
     gap ``P - D`` of the module docstring is at most
     ``tol_rel*P + tol_abs*||v||^2``: ``P`` is the prox objective at the
     current ``x`` and ``D`` the dual value of ``g = -rho * sum_i u^i``, which
@@ -299,7 +339,6 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
     n = cliques.shape.n
     s = cliques.n_subsets
     rho = cfg.resolved_rho()
-    tau = cfg.lam / rho
     vflat = v.ravel()
 
     if x0 is not None:
@@ -324,9 +363,6 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
-    rs = rho * s
-    c = rs / (2.0 + rs)
-    cv = 2.0 / (2.0 + rs)
     zbar = x.copy()
     ubar = np.zeros(n)
     certify = cfg.tol_abs > 0 or cfg.tol_rel > 0
@@ -334,9 +370,19 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
     # per unit of the magnitudes summed, a bound on the computed gap's
     # rounding error, which the support stop adds to the gap
     roundoff = n * np.finfo(float).eps
+    # residuals below this, in data units, are rounding error: in converged
+    # solves of up to 19x19 they settled at up to 1.5*s*eps*sqrt(s*n)*max|v|
+    balance_floor = (1024.0 * s * np.finfo(float).eps * np.sqrt(s * n)
+                     * float(np.abs(vflat).max()))
+    next_check = BALANCE_FIRST
+    rho_changes = 0
 
     with np.errstate(divide="ignore"):
-        for _ in range(cfg.max_iters):
+        for k in range(1, cfg.max_iters + 1):
+            tau = cfg.lam / rho
+            rs = rho * s
+            c = rs / (2.0 + rs)
+            cv = 2.0 / (2.0 + rs)
             # x = (2v + rs*(zbar + ubar)) / (2 + rs)
             np.add(zbar, ubar, out=x)
             x *= c
@@ -348,6 +394,9 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
             np.multiply(r, alpha, out=z)
             stack.shrink(tau)
             np.subtract(z, r, out=r)  # alpha*r = U - (1 - alpha) Z = Z - w
+            balance = k == next_check
+            if balance:
+                np.copyto(work, zbar)  # zbar_{k-1}, for the dual residual
             # ubar += zbar - mean(xhat), with mean(xhat) = alpha*x + (1 - alpha)*zbar_old
             ubar -= alpha * x
             zbar *= 1.0 - alpha
@@ -355,6 +404,9 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
             np.add.reduce(z, axis=0, out=zbar)  # z.mean without its Python overhead
             zbar /= s
             ubar += zbar
+            if balance:
+                work -= zbar
+                zbar_step = np.sqrt(s) * float(np.sqrt(work @ work))  # rd / rho
 
             # P = ||x - v||^2 + lam * J(x), both through the scratch vector, so
             # the window sums add only their own row sums and result to the
@@ -380,6 +432,34 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
                     <= (support_tol * float(np.abs(x).max())) ** 2):
                 reason = "support-certified"
                 break
+            if not balance:
+                continue
+
+            # residual balancing: rp = ||Z - 1 x^T||_F, a copy at a time
+            next_check *= 2
+            primal_res = 0.0
+            for zi in z:
+                np.subtract(zi, x, out=work)
+                primal_res += float(work @ work)
+            primal_res = np.sqrt(primal_res)
+            dual_res = rho * zbar_step
+            if max(primal_res, zbar_step) <= balance_floor:
+                continue
+            if primal_res > BALANCE_RATIO * dual_res:
+                f = 1.0 / BALANCE_FACTOR  # rho_old / rho_new
+            elif dual_res > BALANCE_RATIO * primal_res:
+                f = BALANCE_FACTOR
+            else:
+                continue
+            # U becomes f*U, so -rho*U stays put; in the carried r that is
+            # r = f*r + (f - 1)(1 - alpha)/alpha * Z, a copy at a time
+            rho /= f
+            rho_changes += 1
+            ubar *= f
+            grow = (f - 1.0) * (1.0 - alpha) / alpha
+            for ri, zi in zip(r, z):
+                ri *= f
+                ri += np.multiply(zi, grow, out=work)
 
     u = r  # U = alpha*r + (1 - alpha) Z, a copy at a time so no third stack is made
     for zi, ui in zip(z, u):
@@ -387,5 +467,5 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
         ui += (1.0 - alpha) * zi
     report = SolverReport(len(objective_trace), objective_trace, residual_trace,
                           reason, wall_clock=time.perf_counter() - t0,
-                          extra={"rho": rho})
+                          extra={"rho": rho, "rho_changes": rho_changes})
     return ProxResult(x.reshape(shape), report, z=z, u=u)

@@ -63,8 +63,9 @@ def _default_prox_cfg() -> ProxConfig:
     # reads (SUPPORT_REL_TOL), so the gap tolerances are only a backstop: an
     # all-shrunk prox (x* = 0) never certifies a support and stops on them.
     # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
-    # problems at m/K = 3 (K = 40, side 2), 14 recover exactly at 1500 and
-    # 1000 and 13 at 500, with the relaxed prox (plain ADMM: 14, 13, 12).
+    # problems at m/K = 3 (K = 40, side 2), 14 recover exactly at caps 1500,
+    # 1000 and 500 alike, in 64,005, 55,703 and 39,378 prox iterations, with
+    # the relaxed, rho-balancing prox (fixed rho: 14, 14 and 13 recover).
     return ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)
 
 
