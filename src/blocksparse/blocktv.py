@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .common import (ConfigError, NumericalError, ShapeError, SolverReport, check_count,
-                     check_finite)
-from .grids import GridShape
+                     check_finite, check_nonnegative, check_positive)
+from .grids import GridShape, build_clique_system
 from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
 
@@ -66,7 +66,8 @@ def discrete_gradient_adjoint(g: GradientField) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockTvConfig:
-    """Denoiser controls.
+    """Denoiser controls; the defaults are the settings the
+    ``blocktv-denoise`` experiment runs.
 
     ``eps=None`` resolves to ``1e-4 * max(1, max|forward difference of y|)``,
     relative to the scale of the input's gradient field.  Each step is
@@ -80,22 +81,16 @@ class BlockTvConfig:
     lam: float
     eps: Optional[float] = None
     clique_side: int = 2
-    max_iters: int = 500
-    tol_obj: float = 1e-10
+    max_iters: int = 300
+    tol_obj: float = 1e-9
 
     def __post_init__(self):
-        check_finite(self.lam, "lam")
-        if self.lam < 0:
-            raise ConfigError("lam must be nonnegative")
+        check_nonnegative(self.lam, "lam")
         if self.eps is not None:
-            check_finite(self.eps, "eps")
-            if self.eps <= 0:
-                raise ConfigError("eps must be positive")
+            check_positive(self.eps, "eps")
         check_count(self.clique_side, "clique side")
         check_count(self.max_iters, "max_iters")
-        check_finite(self.tol_obj, "tol_obj")
-        if self.tol_obj < 0:
-            raise ConfigError("tol_obj must be nonnegative")
+        check_nonnegative(self.tol_obj, "tol_obj")
 
 
 def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
@@ -108,9 +103,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     y = np.asarray(y, dtype=float)
     shape = GridShape.of(y)
     check_finite(y, "input image")
-    side = cfg.clique_side
-    if side > min(shape.height, shape.width):
-        raise ConfigError(f"clique side {side} exceeds image {shape.height}x{shape.width}")
+    side = build_clique_system(shape, cfg.clique_side).side  # rejects a side that does not fit
     t0 = time.perf_counter()
 
     if cfg.eps is not None:
@@ -173,7 +166,6 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         obj_prev = obj
         alpha *= 2.0  # retry a larger step next iteration; Armijo halves as needed
 
-    report = SolverReport(len(objective_trace), objective_trace, residual_trace,
-                          reason, wall_clock=time.perf_counter() - t0,
-                          extra={"epsilon": eps})
+    report = SolverReport(objective_trace, residual_trace, reason,
+                          wall_clock=time.perf_counter() - t0, extra={"epsilon": eps})
     return x, report

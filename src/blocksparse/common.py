@@ -27,12 +27,12 @@ class SolverReport:
     """Outcome of a single solver run.
 
     ``objective_trace`` and ``residual_trace`` hold one entry per completed
-    iteration.  Solver-specific scalars (ranks, resolved weights, ...) live
-    in ``extra``.  No solver counts its own memory; the memory benchmark
+    iteration, so their common length is :attr:`iterations`.
+    Solver-specific scalars (ranks, resolved weights, ...) live in
+    ``extra``.  No solver counts its own memory; the memory benchmark
     measures peaks from outside with ``tracemalloc``.
     """
 
-    iterations: int
     objective_trace: list[float]
     residual_trace: list[float]
     termination_reason: str
@@ -42,8 +42,13 @@ class SolverReport:
     def __post_init__(self):
         if self.termination_reason not in TERMINATION_REASONS:
             raise ValueError(f"unknown termination reason {self.termination_reason!r}")
-        if len(self.objective_trace) != self.iterations or len(self.residual_trace) != self.iterations:
-            raise ValueError("trace lengths must equal the number of iterations performed")
+        if len(self.objective_trace) != len(self.residual_trace):
+            raise ValueError("objective and residual traces must have equal lengths")
+
+    @property
+    def iterations(self) -> int:
+        """The number of iterations performed."""
+        return len(self.objective_trace)
 
 
 def check_finite(value, what: str) -> None:
@@ -73,3 +78,16 @@ def check_count(value, what: str) -> None:
     if value < 1:
         raise ConfigError(f"{what} must be >= 1")
 
+
+def check_nonnegative(value, what: str) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is finite and ``>= 0``."""
+    check_finite(value, what)
+    if value < 0:
+        raise ConfigError(f"{what} must be nonnegative")
+
+
+def check_positive(value, what: str) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is finite and ``> 0``."""
+    check_finite(value, what)
+    if value <= 0:
+        raise ConfigError(f"{what} must be positive")

@@ -29,14 +29,15 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .blocktv import BlockTvConfig, denoise_block_tv
-from .common import ConfigError, SolverReport, check_count, check_finite
+from .common import (ConfigError, SolverReport, check_count, check_finite, check_nonnegative,
+                     check_positive)
 from .grids import GridShape, build_clique_system
 from .matrixio import write_matrix, write_pgm
 from .metrics import psnr_db, relative_error, support_prf, support_set
 from .prox import ProxConfig, prox_block_norm
 from .pursuit import ColampConfig, MeasurementModel, colamp_solve
 from .rpca import RpcaConfig, default_lambda, solve_rpca
-from .synthetic import (gaussian_measurement_matrix, make_blocky_image,
+from .synthetic import (block_shapes, gaussian_measurement_matrix, make_blocky_image,
                         make_lowrank_blocksparse_stack, make_piecewise_constant,
                         sigma_for_psnr_db, sigma_for_snr_db)
 
@@ -60,13 +61,12 @@ UNREPEATABLE_COLUMNS = ("timestamp", "wall_clock_s", "per_iter_seconds",
                         "fbs_measured_entries", "admm_measured_entries", "memory_ratio")
 
 # Defaults tuned for the unit-amplitude synthetic generators; CLI flags
-# override them.
+# override them.  The solvers' own settings are the defaults of their
+# configs (ColampConfig, BlockTvConfig, RpcaConfig).
 CLIQUE_SIDE = 2
 MEMORY_CLIQUE_SIDE = 10
 MEMORY_SIZE = 16
 CS_SIZE = 32
-CS_LAMBDA0 = 0.6
-CS_LAMBDA_GROWTH = 1.02
 CS_BLOCKS = 2
 ROBUST_M_OVER_K = 2.0
 BLOCKTV_SIZE = 64
@@ -112,16 +112,15 @@ class HarnessConfig:
         check_count(self.k_sparsity, "k sparsity")
         if self.clique_side is not None:
             check_count(self.clique_side, "clique side")
-        positive = {"mu": self.mu, "epsilon": self.epsilon}
+        check_positive(self.mu, "mu")
+        if self.epsilon is not None:
+            check_positive(self.epsilon, "epsilon")
+        if self.lam is not None:
+            check_nonnegative(self.lam, "lambda")
         # snr_db may be negative: noise louder than the signal is a valid point
-        for what, value in {**positive, "lambda": self.lam, "m/K": self.m_over_k,
-                            "snr_db": self.snr_db}.items():
+        for what, value in (("m/K", self.m_over_k), ("snr_db", self.snr_db)):
             if value is not None:
                 check_finite(value, what)
-                if what in positive and value <= 0:
-                    raise ConfigError(f"{what} must be positive")
-        if self.lam is not None and self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
         if self.m_over_k is not None and round(self.m_over_k * self.k_sparsity) < 1:
             raise ConfigError("m/K times K must round to at least one measurement")
 
@@ -135,8 +134,7 @@ def _clique_side(name: str, cfg: HarnessConfig) -> int:
 def _sides(name: str, cfg: HarnessConfig, size: int, baseline: bool) -> tuple[int, ...]:
     """The resolved clique side, then the l=1 baseline if ``baseline`` is set."""
     side = _clique_side(name, cfg)
-    if side > size:
-        raise ConfigError(f"clique side {side} exceeds the {size}x{size} image of {name}")
+    build_clique_system(GridShape(size, size), side)  # rejects a side that does not fit
     return (side, 1) if baseline and side != 1 else (side,)
 
 
@@ -260,17 +258,18 @@ def _run_sweep(name: str, sweep: Sweep, points: list[Point], cfg: HarnessConfig,
 
 
 def _cs_lambda0(cfg: HarnessConfig) -> float:
-    return cfg.lam if cfg.lam is not None else CS_LAMBDA0
+    return cfg.lam if cfg.lam is not None else ColampConfig.lam0
 
 
 def _cs_params(cfg: HarnessConfig, side: int, ratio: float) -> dict:
     k = cfg.k_sparsity
+    block_shapes(CS_SIZE, CS_SIZE, k, CS_BLOCKS)  # rejects a k whose blocks do not fit
     return {"clique_side": side, "k_sparsity": k, "m_over_k": ratio, "m": round(ratio * k),
             "lam": _cs_lambda0(cfg), "solver": "admm"}
 
 
 def _cs_settings(cfg: HarnessConfig) -> dict:
-    return {"lam0": _cs_lambda0(cfg), "lam_growth": CS_LAMBDA_GROWTH}
+    return {"lam0": _cs_lambda0(cfg), "lam_growth": ColampConfig.lam_growth}
 
 
 def _cs_points(cfg: HarnessConfig) -> list[Point]:
@@ -299,8 +298,7 @@ def _cs_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, objec
         sigma = sigma_for_snr_db(y, p["snr_db"])
         y = y + sigma * _rng(cfg.seed, trial, 13, point.stream).standard_normal(m)
         eps_res = sigma * math.sqrt(m)
-    pursuit = ColampConfig(k=k, lam0=p["lam"], lam_growth=CS_LAMBDA_GROWTH, max_iters=50,
-                           eps_res=eps_res)
+    pursuit = ColampConfig(k=k, lam0=p["lam"], eps_res=eps_res)
     cliques = build_clique_system(GridShape(CS_SIZE, CS_SIZE), p["clique_side"])
     xhat, report = colamp_solve(y, MeasurementModel(phi), cliques, pursuit)
     prec, rec, fmeas = support_prf(support_set(xhat), np.flatnonzero(truth.ravel()))
@@ -344,12 +342,11 @@ def _blocktv_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, 
     sigma = sigma_for_psnr_db(1.0, p["input_psnr_db"])
     noisy = truth + sigma * _rng(cfg.seed, trial, 13).standard_normal(truth.shape)
     xhat, report = denoise_block_tv(noisy, BlockTvConfig(
-        lam=p["lam"], eps=p["epsilon"], clique_side=p["clique_side"], max_iters=300,
-        tol_obj=1e-9))
+        lam=p["lam"], eps=p["epsilon"], clique_side=p["clique_side"]))
     p_in = psnr_db(noisy, truth, peak=1.0)
     p_out = psnr_db(xhat, truth, peak=1.0)
     return {"rel_error": relative_error(xhat, truth),
-            "psnr_db": p_out, "psnr_gain_db": p_out - p_in,
+            "psnr_db": p_out, "psnr_gain_db": p_out - p_in, "epsilon": report.extra["epsilon"],
             "objective_monotone": _objective_monotone(report.objective_trace),
             **_report_fields(report)}, (truth, noisy, xhat, p_out)
 
@@ -377,10 +374,10 @@ def _rpca_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, obj
     y = lowrank + sparse
     result = solve_rpca(y, RpcaConfig(lam=p["lam"], mu=p["mu"], eps=p["epsilon"],
                                       clique_side=p["clique_side"]))
-    prec, rec, fmeas = support_prf(support_set(result.x, 0.1), np.flatnonzero(sparse.ravel()))
+    prec, rec, fmeas = support_prf(support_set(result.x), np.flatnonzero(sparse.ravel()))
     return {"rel_error": relative_error(result.x, sparse),
             "precision": prec, "recall": rec, "f_measure": fmeas,
-            "rank_est": result.report.extra["rank"],
+            "epsilon": result.report.extra["epsilon"], "rank_est": result.report.extra["rank"],
             "objective_monotone": _objective_monotone(result.report.objective_trace),
             **_report_fields(result.report)}, (y, result.x, result.z)
 
@@ -461,19 +458,19 @@ def exp_memory_benchmark(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
     return rows
 
 
-def fbs_per_iteration_seconds(side: int, seed: int = 0, iters: int = 30,
-                              repeats: int = 3) -> float:
-    """Median per-iteration wall clock of the decomposition solver at a given
-    clique size on a 64x64x10 planted stack (forced iteration count)."""
+def fbs_per_iteration_seconds(side: int, seed: int = 0) -> float:
+    """Median over three runs of the per-iteration wall clock of the
+    decomposition solver at a given clique size on a 64x64x10 planted stack
+    (30 iterations, forced)."""
     height = width = 64
     frames = 10
     lowrank, sparse = make_lowrank_blocksparse_stack(height, width, frames, 2,
                                                      _rng(seed, 99, side))
     y = lowrank + sparse
-    cfg = RpcaConfig(clique_side=side, max_iters=iters, tol_obj=0.0)
+    cfg = RpcaConfig(clique_side=side, max_iters=30, tol_obj=0.0)
     solve_rpca(y, RpcaConfig(clique_side=side, max_iters=2, tol_obj=0.0))  # warm-up run
     samples = []
-    for _ in range(repeats):
+    for _ in range(3):
         t0 = time.perf_counter()
         result = solve_rpca(y, cfg)
         samples.append((time.perf_counter() - t0) / max(result.report.iterations, 1))

@@ -139,7 +139,8 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .common import ConfigError, ShapeError, SolverReport, check_count, check_finite
+from .common import (ShapeError, SolverReport, check_count, check_finite, check_nonnegative,
+                     check_positive)
 from .fftops import box_correlate_valid
 from .grids import CliqueSystem
 
@@ -184,18 +185,12 @@ class ProxConfig:
     tol_rel: float = 1e-6
 
     def __post_init__(self):
-        check_finite(self.lam, "lam")
-        if self.lam < 0:
-            raise ConfigError("lam must be nonnegative")
+        check_nonnegative(self.lam, "lam")
         if self.rho is not None:
-            check_finite(self.rho, "rho")
-            if self.rho <= 0:
-                raise ConfigError("rho must be positive")
+            check_positive(self.rho, "rho")
         check_count(self.max_iters, "max_iters")
-        check_finite(self.tol_abs, "tol_abs")
-        check_finite(self.tol_rel, "tol_rel")
-        if self.tol_abs < 0 or self.tol_rel < 0:
-            raise ConfigError("tolerances must be nonnegative")
+        check_nonnegative(self.tol_abs, "tol_abs")
+        check_nonnegative(self.tol_rel, "tol_rel")
 
     def resolved_rho(self) -> float:
         return self.rho if self.rho is not None else self.lam + 1.0
@@ -219,9 +214,7 @@ class ProxResult:
 def group_shrink(v, tau: float) -> np.ndarray:
     """Closed-form minimizer of ``tau*||z|| + 1/2*||z - v||^2``:
     ``max(1 - tau/||v||, 0) * v`` (zero when ``||v|| <= tau``)."""
-    check_finite(tau, "shrinkage threshold")
-    if tau < 0:
-        raise ConfigError("shrinkage threshold must be nonnegative")
+    check_nonnegative(tau, "shrinkage threshold")
     v = np.asarray(v, dtype=float)
     check_finite(v, "shrinkage input")
     nv = float(np.linalg.norm(v))
@@ -331,9 +324,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
         ``"max-iterations"``, not raised.
     """
     if support_tol is not None:
-        check_finite(support_tol, "support_tol")
-        if support_tol <= 0:
-            raise ConfigError("support_tol must be positive")
+        check_positive(support_tol, "support_tol")
     v = np.asarray(v, dtype=float)
     if v.shape != (cliques.shape.height, cliques.shape.width):
         raise ShapeError(f"prox center shape {v.shape} does not match clique grid")
@@ -341,7 +332,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
     t0 = time.perf_counter()
 
     if cfg.lam == 0.0:
-        report = SolverReport(0, [], [], "converged", wall_clock=time.perf_counter() - t0)
+        report = SolverReport([], [], "converged", wall_clock=time.perf_counter() - t0)
         return ProxResult(v.copy(), report)
 
     n = cliques.shape.n
@@ -473,7 +464,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
     for zi, ui in zip(z, u):
         ui *= alpha
         ui += (1.0 - alpha) * zi
-    report = SolverReport(len(objective_trace), objective_trace, residual_trace,
-                          reason, wall_clock=time.perf_counter() - t0,
+    report = SolverReport(objective_trace, residual_trace, reason,
+                          wall_clock=time.perf_counter() - t0,
                           extra={"rho": rho, "rho_changes": rho_changes})
     return ProxResult(x.reshape(shape), report, z=z, u=u)

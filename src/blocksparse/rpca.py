@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .common import (ConfigError, NumericalError, ShapeError, SolverReport, check_count,
-                     check_finite)
+                     check_finite, check_nonnegative, check_positive)
 from .grids import GridShape, build_clique_system
 from .regularizer import block_norm_smoothed, smoothed_clique_norms, smoothed_weight_map
 
@@ -97,21 +97,13 @@ class RpcaConfig:
     clique_side: int = 2
 
     def __post_init__(self):
-        check_finite(self.mu, "mu")
-        if self.mu <= 0:
-            raise ConfigError("mu must be positive")
+        check_positive(self.mu, "mu")
         if self.lam is not None:
-            check_finite(self.lam, "lam")
-            if self.lam < 0:
-                raise ConfigError("lam must be nonnegative")
+            check_nonnegative(self.lam, "lam")
         if self.eps is not None:
-            check_finite(self.eps, "eps")
-            if self.eps <= 0:
-                raise ConfigError("eps must be positive")
+            check_positive(self.eps, "eps")
         check_count(self.max_iters, "max_iters")
-        check_finite(self.tol_obj, "tol_obj")
-        if self.tol_obj < 0:
-            raise ConfigError("tol_obj must be nonnegative")
+        check_nonnegative(self.tol_obj, "tol_obj")
         check_count(self.clique_side, "clique side")
 
 
@@ -197,9 +189,7 @@ def svt(q, delta: float) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
         raise ShapeError(f"SVT needs a 2-D matrix, got shape {q.shape}")
-    check_finite(delta, "threshold")
-    if delta < 0:
-        raise ConfigError("threshold must be nonnegative")
+    check_nonnegative(delta, "threshold")
     check_finite(q, "input matrix")
     if q.size == 0:
         return q.copy()
@@ -285,9 +275,7 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
         nonincreasing.
     """
     y, shape = _check_stack(y)
-    side = cfg.clique_side
-    if side > min(shape.height, shape.width):
-        raise ConfigError(f"clique side {side} exceeds frame {shape.height}x{shape.width}")
+    side = build_clique_system(shape, cfg.clique_side).side  # rejects a side that does not fit
     lam, eps = _resolve(y, shape, cfg)
     mu = cfg.mu
     t0 = time.perf_counter()
@@ -370,6 +358,6 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     # the last SVT's shrunk values are the singular values of z
     extra["rank"] = _rank_of(svals, 1e-8)
     extra["alpha_final"] = alpha
-    report = SolverReport(len(objective_trace), objective_trace, residual_trace,
-                          reason, wall_clock=time.perf_counter() - t0, extra=extra)
+    report = SolverReport(objective_trace, residual_trace, reason,
+                          wall_clock=time.perf_counter() - t0, extra=extra)
     return RpcaResult(np.moveaxis(x, 0, -1), np.moveaxis(z, 0, -1), report)

@@ -40,19 +40,28 @@ def _block_dims(area: int) -> tuple[int, int]:
     return best, area // best
 
 
-def make_blocky_image(height: int, width: int, sparsity: int, blocks: int,
-                      rng: np.random.Generator, amplitude: float = 1.0) -> np.ndarray:
-    """Image whose support is exactly ``sparsity`` pixels arranged in
-    ``blocks`` disjoint dense rectangles (separated by a 1-pixel margin)."""
+def block_shapes(height: int, width: int, sparsity: int, blocks: int) -> list[tuple[int, int]]:
+    """The ``(rows, columns)`` of each of the ``blocks`` rectangles that
+    :func:`make_blocky_image` places, ``sparsity`` pixels in all.  Raises
+    :class:`ConfigError` if one does not fit in a ``height x width`` image."""
     areas = [sparsity // blocks] * blocks
     for i in range(sparsity - sum(areas)):
         areas[i] += 1
-    img = np.zeros((height, width))
-    occupied = np.zeros((height, width), dtype=bool)
-    for area in areas:
-        bh, bw = _block_dims(area)
+    shapes = [_block_dims(area) for area in areas]
+    for bh, bw in shapes:
         if bh > height or bw > width:
             raise ConfigError(f"block {bh}x{bw} does not fit in {height}x{width}")
+    return shapes
+
+
+def make_blocky_image(height: int, width: int, sparsity: int, blocks: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Image whose support is exactly ``sparsity`` pixels arranged in
+    ``blocks`` disjoint dense rectangles (separated by a 1-pixel margin),
+    each entry a random sign times a magnitude in [0.8, 1.2]."""
+    img = np.zeros((height, width))
+    occupied = np.zeros((height, width), dtype=bool)
+    for bh, bw in block_shapes(height, width, sparsity, blocks):
         placed = False
         for _ in range(10000):
             r = int(rng.integers(0, height - bh + 1))
@@ -62,7 +71,7 @@ def make_blocky_image(height: int, width: int, sparsity: int, blocks: int,
             if occupied[r0:r1, c0:c1].any():
                 continue
             signs = rng.choice([-1.0, 1.0], size=(bh, bw))
-            img[r:r + bh, c:c + bw] = signs * rng.uniform(0.8, 1.2, size=(bh, bw)) * amplitude
+            img[r:r + bh, c:c + bw] = signs * rng.uniform(0.8, 1.2, size=(bh, bw))
             occupied[r:r + bh, c:c + bw] = True
             placed = True
             break
@@ -72,14 +81,15 @@ def make_blocky_image(height: int, width: int, sparsity: int, blocks: int,
 
 
 def make_lowrank_blocksparse_stack(height: int, width: int, frames: int, rank: int,
-                                   rng: np.random.Generator, fg_side: int = 6,
-                                   fg_amplitude: float = 6.0, bg_scale: float = 1.0):
+                                   rng: np.random.Generator, fg_side: int = 6):
     """Planted model: returns ``(lowrank, sparse)`` with an exact-rank
-    background and one dense ``fg_side``-square foreground block per frame."""
+    background of unit entry variance and one dense ``fg_side``-square
+    foreground block per frame, of one random sign and magnitudes in
+    [3, 9]."""
     n = height * width
     left = rng.standard_normal((n, rank))
     right = rng.standard_normal((rank, frames))
-    lowrank = (bg_scale / math.sqrt(rank)) * (left @ right)
+    lowrank = (1.0 / math.sqrt(rank)) * (left @ right)
     lowrank = lowrank.reshape(height, width, frames)
 
     sparse = np.zeros((height, width, frames))
@@ -89,16 +99,15 @@ def make_lowrank_blocksparse_stack(height: int, width: int, frames: int, rank: i
         c = int(rng.integers(0, width - side + 1))
         sign = float(rng.choice([-1.0, 1.0]))
         sparse[r:r + side, c:c + side, t] = (
-            sign * rng.uniform(0.5, 1.5, size=(side, side)) * fg_amplitude)
+            sign * rng.uniform(0.5, 1.5, size=(side, side)) * 6.0)
     return lowrank, sparse
 
 
-def make_piecewise_constant(height: int, width: int, rng: np.random.Generator,
-                            patches: int = 5) -> np.ndarray:
-    """Piecewise-constant image in [0, 1]: a base level overwritten by random
-    axis-aligned rectangles at distinct levels."""
+def make_piecewise_constant(height: int, width: int, rng: np.random.Generator) -> np.ndarray:
+    """Piecewise-constant image in [0, 1]: a base level overwritten by five
+    random axis-aligned rectangles at distinct levels."""
     img = np.full((height, width), float(rng.uniform(0.0, 0.3)))
-    for _ in range(patches):
+    for _ in range(5):
         rh = int(rng.integers(height // 4, max(height // 4 + 1, 3 * height // 4)))
         rw = int(rng.integers(width // 4, max(width // 4 + 1, 3 * width // 4)))
         r = int(rng.integers(0, height - rh + 1))

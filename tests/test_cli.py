@@ -58,6 +58,9 @@ def test_dump_config_prints_json(capsys):
     ["rpca-decompose", "--clique-side", "33"],
     ["blocktv-denoise", "--clique-side", "65"],
     ["robust-cs-snr-sweep", "--m-over-k", "0.01"],
+    # two blocks of 37 pixels are 1x37, of 1000 pixels 25x40: neither fits 32x32
+    ["cs-recovery-sweep", "--k-sparsity", "74"],
+    ["cs-recovery-sweep", "--k-sparsity", "2000"],
 ])
 def test_bad_flag_value_exits_2_before_running(argv, tmp_path, capsys):
     name, *flags = argv

@@ -1,18 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
-from blocksparse import ConfigError, SolverReport
-from blocksparse.common import check_finite
+from blocksparse import (BlockTvConfig, ColampConfig, ConfigError, GridShape, ProxConfig,
+                         RpcaConfig, SolverReport, build_clique_system, group_shrink,
+                         prox_block_norm, svt)
+from blocksparse.common import check_finite, check_nonnegative, check_positive
+from blocksparse.experiments import HarnessConfig
 
 
 def test_report_validates_trace_lengths():
     with pytest.raises(ValueError):
-        SolverReport(2, [1.0], [1.0, 0.5], "converged")
+        SolverReport([1.0], [1.0, 0.5], "converged")
+
+
+def test_report_counts_its_trace():
+    assert SolverReport([2.0, 1.0], [1.0, 0.5], "converged").iterations == 2
+    assert SolverReport([], [], "converged").iterations == 0
 
 
 def test_report_validates_reason():
     with pytest.raises(ValueError):
-        SolverReport(0, [], [], "finished")
+        SolverReport([], [], "finished")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -26,3 +36,51 @@ def test_check_finite_rejects_nonfinite(bad):
 def test_check_finite_accepts_finite():
     check_finite(np.zeros((2, 3)), "widget")
     check_finite(-1e308, "widget")
+
+
+def test_range_checks_accept_their_boundary():
+    check_nonnegative(0.0, "widget")
+    check_positive(5e-324, "widget")
+
+
+def _support_tol(value):
+    cliques = build_clique_system(GridShape(4, 4), 2)
+    prox_block_norm(np.zeros((4, 4)), cliques, ProxConfig(lam=0.1), support_tol=value)
+
+
+# (label, build from the bad value, name in the message, the rule)
+_RANGE_RULES = [
+    ("ProxConfig.lam", lambda v: ProxConfig(lam=v), "lam", "nonnegative"),
+    ("ProxConfig.rho", lambda v: ProxConfig(lam=0.1, rho=v), "rho", "positive"),
+    ("ProxConfig.tol_abs", lambda v: ProxConfig(lam=0.1, tol_abs=v), "tol_abs", "nonnegative"),
+    ("ProxConfig.tol_rel", lambda v: ProxConfig(lam=0.1, tol_rel=v), "tol_rel", "nonnegative"),
+    ("ColampConfig.lam0", lambda v: ColampConfig(k=4, lam0=v), "lam0", "nonnegative"),
+    ("ColampConfig.eps_res", lambda v: ColampConfig(k=4, eps_res=v), "eps_res", "nonnegative"),
+    ("BlockTvConfig.lam", lambda v: BlockTvConfig(lam=v), "lam", "nonnegative"),
+    ("BlockTvConfig.eps", lambda v: BlockTvConfig(lam=0.1, eps=v), "eps", "positive"),
+    ("BlockTvConfig.tol_obj", lambda v: BlockTvConfig(lam=0.1, tol_obj=v), "tol_obj",
+     "nonnegative"),
+    ("RpcaConfig.mu", lambda v: RpcaConfig(mu=v), "mu", "positive"),
+    ("RpcaConfig.lam", lambda v: RpcaConfig(lam=v), "lam", "nonnegative"),
+    ("RpcaConfig.eps", lambda v: RpcaConfig(eps=v), "eps", "positive"),
+    ("RpcaConfig.tol_obj", lambda v: RpcaConfig(tol_obj=v), "tol_obj", "nonnegative"),
+    ("HarnessConfig.mu", lambda v: HarnessConfig(mu=v), "mu", "positive"),
+    ("HarnessConfig.epsilon", lambda v: HarnessConfig(epsilon=v), "epsilon", "positive"),
+    ("HarnessConfig.lam", lambda v: HarnessConfig(lam=v), "lambda", "nonnegative"),
+    ("group_shrink", lambda v: group_shrink(np.ones(3), v), "shrinkage threshold",
+     "nonnegative"),
+    ("svt", lambda v: svt(np.ones((2, 2)), v), "threshold", "nonnegative"),
+    ("prox_block_norm.support_tol", _support_tol, "support_tol", "positive"),
+]
+
+
+@pytest.mark.parametrize("build, name, bad, message", [
+    pytest.param(build, name, bad,
+                 "finite" if not math.isfinite(bad) else rule, id=f"{label}={bad}")
+    for label, build, name, rule in _RANGE_RULES
+    # nonfinite values, then the first value the rule forbids
+    for bad in (math.nan, math.inf, -math.inf, 0.0 if rule == "positive" else -1.0)
+])
+def test_range_checks_reject_the_value_by_name(build, name, bad, message):
+    with pytest.raises(ConfigError, match=f"^{name} must be {message}$"):
+        build(bad)

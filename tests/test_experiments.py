@@ -106,6 +106,42 @@ def test_cs_sweep_rows_failure_isolated(tmp_path):
     assert all(r["m"] == "36" for r in rows)
 
 
+def test_robust_sweep_end_to_end(tmp_path):
+    # the noisy path: a residual target from the noise level, and the l=1 baseline
+    path = run_experiment("robust-cs-snr-sweep",
+                          small_cfg(tmp_path, trials=1, m_over_k=5.0, snr_db=30.0))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(r["clique_side"] for r in rows) == ["1", "2"]
+    assert all(r["failed"] == "0" for r in rows)
+    (block,) = [r for r in rows if r["clique_side"] == "2"]
+    assert float(block["f_measure"]) == 1.0
+    for name in ("robust_truth.pgm", "robust_recovered_l2.pgm", "robust_recovered_l1.pgm"):
+        assert (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("name, solver, flags", [
+    ("blocktv-denoise", "denoise_block_tv", dict(lam=0.1)),
+    ("rpca-decompose", "solve_rpca", {}),
+])
+def test_rows_record_the_resolved_epsilon(tmp_path, monkeypatch, name, solver, flags):
+    real = getattr(experiments, solver)
+    reports = []
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        reports.append(result[1] if isinstance(result, tuple) else result.report)
+        return result
+
+    monkeypatch.setattr(experiments, solver, recording)
+    path = run_experiment(name, small_cfg(tmp_path, trials=1, **flags))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(reports) > 0
+    for row, report in zip(rows, reports):
+        assert row["epsilon"] == repr(report.extra["epsilon"])
+
+
 def test_cs_rows_report_the_pursuits_prox_work(tmp_path, monkeypatch):
     real = experiments.colamp_solve
     reports = []
@@ -188,7 +224,7 @@ def test_failed_trial_becomes_a_row_and_the_sweep_continues(tmp_path, monkeypatc
     assert failed["termination"] == "error: RuntimeError: injected"
     assert (failed["experiment"], failed["trial"], failed["seed"]) == ("blocktv-denoise", "0", "0")
     assert (failed["clique_side"], failed["lam"], failed["input_psnr_db"]) == ("1", "0.1", "20.0")
-    assert failed["rel_error"] == failed["iterations"] == ""
+    assert failed["rel_error"] == failed["iterations"] == failed["epsilon"] == ""
     assert ok["failed"] == "0" and ok["clique_side"] == "2"
     assert ok["termination"] in ("converged", "max-iterations")
     assert float(ok["psnr_gain_db"]) > 0
