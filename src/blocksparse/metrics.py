@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .common import check_positive
+
 
 def _norm(d: np.ndarray) -> float:
     # NumPy's pairwise sum, not a BLAS dot product: a threaded BLAS splits long
@@ -25,9 +27,9 @@ def relative_error(estimate, truth) -> float:
 
 
 def psnr_db(estimate, truth, peak: float) -> float:
-    """Peak signal-to-noise ratio against a declared peak value."""
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+    """Peak signal-to-noise ratio against a declared peak value, which must be
+    finite and positive."""
+    check_positive(peak, "peak")
     e = np.asarray(estimate, dtype=float)
     t = np.asarray(truth, dtype=float)
     mse = float(np.mean((e - t) ** 2))

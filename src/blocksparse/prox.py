@@ -57,9 +57,12 @@ the mean an iteration makes three passes over the stacks (``r = x - r``,
 ``Z = alpha*r``, ``r = Z - r``), as many as plain ADMM's ``Z = x - U``,
 ``U += Z``, ``U -= x``.  ``U`` is formed once, at the end.
 
-**Adaptive penalty.**  ``rho`` starts at ``ProxConfig.rho`` and is balanced
-by residuals (Boyd et al. 2011, section 3.4.1).  At iterations
-``BALANCE_FIRST * 2**j`` (10, 20, 40, ...), after the stop tests, the loop
+**Adaptive penalty.**  Every solve starts at ``x = v``, ``z^i = v``,
+``u^i = 0`` and ``rho0 = 1 + RHO_START_WEIGHT*lam/max|v|`` (1 when ``v = 0``),
+so its path depends on its input ``(v, lam)`` alone.  ``rho`` is then
+balanced by residuals (Boyd et al. 2011, section 3.4.1), which leaves its
+start free.  At iterations ``BALANCE_FIRST * 2**j`` (10, 20, 40, ...), after
+the stop tests, the loop
 compares the primal residual ``rp = ||Z - 1 x^T||_F``, summed a copy at a
 time through the scratch n-vector, with the dual residual
 ``rd = rho*sqrt(s)*||zbar_k - zbar_{k-1}||``.  Both live in the ``s x n``
@@ -81,11 +84,12 @@ the new ``rho``.  The doubling schedule allows at most
 after the last check and the fixed-penalty convergence theory applies from
 there (He, Yang & Wang 2000, *Alternating direction method with
 self-adaptive penalty parameters for monotone variational inequalities*).
-Both residuals scale with the data, so a scaled problem makes the same
-decisions.  The multiplier ``-rho*U`` is unchanged by the rescale, so the
-certificate below holds at every iteration with the ``rho`` its z-update
-used, and the ``rho`` reported is the final one, to be paired with the
-final ``u``.
+Both residuals scale with the data and ``rho0`` depends only on
+``lam/max|v|``, so ``(c*v, c*lam)`` follows ``c`` times the path of
+``(v, lam)`` and makes the same balancing decisions.  The multiplier
+``-rho*U`` is unchanged by the rescale, so the certificate below holds at
+every iteration with the ``rho`` its z-update used, and the ``rho`` reported
+is the final one, to be paired with the final ``u``.
 
 **Duality-gap certificate.**  The prox has the dual
 ``max_g <g, v> - ||g||^2/4`` over ``g = sum_c P_c^T w_c`` with every
@@ -146,8 +150,20 @@ from .grids import CliqueSystem
 
 # Over-relaxation factor alpha of the z- and u-updates, in (0, 2); alpha = 1
 # is plain ADMM.  Of 1.5, 1.6, 1.7 and 1.8, 1.8 took the fewest iterations on
-# cold 128x128 denoising (sides 4 and 8) and on CoLaMP's warm 32x32 calls.
+# cold 128x128 denoising (sides 4 and 8) and on CoLaMP's 32x32 calls (then
+# warm-started).
 RELAXATION = 1.8
+
+# Starting penalty rho0 = 1 + RHO_START_WEIGHT*lam/max|v| (1 when v = 0), the
+# same for (c*v, c*lam) at every c > 0.  With the benchmark's generators and
+# one BLAS thread, weights 1, 2, 4 and 8 took 900, 840, 774 and 877 prox
+# iterations on prox-denoise seeds 0-3; 44,226, 42,477, 39,883 and 41,626 in
+# CoLaMP's calls on cs-colamp seeds 0-2; and 59,771, 56,610, 55,000 and
+# 51,832 on 16 CoLaMP problems at m/K = 3, which recovered the same 14 at
+# every weight.  2 is the weight checked on the CS sweeps: at seed 0 every
+# row kept the support, error, outer iterations and termination it had with
+# the start lam + 1.
+RHO_START_WEIGHT = 2.0
 
 # Residual balancing of rho (module docstring): checked at iterations
 # BALANCE_FIRST, 2*BALANCE_FIRST, 4*BALANCE_FIRST, ..., rho is multiplied or
@@ -167,8 +183,8 @@ BALANCE_FACTOR = 2.0
 class ProxConfig:
     """Weight and ADMM controls for :func:`prox_block_norm`.
 
-    ``rho`` is the starting penalty, which the solve then balances by
-    residuals (module docstring); ``rho=None`` starts at ``lam + 1``.  The
+    The ADMM penalty is not a setting: it starts at ``rho0`` of the module
+    docstring, from ``lam`` and ``max|v|``, and is balanced by residuals.  The
     final penalty is ``report.extra["rho"]`` and the number of changes
     ``report.extra["rho_changes"]``.  The solve stops once the duality
     gap ``P - D`` of the module docstring is at most
@@ -179,21 +195,15 @@ class ProxConfig:
     """
 
     lam: float
-    rho: Optional[float] = None
     max_iters: int = 1000
     tol_abs: float = 1e-8
     tol_rel: float = 1e-6
 
     def __post_init__(self):
         check_nonnegative(self.lam, "lam")
-        if self.rho is not None:
-            check_positive(self.rho, "rho")
         check_count(self.max_iters, "max_iters")
         check_nonnegative(self.tol_abs, "tol_abs")
         check_nonnegative(self.tol_rel, "tol_rel")
-
-    def resolved_rho(self) -> float:
-        return self.rho if self.rho is not None else self.lam + 1.0
 
 
 @dataclass
@@ -291,12 +301,15 @@ class _TileStack:
             del factors  # one row's factors alive at a time
 
 
-def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
+def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                     support_tol: Optional[float] = None) -> ProxResult:
     """Consensus-ADMM prox of the overlapping-block penalty.
 
-    Beyond its inputs a solve holds the consensus copies and the scaled
-    duals, ``2 * side**2 * N`` entries, plus ``O(N)`` working vectors.
+    Every solve starts from ``v`` (``x = v``, copies ``v``, duals 0) at the
+    penalty ``rho0`` of the module docstring, so its result depends on
+    ``(v, cfg)`` alone.  Beyond its inputs a solve holds the consensus copies
+    and the scaled duals, ``2 * side**2 * N`` entries, plus ``O(N)`` working
+    vectors.
 
     Parameters
     ----------
@@ -306,9 +319,6 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
         Group structure; its grid must match ``v``.
     cfg : ProxConfig
         Weight ``lam`` and ADMM controls.
-    x0 : (H, W) array, optional
-        Warm start for the consensus variable (pursuit loops reuse the
-        previous estimate).
     support_tol : float, optional
         Also stop, with reason ``"support-certified"``, once
         ``sqrt(P - D + e) <= support_tol * max|x|``, ``e`` the gap's rounding
@@ -337,17 +347,10 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
 
     n = cliques.shape.n
     s = cliques.n_subsets
-    rho = cfg.resolved_rho()
     vflat = v.ravel()
-
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != v.shape:
-            raise ShapeError("warm start shape does not match prox center")
-        check_finite(x0, "warm start")
-        x = x0.ravel().copy()
-    else:
-        x = vflat.copy()
+    x = vflat.copy()
+    peak = float(np.abs(vflat).max())
+    rho = 1.0 + RHO_START_WEIGHT * cfg.lam / peak if peak > 0 else 1.0
 
     alpha = RELAXATION
     stack = _TileStack(cliques)
@@ -371,8 +374,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, x0=None, *,
     roundoff = n * np.finfo(float).eps
     # residuals below this, in data units, are rounding error: in converged
     # solves of up to 19x19 they settled at up to 1.5*s*eps*sqrt(s*n)*max|v|
-    balance_floor = (1024.0 * s * np.finfo(float).eps * np.sqrt(s * n)
-                     * float(np.abs(vflat).max()))
+    balance_floor = 1024.0 * s * np.finfo(float).eps * np.sqrt(s * n) * peak
     next_check = BALANCE_FIRST
     rho_changes = 0
 

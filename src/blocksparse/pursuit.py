@@ -65,7 +65,7 @@ def _default_prox_cfg() -> ProxConfig:
     # all-shrunk prox (x* = 0) never certifies a support and stops on them.
     # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
     # problems at m/K = 3 (K = 40, side 2), 14 recover exactly at caps 1500,
-    # 1000 and 500 alike, in 64,005, 55,703 and 39,378 prox iterations, with
+    # 1000 and 500 alike, in 56,610, 52,128 and 38,672 prox iterations, with
     # the relaxed, rho-balancing prox (fixed rho: 14, 14 and 13 recover).
     return ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)
 
@@ -168,9 +168,8 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
         lam_n = cfg.lam0 * cfg.lam_growth ** (n - 1)
         v = (model.adjoint(r) + x).reshape(shape)
 
-        warm = x.reshape(shape)
         for lam in (lam_n, lam_n / 2.0):
-            prox_res = prox_block_norm(v, cliques, replace(cfg.prox, lam=lam), x0=warm,
+            prox_res = prox_block_norm(v, cliques, replace(cfg.prox, lam=lam),
                                        support_tol=SUPPORT_REL_TOL)
             prox_iterations.append(prox_res.report.iterations)
             prox_terminations[prox_res.report.termination_reason] += 1

@@ -5,7 +5,7 @@ import pytest
 
 from blocksparse import (BlockTvConfig, ColampConfig, ConfigError, GridShape, ProxConfig,
                          RpcaConfig, SolverReport, build_clique_system, group_shrink,
-                         prox_block_norm, svt)
+                         prox_block_norm, psnr_db, svt)
 from blocksparse.common import check_finite, check_nonnegative, check_positive
 from blocksparse.experiments import HarnessConfig
 
@@ -51,7 +51,6 @@ def _support_tol(value):
 # (label, build from the bad value, name in the message, the rule)
 _RANGE_RULES = [
     ("ProxConfig.lam", lambda v: ProxConfig(lam=v), "lam", "nonnegative"),
-    ("ProxConfig.rho", lambda v: ProxConfig(lam=0.1, rho=v), "rho", "positive"),
     ("ProxConfig.tol_abs", lambda v: ProxConfig(lam=0.1, tol_abs=v), "tol_abs", "nonnegative"),
     ("ProxConfig.tol_rel", lambda v: ProxConfig(lam=0.1, tol_rel=v), "tol_rel", "nonnegative"),
     ("ColampConfig.lam0", lambda v: ColampConfig(k=4, lam0=v), "lam0", "nonnegative"),
@@ -71,6 +70,7 @@ _RANGE_RULES = [
      "nonnegative"),
     ("svt", lambda v: svt(np.ones((2, 2)), v), "threshold", "nonnegative"),
     ("prox_block_norm.support_tol", _support_tol, "support_tol", "positive"),
+    ("psnr_db.peak", lambda v: psnr_db(np.ones(2), np.zeros(2), v), "peak", "positive"),
 ]
 
 

@@ -9,13 +9,19 @@ from blocksparse import (ConfigError, GridShape, ProxConfig, block_norm,
                          build_clique_system, group_shrink, prox_block_norm)
 
 from blocksparse.prox import (BALANCE_FACTOR, BALANCE_FIRST, BALANCE_RATIO, RELAXATION,
-                              _TileStack)
+                              RHO_START_WEIGHT, _TileStack)
 
 import helpers
 
 
 def system(h, w, side):
     return build_clique_system(GridShape(h, w), side)
+
+
+def start_rho(v, lam):
+    """The starting penalty of the module docstring, from ``v`` and ``lam``."""
+    peak = float(np.abs(v).max())
+    return 1.0 + RHO_START_WEIGHT * lam / peak if peak > 0 else 1.0
 
 
 def certifying_tol_rel(v, dist):
@@ -199,7 +205,7 @@ def test_prox_residual_mostly_monotone():
     # taken at one rho, and some solve below must change it.  The path is
     # deterministic, so iterate k is the final state of a solve capped at k
     # iterations, and rho after iteration k is that solve's final rho; the
-    # cold-start state at k = 0 is Z = tile(v), U = 0, rho = lam + 1.
+    # starting state at k = 0 is Z = tile(v), U = 0, rho = start_rho(v, lam).
     rng = np.random.default_rng(7)
     iters = 20
     changed = 0
@@ -211,7 +217,7 @@ def test_prox_residual_mostly_monotone():
             zs = [np.tile(v.ravel(), (s, 1))]
             us = [np.zeros((s, size * size))]
             xs = [None]
-            rhos = [lam + 1.0]
+            rhos = [start_rho(v, lam)]
             for k in range(1, iters + 1):
                 res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=k,
                                                         tol_abs=0.0, tol_rel=0.0))
@@ -270,7 +276,7 @@ def test_prox_gap_certified_after_rescales():
     rep = res.report
     assert rep.termination_reason == "converged"
     assert rep.extra["rho_changes"] >= 2
-    assert rep.extra["rho"] != 1.6
+    assert rep.extra["rho"] != start_rho(v, 0.6)
     gap = helpers.prox_gap_by_projection(v, res.x, res.u, rep.extra["rho"], 0.6, 2)
     assert rep.residual_trace[-1] == pytest.approx(gap, rel=1e-6,
                                                    abs=1e-12 * rep.objective_trace[-1])
@@ -310,6 +316,16 @@ def test_prox_zero_tolerances_run_max_iters():
     assert rep.iterations == 1 and rep.termination_reason == "converged"
 
 
+def test_prox_zero_center_returns_zero_at_a_finite_rho():
+    # lam/max|v| is infinite at v = 0, where the solve starts at rho = 1
+    # instead; with zero tolerances it runs through two balancing checks
+    for cfg in (ProxConfig(lam=2.0), ProxConfig(lam=2.0, max_iters=25, tol_abs=0.0,
+                                                tol_rel=0.0)):
+        res = prox_block_norm(np.zeros((6, 5)), system(6, 5, 2), cfg)
+        assert np.all(res.x == 0) and np.all(res.u == 0)
+        assert res.report.extra["rho"] == 1.0
+
+
 def test_prox_holds_two_copy_stacks():
     # measured, not declared: beyond its inputs a solve holds the copies z and
     # the duals u (s x n each) plus O(n) working vectors, and no third stack;
@@ -347,24 +363,9 @@ def test_prox_config_validation():
     with pytest.raises(ConfigError):
         ProxConfig(lam=-1.0)
     with pytest.raises(ConfigError):
-        ProxConfig(lam=1.0, rho=0.0)
-    with pytest.raises(ConfigError):
         ProxConfig(lam=1.0, max_iters=0)
     with pytest.raises(ConfigError):
         ProxConfig(lam=1.0, tol_abs=-1e-9)
-
-
-def test_prox_warm_start_same_solution():
-    rng = np.random.default_rng(13)
-    cs = system(5, 5, 2)
-    v = rng.standard_normal((5, 5))
-    # each solve within 5e-7 of the solution keeps them within 1e-6 of each other
-    cfg = ProxConfig(lam=1.0, max_iters=20000, tol_abs=0.0,
-                     tol_rel=certifying_tol_rel(v, 5e-7))
-    cold = prox_block_norm(v, cs, cfg)
-    warm = prox_block_norm(v, cs, cfg, x0=rng.standard_normal((5, 5)))
-    assert cold.report.termination_reason == warm.report.termination_reason == "converged"
-    assert np.max(np.abs(cold.x - warm.x)) < 1e-6
 
 
 def test_prox_rejects_nonfinite_center():
@@ -372,13 +373,6 @@ def test_prox_rejects_nonfinite_center():
     v[0, 0] = np.nan
     with pytest.raises(ConfigError, match="prox center must be finite"):
         prox_block_norm(v, system(6, 6, 2), ProxConfig(lam=0.5))
-
-
-def test_prox_rejects_nonfinite_warm_start():
-    x0 = np.zeros((6, 6))
-    x0[3, 3] = np.inf
-    with pytest.raises(ConfigError, match="warm start must be finite"):
-        prox_block_norm(np.ones((6, 6)), system(6, 6, 2), ProxConfig(lam=0.5), x0=x0)
 
 
 def test_prox_rejects_bad_support_tol():
@@ -410,8 +404,9 @@ def test_prox_config_rejects_non_integer_max_iters():
     assert ProxConfig(lam=1.0, max_iters=np.int64(7)).max_iters == 7
 
 
-def admm_by_loop(v, side, lam, rho, alpha):
-    """The prox's relaxed ADMM iterates by definition, yielded as
+def admm_by_loop(v, side, lam, alpha):
+    """The prox's relaxed ADMM iterates by definition from ``x = v``,
+    ``z^i = v``, ``u^i = 0`` and ``rho = start_rho(v, lam)``, yielded as
     ``(x, z, u, rho)`` after each iteration: one copy per subset of
     brute-force cliques, each copy's relaxed point ``alpha*x + (1 - alpha)*z^i``
     formed on its own, each clique shrunk on its own, every sum taken over
@@ -428,6 +423,7 @@ def admm_by_loop(v, side, lam, rho, alpha):
     floor = 1024.0 * s * np.finfo(float).eps * np.sqrt(s * vflat.size) * np.abs(vflat).max()
     z = np.tile(vflat, (s, 1))
     u = np.zeros_like(z)
+    rho = start_rho(v, lam)
     k = 0
     while True:
         k += 1
@@ -465,7 +461,7 @@ def assert_matches_clique_loop(v, side, caps):
     scale = max(1.0, float(np.abs(v).max()))
     cs = system(*v.shape, side)
     for lam in (0.3, 2.0):
-        loop = admm_by_loop(v, side, lam, lam + 1.0, RELAXATION)
+        loop = admm_by_loop(v, side, lam, RELAXATION)
         k = 0
         for cap in caps:
             res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=cap,
@@ -545,21 +541,24 @@ def test_tile_scaling_touches_each_clique_pixel_once(geometry, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.data(),
-       st.floats(1e-3, 1e3), st.floats(0.05, 5.0), st.floats(0.1, 10.0))
-def test_prox_scale_equivariance(height, width, side, data, c, lam, rho):
-    # from the same starting rho and with no tolerance test, prox(c*v, c*lam)
-    # follows c times the path of prox(v, lam), iteration for iteration:
-    # both balancing residuals scale with c, so rho changes alike.  100
-    # iterations span the checks at 10, 20, 40 and 80
+       st.floats(1e-3, 1e3), st.floats(0.05, 5.0))
+def test_prox_scale_equivariance(height, width, side, data, c, lam):
+    # with no tolerance test, prox(c*v, c*lam) follows c times the path of
+    # prox(v, lam), iteration for iteration: the starting rho depends on
+    # lam/max|v| only, and both balancing residuals scale with c, so rho
+    # changes alike.  Every change doubles or halves rho, so final over
+    # starting rho is the same power of two in both solves.  100 iterations
+    # span the checks at 10, 20, 40 and 80
     side = min(side, height, width)
     cs = system(height, width, side)
     v = np.array(data.draw(st.lists(_entries, min_size=height * width,
                                     max_size=height * width))).reshape(height, width)
-    res = prox_block_norm(v, cs, ProxConfig(lam=lam, rho=rho, max_iters=100,
-                                            tol_abs=0.0, tol_rel=0.0))
-    resc = prox_block_norm(c * v, cs, ProxConfig(lam=c * lam, rho=rho, max_iters=100,
-                                                 tol_abs=0.0, tol_rel=0.0))
-    assert resc.report.extra["rho"] == res.report.extra["rho"]
+    res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=100, tol_abs=0.0, tol_rel=0.0))
+    resc = prox_block_norm(c * v, cs, ProxConfig(lam=c * lam, max_iters=100, tol_abs=0.0,
+                                                 tol_rel=0.0))
+    assert resc.report.extra["rho_changes"] == res.report.extra["rho_changes"]
+    assert (resc.report.extra["rho"] / start_rho(c * v, c * lam)
+            == res.report.extra["rho"] / start_rho(v, lam))
     assert np.linalg.norm(resc.x - c * res.x) <= 1e-9 * c * np.linalg.norm(v)
 
 

@@ -268,6 +268,25 @@ def test_report_keeps_every_prox_report(monkeypatch, seed, k, lam0, max_iters):
         assert len(seen) == 2 * report.iterations
 
 
+def test_colamp_is_scale_equivariant():
+    # every prox call starts from its own (v, lam) at a scale-free rho, and
+    # every other threshold is relative, so scaling y and lam0 by c scales the
+    # whole run by c: the same supports, outer iterations and prox iterations
+    rng = np.random.default_rng(40)
+    truth = make_blocky_image(32, 32, 40, 2, rng)
+    model = MeasurementModel(gaussian_measurement_matrix(200, 1024, rng))
+    y = model.forward(truth)
+    cfg = ColampConfig(k=40)
+    x, report = colamp_solve(y, model, system(), cfg)
+    assert report.termination_reason == "converged"
+    for c in (100.0, 1e-3):
+        xc, rc = colamp_solve(c * y, model, system(), ColampConfig(k=40, lam0=c * cfg.lam0))
+        assert np.array_equal(np.flatnonzero(xc), np.flatnonzero(x))
+        assert rc.iterations == report.iterations
+        assert rc.extra["prox_iterations"] == report.extra["prox_iterations"]
+        assert np.linalg.norm(xc - c * x) <= 1e-12 * c * np.linalg.norm(x)
+
+
 _entries = st.one_of(st.just(0.0), st.floats(0.05, 3.0), st.floats(-3.0, -0.05))
 
 
