@@ -13,6 +13,20 @@ the forward differences and smoothed clique norms it computed.  The line
 search keeps those of the trial it accepts, and the next gradient is built
 from them, so an iteration makes one valid window sum per trial and one full
 window sum for its gradient: the accepted point is never evaluated twice.
+
+A solve allocates its image-sized arrays once, before the first iteration:
+the forward differences, the squared magnitudes, the clique norms, the
+window sums' row and column passes, the weight map, the gradient and the
+trial point.  The evaluator pair, the window sums and the difference
+operators fill them through their ``out=`` and ``scratch=`` arguments, and an
+accepted trial swaps buffers with ``x``, so an iteration allocates nothing
+image-sized.  Each buffer is filled by the operations, in the order, that
+made a new array before, so the iterates are those of a solve that
+allocates.  Block-TV still reaches the window sums only through the names
+:mod:`blocksparse.regularizer` binds, and uses the arrays its calls return.
+The difference operators work on the flattened image, as the window sums do
+(see :mod:`blocksparse.fftops`), and fix up the one column a shift carries
+across a row's end.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .common import (ConfigError, NumericalError, ShapeError, SolverReport, check_count,
-                     check_finite, check_nonnegative, check_positive)
+                     check_finite, check_nonnegative, check_positive, flat_view)
 from .grids import GridShape, build_clique_system
 from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
@@ -38,29 +52,62 @@ class GradientField(NamedTuple):
     dv: np.ndarray
 
 
-def discrete_gradient(x) -> GradientField:
-    """Forward-difference gradient with zero last row/column."""
-    x = np.asarray(x, dtype=float)
+def _check_apart(out, *inputs) -> None:
+    if any(np.may_share_memory(o, a) for o in out for a in inputs):
+        raise ValueError("out must not share memory with the input")
+
+
+def discrete_gradient(x, out: Optional[GradientField] = None) -> GradientField:
+    """Forward-difference gradient with zero last row/column.
+
+    ``out``, a pair of C-contiguous float arrays shaped like ``x``, receives
+    the two channels in place of new arrays; it must not share memory with
+    ``x``.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"expected a 2-D image, got shape {x.shape}")
-    dh = np.zeros_like(x)
-    dv = np.zeros_like(x)
-    dh[:, :-1] = x[:, 1:] - x[:, :-1]
-    dv[:-1, :] = x[1:, :] - x[:-1, :]
+    if out is None:
+        out = GradientField(np.empty_like(x), np.empty_like(x))
+    else:
+        _check_apart(out, x)
+    dh, dv = out
+    # the horizontal differences of the flattened image; the one across each
+    # row's end lands in the last column, which is then zeroed
+    flat = x.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=flat_view(dh, x.shape)[:-1])
+    dh[:, -1:] = 0.0
+    np.subtract(x[1:], x[:-1], out=dv[:-1])
+    dv[-1:] = 0.0
     return GradientField(dh, dv)
 
 
-def discrete_gradient_adjoint(g: GradientField) -> np.ndarray:
-    """Exact algebraic transpose of :func:`discrete_gradient` (negative divergence)."""
-    dh = np.asarray(g.dh, dtype=float)
-    dv = np.asarray(g.dv, dtype=float)
+def discrete_gradient_adjoint(g: GradientField, out=None) -> np.ndarray:
+    """Exact algebraic transpose of :func:`discrete_gradient` (negative divergence).
+
+    ``out``, a C-contiguous float array shaped like a channel, receives the
+    result in place of a new array; it must not share memory with either
+    channel.
+    """
+    dh = np.ascontiguousarray(g.dh, dtype=float)
+    dv = np.ascontiguousarray(g.dv, dtype=float)
     if dh.shape != dv.shape or dh.ndim != 2:
         raise ShapeError("gradient field channels must be matching 2-D arrays")
-    out = np.zeros_like(dh)
-    out[:, 1:] += dh[:, :-1]
-    out[:, :-1] -= dh[:, :-1]
-    out[1:, :] += dv[:-1, :]
-    out[:-1, :] -= dv[:-1, :]
+    if out is None:
+        out = np.empty_like(dh)
+    else:
+        _check_apart((out,), dh, dv)
+    # out[:, c] = dh[:, c - 1] - dh[:, c], on the flattened arrays: the shift
+    # carries each row's last dh into the next row's first column, which is
+    # then zeroed, and the last column, which takes no -dh term, is restored
+    flat, dh_flat = flat_view(out, dh.shape), dh.reshape(-1)
+    np.copyto(flat[1:], dh_flat[:-1])
+    out[:, :1] = 0.0
+    last = out[:, -1:].copy()
+    flat -= dh_flat
+    out[:, -1:] = last
+    out[1:] += dv[:-1]
+    out[:-1] -= dv[:-1]
     return out
 
 
@@ -106,38 +153,55 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     side = build_clique_system(shape, cfg.clique_side).side  # rejects a side that does not fit
     t0 = time.perf_counter()
 
+    # one set of buffers per solve, so that an iteration allocates nothing
+    # image-sized; an accepted trial swaps its buffer with x's
+    d = GradientField(np.empty(y.shape), np.empty(y.shape))
+    sq, weights, grad_buf, trial = (np.empty(y.shape) for _ in range(4))
+    scratch = np.empty((2,) + y.shape)  # the window sums' row and column passes
+    norms_buf = np.empty((y.shape[0] - side + 1, y.shape[1] - side + 1))
+
     if cfg.eps is not None:
         eps = cfg.eps
     else:
-        g0 = discrete_gradient(y)
-        eps = 1e-4 * max(1.0, float(np.abs(g0.dh).max()), float(np.abs(g0.dv).max()))
+        discrete_gradient(y, out=d)
+        eps = 1e-4 * max(1.0, float(np.abs(d.dh).max()), float(np.abs(d.dv).max()))
     lam = float(cfg.lam)
 
     def evaluate(x):
-        """Objective at ``x``, and the forward differences and smoothed clique
-        norms it was computed from (the state :func:`gradient` needs)."""
-        d = discrete_gradient(x)
-        norms = smoothed_clique_norms(d.dh * d.dh + d.dv * d.dv, side, eps)
-        return 0.5 * float(np.sum((x - y) ** 2)) + lam * float(norms.sum()), d, norms
+        """Objective at ``x`` and the smoothed clique norms it was computed
+        from.  Its forward differences are left in ``d``: with the norms,
+        the state :func:`gradient` needs."""
+        discrete_gradient(x, out=d)
+        np.multiply(d.dh, d.dh, out=sq)
+        np.add(sq, np.multiply(d.dv, d.dv, out=weights), out=sq)  # weights is free here
+        norms = smoothed_clique_norms(sq, side, eps, out=norms_buf, scratch=scratch)
+        resid = np.subtract(x, y, out=sq)
+        return 0.5 * float(np.sum(np.square(resid, out=resid))) + lam * float(norms.sum()), norms
 
-    def gradient(x, d, norms):
-        weight_map = smoothed_weight_map(norms, side)
-        return (x - y) + lam * discrete_gradient_adjoint(
-            GradientField(d.dh * weight_map, d.dv * weight_map))
+    def gradient(x, norms):
+        """``(x - y) + lam * D^T (weight_map * d)``, ``D`` the forward
+        difference, built in ``grad_buf``; it spends ``d``."""
+        weight_map = smoothed_weight_map(norms, side, out=weights, scratch=scratch)
+        for channel in d:
+            channel *= weight_map
+        out = discrete_gradient_adjoint(d, out=grad_buf)
+        out *= lam
+        out += np.subtract(x, y, out=weights)
+        return out
 
     x = y.copy()
     grad_tol = 1e-12 * float(np.linalg.norm(y))
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
-    obj_prev, d, norms = evaluate(x)
+    obj_prev, norms = evaluate(x)
     if not np.isfinite(obj_prev):
         raise ConfigError("objective is not finite at the starting point")
     alpha = 1.0
+    total_halvings = 0
 
     for _ in range(cfg.max_iters):
-        g = gradient(x, d, norms)
-        d = norms = None  # the gradient is built; drop its state before the trials
+        g = gradient(x, norms)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol:
             reason = "converged"
@@ -145,19 +209,20 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         gsq = float(np.vdot(g, g))
         halvings = 0
         while True:
-            x_new = x - alpha * g
-            obj, d, norms = evaluate(x_new)
+            x_new = np.multiply(g, alpha, out=trial)
+            np.subtract(x, x_new, out=x_new)
+            obj, norms = evaluate(x_new)
             # strict decrease guards against roundoff plateaus spuriously
             # satisfying the Armijo inequality at vanishing steps
             if obj <= obj_prev - 1e-4 * alpha * gsq and obj < obj_prev:
                 break
-            x_new = d = norms = None  # rejected trial
             halvings += 1
             if halvings > 60:
                 raise NumericalError("no acceptable step after 60 halvings")
             alpha *= 0.5
 
-        x = x_new
+        total_halvings += halvings
+        x, trial = x_new, x  # the accepted trial's buffer becomes x
         objective_trace.append(obj)
         residual_trace.append(gnorm)
         if abs(obj_prev - obj) <= cfg.tol_obj * abs(obj_prev):
@@ -167,5 +232,6 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         alpha *= 2.0  # retry a larger step next iteration; Armijo halves as needed
 
     report = SolverReport(objective_trace, residual_trace, reason,
-                          wall_clock=time.perf_counter() - t0, extra={"epsilon": eps})
+                          wall_clock=time.perf_counter() - t0,
+                          extra={"epsilon": eps, "halvings": total_halvings})
     return x, report

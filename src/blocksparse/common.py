@@ -91,3 +91,17 @@ def check_positive(value, what: str) -> None:
     check_finite(value, what)
     if value <= 0:
         raise ConfigError(f"{what} must be positive")
+
+
+def flat_view(a, shape=None) -> np.ndarray:
+    """The 1-D view of ``a``, a buffer a caller passed in to be written.
+
+    Raises :class:`ShapeError` unless ``a`` has ``shape`` (when given), and
+    ``ValueError`` unless it is a C-contiguous float64 array: a reshape of
+    any other would be a copy, and the writes would miss ``a``.
+    """
+    if shape is not None and a.shape != shape:
+        raise ShapeError(f"buffer has shape {a.shape}, expected {shape}")
+    if a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ValueError("a buffer must be a C-contiguous float64 array")
+    return a.reshape(-1)

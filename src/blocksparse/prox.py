@@ -410,8 +410,8 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 zbar_step = np.sqrt(s) * float(np.sqrt(work @ work))  # rd / rho
 
             # P = ||x - v||^2 + lam * J(x), both through the scratch vector, so
-            # the window sums add only their own row sums and result to the
-            # solve's state
+            # the window sums add only their own row and column passes and
+            # result to the solve's state
             np.subtract(x, vflat, out=work)
             primal = float(work @ work)
             np.multiply(x, x, out=work)

@@ -5,7 +5,7 @@ smoothed variant replaces each norm ``||x_c||`` by ``sqrt(||x_c||^2 + eps^2)``
 so the penalty becomes differentiable everywhere.
 
 Every clique sum is an exact window sum from :mod:`blocksparse.fftops`
-(``side`` shifted-slice adds along rows, then ``side`` along columns): a
+(``side`` shifted adds along rows, then ``side`` along columns): a
 clique that is zero everywhere gets a norm of exactly 0.  :func:`block_norm`,
 :func:`block_norm_smoothed` and the objective trace of
 :func:`blocksparse.prox.prox_block_norm` take the valid sum of ``x*x``;
@@ -29,6 +29,12 @@ window sums through this module's names, so a wrapper installed there sees
 every sum they make; the prox's objective trace calls the valid sum under
 the name :mod:`blocksparse.prox` binds.  Each function adds ``eps^2`` and
 takes the square root in place on the window sums it owns.
+
+Both evaluator functions take NumPy-style ``out=`` and pass ``scratch=`` on
+to the window sums, so a solver can keep their results in buffers it
+allocates once; without them they allocate as before, with the same result
+bit for bit.  The weight map puts the reciprocal norms in the first entries
+of its ``out`` and the full sum reads them before it writes ``out``.
 """
 
 from __future__ import annotations
@@ -65,23 +71,34 @@ def block_norm_smoothed(x, cliques: CliqueSystem, eps: float) -> float:
     return float(smoothed_clique_norms(x * x, cliques.side, eps).sum())
 
 
-def smoothed_clique_norms(sq, side: int, eps: float) -> np.ndarray:
+def smoothed_clique_norms(sq, side: int, eps: float, out=None, scratch=None) -> np.ndarray:
     """Smoothed clique norms ``sqrt(box_valid(sq, side) + eps^2)``.
 
     ``sq`` holds per-pixel squared magnitudes ``(..., h, w)``, leading axes
     batched; the result is indexed by clique corner ``(..., h-side+1,
     w-side+1)`` and sums to the smoothed penalty.  Positive for ``eps > 0``.
+    ``out`` and ``scratch`` go to the valid window sum; ``out`` may share
+    memory with ``sq``.
     """
-    norms = box_correlate_valid(sq, side)
+    norms = box_correlate_valid(sq, side, out=out, scratch=scratch)
     norms += eps * eps
     return np.sqrt(norms, out=norms)
 
 
-def smoothed_weight_map(norms: np.ndarray, side: int) -> np.ndarray:
+def smoothed_weight_map(norms: np.ndarray, side: int, out=None, scratch=None) -> np.ndarray:
     """Per-pixel gradient weight ``box_full(1/norms, side)``: the sum of
     ``1/norm`` over the cliques covering each pixel, from the
-    output of :func:`smoothed_clique_norms`."""
-    return box_correlate_full(1.0 / norms, side)
+    output of :func:`smoothed_clique_norms`.
+
+    Given ``out`` and ``scratch`` (see :func:`blocksparse.fftops.box_correlate_full`),
+    it allocates nothing: the reciprocals go into the first entries of
+    ``out``, which the full sum reads before it writes ``out``.  ``out`` may
+    share memory with ``norms``.
+    """
+    if out is None:
+        return box_correlate_full(1.0 / norms, side, scratch=scratch)
+    inverse = out.reshape(-1)[:norms.size].reshape(norms.shape)
+    return box_correlate_full(np.divide(1.0, norms, out=inverse), side, out=out, scratch=scratch)
 
 
 def block_norm_smoothed_grad(x, cliques: CliqueSystem, eps: float) -> np.ndarray:

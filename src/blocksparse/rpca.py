@@ -30,8 +30,9 @@ In the paper's count the algorithm's state is four stack-sized buffers (X,
 Z, gradient, residual): ``4 * N * L`` entries, versus ``(2*side^2 + 4) * N *
 L`` for a consensus-ADMM treatment of the same objective.  Both gradients, the
 trial point and the window sums add temporaries on top: ``memory-benchmark``
-(tracemalloc, 16x16x4 stack, side 10) measures a peak of 12.6 stack copies,
-set inside the gradient's window sum.
+(tracemalloc, 16x16x4 stack, side 10) measures a peak of 10.6 stack copies,
+set inside a trial's valid window sum, whose row and column passes each
+take a stack.
 
 The block penalty comes from the regularizer's evaluator pair, batched over
 frames.  Each line-search trial computes the smoothed clique norms of its
@@ -125,8 +126,8 @@ def default_lambda(side: int, n_pixels: int) -> float:
     clique side because every entry is shared by up to ``side**2``
     overlapping penalty terms.
     """
-    if side < 1 or n_pixels < 1:
-        raise ConfigError("side and pixel count must be >= 1")
+    check_count(side, "side")
+    check_count(n_pixels, "pixel count")
     return 1.0 / (side * math.sqrt(n_pixels))
 
 
@@ -208,7 +209,7 @@ def numerical_rank(a, rel_tol: float = 1e-8) -> int:
     if a.ndim != 2:
         raise ShapeError(f"rank needs a 2-D matrix, got shape {a.shape}")
     check_finite(a, "matrix entries")
-    check_finite(rel_tol, "rel_tol")
+    check_nonnegative(rel_tol, "rel_tol")
     return _rank_of(np.linalg.svd(a, compute_uv=False), rel_tol)
 
 
@@ -301,6 +302,7 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     h_new = lam * float(norms.sum()) + 0.5 * mu * float(np.einsum("ijk,ijk->", y, y))
     obj_prev = h_new
     extra = {"lambda": lam, "epsilon": eps, "mu": mu}
+    total_halvings = 0
 
     for _ in range(cfg.max_iters):
         h_old = h_new
@@ -344,6 +346,7 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
                 raise NumericalError("backtracking failed; the smooth gradient is suspect")
             alpha *= _BACKTRACK_SHRINK
 
+        total_halvings += halvings
         x, z = x_new, z_new
         obj = h_new + float(svals.sum())
         objective_trace.append(obj)
@@ -358,6 +361,7 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     # the last SVT's shrunk values are the singular values of z
     extra["rank"] = _rank_of(svals, 1e-8)
     extra["alpha_final"] = alpha
+    extra["halvings"] = total_halvings
     report = SolverReport(objective_trace, residual_trace, reason,
                           wall_clock=time.perf_counter() - t0, extra=extra)
     return RpcaResult(np.moveaxis(x, 0, -1), np.moveaxis(z, 0, -1), report)

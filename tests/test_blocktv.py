@@ -1,4 +1,4 @@
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +37,37 @@ def test_adjoint_identity():
                     + np.sum(discrete_gradient(x).dv * gv))
         rhs = float(np.sum(x * discrete_gradient_adjoint(GradientField(gh, gv))))
         assert abs(lhs - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 6), (6, 1), (1, 1)])
+def test_gradient_buffers_give_the_allocating_result(shape):
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal(shape)
+    want = discrete_gradient(x)
+    out = GradientField(np.full(shape, np.nan), np.full(shape, np.nan))
+    got = discrete_gradient(x, out=out)
+    assert got.dh is out.dh and got.dv is out.dv
+    np.testing.assert_array_equal(got.dh, want.dh)
+    np.testing.assert_array_equal(got.dv, want.dv)
+    # the adjoint ignores the last column of dh and the last row of dv
+    g = GradientField(rng.standard_normal(shape), rng.standard_normal(shape))
+    want = discrete_gradient_adjoint(g)
+    out = np.full(shape, np.nan)
+    assert discrete_gradient_adjoint(g, out=out) is out
+    np.testing.assert_array_equal(out, want)
+
+
+def test_gradient_out_must_not_share_memory_with_the_input():
+    # the differences read entries that the output would already have
+    # overwritten, so an aliased output is refused
+    x = np.arange(12.0).reshape(3, 4)
+    with pytest.raises(ValueError, match="out must not share memory"):
+        discrete_gradient(x, out=GradientField(x, np.empty_like(x)))
+    g = discrete_gradient(x)
+    with pytest.raises(ValueError, match="out must not share memory"):
+        discrete_gradient_adjoint(g, out=g.dv)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        discrete_gradient(x, out=GradientField(np.empty((4, 3)).T, np.empty_like(x)))
 
 
 def test_config_validation():
@@ -92,31 +123,65 @@ def test_ascent_direction_exhausts_the_line_search(monkeypatch):
     # start, x = y, so every halving is rejected
     weights = blocktv.smoothed_weight_map
     monkeypatch.setattr(blocktv, "smoothed_weight_map",
-                        lambda norms, side: -10.0 * weights(norms, side))
+                        lambda norms, side, **buffers: -10.0 * weights(norms, side, **buffers))
     rng = np.random.default_rng(6)
     y = make_piecewise_constant(16, 16, rng) + 0.1 * rng.standard_normal((16, 16))
     with pytest.raises(NumericalError, match="no acceptable step after 60 halvings"):
         denoise_block_tv(y, BlockTvConfig(lam=0.1))
 
 
-def test_line_search_holds_one_trial_state(monkeypatch):
-    # each evaluation may run only once every earlier point's clique norms,
-    # rejected trials' and the consumed accepted point's alike, are released
-    norms_fn = blocktv.smoothed_clique_norms
-    refs = []
+def test_an_iteration_allocates_nothing_image_sized(monkeypatch):
+    # the weight map runs once per iteration; between two of its calls, the
+    # line search's trials and the next gradient included, the traced peak
+    # may rise above the memory held at the earlier call by a quarter image
+    weights = blocktv.smoothed_weight_map
+    readings = []
 
-    def recording(sq, side, eps):
-        assert all(r() is None for r in refs), "an earlier point's clique norms are alive"
-        norms = norms_fn(sq, side, eps)
-        refs.append(weakref.ref(norms))
-        return norms
+    def recording(norms, side, **buffers):
+        readings.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return weights(norms, side, **buffers)
 
-    monkeypatch.setattr(blocktv, "smoothed_clique_norms", recording)
+    monkeypatch.setattr(blocktv, "smoothed_weight_map", recording)
     rng = np.random.default_rng(7)
+    y = make_piecewise_constant(64, 64, rng) + 0.1 * rng.standard_normal((64, 64))
+    tracemalloc.start()
+    try:
+        _, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, max_iters=20, tol_obj=0.0))
+    finally:
+        tracemalloc.stop()
+    assert report.iterations == len(readings) == 20
+    rises = [peak - held for (held, _), (_, peak) in zip(readings, readings[1:])]
+    assert max(rises) <= y.nbytes / 4, f"peak rose {max(rises) / y.nbytes:.2f} images"
+    assert report.extra["halvings"] > 0  # rejected trials ran between the calls
+
+
+def test_halvings_count_the_rejected_trials(monkeypatch):
+    # each evaluated point computes its clique norms once: the start, then
+    # every trial, accepted or rejected
+    norms_fn = blocktv.smoothed_clique_norms
+    calls = []
+
+    def counting(*args, **buffers):
+        calls.append(1)
+        return norms_fn(*args, **buffers)
+
+    monkeypatch.setattr(blocktv, "smoothed_clique_norms", counting)
+    rng = np.random.default_rng(8)
     y = make_piecewise_constant(16, 16, rng) + 0.1 * rng.standard_normal((16, 16))
-    _, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, max_iters=20, tol_obj=0.0))
-    assert report.iterations == 20
-    assert len(refs) > report.iterations + 1  # some trials were rejected
+    _, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, max_iters=30, tol_obj=0.0))
+    assert report.extra["halvings"] > 0
+    assert len(calls) == report.iterations + report.extra["halvings"] + 1
+
+
+def test_no_halvings_when_every_first_trial_is_accepted():
+    # a smoothing much larger than the differences makes the objective
+    # nearly 1/2 ||x - y||^2, so the first trial step of 1 is accepted
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal((12, 12))
+    _, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, eps=100.0, max_iters=1))
+    assert report.iterations == 1
+    assert report.extra["halvings"] == 0
 
 
 @pytest.mark.parametrize("lam, value", [(0.1, np.inf), (0.0, np.nan)], ids=["inf", "nan"])

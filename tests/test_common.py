@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from blocksparse import (BlockTvConfig, ColampConfig, ConfigError, GridShape, ProxConfig,
-                         RpcaConfig, SolverReport, build_clique_system, group_shrink,
-                         prox_block_norm, psnr_db, svt)
+                         RpcaConfig, SolverReport, build_clique_system, default_lambda,
+                         group_shrink, numerical_rank, prox_block_norm, psnr_db, svt)
 from blocksparse.common import check_finite, check_nonnegative, check_positive
 from blocksparse.experiments import HarnessConfig
 
@@ -71,6 +71,8 @@ _RANGE_RULES = [
     ("svt", lambda v: svt(np.ones((2, 2)), v), "threshold", "nonnegative"),
     ("prox_block_norm.support_tol", _support_tol, "support_tol", "positive"),
     ("psnr_db.peak", lambda v: psnr_db(np.ones(2), np.zeros(2), v), "peak", "positive"),
+    ("numerical_rank.rel_tol", lambda v: numerical_rank(np.eye(2), v), "rel_tol",
+     "nonnegative"),
 ]
 
 
@@ -83,4 +85,16 @@ _RANGE_RULES = [
 ])
 def test_range_checks_reject_the_value_by_name(build, name, bad, message):
     with pytest.raises(ConfigError, match=f"^{name} must be {message}$"):
+        build(bad)
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda v: default_lambda(v, 10), "side", id="default_lambda.side"),
+    pytest.param(lambda v: default_lambda(2, v), "pixel count", id="default_lambda.n_pixels"),
+])
+@pytest.mark.parametrize("bad, message", [
+    (2.5, "an integer"), (True, "an integer"), (math.nan, "an integer"), (0, ">= 1"),
+])
+def test_count_checks_reject_the_value_by_name(build, name, bad, message):
+    with pytest.raises(ConfigError, match=f"^{name} must be {message}"):
         build(bad)

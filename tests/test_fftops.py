@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blocksparse import ShapeError
 from blocksparse.fftops import box_correlate_full, box_correlate_valid
 
 
@@ -82,3 +83,64 @@ def test_full_is_adjoint_of_valid(ops):
     scale = float(np.sum(np.abs(a) * box_correlate_full(np.abs(b), side)))
     tiny = max(a.size, b.size) * np.finfo(float).smallest_subnormal
     assert abs(lhs - rhs) <= 1e-12 * scale + tiny
+
+
+@pytest.mark.parametrize("shape", [(6, 7), (3, 6, 5), (2, 2, 5, 6)])
+def test_full_equals_the_valid_sum_of_the_padded_array(shape):
+    # the scatter-add meets each output entry's terms in the padded valid
+    # sum's order, and the padding's terms are zeros
+    a = np.random.default_rng(3).standard_normal(shape)
+    for side in range(1, 6):
+        pad = [(0, 0)] * (a.ndim - 2) + [(side - 1, side - 1)] * 2
+        np.testing.assert_array_equal(box_correlate_full(a, side),
+                                      box_correlate_valid(np.pad(a, pad), side))
+
+
+@pytest.mark.parametrize("shape", [(6, 7), (3, 6, 5)])
+@pytest.mark.parametrize("side", [1, 2, 4])
+def test_out_and_scratch_give_the_allocating_result(shape, side):
+    a = np.random.default_rng(4).standard_normal(shape)
+    for fn in (box_correlate_valid, box_correlate_full):
+        want = fn(a, side)
+        out = np.full(want.shape, np.nan)
+        # a larger scratch than needed: only its first entries are used
+        scratch = np.full(3 * max(a.size, want.size), np.nan)
+        assert fn(a, side, out=out, scratch=scratch) is out
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(fn(a, side, scratch=scratch), want)
+        out = np.full(want.shape, np.nan)
+        assert fn(a, side, out=out) is out
+        np.testing.assert_array_equal(out, want)
+
+
+@pytest.mark.parametrize("side", [1, 2, 3])
+def test_out_may_share_memory_with_the_input(side):
+    # the input is read only before the output is written: it may be a view
+    # of the output's own storage
+    rng = np.random.default_rng(5)
+    h, w = 7, 9
+    valid_shape = (h - side + 1, w - side + 1)
+    buffer = rng.standard_normal((h, w))
+    a = buffer.copy()
+    out = buffer.reshape(-1)[:valid_shape[0] * valid_shape[1]].reshape(valid_shape)
+    np.testing.assert_array_equal(box_correlate_valid(buffer, side, out=out),
+                                  box_correlate_valid(a, side))
+    buffer = np.empty((h + side - 1, w + side - 1))
+    a = buffer.reshape(-1)[:h * w].reshape(h, w)
+    a[...] = rng.standard_normal((h, w))
+    want = box_correlate_full(a.copy(), side)
+    np.testing.assert_array_equal(box_correlate_full(a, side, out=buffer), want)
+
+
+def test_buffers_are_checked():
+    a = np.ones((5, 5))
+    with pytest.raises(ValueError, match="scratch holds 49 entries; the sum needs 50"):
+        box_correlate_valid(a, 2, scratch=np.empty(49))
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        box_correlate_valid(a, 2, scratch=np.empty((10, 10)).T)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        box_correlate_full(a, 2, out=np.empty((6, 6)).T)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        box_correlate_full(a, 2, out=np.empty((6, 6), dtype=np.float32))
+    with pytest.raises(ShapeError, match=r"expected \(6, 6\)"):
+        box_correlate_full(a, 2, out=np.empty((4, 9)))

@@ -20,10 +20,10 @@ def correlations(monkeypatch):
     calls = []
 
     def recording(kind, fn):
-        def wrapped(a, side):
+        def wrapped(a, side, **buffers):
             a = np.ascontiguousarray(a)
             calls.append((kind, side, a.shape, a.tobytes()))
-            return fn(a, side)
+            return fn(a, side, **buffers)
         return wrapped
 
     monkeypatch.setattr(regularizer, "box_correlate_valid",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksparse import (ConfigError, GridShape, NumericalError, RpcaConfig, ShapeError,
+from blocksparse import (ConfigError, GridShape, NumericalError, RpcaConfig, ShapeError, rpca,
                          build_clique_system, default_lambda, numerical_rank,
                          relative_error, rpca_objective, solve_rpca, support_prf,
                          support_set, svt)
@@ -157,6 +157,14 @@ def test_numerical_rank_rejects_nan_tolerance():
         numerical_rank(np.eye(3), float("nan"))
 
 
+def test_numerical_rank_rejects_a_negative_tolerance():
+    # a negative tolerance would count the zero singular value
+    a = np.diag([3.0, 1.0, 0.0])
+    assert numerical_rank(a, 0.0) == 2
+    with pytest.raises(ConfigError, match="^rel_tol must be nonnegative$"):
+        numerical_rank(a, -1.0)
+
+
 def test_objective_rejects_nonfinite_parts():
     y = np.zeros((4, 4, 2))
     bad = y.copy()
@@ -252,6 +260,47 @@ def test_objective_trace_nonincreasing_with_backtracking():
     res = solve_rpca(lowrank + sparse, RpcaConfig(clique_side=2, max_iters=150))
     tr = res.report.objective_trace
     assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
+
+
+def _count_trials(monkeypatch):
+    """Counts of the SVT (one per trial) and clique-norm (one per evaluated
+    point) calls of the solves that follow."""
+    calls = {"svt": 0, "norms": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(rpca, "_svd_soft", counting("svt", rpca._svd_soft))
+    monkeypatch.setattr(rpca, "smoothed_clique_norms",
+                        counting("norms", rpca.smoothed_clique_norms))
+    return calls
+
+
+def test_halvings_count_the_rejected_trials(monkeypatch):
+    calls = _count_trials(monkeypatch)
+    rng = np.random.default_rng(11)
+    lowrank, sparse = make_lowrank_blocksparse_stack(12, 12, 4, 2, rng, fg_side=4)
+    res = solve_rpca(lowrank + sparse, RpcaConfig(clique_side=2, max_iters=40, tol_obj=0.0))
+    halvings = res.report.extra["halvings"]
+    assert halvings > 0
+    assert calls["svt"] == res.report.iterations + halvings
+    assert calls["norms"] == res.report.iterations + halvings + 1
+
+
+def test_no_halvings_when_every_first_trial_is_accepted(monkeypatch):
+    # held at its start 1 / (mu + lam/eps), the step passes the
+    # majorisation test at every iteration of this problem: each
+    # iteration's first trial is accepted
+    monkeypatch.setattr(rpca, "_BACKTRACK_GROW", 1.0)
+    calls = _count_trials(monkeypatch)
+    rng = np.random.default_rng(0)
+    lowrank, sparse = make_lowrank_blocksparse_stack(12, 12, 4, 2, rng, fg_side=4)
+    res = solve_rpca(lowrank + sparse, RpcaConfig(clique_side=2, max_iters=40, tol_obj=0.0))
+    assert res.report.extra["halvings"] == 0
+    assert calls["svt"] == res.report.iterations == 40
 
 
 def test_trace_consistent_with_public_objective():
