@@ -15,7 +15,7 @@ from .blocktv import BlockTvConfig, GradientField, denoise_block_tv, discrete_gr
 from .common import ConfigError, NumericalError, ShapeError, SolverReport
 from .grids import CliqueSystem, GridShape, build_clique_system
 from .metrics import measured_snr_db, psnr_db, relative_error, support_prf, support_set
-from .prox import ProxConfig, ProxResult, group_shrink, prox_block_norm
+from .prox import ProxConfig, ProxResult, prox_block_norm
 from .pursuit import ColampConfig, MeasurementModel, colamp_solve, truncate_top_k
 from .regularizer import block_norm, block_norm_smoothed, block_norm_smoothed_grad
 from .rpca import (RpcaConfig, RpcaResult, default_lambda, numerical_rank,
@@ -30,7 +30,7 @@ __all__ = [
     "ShapeError", "SolverReport", "block_norm", "block_norm_smoothed",
     "block_norm_smoothed_grad", "build_clique_system", "colamp_solve",
     "default_lambda", "denoise_block_tv", "discrete_gradient",
-    "discrete_gradient_adjoint", "group_shrink", "measured_snr_db",
+    "discrete_gradient_adjoint", "measured_snr_db",
     "numerical_rank", "prox_block_norm", "psnr_db", "relative_error",
     "rpca_objective", "solve_rpca", "support_prf", "support_set", "svt",
     "truncate_top_k",

@@ -232,6 +232,6 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         alpha *= 2.0  # retry a larger step next iteration; Armijo halves as needed
 
     report = SolverReport(objective_trace, residual_trace, reason,
-                          wall_clock=time.perf_counter() - t0,
+                          iterations=len(objective_trace), wall_clock=time.perf_counter() - t0,
                           extra={"epsilon": eps, "halvings": total_halvings})
     return x, report

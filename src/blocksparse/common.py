@@ -26,8 +26,12 @@ class NumericalError(RuntimeError):
 class SolverReport:
     """Outcome of a single solver run.
 
-    ``objective_trace`` and ``residual_trace`` hold one entry per completed
-    iteration, so their common length is :attr:`iterations`.
+    :attr:`iterations` is the number of iterations the solver ran, set by
+    the solver.  ``objective_trace`` and ``residual_trace`` hold one entry
+    per iteration the solver evaluated them at, so their common length is
+    at most :attr:`iterations`: block-TV, RPCA and CoLaMP trace every
+    completed iteration, and the prox only the iterations at which it
+    checked its duality gap (:mod:`blocksparse.prox`).
     Solver-specific scalars (ranks, resolved weights, ...) live in
     ``extra``.  No solver counts its own memory; the memory benchmark
     measures peaks from outside with ``tracemalloc``.
@@ -36,6 +40,7 @@ class SolverReport:
     objective_trace: list[float]
     residual_trace: list[float]
     termination_reason: str
+    iterations: int
     wall_clock: float = 0.0
     extra: dict = field(default_factory=dict)
 
@@ -44,11 +49,9 @@ class SolverReport:
             raise ValueError(f"unknown termination reason {self.termination_reason!r}")
         if len(self.objective_trace) != len(self.residual_trace):
             raise ValueError("objective and residual traces must have equal lengths")
-
-    @property
-    def iterations(self) -> int:
-        """The number of iterations performed."""
-        return len(self.objective_trace)
+        if self.iterations < len(self.objective_trace):
+            raise ValueError(f"{self.iterations} iterations cannot leave "
+                             f"{len(self.objective_trace)} trace entries")
 
 
 def check_finite(value, what: str) -> None:

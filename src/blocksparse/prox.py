@@ -102,10 +102,27 @@ relaxation changes the input, not this condition.  So every clique block of
 ``-rho*u^i`` has norm at most ``lam``, and ``u^i`` is 0 off the tiles.  The
 dual point ``g = -rho * sum_i u^i = -rho*s*ubar`` is therefore feasible as
 it stands, and the dual value ``D = <g, v> - ||g||^2/4`` costs two n-vector
-dot products.  The primal value
-``P = ||x - v||^2 + lam * J(x)`` is the objective the loop traces.
+dot products.  The primal value ``P = ||x - v||^2 + lam * J(x)`` costs a
+valid window sum and four n-vector passes.
 
-The solve stops when ``P - D <= tol_rel*P + tol_abs*||v||^2``.  Both terms
+The gap is needed only to decide when to stop (Boyd et al. 2011, section
+3.3), and at CoLaMP's size (32x32, side 2) evaluating it took 23% of an
+iteration.  So ``P``, ``D``, the gap and both stop tests below
+are evaluated only at the checked iterations: iteration 1, every
+``GAP_STRIDE``-th after it (``k = 1 mod GAP_STRIDE``), every balancing
+check and the last iteration ``max_iters`` allows.  The evaluation reads
+the state and writes only the scratch vector, so the iterates are those of
+a solve that checks every iteration.  The solve stops at the first checked
+iteration whose gap passes, never before the first iteration whose gap
+would pass, and every stop is decided by the gap computed exactly at the
+iteration it ends on.  The gap is not monotone (below), so a stop can come
+more than ``GAP_STRIDE - 1`` iterations late: in CoLaMP's calls on the
+cs-colamp benchmark's problems (seed 0) 30 of 55 calls stopped 5 to 11
+iterations later than a solve checking every iteration; 25 of them passed
+their support test at iteration 22 and failed it at 25.
+
+At a checked iteration the solve stops when
+``P - D <= tol_rel*P + tol_abs*||v||^2``.  Both terms
 scale with the data: ``||v||^2`` is ``P(0)``.  The data term gives
 ``P(x) - P(x*) >= ||x - x*||^2``, so the returned ``x`` satisfies
 ``||x - x*||^2 <= P - D``.  With ``tol_abs = tol_rel = 0`` no gap stop is
@@ -122,9 +139,11 @@ screening rests on the same bound (Ndiaye, Fercoq, Gramfort & Salmon 2017,
 computed gap: where ``x* = 0`` and ``x`` is solver residue, roundoff can make
 the computed ``P - D`` zero, and without ``e`` that residue would pass as
 support (``v`` one spike, ``lam`` at its shrink threshold).  Whichever of
-the two stops comes first ends the solve.  ``residual_trace`` holds ``P - D``
-per iteration, in the units of ``objective_trace``.  ADMM does not make the
-gap monotone.  Relaxed ADMM at a fixed ``rho`` makes ``||dZ||_F^2 +
+the two stops comes first ends the solve.  ``objective_trace`` holds ``P``
+and ``residual_trace`` ``P - D`` at the checked iterations only, so they can
+be shorter than ``report.iterations``, the number of iterations run; their
+last entries are those of the returned ``x`` and ``u``.  ADMM does not make
+the gap monotone.  Relaxed ADMM at a fixed ``rho`` makes ``||dZ||_F^2 +
 2(alpha - 1)<dZ, dU> + ||dU||_F^2`` nonincreasing, ``dZ = Z_k - Z_{k-1}``
 and ``dU = U_k - U_{k-1}``: a fixed positive-definite quadratic form of the
 step of ``Z`` and of the multiplier ``rho*U`` for ``0 < alpha < 2`` (Fang,
@@ -154,26 +173,36 @@ from .grids import CliqueSystem
 # warm-started).
 RELAXATION = 1.8
 
+# The duality gap and the stop tests run at iteration 1, every GAP_STRIDE-th
+# iteration after it, every balancing check and the cap (module docstring).
+# On the cs-colamp benchmark's problems (seed 0) CoLaMP's prox calls took
+# 14,252 iterations checked at every one and 14,537 at stride 4, and their
+# time per iteration fell from 0.136 to 0.108 ms (traced, one BLAS thread).
+# In an earlier probe, on cs-colamp seeds 0-2, strides 2, 4 and 8 took
+# 42,532, 43,140 and 43,372 iterations against 42,477, and recovered the
+# same problems.
+GAP_STRIDE = 4
+
 # Starting penalty rho0 = 1 + RHO_START_WEIGHT*lam/max|v| (1 when v = 0), the
-# same for (c*v, c*lam) at every c > 0.  With the benchmark's generators and
-# one BLAS thread, weights 1, 2, 4 and 8 took 900, 840, 774 and 877 prox
-# iterations on prox-denoise seeds 0-3; 44,226, 42,477, 39,883 and 41,626 in
-# CoLaMP's calls on cs-colamp seeds 0-2; and 59,771, 56,610, 55,000 and
-# 51,832 on 16 CoLaMP problems at m/K = 3, which recovered the same 14 at
-# every weight.  2 is the weight checked on the CS sweeps: at seed 0 every
-# row kept the support, error, outer iterations and termination it had with
-# the start lam + 1.
+# same for (c*v, c*lam) at every c > 0.  With the benchmark's generators, one
+# BLAS thread and the gap checked at every iteration, weights 1, 2, 4 and 8
+# took 900, 840, 774 and 877 prox iterations on prox-denoise seeds 0-3;
+# 44,226, 42,477, 39,883 and 41,626 in CoLaMP's calls on cs-colamp seeds 0-2;
+# and 59,771, 56,610, 55,000 and 51,832 on 16 CoLaMP problems at m/K = 3,
+# which recovered the same 14 at every weight.  2 is the weight checked on the
+# CS sweeps: at seed 0 every row kept the support, error, outer iterations and
+# termination it had with the start lam + 1.
 RHO_START_WEIGHT = 2.0
 
 # Residual balancing of rho (module docstring): checked at iterations
 # BALANCE_FIRST, 2*BALANCE_FIRST, 4*BALANCE_FIRST, ..., rho is multiplied or
 # divided by BALANCE_FACTOR when one residual exceeds BALANCE_RATIO times the
-# other.  On the cs-colamp benchmark's problems (seed 0) CoLaMP's prox calls
-# took 28,486 iterations at a fixed rho, 23,456 at Boyd et al.'s ratio 10 and
-# 17,124 at ratio 2.  With Boyd et al.'s n-space dual residual
-# rho*s*||zbar_k - zbar_{k-1}|| in place of the stack-space one they took
-# 20,224, and prox-denoise's seed-0 side-4 lam-0.2 case took 169 iterations
-# against 112 (120 at a fixed rho).
+# other.  On the cs-colamp benchmark's problems (seed 0), with the gap checked
+# at every iteration, CoLaMP's prox calls took 28,486 iterations at a fixed
+# rho, 23,456 at Boyd et al.'s ratio 10 and 17,124 at ratio 2.  With Boyd et
+# al.'s n-space dual residual rho*s*||zbar_k - zbar_{k-1}|| in place of the
+# stack-space one they took 20,224, and prox-denoise's seed-0 side-4 lam-0.2
+# case took 169 iterations against 112 (120 at a fixed rho).
 BALANCE_FIRST = 10
 BALANCE_RATIO = 2.0
 BALANCE_FACTOR = 2.0
@@ -186,12 +215,15 @@ class ProxConfig:
     The ADMM penalty is not a setting: it starts at ``rho0`` of the module
     docstring, from ``lam`` and ``max|v|``, and is balanced by residuals.  The
     final penalty is ``report.extra["rho"]`` and the number of changes
-    ``report.extra["rho_changes"]``.  The solve stops once the duality
-    gap ``P - D`` of the module docstring is at most
-    ``tol_rel*P + tol_abs*||v||^2``: ``P`` is the prox objective at the
-    current ``x`` and ``D`` the dual value of ``g = -rho * sum_i u^i``, which
-    the z-update keeps feasible.  ``tol_abs = tol_rel = 0`` disables the test,
-    so exactly ``max_iters`` iterations run.
+    ``report.extra["rho_changes"]``.  The solve stops at the first checked
+    iteration (iteration 1, every ``GAP_STRIDE``-th after it, each balancing
+    check and the cap) whose duality gap ``P - D`` of the module docstring
+    is at most ``tol_rel*P + tol_abs*||v||^2``: ``P`` is the prox objective
+    at the current ``x`` and ``D`` the dual value of ``g = -rho * sum_i u^i``,
+    which the z-update keeps feasible.  ``tol_abs = tol_rel = 0`` disables
+    the test, so exactly ``max_iters`` iterations run.  The report's traces
+    hold ``P`` and ``P - D`` at the checked iterations, and
+    ``report.iterations`` counts every iteration run.
     """
 
     lam: float
@@ -219,18 +251,6 @@ class ProxResult:
     report: SolverReport
     z: Optional[np.ndarray] = None
     u: Optional[np.ndarray] = None
-
-
-def group_shrink(v, tau: float) -> np.ndarray:
-    """Closed-form minimizer of ``tau*||z|| + 1/2*||z - v||^2``:
-    ``max(1 - tau/||v||, 0) * v`` (zero when ``||v|| <= tau``)."""
-    check_nonnegative(tau, "shrinkage threshold")
-    v = np.asarray(v, dtype=float)
-    check_finite(v, "shrinkage input")
-    nv = float(np.linalg.norm(v))
-    if nv <= tau:
-        return np.zeros_like(v)
-    return (1.0 - tau / nv) * v
 
 
 class _TileStack:
@@ -342,7 +362,8 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     t0 = time.perf_counter()
 
     if cfg.lam == 0.0:
-        report = SolverReport([], [], "converged", wall_clock=time.perf_counter() - t0)
+        report = SolverReport([], [], "converged", iterations=0,
+                              wall_clock=time.perf_counter() - t0)
         return ProxResult(v.copy(), report)
 
     n = cliques.shape.n
@@ -377,6 +398,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     balance_floor = 1024.0 * s * np.finfo(float).eps * np.sqrt(s * n) * peak
     next_check = BALANCE_FIRST
     rho_changes = 0
+    stride = GAP_STRIDE
 
     with np.errstate(divide="ignore"):
         for k in range(1, cfg.max_iters + 1):
@@ -409,30 +431,31 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 work -= zbar
                 zbar_step = np.sqrt(s) * float(np.sqrt(work @ work))  # rd / rho
 
-            # P = ||x - v||^2 + lam * J(x), both through the scratch vector, so
-            # the window sums add only their own row and column passes and
-            # result to the solve's state
-            np.subtract(x, vflat, out=work)
-            primal = float(work @ work)
-            np.multiply(x, x, out=work)
-            sums = box_correlate_valid(work.reshape(shape), side)
-            primal += cfg.lam * float(np.sqrt(sums, out=sums).sum())
-            del sums  # not alive beside the next iteration's window sums
-            # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
-            dual_lin = -rs * float(ubar @ vflat)
-            dual_quad = 0.25 * rs * rs * float(ubar @ ubar)
-            dual = dual_lin - dual_quad
-            gap = primal - dual
-            objective_trace.append(primal)
-            residual_trace.append(gap)
-            if certify and gap <= cfg.tol_rel * primal + gap_floor:
-                reason = "converged"
-                break
-            if support_tol is not None and (
-                    gap + roundoff * (primal + abs(dual_lin) + dual_quad)
-                    <= (support_tol * float(np.abs(x).max())) ** 2):
-                reason = "support-certified"
-                break
+            if balance or (k - 1) % stride == 0 or k == cfg.max_iters:
+                # P = ||x - v||^2 + lam * J(x), both through the scratch vector,
+                # so the window sums add only their own row and column passes
+                # and result to the solve's state
+                np.subtract(x, vflat, out=work)
+                primal = float(work @ work)
+                np.multiply(x, x, out=work)
+                sums = box_correlate_valid(work.reshape(shape), side)
+                primal += cfg.lam * float(np.sqrt(sums, out=sums).sum())
+                del sums  # not alive beside the next iteration's window sums
+                # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
+                dual_lin = -rs * float(ubar @ vflat)
+                dual_quad = 0.25 * rs * rs * float(ubar @ ubar)
+                dual = dual_lin - dual_quad
+                gap = primal - dual
+                objective_trace.append(primal)
+                residual_trace.append(gap)
+                if certify and gap <= cfg.tol_rel * primal + gap_floor:
+                    reason = "converged"
+                    break
+                if support_tol is not None and (
+                        gap + roundoff * (primal + abs(dual_lin) + dual_quad)
+                        <= (support_tol * float(np.abs(x).max())) ** 2):
+                    reason = "support-certified"
+                    break
             if not balance:
                 continue
 
@@ -466,7 +489,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     for zi, ui in zip(z, u):
         ui *= alpha
         ui += (1.0 - alpha) * zi
-    report = SolverReport(objective_trace, residual_trace, reason,
+    report = SolverReport(objective_trace, residual_trace, reason, iterations=k,
                           wall_clock=time.perf_counter() - t0,
                           extra={"rho": rho, "rho_changes": rho_changes})
     return ProxResult(x.reshape(shape), report, z=z, u=u)

@@ -66,7 +66,8 @@ def _default_prox_cfg() -> ProxConfig:
     # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
     # problems at m/K = 3 (K = 40, side 2), 14 recover exactly at caps 1500,
     # 1000 and 500 alike, in 56,610, 52,128 and 38,672 prox iterations, with
-    # the relaxed, rho-balancing prox (fixed rho: 14, 14 and 13 recover).
+    # the relaxed, rho-balancing prox checking its gap at every iteration
+    # (fixed rho: 14, 14 and 13 recover).
     return ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)
 
 
@@ -194,7 +195,7 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
     if reason != "support-collapse" and float(np.linalg.norm(r)) <= eps_res:
         reason = "converged"
 
-    report = SolverReport(objective_trace, residual_trace, reason,
+    report = SolverReport(objective_trace, residual_trace, reason, iterations=n,
                           wall_clock=time.perf_counter() - t0,
                           extra={"final_lambda": lam_n, "support_size": support_size,
                                  "prox_iterations": prox_iterations,

@@ -363,5 +363,6 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     extra["alpha_final"] = alpha
     extra["halvings"] = total_halvings
     report = SolverReport(objective_trace, residual_trace, reason,
+                          iterations=len(objective_trace),
                           wall_clock=time.perf_counter() - t0, extra=extra)
     return RpcaResult(np.moveaxis(x, 0, -1), np.moveaxis(z, 0, -1), report)

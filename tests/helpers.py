@@ -8,6 +8,8 @@ share.
 
 import numpy as np
 
+from blocksparse.common import check_finite, check_nonnegative
+
 # Grids (height, width, side) whose clique subsets take every shape: 7x5 side 5
 # and 2x2 side 2 have empty subsets; 5x5 side 1 has a single one; the others
 # leave borders narrower than a tile in some subsets
@@ -88,6 +90,19 @@ def prox_objective(x, v, cliques_idx, lam):
     return float(np.sum((x - v) ** 2)) + lam * block_norm_by_loop(x, cliques_idx)
 
 
+def group_shrink(v, tau):
+    """Closed-form minimizer of ``tau*||z|| + 1/2*||z - v||^2``:
+    ``max(1 - tau/||v||, 0) * v`` (zero when ``||v|| <= tau``).  The prox of
+    one clique, shrunk on its own."""
+    check_nonnegative(tau, "shrinkage threshold")
+    v = np.asarray(v, dtype=float)
+    check_finite(v, "shrinkage input")
+    nv = float(np.linalg.norm(v))
+    if nv <= tau:
+        return np.zeros_like(v)
+    return (1.0 - tau / nv) * v
+
+
 def prox_gap_by_projection(v, x, u, rho, lam, side):
     """Duality gap ``P(x) - D(g)`` of the prox ``||x - v||^2 + lam * J(x)``.
 
@@ -166,6 +181,67 @@ def prox_by_smoothed_descent(v, cliques_idx, lam, eps=1e-8, max_iters=100000):
                 break
             window_f = fx
     return x
+
+
+def tv1d_by_condat(y, lam):
+    """Exact minimizer of ``1/2*||x - y||^2 + lam * sum_k |x_{k+1} - x_k|``
+    by Condat's direct algorithm (*A direct algorithm for 1-D total
+    variation denoising*, IEEE SPL 2013).
+
+    It sweeps ``y`` once, growing the current constant segment while the
+    running dual ``u`` (the cumulative sum of ``y - x``) can stay in
+    ``[-lam, lam]`` for some segment value in ``[vmin, vmax]``.  When it
+    cannot, the segment ends with a jump down (``u`` would pass ``-lam``) or
+    up (past ``lam``) at the last place the bound was attained, and the
+    sweep restarts after it.  At the end ``u`` must be 0, which picks the
+    last segment's value or forces one more jump.
+    """
+    y = np.asarray(y, dtype=float).ravel()
+    n = y.size
+    x = np.empty(n)
+    if n == 0:
+        return x
+    k = k0 = kminus = kplus = 0  # position, segment start, last bound hits
+    umin, umax = lam, -lam
+    vmin, vmax = y[0] - lam, y[0] + lam
+    while True:
+        while k == n - 1:  # the right end: u must come back to 0
+            if umin < 0.0:  # vmin is too high: a jump down after kminus
+                x[k0:kminus + 1] = vmin
+                k = k0 = kminus = kminus + 1
+                vmin, umin = y[k], lam
+                umax = vmin + umin - vmax
+            elif umax > 0.0:  # vmax is too low: a jump up after kplus
+                x[k0:kplus + 1] = vmax
+                k = k0 = kplus = kplus + 1
+                vmax, umax = y[k], -lam
+                umin = vmax + umax - vmin
+            else:
+                x[k0:] = vmin + umin / (k - k0 + 1)
+                return x
+        umin += y[k + 1] - vmin
+        if umin < -lam:  # a jump down after kminus
+            x[k0:kminus + 1] = vmin
+            k = k0 = kminus = kplus = kminus + 1
+            vmin, vmax = y[k], y[k] + 2.0 * lam
+            umin, umax = lam, -lam
+            continue
+        umax += y[k + 1] - vmax
+        if umax > lam:  # a jump up after kplus
+            x[k0:kplus + 1] = vmax
+            k = k0 = kminus = kplus = kplus + 1
+            vmin, vmax = y[k] - 2.0 * lam, y[k]
+            umin, umax = lam, -lam
+            continue
+        k += 1  # no jump: the segment grows, its value bounds tighten
+        if umin >= lam:
+            kminus = k
+            vmin += (umin - lam) / (k - k0 + 1)
+            umin = lam
+        if umax <= -lam:
+            kplus = k
+            vmax += (umax + lam) / (k - k0 + 1)
+            umax = -lam
 
 
 def dense_normal_solve(phi_s, y):

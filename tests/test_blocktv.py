@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksparse import (BlockTvConfig, ConfigError, GradientField, NumericalError, ShapeError,
                          blocktv, denoise_block_tv, discrete_gradient,
@@ -248,16 +250,20 @@ def test_denoising_improves_psnr():
     assert psnr_db(x, truth, 1.0) > psnr_db(noisy, truth, 1.0) + 2.0
 
 
-def test_small_eps_l1_limit_matches_convex_tv():
-    cvxpy = pytest.importorskip("cvxpy")
-    # 1-row image: anisotropic TV on the horizontal differences only
+def tv_ramp_problem():
+    """A noisy 1x40 ramp and its weight: on one row at side 1, block-TV is
+    anisotropic TV of the horizontal differences."""
     w = 40
     ramp = np.linspace(0.0, 4.0, w)
     rng = np.random.default_rng(5)
-    y = (ramp + 0.05 * rng.standard_normal(w)).reshape(1, w)
-    lam = 0.05
+    return (ramp + 0.05 * rng.standard_normal(w)).reshape(1, w), 0.05
 
-    xv = cvxpy.Variable(w)
+
+def test_small_eps_l1_limit_matches_convex_tv():
+    cvxpy = pytest.importorskip("cvxpy")
+    y, lam = tv_ramp_problem()
+
+    xv = cvxpy.Variable(y.size)
     prob = cvxpy.Problem(cvxpy.Minimize(
         0.5 * cvxpy.sum_squares(xv - y.ravel()) + lam * cvxpy.norm1(cvxpy.diff(xv))))
     prob.solve()
@@ -265,6 +271,35 @@ def test_small_eps_l1_limit_matches_convex_tv():
     x, report = denoise_block_tv(y, BlockTvConfig(lam=lam, eps=1e-8, clique_side=1,
                                                   max_iters=20000, tol_obj=1e-14))
     assert np.linalg.norm(x.ravel() - xv.value) <= 1e-3 * np.linalg.norm(xv.value)
+
+
+def test_small_eps_l1_limit_matches_exact_tv():
+    # the twin of test_small_eps_l1_limit_matches_convex_tv with the exact
+    # 1-D TV solution in place of cvxpy's
+    y, lam = tv_ramp_problem()
+    exact = helpers.tv1d_by_condat(y, lam)
+    x, _ = denoise_block_tv(y, BlockTvConfig(lam=lam, eps=1e-8, clique_side=1,
+                                             max_iters=20000, tol_obj=1e-14))
+    assert np.linalg.norm(x.ravel() - exact) <= 1e-3 * np.linalg.norm(exact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.floats(0.01, 2.0), st.floats(0.1, 10.0),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_tv1d_oracle_meets_exact_optimality_conditions(n, lam, scale, seed, rounded):
+    # x minimizes 1/2||x - y||^2 + lam*sum|x_{k+1} - x_k| exactly when
+    # r = cumsum(y - x) has |r_k| <= lam, r_{N-1} = 0, and r_k =
+    # -lam*sign(x_{k+1} - x_k) at every jump.  Rounded data make ties
+    y = scale * np.random.default_rng(seed).standard_normal(n)
+    if rounded:
+        y = np.round(y)
+    x = helpers.tv1d_by_condat(y, lam)
+    r = np.cumsum(y - x)
+    tol = 1e-12 * scale * n
+    assert np.all(np.abs(r) <= lam + tol)
+    assert abs(r[-1]) <= tol
+    jumps = np.flatnonzero(np.diff(x))
+    assert np.all(np.abs(r[jumps] + lam * np.sign(x[jumps + 1] - x[jumps])) <= tol)
 
 
 def test_denoise_rejects_nonfinite_input():

@@ -1,28 +1,59 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from blocksparse import (BlockTvConfig, ColampConfig, ConfigError, GridShape, ProxConfig,
                          RpcaConfig, SolverReport, build_clique_system, default_lambda,
-                         group_shrink, numerical_rank, prox_block_norm, psnr_db, svt)
+                         experiments, numerical_rank, prox_block_norm, psnr_db, svt)
 from blocksparse.common import check_finite, check_nonnegative, check_positive
 from blocksparse.experiments import HarnessConfig
 
 
 def test_report_validates_trace_lengths():
     with pytest.raises(ValueError):
-        SolverReport([1.0], [1.0, 0.5], "converged")
+        SolverReport([1.0], [1.0, 0.5], "converged", iterations=2)
 
 
 def test_report_counts_its_trace():
-    assert SolverReport([2.0, 1.0], [1.0, 0.5], "converged").iterations == 2
-    assert SolverReport([], [], "converged").iterations == 0
+    # the count is the solver's: a solver that traces every iteration gives
+    # its trace's length, and the prox, which traces the iterations it
+    # checks, a count past it
+    assert SolverReport([2.0, 1.0], [1.0, 0.5], "converged", iterations=2).iterations == 2
+    assert SolverReport([2.0], [0.5], "max-iterations", iterations=4).iterations == 4
+    assert SolverReport([], [], "converged", iterations=0).iterations == 0
+
+
+def test_report_rejects_fewer_iterations_than_trace_entries():
+    with pytest.raises(ValueError, match="^1 iterations cannot leave 2 trace entries$"):
+        SolverReport([2.0, 1.0], [1.0, 0.5], "converged", iterations=1)
+    with pytest.raises(ValueError, match="^0 iterations cannot leave 1 trace entries$"):
+        SolverReport([2.0], [0.5], "converged", iterations=0)
+
+
+def test_harness_reads_iterations_not_trace_entries(monkeypatch):
+    # a zero-tolerance prox capped at 25 traces only its checked iterations;
+    # the CSV column and the per-iteration time both count all 25
+    cliques = build_clique_system(GridShape(4, 4), 2)
+    rep = prox_block_norm(np.ones((4, 4)), cliques, ProxConfig(lam=1.0, max_iters=25,
+                                                               tol_abs=0.0, tol_rel=0.0)).report
+    assert len(rep.objective_trace) < 25
+    assert experiments._report_fields(rep) == {"iterations": 25,
+                                               "termination": "max-iterations"}
+    # each timed solve takes 3 s on a fake clock, over 30 iterations and one
+    # trace entry
+    clock = itertools.count(0.0, 3.0)
+    monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    report = SolverReport([1.0], [1.0], "max-iterations", iterations=30)
+    monkeypatch.setattr(experiments, "solve_rpca", lambda y, cfg: SimpleNamespace(report=report))
+    assert experiments.fbs_per_iteration_seconds(2) == 0.1
 
 
 def test_report_validates_reason():
     with pytest.raises(ValueError):
-        SolverReport([], [], "finished")
+        SolverReport([], [], "finished", iterations=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -66,8 +97,6 @@ _RANGE_RULES = [
     ("HarnessConfig.mu", lambda v: HarnessConfig(mu=v), "mu", "positive"),
     ("HarnessConfig.epsilon", lambda v: HarnessConfig(epsilon=v), "epsilon", "positive"),
     ("HarnessConfig.lam", lambda v: HarnessConfig(lam=v), "lambda", "nonnegative"),
-    ("group_shrink", lambda v: group_shrink(np.ones(3), v), "shrinkage threshold",
-     "nonnegative"),
     ("svt", lambda v: svt(np.ones((2, 2)), v), "threshold", "nonnegative"),
     ("prox_block_norm.support_tol", _support_tol, "support_tol", "positive"),
     ("psnr_db.peak", lambda v: psnr_db(np.ones(2), np.zeros(2), v), "peak", "positive"),

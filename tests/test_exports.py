@@ -7,10 +7,10 @@ DELETED = {
     blocksparse: ("prox_block_norm_framewise", "SyntheticSpec", "SyntheticData",
                   "gen_synthetic", "AllocationTracker", "block_norm_smoothed_grad_fft",
                   "cg_solve_normal", "backtrack_step", "AcceptedStep", "StepFailureError",
-                  "default_epsilon"),
+                  "default_epsilon", "group_shrink"),
     common: ("AllocationTracker", "backtrack_step", "AcceptedStep", "StepFailureError"),
     SolverReport: ("peak_aux_entries",),
-    prox: ("prox_block_norm_framewise",),
+    prox: ("prox_block_norm_framewise", "group_shrink"),
     pursuit: ("cg_solve_normal",),
     regularizer: ("block_norm_smoothed_grad_fft", "_clique_sq_norms", "default_epsilon"),
     fftops: ("_kernel_cache", "_cache_lock", "_padded_shape", "_kernel_fft",

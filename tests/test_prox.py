@@ -1,17 +1,19 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blocksparse import (ConfigError, GridShape, ProxConfig, block_norm,
-                         build_clique_system, group_shrink, prox_block_norm)
+                         build_clique_system, prox, prox_block_norm)
 
-from blocksparse.prox import (BALANCE_FACTOR, BALANCE_FIRST, BALANCE_RATIO, RELAXATION,
-                              RHO_START_WEIGHT, _TileStack)
+from blocksparse.prox import (BALANCE_FACTOR, BALANCE_FIRST, BALANCE_RATIO, GAP_STRIDE,
+                              RELAXATION, RHO_START_WEIGHT, _TileStack)
 
 import helpers
+from helpers import group_shrink
 
 
 def system(h, w, side):
@@ -58,6 +60,13 @@ def test_shrink_rejects_nonfinite_threshold_and_input():
             group_shrink(np.ones(2), bad)
         with pytest.raises(ConfigError, match="shrinkage input must be finite"):
             group_shrink(np.array([1.0, bad]), 0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0], ids=str)
+def test_shrink_rejects_bad_threshold_by_name(bad):
+    message = "finite" if not math.isfinite(bad) else "nonnegative"
+    with pytest.raises(ConfigError, match=f"^shrinkage threshold must be {message}$"):
+        group_shrink(np.ones(3), bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,6 +366,77 @@ def test_prox_max_iterations_reported_not_raised():
                           ProxConfig(lam=1.0, max_iters=2))
     assert res.report.termination_reason == "max-iterations"
     assert res.report.iterations == 2
+
+
+def checked_iterations(cap):
+    """The iterations up to ``cap`` at which the prox evaluates its gap:
+    iteration 1, every ``GAP_STRIDE``-th after it, the balancing checks
+    ``BALANCE_FIRST * 2**j`` and the cap."""
+    checks = {k for k in range(1, cap + 1) if (k - 1) % GAP_STRIDE == 0} | {cap}
+    check = BALANCE_FIRST
+    while check <= cap:
+        checks.add(check)
+        check *= 2
+    return sorted(checks)
+
+
+def test_prox_counts_iterations_and_traces_checks():
+    # a zero-tolerance solve capped at 25 runs 25 iterations and traces the
+    # gap at its checked ones alone, each the oracle's gap at that state
+    v = np.random.default_rng(24).standard_normal((5, 6))
+    cs = system(5, 6, 2)
+    rep = prox_block_norm(v, cs, ProxConfig(lam=1.0, max_iters=25, tol_abs=0.0,
+                                            tol_rel=0.0)).report
+    checks = checked_iterations(25)
+    assert rep.iterations == 25 and len(rep.residual_trace) == len(checks) < 25
+    for k, traced in zip(checks, rep.residual_trace):
+        res = prox_block_norm(v, cs, ProxConfig(lam=1.0, max_iters=k, tol_abs=0.0, tol_rel=0.0))
+        gap = helpers.prox_gap_by_projection(v, res.x, res.u, res.report.extra["rho"], 1.0, 2)
+        assert traced == pytest.approx(gap, rel=1e-9, abs=1e-12 * np.sum(v ** 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(helpers.GEOMETRIES), st.integers(0, 2**32 - 1), st.floats(0.05, 5.0),
+       st.sampled_from([None, 3e-3]))
+@example((10, 7, 2), 1, 0.5, None)  # stops at the balancing check at 20
+def test_gap_checks_do_not_perturb_the_path(geometry, seed, lam, support_tol):
+    # a solve with tolerances stops at a checked iteration k on the very
+    # state a zero-tolerance solve capped at k returns, with the oracle's gap
+    # of that state; a solve that checks every iteration stops no later.
+    # Checking at stride 1 need not stop within GAP_STRIDE - 1 iterations of
+    # k: the ADMM gap is not monotone, so it can pass and fail again
+    height, width, side = geometry
+    cs = system(height, width, side)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((height, width))
+    v[rng.uniform(size=v.shape) < 0.3] = 0.0
+    cfg = ProxConfig(lam=lam)
+    res = prox_block_norm(v, cs, cfg, support_tol=support_tol)
+    rep = res.report
+    k = rep.iterations
+    assert k in checked_iterations(cfg.max_iters)
+    capped = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=k, tol_abs=0.0, tol_rel=0.0))
+    assert np.array_equal(res.x, capped.x) and np.array_equal(res.z, capped.z)
+    if capped.report.extra["rho_changes"] == rep.extra["rho_changes"]:
+        assert np.array_equal(res.u, capped.u)
+        assert capped.report.extra["rho"] == rep.extra["rho"]
+    else:
+        # a stop at a balancing check comes before the balancing, which the
+        # capped solve then runs (about 8% of such draws): its rho changed and
+        # its u was rescaled with -rho*u kept, up to the rescale's rounding
+        blocks, rest = divmod(k, BALANCE_FIRST)
+        assert rest == 0 and blocks & (blocks - 1) == 0
+        assert capped.report.extra["rho_changes"] == rep.extra["rho_changes"] + 1
+        g = -rep.extra["rho"] * res.u
+        g_capped = -capped.report.extra["rho"] * capped.u
+        assert np.max(np.abs(g - g_capped)) <= 1e-12 * max(1.0, float(np.abs(g).max()))
+    gap = helpers.prox_gap_by_projection(v, res.x, res.u, rep.extra["rho"], lam, side)
+    assert rep.residual_trace[-1] == pytest.approx(gap, rel=1e-6, abs=1e-12 * np.sum(v ** 2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prox, "GAP_STRIDE", 1)
+        every = prox_block_norm(v, cs, cfg, support_tol=support_tol).report
+    assert every.iterations <= k
+    assert len(every.residual_trace) == every.iterations
 
 
 def test_prox_config_validation():
