@@ -16,13 +16,13 @@ window sum for its gradient: the accepted point is never evaluated twice.
 
 A solve allocates its image-sized arrays once, before the first iteration:
 the forward differences, the squared magnitudes, the clique norms, the
-window sums' row and column passes, the weight map, the gradient and the
-trial point.  The evaluator pair, the window sums and the difference
-operators fill them through their ``out=`` and ``scratch=`` arguments, and an
-accepted trial swaps buffers with ``x``, so an iteration allocates nothing
-image-sized.  Each buffer is filled by the operations, in the order, that
-made a new array before, so the iterates are those of a solve that
-allocates.  Block-TV still reaches the window sums only through the names
+window sums' scratch (the full sum's two passes; the valid sum uses one),
+the weight map, the gradient and the trial point.  The evaluator pair, the
+window sums and the difference operators fill them through their ``out=``
+and ``scratch=`` arguments, and an accepted trial swaps buffers with ``x``,
+so an iteration allocates nothing image-sized.  Each buffer is filled by the
+operations, in the order, that made a new array before, so the iterates are
+those of a solve that allocates.  Block-TV still reaches the window sums only through the names
 :mod:`blocksparse.regularizer` binds, and uses the arrays its calls return.
 The difference operators work on the flattened image, as the window sums do
 (see :mod:`blocksparse.fftops`), and fix up the one column a shift carries
@@ -157,7 +157,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     # image-sized; an accepted trial swaps its buffer with x's
     d = GradientField(np.empty(y.shape), np.empty(y.shape))
     sq, weights, grad_buf, trial = (np.empty(y.shape) for _ in range(4))
-    scratch = np.empty((2,) + y.shape)  # the window sums' row and column passes
+    scratch = np.empty((2,) + y.shape)  # the window sums' intermediate passes
     norms_buf = np.empty((y.shape[0] - side + 1, y.shape[1] - side + 1))
 
     if cfg.eps is not None:
@@ -174,6 +174,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         discrete_gradient(x, out=d)
         np.multiply(d.dh, d.dh, out=sq)
         np.add(sq, np.multiply(d.dv, d.dv, out=weights), out=sq)  # weights is free here
+        # the window sum spends sq, which then takes the residual
         norms = smoothed_clique_norms(sq, side, eps, out=norms_buf, scratch=scratch)
         resid = np.subtract(x, y, out=sq)
         return 0.5 * float(np.sum(np.square(resid, out=resid))) + lam * float(norms.sum()), norms

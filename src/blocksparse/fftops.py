@@ -25,11 +25,17 @@ entries in the order in which the valid sum of the padded array meets them,
 and the terms that come from the padding are zeros, so the two agree bit for
 bit (a zero's sign may differ).
 
-Both sums take NumPy-style ``out=``, and ``scratch=`` for their two
+Both sums take NumPy-style ``out=``, and ``scratch=`` for their
 intermediate arrays, so that a solver calling them every iteration can keep
-both in buffers of its own; each allocates what it is not given.  The input
-is read only before ``out`` is written, so ``out`` may share memory with the
-input; ``scratch`` must share memory with neither.
+those in buffers of its own; each allocates what it is not given.  The full
+sum keeps two arrays in ``scratch``, its placed input and its row pass.  The
+valid sum keeps only its row pass there: given ``scratch``, it runs its column
+pass over its input, which it spends, so a caller passes an input it is done
+with.  Without ``scratch`` it allocates both passes and leaves its input
+untouched.  Each sum writes ``out`` only after it has read its input, so
+``out`` may share memory with the input; the valid sum's ``out`` may also
+share memory with ``scratch``, whose row pass is spent by then.  ``scratch``
+must not share memory with the input, nor with the full sum's ``out``.
 
 Inputs may carry leading batch axes; the windows slide over the last two.
 The module keeps its old name because the benchmark imports it by that name.
@@ -44,16 +50,16 @@ import numpy as np
 from .common import flat_view
 
 
-def _pair(scratch, shape):
-    """Two arrays of ``shape`` for a sum's intermediate results: the first
-    ``2 * prod(shape)`` entries of ``scratch``, or new arrays."""
+def _passes(scratch, shape, count: int) -> list:
+    """``count`` arrays of ``shape`` for a sum's intermediate results: the
+    first ``count * prod(shape)`` entries of ``scratch``, or new arrays."""
     if scratch is None:
-        return np.empty(shape), np.empty(shape)
+        return [np.empty(shape) for _ in range(count)]
     n = math.prod(shape)
     flat = flat_view(scratch)
-    if flat.size < 2 * n:
-        raise ValueError(f"scratch holds {flat.size} entries; the sum needs {2 * n}")
-    return flat[:n].reshape(shape), flat[n:2 * n].reshape(shape)
+    if flat.size < count * n:
+        raise ValueError(f"scratch holds {flat.size} entries; the sum needs {count * n}")
+    return [flat[k * n:(k + 1) * n].reshape(shape) for k in range(count)]
 
 
 def _shift_sum(src: np.ndarray, n: int, step: int, side: int, acc: np.ndarray) -> None:
@@ -73,15 +79,20 @@ def box_correlate_valid(a: np.ndarray, side: int, out=None, scratch=None) -> np.
 
     Output spatial shape is ``(h - side + 1, w - side + 1)``, indexed by the
     box's top-left corner.  The sums go into ``out`` if given.  ``scratch``,
-    a C-contiguous float array of at least twice ``a``'s size, holds the row
-    and column passes; ``out`` may share memory with ``a``, ``scratch`` may
-    not.
+    a C-contiguous float array of at least ``a``'s size, holds the row pass,
+    and the column pass then overwrites ``a``: given ``scratch``, the input
+    is spent.  Without it both passes are new arrays and ``a`` is left
+    intact.  ``out`` may share memory with ``a`` or ``scratch``; ``scratch``
+    may not share memory with ``a``.
     """
     a = np.ascontiguousarray(a, dtype=float)
     h, w = a.shape[-2:]
     if side > min(h, w):
         raise ValueError(f"box side {side} exceeds array extent {h}x{w}")
-    rows, cols = _pair(scratch, a.shape)
+    if scratch is None:
+        rows, cols = _passes(None, a.shape, 2)
+    else:
+        (rows,), cols = _passes(scratch, a.shape, 1), a  # the column pass spends a
     # rows[..., r, :] sums a's rows r to r + side - 1 (for r < h - side + 1),
     # and cols[..., r, c] sums rows[..., r, c:c + side] (for c < w - side + 1)
     n = a.size - (side - 1) * w
@@ -102,13 +113,14 @@ def box_correlate_full(a: np.ndarray, side: int, out=None, scratch=None) -> np.n
     sums ``a`` over the box positions that cover it.  It equals the valid
     sum of ``a`` zero-padded by ``side - 1`` on each side, bit for bit.
     ``out`` must be C-contiguous, and ``scratch`` hold twice the output's
-    size; they are shared as in :func:`box_correlate_valid`.
+    size, for the placed input and the row pass.  ``out`` may share memory
+    with ``a``; ``scratch`` may share memory with neither.
     """
     a = np.asarray(a, dtype=float)
     h, w = a.shape[-2:]
     shape = a.shape[:-2] + (h + side - 1, w + side - 1)
     wf = shape[-1]
-    placed, rows = _pair(scratch, shape)
+    placed, rows = _passes(scratch, shape, 2)
     placed[..., :h, :w] = a
     placed[..., :h, w:] = 0.0
     placed[..., h:, :] = 0.0

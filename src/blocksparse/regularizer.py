@@ -33,15 +33,16 @@ takes the square root in place on the window sums it owns.
 Both evaluator functions take NumPy-style ``out=`` and pass ``scratch=`` on
 to the window sums, so a solver can keep their results in buffers it
 allocates once; without them they allocate as before, with the same result
-bit for bit.  The weight map puts the reciprocal norms in the first entries
-of its ``out`` and the full sum reads them before it writes ``out``.
+bit for bit.  Given ``scratch``, the clique norms spend their ``sq``.  The
+weight map puts the reciprocal norms in the first entries of its ``out`` and
+the full sum reads them before it writes ``out``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .common import ConfigError, ShapeError
+from .common import ShapeError, check_nonnegative, check_positive
 from .fftops import box_correlate_full, box_correlate_valid
 from .grids import CliqueSystem
 
@@ -66,8 +67,7 @@ def block_norm_smoothed(x, cliques: CliqueSystem, eps: float) -> float:
     """Smoothed penalty ``sum_c sqrt(||x_c||^2 + eps^2)``; equals
     :func:`block_norm` at ``eps == 0``."""
     x = _checked(x, cliques)
-    if eps < 0:
-        raise ConfigError("smoothing eps must be nonnegative")
+    check_nonnegative(eps, "eps")
     return float(smoothed_clique_norms(x * x, cliques.side, eps).sum())
 
 
@@ -78,7 +78,8 @@ def smoothed_clique_norms(sq, side: int, eps: float, out=None, scratch=None) -> 
     batched; the result is indexed by clique corner ``(..., h-side+1,
     w-side+1)`` and sums to the smoothed penalty.  Positive for ``eps > 0``.
     ``out`` and ``scratch`` go to the valid window sum; ``out`` may share
-    memory with ``sq``.
+    memory with ``sq`` or ``scratch``.  Given ``scratch``, the window sum
+    keeps its row pass there and its column pass in ``sq``, which is spent.
     """
     norms = box_correlate_valid(sq, side, out=out, scratch=scratch)
     norms += eps * eps
@@ -110,7 +111,6 @@ def block_norm_smoothed_grad(x, cliques: CliqueSystem, eps: float) -> np.ndarray
     differentiable at zero cliques).
     """
     x = _checked(x, cliques)
-    if eps <= 0:
-        raise ConfigError("gradient evaluation requires eps > 0")
+    check_positive(eps, "eps")
     norms = smoothed_clique_norms(x * x, cliques.side, eps)
     return x * smoothed_weight_map(norms, cliques.side)

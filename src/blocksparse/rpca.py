@@ -30,9 +30,13 @@ In the paper's count the algorithm's state is four stack-sized buffers (X,
 Z, gradient, residual): ``4 * N * L`` entries, versus ``(2*side^2 + 4) * N *
 L`` for a consensus-ADMM treatment of the same objective.  Both gradients, the
 trial point and the window sums add temporaries on top: ``memory-benchmark``
-(tracemalloc, 16x16x4 stack, side 10) measures a peak of 10.6 stack copies,
-set inside a trial's valid window sum, whose row and column passes each
-take a stack.
+(tracemalloc, 16x16x4 stack, side 10) measures a peak of 9.7 stack copies,
+set inside a trial's valid window sum.  There the stack holds ``y``, ``x``,
+``z``, both gradients, the trial's ``x`` and ``z``, its squares and the
+window sum's row pass.  The squares fill the residual's buffer, and the
+column pass overwrites them; the clique norms go to the front of the row
+pass's buffer, so the squares are freed and the kept norms own one stack.
+The next gradient's weight map is built in that buffer.
 
 The block penalty comes from the regularizer's evaluator pair, batched over
 frames.  Each line-search trial computes the smoothed clique norms of its
@@ -289,16 +293,23 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     z = np.zeros_like(y)
 
     alpha = 1.0 / (mu + lam / eps)
+    norms_shape = y.shape[:1] + tuple(d - side + 1 for d in y.shape[1:])
+    n_norms = math.prod(norms_shape)
 
-    def clique_norms(x_):
-        return smoothed_clique_norms(x_ * x_, side, eps)
+    def clique_norms(sq):
+        """The smoothed clique norms of the squares ``sq``, which the window
+        sum spends, and the new stack-sized buffer that holds its row pass
+        and then, at its front, the norms."""
+        buf = np.empty_like(sq)
+        norms = buf.reshape(-1)[:n_norms].reshape(norms_shape)
+        return smoothed_clique_norms(sq, side, eps, out=norms, scratch=buf), buf
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
     # clique norms and smooth part at the current point, later those of the
     # accepted trial; Z0 = 0 has nuclear norm 0
-    norms = clique_norms(x)
+    norms, norms_buf = clique_norms(x * x)
     h_new = lam * float(norms.sum()) + 0.5 * mu * float(np.einsum("ijk,ijk->", y, y))
     obj_prev = h_new
     extra = {"lambda": lam, "epsilon": eps, "mu": mu}
@@ -306,15 +317,16 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
 
     for _ in range(cfg.max_iters):
         h_old = h_new
-        # gz = mu * (z + x - y) and gx = lam * x * weights + gz, built in place
+        # gx = lam * x * weights + gz and gz = mu * (z + x - y), built in
+        # place: the weights in the norms' buffer, before gz is allocated
+        gx = smoothed_weight_map(norms, side, out=norms_buf)
+        norms = norms_buf = None
+        gx *= x
+        gx *= lam
         gz = z + x
         gz -= y
         gz *= mu
-        gx = smoothed_weight_map(norms, side)
-        gx *= x
-        gx *= lam
         gx += gz
-        norms = None  # the gradient is built; drop the norms before the trials
         grad_sq = float(np.einsum("ijk,ijk->", gx, gx) + np.einsum("ijk,ijk->", gz, gz))
 
         halvings = 0
@@ -326,12 +338,13 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
             work += z
             z_new, s, svals = _svd_soft(work.reshape(n_frames, -1), alpha)
             z_new = z_new.reshape(y.shape)
-            # the forward point is spent: its buffer holds the residual
+            # the forward point is spent: its buffer holds the residual, then
+            # the squares that the window sum spends
             np.subtract(y, z_new, out=work)
             work -= x_new
             resid_sq = _sum_sq(work)
-            work = None  # freed before the window sums, where the solve peaks
-            norms = clique_norms(x_new)
+            norms, norms_buf = clique_norms(np.multiply(x_new, x_new, out=work))
+            work = None
             h_new = lam * float(norms.sum()) + 0.5 * mu * resid_sq
             # the majorisation at the trial: the gradient terms of both steps
             # give -alpha/2 * grad_sq, and the SVT's move min(s, alpha) per
@@ -340,7 +353,7 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
                      + float(np.square(s - svals).sum()) / (2.0 * alpha))
             if h_new <= model + 1e-12 * abs(h_old):
                 break
-            norms = None  # rejected trial
+            x_new = z_new = norms = norms_buf = None  # rejected trial
             halvings += 1
             if halvings > _MAX_HALVINGS:
                 raise NumericalError("backtracking failed; the smooth gradient is suspect")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -100,16 +102,52 @@ def test_full_equals_the_valid_sum_of_the_padded_array(shape):
 @pytest.mark.parametrize("side", [1, 2, 4])
 def test_out_and_scratch_give_the_allocating_result(shape, side):
     a = np.random.default_rng(4).standard_normal(shape)
+    h, w = shape[-2:]
     for fn in (box_correlate_valid, box_correlate_full):
         want = fn(a, side)
         out = np.full(want.shape, np.nan)
         # a larger scratch than needed: only its first entries are used
         scratch = np.full(3 * max(a.size, want.size), np.nan)
-        assert fn(a, side, out=out, scratch=scratch) is out
+        spent = a.copy()
+        assert fn(spent, side, out=out, scratch=scratch) is out
         np.testing.assert_array_equal(out, want)
-        np.testing.assert_array_equal(fn(a, side, scratch=scratch), want)
+        if fn is box_correlate_valid:
+            # given scratch, the valid sum's column pass overwrites its input
+            np.testing.assert_array_equal(spent[..., :h - side + 1, :w - side + 1], want)
+        else:
+            np.testing.assert_array_equal(spent, a)
+        np.testing.assert_array_equal(fn(a.copy(), side, scratch=scratch), want)
         out = np.full(want.shape, np.nan)
         assert fn(a, side, out=out) is out
+        np.testing.assert_array_equal(out, want)
+
+
+@pytest.mark.parametrize("side", [1, 2, 4])
+def test_valid_sum_without_scratch_leaves_its_input_intact(side):
+    a = np.random.default_rng(6).standard_normal((3, 6, 5))
+    kept = a.copy()
+    want = box_correlate_valid(a, side)
+    np.testing.assert_array_equal(a, kept)
+    box_correlate_valid(a, side, out=np.empty_like(want))
+    np.testing.assert_array_equal(a, kept)
+
+
+def test_valid_sum_with_out_and_scratch_allocates_nothing_input_sized():
+    a = np.random.default_rng(7).standard_normal((4, 64, 64))
+    side = 3
+    want = box_correlate_valid(a, side)
+    scratch = np.empty_like(a)
+    # out apart from scratch, then at its front: the row pass is spent by
+    # the time out is written
+    for out in (np.empty_like(want), scratch.reshape(-1)[:want.size].reshape(want.shape)):
+        spent = a.copy()
+        tracemalloc.start()
+        try:
+            box_correlate_valid(spent, side, out=out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 2
         np.testing.assert_array_equal(out, want)
 
 
@@ -125,6 +163,12 @@ def test_out_may_share_memory_with_the_input(side):
     out = buffer.reshape(-1)[:valid_shape[0] * valid_shape[1]].reshape(valid_shape)
     np.testing.assert_array_equal(box_correlate_valid(buffer, side, out=out),
                                   box_correlate_valid(a, side))
+    # given scratch, the column pass writes the input before out is written
+    buffer = a.copy()
+    out = buffer.reshape(-1)[:valid_shape[0] * valid_shape[1]].reshape(valid_shape)
+    np.testing.assert_array_equal(
+        box_correlate_valid(buffer, side, out=out, scratch=np.empty(h * w)),
+        box_correlate_valid(a, side))
     buffer = np.empty((h + side - 1, w + side - 1))
     a = buffer.reshape(-1)[:h * w].reshape(h, w)
     a[...] = rng.standard_normal((h, w))
@@ -134,8 +178,11 @@ def test_out_may_share_memory_with_the_input(side):
 
 def test_buffers_are_checked():
     a = np.ones((5, 5))
-    with pytest.raises(ValueError, match="scratch holds 49 entries; the sum needs 50"):
-        box_correlate_valid(a, 2, scratch=np.empty(49))
+    # the valid sum keeps one pass in scratch, the full sum two
+    with pytest.raises(ValueError, match="scratch holds 24 entries; the sum needs 25"):
+        box_correlate_valid(a, 2, scratch=np.empty(24))
+    with pytest.raises(ValueError, match="scratch holds 71 entries; the sum needs 72"):
+        box_correlate_full(a, 2, scratch=np.empty(71))
     with pytest.raises(ValueError, match="C-contiguous float64"):
         box_correlate_valid(a, 2, scratch=np.empty((10, 10)).T)
     with pytest.raises(ValueError, match="C-contiguous float64"):

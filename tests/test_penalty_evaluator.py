@@ -4,7 +4,8 @@ The box-filter correlations are wrapped at the names ``regularizer`` binds,
 which every smoothed solver reaches through the evaluator pair.  Within one
 solve no correlation may see an input it has seen before, and each iteration
 makes exactly one full correlation: the gradient's, built from the norms the
-accepted line-search trial already computed.
+accepted line-search trial already computed.  The valid correlations, one per
+trial and one at the start, must all pass through those names too.
 """
 
 import numpy as np
@@ -46,6 +47,8 @@ def test_blocktv_evaluates_each_point_once(correlations):
     assert report.iterations == 25
     assert_no_repeats(correlations)
     assert sum(kind == "full" for kind, *_ in correlations) == report.iterations
+    trials = report.iterations + report.extra["halvings"]
+    assert sum(kind == "valid" for kind, *_ in correlations) == trials + 1
 
 
 def test_rpca_evaluates_each_point_once(correlations):
@@ -55,3 +58,5 @@ def test_rpca_evaluates_each_point_once(correlations):
     assert res.report.iterations == 25
     assert_no_repeats(correlations)
     assert sum(kind == "full" for kind, *_ in correlations) == res.report.iterations
+    trials = res.report.iterations + res.report.extra["halvings"]
+    assert sum(kind == "valid" for kind, *_ in correlations) == trials + 1
