@@ -14,12 +14,11 @@ search.  Every clique sum comes from one exact window-sum primitive
 from .blocktv import BlockTvConfig, GradientField, denoise_block_tv, discrete_gradient, discrete_gradient_adjoint
 from .common import ConfigError, NumericalError, ShapeError, SolverReport
 from .grids import CliqueSystem, GridShape, build_clique_system
-from .metrics import measured_snr_db, psnr_db, relative_error, support_prf, support_set
+from .metrics import psnr_db, relative_error, support_prf, support_set
 from .prox import ProxConfig, ProxResult, prox_block_norm
 from .pursuit import ColampConfig, MeasurementModel, colamp_solve, truncate_top_k
-from .regularizer import block_norm, block_norm_smoothed, block_norm_smoothed_grad
-from .rpca import (RpcaConfig, RpcaResult, default_lambda, numerical_rank,
-                   rpca_objective, solve_rpca, svt)
+from .regularizer import block_norm
+from .rpca import RpcaConfig, RpcaResult, default_lambda, solve_rpca, svt
 
 __version__ = "0.1.0"
 
@@ -27,11 +26,8 @@ __all__ = [
     "BlockTvConfig", "CliqueSystem", "ColampConfig",
     "ConfigError", "GradientField", "GridShape", "MeasurementModel",
     "NumericalError", "ProxConfig", "ProxResult", "RpcaConfig", "RpcaResult",
-    "ShapeError", "SolverReport", "block_norm", "block_norm_smoothed",
-    "block_norm_smoothed_grad", "build_clique_system", "colamp_solve",
+    "ShapeError", "SolverReport", "block_norm", "build_clique_system", "colamp_solve",
     "default_lambda", "denoise_block_tv", "discrete_gradient",
-    "discrete_gradient_adjoint", "measured_snr_db",
-    "numerical_rank", "prox_block_norm", "psnr_db", "relative_error",
-    "rpca_objective", "solve_rpca", "support_prf", "support_set", "svt",
-    "truncate_top_k",
+    "discrete_gradient_adjoint", "prox_block_norm", "psnr_db", "relative_error",
+    "solve_rpca", "support_prf", "support_set", "svt", "truncate_top_k",
 ]

@@ -54,12 +54,6 @@ CSV_COLUMNS = (
     "memory_ratio", "per_iter_seconds", "wall_clock_s", "termination", "failed",
 )
 
-# Columns that differ between reruns of the same seed, which byte-determinism
-# comparisons exclude: the timestamp, wall-clock readings, and tracemalloc
-# peaks, which move by tens of bytes with the interpreter's own allocations.
-UNREPEATABLE_COLUMNS = ("timestamp", "wall_clock_s", "per_iter_seconds",
-                        "fbs_measured_entries", "admm_measured_entries", "memory_ratio")
-
 # Defaults tuned for the unit-amplitude synthetic generators; CLI flags
 # override them.  The solvers' own settings are the defaults of their
 # configs (ColampConfig, BlockTvConfig, RpcaConfig).
@@ -168,18 +162,6 @@ def write_rows(path, rows: list[dict]) -> None:
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
-
-
-def read_csv_without_timing(path) -> list[tuple[str, ...]]:
-    """Rows of a results CSV without the columns that differ between reruns
-    (timing and measured memory), for byte-determinism comparisons."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        keep = [i for i, name in enumerate(header) if name not in UNREPEATABLE_COLUMNS]
-        out = [tuple(header[i] for i in keep)]
-        out.extend(tuple(line[i] for i in keep) for line in reader)
-    return out
 
 
 def _base_row(name: str, cfg: HarnessConfig, trial: int) -> dict:

@@ -1,9 +1,8 @@
 """Portable file formats: binary PGM images and a raw float64 matrix container.
 
-PGM (P5) covers 8-bit and 16-bit grayscale emission without external image
-libraries; 16-bit samples are big-endian per the format.  The matrix
-container stores exact solver state: magic line ``BSMX1``, an ASCII
-``rows cols`` line, then row-major little-endian float64 payload.
+PGM (P5) writes 8-bit grayscale previews without external image libraries.
+The matrix container stores exact solver state: magic line ``BSMX1``, an
+ASCII ``rows cols`` line, then row-major little-endian float64 payload.
 """
 
 from __future__ import annotations
@@ -13,77 +12,25 @@ import numpy as np
 _MATRIX_MAGIC = b"BSMX1\n"
 
 
-def quantize(image, lo: float, hi: float, maxval: int = 255) -> np.ndarray:
-    """Affinely map ``[lo, hi]`` to ``[0, maxval]`` with clipping and rounding."""
+def quantize(image, lo: float, hi: float) -> np.ndarray:
+    """Affinely map ``[lo, hi]`` to ``[0, 255]`` with clipping and rounding."""
     if hi <= lo:
         raise ValueError("need hi > lo to quantize")
-    if not 0 < maxval < 65536:
-        raise ValueError("maxval must be in [1, 65535]")
     a = np.asarray(image, dtype=float)
-    scaled = np.clip((a - lo) / (hi - lo), 0.0, 1.0) * maxval
-    dtype = np.uint8 if maxval <= 255 else np.uint16
-    return np.rint(scaled).astype(dtype)
+    return np.rint(np.clip((a - lo) / (hi - lo), 0.0, 1.0) * 255).astype(np.uint8)
 
 
-def write_pgm(path, image, maxval: int | None = None, lo: float | None = None,
-              hi: float | None = None) -> None:
-    """Write a grayscale image as binary PGM.
-
-    Integer arrays are written directly (``maxval`` defaults to the dtype
-    limit); float arrays are quantized over ``[lo, hi]`` (defaulting to the
-    data range) at ``maxval`` levels (default 255).
-    """
-    a = np.asarray(image)
+def write_pgm(path, image) -> None:
+    """Write a grayscale image as 8-bit binary PGM, its data range mapped to
+    ``[0, 255]`` (a constant image is written as zeros)."""
+    a = np.asarray(image, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"PGM needs a 2-D image, got shape {a.shape}")
-    if np.issubdtype(a.dtype, np.integer):
-        if maxval is None:
-            maxval = 255 if a.dtype.itemsize == 1 else 65535
-        if a.min() < 0 or a.max() > maxval:
-            raise ValueError("integer samples out of range for the declared maxval")
-        samples = a.astype(np.uint8 if maxval <= 255 else np.uint16)
-    else:
-        if maxval is None:
-            maxval = 255
-        lo = float(a.min()) if lo is None else lo
-        hi = float(a.max()) if hi is None else hi
-        if hi <= lo:
-            hi = lo + 1.0
-        samples = quantize(a, lo, hi, maxval)
-    header = f"P5\n{a.shape[1]} {a.shape[0]}\n{maxval}\n".encode("ascii")
-    payload = samples.astype(">u2").tobytes() if maxval > 255 else samples.tobytes()
+    lo, hi = float(a.min()), float(a.max())
+    samples = quantize(a, lo, hi if hi > lo else lo + 1.0)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-
-
-def read_pgm(path) -> tuple[np.ndarray, int]:
-    """Read a binary PGM; returns (samples, maxval)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError(f"not a binary PGM: magic {fields[0]!r}")
-    width, height, maxval = (int(f) for f in fields[1:])
-    pos += 1  # single whitespace byte after maxval
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
-    count = width * height
-    samples = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-    if samples.size != count:
-        raise ValueError("truncated PGM payload")
-    out = samples.reshape(height, width)
-    return (out.astype(np.uint16) if maxval > 255 else out.copy()), maxval
+        fh.write(f"P5\n{a.shape[1]} {a.shape[0]}\n255\n".encode("ascii"))
+        fh.write(samples.tobytes())
 
 
 def write_matrix(path, a) -> None:
@@ -98,7 +45,12 @@ def write_matrix(path, a) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix`."""
+    """Read a matrix written by :func:`write_matrix`, bit for bit.
+
+    The experiments save their solvers' exact output in this format (the
+    ``.bsm`` files), and this reader is how a user loads it back for
+    analysis; the PGM previews are quantized and cannot serve.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MATRIX_MAGIC))
         if magic != _MATRIX_MAGIC:

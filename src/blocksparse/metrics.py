@@ -1,4 +1,4 @@
-"""Recovery metrics: relative error, PSNR, support precision/recall, SNR estimate."""
+"""Recovery metrics: relative error, PSNR, support precision/recall."""
 
 from __future__ import annotations
 
@@ -60,12 +60,3 @@ def support_prf(predicted: np.ndarray, truth: np.ndarray) -> tuple[float, float,
         return precision, recall, 0.0
     return precision, recall, 2.0 * precision * recall / (precision + recall)
 
-
-def measured_snr_db(clean, noisy) -> float:
-    """Empirical SNR of ``noisy`` against the clean reference, in dB."""
-    c = np.asarray(clean, dtype=float)
-    n = np.asarray(noisy, dtype=float)
-    noise_power = float(np.sum((n - c) ** 2))
-    if noise_power == 0.0:
-        return math.inf
-    return 10.0 * math.log10(float(np.sum(c * c)) / noise_power)

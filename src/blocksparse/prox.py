@@ -162,8 +162,8 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .common import (ShapeError, SolverReport, check_count, check_finite, check_nonnegative,
-                     check_positive)
+from .common import (ConfigError, ShapeError, SolverReport, check_count, check_finite,
+                     check_nonnegative, check_positive)
 from .fftops import box_correlate_valid
 from .grids import CliqueSystem
 
@@ -351,7 +351,8 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     ProxResult
         Solution, run report, and the final ADMM variables.  Non-convergence
         within ``max_iters`` is reported as termination reason
-        ``"max-iterations"``, not raised.
+        ``"max-iterations"``, not raised.  A center whose squared norm
+        overflows raises ``ConfigError``.
     """
     if support_tol is not None:
         check_positive(support_tol, "support_tol")
@@ -369,6 +370,10 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     n = cliques.shape.n
     s = cliques.n_subsets
     vflat = v.ravel()
+    v_sq = float(vflat @ vflat)
+    if not np.isfinite(v_sq):
+        # finite data whose squares overflow: the gap test would read inf <= inf
+        raise ConfigError("the prox center's squared norm is not finite")
     x = vflat.copy()
     peak = float(np.abs(vflat).max())
     rho = 1.0 + RHO_START_WEIGHT * cfg.lam / peak if peak > 0 else 1.0
@@ -389,7 +394,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     zbar = x.copy()
     ubar = np.zeros(n)
     certify = cfg.tol_abs > 0 or cfg.tol_rel > 0
-    gap_floor = cfg.tol_abs * float(vflat @ vflat)
+    gap_floor = cfg.tol_abs * v_sq
     # per unit of the magnitudes summed, a bound on the computed gap's
     # rounding error, which the support stop adds to the gap
     roundoff = n * np.finfo(float).eps

@@ -140,7 +140,8 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
         with reason ``"support-collapse"``.  ``report.extra`` holds the
         iteration count of every prox call, in call order
         (``"prox_iterations"``), and how many calls stopped for each reason
-        (``"prox_terminations"``).
+        (``"prox_terminations"``).  Measurements whose norm overflows raise
+        ``ConfigError``.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != model.m:
@@ -150,7 +151,12 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
     check_finite(y, "measurements")
     check_finite(model.phi, "measurement matrix")
     shape = (cliques.shape.height, cliques.shape.width)
-    eps_res = cfg.eps_res if cfg.eps_res is not None else 1e-6 * float(np.linalg.norm(y))
+    y_norm = float(np.linalg.norm(y))
+    if not np.isfinite(y_norm):
+        # finite measurements whose squares overflow: the default residual
+        # tolerance would be inf and stop the pursuit before it starts
+        raise ConfigError("the measurements' norm is not finite")
+    eps_res = cfg.eps_res if cfg.eps_res is not None else 1e-6 * y_norm
     t0 = time.perf_counter()
 
     x = np.zeros(model.n)

@@ -6,11 +6,10 @@ so the penalty becomes differentiable everywhere.
 
 Every clique sum is an exact window sum from :mod:`blocksparse.fftops`
 (``side`` shifted adds along rows, then ``side`` along columns): a
-clique that is zero everywhere gets a norm of exactly 0.  :func:`block_norm`,
-:func:`block_norm_smoothed` and the objective trace of
-:func:`blocksparse.prox.prox_block_norm` take the valid sum of ``x*x``;
-``tests/helpers.py`` assembles the gradient clique by clique as the
-reference.
+clique that is zero everywhere gets a norm of exactly 0.  :func:`block_norm`
+and the objective trace of :func:`blocksparse.prox.prox_block_norm` take the
+valid sum of ``x*x``; ``tests/helpers.py`` assembles the value and gradient
+clique by clique as the reference.
 
 The smoothed solvers share one evaluator pair:
 
@@ -42,33 +41,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import ShapeError, check_nonnegative, check_positive
+from .common import ShapeError
 from .fftops import box_correlate_full, box_correlate_valid
 from .grids import CliqueSystem
 
 
-def _checked(x, cliques: CliqueSystem) -> np.ndarray:
+def block_norm(x, cliques: CliqueSystem) -> float:
+    """The paper's penalty ``J(x)``: the sum of clique l2 norms.  Zero iff x
+    vanishes on every covered pixel.
+
+    No solver calls it; it is the public way to score any image, such as a
+    recovery or a baseline's output, against the penalty that
+    :func:`blocksparse.prox.prox_block_norm` and CoLaMP minimise.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (cliques.shape.height, cliques.shape.width):
         raise ShapeError(
             f"image shape {x.shape} does not match clique grid "
             f"{cliques.shape.height}x{cliques.shape.width}")
-    return x
-
-
-def block_norm(x, cliques: CliqueSystem) -> float:
-    """Sum of clique l2 norms.  Zero iff x vanishes on every covered pixel."""
-    x = _checked(x, cliques)
     sums = box_correlate_valid(x * x, cliques.side)
     return float(np.sqrt(sums, out=sums).sum())
-
-
-def block_norm_smoothed(x, cliques: CliqueSystem, eps: float) -> float:
-    """Smoothed penalty ``sum_c sqrt(||x_c||^2 + eps^2)``; equals
-    :func:`block_norm` at ``eps == 0``."""
-    x = _checked(x, cliques)
-    check_nonnegative(eps, "eps")
-    return float(smoothed_clique_norms(x * x, cliques.side, eps).sum())
 
 
 def smoothed_clique_norms(sq, side: int, eps: float, out=None, scratch=None) -> np.ndarray:
@@ -101,16 +93,3 @@ def smoothed_weight_map(norms: np.ndarray, side: int, out=None, scratch=None) ->
     inverse = out.reshape(-1)[:norms.size].reshape(norms.shape)
     return box_correlate_full(np.divide(1.0, norms, out=inverse), side, out=out, scratch=scratch)
 
-
-def block_norm_smoothed_grad(x, cliques: CliqueSystem, eps: float) -> np.ndarray:
-    """Gradient of the smoothed penalty via the evaluator pair:
-    ``x * smoothed_weight_map(smoothed_clique_norms(x*x))``.
-
-    Per pixel p the gradient is ``x_p * sum_{c containing p} (||x_c||^2 +
-    eps^2)^(-1/2)``.  Requires ``eps > 0`` (the unsmoothed penalty is not
-    differentiable at zero cliques).
-    """
-    x = _checked(x, cliques)
-    check_positive(eps, "eps")
-    norms = smoothed_clique_norms(x * x, cliques.side, eps)
-    return x * smoothed_weight_map(norms, cliques.side)

@@ -58,7 +58,7 @@ import numpy as np
 from .common import (ConfigError, NumericalError, ShapeError, SolverReport, check_count,
                      check_finite, check_nonnegative, check_positive)
 from .grids import GridShape, build_clique_system
-from .regularizer import block_norm_smoothed, smoothed_clique_norms, smoothed_weight_map
+from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
 _BACKTRACK_SHRINK = 0.5
 _BACKTRACK_GROW = 1.25
@@ -190,6 +190,9 @@ def svt(q, delta: float) -> np.ndarray:
     """Singular value thresholding: the prox of ``delta * ||.||_*``.
 
     Soft-thresholds all singular values by ``delta``; never increases rank.
+    It is the nuclear-norm prox that :func:`solve_rpca` applies at every
+    step, public for callers that need that prox on their own matrices;
+    ``tests/test_rpca.py`` checks it against a LAPACK SVD.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
@@ -205,16 +208,6 @@ def svt(q, delta: float) -> np.ndarray:
 def _rank_of(s: np.ndarray, rel_tol: float) -> int:
     top = float(s.max()) if s.size else 0.0
     return int(np.count_nonzero(s > rel_tol * top)) if top > 0.0 else 0
-
-
-def numerical_rank(a, rel_tol: float = 1e-8) -> int:
-    """Number of singular values above ``rel_tol * sigma_max``."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ShapeError(f"rank needs a 2-D matrix, got shape {a.shape}")
-    check_finite(a, "matrix entries")
-    check_nonnegative(rel_tol, "rel_tol")
-    return _rank_of(np.linalg.svd(a, compute_uv=False), rel_tol)
 
 
 def _sum_sq(a: np.ndarray) -> float:
@@ -240,27 +233,6 @@ def _resolve(y: np.ndarray, shape: GridShape, cfg: RpcaConfig) -> tuple[float, f
         scale = float(np.max(np.abs(y))) if y.size else 0.0
         eps = EPS_SCALE_REL * max(1.0, scale)
     return lam, eps
-
-
-def rpca_objective(x, z, y, cfg: RpcaConfig) -> float:
-    """Exact objective ``||Z||_* + lam * Jeps(X) + mu/2 * ||Y - Z - X||_F^2``.
-
-    The smoothed penalty is evaluated frame by frame with
-    :func:`block_norm_smoothed`, not through the solver's batched evaluator.
-    """
-    y, shape = _check_stack(y)
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.shape != y.shape or z.shape != y.shape:
-        raise ShapeError("X, Z, Y shapes must agree")
-    check_finite(x, "X entries")
-    check_finite(z, "Z entries")
-    cliques = build_clique_system(shape, cfg.clique_side)
-    lam, eps = _resolve(y, shape, cfg)
-    penalty = sum(block_norm_smoothed(x[:, :, t], cliques, eps) for t in range(y.shape[2]))
-    nuclear = float(np.linalg.svd(z.reshape(shape.n, -1), compute_uv=False).sum())
-    fidelity = 0.5 * cfg.mu * float(np.sum((y - z - x) ** 2))
-    return nuclear + lam * penalty + fidelity
 
 
 def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
@@ -311,6 +283,9 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     # accepted trial; Z0 = 0 has nuclear norm 0
     norms, norms_buf = clique_norms(x * x)
     h_new = lam * float(norms.sum()) + 0.5 * mu * float(np.einsum("ijk,ijk->", y, y))
+    if not math.isfinite(h_new):
+        # finite data whose squares overflow: every trial would compare inf
+        raise ConfigError("objective is not finite at the starting point")
     obj_prev = h_new
     extra = {"lambda": lam, "epsilon": eps, "mu": mu}
     total_halvings = 0

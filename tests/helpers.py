@@ -6,9 +6,17 @@ descent) so production code paths are checked against routes they do not
 share.
 """
 
+import csv
+
 import numpy as np
 
 from blocksparse.common import check_finite, check_nonnegative
+
+# Columns that differ between reruns of the same seed, which byte-determinism
+# comparisons exclude: the timestamp, wall-clock readings, and tracemalloc
+# peaks, which move by tens of bytes with the interpreter's own allocations.
+UNREPEATABLE_COLUMNS = ("timestamp", "wall_clock_s", "per_iter_seconds",
+                        "fbs_measured_entries", "admm_measured_entries", "memory_ratio")
 
 # Grids (height, width, side) whose clique subsets take every shape: 7x5 side 5
 # and 2x2 side 2 have empty subsets; 5x5 side 1 has a single one; the others
@@ -52,6 +60,23 @@ def smoothed_value_by_loop(x, cliques_idx, eps):
     flat = np.asarray(x, dtype=float).ravel()
     return sum(float(np.sqrt(np.sum(flat[list(idx)] ** 2) + eps * eps))
                for idx in cliques_idx)
+
+
+def rpca_objective_by_loop(x, z, y, lam, eps, mu, side):
+    """``||Z||_* + lam * Jeps(X) + mu/2 * ||Y - Z - X||_F^2`` of ``(H, W, L)``
+    stacks: the smoothed penalty clique by clique per frame, the nuclear norm
+    from a LAPACK SVD of the ``(H*W, L)`` matrix."""
+    h, w, n_frames = y.shape
+    idx = clique_index_lists(h, w, side)
+    penalty = sum(smoothed_value_by_loop(x[:, :, t], idx, eps) for t in range(n_frames))
+    nuclear = float(np.linalg.svd(z.reshape(h * w, n_frames), compute_uv=False).sum())
+    return nuclear + lam * penalty + 0.5 * mu * float(np.sum((y - z - x) ** 2))
+
+
+def rank_by_svd(a):
+    """The number of singular values of ``a`` above 1e-8 times the largest."""
+    s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)  # descending
+    return int(np.count_nonzero(s > 1e-8 * s[0]))
 
 
 def smoothed_grad_by_loop(x, cliques_idx, eps):
@@ -261,3 +286,27 @@ def svt_by_svd(q, delta):
     """Singular value thresholding from a full LAPACK SVD of ``q``."""
     u, s, vt = np.linalg.svd(np.asarray(q, dtype=float), full_matrices=False)
     return (u * np.maximum(s - delta, 0.0)) @ vt
+
+
+def read_pgm8(path):
+    """The samples of an 8-bit binary PGM written with the plain
+    ``P5\\n<width> <height>\\n255\\n`` header."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic, dims, maxval, payload = data.split(b"\n", 3)
+    assert magic == b"P5" and maxval == b"255", data[:32]
+    width, height = (int(d) for d in dims.split())
+    assert len(payload) == width * height
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+
+
+def read_csv_without_timing(path):
+    """Rows of a results CSV without the columns that differ between reruns
+    (timing and measured memory), for byte-determinism comparisons."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        keep = [i for i, name in enumerate(header) if name not in UNREPEATABLE_COLUMNS]
+        out = [tuple(header[i] for i in keep)]
+        out.extend(tuple(line[i] for i in keep) for line in reader)
+    return out

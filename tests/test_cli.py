@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from blocksparse.cli import main
-from blocksparse.experiments import read_csv_without_timing
+
+import helpers
 
 
 def test_help_exits_zero():
@@ -101,8 +102,8 @@ def test_seed_rerun_reproduces_csv(tmp_path):
         code = main(["blocktv-denoise", "--trials", "1", "--lambda", "0.15",
                      "--seed", "9", "--out-dir", str(out)])
         assert code == 0
-    assert (read_csv_without_timing(a / "blocktv-denoise.csv")
-            == read_csv_without_timing(b / "blocktv-denoise.csv"))
+    assert (helpers.read_csv_without_timing(a / "blocktv-denoise.csv")
+            == helpers.read_csv_without_timing(b / "blocktv-denoise.csv"))
 
 
 def test_blocktv_tiny_epsilon_writes_no_failed_row(tmp_path):

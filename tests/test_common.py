@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from blocksparse import (BlockTvConfig, ColampConfig, ConfigError, GridShape, ProxConfig,
-                         RpcaConfig, SolverReport, block_norm_smoothed,
-                         block_norm_smoothed_grad, build_clique_system, default_lambda,
-                         experiments, numerical_rank, prox_block_norm, psnr_db, svt)
+                         RpcaConfig, SolverReport, build_clique_system, default_lambda,
+                         experiments, prox_block_norm, psnr_db, svt)
 from blocksparse.common import check_finite, check_nonnegative, check_positive
 from blocksparse.experiments import HarnessConfig
 
@@ -80,12 +79,6 @@ def _support_tol(value):
     prox_block_norm(np.zeros((4, 4)), cliques, ProxConfig(lam=0.1), support_tol=value)
 
 
-def _smoothed(penalty):
-    """``penalty`` of a 4x4 image at side 2, as a function of ``eps``."""
-    cliques = build_clique_system(GridShape(4, 4), 2)
-    return lambda eps: penalty(np.ones((4, 4)), cliques, eps)
-
-
 # (label, build from the bad value, name in the message, the rule)
 _RANGE_RULES = [
     ("ProxConfig.lam", lambda v: ProxConfig(lam=v), "lam", "nonnegative"),
@@ -106,11 +99,7 @@ _RANGE_RULES = [
     ("HarnessConfig.lam", lambda v: HarnessConfig(lam=v), "lambda", "nonnegative"),
     ("svt", lambda v: svt(np.ones((2, 2)), v), "threshold", "nonnegative"),
     ("prox_block_norm.support_tol", _support_tol, "support_tol", "positive"),
-    ("block_norm_smoothed.eps", _smoothed(block_norm_smoothed), "eps", "nonnegative"),
-    ("block_norm_smoothed_grad.eps", _smoothed(block_norm_smoothed_grad), "eps", "positive"),
     ("psnr_db.peak", lambda v: psnr_db(np.ones(2), np.zeros(2), v), "peak", "positive"),
-    ("numerical_rank.rel_tol", lambda v: numerical_rank(np.eye(2), v), "rel_tol",
-     "nonnegative"),
 ]
 
 

@@ -6,9 +6,10 @@ import pytest
 from blocksparse import experiments
 from blocksparse.common import ConfigError
 from blocksparse.experiments import (CSV_COLUMNS, HarnessConfig, UsageError,
-                                     admm_formula_entries, read_csv_without_timing,
-                                     resolve_config, run_experiment, write_rows)
-from blocksparse.matrixio import read_pgm
+                                     admm_formula_entries, resolve_config, run_experiment,
+                                     write_rows)
+
+import helpers
 
 
 def small_cfg(tmp_path, **kw):
@@ -79,8 +80,7 @@ def test_rpca_experiment_rows_and_images(tmp_path):
     for name in ("rpca_observed_f0.pgm", "rpca_foreground_f0.pgm",
                  "rpca_background_f0.pgm", "rpca_foreground.bsm"):
         assert (tmp_path / name).exists()
-    img, maxval = read_pgm(tmp_path / "rpca_observed_f0.pgm")
-    assert img.shape == (32, 32) and maxval == 255
+    assert helpers.read_pgm8(tmp_path / "rpca_observed_f0.pgm").shape == (32, 32)
 
 
 def test_blocktv_experiment_grid(tmp_path):
@@ -168,13 +168,13 @@ def test_determinism_excluding_timing(tmp_path):
     b_dir = tmp_path / "b"
     pa = run_experiment("rpca-decompose", small_cfg(a_dir, trials=1))
     pb = run_experiment("rpca-decompose", small_cfg(b_dir, trials=1))
-    assert read_csv_without_timing(pa) == read_csv_without_timing(pb)
+    assert helpers.read_csv_without_timing(pa) == helpers.read_csv_without_timing(pb)
 
 
 def test_memory_benchmark_reruns_equal_apart_from_measurements(tmp_path):
     pa = run_experiment("memory-benchmark", small_cfg(tmp_path / "a"))
     pb = run_experiment("memory-benchmark", small_cfg(tmp_path / "b"))
-    assert read_csv_without_timing(pa) == read_csv_without_timing(pb)
+    assert helpers.read_csv_without_timing(pa) == helpers.read_csv_without_timing(pb)
 
 
 def test_jobs_do_not_change_results(tmp_path):
@@ -183,7 +183,7 @@ def test_jobs_do_not_change_results(tmp_path):
     for name, flags, jobs in (("blocktv-denoise", dict(lam=0.1), 3), ("rpca-decompose", {}, 2)):
         p1 = run_experiment(name, small_cfg(tmp_path / name / "j1", trials=2, jobs=1, **flags))
         p2 = run_experiment(name, small_cfg(tmp_path / name / "j2", trials=2, jobs=jobs, **flags))
-        assert read_csv_without_timing(p1) == read_csv_without_timing(p2), name
+        assert helpers.read_csv_without_timing(p1) == helpers.read_csv_without_timing(p2), name
 
 
 def test_resolve_config_defaults():

@@ -455,6 +455,22 @@ def test_prox_rejects_nonfinite_center():
         prox_block_norm(v, system(6, 6, 2), ProxConfig(lam=0.5))
 
 
+def test_prox_rejects_a_center_whose_squared_norm_overflows():
+    # at 1e160 the gap and its tolerance were both inf, and the solve stopped
+    # "converged" after one iteration, 1.89 away from the scaled solution;
+    # at 1e150 every sum is finite and the solve scales
+    v = np.random.default_rng(0).standard_normal((8, 8))
+    cs = system(8, 8, 2)
+    unit = prox_block_norm(v, cs, ProxConfig(lam=1.0)).x
+    c = 1e150
+    scaled = prox_block_norm(c * v, cs, ProxConfig(lam=c))
+    assert scaled.report.termination_reason == "converged"
+    assert np.max(np.abs(scaled.x / c - unit)) <= 1e-12
+    c = 1e160
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="squared norm"):
+        prox_block_norm(c * v, cs, ProxConfig(lam=c))
+
+
 def test_prox_rejects_bad_support_tol():
     cs = system(4, 4, 2)
     for bad in (float("nan"), float("inf"), 0.0, -1e-3):

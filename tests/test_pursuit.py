@@ -268,6 +268,24 @@ def test_report_keeps_every_prox_report(monkeypatch, seed, k, lam0, max_iters):
         assert len(seen) == 2 * report.iterations
 
 
+def test_colamp_rejects_measurements_whose_norm_overflows():
+    # at 1e155 the default tolerance 1e-6*||y|| was inf, so the pursuit
+    # returned x = 0 "converged" after no iteration; at 1e153 it recovers
+    rng = np.random.default_rng(0)
+    truth = make_blocky_image(8, 8, 4, 1, rng)
+    model = MeasurementModel(gaussian_measurement_matrix(30, 64, rng))
+    y = model.forward(truth)
+    cs = system(8, 8, 2)
+    c = 1e153
+    x, report = colamp_solve(c * y, model, cs, ColampConfig(k=4, lam0=0.6 * c))
+    assert report.termination_reason == "converged"
+    assert np.linalg.norm(x / c - truth) <= 1e-12 * np.linalg.norm(truth)
+    c = 1e155
+    for eps_res in (None, 1.0):  # the norm is checked with a given tolerance too
+        with np.errstate(over="ignore"), pytest.raises(ConfigError, match="norm is not finite"):
+            colamp_solve(c * y, model, cs, ColampConfig(k=4, lam0=0.6 * c, eps_res=eps_res))
+
+
 def test_colamp_is_scale_equivariant():
     # every prox call starts from its own (v, lam) at a scale-free rho, and
     # every other threshold is relative, so scaling y and lam0 by c scales the

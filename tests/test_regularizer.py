@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blocksparse import (ConfigError, GridShape, ShapeError, block_norm,
-                         block_norm_smoothed, block_norm_smoothed_grad,
-                         build_clique_system)
+from blocksparse import GridShape, ShapeError, block_norm, build_clique_system
 from blocksparse.regularizer import smoothed_clique_norms, smoothed_weight_map
 
 import helpers
@@ -13,6 +11,18 @@ import helpers
 
 def system(h, w, side):
     return build_clique_system(GridShape(h, w), side)
+
+
+def smoothed_value(x, side, eps):
+    """The smoothed penalty as the solvers evaluate it: the sum of the
+    evaluator's clique norms."""
+    return float(smoothed_clique_norms(x * x, side, eps).sum())
+
+
+def smoothed_grad(x, side, eps):
+    """The smoothed penalty's gradient as the solvers build it: ``x`` times
+    the weight map of the clique norms."""
+    return x * smoothed_weight_map(smoothed_clique_norms(x * x, side, eps), side)
 
 
 def test_value_zero_image():
@@ -44,21 +54,20 @@ def test_value_shape_mismatch():
 
 
 def test_smoothed_at_zero():
-    cs = system(3, 3, 2)  # 4 cliques
-    assert block_norm_smoothed(np.zeros((3, 3)), cs, 0.1) == pytest.approx(0.4)
+    # 4 cliques on a 3x3 grid at side 2
+    assert smoothed_value(np.zeros((3, 3)), 2, 0.1) == pytest.approx(0.4)
 
 
 def test_smoothed_eps_zero_equals_plain():
     rng = np.random.default_rng(2)
     cs = system(5, 5, 2)
     x = rng.standard_normal((5, 5))
-    assert block_norm_smoothed(x, cs, 0.0) == pytest.approx(block_norm(x, cs), abs=1e-12)
+    assert smoothed_value(x, 2, 0.0) == pytest.approx(block_norm(x, cs), abs=1e-12)
 
 
 def test_smoothed_single_clique_sqrt26():
-    cs = system(2, 2, 2)
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
-    assert block_norm_smoothed(x, cs, 1.0) == pytest.approx(math.sqrt(26.0))
+    assert smoothed_value(x, 2, 1.0) == pytest.approx(math.sqrt(26.0))
 
 
 def test_smoothing_bound():
@@ -66,15 +75,12 @@ def test_smoothing_bound():
     for side in (1, 2, 3):
         cs = system(6, 6, side)
         x = rng.standard_normal((6, 6))
+        idx = helpers.clique_index_lists(6, 6, side)
         for eps in (0.01, 0.1, 1.0):
-            gap = block_norm_smoothed(x, cs, eps) - block_norm(x, cs)
-            n_cliques = len(helpers.brute_force_cliques(6, 6, side))
-            assert -1e-12 <= gap <= n_cliques * eps + 1e-12
-
-
-def test_smoothed_rejects_negative_eps():
-    with pytest.raises(ConfigError):
-        block_norm_smoothed(np.zeros((3, 3)), system(3, 3, 2), -0.1)
+            value = smoothed_value(x, side, eps)
+            assert value == pytest.approx(helpers.smoothed_value_by_loop(x, idx, eps), rel=1e-12)
+            gap = value - block_norm(x, cs)
+            assert -1e-12 <= gap <= len(idx) * eps + 1e-12
 
 
 def test_absolute_homogeneity():
@@ -98,41 +104,31 @@ def test_convexity_surrogate():
 
 
 def test_grad_zero_image():
-    cs = system(4, 4, 2)
     idx = helpers.clique_index_lists(4, 4, 2)
     assert np.all(helpers.smoothed_grad_by_loop(np.zeros((4, 4)), idx, 0.1) == 0)
-    assert np.allclose(block_norm_smoothed_grad(np.zeros((4, 4)), cs, 0.1), 0.0)
-
-
-def test_grad_requires_positive_eps():
-    cs = system(3, 3, 2)
-    with pytest.raises(ConfigError):
-        block_norm_smoothed_grad(np.ones((3, 3)), cs, 0.0)
+    assert np.allclose(smoothed_grad(np.zeros((4, 4)), 2, 0.1), 0.0)
 
 
 def test_grad_single_clique_direction():
-    cs = system(2, 2, 2)
     x = np.array([[3.0, 4.0], [0.0, 0.0]])
     for g in (helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(2, 2, 2), 1e-9),
-              block_norm_smoothed_grad(x, cs, 1e-9)):
+              smoothed_grad(x, 2, 1e-9)):
         assert g[0, 0] == pytest.approx(0.6, abs=1e-9)
         assert g[0, 1] == pytest.approx(0.8, abs=1e-9)
 
 
 def test_grad_constant_image_interior():
     side, val, eps = 2, 1.7, 0.05
-    cs = system(8, 8, side)
-    g = block_norm_smoothed_grad(np.full((8, 8), val), cs, eps)
+    g = smoothed_grad(np.full((8, 8), val), side, eps)
     expected = val * side ** 2 / math.sqrt(side ** 2 * val ** 2 + eps ** 2)
     assert g[3, 3] == pytest.approx(expected, rel=1e-12)
 
 
 def test_grad_matches_loop_oracle():
     rng = np.random.default_rng(6)
-    cs = system(6, 6, 2)
     x = rng.standard_normal((6, 6))
     expected = helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(6, 6, 2), 0.1)
-    assert np.allclose(block_norm_smoothed_grad(x, cs, 0.1), expected, rtol=1e-12)
+    assert np.allclose(smoothed_grad(x, 2, 0.1), expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("side", [1, 2, 3, 4, 8])
@@ -141,41 +137,38 @@ def test_grad_paths_agree(side):
     for h, w in [(side, side), (16, 16), (32, 32), (17, 23)]:
         if side > min(h, w):
             continue
-        cs = system(h, w, side)
         x = rng.standard_normal((h, w))
         g_loop = helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(h, w, side), 0.05)
-        g_sum = block_norm_smoothed_grad(x, cs, 0.05)
+        g_sum = smoothed_grad(x, side, 0.05)
         denom = np.linalg.norm(g_loop)
         assert np.linalg.norm(g_sum - g_loop) <= 1e-10 * denom
 
 
 def test_grad_matches_finite_differences():
     rng = np.random.default_rng(8)
-    cs = system(6, 6, 2)
     x = rng.standard_normal((6, 6))
     eps = 0.1
     step = 1e-6 * float(np.max(np.abs(x)))
-    fd = helpers.central_difference_gradient(
-        lambda z: block_norm_smoothed(z, cs, eps), x, step)
+    fd = helpers.central_difference_gradient(lambda z: smoothed_value(z, 2, eps), x, step)
     for g in (helpers.smoothed_grad_by_loop(x, helpers.clique_index_lists(6, 6, 2), eps),
-              block_norm_smoothed_grad(x, cs, eps)):
+              smoothed_grad(x, 2, eps)):
         assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
 def test_stack_helpers_match_framewise():
     # the evaluator pair batched over leading (frame) axes
     rng = np.random.default_rng(9)
-    cs = system(8, 8, 3)
+    idx = helpers.clique_index_lists(8, 8, 3)
     frames = rng.standard_normal((4, 8, 8))
     eps = 0.07
     norms = smoothed_clique_norms(frames * frames, 3, eps)
     assert norms.shape == (4, 6, 6)
     for t in range(4):
         assert float(norms[t].sum()) == pytest.approx(
-            block_norm_smoothed(frames[t], cs, eps), rel=1e-12)
+            helpers.smoothed_value_by_loop(frames[t], idx, eps), rel=1e-12)
     grad = frames * smoothed_weight_map(norms, 3)
     for t in range(4):
-        g = helpers.smoothed_grad_by_loop(frames[t], helpers.clique_index_lists(8, 8, 3), eps)
+        g = helpers.smoothed_grad_by_loop(frames[t], idx, eps)
         assert np.allclose(grad[t], g, rtol=1e-10, atol=1e-12)
 
 

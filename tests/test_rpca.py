@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksparse import (ConfigError, GridShape, NumericalError, RpcaConfig, ShapeError, rpca,
-                         build_clique_system, default_lambda, numerical_rank,
-                         relative_error, rpca_objective, solve_rpca, support_prf,
+from blocksparse import (ConfigError, NumericalError, RpcaConfig, ShapeError, rpca,
+                         default_lambda, relative_error, solve_rpca, support_prf,
                          support_set, svt)
-from blocksparse.regularizer import block_norm_smoothed
+from blocksparse.regularizer import smoothed_clique_norms
 from blocksparse.rpca import EPS_SCALE_REL
 from blocksparse.synthetic import make_lowrank_blocksparse_stack
 
@@ -45,7 +44,7 @@ def test_svt_rejects_nonfinite_threshold():
 def test_svt_never_increases_rank():
     rng = np.random.default_rng(1)
     q = rng.standard_normal((6, 4))
-    assert numerical_rank(svt(q, 0.5)) <= numerical_rank(q)
+    assert helpers.rank_by_svd(svt(q, 0.5)) <= helpers.rank_by_svd(q)
 
 
 def test_svt_nuclear_norm_value():
@@ -142,40 +141,6 @@ def test_svt_resolves_singular_values_far_below_the_largest():
         assert np.linalg.norm(svt(q, delta) - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def test_numerical_rank_rejects_nonfinite_entries():
-    with pytest.raises(ConfigError, match="finite"):
-        numerical_rank(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-def test_numerical_rank_rejects_a_vector():
-    with pytest.raises(ShapeError, match="2-D"):
-        numerical_rank(np.ones(3))
-
-
-def test_numerical_rank_rejects_nan_tolerance():
-    with pytest.raises(ConfigError, match="rel_tol must be finite"):
-        numerical_rank(np.eye(3), float("nan"))
-
-
-def test_numerical_rank_rejects_a_negative_tolerance():
-    # a negative tolerance would count the zero singular value
-    a = np.diag([3.0, 1.0, 0.0])
-    assert numerical_rank(a, 0.0) == 2
-    with pytest.raises(ConfigError, match="^rel_tol must be nonnegative$"):
-        numerical_rank(a, -1.0)
-
-
-def test_objective_rejects_nonfinite_parts():
-    y = np.zeros((4, 4, 2))
-    bad = y.copy()
-    bad[0, 0, 1] = np.inf
-    cfg = RpcaConfig(clique_side=2)
-    with pytest.raises(ConfigError, match="X entries must be finite"):
-        rpca_objective(bad, y, y, cfg)
-    with pytest.raises(ConfigError, match="Z entries must be finite"):
-        rpca_objective(y, bad * np.nan, y, cfg)
-
-
 def test_default_lambda_values():
     assert default_lambda(1, 100) == pytest.approx(0.1)
     assert default_lambda(2, 4) == pytest.approx(0.25)
@@ -186,34 +151,36 @@ def test_default_lambda_values():
 def test_objective_at_origin():
     rng = np.random.default_rng(4)
     y = rng.standard_normal((6, 6, 3))
-    cfg = RpcaConfig(lam=0.5, mu=2.0, eps=0.01, clique_side=2)
     n_cliques = len(helpers.brute_force_cliques(6, 6, 2))
     zeros = np.zeros_like(y)
     expected = 0.5 * 3 * n_cliques * 0.01 + 1.0 * np.sum(y ** 2)
-    assert rpca_objective(zeros, zeros, y, cfg) == pytest.approx(expected, rel=1e-12)
+    assert helpers.rpca_objective_by_loop(zeros, zeros, y, lam=0.5, eps=0.01, mu=2.0,
+                                          side=2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_objective_y_equals_z():
     rng = np.random.default_rng(5)
     y = rng.standard_normal((5, 5, 4))
-    cfg = RpcaConfig(lam=0.3, mu=1.0, eps=0.02, clique_side=2)
     n_cliques = len(helpers.brute_force_cliques(5, 5, 2))
     nuclear = np.linalg.svd(y.reshape(25, 4), compute_uv=False).sum()
     expected = nuclear + 0.3 * 4 * n_cliques * 0.02
-    assert rpca_objective(np.zeros_like(y), y, y, cfg) == pytest.approx(expected, rel=1e-12)
+    assert helpers.rpca_objective_by_loop(np.zeros_like(y), y, y, lam=0.3, eps=0.02, mu=1.0,
+                                          side=2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_objective_matches_componentwise_recomputation():
+    # the oracle's per-frame loop against the frame-batched evaluator the
+    # solver runs
     rng = np.random.default_rng(6)
     y = rng.standard_normal((6, 6, 3))
     x = 0.3 * rng.standard_normal(y.shape)
     z = 0.5 * rng.standard_normal(y.shape)
-    cfg = RpcaConfig(lam=0.7, mu=1.5, eps=0.05, clique_side=2)
-    cs = build_clique_system(GridShape(6, 6), 2)
+    frames = np.moveaxis(x, -1, 0)
     expected = (np.linalg.svd(z.reshape(36, 3), compute_uv=False).sum()
-                + 0.7 * sum(block_norm_smoothed(x[:, :, t], cs, 0.05) for t in range(3))
+                + 0.7 * float(smoothed_clique_norms(frames * frames, 2, 0.05).sum())
                 + 0.75 * np.sum((y - z - x) ** 2))
-    assert rpca_objective(x, z, y, cfg) == pytest.approx(expected, rel=1e-12)
+    assert helpers.rpca_objective_by_loop(x, z, y, lam=0.7, eps=0.05, mu=1.5,
+                                          side=2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_solver_config_validation():
@@ -309,10 +276,8 @@ def test_trace_consistent_with_public_objective():
     y = lowrank + sparse
     cfg = RpcaConfig(clique_side=2, max_iters=60)
     res = solve_rpca(y, cfg)
-    eps = res.report.extra["epsilon"]
-    lam = res.report.extra["lambda"]
-    final = rpca_objective(res.x, res.z, y, RpcaConfig(lam=lam, mu=cfg.mu, eps=eps,
-                                                       clique_side=2))
+    final = helpers.rpca_objective_by_loop(res.x, res.z, y, lam=res.report.extra["lambda"],
+                                           eps=res.report.extra["epsilon"], mu=cfg.mu, side=2)
     assert res.report.objective_trace[-1] == pytest.approx(final, rel=1e-8)
 
 
@@ -381,6 +346,14 @@ def test_solve_rejects_nonfinite_stack():
     y = np.zeros((6, 6, 2))
     y[1, 1, 1] = np.inf
     with pytest.raises(ConfigError, match="finite"):
+        solve_rpca(y, RpcaConfig())
+
+
+def test_solve_rejects_data_whose_objective_overflows():
+    # finite entries whose squares overflow: the starting objective is inf,
+    # and every line-search trial compared inf until the halvings ran out
+    y = 1e160 * np.random.default_rng(0).standard_normal((4, 4, 2))
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="objective is not finite"):
         solve_rpca(y, RpcaConfig())
 
 
