@@ -6,8 +6,9 @@ solver families build on it: a consensus-ADMM proximal operator, a
 forward-backward splitting for sparse-plus-low-rank decomposition, and a
 greedy pursuit (CoLaMP) for compressive recovery; block total-variation
 denoising applies the penalty to image gradients.  The two smoothed
-solvers, block-TV and the decomposition, each run their own Armijo line
-search.  Every clique sum comes from one exact window-sum primitive
+solvers each run their own backtracking line search: block-TV tests the
+Armijo condition, and the decomposition the forward-backward majorisation.
+Every clique sum comes from one exact window-sum primitive
 (:mod:`blocksparse.fftops`).
 """
 

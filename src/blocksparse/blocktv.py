@@ -15,18 +15,19 @@ from them, so an iteration makes one valid window sum per trial and one full
 window sum for its gradient: the accepted point is never evaluated twice.
 
 A solve allocates its image-sized arrays once, before the first iteration:
-the forward differences, the squared magnitudes, the clique norms, the
-window sums' scratch (the full sum's two passes; the valid sum uses one),
-the weight map, the gradient and the trial point.  The evaluator pair, the
-window sums and the difference operators fill them through their ``out=``
-and ``scratch=`` arguments, and an accepted trial swaps buffers with ``x``,
-so an iteration allocates nothing image-sized.  Each buffer is filled by the
-operations, in the order, that made a new array before, so the iterates are
-those of a solve that allocates.  Block-TV still reaches the window sums only through the names
+the forward differences, the squared magnitudes, the clique norms, one
+scratch image for the window sums' row pass, the weight map, the gradient
+and the trial point.  The evaluator pair, the window sums and the difference
+operators fill them through their ``out=`` and ``scratch=`` arguments, under
+the window sums' buffer rule (:mod:`blocksparse.fftops`): the clique norms
+spend the squared magnitudes, and the weight map the clique norms.  An
+accepted trial swaps buffers with ``x``, so an iteration allocates nothing
+image-sized.  Each buffer is filled by the operations, in the order, that
+made a new array before, so the iterates are those of a solve that
+allocates.  Block-TV still reaches the window sums only through the names
 :mod:`blocksparse.regularizer` binds, and uses the arrays its calls return.
-The difference operators work on the flattened image, as the window sums do
-(see :mod:`blocksparse.fftops`), and fix up the one column a shift carries
-across a row's end.
+The difference operators work on the flattened image, as the window sums do,
+and fix up the one column a shift carries across a row's end.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     # image-sized; an accepted trial swaps its buffer with x's
     d = GradientField(np.empty(y.shape), np.empty(y.shape))
     sq, weights, grad_buf, trial = (np.empty(y.shape) for _ in range(4))
-    scratch = np.empty((2,) + y.shape)  # the window sums' intermediate passes
+    scratch = np.empty(y.shape)  # the window sums' row pass
     norms_buf = np.empty((y.shape[0] - side + 1, y.shape[1] - side + 1))
 
     if cfg.eps is not None:
@@ -181,7 +182,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
 
     def gradient(x, norms):
         """``(x - y) + lam * D^T (weight_map * d)``, ``D`` the forward
-        difference, built in ``grad_buf``; it spends ``d``."""
+        difference, built in ``grad_buf``; it spends ``d`` and ``norms``."""
         weight_map = smoothed_weight_map(norms, side, out=weights, scratch=scratch)
         for channel in d:
             channel *= weight_map

@@ -38,13 +38,18 @@ def psnr_db(estimate, truth, peak: float) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def support_set(x, rel_threshold: float = 0.1) -> np.ndarray:
-    """Indices with magnitude above ``rel_threshold * max|x|``."""
+# The support of an estimate: its entries above this fraction of its peak
+# magnitude.  Every experiment scores supports at this one threshold.
+SUPPORT_REL_THRESHOLD = 0.1
+
+
+def support_set(x) -> np.ndarray:
+    """Indices with magnitude above ``SUPPORT_REL_THRESHOLD * max|x|``."""
     flat = np.abs(np.asarray(x, dtype=float).ravel())
     peak = float(flat.max()) if flat.size else 0.0
     if peak == 0.0:
         return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(flat > rel_threshold * peak)
+    return np.flatnonzero(flat > SUPPORT_REL_THRESHOLD * peak)
 
 
 def support_prf(predicted: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:

@@ -352,7 +352,8 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
         Solution, run report, and the final ADMM variables.  Non-convergence
         within ``max_iters`` is reported as termination reason
         ``"max-iterations"``, not raised.  A center whose squared norm
-        overflows raises ``ConfigError``.
+        overflows raises ``ConfigError``, as does a weight that overflows
+        ``rho0`` or the objective or dual value at a checked iteration.
     """
     if support_tol is not None:
         check_positive(support_tol, "support_tol")
@@ -377,6 +378,8 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     x = vflat.copy()
     peak = float(np.abs(vflat).max())
     rho = 1.0 + RHO_START_WEIGHT * cfg.lam / peak if peak > 0 else 1.0
+    if not np.isfinite(rho):
+        raise ConfigError(f"lam {cfg.lam:g} overflows the starting penalty at max|v| {peak:g}")
 
     alpha = RELAXATION
     stack = _TileStack(cliques)
@@ -451,6 +454,10 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 dual_quad = 0.25 * rs * rs * float(ubar @ ubar)
                 dual = dual_lin - dual_quad
                 gap = primal - dual
+                if not np.isfinite(gap):
+                    # a weight far above the data's scale overflowed P or D
+                    raise ConfigError(f"lam {cfg.lam:g} overflows the prox objective "
+                                      "or its dual value")
                 objective_trace.append(primal)
                 residual_trace.append(gap)
                 if certify and gap <= cfg.tol_rel * primal + gap_floor:

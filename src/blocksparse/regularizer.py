@@ -29,12 +29,13 @@ every sum they make; the prox's objective trace calls the valid sum under
 the name :mod:`blocksparse.prox` binds.  Each function adds ``eps^2`` and
 takes the square root in place on the window sums it owns.
 
-Both evaluator functions take NumPy-style ``out=`` and pass ``scratch=`` on
-to the window sums, so a solver can keep their results in buffers it
-allocates once; without them they allocate as before, with the same result
-bit for bit.  Given ``scratch``, the clique norms spend their ``sq``.  The
-weight map puts the reciprocal norms in the first entries of its ``out`` and
-the full sum reads them before it writes ``out``.
+Both evaluator functions follow the window sums' buffer rule
+(:mod:`blocksparse.fftops`): NumPy-style ``out=``, and ``scratch=`` for the
+one intermediate pass, so a solver can keep their results in buffers it
+allocates once; without them they allocate, with the same result bit for
+bit.  A caller that passes ``scratch`` hands over the input, which is spent:
+the clique norms run the valid sum's column pass over their ``sq``, and the
+weight map turns its ``norms`` into reciprocals in place.
 """
 
 from __future__ import annotations
@@ -83,13 +84,12 @@ def smoothed_weight_map(norms: np.ndarray, side: int, out=None, scratch=None) ->
     ``1/norm`` over the cliques covering each pixel, from the
     output of :func:`smoothed_clique_norms`.
 
-    Given ``out`` and ``scratch`` (see :func:`blocksparse.fftops.box_correlate_full`),
-    it allocates nothing: the reciprocals go into the first entries of
-    ``out``, which the full sum reads before it writes ``out``.  ``out`` may
-    share memory with ``norms``.
+    ``out`` and ``scratch`` go to the full window sum (see
+    :func:`blocksparse.fftops.box_correlate_full`).  Given ``scratch``, the
+    reciprocals overwrite ``norms``, which is spent, and with ``out`` as well
+    the map allocates nothing.  Without ``scratch`` the reciprocals are a new
+    array and ``norms`` is left intact.  ``out`` may share memory with
+    ``norms``.
     """
-    if out is None:
-        return box_correlate_full(1.0 / norms, side, scratch=scratch)
-    inverse = out.reshape(-1)[:norms.size].reshape(norms.shape)
-    return box_correlate_full(np.divide(1.0, norms, out=inverse), side, out=out, scratch=scratch)
-
+    inverse = np.divide(1.0, norms, out=None if scratch is None else norms)
+    return box_correlate_full(inverse, side, out=out, scratch=scratch)

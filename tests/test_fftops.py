@@ -151,6 +151,23 @@ def test_valid_sum_with_out_and_scratch_allocates_nothing_input_sized():
         np.testing.assert_array_equal(out, want)
 
 
+def test_full_sum_with_out_and_scratch_allocates_nothing_output_sized():
+    a = np.random.default_rng(8).standard_normal((4, 62, 62))
+    side = 3
+    want = box_correlate_full(a, side)
+    out, scratch = np.empty_like(want), np.empty_like(want)
+    kept = a.copy()
+    tracemalloc.start()
+    try:
+        box_correlate_full(a, side, out=out, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < want.nbytes / 2
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(a, kept)
+
+
 @pytest.mark.parametrize("side", [1, 2, 3])
 def test_out_may_share_memory_with_the_input(side):
     # the input is read only before the output is written: it may be a view
@@ -178,11 +195,12 @@ def test_out_may_share_memory_with_the_input(side):
 
 def test_buffers_are_checked():
     a = np.ones((5, 5))
-    # the valid sum keeps one pass in scratch, the full sum two
+    # each sum keeps one pass in scratch: the valid sum's of the input's
+    # shape, the full sum's of the output's
     with pytest.raises(ValueError, match="scratch holds 24 entries; the sum needs 25"):
         box_correlate_valid(a, 2, scratch=np.empty(24))
-    with pytest.raises(ValueError, match="scratch holds 71 entries; the sum needs 72"):
-        box_correlate_full(a, 2, scratch=np.empty(71))
+    with pytest.raises(ValueError, match="scratch holds 35 entries; the sum needs 36"):
+        box_correlate_full(a, 2, scratch=np.empty(35))
     with pytest.raises(ValueError, match="C-contiguous float64"):
         box_correlate_valid(a, 2, scratch=np.empty((10, 10)).T)
     with pytest.raises(ValueError, match="C-contiguous float64"):

@@ -471,6 +471,21 @@ def test_prox_rejects_a_center_whose_squared_norm_overflows():
         prox_block_norm(c * v, cs, ProxConfig(lam=c))
 
 
+@pytest.mark.parametrize("lam, match", [(1.7e308, "starting penalty"),
+                                         (1e300, "objective or its dual value")])
+def test_prox_rejects_a_weight_that_overflows(lam, match):
+    # at 1.7e308 rho0 is inf and x came back NaN; at 1e300 (rho*s)^2
+    # overflows in the dual value, and 1,000 iterations ran with an
+    # infinite gap, both labelled "max-iterations"
+    v = np.random.default_rng(0).standard_normal((8, 8))
+    cs = system(8, 8, 2)
+    with pytest.raises(ConfigError, match=match):
+        prox_block_norm(v, cs, ProxConfig(lam=lam))
+    # far above the data's scale, but finite throughout: the exact prox is 0
+    res = prox_block_norm(v, cs, ProxConfig(lam=1e10))
+    assert res.report.termination_reason == "converged"
+
+
 def test_prox_rejects_bad_support_tol():
     cs = system(4, 4, 2)
     for bad in (float("nan"), float("inf"), 0.0, -1e-3):

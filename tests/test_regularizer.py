@@ -197,34 +197,51 @@ def test_weight_map_sums_reciprocal_norms_over_covering_cliques():
 
 @pytest.mark.parametrize("shape", [(6, 7), (3, 6, 7)])
 def test_evaluator_buffers_give_the_allocating_result(shape):
+    # given scratch, each evaluator spends its input: the clique norms their
+    # squares, the weight map its norms, which become the reciprocals
     rng = np.random.default_rng(12)
     sq = rng.uniform(0.0, 2.0, shape)
     side, eps = 2, 0.1
     norms = smoothed_clique_norms(sq, side, eps)
     weights = smoothed_weight_map(norms, side)
-    scratch = np.full(2 * sq.size, np.nan)
+    scratch = np.full(sq.size, np.nan)
     out = np.full(norms.shape, np.nan)
-    assert smoothed_clique_norms(sq, side, eps, out=out, scratch=scratch) is out
+    assert smoothed_clique_norms(sq.copy(), side, eps, out=out, scratch=scratch) is out
     np.testing.assert_array_equal(out, norms)
+    spent = norms.copy()
     out = np.full(weights.shape, np.nan)
-    assert smoothed_weight_map(norms, side, out=out, scratch=scratch) is out
+    assert smoothed_weight_map(spent, side, out=out, scratch=scratch) is out
     np.testing.assert_array_equal(out, weights)
-    np.testing.assert_array_equal(smoothed_weight_map(norms, side, scratch=scratch), weights)
+    np.testing.assert_array_equal(spent, 1.0 / norms)
+    np.testing.assert_array_equal(smoothed_weight_map(norms.copy(), side, scratch=scratch),
+                                  weights)
+
+
+def test_weight_map_without_scratch_leaves_its_norms_intact():
+    norms = np.random.default_rng(14).uniform(0.5, 2.0, (3, 5, 6))
+    kept = norms.copy()
+    want = smoothed_weight_map(norms, 2)
+    np.testing.assert_array_equal(norms, kept)
+    out = np.full(want.shape, np.nan)
+    assert smoothed_weight_map(norms, 2, out=out) is out
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(norms, kept)
 
 
 def test_evaluator_out_may_share_memory_with_its_input():
     # the norms may overwrite their squared magnitudes, and the weight map
     # the norms it reads: here the norms fill the first entries of the
-    # weight map's buffer, where the reciprocals go
+    # weight map's buffer, with and without scratch
     rng = np.random.default_rng(13)
     h, w, side, eps = 6, 7, 3, 0.1
     sq = rng.uniform(0.0, 2.0, (h, w))
     want_norms = smoothed_clique_norms(sq, side, eps)
     want_weights = smoothed_weight_map(want_norms, side)
-    buffer = sq.copy()
     nv = (h - side + 1) * (w - side + 1)
-    norms = buffer.reshape(-1)[:nv].reshape(want_norms.shape)
-    assert smoothed_clique_norms(buffer, side, eps, out=norms) is norms
-    np.testing.assert_array_equal(norms, want_norms)
-    assert smoothed_weight_map(norms, side, out=buffer) is buffer
-    np.testing.assert_array_equal(buffer, want_weights)
+    for scratch in (None, np.empty(h * w)):
+        buffer = sq.copy()
+        norms = buffer.reshape(-1)[:nv].reshape(want_norms.shape)
+        assert smoothed_clique_norms(buffer, side, eps, out=norms, scratch=scratch) is norms
+        np.testing.assert_array_equal(norms, want_norms)
+        assert smoothed_weight_map(norms, side, out=buffer, scratch=scratch) is buffer
+        np.testing.assert_array_equal(buffer, want_weights)

@@ -216,7 +216,7 @@ def test_planted_decomposition_quality():
     lowrank, sparse = make_lowrank_blocksparse_stack(32, 32, 10, 2, rng)
     y = lowrank + sparse
     res = solve_rpca(y, RpcaConfig(clique_side=2))
-    _, _, f = support_prf(support_set(res.x, 0.1), np.flatnonzero(sparse.ravel()))
+    _, _, f = support_prf(support_set(res.x), np.flatnonzero(sparse.ravel()))
     assert f >= 0.9
     assert res.report.extra["rank"] == 2
 
