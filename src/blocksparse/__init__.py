@@ -8,8 +8,9 @@ greedy pursuit (CoLaMP) for compressive recovery; block total-variation
 denoising applies the penalty to image gradients.  The two smoothed
 solvers each run their own backtracking line search: block-TV tests the
 Armijo condition, and the decomposition the forward-backward majorisation.
-Every clique sum comes from one exact window-sum primitive
-(:mod:`blocksparse.fftops`).
+Every solver, the proximal operator included, scores the penalty through one
+evaluator (:mod:`blocksparse.regularizer`), whose clique sums come from one
+exact window-sum primitive (:mod:`blocksparse.fftops`).
 """
 
 from .blocktv import BlockTvConfig, GradientField, denoise_block_tv, discrete_gradient, discrete_gradient_adjoint

@@ -204,11 +204,11 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
 
     for _ in range(cfg.max_iters):
         g = gradient(x, norms)
-        gnorm = float(np.linalg.norm(g))
+        gsq = float(np.vdot(g, g))
+        gnorm = float(np.sqrt(gsq))
         if gnorm <= grad_tol:
             reason = "converged"
             break
-        gsq = float(np.vdot(g, g))
         halvings = 0
         while True:
             x_new = np.multiply(g, alpha, out=trial)

@@ -6,6 +6,8 @@ columns, so it costs ``2 (side - 1)`` adds per entry.  Each sum is a plain
 sum of its window's entries, so a window of zeros sums to exactly 0 and a
 nonnegative input gives nonnegative sums.  :func:`box_correlate_full` is the
 same sum over the zero-padded array, and the adjoint of the valid sum.
+Only :mod:`blocksparse.regularizer` calls the two sums; every solver reaches
+them through its evaluator.
 
 Both run every add on whole C-contiguous arrays taken as one flat vector: a
 shift by ``k`` rows is a shift by ``k`` row lengths, and a shift by ``k``

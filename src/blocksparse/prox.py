@@ -102,8 +102,11 @@ relaxation changes the input, not this condition.  So every clique block of
 ``-rho*u^i`` has norm at most ``lam``, and ``u^i`` is 0 off the tiles.  The
 dual point ``g = -rho * sum_i u^i = -rho*s*ubar`` is therefore feasible as
 it stands, and the dual value ``D = <g, v> - ||g||^2/4`` costs two n-vector
-dot products.  The primal value ``P = ||x - v||^2 + lam * J(x)`` costs a
-valid window sum and four n-vector passes.
+dot products.  The primal value ``P = ||x - v||^2 + lam * J(x)`` costs four
+n-vector passes and the exact clique norms of ``x*x`` from the regularizer's
+evaluator (:func:`blocksparse.regularizer.smoothed_clique_norms` at
+``eps = 0``): one valid window sum, which allocates its row and column
+passes and its result, and their square root in place.
 
 The gap is needed only to decide when to stop (Boyd et al. 2011, section
 3.3), and at CoLaMP's size (32x32, side 2) evaluating it took 23% of an
@@ -164,8 +167,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .common import (ConfigError, ShapeError, SolverReport, check_count, check_finite,
                      check_nonnegative, check_positive)
-from .fftops import box_correlate_valid
 from .grids import CliqueSystem
+from .regularizer import smoothed_clique_norms
 
 # Over-relaxation factor alpha of the z- and u-updates, in (0, 2); alpha = 1
 # is plain ADMM.  Of 1.5, 1.6, 1.7 and 1.8, 1.8 took the fewest iterations on
@@ -441,14 +444,12 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
 
             if balance or (k - 1) % stride == 0 or k == cfg.max_iters:
                 # P = ||x - v||^2 + lam * J(x), both through the scratch vector,
-                # so the window sums add only their own row and column passes
-                # and result to the solve's state
+                # so the clique norms add only their window sum's row and
+                # column passes and result to the solve's state
                 np.subtract(x, vflat, out=work)
                 primal = float(work @ work)
                 np.multiply(x, x, out=work)
-                sums = box_correlate_valid(work.reshape(shape), side)
-                primal += cfg.lam * float(np.sqrt(sums, out=sums).sum())
-                del sums  # not alive beside the next iteration's window sums
+                primal += cfg.lam * float(smoothed_clique_norms(work.reshape(shape), side, 0.0).sum())
                 # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
                 dual_lin = -rs * float(ubar @ vflat)
                 dual_quad = 0.25 * rs * rs * float(ubar @ ubar)

@@ -6,17 +6,19 @@ so the penalty becomes differentiable everywhere.
 
 Every clique sum is an exact window sum from :mod:`blocksparse.fftops`
 (``side`` shifted adds along rows, then ``side`` along columns): a
-clique that is zero everywhere gets a norm of exactly 0.  :func:`block_norm`
-and the objective trace of :func:`blocksparse.prox.prox_block_norm` take the
-valid sum of ``x*x``; ``tests/helpers.py`` assembles the value and gradient
-clique by clique as the reference.
+clique that is zero everywhere gets a norm of exactly 0.  ``tests/helpers.py``
+assembles the value and gradient clique by clique as the reference.
 
-The smoothed solvers share one evaluator pair:
+Every solver scores the penalty through one evaluator pair:
 
 - :func:`smoothed_clique_norms` turns a per-pixel squared magnitude ``sq``
   into the smoothed clique norms ``sqrt(box_valid(sq, side) + eps^2)``; their
   sum is the penalty.  ``sq`` is ``x*x`` for the plain penalty (frame-batched
-  in :mod:`rpca`) and ``dh^2 + dv^2`` for block-TV (:mod:`blocktv`).
+  in :mod:`rpca`) and ``dh^2 + dv^2`` for block-TV (:mod:`blocktv`).  With
+  ``eps = 0`` they are the exact clique norms, bit for bit those of the
+  valid sum's square root, since adding 0 to a nonnegative sum is exact:
+  :func:`block_norm` and the objective of
+  :func:`blocksparse.prox.prox_block_norm` sum them for ``J(x)``.
 - :func:`smoothed_weight_map` turns those norms into the per-pixel weight
   ``box_full(1/norms, side)``; the gradient is the weight times ``x`` (or
   times each gradient channel, for block-TV).
@@ -24,10 +26,10 @@ The smoothed solvers share one evaluator pair:
 Splitting value and gradient at the norms lets a line search keep the norms
 of the trial it accepts and build the next gradient from them, with one valid
 and one full window sum per accepted point.  Every function here calls the
-window sums through this module's names, so a wrapper installed there sees
-every sum they make; the prox's objective trace calls the valid sum under
-the name :mod:`blocksparse.prox` binds.  Each function adds ``eps^2`` and
-takes the square root in place on the window sums it owns.
+window sums through this module's names, and no other module calls them, so
+a wrapper installed there sees every window sum the package makes.  Each
+function adds ``eps^2`` and takes the square root in place on the window
+sums it owns.
 
 Both evaluator functions follow the window sums' buffer rule
 (:mod:`blocksparse.fftops`): NumPy-style ``out=``, and ``scratch=`` for the
@@ -60,8 +62,7 @@ def block_norm(x, cliques: CliqueSystem) -> float:
         raise ShapeError(
             f"image shape {x.shape} does not match clique grid "
             f"{cliques.shape.height}x{cliques.shape.width}")
-    sums = box_correlate_valid(x * x, cliques.side)
-    return float(np.sqrt(sums, out=sums).sum())
+    return float(smoothed_clique_norms(x * x, cliques.side, 0.0).sum())
 
 
 def smoothed_clique_norms(sq, side: int, eps: float, out=None, scratch=None) -> np.ndarray:
@@ -69,7 +70,8 @@ def smoothed_clique_norms(sq, side: int, eps: float, out=None, scratch=None) -> 
 
     ``sq`` holds per-pixel squared magnitudes ``(..., h, w)``, leading axes
     batched; the result is indexed by clique corner ``(..., h-side+1,
-    w-side+1)`` and sums to the smoothed penalty.  Positive for ``eps > 0``.
+    w-side+1)`` and sums to the smoothed penalty.  Positive for ``eps > 0``;
+    ``eps = 0`` gives the exact clique norms.
     ``out`` and ``scratch`` go to the valid window sum; ``out`` may share
     memory with ``sq`` or ``scratch``.  Given ``scratch``, the window sum
     keeps its row pass there and its column pass in ``sq``, which is spent.

@@ -153,6 +153,95 @@ def prox_gap_by_projection(v, x, u, rho, lam, side):
     return primal - dual
 
 
+def prox_by_dual_ascent(v, cliques_idx, lam, rel_gap=1e-12, max_sweeps=2000):
+    """Certified prox ``argmin_x ||x - v||^2 + lam * sum_c ||x_c||`` by exact
+    dual block-coordinate ascent, polished by Newton steps where the ascent
+    stalls; returns the flat ``x`` and its gap ``P - D``.
+
+    Every dual point ``g = sum_c P_c^T w_c`` with ``||w_c|| <= lam`` for all
+    ``c`` gives the lower bound ``D(g) = <g, v> - ||g||^2/4``, and ``P(x) -
+    D(g)`` bounds ``||x - x*||^2`` for any ``x``.  A result is accepted only
+    once ``P - D <= rel_gap * P``; a solve that never certifies raises
+    ``AssertionError``.
+
+    One sweep of the ascent maximises ``D`` over each ``w_c`` in turn, the
+    others fixed, in the order of ``cliques_idx``: ``w_c = proj_{||.|| <=
+    lam}(2v_c - (g - P_c^T w_c)_c)``, and ``x = v - g/2``.  Where ``x*``
+    vanishes on a clique whose dual block must sit exactly on its ball, it
+    converges sublinearly: on the 3x4 grid, side 2, ``lam`` 2, with ``v`` zero
+    but for -1, 1 and 2 at pixels 0, 5 and 8, the gap fell as ``0.5/k^2``
+    over ``k`` sweeps (5e-9 after 10,000).  So after ``max_sweeps`` sweeps
+    damped Newton steps take over, on the smoothed objective ``||x - v||^2 +
+    lam * sum_c sqrt(||x_c||^2 + eps^2)`` with ``eps`` falling tenfold per
+    stage from ``max|v|``.  Each stage is certified with the feasible blocks
+    ``w_c = lam * x_c / sqrt(||x_c||^2 + eps^2)``, whose gap falls with
+    ``eps``.
+    """
+    v = np.asarray(v, dtype=float).ravel()
+    idx = np.array([list(c) for c in cliques_idx], dtype=int).reshape(len(cliques_idx), -1)
+
+    def certified_gap(x, w):
+        g = np.zeros_like(v)
+        np.add.at(g, idx, w)
+        primal = float((x - v) @ (x - v)) + lam * float(np.linalg.norm(x[idx], axis=1).sum())
+        return primal - (float(g @ v) - 0.25 * float(g @ g)), primal
+
+    w = np.zeros(idx.shape)
+    g = np.zeros_like(v)
+    x = v.copy()
+    target = 2.0 * v
+    for _ in range(max_sweeps):
+        for wc, ic in zip(w, idx):
+            block = target[ic] - g[ic] + wc
+            norm = float(np.sqrt(block @ block))
+            if norm > lam:
+                block *= lam / norm
+            g[ic] += block - wc
+            wc[:] = block
+        x = v - 0.5 * g
+        gap, primal = certified_gap(x, w)
+        if gap <= rel_gap * primal:
+            return x, gap
+
+    def smoothed(x, eps):
+        """The smoothed clique norms and dual blocks at ``x``, and the
+        smoothed objective's gradient."""
+        xc = x[idx]
+        r = np.sqrt((xc * xc).sum(axis=1) + eps * eps)
+        w = lam * xc / r[:, None]
+        grad = 2.0 * (x - v)
+        np.add.at(grad, idx, w)
+        return r, w, grad
+
+    eps = float(np.abs(v).max())
+    eye = np.eye(idx.shape[1])
+    for _ in range(16):
+        eps *= 0.1
+        for _ in range(50):
+            r, w, grad = smoothed(x, eps)
+            hess = 2.0 * np.eye(v.size)
+            for ic, rc, wc in zip(idx, r, w):
+                # lam * (I - x_c x_c^T / r^2) / r, with w_c = lam * x_c / r
+                hess[np.ix_(ic, ic)] += (lam * eye - np.outer(wc, wc) / lam) / rc
+            step = np.linalg.solve(hess, grad)
+            # near the optimum the objective's changes drown in its rounding,
+            # so a step is accepted when it lowers the gradient's norm
+            t = 1.0
+            while t > 1e-6:
+                trial = x - t * step
+                if float(np.sum(smoothed(trial, eps)[2] ** 2)) < float(grad @ grad):
+                    break
+                t *= 0.5
+            else:
+                break
+            x = trial
+        gap, primal = certified_gap(x, smoothed(x, eps)[1])
+        if gap <= rel_gap * primal:
+            return x, gap
+    raise AssertionError(f"dual ascent and its polish left a gap of {gap:.3g} at "
+                         f"P = {primal:.3g}")
+
+
 def prox_by_smoothed_descent(v, cliques_idx, lam, eps=1e-8, max_iters=100000):
     """High-accuracy prox oracle: Armijo gradient descent on the smoothed
     objective ``||x - v||^2 + lam * sum_c sqrt(||x_c||^2 + eps^2)``.

@@ -142,6 +142,21 @@ def test_prox_against_convex_solver():
     assert np.max(np.abs(res.x.ravel() - x.value)) < 1e-4
 
 
+def test_prox_against_dual_ascent():
+    # the convex-solver test's problem, against the certified NumPy reference
+    rng = np.random.default_rng(3)
+    cs = system(5, 5, 2)
+    v = rng.standard_normal((5, 5))
+    lam = 1.5
+    idx = helpers.clique_index_lists(5, 5, 2)
+    x_ref, _ = helpers.prox_by_dual_ascent(v, idx, lam)
+    res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=20000,
+                                            tol_abs=1e-12, tol_rel=1e-10))
+    f_admm = helpers.prox_objective(res.x, v, idx, lam)
+    assert f_admm <= helpers.prox_objective(x_ref.reshape(5, 5), v, idx, lam) * (1 + 1e-6) + 1e-9
+    assert np.max(np.abs(res.x.ravel() - x_ref)) < 1e-4
+
+
 def test_prox_nonexpansive():
     rng = np.random.default_rng(4)
     cs = system(5, 5, 2)

@@ -313,26 +313,48 @@ _entries = st.one_of(st.just(0.0), st.floats(0.05, 3.0), st.floats(-3.0, -0.05))
        st.floats(0.05, 2.0))
 def test_support_certificate(height, width, side, data, lam):
     side = min(side, height, width)
-    cs = system(height, width, side)
     v = np.array(data.draw(st.lists(_entries, min_size=height * width,
                                     max_size=height * width))).reshape(height, width)
-    tau = pursuit.SUPPORT_REL_TOL
-    # no gap tolerance, so only the support test can stop the solve early
-    res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=5000, tol_abs=0.0,
-                                            tol_rel=0.0), support_tol=tau)
+    res = _support_certified_prox(v, side, lam)
     assume(res.report.termination_reason == "support-certified")
-    x = np.abs(res.x.ravel())
-    peak = float(x.max())
-    assert np.sqrt(max(res.report.residual_trace[-1], 0.0)) <= tau * peak
+    _assert_support_is_exact(v, side, lam, res)
 
-    # the reference stops at a relative gap of 1e-12: roundoff in the dual
-    # value leaves some gaps near 2e-13 of P however long ADMM runs
-    ref = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=100000, tol_abs=0.0,
-                                            tol_rel=1e-12))
-    assert ref.report.termination_reason == "converged"
+
+# draws whose references stalled: an ADMM reference at a relative gap of
+# 1e-12 never stopped on a floating-point fixed point (one 3x3 clique) and on
+# a slow degenerate solve at an exact shrink threshold, and the dual ascent
+# alone crept on the third, where x* vanishes on a clique whose dual block
+# sits exactly on its ball
+@pytest.mark.parametrize("shape, side, spikes, lam", [
+    ((3, 3), 3, {(2, 1): 1.0, (2, 2): 0.5}, 0.05),
+    ((3, 5), 2, {(2, 2): 1.0, (2, 3): -1.0, (2, 4): -2.0}, 2.0),
+    ((3, 4), 2, {(0, 0): -1.0, (1, 1): 1.0, (2, 0): 2.0}, 2.0),
+], ids=["fixed-point-3x3", "threshold-3x5", "dual-on-ball-3x4"])
+def test_support_certificate_regressions(shape, side, spikes, lam):
+    v = np.zeros(shape)
+    for pixel, value in spikes.items():
+        v[pixel] = value
+    res = _support_certified_prox(v, side, lam)
+    assert res.report.termination_reason == "support-certified"
+    _assert_support_is_exact(v, side, lam, res)
+
+
+def _support_certified_prox(v, side, lam):
+    # no gap tolerance, so only the support test can stop the solve early
+    return prox_block_norm(v, system(*v.shape, side),
+                           ProxConfig(lam=lam, max_iters=5000, tol_abs=0.0, tol_rel=0.0),
+                           support_tol=pursuit.SUPPORT_REL_TOL)
+
+
+def _assert_support_is_exact(v, side, lam, res):
+    tau = pursuit.SUPPORT_REL_TOL
+    peak = float(np.abs(res.x).max())
+    assert np.sqrt(max(res.report.residual_trace[-1], 0.0)) <= tau * peak
+    # the reference certifies a relative gap of 1e-12, and
     # ||x_ref - x*||_inf <= sqrt(gap): pixels above it are nonzero in x*
-    ref_err = np.sqrt(max(ref.report.residual_trace[-1], 0.0))
-    x_ref = np.abs(ref.x.ravel())
+    x_ref, gap = helpers.prox_by_dual_ascent(v, helpers.clique_index_lists(*v.shape, side), lam)
+    ref_err = np.sqrt(max(gap, 0.0))
+    x_ref = np.abs(x_ref)
     support = pursuit._support_of(res.x, v)
     assert np.all(x_ref[support] > ref_err)
     assert set(np.flatnonzero(x_ref > 2 * tau * peak + ref_err)) <= set(support.tolist())
