@@ -12,32 +12,35 @@ group shrinkage.
 
 **Tile layout.**  Subset ``i = a*side + b`` holds the cliques with corners
 ``(a + p*side, b + q*side)``, ``p < nh`` and ``q < nw``
-(:attr:`blocksparse.grids.CliqueSystem.tiles`).  ``Z`` is held row-major at
-the front of a flat buffer, followed by a zero tail of ``(side-1)*(W+1)``
-entries, and one strided view covers the tiles of every copy: its shape is
-``(side, side, H//side, side, (W//side)*side)`` and its element strides are
-``(side*n + W, n + 1, side*W, W, 1)``, so tile ``(p, q)`` of copy ``(a, b)``
-is ``view[a, b, p, :, q*side:(q+1)*side]``.  The base of copy ``(a, b)`` is
-``(a*side + b)*n + a*W + b``, linear in both ``a`` and ``b``.  The view never
-aliases itself: within one copy each tile row covers at most ``W``
+(:attr:`blocksparse.grids.CliqueSystem.tiles`).  The copies ``Z`` are never
+held whole.  A pass buffer holds the ``R*side`` copies of ``R`` consecutive
+copy rows ``a0 <= a < a0 + R`` row-major, followed by a zero tail of
+``(side-1)*(W+1)`` entries, and one strided view per pass covers the tiles of
+its copies: its shape is ``(R, side, H//side, side, (W//side)*side)``, its
+element strides are ``(side*n + W, n + 1, side*W, W, 1)`` and it starts at
+entry ``a0*W``, so tile ``(p, q)`` of copy ``(a, b)`` is
+``view[a - a0, b, p, :, q*side:(q+1)*side]``.  The base of copy ``(a, b)`` is
+``((a - a0)*side + b)*n + a*W + b``, linear in both ``a`` and ``b``.  The view
+never aliases itself: within one copy each tile row covers at most ``W``
 consecutive entries, and the copies' address ranges are ordered.  Its shape
 is the same for every copy, so where a subset has one tile row or column
 fewer (``nh = (H - a)//side``, ``nw = (W - b)//side``) the view's last one
 spills into the next copy or the tail; those spill tiles are read and never
 written.
 
-The z-update sets ``Z`` to its input ``w`` and computes the norms of all
-tiles, one copy row ``a`` at a time: an ``einsum`` sums the squares over the
-view's tile rows, and one product with ones sums those over each tile's
-columns.  The scales ``max(1 - tau/||tile||, 0)``, ``tau = lam/rho``, are
-computed once over the ``(side, side, H//side, W//side)`` array of norms.
-The scaling in place then runs copy by copy, each through
-``view[a, b, :nh, :, :nw*side]``, which holds only the copy's own tiles,
-times the scales of its copy row repeated along the columns.  It cannot run
-through a view that spans several copies: NumPy's ufunc overlap check cannot
-prove such an output free of self-overlap, and it would copy the whole stack
-on every call.  Pixels outside the tiles (a border narrower than
-``side``) keep ``w``.  No index array is read.
+The z-update of a pass sets its copies to their input ``w`` and computes the
+norms of their tiles, one copy row ``a`` at a time: an ``einsum`` sums the
+squares over the view's tile rows, and one product with ones sums those over
+each tile's columns.  The scales ``max(1 - tau/||tile||, 0)``,
+``tau = lam/rho``, are computed over the pass's rows of the
+``(side, side, H//side, W//side)`` array of scales, which is kept for every
+copy in an array of its own.  The scaling in place then runs copy by copy,
+each through ``view[a - a0, b, :nh, :, :nw*side]``, which holds only the
+copy's own tiles, times the scales of its copy row repeated along the
+columns.  It cannot run through a view that spans several copies: NumPy's
+ufunc overlap check cannot prove such an output free of self-overlap, and it
+would copy the whole buffer on every call.  Pixels outside the tiles (a
+border narrower than ``side``) keep ``w``.  No index array is read.
 
 **Relaxed iteration.**  Each iteration updates ``x``, then the stacked copies
 ``Z`` (``s x n``), then the scaled duals ``U``, with the z- and u-updates
@@ -50,12 +53,36 @@ Optimization and Statistical Learning via ADMM*, section 3.4.3): they read
 ``sum_i (z^i + u^i) = s*(zbar + ubar)``.  ``zbar`` is one pass over ``Z``;
 ``ubar`` is kept as an n-vector updated by
 ``ubar += zbar - (alpha*x + (1 - alpha)*zbar_old)``, the mean of the
-u-update.  The loop carries ``r = (U - (1 - alpha) Z) / alpha`` in place of
+u-update, whose terms in ``x`` and ``zbar_old`` are subtracted before the
+z-update.  The loop carries ``r = (U - (1 - alpha) Z) / alpha`` in place of
 ``U``: then ``w = xhat - U = alpha*(x - r)`` and the new
 ``alpha*r = U - (1 - alpha) Z = Z - w``, so besides the tile scaling and
-the mean an iteration makes three passes over the stacks (``r = x - r``,
+the mean an iteration makes three passes over the copies (``r = x - r``,
 ``Z = alpha*r``, ``r = Z - r``), as many as plain ADMM's ``Z = x - U``,
 ``U += Z``, ``U -= x``.  ``U`` is formed once, at the end.
+
+**Passes and memory.**  ``r`` holds the whole iteration state, since ``Z``
+is a function of ``x`` and ``r``, and it is the solve's one ``s x n`` stack.
+An iteration runs over the copy rows in passes of
+``R = max(1, min(side, PASS_ENTRIES // (side*n)))`` rows, each through the
+pass buffer: ``r = x - r``, ``Z = alpha*r``, the z-update, the sum into
+``zbar`` and ``r = Z - r`` for the pass's copies.  ``zbar`` is an
+``np.add.reduce`` over the first pass's copies and then one addition per
+copy, the left-to-right order of a reduction over the whole stack.  At a
+checked iteration (below) the write ``r = Z - r`` is deferred: pass A leaves
+``q = w/alpha`` in ``r`` and keeps the tile scales, the gap is tested, and
+pass B rebuilds ``Z = scale_tiles(alpha*q)`` bit for bit from the kept
+scales (the last pass's ``Z`` is still in the buffer), sets ``r = Z - q``,
+applies a change of ``rho`` and, on the last iteration, forms
+``U = alpha*r + (1 - alpha) Z`` in the place of ``r``.  The deferral is
+needed because ``(U, Z)`` cannot be recovered from ``r`` alone: a tile with
+scale ``c`` has ``r = (alpha*c - 1)*q``, which vanishes at ``c = 1/alpha``.
+A balancing check's primal residual is summed in pass A for all passes but
+the last, in the buffer the next pass overwrites, and after the gap test
+for the last.  So beyond its input a solve holds the ``s*n`` entries of
+``r``, the ``R*side*n`` of the buffer and its tail, and ``O(n)`` working
+vectors, and its iterates are bit for bit those of a solve that holds
+``Z`` and ``r`` whole.
 
 **Adaptive penalty.**  Every solve starts at ``x = v``, ``z^i = v``,
 ``u^i = 0`` and ``rho0 = 1 + RHO_START_WEIGHT*lam/max|v|`` (1 when ``v = 0``),
@@ -64,7 +91,7 @@ balanced by residuals (Boyd et al. 2011, section 3.4.1), which leaves its
 start free.  At iterations ``BALANCE_FIRST * 2**j`` (10, 20, 40, ...), after
 the stop tests, the loop
 compares the primal residual ``rp = ||Z - 1 x^T||_F``, summed a copy at a
-time through the scratch n-vector, with the dual residual
+time, with the dual residual
 ``rd = rho*sqrt(s)*||zbar_k - zbar_{k-1}||``.  Both live in the ``s x n``
 stack space: ``rd`` is ``rho*||1 (zbar_k - zbar_{k-1})^T||_F``, the step of
 the mean spread over the ``s`` copies.  It is not Boyd et al.'s dual
@@ -114,8 +141,9 @@ iteration.  So ``P``, ``D``, the gap and both stop tests below
 are evaluated only at the checked iterations: iteration 1, every
 ``GAP_STRIDE``-th after it (``k = 1 mod GAP_STRIDE``), every balancing
 check and the last iteration ``max_iters`` allows.  The evaluation reads
-the state and writes only the scratch vector, so the iterates are those of
-a solve that checks every iteration.  The solve stops at the first checked
+``x`` and ``ubar`` and writes only the scratch vector, and the deferred
+write of ``r`` gives the values of the undeferred one, so the iterates are
+those of a solve that checks every iteration.  The solve stops at the first checked
 iteration whose gap passes, never before the first iteration whose gap
 would pass, and every stop is decided by the gap computed exactly at the
 iteration it ends on.  The gap is not monotone (below), so a stop can come
@@ -131,6 +159,19 @@ scale with the data: ``||v||^2`` is ``P(0)``.  The data term gives
 ``||x - x*||^2 <= P - D``.  With ``tol_abs = tol_rel = 0`` no gap stop is
 tested and the solve runs exactly ``max_iters`` iterations, so a gap that
 roundoff makes zero or negative cannot end it.
+
+A weight ``lam >= 2||v||`` gives ``x* = 0`` exactly, which the iteration
+does not certify: on an 8x8 standard normal center at side 2 ``lam = 1e20``
+ran to the 1,000-iteration cap with a gap of 1.30, as the gap's tolerance
+does not grow with ``lam``.  So where a gap stop is tested and ``v != 0``, a
+solve with ``lam**2 >= 4||v||^2`` returns ``x = 0``, "converged", after 0
+iterations.  Its ``u`` gives each pixel ``(r, c)`` to the copy
+``(min(r, H - side) % side, min(c, W - side) % side)``, whose tiles cover
+it, with ``u = -2v/rho0`` there and 0 elsewhere: every clique block of
+``-rho0*u`` is part of ``2v``, of norm at most ``lam``, so ``g = 2v`` is
+dual feasible and ``D = ||v||^2 = P(0)``: the gap is 0.  Its traces are
+empty, as no iteration ran.  A zero center is left to the iteration, whose
+first gap is exactly 0.
 
 A caller that reads only the support of ``x`` can ask for an earlier stop,
 ``sqrt(P - D + e) <= support_tol * max|x|``.  The same bound gives
@@ -241,63 +282,95 @@ class ProxConfig:
         check_nonnegative(self.tol_rel, "tol_rel")
 
 
+# The copies run through the pass buffer in passes of whole copy rows, of at
+# most PASS_ENTRIES entries and at least one row (module docstring).  Each
+# further pass adds Python calls, and at a checked iteration every pass but
+# the last rebuilds its copies, so small problems run in one pass: CoLaMP's
+# 32x32 side-2 calls (4,096 entries), the memory benchmark's prox (25,600)
+# and 48x48 at side 6 (82,944).  With one copy row per pass everywhere the
+# cs-colamp benchmark's solves took 17% longer (median of 16 interleaved
+# in-process rounds, 1 faster; 2-core Xeon, 2 MiB L2 per core, one BLAS
+# thread).  prox-denoise's 128x128 runs side 4 in 2 passes and side 8 in 8;
+# at 2**18 (2 MiB passes) they took 3% longer (3 of 16 rounds faster).
+PASS_ENTRIES = 2**17
+
+
 @dataclass
 class ProxResult:
-    """Prox output plus the final consensus copies and scaled duals.
+    """Prox output plus the final scaled duals.
 
-    ``z`` has one row per clique subset; ``rho * u`` decomposes the penalty
+    ``u`` has one row per clique subset; ``rho * u`` decomposes the penalty
     subgradient at the solution, which the optimality-certificate tests use.
-    Both are ``None`` when the solve short-circuits (``lam == 0``).
+    It is ``None`` when the solve short-circuits (``lam == 0``).
     """
 
     x: np.ndarray
     report: SolverReport
-    z: Optional[np.ndarray] = None
     u: Optional[np.ndarray] = None
 
 
-class _TileStack:
-    """The consensus copies and one strided view of the tiles of all of them.
+@dataclass
+class _Pass:
+    """One pass of the copies ``first <= i < first + len(z)``.
 
-    ``z`` is the ``(s, n)`` stack of copies at the front of a flat buffer
-    whose zero tail holds the view's spill past the last copy; ``view`` is
-    the ``(side, side, H//side, side, (W//side)*side)`` view of the module
-    docstring.  ``work`` is an n-vector: a z-update keeps the tile scales in
-    its front (:attr:`scale`), and between z-updates the solver may use it as
-    scratch.
+    ``z`` holds them at the front of the pass buffer and ``view`` is their
+    tile view of the module docstring.  ``scale`` is their copy rows of the
+    tile scales, and ``row_scales`` the same rows flat.  ``copies`` holds,
+    per copy row, each copy's own tiles and where their scales sit in the
+    row's scales repeated along the columns.
     """
 
-    def __init__(self, cliques: CliqueSystem):
-        h, w, side = cliques.shape.height, cliques.shape.width, cliques.side
-        s, n = cliques.n_subsets, h * w
-        nh, nw = h // side, w // side
-        self.buffer = np.zeros(s * n + (side - 1) * (w + 1))
-        self.z = self.buffer[:s * n].reshape(s, n)
-        step = self.buffer.itemsize
-        self.view = as_strided(self.buffer, shape=(side, side, nh, side, nw * side),
-                               strides=(step * (side * n + w), step * (n + 1), step * side * w,
-                                        step * w, step))
-        self.work = np.empty(n)
-        self.scale = self.work[:s * nh * nw].reshape(side, side, nh, nw)
-        self._ones = np.ones(side)
-        self._row_scales = [self.scale[a].reshape(-1) for a in range(side)]
-        # per copy row a: each copy's own clique tiles, and where their scales
-        # sit in the row's scales repeated along the columns
-        self._copies = [[] for _ in range(side)]
-        for tile in cliques.tiles:
-            if tile is None:
-                continue
-            a, b, th, tw = tile
-            self._copies[a].append((self.view[a, b, :th, :, :tw * side],
-                                    (b, slice(th), None, slice(tw * side))))
+    first: int
+    z: np.ndarray
+    view: np.ndarray
+    scale: np.ndarray
+    row_scales: list
+    copies: list
 
-    def shrink(self, tau: float) -> None:
-        """Group-shrink every clique tile of every copy in place: scale it by
-        ``max(1 - tau/||tile||, 0)``.  An all-zero tile has norm 0 and
-        ``tau/0 = inf`` gives it scale 0, so the caller ignores division by
-        zero."""
-        scale, ones = self.scale, self._ones
-        for rows, row_scales in zip(self.view, self._row_scales):
+
+class _TileStack:
+    """A pass buffer for ``rows`` copy rows of the consensus copies, its
+    passes over all ``side`` copy rows, and the tile scales of every copy.
+
+    ``buffer`` holds ``rows * side`` copies followed by the zero tail that
+    the tile views spill into; :attr:`passes` are :class:`_Pass` entries, in
+    order, whose ``z`` share the front of the buffer.  :attr:`scale` is the
+    ``(side, side, H//side, W//side)`` array of tile scales, which a
+    z-update writes and :meth:`scale_tiles` reads.
+    """
+
+    def __init__(self, cliques: CliqueSystem, rows: int):
+        h, w, side = cliques.shape.height, cliques.shape.width, cliques.side
+        n = h * w
+        nh, nw = h // side, w // side
+        self.buffer = np.zeros(rows * side * n + (side - 1) * (w + 1))
+        self.scale = np.empty((side, side, nh, nw))
+        self._ones = np.ones(side)
+        step = self.buffer.itemsize
+        strides = (step * (side * n + w), step * (n + 1), step * side * w, step * w, step)
+        self.passes = []
+        for a0 in range(0, side, rows):
+            count = min(rows, side - a0)
+            view = as_strided(self.buffer[a0 * w:], shape=(count, side, nh, side, nw * side),
+                              strides=strides)
+            scale = self.scale[a0:a0 + count]
+            copies = [[] for _ in range(count)]
+            for tile in cliques.tiles:
+                if tile is None or not a0 <= tile[0] < a0 + count:
+                    continue
+                a, b, th, tw = tile
+                copies[a - a0].append((view[a - a0, b, :th, :, :tw * side],
+                                       (b, slice(th), None, slice(tw * side))))
+            self.passes.append(_Pass(a0 * side, self.buffer[:count * side * n].reshape(-1, n),
+                                     view, scale, [row.reshape(-1) for row in scale], copies))
+
+    def shrink(self, p: _Pass, tau: float) -> None:
+        """Group-shrink every clique tile of the copies of pass ``p`` in
+        place: scale it by ``max(1 - tau/||tile||, 0)``, kept in
+        :attr:`scale`.  An all-zero tile has norm 0 and ``tau/0 = inf`` gives
+        it scale 0, so the caller ignores division by zero."""
+        scale, ones = p.scale, self._ones
+        for rows, row_scales in zip(p.view, p.row_scales):
             # one copy row at a time keeps the squared row sums to at most n
             # entries; their sums over each tile's columns are one product
             # with ones, where a sum over the tiny last axis is several times
@@ -308,13 +381,13 @@ class _TileStack:
         np.divide(tau, scale, out=scale)
         np.subtract(1.0, scale, out=scale)
         np.maximum(scale, 0.0, out=scale)
-        self.scale_tiles()
+        self.scale_tiles(p)
 
-    def scale_tiles(self) -> None:
-        """Multiply each clique tile of each copy in place by its entry of
-        :attr:`scale`; no other entry of the buffer changes."""
+    def scale_tiles(self, p: _Pass) -> None:
+        """Multiply each clique tile of each copy of pass ``p`` in place by
+        its entry of :attr:`scale`; no other entry of the buffer changes."""
         side = len(self._ones)
-        for row_scales, copies in zip(self.scale, self._copies):
+        for row_scales, copies in zip(p.scale, p.copies):
             # repeated, the factors run along whole tile rows; broadcast over
             # each tile's side columns instead, NumPy loops over runs of side
             # entries, and the product took twice as long or more
@@ -324,15 +397,31 @@ class _TileStack:
             del factors  # one row's factors alive at a time
 
 
+def _screened_duals(v: np.ndarray, side: int, rho: float) -> np.ndarray:
+    """The scaled duals that certify ``x = 0`` for ``lam >= 2||v||``: each
+    pixel ``(r, c)`` goes to the copy ``(min(r, H - side) % side,
+    min(c, W - side) % side)``, with ``u = -2v/rho`` there and 0 elsewhere."""
+    h, w = v.shape
+    copy_row = np.minimum(np.arange(h), h - side) % side
+    copy_col = np.minimum(np.arange(w), w - side) % side
+    owner = (copy_row[:, None] * side + copy_col[None, :]).ravel()
+    u = np.zeros((side * side, h * w))
+    u[owner, np.arange(h * w)] = (-2.0 / rho) * v.ravel()
+    return u
+
+
 def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                     support_tol: Optional[float] = None) -> ProxResult:
     """Consensus-ADMM prox of the overlapping-block penalty.
 
     Every solve starts from ``v`` (``x = v``, copies ``v``, duals 0) at the
     penalty ``rho0`` of the module docstring, so its result depends on
-    ``(v, cfg)`` alone.  Beyond its inputs a solve holds the consensus copies
-    and the scaled duals, ``2 * side**2 * N`` entries, plus ``O(N)`` working
-    vectors.
+    ``(v, cfg)`` alone.  Beyond its inputs a solve holds the carried duals,
+    ``side**2 * N`` entries, plus one pass of the copies, at most
+    ``max(PASS_ENTRIES, side*N)`` entries and a tail of
+    ``(side - 1)*(W + 1)``, plus ``O(N)`` working vectors.  Where a gap stop
+    is tested, a nonzero ``v`` with ``lam >= 2||v||`` returns the exact prox
+    0 after 0 iterations.
 
     Parameters
     ----------
@@ -352,7 +441,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     Returns
     -------
     ProxResult
-        Solution, run report, and the final ADMM variables.  Non-convergence
+        Solution, run report, and the final scaled duals.  Non-convergence
         within ``max_iters`` is reported as termination reason
         ``"max-iterations"``, not raised.  A center whose squared norm
         overflows raises ``ConfigError``, as does a weight that overflows
@@ -373,33 +462,43 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
 
     n = cliques.shape.n
     s = cliques.n_subsets
+    side = cliques.side
+    shape = (cliques.shape.height, cliques.shape.width)
     vflat = v.ravel()
     v_sq = float(vflat @ vflat)
     if not np.isfinite(v_sq):
         # finite data whose squares overflow: the gap test would read inf <= inf
         raise ConfigError("the prox center's squared norm is not finite")
-    x = vflat.copy()
     peak = float(np.abs(vflat).max())
     rho = 1.0 + RHO_START_WEIGHT * cfg.lam / peak if peak > 0 else 1.0
     if not np.isfinite(rho):
         raise ConfigError(f"lam {cfg.lam:g} overflows the starting penalty at max|v| {peak:g}")
+    certify = cfg.tol_abs > 0 or cfg.tol_rel > 0
+    if certify and peak > 0 and cfg.lam * cfg.lam >= 4.0 * v_sq:
+        # x* = 0 with gap 0 (module docstring)
+        report = SolverReport([], [], "converged", iterations=0,
+                              wall_clock=time.perf_counter() - t0,
+                              extra={"rho": rho, "rho_changes": 0})
+        return ProxResult(np.zeros(shape), report, u=_screened_duals(v, side, rho))
 
     alpha = RELAXATION
-    stack = _TileStack(cliques)
-    z, work = stack.z, stack.work
-    z[:] = x
-    # the carried dual r = (U - (1 - alpha) Z) / alpha makes the relaxed
-    # z-update point w = alpha*x + (1 - alpha) Z - U = alpha * (x - r)
-    r = z * ((alpha - 1.0) / alpha)  # U = 0 at the start
-    side = cliques.side
-    shape = (cliques.shape.height, cliques.shape.width)
+    stack = _TileStack(cliques, max(1, min(side, PASS_ENTRIES // (side * n))))
+    x = vflat.copy()
+    work = np.empty(n)
+    # the carried dual r = (U - (1 - alpha) Z) / alpha, with U = 0 and Z = v
+    # at the start, makes the relaxed z-update point
+    # w = alpha*x + (1 - alpha) Z - U = alpha * (x - r)
+    r = np.empty((s, n))
+    np.multiply(vflat, (alpha - 1.0) / alpha, out=r)
+    # each pass with its copies' rows of r
+    passes = [(p, r[p.first:p.first + len(p.z)]) for p in stack.passes]
+    first, last = stack.passes[0], stack.passes[-1]
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
     zbar = x.copy()
     ubar = np.zeros(n)
-    certify = cfg.tol_abs > 0 or cfg.tol_rel > 0
     gap_floor = cfg.tol_abs * v_sq
     # per unit of the magnitudes summed, a bound on the computed gap's
     # rounding error, which the support stop adds to the gap
@@ -421,88 +520,110 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
             np.add(zbar, ubar, out=x)
             x *= c
             # cv*v is formed in the scratch vector each time rather than kept:
-            # one n-vector fewer beside the z-update's row of scales
+            # one n-vector fewer
             x += np.multiply(vflat, cv, out=work)
-
-            np.subtract(x, r, out=r)  # w / alpha
-            np.multiply(r, alpha, out=z)
-            stack.shrink(tau)
-            np.subtract(z, r, out=r)  # alpha*r = U - (1 - alpha) Z = Z - w
             balance = k == next_check
+            checked = balance or (k - 1) % stride == 0 or k == cfg.max_iters
+
+            # ubar += zbar - mean(xhat), with mean(xhat) = alpha*x + (1 - alpha)*zbar_old
+            ubar -= np.multiply(x, alpha, out=work)
             if balance:
                 np.copyto(work, zbar)  # zbar_{k-1}, for the dual residual
-            # ubar += zbar - mean(xhat), with mean(xhat) = alpha*x + (1 - alpha)*zbar_old
-            ubar -= alpha * x
             zbar *= 1.0 - alpha
             ubar -= zbar
-            np.add.reduce(z, axis=0, out=zbar)  # z.mean without its Python overhead
+            primal_sq = 0.0
+            for p, q in passes:
+                np.subtract(x, q, out=q)  # w / alpha
+                np.multiply(q, alpha, out=p.z)
+                stack.shrink(p, tau)
+                if p is first:
+                    np.add.reduce(p.z, axis=0, out=zbar)  # z.sum without its Python overhead
+                else:
+                    for zi in p.z:
+                        zbar += zi
+                if not checked:
+                    np.subtract(p.z, q, out=q)  # alpha*r = U - (1 - alpha) Z = Z - w
+                elif balance and p is not last:
+                    # rp = ||Z - 1 x^T||_F, a copy at a time, in the copies
+                    # that the next pass overwrites
+                    for zi in p.z:
+                        np.subtract(zi, x, out=zi)
+                        primal_sq += float(zi @ zi)
             zbar /= s
             ubar += zbar
             if balance:
                 work -= zbar
                 zbar_step = np.sqrt(s) * float(np.sqrt(work @ work))  # rd / rho
-
-            if balance or (k - 1) % stride == 0 or k == cfg.max_iters:
-                # P = ||x - v||^2 + lam * J(x), both through the scratch vector,
-                # so the clique norms add only their window sum's row and
-                # column passes and result to the solve's state
-                np.subtract(x, vflat, out=work)
-                primal = float(work @ work)
-                np.multiply(x, x, out=work)
-                primal += cfg.lam * float(smoothed_clique_norms(work.reshape(shape), side, 0.0).sum())
-                # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
-                dual_lin = -rs * float(ubar @ vflat)
-                dual_quad = 0.25 * rs * rs * float(ubar @ ubar)
-                dual = dual_lin - dual_quad
-                gap = primal - dual
-                if not np.isfinite(gap):
-                    # a weight far above the data's scale overflowed P or D
-                    raise ConfigError(f"lam {cfg.lam:g} overflows the prox objective "
-                                      "or its dual value")
-                objective_trace.append(primal)
-                residual_trace.append(gap)
-                if certify and gap <= cfg.tol_rel * primal + gap_floor:
-                    reason = "converged"
-                    break
-                if support_tol is not None and (
-                        gap + roundoff * (primal + abs(dual_lin) + dual_quad)
-                        <= (support_tol * float(np.abs(x).max())) ** 2):
-                    reason = "support-certified"
-                    break
-            if not balance:
+            if not checked:
                 continue
 
-            # residual balancing: rp = ||Z - 1 x^T||_F, a copy at a time
-            next_check *= 2
-            primal_res = 0.0
-            for zi in z:
-                np.subtract(zi, x, out=work)
-                primal_res += float(work @ work)
-            primal_res = np.sqrt(primal_res)
-            dual_res = rho * zbar_step
-            if max(primal_res, zbar_step) <= balance_floor:
-                continue
-            if primal_res > BALANCE_RATIO * dual_res:
-                f = 1.0 / BALANCE_FACTOR  # rho_old / rho_new
-            elif dual_res > BALANCE_RATIO * primal_res:
-                f = BALANCE_FACTOR
-            else:
-                continue
-            # U becomes f*U, so -rho*U stays put; in the carried r that is
-            # r = f*r + (f - 1)(1 - alpha)/alpha * Z, a copy at a time
-            rho /= f
-            rho_changes += 1
-            ubar *= f
-            grow = (f - 1.0) * (1.0 - alpha) / alpha
-            for ri, zi in zip(r, z):
-                ri *= f
-                ri += np.multiply(zi, grow, out=work)
+            # P = ||x - v||^2 + lam * J(x), both through the scratch vector,
+            # so the clique norms add only their window sum's row and
+            # column passes and result to the solve's state
+            np.subtract(x, vflat, out=work)
+            primal = float(work @ work)
+            np.multiply(x, x, out=work)
+            primal += cfg.lam * float(smoothed_clique_norms(work.reshape(shape), side, 0.0).sum())
+            # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
+            dual_lin = -rs * float(ubar @ vflat)
+            dual_quad = 0.25 * rs * rs * float(ubar @ ubar)
+            dual = dual_lin - dual_quad
+            gap = primal - dual
+            if not np.isfinite(gap):
+                # a weight far above the data's scale overflowed P or D
+                raise ConfigError(f"lam {cfg.lam:g} overflows the prox objective "
+                                  "or its dual value")
+            objective_trace.append(primal)
+            residual_trace.append(gap)
+            if certify and gap <= cfg.tol_rel * primal + gap_floor:
+                reason = "converged"
+            elif support_tol is not None and (
+                    gap + roundoff * (primal + abs(dual_lin) + dual_quad)
+                    <= (support_tol * float(np.abs(x).max())) ** 2):
+                reason = "support-certified"
+            final = reason != "max-iterations" or k == cfg.max_iters
 
-    u = r  # U = alpha*r + (1 - alpha) Z, a copy at a time so no third stack is made
-    for zi, ui in zip(z, u):
-        ui *= alpha
-        ui += (1.0 - alpha) * zi
+            f = None  # rho_old / rho_new, when rho changes
+            if balance and reason == "max-iterations":
+                # residual balancing: rp = ||Z - 1 x^T||_F, the last pass's
+                # copies still in the buffer
+                next_check *= 2
+                for zi in last.z:
+                    np.subtract(zi, x, out=work)
+                    primal_sq += float(work @ work)
+                primal_res = np.sqrt(primal_sq)
+                dual_res = rho * zbar_step
+                if max(primal_res, zbar_step) > balance_floor:  # not rounding error
+                    if primal_res > BALANCE_RATIO * dual_res:
+                        f = 1.0 / BALANCE_FACTOR
+                    elif dual_res > BALANCE_RATIO * primal_res:
+                        f = BALANCE_FACTOR
+            if f is not None:
+                # U becomes f*U, so -rho*U stays put; in the carried r that is
+                # r = f*r + (f - 1)(1 - alpha)/alpha * Z, a copy at a time
+                rho /= f
+                rho_changes += 1
+                ubar *= f
+                grow = (f - 1.0) * (1.0 - alpha) / alpha
+            # the last pass first, while its Z is in the buffer
+            for p, q in reversed(passes):
+                if p is not last:  # rebuilt: later passes overwrote its Z
+                    np.multiply(q, alpha, out=p.z)
+                    stack.scale_tiles(p)
+                np.subtract(p.z, q, out=q)  # alpha*r = U - (1 - alpha) Z = Z - w
+                if f is not None:
+                    for ri, zi in zip(q, p.z):
+                        ri *= f
+                        ri += np.multiply(zi, grow, out=work)
+                if final:
+                    # U = alpha*r + (1 - alpha) Z, in the place of r
+                    for ui, zi in zip(q, p.z):
+                        ui *= alpha
+                        ui += np.multiply(zi, 1.0 - alpha, out=work)
+            if reason != "max-iterations":
+                break
+
     report = SolverReport(objective_trace, residual_trace, reason, iterations=k,
                           wall_clock=time.perf_counter() - t0,
                           extra={"rho": rho, "rho_changes": rho_changes})
-    return ProxResult(x.reshape(shape), report, z=z, u=u)
+    return ProxResult(x.reshape(shape), report, u=r)

@@ -230,6 +230,10 @@ def test_prox_residual_mostly_monotone():
     # deterministic, so iterate k is the final state of a solve capped at k
     # iterations, and rho after iteration k is that solve's final rho; the
     # starting state at k = 0 is Z = tile(v), U = 0, rho = start_rho(v, lam).
+    # The solve returns x and U, not Z: the u-update
+    # U_k = U_{k-1} + Z_k - (alpha*x_k + (1 - alpha) Z_{k-1}), followed by a
+    # rescale of U_k by rho_{k-1}/rho_k where rho changed, gives
+    # Z_k = U_k*rho_k/rho_{k-1} - U_{k-1} + alpha*x_k + (1 - alpha) Z_{k-1}
     rng = np.random.default_rng(7)
     iters = 20
     changed = 0
@@ -246,10 +250,11 @@ def test_prox_residual_mostly_monotone():
                 res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=k,
                                                         tol_abs=0.0, tol_rel=0.0))
                 assert res.report.iterations == k
-                zs.append(res.z)
+                rhos.append(res.report.extra["rho"])
+                zs.append(res.u * (rhos[k] / rhos[k - 1]) - us[k - 1]
+                          + RELAXATION * res.x.ravel() + (1.0 - RELAXATION) * zs[k - 1])
                 us.append(res.u)
                 xs.append(res.x)
-                rhos.append(res.report.extra["rho"])
                 # each cap's gap is the oracle's at that cap's own rho
                 gap = helpers.prox_gap_by_projection(v, res.x, res.u, rhos[k], lam, side)
                 assert res.report.residual_trace[-1] == pytest.approx(gap, rel=1e-9, abs=1e-12)
@@ -350,16 +355,11 @@ def test_prox_zero_center_returns_zero_at_a_finite_rho():
         assert res.report.extra["rho"] == 1.0
 
 
-def test_prox_holds_two_copy_stacks():
-    # measured, not declared: beyond its inputs a solve holds the copies z and
-    # the duals u (s x n each) plus O(n) working vectors, and no third stack;
-    # the working vectors peak at 8.60 n here, so a leak of 1.5 n fails.  The
-    # solve runs past the balancing check at iteration 10, where rho changes,
-    # so the primal residual and the rescale of the duals are measured too
-    side, h, w = 6, 48, 48
-    cs = system(h, w, side)
-    s, n = cs.n_subsets, h * w
-    v = np.random.default_rng(23).standard_normal((h, w))
+def traced_peak(v, cs):
+    """tracemalloc peak, in bytes, of a 20-iteration zero-tolerance solve
+    at lam 0.5, which runs past the balancing check at iteration 10, where
+    rho changes, so the primal residual and the rescale of the duals are
+    measured too."""
     cfg = ProxConfig(lam=0.5, max_iters=20, tol_abs=0.0, tol_rel=0.0)
     rep = prox_block_norm(v, cs, cfg).report  # also warms any lazily built state
     assert rep.iterations == 20 and rep.extra["rho_changes"] >= 1
@@ -367,11 +367,41 @@ def test_prox_holds_two_copy_stacks():
     try:
         base = tracemalloc.get_traced_memory()[0]
         prox_block_norm(v, cs, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_prox_holds_two_copy_stacks():
+    # measured, not declared: beyond its inputs a solve holds the duals
+    # (s x n) and a pass buffer, here of all 6 copy rows (one pass of
+    # 82,944 entries, within PASS_ENTRIES), plus O(n) working vectors, and
+    # no third stack.  The working vectors peak at 9.61 n here (NumPy 2.4),
+    # so a leak of n fails; 3.5 n of it is NumPy's ufunc buffer of 8,192
+    # entries in the products that broadcast
+    side, h, w = 6, 48, 48
+    cs = system(h, w, side)
+    s, n = cs.n_subsets, h * w
+    assert prox.PASS_ENTRIES // (side * n) >= side
+    peak = traced_peak(np.random.default_rng(23).standard_normal((h, w)), cs)
     stack = s * n * 8
     assert 2 * stack <= peak <= 2 * stack + 10 * n * 8
+
+
+def test_prox_holds_one_copy_stack_above_the_pass_budget():
+    # above PASS_ENTRIES the copies go through the pass buffer 4 copy rows
+    # of 8 at a time (262,144 entries in 2 passes), so a solve holds the
+    # duals (s x n), one pass of copies and O(n) working vectors, 9.50 n
+    # here (NumPy 2.4); holding the copies whole, as a solve once did, adds
+    # the other 4 rows of copies, 32 n
+    side, h, w = 8, 64, 64
+    cs = system(h, w, side)
+    s, n = cs.n_subsets, h * w
+    rows = prox.PASS_ENTRIES // (side * n)
+    assert rows == 4
+    peak = traced_peak(np.random.default_rng(23).standard_normal((h, w)), cs)
+    stack, buffer = s * n * 8, rows * side * n * 8
+    assert stack + buffer <= peak <= stack + buffer + 10 * n * 8
 
 
 def test_prox_max_iterations_reported_not_raised():
@@ -429,9 +459,14 @@ def test_gap_checks_do_not_perturb_the_path(geometry, seed, lam, support_tol):
     res = prox_block_norm(v, cs, cfg, support_tol=support_tol)
     rep = res.report
     k = rep.iterations
+    if k == 0:
+        # a weight of at least 2||v|| is screened to x = 0 and has no path
+        # (test_prox_screens_a_weight_of_twice_the_center_norm)
+        assert lam * lam >= 4.0 * np.sum(v ** 2) and not res.x.any()
+        return
     assert k in checked_iterations(cfg.max_iters)
     capped = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=k, tol_abs=0.0, tol_rel=0.0))
-    assert np.array_equal(res.x, capped.x) and np.array_equal(res.z, capped.z)
+    assert np.array_equal(res.x, capped.x)
     if capped.report.extra["rho_changes"] == rep.extra["rho_changes"]:
         assert np.array_equal(res.u, capped.u)
         assert capped.report.extra["rho"] == rep.extra["rho"]
@@ -484,14 +519,19 @@ def test_prox_rejects_a_center_whose_squared_norm_overflows():
     c = 1e160
     with np.errstate(over="ignore"), pytest.raises(ConfigError, match="squared norm"):
         prox_block_norm(c * v, cs, ProxConfig(lam=c))
+    # at 1.6e153 the squares sum to a finite 1.4e308 and lam^2 is below the
+    # screen's 4||v||^2 = 214 lam^2, but the objective or dual value at the
+    # first check overflows
+    c = 1.6e153
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="objective or its dual value"):
+        prox_block_norm(c * v, cs, ProxConfig(lam=c))
 
 
-@pytest.mark.parametrize("lam, match", [(1.7e308, "starting penalty"),
-                                         (1e300, "objective or its dual value")])
+@pytest.mark.parametrize("lam, match", [(1.7e308, "starting penalty")])
 def test_prox_rejects_a_weight_that_overflows(lam, match):
-    # at 1.7e308 rho0 is inf and x came back NaN; at 1e300 (rho*s)^2
-    # overflows in the dual value, and 1,000 iterations ran with an
-    # infinite gap, both labelled "max-iterations"
+    # at 1.7e308 rho0 is inf and x came back NaN, labelled "max-iterations".
+    # A finite rho0 with lam >= 2||v|| is screened to the exact prox 0
+    # (test_prox_screens_a_weight_of_twice_the_center_norm)
     v = np.random.default_rng(0).standard_normal((8, 8))
     cs = system(8, 8, 2)
     with pytest.raises(ConfigError, match=match):
@@ -499,6 +539,40 @@ def test_prox_rejects_a_weight_that_overflows(lam, match):
     # far above the data's scale, but finite throughout: the exact prox is 0
     res = prox_block_norm(v, cs, ProxConfig(lam=1e10))
     assert res.report.termination_reason == "converged"
+
+
+@pytest.mark.parametrize("lam", [20.0, 1e10, 1e20, 1e300])
+def test_prox_screens_a_weight_of_twice_the_center_norm(lam):
+    # at lam >= 2||v|| (14.63 here) the exact prox is 0.  The iteration took
+    # 81 iterations to return max|x| 4.7e-7 at 20 and 721 at 1e10, ran to
+    # the cap with a gap of 1.30 at 1e20, and overflowed its dual value at
+    # 1e300.  The screen returns x = 0 at once, with duals of gap 0
+    v = np.random.default_rng(0).standard_normal((8, 8))
+    assert lam * lam >= 4.0 * np.sum(v ** 2)
+    res = prox_block_norm(v, system(8, 8, 2), ProxConfig(lam=lam))
+    rep = res.report
+    assert rep.termination_reason == "converged" and rep.iterations == 0
+    assert np.all(res.x == 0) and rep.extra["rho"] == start_rho(v, lam)
+    gap = helpers.prox_gap_by_projection(v, res.x, res.u, rep.extra["rho"], lam, 2)
+    assert abs(gap) <= 1e-12 * np.sum(v ** 2)
+
+
+@pytest.mark.parametrize("height,width,side", helpers.GEOMETRIES)
+def test_prox_screen_duals_cover_every_pixel_once(height, width, side):
+    # each pixel's share of g = 2v sits in one copy whose tiles cover it,
+    # borders narrower than a tile included, so the projection oracle's gap
+    # is 0; a weight just below the screen iterates
+    rng = np.random.default_rng(height * 100 + width * 10 + side)
+    v = rng.standard_normal((height, width))
+    cs = system(height, width, side)
+    lam = 2.0 * float(np.linalg.norm(v))
+    res = prox_block_norm(v, cs, ProxConfig(lam=1.001 * lam))
+    assert res.report.iterations == 0 and np.all(res.x == 0)
+    assert np.count_nonzero(res.u) == np.count_nonzero(v)
+    gap = helpers.prox_gap_by_projection(v, res.x, res.u, res.report.extra["rho"], 1.001 * lam,
+                                         side)
+    assert abs(gap) <= 1e-12 * np.sum(v ** 2)
+    assert prox_block_norm(v, cs, ProxConfig(lam=0.999 * lam)).report.iterations > 0
 
 
 def test_prox_rejects_bad_support_tol():
@@ -533,7 +607,7 @@ def test_prox_config_rejects_non_integer_max_iters():
 def admm_by_loop(v, side, lam, alpha):
     """The prox's relaxed ADMM iterates by definition from ``x = v``,
     ``z^i = v``, ``u^i = 0`` and ``rho = start_rho(v, lam)``, yielded as
-    ``(x, z, u, rho)`` after each iteration: one copy per subset of
+    ``(x, u, rho)`` after each iteration: one copy per subset of
     brute-force cliques, each copy's relaxed point ``alpha*x + (1 - alpha)*z^i``
     formed on its own, each clique shrunk on its own, every sum taken over
     the full s x n stacks.  At iterations 10, 20, 40, ... rho is balanced by
@@ -573,7 +647,7 @@ def admm_by_loop(v, side, lam, alpha):
             elif dual_res > BALANCE_RATIO * primal_res:
                 rho /= BALANCE_FACTOR
                 u *= BALANCE_FACTOR
-        yield x, z, u, rho
+        yield x, u, rho
 
 
 def assert_matches_clique_loop(v, side, caps):
@@ -594,12 +668,11 @@ def assert_matches_clique_loop(v, side, caps):
                                                     tol_abs=0.0, tol_rel=0.0))
             assert res.report.iterations == cap
             while k < cap:
-                x, z, u, rho = next(loop)
+                x, u, rho = next(loop)
                 k += 1
             assert res.report.extra["rho"] == rho
             tol = 1e-12 if cap < BALANCE_FIRST else 1e-14 * cap**2 * scale
             assert np.max(np.abs(res.x.ravel() - x)) < tol
-            assert np.max(np.abs(res.z - z)) < tol
             assert np.max(np.abs(res.u - u)) < tol
 
 
@@ -637,32 +710,65 @@ def test_strided_z_update_matches_clique_loop_on_any_geometry(geometry, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(geometries(), st.integers(0, 2**32 - 1))
-def test_tile_scaling_touches_each_clique_pixel_once(geometry, seed):
-    # every entry of the buffer, tail included, and every scale, spill tiles
-    # included, is random: each in-clique pixel of each copy must come back
-    # multiplied by its own tile's scale exactly once, everything else as it was
+@given(geometries(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_tile_scaling_touches_each_clique_pixel_once(geometry, rows, seed):
+    # every entry of the pass buffer, tail included, and every scale, spill
+    # tiles included, is random: in each pass each in-clique pixel of each
+    # of its copies must come back multiplied by its own tile's scale
+    # exactly once, everything else as it was
     height, width, side = geometry
     cs = system(height, width, side)
-    stack = _TileStack(cs)
+    stack = _TileStack(cs, min(rows, side))
     rng = np.random.default_rng(seed)
-    stack.buffer[:] = rng.uniform(1.0, 2.0, stack.buffer.size)
     stack.scale[:] = rng.uniform(2.0, 3.0, stack.scale.shape)
-    before = stack.buffer.copy()
-    expected = before.copy()
-    copies = expected[:stack.z.size].reshape(cs.n_subsets, height, width)
-    for i, tile in enumerate(cs.tiles):
-        if tile is None:
-            continue
-        a, b, nh, nw = tile
-        for p in range(nh):
-            for q in range(nw):
-                rows = slice(a + p * side, a + (p + 1) * side)
-                cols = slice(b + q * side, b + (q + 1) * side)
-                copies[i, rows, cols] = copies[i, rows, cols] * stack.scale[a, b, p, q]
-    stack.scale_tiles()
-    assert np.array_equal(stack.buffer, expected)
-    assert np.array_equal(stack.buffer[stack.z.size:], before[stack.z.size:])
+    # the passes take the copies in order, each at the front of the buffer
+    ends = np.cumsum([len(p.z) for p in stack.passes])
+    assert [p.first for p in stack.passes] == [0, *ends[:-1]] and ends[-1] == cs.n_subsets
+    for p in stack.passes:
+        stack.buffer[:] = rng.uniform(1.0, 2.0, stack.buffer.size)
+        before = stack.buffer.copy()
+        expected = before.copy()
+        copies = expected[:p.z.size].reshape(-1, height, width)
+        for i, tile in enumerate(cs.tiles[p.first:p.first + len(p.z)]):
+            if tile is None:
+                continue
+            a, b, nh, nw = tile
+            for t in range(nh):
+                for q in range(nw):
+                    band = slice(a + t * side, a + (t + 1) * side)
+                    cols = slice(b + q * side, b + (q + 1) * side)
+                    copies[i, band, cols] = copies[i, band, cols] * stack.scale[a, b, t, q]
+        stack.scale_tiles(p)
+        assert np.array_equal(stack.buffer, expected)
+        assert np.array_equal(stack.buffer[p.z.size:], before[p.z.size:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometries(), st.data(), st.sampled_from([9, 10, 11, 19, 20, 21, 1000]),
+       st.sampled_from([None, 3e-3]), st.floats(0.05, 5.0))
+def test_pass_split_is_invisible(geometry, data, cap, support_tol, lam):
+    # the pass buffer changes which copies are held at once, never a value:
+    # solves in passes of 1 to side copy rows return the very x, u, traces,
+    # rho, iteration count and reason of a solve in one pass.  Caps 9 to 21
+    # run without tolerances around the balancing checks at 10 and 20, the
+    # cap 1000 stops on the gap or the support
+    height, width, side = geometry
+    cs = system(height, width, side)
+    n = height * width
+    v = np.array(data.draw(st.lists(_entries, min_size=n, max_size=n))).reshape(height, width)
+    tol = 0.0 if cap < 1000 else 1e-6
+    cfg = ProxConfig(lam=lam, max_iters=cap, tol_abs=tol, tol_rel=tol)
+    rows = data.draw(st.integers(1, side))
+    assert prox.PASS_ENTRIES >= side * side * n  # one pass at the default
+    one = prox_block_norm(v, cs, cfg, support_tol=support_tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prox, "PASS_ENTRIES", 1 if rows == 1 else rows * side * n)
+        split = prox_block_norm(v, cs, cfg, support_tol=support_tol)
+    assert np.array_equal(one.x, split.x)
+    assert (one.u is None) == (split.u is None) and np.array_equal(one.u, split.u)
+    for field in ("objective_trace", "residual_trace", "termination_reason", "iterations"):
+        assert getattr(one.report, field) == getattr(split.report, field)
+    assert one.report.extra == split.report.extra
 
 
 @settings(max_examples=40, deadline=None)
