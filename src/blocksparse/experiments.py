@@ -373,8 +373,11 @@ def _write_rpca(out_dir: Path, done: list[tuple[Point, object]]) -> None:
 
 
 def admm_formula_entries(side: int, n_pixels: int, frames: int) -> int:
-    """Total ADMM storage for the decomposition problem: ``2*side^2`` stack-sized
-    auxiliary/dual copies plus the four stack-sized working variables."""
+    """Total ADMM storage for the decomposition problem by the paper's count:
+    ``2*side^2`` stack-sized auxiliary/dual copies plus the four stack-sized
+    working variables.  This is the paper's formula, not the footprint of
+    :func:`blocksparse.prox.prox_block_norm`, which holds one stack of
+    ``side^2`` copies per frame (the row's measured entries)."""
     return (2 * side * side + 4) * n_pixels * frames
 
 
@@ -401,7 +404,9 @@ def exp_memory_benchmark(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
     side = _clique_side(name, cfg)
 
     # Measured peaks at `side`: FBS on a planted stack, the ADMM prox on one
-    # of its frames.  Row 0 compares them per frame, beside the paper's formula.
+    # of its frames.  Row 0 compares them per frame, beside the paper's
+    # formula; row 1's admm_formula_entries is the paper's two stacks, not
+    # the measured prox, which holds one.
     frames = 4
     n = MEMORY_SIZE * MEMORY_SIZE
     lowrank, sparse = make_lowrank_blocksparse_stack(MEMORY_SIZE, MEMORY_SIZE, frames, 2,

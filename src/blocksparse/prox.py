@@ -12,15 +12,14 @@ group shrinkage.
 
 **Tile layout.**  Subset ``i = a*side + b`` holds the cliques with corners
 ``(a + p*side, b + q*side)``, ``p < nh`` and ``q < nw``
-(:attr:`blocksparse.grids.CliqueSystem.tiles`).  The copies ``Z`` are never
-held whole.  A pass buffer holds the ``R*side`` copies of ``R`` consecutive
-copy rows ``a0 <= a < a0 + R`` row-major, followed by a zero tail of
-``(side-1)*(W+1)`` entries, and one strided view per pass covers the tiles of
-its copies: its shape is ``(R, side, H//side, side, (W//side)*side)``, its
-element strides are ``(side*n + W, n + 1, side*W, W, 1)`` and it starts at
-entry ``a0*W``, so tile ``(p, q)`` of copy ``(a, b)`` is
-``view[a - a0, b, p, :, q*side:(q+1)*side]``.  The base of copy ``(a, b)`` is
-``((a - a0)*side + b)*n + a*W + b``, linear in both ``a`` and ``b``.  The view
+(:attr:`blocksparse.grids.CliqueSystem.tiles`).  The solve's one ``s x n``
+stack, the carried duals ``r`` below, holds one row per copy, row-major, in
+a buffer followed by a zero tail of ``(side-1)*(W+1)`` entries.  One strided
+view covers the tiles of every copy: its shape is
+``(side, side, H//side, side, (W//side)*side)`` and its element strides are
+``(side*n + W, n + 1, side*W, W, 1)``, so tile ``(p, q)`` of copy ``(a, b)``
+is ``view[a, b, p, :, q*side:(q+1)*side]``.  The base of copy ``(a, b)`` is
+``(a*side + b)*n + a*W + b``, linear in both ``a`` and ``b``.  The view
 never aliases itself: within one copy each tile row covers at most ``W``
 consecutive entries, and the copies' address ranges are ordered.  Its shape
 is the same for every copy, so where a subset has one tile row or column
@@ -28,19 +27,18 @@ fewer (``nh = (H - a)//side``, ``nw = (W - b)//side``) the view's last one
 spills into the next copy or the tail; those spill tiles are read and never
 written.
 
-The z-update of a pass sets its copies to their input ``w`` and computes the
-norms of their tiles, one copy row ``a`` at a time: an ``einsum`` sums the
-squares over the view's tile rows, and one product with ones sums those over
-each tile's columns.  The scales ``max(1 - tau/||tile||, 0)``,
-``tau = lam/rho``, are computed over the pass's rows of the
-``(side, side, H//side, W//side)`` array of scales, which is kept for every
-copy in an array of its own.  The scaling in place then runs copy by copy,
-each through ``view[a - a0, b, :nh, :, :nw*side]``, which holds only the
-copy's own tiles, times the scales of its copy row repeated along the
-columns.  It cannot run through a view that spans several copies: NumPy's
-ufunc overlap check cannot prove such an output free of self-overlap, and it
-would copy the whole buffer on every call.  Pixels outside the tiles (a
-border narrower than ``side``) keep ``w``.  No index array is read.
+The view gives the norms of the tiles one copy row ``a`` at a time: an
+``einsum`` sums the squares over the view's tile rows, and one product with
+ones sums those over each tile's columns, into the
+``(side, side, H//side, W//side)`` array of tile scales.  Scaling the tiles
+in place runs copy by copy, each through the copy's own tiles, its row of
+``r`` as an ``H x W`` grid cut to rows ``[a, a + nh*side)`` and columns
+``[b, b + nw*side)``, times the scales of its copy row repeated along the
+columns.  It cannot run through the view, which spans several copies:
+NumPy's ufunc overlap check cannot prove such an output free of
+self-overlap, and it would copy the whole stack on every call.  Pixels
+outside the tiles (a border narrower than ``side``) are not scaled.  No index
+array is read.
 
 **Relaxed iteration.**  Each iteration updates ``x``, then the stacked copies
 ``Z`` (``s x n``), then the scaled duals ``U``, with the z- and u-updates
@@ -50,39 +48,34 @@ Optimization and Statistical Learning via ADMM*, section 3.4.3): they read
 ``z^i = shrink(xhat^i - u^i)`` and ``u^i += z^i - xhat^i``, with
 ``alpha = RELAXATION``.  The x-update
 ``x = (2v + rho * sum_i (z^i + u^i)) / (2 + s*rho)`` needs only the means:
-``sum_i (z^i + u^i) = s*(zbar + ubar)``.  ``zbar`` is one pass over ``Z``;
-``ubar`` is kept as an n-vector updated by
-``ubar += zbar - (alpha*x + (1 - alpha)*zbar_old)``, the mean of the
-u-update, whose terms in ``x`` and ``zbar_old`` are subtracted before the
-z-update.  The loop carries ``r = (U - (1 - alpha) Z) / alpha`` in place of
-``U``: then ``w = xhat - U = alpha*(x - r)`` and the new
-``alpha*r = U - (1 - alpha) Z = Z - w``, so besides the tile scaling and
-the mean an iteration makes three passes over the copies (``r = x - r``,
-``Z = alpha*r``, ``r = Z - r``), as many as plain ADMM's ``Z = x - U``,
-``U += Z``, ``U -= x``.  ``U`` is formed once, at the end.
+``sum_i (z^i + u^i) = s*(zbar + ubar)``.
 
-**Passes and memory.**  ``r`` holds the whole iteration state, since ``Z``
-is a function of ``x`` and ``r``, and it is the solve's one ``s x n`` stack.
-An iteration runs over the copy rows in passes of
-``R = max(1, min(side, PASS_ENTRIES // (side*n)))`` rows, each through the
-pass buffer: ``r = x - r``, ``Z = alpha*r``, the z-update, the sum into
-``zbar`` and ``r = Z - r`` for the pass's copies.  ``zbar`` is an
-``np.add.reduce`` over the first pass's copies and then one addition per
-copy, the left-to-right order of a reduction over the whole stack.  At a
-checked iteration (below) the write ``r = Z - r`` is deferred: pass A leaves
-``q = w/alpha`` in ``r`` and keeps the tile scales, the gap is tested, and
-pass B rebuilds ``Z = scale_tiles(alpha*q)`` bit for bit from the kept
-scales (the last pass's ``Z`` is still in the buffer), sets ``r = Z - q``,
-applies a change of ``rho`` and, on the last iteration, forms
-``U = alpha*r + (1 - alpha) Z`` in the place of ``r``.  The deferral is
-needed because ``(U, Z)`` cannot be recovered from ``r`` alone: a tile with
-scale ``c`` has ``r = (alpha*c - 1)*q``, which vanishes at ``c = 1/alpha``.
-A balancing check's primal residual is summed in pass A for all passes but
-the last, in the buffer the next pass overwrites, and after the gap test
-for the last.  So beyond its input a solve holds the ``s*n`` entries of
-``r``, the ``R*side*n`` of the buffer and its tail, and ``O(n)`` working
-vectors, and its iterates are bit for bit those of a solve that holds
-``Z`` and ``r`` whole.
+The loop holds neither ``Z`` nor ``U``.  It carries
+``r = (U - (1 - alpha) Z) / alpha``: then the z-update's input is
+``w = xhat - U = alpha*q`` with ``q = x - r``, and ``Z = shrink(alpha*q)``
+scales each tile of ``alpha*q`` by ``c = max(1 - tau/(alpha*||q_tile||), 0)``,
+``tau = lam/rho``, and is ``alpha*q`` off the tiles.  The u-update makes
+``U = Z - w``, so the new ``r = Z - q`` is ``(alpha*c - 1) q`` on every tile
+and ``(alpha - 1) q`` off the tiles.  An iteration therefore sets
+``r = x - r``, which is ``q``, takes the tile norms, multiplies ``r`` by
+``alpha - 1`` and then each tile by ``g = (alpha*c - 1)/(alpha - 1)``, all
+in place.  Since
+``Z = r + q``, ``zbar = mean(r) + mean(q)`` with ``mean(q) = x - mean(r)`` of
+the previous iteration, and ``ubar = mean(Z - w) = zbar - alpha*mean(q)``:
+one reduction of the stack per iteration, and ``mean(r)`` is kept as an
+n-vector.
+
+``(U, Z)`` is recovered from ``r`` and the kept scales where a check needs
+it: on a tile ``U = alpha*(c - 1) q = (1 - 1/g) r``, and off the tiles
+``U = 0``.  A tile with ``alpha*c = 1`` has ``r = 0`` and has lost ``q``, so a
+checked iteration (below) sets every ``g`` that rounds to exactly 0 to
+``eps``: ``r = (alpha - 1)*eps*q`` there, a move of at most ``eps*|q|``.  A
+balancing check's primal residual is summed from ``q`` before ``r`` is
+scaled, a copy of ``Z`` at a time in the scratch vector.  The gap evaluation
+only reads the state.  ``U`` is formed once, at the end, in the place of
+``r``.  So beyond its input a solve holds the ``s*n`` entries of ``r`` and
+the tail, the ``(side, side, H//side, W//side)`` scales and five working
+n-vectors (``x``, ``zbar``, ``ubar``, ``mean(r)`` and a scratch vector).
 
 **Adaptive penalty.**  Every solve starts at ``x = v``, ``z^i = v``,
 ``u^i = 0`` and ``rho0 = 1 + RHO_START_WEIGHT*lam/max|v|`` (1 when ``v = 0``),
@@ -102,12 +95,13 @@ stack-space form was chosen by measurement (constants below).  If
 ``rp > BALANCE_RATIO*rd``, ``rho`` is multiplied by ``BALANCE_FACTOR``; if
 ``rd > BALANCE_RATIO*rp``, it is divided by it.  Where both ``rp`` and
 ``rd/rho`` are at most ``1024*s*eps*sqrt(s*n)*max|v|`` they are rounding
-error of a converged solve, not an imbalance, and ``rho`` stays.  A change by ``f =
-rho_old/rho_new`` scales the scaled duals to ``f*U``, which in the loop's
-variables is ``r = f*r + (f - 1)(1 - alpha)/alpha * Z``, a copy at a time,
-and ``ubar = f*ubar``; ``tau``, ``s*rho`` and the x-update's weights follow
-the new ``rho``.  The doubling schedule allows at most
-``floor(log2(max_iters/BALANCE_FIRST)) + 1`` changes, so ``rho`` is fixed
+error of a converged solve, not an imbalance, and ``rho`` stays.  A change
+by ``f = rho_old/rho_new`` scales the scaled duals to ``f*U`` and keeps
+``Z``, which in the loop's variables multiplies each tile of ``r`` by
+``f + (f - 1)(1 - alpha)c/(alpha*c - 1)``, leaves ``r`` off the tiles, where
+``U = 0``, sets ``ubar = f*ubar`` and takes ``mean(r)`` anew; ``tau``,
+``s*rho`` and the x-update's weights follow the new ``rho``.  The doubling
+schedule allows at most ``floor(log2(max_iters/BALANCE_FIRST)) + 1`` changes, so ``rho`` is fixed
 after the last check and the fixed-penalty convergence theory applies from
 there (He, Yang & Wang 2000, *Alternating direction method with
 self-adaptive penalty parameters for monotone variational inequalities*).
@@ -141,9 +135,9 @@ iteration.  So ``P``, ``D``, the gap and both stop tests below
 are evaluated only at the checked iterations: iteration 1, every
 ``GAP_STRIDE``-th after it (``k = 1 mod GAP_STRIDE``), every balancing
 check and the last iteration ``max_iters`` allows.  The evaluation reads
-``x`` and ``ubar`` and writes only the scratch vector, and the deferred
-write of ``r`` gives the values of the undeferred one, so the iterates are
-those of a solve that checks every iteration.  The solve stops at the first checked
+``x`` and ``ubar`` and writes only the scratch vector, so apart from the
+zero guard of ``g`` above the iterates are those of a solve that checks
+every iteration.  The solve stops at the first checked
 iteration whose gap passes, never before the first iteration whose gap
 would pass, and every stop is decided by the gap computed exactly at the
 iteration it ends on.  The gap is not monotone (below), so a stop can come
@@ -282,19 +276,6 @@ class ProxConfig:
         check_nonnegative(self.tol_rel, "tol_rel")
 
 
-# The copies run through the pass buffer in passes of whole copy rows, of at
-# most PASS_ENTRIES entries and at least one row (module docstring).  Each
-# further pass adds Python calls, and at a checked iteration every pass but
-# the last rebuilds its copies, so small problems run in one pass: CoLaMP's
-# 32x32 side-2 calls (4,096 entries), the memory benchmark's prox (25,600)
-# and 48x48 at side 6 (82,944).  With one copy row per pass everywhere the
-# cs-colamp benchmark's solves took 17% longer (median of 16 interleaved
-# in-process rounds, 1 faster; 2-core Xeon, 2 MiB L2 per core, one BLAS
-# thread).  prox-denoise's 128x128 runs side 4 in 2 passes and side 8 in 8;
-# at 2**18 (2 MiB passes) they took 3% longer (3 of 16 rounds faster).
-PASS_ENTRIES = 2**17
-
-
 @dataclass
 class ProxResult:
     """Prox output plus the final scaled duals.
@@ -309,92 +290,88 @@ class ProxResult:
     u: Optional[np.ndarray] = None
 
 
-@dataclass
-class _Pass:
-    """One pass of the copies ``first <= i < first + len(z)``.
-
-    ``z`` holds them at the front of the pass buffer and ``view`` is their
-    tile view of the module docstring.  ``scale`` is their copy rows of the
-    tile scales, and ``row_scales`` the same rows flat.  ``copies`` holds,
-    per copy row, each copy's own tiles and where their scales sit in the
-    row's scales repeated along the columns.
-    """
-
-    first: int
-    z: np.ndarray
-    view: np.ndarray
-    scale: np.ndarray
-    row_scales: list
-    copies: list
-
-
 class _TileStack:
-    """A pass buffer for ``rows`` copy rows of the consensus copies, its
-    passes over all ``side`` copy rows, and the tile scales of every copy.
+    """The carried duals ``r``, one row per copy, their tile view and the
+    tile scales.
 
-    ``buffer`` holds ``rows * side`` copies followed by the zero tail that
-    the tile views spill into; :attr:`passes` are :class:`_Pass` entries, in
-    order, whose ``z`` share the front of the buffer.  :attr:`scale` is the
-    ``(side, side, H//side, W//side)`` array of tile scales, which a
-    z-update writes and :meth:`scale_tiles` reads.
+    ``buffer`` holds the ``s x n`` rows of :attr:`r` followed by the zero
+    tail that :attr:`view` spills into (module docstring).  :attr:`scale`
+    is the ``(side, side, H//side, W//side)`` array of tile scales, which
+    :meth:`norms` writes and :meth:`scale_tiles` reads.  :attr:`tiles`
+    holds each copy's ``(a, b, nh, nw)``, an empty subset's ``(0, 0, 0, 0)``.
     """
 
-    def __init__(self, cliques: CliqueSystem, rows: int):
+    def __init__(self, cliques: CliqueSystem):
         h, w, side = cliques.shape.height, cliques.shape.width, cliques.side
         n = h * w
-        nh, nw = h // side, w // side
-        self.buffer = np.zeros(rows * side * n + (side - 1) * (w + 1))
-        self.scale = np.empty((side, side, nh, nw))
+        self.side, self.grid = side, (h, w)
+        self.buffer = np.zeros(side * side * n + (side - 1) * (w + 1))
+        self.r = self.buffer[:side * side * n].reshape(-1, n)
+        self.scale = np.empty((side, side, h // side, w // side))
         self._ones = np.ones(side)
         step = self.buffer.itemsize
-        strides = (step * (side * n + w), step * (n + 1), step * side * w, step * w, step)
-        self.passes = []
-        for a0 in range(0, side, rows):
-            count = min(rows, side - a0)
-            view = as_strided(self.buffer[a0 * w:], shape=(count, side, nh, side, nw * side),
-                              strides=strides)
-            scale = self.scale[a0:a0 + count]
-            copies = [[] for _ in range(count)]
-            for tile in cliques.tiles:
-                if tile is None or not a0 <= tile[0] < a0 + count:
-                    continue
-                a, b, th, tw = tile
-                copies[a - a0].append((view[a - a0, b, :th, :, :tw * side],
-                                       (b, slice(th), None, slice(tw * side))))
-            self.passes.append(_Pass(a0 * side, self.buffer[:count * side * n].reshape(-1, n),
-                                     view, scale, [row.reshape(-1) for row in scale], copies))
+        self.view = as_strided(self.buffer, shape=(side, side, h // side, side, w // side * side),
+                               strides=(step * (side * n + w), step * (n + 1), step * side * w,
+                                        step * w, step))
+        self.tiles = [tile or (0, 0, 0, 0) for tile in cliques.tiles]
+        # per copy row, each copy's own tiles in r and where their scales
+        # sit in the row's scales repeated along the columns
+        self.copies = [[] for _ in range(side)]
+        for ri, (a, b, th, tw) in zip(self.r, self.tiles):
+            self.copies[a].append((self.tiles_of(ri, (a, b, th, tw)),
+                                   (b, slice(th), None, slice(tw * side))))
 
-    def shrink(self, p: _Pass, tau: float) -> None:
-        """Group-shrink every clique tile of the copies of pass ``p`` in
-        place: scale it by ``max(1 - tau/||tile||, 0)``, kept in
-        :attr:`scale`.  An all-zero tile has norm 0 and ``tau/0 = inf`` gives
-        it scale 0, so the caller ignores division by zero."""
-        scale, ones = p.scale, self._ones
-        for rows, row_scales in zip(p.view, p.row_scales):
+    def tiles_of(self, vec: np.ndarray, tile: tuple) -> np.ndarray:
+        """The clique tiles of the copy ``tile = (a, b, nh, nw)`` in the
+        n-vector ``vec``: a ``(nh, side, nw*side)`` view."""
+        (a, b, th, tw), side = tile, self.side
+        grid = vec.reshape(self.grid)
+        return grid[a:a + th * side, b:b + tw * side].reshape(th, side, tw * side)
+
+    def norms(self) -> None:
+        """Set :attr:`scale` to the norm of every tile of every row of
+        :attr:`r`, spill tiles included."""
+        for rows, row_scales in zip(self.view, self.scale):
             # one copy row at a time keeps the squared row sums to at most n
             # entries; their sums over each tile's columns are one product
             # with ones, where a sum over the tiny last axis is several times
             # slower
-            np.matmul(np.einsum("bprk,bprk->bpk", rows, rows).reshape(-1, len(ones)),
-                      ones, out=row_scales)
-        np.sqrt(scale, out=scale)
-        np.divide(tau, scale, out=scale)
-        np.subtract(1.0, scale, out=scale)
-        np.maximum(scale, 0.0, out=scale)
-        self.scale_tiles(p)
+            np.matmul(np.einsum("bprk,bprk->bpk", rows, rows).reshape(-1, self.side),
+                      self._ones, out=row_scales.reshape(-1))
+        np.sqrt(self.scale, out=self.scale)
 
-    def scale_tiles(self, p: _Pass) -> None:
-        """Multiply each clique tile of each copy of pass ``p`` in place by
-        its entry of :attr:`scale`; no other entry of the buffer changes."""
-        side = len(self._ones)
-        for row_scales, copies in zip(p.scale, p.copies):
+    def scale_tiles(self) -> None:
+        """Multiply each clique tile of each row of :attr:`r` in place by its
+        entry of :attr:`scale`; no other entry of the buffer changes."""
+        for row_scales, copies in zip(self.scale, self.copies):
             # repeated, the factors run along whole tile rows; broadcast over
             # each tile's side columns instead, NumPy loops over runs of side
             # entries, and the product took twice as long or more
-            factors = row_scales.repeat(side, axis=-1)
+            factors = row_scales.repeat(self.side, axis=-1)
             for tile, cut in copies:
                 tile *= factors[cut]
             del factors  # one row's factors alive at a time
+
+    def primal_sq(self, x: np.ndarray, alpha: float, work: np.ndarray) -> float:
+        """``||Z - 1 x^T||_F^2`` for ``Z = r + q``, the rows of :attr:`r`
+        holding ``q`` and ``r = (alpha - 1) q`` with each tile scaled by its
+        entry of :attr:`scale`, a copy at a time through ``work``."""
+        total = 0.0
+        for qi, (a, b, th, tw) in zip(self.r, self.tiles):
+            np.multiply(qi, alpha - 1.0, out=work)
+            tiles = self.tiles_of(work, (a, b, th, tw))
+            tiles *= self.scale[a, b, :th, None, :tw].repeat(self.side, axis=-1)
+            work += qi
+            work -= x
+            total += float(work @ work)
+        return total
+
+    def clear_off_tiles(self) -> None:
+        """Set every entry of :attr:`r` outside its copy's tiles to 0."""
+        for ri, (a, b, th, tw) in zip(self.r, self.tiles):
+            grid = ri.reshape(self.grid)
+            grid[:a] = grid[a + th * self.side:] = 0.0
+            grid[:, :b] = grid[:, b + tw * self.side:] = 0.0
 
 
 def _screened_duals(v: np.ndarray, side: int, rho: float) -> np.ndarray:
@@ -416,10 +393,10 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
 
     Every solve starts from ``v`` (``x = v``, copies ``v``, duals 0) at the
     penalty ``rho0`` of the module docstring, so its result depends on
-    ``(v, cfg)`` alone.  Beyond its inputs a solve holds the carried duals,
-    ``side**2 * N`` entries, plus one pass of the copies, at most
-    ``max(PASS_ENTRIES, side*N)`` entries and a tail of
-    ``(side - 1)*(W + 1)``, plus ``O(N)`` working vectors.  Where a gap stop
+    ``(v, cfg)`` alone.  Beyond its inputs a solve holds one stack, the
+    carried duals of ``side**2 * N`` entries and a tail of
+    ``(side - 1)*(W + 1)``, which it returns as ``u``, plus ``O(N)`` working
+    vectors; the copies are never held.  Where a gap stop
     is tested, a nonzero ``v`` with ``lam >= 2||v||`` returns the exact prox
     0 after 0 iterations.
 
@@ -482,17 +459,15 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
         return ProxResult(np.zeros(shape), report, u=_screened_duals(v, side, rho))
 
     alpha = RELAXATION
-    stack = _TileStack(cliques, max(1, min(side, PASS_ENTRIES // (side * n))))
-    x = vflat.copy()
-    work = np.empty(n)
+    stack = _TileStack(cliques)
+    r, scale = stack.r, stack.scale
     # the carried dual r = (U - (1 - alpha) Z) / alpha, with U = 0 and Z = v
     # at the start, makes the relaxed z-update point
     # w = alpha*x + (1 - alpha) Z - U = alpha * (x - r)
-    r = np.empty((s, n))
     np.multiply(vflat, (alpha - 1.0) / alpha, out=r)
-    # each pass with its copies' rows of r
-    passes = [(p, r[p.first:p.first + len(p.z)]) for p in stack.passes]
-    first, last = stack.passes[0], stack.passes[-1]
+    rbar = r[0].copy()  # mean(r)
+    x = vflat.copy()
+    work = np.empty(n)
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []
@@ -525,35 +500,35 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
             balance = k == next_check
             checked = balance or (k - 1) % stride == 0 or k == cfg.max_iters
 
-            # ubar += zbar - mean(xhat), with mean(xhat) = alpha*x + (1 - alpha)*zbar_old
-            ubar -= np.multiply(x, alpha, out=work)
+            np.subtract(x, r, out=r)  # q = w / alpha
+            # Z = shrink(alpha*q) scales each tile of alpha*q by
+            # c = max(1 - tau/(alpha*||q_tile||), 0), so r = Z - q is
+            # (alpha*c - 1) q on the tiles and (alpha - 1) q off them: r times
+            # alpha - 1, each tile times g = (alpha*c - 1)/(alpha - 1)
+            # = max(1 - tau/((alpha - 1)||q_tile||), -1/(alpha - 1)); an
+            # all-zero tile has tau/0 = inf and c = 0
+            stack.norms()
+            np.divide(tau / (alpha - 1.0), scale, out=scale)
+            np.subtract(1.0, scale, out=scale)
+            np.maximum(scale, -1.0 / (alpha - 1.0), out=scale)
+            if checked:
+                # g = 0 would lose the q that a rescale or U reads
+                scale[scale == 0.0] = np.finfo(float).eps
             if balance:
-                np.copyto(work, zbar)  # zbar_{k-1}, for the dual residual
-            zbar *= 1.0 - alpha
-            ubar -= zbar
-            primal_sq = 0.0
-            for p, q in passes:
-                np.subtract(x, q, out=q)  # w / alpha
-                np.multiply(q, alpha, out=p.z)
-                stack.shrink(p, tau)
-                if p is first:
-                    np.add.reduce(p.z, axis=0, out=zbar)  # z.sum without its Python overhead
-                else:
-                    for zi in p.z:
-                        zbar += zi
-                if not checked:
-                    np.subtract(p.z, q, out=q)  # alpha*r = U - (1 - alpha) Z = Z - w
-                elif balance and p is not last:
-                    # rp = ||Z - 1 x^T||_F, a copy at a time, in the copies
-                    # that the next pass overwrites
-                    for zi in p.z:
-                        np.subtract(zi, x, out=zi)
-                        primal_sq += float(zi @ zi)
-            zbar /= s
-            ubar += zbar
+                primal_sq = stack.primal_sq(x, alpha, work)  # rp^2 = ||Z - 1 x^T||_F^2
+            np.subtract(x, rbar, out=work)  # mean(q), with the previous mean(r)
+            r *= alpha - 1.0
+            stack.scale_tiles()
+            np.add.reduce(r, axis=0, out=rbar)  # r.sum without its Python overhead
+            rbar /= s
+            # zbar = mean(Z) = mean(r) + mean(q); ubar = mean(Z - w) = zbar - alpha*mean(q)
             if balance:
-                work -= zbar
-                zbar_step = np.sqrt(s) * float(np.sqrt(work @ work))  # rd / rho
+                zbar -= rbar
+                zbar -= work
+                zbar_step = np.sqrt(s) * float(np.sqrt(zbar @ zbar))  # rd / rho
+            np.add(rbar, work, out=zbar)
+            work *= alpha
+            np.subtract(zbar, work, out=ubar)
             if not checked:
                 continue
 
@@ -583,14 +558,9 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 reason = "support-certified"
             final = reason != "max-iterations" or k == cfg.max_iters
 
-            f = None  # rho_old / rho_new, when rho changes
+            f = 1.0  # rho_old / rho_new
             if balance and reason == "max-iterations":
-                # residual balancing: rp = ||Z - 1 x^T||_F, the last pass's
-                # copies still in the buffer
                 next_check *= 2
-                for zi in last.z:
-                    np.subtract(zi, x, out=work)
-                    primal_sq += float(work @ work)
                 primal_res = np.sqrt(primal_sq)
                 dual_res = rho * zbar_step
                 if max(primal_res, zbar_step) > balance_floor:  # not rounding error
@@ -598,30 +568,27 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                         f = 1.0 / BALANCE_FACTOR
                     elif dual_res > BALANCE_RATIO * primal_res:
                         f = BALANCE_FACTOR
-            if f is not None:
-                # U becomes f*U, so -rho*U stays put; in the carried r that is
-                # r = f*r + (f - 1)(1 - alpha)/alpha * Z, a copy at a time
+            if f != 1.0:
+                # U becomes f*U, so -rho*U stays put
                 rho /= f
                 rho_changes += 1
                 ubar *= f
-                grow = (f - 1.0) * (1.0 - alpha) / alpha
-            # the last pass first, while its Z is in the buffer
-            for p, q in reversed(passes):
-                if p is not last:  # rebuilt: later passes overwrote its Z
-                    np.multiply(q, alpha, out=p.z)
-                    stack.scale_tiles(p)
-                np.subtract(p.z, q, out=q)  # alpha*r = U - (1 - alpha) Z = Z - w
-                if f is not None:
-                    for ri, zi in zip(q, p.z):
-                        ri *= f
-                        ri += np.multiply(zi, grow, out=work)
-                if final:
-                    # U = alpha*r + (1 - alpha) Z, in the place of r
-                    for ui, zi in zip(q, p.z):
-                        ui *= alpha
-                        ui += np.multiply(zi, 1.0 - alpha, out=work)
-            if reason != "max-iterations":
+            if final or f != 1.0:
+                # on the tiles U = f*alpha(c - 1)/(alpha*c - 1) r, which is
+                # f(1 - 1/g) r, and with Z kept the rescaled r is
+                # (f + (f - 1)(1 - alpha)c/(alpha*c - 1)) r, which is
+                # (f + alpha - 1 + (1 - f)/g) r / alpha; off the tiles U = 0
+                # and r stays
+                top, add = (-f, f) if final else ((1.0 - f) / alpha, (f + alpha - 1.0) / alpha)
+                np.divide(top, scale, out=scale)
+                scale += add
+                stack.scale_tiles()
+            if final:
+                stack.clear_off_tiles()
                 break
+            if f != 1.0:
+                np.add.reduce(r, axis=0, out=rbar)
+                rbar /= s
 
     report = SolverReport(objective_trace, residual_trace, reason, iterations=k,
                           wall_clock=time.perf_counter() - t0,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -59,18 +59,6 @@ class MeasurementModel:
         return self.phi[:, support]
 
 
-def _default_prox_cfg() -> ProxConfig:
-    # colamp_solve stops each prox once the gap certifies the support it
-    # reads (SUPPORT_REL_TOL), so the gap tolerances are only a backstop: an
-    # all-shrunk prox (x* = 0) never certifies a support and stops on them.
-    # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
-    # problems at m/K = 3 (K = 40, side 2), 14 recover exactly at caps 1500,
-    # 1000 and 500 alike, in 56,610, 52,128 and 38,672 prox iterations, with
-    # the relaxed, rho-balancing prox checking its gap at every iteration
-    # (fixed rho: 14, 14 and 13 recover).
-    return ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)
-
-
 @dataclass(frozen=True)
 class ColampConfig:
     """Pursuit controls.
@@ -88,7 +76,15 @@ class ColampConfig:
     lam_growth: float = 1.02
     max_iters: int = 50
     eps_res: Optional[float] = None
-    prox: ProxConfig = field(default_factory=_default_prox_cfg)
+    # colamp_solve stops each prox once the gap certifies the support it
+    # reads (SUPPORT_REL_TOL), so the gap tolerances are only a backstop: an
+    # all-shrunk prox (x* = 0) never certifies a support and stops on them.
+    # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
+    # problems at m/K = 3 (K = 40, side 2), 14 recover exactly at caps 1500,
+    # 1000 and 500 alike, in 56,610, 52,128 and 38,672 prox iterations, with
+    # the relaxed, rho-balancing prox checking its gap at every iteration
+    # (fixed rho: 14, 14 and 13 recover).
+    prox: ProxConfig = ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)
 
     def __post_init__(self):
         check_count(self.k, "target sparsity k")

@@ -54,9 +54,10 @@ def test_memory_benchmark_rows(tmp_path):
     side, n, frames = 10, 16 * 16, 4
     fbs_entries = int(fbs["fbs_measured_entries"])
     admm_entries = int(admm["admm_measured_entries"])
-    # measured peaks hold at least the state each method needs
+    # measured peaks hold at least the state each method needs: the prox
+    # holds its side*side*n carried duals, not the paper's two stacks
     assert fbs_entries >= 4 * n * frames
-    assert admm_entries >= 2 * side * side * n
+    assert admm_entries >= side * side * n
     assert int(fbs["admm_formula_entries"]) == admm_formula_entries(side, n, frames)
     assert int(admm["admm_formula_entries"]) == 2 * side * side * n
     assert float(fbs["memory_ratio"]) == frames * admm_entries / fbs_entries

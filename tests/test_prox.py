@@ -372,36 +372,19 @@ def traced_peak(v, cs):
         tracemalloc.stop()
 
 
-def test_prox_holds_two_copy_stacks():
-    # measured, not declared: beyond its inputs a solve holds the duals
-    # (s x n) and a pass buffer, here of all 6 copy rows (one pass of
-    # 82,944 entries, within PASS_ENTRIES), plus O(n) working vectors, and
-    # no third stack.  The working vectors peak at 9.61 n here (NumPy 2.4),
-    # so a leak of n fails; 3.5 n of it is NumPy's ufunc buffer of 8,192
-    # entries in the products that broadcast
-    side, h, w = 6, 48, 48
-    cs = system(h, w, side)
-    s, n = cs.n_subsets, h * w
-    assert prox.PASS_ENTRIES // (side * n) >= side
-    peak = traced_peak(np.random.default_rng(23).standard_normal((h, w)), cs)
-    stack = s * n * 8
-    assert 2 * stack <= peak <= 2 * stack + 10 * n * 8
-
-
-def test_prox_holds_one_copy_stack_above_the_pass_budget():
-    # above PASS_ENTRIES the copies go through the pass buffer 4 copy rows
-    # of 8 at a time (262,144 entries in 2 passes), so a solve holds the
-    # duals (s x n), one pass of copies and O(n) working vectors, 9.50 n
-    # here (NumPy 2.4); holding the copies whole, as a solve once did, adds
-    # the other 4 rows of copies, 32 n
-    side, h, w = 8, 64, 64
-    cs = system(h, w, side)
-    s, n = cs.n_subsets, h * w
-    rows = prox.PASS_ENTRIES // (side * n)
-    assert rows == 4
-    peak = traced_peak(np.random.default_rng(23).standard_normal((h, w)), cs)
-    stack, buffer = s * n * 8, rows * side * n * 8
-    assert stack + buffer <= peak <= stack + buffer + 10 * n * 8
+def test_prox_holds_one_copy_stack():
+    # measured, not declared: beyond its inputs a solve holds the carried
+    # duals (s x n) and a tail of (side - 1)(W + 1), plus O(n) working
+    # vectors, and no copy of Z.  The working vectors peak at 10.54 n at
+    # 48x48 side 6 and 10.41 n at 64x64 side 8 (NumPy 2.4), of which NumPy's
+    # ufunc buffer of 8,192 entries in the products that broadcast is 3.6 n
+    # and 2 n.  A second stack, such as the copies Z held whole, adds s*n
+    for side, extent in ((6, 48), (8, 64)):
+        cs = system(extent, extent, side)
+        s, n = cs.n_subsets, extent * extent
+        peak = traced_peak(np.random.default_rng(23).standard_normal((extent, extent)), cs)
+        stack = s * n * 8
+        assert stack <= peak <= stack + 12 * n * 8, (side, extent, peak / (8 * n) - s)
 
 
 def test_prox_max_iterations_reported_not_raised():
@@ -710,65 +693,43 @@ def test_strided_z_update_matches_clique_loop_on_any_geometry(geometry, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(geometries(), st.integers(1, 12), st.integers(0, 2**32 - 1))
-def test_tile_scaling_touches_each_clique_pixel_once(geometry, rows, seed):
-    # every entry of the pass buffer, tail included, and every scale, spill
-    # tiles included, is random: in each pass each in-clique pixel of each
-    # of its copies must come back multiplied by its own tile's scale
-    # exactly once, everything else as it was
+@given(geometries(), st.integers(0, 2**32 - 1))
+def test_tile_scaling_touches_each_clique_pixel_once(geometry, seed):
+    # every entry of the buffer, tail included, and every scale, spill tiles
+    # included, is random: each in-clique pixel of each copy must come back
+    # multiplied by its own tile's scale exactly once, everything else (the
+    # pixels outside the tiles, the tail) as it was; and the tile view's
+    # norms of the tiles are those of the copies' own pixels
     height, width, side = geometry
     cs = system(height, width, side)
-    stack = _TileStack(cs, min(rows, side))
+    stack = _TileStack(cs)
+    assert stack.r.shape == (cs.n_subsets, height * width)
+    assert np.shares_memory(stack.r, stack.buffer[:stack.r.size])
     rng = np.random.default_rng(seed)
     stack.scale[:] = rng.uniform(2.0, 3.0, stack.scale.shape)
-    # the passes take the copies in order, each at the front of the buffer
-    ends = np.cumsum([len(p.z) for p in stack.passes])
-    assert [p.first for p in stack.passes] == [0, *ends[:-1]] and ends[-1] == cs.n_subsets
-    for p in stack.passes:
-        stack.buffer[:] = rng.uniform(1.0, 2.0, stack.buffer.size)
-        before = stack.buffer.copy()
-        expected = before.copy()
-        copies = expected[:p.z.size].reshape(-1, height, width)
-        for i, tile in enumerate(cs.tiles[p.first:p.first + len(p.z)]):
-            if tile is None:
-                continue
-            a, b, nh, nw = tile
-            for t in range(nh):
-                for q in range(nw):
-                    band = slice(a + t * side, a + (t + 1) * side)
-                    cols = slice(b + q * side, b + (q + 1) * side)
-                    copies[i, band, cols] = copies[i, band, cols] * stack.scale[a, b, t, q]
-        stack.scale_tiles(p)
-        assert np.array_equal(stack.buffer, expected)
-        assert np.array_equal(stack.buffer[p.z.size:], before[p.z.size:])
-
-
-@settings(max_examples=40, deadline=None)
-@given(geometries(), st.data(), st.sampled_from([9, 10, 11, 19, 20, 21, 1000]),
-       st.sampled_from([None, 3e-3]), st.floats(0.05, 5.0))
-def test_pass_split_is_invisible(geometry, data, cap, support_tol, lam):
-    # the pass buffer changes which copies are held at once, never a value:
-    # solves in passes of 1 to side copy rows return the very x, u, traces,
-    # rho, iteration count and reason of a solve in one pass.  Caps 9 to 21
-    # run without tolerances around the balancing checks at 10 and 20, the
-    # cap 1000 stops on the gap or the support
-    height, width, side = geometry
-    cs = system(height, width, side)
-    n = height * width
-    v = np.array(data.draw(st.lists(_entries, min_size=n, max_size=n))).reshape(height, width)
-    tol = 0.0 if cap < 1000 else 1e-6
-    cfg = ProxConfig(lam=lam, max_iters=cap, tol_abs=tol, tol_rel=tol)
-    rows = data.draw(st.integers(1, side))
-    assert prox.PASS_ENTRIES >= side * side * n  # one pass at the default
-    one = prox_block_norm(v, cs, cfg, support_tol=support_tol)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(prox, "PASS_ENTRIES", 1 if rows == 1 else rows * side * n)
-        split = prox_block_norm(v, cs, cfg, support_tol=support_tol)
-    assert np.array_equal(one.x, split.x)
-    assert (one.u is None) == (split.u is None) and np.array_equal(one.u, split.u)
-    for field in ("objective_trace", "residual_trace", "termination_reason", "iterations"):
-        assert getattr(one.report, field) == getattr(split.report, field)
-    assert one.report.extra == split.report.extra
+    stack.buffer[:] = rng.uniform(1.0, 2.0, stack.buffer.size)
+    before = stack.buffer.copy()
+    expected = before.copy()
+    copies = expected[:stack.r.size].reshape(-1, height, width)
+    for i, tile in enumerate(cs.tiles):
+        if tile is None:
+            continue
+        a, b, nh, nw = tile
+        for t in range(nh):
+            for q in range(nw):
+                band = slice(a + t * side, a + (t + 1) * side)
+                cols = slice(b + q * side, b + (q + 1) * side)
+                copies[i, band, cols] = copies[i, band, cols] * stack.scale[a, b, t, q]
+    stack.scale_tiles()
+    assert np.array_equal(stack.buffer, expected)
+    stack.norms()
+    for i, tile in enumerate(cs.tiles):
+        if tile is None:
+            continue
+        a, b, nh, nw = tile
+        blocks = copies[i, a:a + nh * side, b:b + nw * side].reshape(nh, side, nw, side)
+        assert np.allclose(stack.scale[a, b, :nh, :nw],
+                           np.sqrt(np.sum(blocks ** 2, axis=(1, 3))), rtol=1e-14, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -794,24 +755,40 @@ def test_prox_scale_equivariance(height, width, side, data, c, lam):
     assert np.linalg.norm(resc.x - c * res.x) <= 1e-9 * c * np.linalg.norm(v)
 
 
+@st.composite
+def centers(draw, max_extent=8, max_side=3):
+    """``(v, side)``: a center of up to ``max_extent`` squared pixels with
+    entries of ``_entries`` and a clique side up to ``max_side`` that its
+    grid admits."""
+    height = draw(st.integers(1, max_extent))
+    width = draw(st.integers(1, max_extent))
+    side = min(draw(st.integers(1, max_side)), height, width)
+    v = draw(st.lists(_entries, min_size=height * width, max_size=height * width))
+    return np.array(v).reshape(height, width), side
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 3), st.data(),
-       st.floats(0.05, 5.0))
-def test_relaxed_solve_gap_certifies_its_distance_to_the_prox(height, width, side, data, lam):
+@given(centers(), st.floats(0.05, 5.0))
+@example((np.array([[1.0]]), 1), 2.0)  # screened: lam**2 = 4||v||^2
+def test_relaxed_solve_gap_certifies_its_distance_to_the_prox(center, lam):
     # the gap a converged solve reports is the oracle's gap from the u it
     # returns, so the relaxed z-update keeps -rho*u dual feasible; and that
     # gap bounds ||x - x*||^2.  The reference x_ref is solved to a relative
     # gap of 1e-12 and is itself only certified, ||x_ref - x*||^2 <= gap_ref,
     # so the bound is checked as ||x - x_ref|| <= sqrt(gap) + sqrt(gap_ref)
-    side = min(side, height, width)
-    cs = system(height, width, side)
-    v = np.array(data.draw(st.lists(_entries, min_size=height * width,
-                                    max_size=height * width))).reshape(height, width)
+    v, side = center
+    cs = system(*v.shape, side)
     scale = 1e-12 * float(np.sum(v ** 2))
     res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=20000))
     assert res.report.termination_reason == "converged"
     rho = res.report.extra["rho"]
     gap = helpers.prox_gap_by_projection(v, res.x, res.u, rho, lam, side)
+    if res.report.iterations == 0:
+        # a weight of at least 2||v|| is screened to x = 0, with no trace and
+        # duals of gap 0 (test_prox_screens_a_weight_of_twice_the_center_norm)
+        assert lam * lam >= 4.0 * np.sum(v ** 2) and not res.x.any()
+        assert gap <= scale
+        return
     assert res.report.residual_trace[-1] == pytest.approx(gap, rel=1e-6, abs=scale)
     ref = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=50000, tol_abs=0.0,
                                             tol_rel=1e-12))
