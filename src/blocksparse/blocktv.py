@@ -4,15 +4,21 @@ Minimizes ``1/2 ||x - y||^2 + lam * sum_c ||(grad x)_c||_{2,eps}`` where each
 clique gathers the horizontal and vertical forward differences over one
 ``side x side`` patch (one group of ``2*side^2`` values per patch), coupling
 edge orientation within a neighborhood.  The smoothed objective is minimized
-by gradient descent with an Armijo line search of its own.
+by gradient descent with an Armijo line search of its own.  Each search
+starts from the last accepted step and only halves it: the nonincreasing
+backtracking of Beck & Teboulle (SIAM J. Imaging Sci. 2009), which keeps the
+step at least ``1/(2L)``, ``L`` the Lipschitz constant of the smoothed
+objective's gradient.  A step that grows again after each accepted trial is
+halved back in nearly every iteration, and half of all trials are rejected.
 
 The clique norms and their scatter come from the regularizer's evaluator
 pair, exact window sums of the per-pixel squared gradient magnitude
 ``dh^2 + dv^2``.  Each evaluation of the objective returns, with its value,
-the forward differences and smoothed clique norms it computed.  The line
-search keeps those of the trial it accepts, and the next gradient is built
-from them, so an iteration makes one valid window sum per trial and one full
-window sum for its gradient: the accepted point is never evaluated twice.
+the forward differences, smoothed clique norms and residual ``x - y`` it
+computed.  The line search keeps those of the trial it accepts, and the next
+gradient is built from them, so an iteration makes one valid window sum per
+trial and one full window sum for its gradient: the accepted point is never
+evaluated twice.
 
 A solve allocates its image-sized arrays once, before the first iteration:
 the forward differences, the squared magnitudes, the clique norms, one
@@ -119,11 +125,13 @@ class BlockTvConfig:
 
     ``eps=None`` resolves to ``1e-4 * max(1, max|forward difference of y|)``,
     relative to the scale of the input's gradient field.  Each step is
-    chosen by Armijo line search, starting from twice the last accepted
-    step.  The run stops once an iteration changes the objective by at most
-    ``tol_obj`` times its magnitude, or once the gradient norm is at most
-    ``1e-12 * ||y||``.  Neither test has an absolute floor, so scaling
-    ``y``, ``lam`` and ``eps`` by ``c`` leaves the iteration count unchanged.
+    chosen by Armijo line search, starting from the last accepted step (1
+    at the first iteration) and halving it until the objective decreases
+    enough; the step never grows.  The run stops once an iteration changes
+    the objective by at most ``tol_obj`` times its magnitude, or once the
+    gradient norm is at most ``1e-12 * ||y||``.  Neither test has an
+    absolute floor, so scaling ``y``, ``lam`` and ``eps`` by ``c`` leaves the
+    iteration count unchanged.
     """
 
     lam: float
@@ -170,25 +178,27 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
 
     def evaluate(x):
         """Objective at ``x`` and the smoothed clique norms it was computed
-        from.  Its forward differences are left in ``d``: with the norms,
-        the state :func:`gradient` needs."""
+        from.  Its forward differences are left in ``d`` and its residual
+        ``x - y`` in ``sq``: with the norms, the state :func:`gradient`
+        needs."""
         discrete_gradient(x, out=d)
         np.multiply(d.dh, d.dh, out=sq)
         np.add(sq, np.multiply(d.dv, d.dv, out=weights), out=sq)  # weights is free here
         # the window sum spends sq, which then takes the residual
         norms = smoothed_clique_norms(sq, side, eps, out=norms_buf, scratch=scratch)
         resid = np.subtract(x, y, out=sq)
-        return 0.5 * float(np.sum(np.square(resid, out=resid))) + lam * float(norms.sum()), norms
+        return 0.5 * float(np.vdot(resid, resid)) + lam * float(norms.sum()), norms
 
-    def gradient(x, norms):
-        """``(x - y) + lam * D^T (weight_map * d)``, ``D`` the forward
-        difference, built in ``grad_buf``; it spends ``d`` and ``norms``."""
+    def gradient(norms):
+        """``(x - y) + lam * D^T (weight_map * d)`` at the point last
+        evaluated, ``D`` the forward difference, built in ``grad_buf``; it
+        spends ``d`` and ``norms``."""
         weight_map = smoothed_weight_map(norms, side, out=weights, scratch=scratch)
         for channel in d:
             channel *= weight_map
         out = discrete_gradient_adjoint(d, out=grad_buf)
         out *= lam
-        out += np.subtract(x, y, out=weights)
+        out += sq
         return out
 
     x = y.copy()
@@ -203,7 +213,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     total_halvings = 0
 
     for _ in range(cfg.max_iters):
-        g = gradient(x, norms)
+        g = gradient(norms)
         gsq = float(np.vdot(g, g))
         gnorm = float(np.sqrt(gsq))
         if gnorm <= grad_tol:
@@ -231,9 +241,9 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
             reason = "converged"
             break
         obj_prev = obj
-        alpha *= 2.0  # retry a larger step next iteration; Armijo halves as needed
 
     report = SolverReport(objective_trace, residual_trace, reason,
                           iterations=len(objective_trace), wall_clock=time.perf_counter() - t0,
-                          extra={"epsilon": eps, "halvings": total_halvings})
+                          extra={"epsilon": eps, "halvings": total_halvings,
+                                 "alpha_final": alpha})
     return x, report

@@ -61,6 +61,11 @@ from .grids import GridShape, build_clique_system
 from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
 _BACKTRACK_SHRINK = 0.5
+# Unlike block-TV's, the step grows again after each accepted trial.  A step
+# that never grows keeps the smallest step the early iterations needed (half
+# the starting 1/(mu + lam/eps) on the rpca-fbs benchmark) until the
+# iteration cap: there it cut f_measure from 0.911 to 0.765, 0.932 to 0.862
+# and 0.918 to 0.723 at seeds 0-2, and psnr_db by 6-8 dB.
 _BACKTRACK_GROW = 1.25
 _MAX_HALVINGS = 60
 

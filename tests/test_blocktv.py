@@ -135,7 +135,9 @@ def test_ascent_direction_exhausts_the_line_search(monkeypatch):
 def test_an_iteration_allocates_nothing_image_sized(monkeypatch):
     # the weight map runs once per iteration; between two of its calls, the
     # line search's trials and the next gradient included, the traced peak
-    # may rise above the memory held at the earlier call by a quarter image
+    # may rise above the memory held at the earlier call by a quarter image.
+    # The step never grows, so the rejected trials all fall in the first
+    # iterations, and later calls bound accepted trials alone
     weights = blocktv.smoothed_weight_map
     readings = []
 
@@ -194,6 +196,27 @@ def test_halvings_count_the_rejected_trials(monkeypatch):
     _, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, max_iters=30, tol_obj=0.0))
     assert report.extra["halvings"] > 0
     assert len(calls) == report.iterations + report.extra["halvings"] + 1
+
+
+def test_the_step_never_grows():
+    # the step starts at 1 and each rejected trial halves it, so the final
+    # step is 0.5**halvings only if no accepted trial ever enlarged it
+    rng = np.random.default_rng(8)
+    y = make_piecewise_constant(16, 16, rng) + 0.1 * rng.standard_normal((16, 16))
+    _, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, max_iters=30, tol_obj=0.0))
+    assert report.extra["halvings"] > 0
+    assert report.extra["alpha_final"] == 0.5 ** report.extra["halvings"]
+
+
+def test_the_line_search_rarely_halves():
+    # each search starts from the last accepted step, so once the step fits
+    # the objective's curvature nearly every first trial is accepted; a step
+    # doubled after each acceptance was halved back about once per iteration
+    rng = np.random.default_rng(7)
+    y = make_piecewise_constant(64, 64, rng) + 0.1 * rng.standard_normal((64, 64))
+    _, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, max_iters=300, tol_obj=0.0))
+    assert report.iterations == 300
+    assert report.extra["halvings"] < 30
 
 
 def test_no_halvings_when_every_first_trial_is_accepted():
