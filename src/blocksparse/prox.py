@@ -142,8 +142,8 @@ iteration whose gap passes, never before the first iteration whose gap
 would pass, and every stop is decided by the gap computed exactly at the
 iteration it ends on.  The gap is not monotone (below), so a stop can come
 more than ``GAP_STRIDE - 1`` iterations late: in CoLaMP's calls on the
-cs-colamp benchmark's problems (seed 0) 30 of 55 calls stopped 5 to 11
-iterations later than a solve checking every iteration; 25 of them passed
+cs-colamp benchmark's problems (seed 0) 27 of 55 calls stopped 5 to 11
+iterations later than a solve checking every iteration; 14 of them passed
 their support test at iteration 22 and failed it at 25.
 
 At a checked iteration the solve stops when
@@ -168,16 +168,32 @@ empty, as no iteration ran.  A zero center is left to the iteration, whose
 first gap is exactly 0.
 
 A caller that reads only the support of ``x`` can ask for an earlier stop,
-``sqrt(P - D + e) <= support_tol * max|x|``.  The same bound gives
-``||x - x*||_inf <= sqrt(P - D)``, so every pixel above
-``support_tol * max|x|`` is then certainly nonzero in ``x*``; gap-safe
-screening rests on the same bound (Ndiaye, Fercoq, Gramfort & Salmon 2017,
-*Gap Safe screening rules for sparsity enforcing penalties*).  The allowance
-``e = n*eps*(P + |<g, v>| + ||g||^2/4)`` bounds the rounding error of the
-computed gap: where ``x* = 0`` and ``x`` is solver residue, roundoff can make
-the computed ``P - D`` zero, and without ``e`` that residue would pass as
-support (``v`` one spike, ``lam`` at its shrink threshold).  Whichever of
-the two stops comes first ends the solve.  ``objective_trace`` holds ``P``
+certified from both sides of the gap ``G = P - D + e``.  The primal bound
+above gives ``a = ||x - x*||`` with ``a^2 <= P - P*``.  ``D`` is
+``1/2``-strongly concave on its feasible set and ``x* = v - g*/2``, so the
+point ``xt = v - g/2`` has ``b = ||xt - x*|| = ||g - g*||/2`` with
+``b^2 <= D* - D``.  With ``P* = D*`` the two add up: ``a^2 + b^2 <= G``.  The
+triangle inequality gives ``b >= |a - d|`` for ``d = ||x - xt||``, so
+``a^2 + (a - d)^2 <= G``, and ``a`` is at most the larger root, the radius
+``r = (d + sqrt(2G - d^2))/2``; where rounding leaves ``d^2 > 2G`` the radius
+is ``sqrt(G)``.  At a checked iteration the scratch vector holds
+``xt - x = v + (rho*s/2)*ubar - x``, and the solve stops with
+``"support-certified"`` once ``r <= support_tol * max|x|``.  Then
+``||x - x*||_inf <= r``, so every pixel above ``support_tol * max|x|`` is
+certainly nonzero in ``x*``.  The returned ``x`` is still the ADMM iterate,
+and ``report.extra["support_radius"]`` holds ``r``.  Over ``d`` the radius
+is largest, ``sqrt(G)``, at ``d = sqrt(G)``, and it is ``sqrt(G/2)`` at
+``d = 0``, so this stop never comes later than one on the one-sided bound
+``sqrt(G) <= support_tol * max|x|``, on which gap-safe screening rests
+(Ndiaye, Fercoq, Gramfort & Salmon 2017, *Gap Safe screening rules for
+sparsity enforcing penalties*).  On the cs-colamp benchmark's problems
+(seed 0) CoLaMP's prox calls took 10,746 iterations against the one-sided
+bound's 14,537.  The allowance ``e = n*eps*(P + |<g, v>| + ||g||^2/4)``
+stands for the rounding error of the computed gap: where ``x* = 0`` and
+``x`` is solver residue, roundoff can make the computed ``P - D`` zero, and
+without ``e`` that residue would pass as support (``v`` one spike, ``lam``
+at its shrink threshold).  Whichever of the two stops comes first ends the
+solve.  ``objective_trace`` holds ``P``
 and ``residual_trace`` ``P - D`` at the checked iterations only, so they can
 be shorter than ``report.iterations``, the number of iterations run; their
 last entries are those of the returned ``x`` and ``u``.  ADMM does not make
@@ -193,6 +209,7 @@ which the relaxed iterates need not keep monotone.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -213,12 +230,12 @@ RELAXATION = 1.8
 
 # The duality gap and the stop tests run at iteration 1, every GAP_STRIDE-th
 # iteration after it, every balancing check and the cap (module docstring).
-# On the cs-colamp benchmark's problems (seed 0) CoLaMP's prox calls took
-# 14,252 iterations checked at every one and 14,537 at stride 4, and their
-# time per iteration fell from 0.136 to 0.108 ms (traced, one BLAS thread).
-# In an earlier probe, on cs-colamp seeds 0-2, strides 2, 4 and 8 took
-# 42,532, 43,140 and 43,372 iterations against 42,477, and recovered the
-# same problems.
+# On the cs-colamp benchmark's problems (seed 0) CoLaMP's prox calls take
+# 10,493 iterations checked at every one and 10,746 at stride 4.  Measured
+# with the earlier one-sided support stop: 14,252 and 14,537 iterations, and
+# the time per iteration fell from 0.136 to 0.108 ms (traced, one BLAS
+# thread); on cs-colamp seeds 0-2, strides 2, 4 and 8 took 42,532, 43,140 and
+# 43,372 iterations against 42,477, and recovered the same problems.
 GAP_STRIDE = 4
 
 # Starting penalty rho0 = 1 + RHO_START_WEIGHT*lam/max|v| (1 when v = 0), the
@@ -387,6 +404,16 @@ def _screened_duals(v: np.ndarray, side: int, rho: float) -> np.ndarray:
     return u
 
 
+def _support_radius(dist: float, gap: float) -> float:
+    """The radius about ``x`` that holds the exact prox, given
+    ``dist = ||x - xt||`` and the gap ``G`` with its rounding allowance
+    (module docstring): ``(dist + sqrt(2G - dist**2))/2``, or ``sqrt(G)``
+    where rounding leaves ``dist**2 > 2G``.  A ``G`` below 0 counts as 0."""
+    gap = max(gap, 0.0)
+    slack = 2.0 * gap - dist * dist
+    return 0.5 * (dist + math.sqrt(slack)) if slack >= 0.0 else math.sqrt(gap)
+
+
 def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                     support_tol: Optional[float] = None) -> ProxResult:
     """Consensus-ADMM prox of the overlapping-block penalty.
@@ -409,11 +436,18 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     cfg : ProxConfig
         Weight ``lam`` and ADMM controls.
     support_tol : float, optional
-        Also stop, with reason ``"support-certified"``, once
-        ``sqrt(P - D + e) <= support_tol * max|x|``, ``e`` the gap's rounding
-        allowance of the module docstring: every pixel of ``x`` above
-        ``support_tol * max|x|`` is then nonzero in the exact prox.  A caller
-        that reads only that support passes it; ``None`` tests no such stop.
+        Also stop, with reason ``"support-certified"``, once the radius
+        ``r = (d + sqrt(2G - d^2))/2`` is at most ``support_tol * max|x|``,
+        where ``G = P - D + e`` is the gap with its rounding allowance and
+        ``d = ||x - (v - g/2)||`` the distance from ``x`` to the dual
+        point's primal image (``r = sqrt(G)`` where rounding leaves
+        ``d^2 > 2G``).  The primal and dual bounds add up to ``G``, so the
+        exact prox lies within ``r`` of ``x`` (module docstring), and every
+        pixel of ``x`` above ``support_tol * max|x|`` is then nonzero in it.
+        ``r <= sqrt(G)``, so the stop never comes later than one on the
+        one-sided bound ``sqrt(G)``.  ``report.extra["support_radius"]``
+        holds ``r`` at such a stop.  A caller that reads only that support
+        passes it; ``None`` tests no such stop.
 
     Returns
     -------
@@ -552,10 +586,17 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
             residual_trace.append(gap)
             if certify and gap <= cfg.tol_rel * primal + gap_floor:
                 reason = "converged"
-            elif support_tol is not None and (
-                    gap + roundoff * (primal + abs(dual_lin) + dual_quad)
-                    <= (support_tol * float(np.abs(x).max())) ** 2):
-                reason = "support-certified"
+            elif support_tol is not None:
+                # the radius from both sides of the gap (module docstring),
+                # with xt - x = v + (rs/2)*ubar - x in the scratch vector
+                np.multiply(ubar, 0.5 * rs, out=work)
+                work += vflat
+                work -= x
+                radius = _support_radius(
+                    float(np.sqrt(work @ work)),
+                    gap + roundoff * (primal + abs(dual_lin) + dual_quad))
+                if radius <= support_tol * float(np.abs(x).max()):
+                    reason = "support-certified"
             final = reason != "max-iterations" or k == cfg.max_iters
 
             f = 1.0  # rho_old / rho_new
@@ -590,7 +631,9 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 np.add.reduce(r, axis=0, out=rbar)
                 rbar /= s
 
+    extra = {"rho": rho, "rho_changes": rho_changes}
+    if reason == "support-certified":
+        extra["support_radius"] = radius
     report = SolverReport(objective_trace, residual_trace, reason, iterations=k,
-                          wall_clock=time.perf_counter() - t0,
-                          extra={"rho": rho, "rho_changes": rho_changes})
+                          wall_clock=time.perf_counter() - t0, extra=extra)
     return ProxResult(x.reshape(shape), report, u=r)

@@ -80,9 +80,12 @@ class ColampConfig:
     # reads (SUPPORT_REL_TOL), so the gap tolerances are only a backstop: an
     # all-shrunk prox (x* = 0) never certifies a support and stops on them.
     # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
-    # problems at m/K = 3 (K = 40, side 2), 14 recover exactly at caps 1500,
-    # 1000 and 500 alike, in 56,610, 52,128 and 38,672 prox iterations, with
-    # the relaxed, rho-balancing prox checking its gap at every iteration
+    # problems at m/K = 3 (K = 40, side 2, the benchmark's generators, seeds
+    # 0-7, images 0-1), 14 recover exactly at caps 1500, 1000 and 500 alike,
+    # in 43,953, 42,813 and 34,794 prox iterations, with the two-sided
+    # support radius and the gap checked every GAP_STRIDE iterations.  With
+    # the one-sided bound sqrt(gap) they took 56,880 at cap 1500; checking
+    # the gap at every iteration, 56,610, 52,128 and 38,672 at the three caps
     # (fixed rho: 14, 14 and 13 recover).
     prox: ProxConfig = ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)
 
@@ -208,8 +211,13 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
 def _support_of(x_r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Entries of the prox output above ``SUPPORT_REL_TOL * max|x_r|``.  When
     the prox stopped with ``"support-certified"`` each of them is nonzero in
-    the exact prox.  An output whose peak is at solver-noise level relative to
-    the prox input is the all-shrunk solution: its surviving entries are ADMM
+    the exact prox: the primal and dual sides of its duality gap ``G`` put
+    the exact prox within ``(d + sqrt(2G - d^2))/2`` of ``x_r``, ``d`` the
+    distance from ``x_r`` to the dual point's primal image, and that radius
+    was at most ``SUPPORT_REL_TOL * max|x_r|``.  It never exceeds the
+    one-sided bound ``sqrt(G)``, so the prox stops no later than on that
+    bound.  An output whose peak is at solver-noise level relative to the
+    prox input is the all-shrunk solution: its surviving entries are ADMM
     residue, not support."""
     flat = np.abs(np.asarray(x_r, dtype=float).ravel())
     peak = float(flat.max()) if flat.size else 0.0

@@ -10,7 +10,7 @@ from blocksparse import (ConfigError, GridShape, ProxConfig, block_norm,
                          build_clique_system, prox, prox_block_norm)
 
 from blocksparse.prox import (BALANCE_FACTOR, BALANCE_FIRST, BALANCE_RATIO, GAP_STRIDE,
-                              RELAXATION, RHO_START_WEIGHT, _TileStack)
+                              RELAXATION, RHO_START_WEIGHT, _support_radius, _TileStack)
 
 import helpers
 from helpers import group_shrink
@@ -355,31 +355,33 @@ def test_prox_zero_center_returns_zero_at_a_finite_rho():
         assert res.report.extra["rho"] == 1.0
 
 
-def traced_peak(v, cs):
+def traced_peak(v, cs, support_tol=None):
     """tracemalloc peak, in bytes, of a 20-iteration zero-tolerance solve
     at lam 0.5, which runs past the balancing check at iteration 10, where
     rho changes, so the primal residual and the rescale of the duals are
     measured too."""
     cfg = ProxConfig(lam=0.5, max_iters=20, tol_abs=0.0, tol_rel=0.0)
-    rep = prox_block_norm(v, cs, cfg).report  # also warms any lazily built state
+    # also warms any lazily built state
+    rep = prox_block_norm(v, cs, cfg, support_tol=support_tol).report
     assert rep.iterations == 20 and rep.extra["rho_changes"] >= 1
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        prox_block_norm(v, cs, cfg)
+        prox_block_norm(v, cs, cfg, support_tol=support_tol)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
-def assert_one_copy_stack(side, extent):
+def assert_one_copy_stack(side, extent, support_tol=None):
     # measured, not declared: beyond its inputs a solve holds the carried
     # duals (s x n) and a tail of (side - 1)(W + 1), plus O(n) working
     # vectors, and no copy of Z.  A second stack, such as the copies Z held
     # whole, adds s*n
     cs = system(extent, extent, side)
     s, n = cs.n_subsets, extent * extent
-    peak = traced_peak(np.random.default_rng(23).standard_normal((extent, extent)), cs)
+    peak = traced_peak(np.random.default_rng(23).standard_normal((extent, extent)), cs,
+                       support_tol)
     stack = s * n * 8
     assert stack <= peak <= stack + 12 * n * 8, (side, extent, peak / (8 * n) - s)
 
@@ -394,6 +396,12 @@ def test_prox_holds_one_copy_stack_at_side_8():
     # the working vectors peak at 10.41 n here (NumPy 2.4), of which the
     # ufunc buffer is 2 n
     assert_one_copy_stack(8, 64)
+
+
+def test_prox_holds_one_copy_stack_with_a_support_test():
+    # a support_tol no 20-iteration solve meets, so the support test runs at
+    # every checked iteration: its radius goes through the scratch vector
+    assert_one_copy_stack(6, 48, support_tol=1e-9)
 
 
 def test_prox_max_iterations_reported_not_raised():
@@ -565,6 +573,30 @@ def test_prox_screen_duals_cover_every_pixel_once(height, width, side):
                                          side)
     assert abs(gap) <= 1e-12 * np.sum(v ** 2)
     assert prox_block_norm(v, cs, ProxConfig(lam=0.999 * lam)).report.iterations > 0
+
+
+def test_support_radius():
+    # x* lies within a of x and b of xt, with a**2 + b**2 <= G and
+    # a + b >= d: a <= (d + sqrt(2G - d**2))/2, sqrt(G/2) at d = 0 and
+    # sqrt(G) at d = sqrt(G), its largest; a d**2 above 2G is rounding
+    for gap in (1e-12, 0.5, 3.0):
+        assert _support_radius(0.0, gap) == pytest.approx(math.sqrt(gap / 2), rel=1e-15)
+        assert _support_radius(math.sqrt(gap), gap) == pytest.approx(math.sqrt(gap), rel=1e-15)
+        assert _support_radius(1.5 * math.sqrt(gap), gap) == math.sqrt(gap)
+        for d in np.linspace(0.0, math.sqrt(2 * gap), 7):
+            assert _support_radius(d, gap) <= math.sqrt(gap) * (1 + 1e-15)
+    assert _support_radius(0.0, -1e-20) == _support_radius(1e-3, -1e-20) == 0.0
+
+
+def test_prox_reports_the_support_radius_at_a_support_stop():
+    v = np.random.default_rng(8).standard_normal((6, 7))
+    cs = system(6, 7, 2)
+    res = prox_block_norm(v, cs, ProxConfig(lam=1.0, tol_abs=0.0, tol_rel=0.0), support_tol=3e-3)
+    assert res.report.termination_reason == "support-certified"
+    assert 0 < res.report.extra["support_radius"] <= 3e-3 * np.abs(res.x).max()
+    for tol in (None, 1e-12):
+        rep = prox_block_norm(v, cs, ProxConfig(lam=1.0), support_tol=tol).report
+        assert rep.termination_reason == "converged" and "support_radius" not in rep.extra
 
 
 def test_prox_rejects_bad_support_tol():

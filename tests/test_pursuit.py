@@ -320,16 +320,38 @@ def test_support_certificate(height, width, side, data, lam):
     _assert_support_is_exact(v, side, lam, res)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(5, 5, 1), (6, 5, 2), (7, 6, 3), (4, 8, 2)]), st.integers(0, 2**32 - 1),
+       st.floats(0.05, 1.0))
+def test_support_radius_holds_the_exact_prox(geometry, seed, lam):
+    # dense normal centers: at every support stop the exact prox lies within
+    # the reported radius of x, so ||x - x_ref|| <= radius + ||x_ref - x*||
+    height, width, side = geometry
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((height, width))
+    v[rng.uniform(size=v.shape) < 0.3] = 0.0
+    res = _support_certified_prox(v, side, lam)
+    assume(res.report.termination_reason == "support-certified")
+    _assert_support_is_exact(v, side, lam, res)
+
+
 # draws whose references stalled: an ADMM reference at a relative gap of
 # 1e-12 never stopped on a floating-point fixed point (one 3x3 clique) and on
 # a slow degenerate solve at an exact shrink threshold, and the dual ascent
 # alone crept on the third, where x* vanishes on a clique whose dual block
 # sits exactly on its ball
+#
+# then the draw that separates the two-sided radius from sqrt(gap): the solve
+# stops at iteration 5 with sqrt(gap) 8.3e-3 above tau*peak 7.5e-3 and a
+# radius of 5.9e-3, where the one-sided bound stopped at iteration 9; and one
+# where the radius is tight, so the gap's rounding decides the distance check
 @pytest.mark.parametrize("shape, side, spikes, lam", [
     ((3, 3), 3, {(2, 1): 1.0, (2, 2): 0.5}, 0.05),
     ((3, 5), 2, {(2, 2): 1.0, (2, 3): -1.0, (2, 4): -2.0}, 2.0),
     ((3, 4), 2, {(0, 0): -1.0, (1, 1): 1.0, (2, 0): 2.0}, 2.0),
-], ids=["fixed-point-3x3", "threshold-3x5", "dual-on-ball-3x4"])
+    ((3, 5), 1, {(2, 3): 0.25, (2, 4): -3.0}, 1.0),
+    ((3, 3), 3, {(2, 1): 0.25, (2, 2): -2.625}, 0.05),
+], ids=["fixed-point-3x3", "threshold-3x5", "dual-on-ball-3x4", "two-sided-3x5", "tight-3x3"])
 def test_support_certificate_regressions(shape, side, spikes, lam):
     v = np.zeros(shape)
     for pixel, value in spikes.items():
@@ -346,14 +368,42 @@ def _support_certified_prox(v, side, lam):
                            support_tol=pursuit.SUPPORT_REL_TOL)
 
 
+def _recomputed_radius(v, res, slack=0.0):
+    """The support stop's radius from the returned ``u``, the final ``rho``
+    and the last gap: ``x*`` lies within ``a`` of ``x`` and ``b`` of
+    ``xt = v - g/2``, ``a**2 + b**2 <= G``, so ``a <= (d + sqrt(2G - d**2))/2``
+    with ``d = ||x - xt||``.  ``G`` is the gap plus the prox's rounding
+    allowance plus ``slack``."""
+    g = -res.report.extra["rho"] * res.u.sum(axis=0)
+    vflat = v.ravel()
+    dual_lin, dual_quad = float(g @ vflat), 0.25 * float(g @ g)
+    allowance = v.size * np.finfo(float).eps * (res.report.objective_trace[-1] + abs(dual_lin)
+                                                + dual_quad)
+    bound = max(res.report.residual_trace[-1] + allowance + slack, 0.0)
+    d = float(np.linalg.norm(res.x.ravel() - (vflat - g / 2)))
+    return (d + np.sqrt(2 * bound - d * d)) / 2 if d * d <= 2 * bound else np.sqrt(bound)
+
+
 def _assert_support_is_exact(v, side, lam, res):
     tau = pursuit.SUPPORT_REL_TOL
     peak = float(np.abs(res.x).max())
-    assert np.sqrt(max(res.report.residual_trace[-1], 0.0)) <= tau * peak
+    # the prox took its radius from its own mean of the duals, which the
+    # returned u gives again only up to rounding
+    radius = _recomputed_radius(v, res)
+    assert radius == pytest.approx(res.report.extra["support_radius"], rel=1e-6)
+    assert radius <= tau * peak * (1 + 1e-6)
     # the reference certifies a relative gap of 1e-12, and
     # ||x_ref - x*||_inf <= sqrt(gap): pixels above it are nonzero in x*
     x_ref, gap = helpers.prox_by_dual_ascent(v, helpers.clique_index_lists(*v.shape, side), lam)
     ref_err = np.sqrt(max(gap, 0.0))
+    # x* lies within the radius of x, up to the gap's rounding.  The prox's
+    # gap matches an oracle's only to 1e-12*||v||^2
+    # (test_prox_counts_iterations_and_traces_checks), and where the bound is
+    # tight a gap that reads low puts the radius below the distance: on one
+    # 3x3 clique (v[2, 1:] = (0.25, -2.625), lam 0.05) the gap read about
+    # 1.1e-14 low, against a rounding allowance of 5.3e-16
+    slack = 1e-12 * float(np.sum(v ** 2))
+    assert np.linalg.norm(res.x.ravel() - x_ref) <= _recomputed_radius(v, res, slack) + ref_err
     x_ref = np.abs(x_ref)
     support = pursuit._support_of(res.x, v)
     assert np.all(x_ref[support] > ref_err)
