@@ -65,17 +65,20 @@ the previous iteration, and ``ubar = mean(Z - w) = zbar - alpha*mean(q)``:
 one reduction of the stack per iteration, and ``mean(r)`` is kept as an
 n-vector.
 
-``(U, Z)`` is recovered from ``r`` and the kept scales where a check needs
-it: on a tile ``U = alpha*(c - 1) q = (1 - 1/g) r``, and off the tiles
-``U = 0``.  A tile with ``alpha*c = 1`` has ``r = 0`` and has lost ``q``, so a
-checked iteration (below) sets every ``g`` that rounds to exactly 0 to
-``eps``: ``r = (alpha - 1)*eps*q`` there, a move of at most ``eps*|q|``.  A
-balancing check's primal residual is summed from ``q`` before ``r`` is
-scaled, a copy of ``Z`` at a time in the scratch vector.  The gap evaluation
-only reads the state.  ``U`` is formed once, at the end, in the place of
-``r``.  So beyond its input a solve holds the ``s*n`` entries of ``r`` and
-the tail, the ``(side, side, H//side, W//side)`` scales and five working
-n-vectors (``x``, ``zbar``, ``ubar``, ``mean(r)`` and a scratch vector).
+``(q, Z, U)`` is recovered from ``r`` and the kept scales where a check
+needs it (:class:`_TileStack`): on a tile ``q = r/((alpha - 1) g)``, and
+with it ``Z = r + q`` and ``U = r + (1 - alpha) q = (1 - 1/g) r``; off the
+tiles ``g`` counts as 1 and ``U = 0``.  One step back,
+``r_{j-1} = x_j - q_j``.  A tile with ``alpha*c = 1`` has ``r = 0`` and has
+lost ``q``, so a checked iteration (below) sets every ``g`` that rounds to
+exactly 0 to ``eps``: ``r = (alpha - 1)*eps*q`` there, a move of at most
+``eps*|q|``.  A balancing check's primal residual is summed from ``q`` before
+``r`` is scaled, a copy of ``Z`` at a time in the scratch vector.  ``U`` is
+formed once, at the end, in the place of ``r``.  So beyond its input a solve
+holds the ``s*n`` entries of ``r`` and the tail, the
+``(side, side, H//side, W//side)`` scales and four working n-vectors:
+``x``, ``zbar``, ``mean(r)`` and a scratch vector, which carries ``ubar``
+from the end of one iteration to the x-update of the next.
 
 **Adaptive penalty.**  Every solve starts at ``x = v``, ``z^i = v``,
 ``u^i = 0`` and ``rho0 = 1 + RHO_START_WEIGHT*lam/max|v|`` (1 when ``v = 0``),
@@ -134,9 +137,10 @@ The gap is needed only to decide when to stop (Boyd et al. 2011, section
 iteration.  So ``P``, ``D``, the gap and both stop tests below
 are evaluated only at the checked iterations: iteration 1, every
 ``GAP_STRIDE``-th after it (``k = 1 mod GAP_STRIDE``), every balancing
-check and the last iteration ``max_iters`` allows.  The evaluation reads
-``x`` and ``ubar`` and writes only the scratch vector, so apart from the
-zero guard of ``g`` above the iterates are those of a solve that checks
+check and the last iteration ``max_iters`` allows.  ``P`` is evaluated
+right after the x-update, in the scratch vector, and the rest reads ``x``
+and ``ubar``, so apart from the zero guard of ``g`` above the iterates are
+those of a solve that checks
 every iteration.  The solve stops at the first checked
 iteration whose gap passes, never before the first iteration whose gap
 would pass, and every stop is decided by the gap computed exactly at the
@@ -176,7 +180,7 @@ point ``xt = v - g/2`` has ``b = ||xt - x*|| = ||g - g*||/2`` with
 triangle inequality gives ``b >= |a - d|`` for ``d = ||x - xt||``, so
 ``a^2 + (a - d)^2 <= G``, and ``a`` is at most the larger root, the radius
 ``r = (d + sqrt(2G - d^2))/2``; where rounding leaves ``d^2 > 2G`` the radius
-is ``sqrt(G)``.  At a checked iteration the scratch vector holds
+is ``sqrt(G)``.  At a checked iteration one allocated n-vector holds
 ``xt - x = v + (rho*s/2)*ubar - x``, and the solve stops with
 ``"support-certified"`` once ``r <= support_tol * max|x|``.  Then
 ``||x - x*||_inf <= r``, so every pixel above ``support_tol * max|x|`` is
@@ -309,19 +313,28 @@ class ProxResult:
 
 class _TileStack:
     """The carried duals ``r``, one row per copy, their tile view and the
-    tile scales.
+    tile scales, with the recoveries of ``q``, ``Z`` and ``U`` from them.
 
     ``buffer`` holds the ``s x n`` rows of :attr:`r` followed by the zero
     tail that :attr:`view` spills into (module docstring).  :attr:`scale`
     is the ``(side, side, H//side, W//side)`` array of tile scales, which
     :meth:`norms` writes and :meth:`scale_tiles` reads.  :attr:`tiles`
     holds each copy's ``(a, b, nh, nw)``, an empty subset's ``(0, 0, 0, 0)``.
+
+    An iteration maps ``r_{j-1}`` to ``q_j = x_j - r_{j-1}`` and then to
+    ``r_j = (alpha - 1) g_j q_j``, with ``g_j`` the kept scale of each tile
+    and 1 off the tiles.  So, a copy at a time, :meth:`q_of` recovers
+    ``q_j = r_j / ((alpha - 1) g_j)``, ``Z_j = r_j + q_j`` and
+    ``U_j = r_j + (1 - alpha) q_j``, and one step back
+    ``r_{j-1} = x_j - q_j``; on the whole stack :meth:`dual_factors` and
+    :meth:`rescale_factors` turn the scales into the factors that take ``r``
+    to ``U`` and to the ``r`` of a new penalty.
     """
 
-    def __init__(self, cliques: CliqueSystem):
+    def __init__(self, cliques: CliqueSystem, alpha: float = RELAXATION):
         h, w, side = cliques.shape.height, cliques.shape.width, cliques.side
         n = h * w
-        self.side, self.grid = side, (h, w)
+        self.side, self.grid, self.alpha = side, (h, w), alpha
         self.buffer = np.zeros(side * side * n + (side - 1) * (w + 1))
         self.r = self.buffer[:side * side * n].reshape(-1, n)
         self.scale = np.empty((side, side, h // side, w // side))
@@ -331,12 +344,8 @@ class _TileStack:
                                strides=(step * (side * n + w), step * (n + 1), step * side * w,
                                         step * w, step))
         self.tiles = [tile or (0, 0, 0, 0) for tile in cliques.tiles]
-        # per copy row, each copy's own tiles in r and where their scales
-        # sit in the row's scales repeated along the columns
-        self.copies = [[] for _ in range(side)]
-        for ri, (a, b, th, tw) in zip(self.r, self.tiles):
-            self.copies[a].append((self.tiles_of(ri, (a, b, th, tw)),
-                                   (b, slice(th), None, slice(tw * side))))
+        # each copy's own tiles in r
+        self.copies = [(self.tiles_of(ri, tile), tile) for ri, tile in zip(self.r, self.tiles)]
 
     def tiles_of(self, vec: np.ndarray, tile: tuple) -> np.ndarray:
         """The clique tiles of the copy ``tile = (a, b, nh, nw)`` in the
@@ -344,6 +353,17 @@ class _TileStack:
         (a, b, th, tw), side = tile, self.side
         grid = vec.reshape(self.grid)
         return grid[a:a + th * side, b:b + tw * side].reshape(th, side, tw * side)
+
+    def repeated(self, factors: np.ndarray, tile: tuple) -> np.ndarray:
+        """The entries of the ``(side, side, H//side, W//side)`` array
+        ``factors`` that belong to the copy ``tile``, repeated along its
+        tiles' columns: ``(nh, 1, nw*side)``, which broadcasts over the tile
+        rows of :meth:`tiles_of`."""
+        a, b, th, tw = tile
+        # repeated, the factors run along whole tile rows; broadcast over
+        # each tile's side columns instead, NumPy loops over runs of side
+        # entries, and the product took twice as long or more
+        return factors[a, b, :th, None, :tw].repeat(self.side, axis=-1)
 
     def norms(self) -> None:
         """Set :attr:`scale` to the norm of every tile of every row of
@@ -357,27 +377,57 @@ class _TileStack:
                       self._ones, out=row_scales.reshape(-1))
         np.sqrt(self.scale, out=self.scale)
 
-    def scale_tiles(self) -> None:
+    def scale_tiles(self, factors: Optional[np.ndarray] = None) -> None:
         """Multiply each clique tile of each row of :attr:`r` in place by its
-        entry of :attr:`scale`; no other entry of the buffer changes."""
-        for row_scales, copies in zip(self.scale, self.copies):
-            # repeated, the factors run along whole tile rows; broadcast over
-            # each tile's side columns instead, NumPy loops over runs of side
-            # entries, and the product took twice as long or more
-            factors = row_scales.repeat(self.side, axis=-1)
-            for tile, cut in copies:
-                tile *= factors[cut]
-            del factors  # one row's factors alive at a time
+        entry of ``factors`` (default :attr:`scale`); no other entry of the
+        buffer changes.  The factors are repeated a copy at a time, so at most
+        ``n/side`` of them are alive at once."""
+        factors = self.scale if factors is None else factors
+        for tiles, tile in self.copies:
+            tiles *= self.repeated(factors, tile)
 
-    def primal_sq(self, x: np.ndarray, alpha: float, work: np.ndarray) -> float:
+    def r_of(self, qi: np.ndarray, tile: tuple, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``r = (alpha - 1) g q`` of the copy ``tile`` from its ``q``, in
+        ``out``: the map an iteration applies."""
+        np.multiply(qi, self.alpha - 1.0, out=out)
+        tiles = self.tiles_of(out, tile)
+        tiles *= self.repeated(g, tile)
+        return out
+
+    def q_of(self, ri: np.ndarray, tile: tuple, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``q = r / ((alpha - 1) g)`` of the copy ``tile`` from its ``r``, in
+        ``out``; ``Z = r + q`` and ``U = r + (1 - alpha) q``."""
+        np.divide(ri, self.alpha - 1.0, out=out)
+        tiles = self.tiles_of(out, tile)
+        tiles /= self.repeated(g, tile)
+        return out
+
+    def dual_factors(self, g: np.ndarray, f: float) -> np.ndarray:
+        """In place, the scales ``g`` become the factors that take each tile
+        of ``r`` to ``f*U = f*(r + (1 - alpha) q)``, which is ``f(1 - 1/g) r``;
+        off the tiles ``U = 0``."""
+        np.divide(-f, g, out=g)
+        g += f
+        return g
+
+    def rescale_factors(self, g: np.ndarray, f: float) -> np.ndarray:
+        """In place, the scales ``g`` become the factors that take each tile
+        of ``r`` to the ``r`` of ``(f*U, Z)``, the duals rescaled to a penalty
+        ``rho/f``: ``(f*U - (1 - alpha) Z)/alpha`` with ``U`` and ``Z``
+        recovered from ``r`` is ``(f + alpha - 1 + (1 - f)/g) r / alpha``.
+        Off the tiles ``U = 0`` and ``r`` stays."""
+        alpha = self.alpha
+        np.divide((1.0 - f) / alpha, g, out=g)
+        g += (f + alpha - 1.0) / alpha
+        return g
+
+    def primal_sq(self, x: np.ndarray, work: np.ndarray) -> float:
         """``||Z - 1 x^T||_F^2`` for ``Z = r + q``, the rows of :attr:`r`
-        holding ``q`` and ``r = (alpha - 1) q`` with each tile scaled by its
-        entry of :attr:`scale`, a copy at a time through ``work``."""
+        holding ``q``, with ``r`` recovered from the scales in :attr:`scale`,
+        a copy at a time through ``work``."""
         total = 0.0
-        for qi, (a, b, th, tw) in zip(self.r, self.tiles):
-            np.multiply(qi, alpha - 1.0, out=work)
-            tiles = self.tiles_of(work, (a, b, th, tw))
-            tiles *= self.scale[a, b, :th, None, :tw].repeat(self.side, axis=-1)
+        for qi, tile in zip(self.r, self.tiles):
+            self.r_of(qi, tile, self.scale, work)
             work += qi
             work -= x
             total += float(work @ work)
@@ -493,21 +543,22 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
         return ProxResult(np.zeros(shape), report, u=_screened_duals(v, side, rho))
 
     alpha = RELAXATION
-    stack = _TileStack(cliques)
+    stack = _TileStack(cliques, alpha)
     r, scale = stack.r, stack.scale
     # the carried dual r = (U - (1 - alpha) Z) / alpha, with U = 0 and Z = v
     # at the start, makes the relaxed z-update point
     # w = alpha*x + (1 - alpha) Z - U = alpha * (x - r)
     np.multiply(vflat, (alpha - 1.0) / alpha, out=r)
     rbar = r[0].copy()  # mean(r)
-    x = vflat.copy()
-    work = np.empty(n)
+    x = np.empty(n)
+    zbar = vflat.copy()
+    # the scratch vector, which holds ubar from the end of one iteration to
+    # the x-update of the next
+    work = np.zeros(n)
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
-    zbar = x.copy()
-    ubar = np.zeros(n)
     gap_floor = cfg.tol_abs * v_sq
     # per unit of the magnitudes summed, a bound on the computed gap's
     # rounding error, which the support stop adds to the gap
@@ -525,16 +576,29 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
             rs = rho * s
             c = rs / (2.0 + rs)
             cv = 2.0 / (2.0 + rs)
-            # x = (2v + rs*(zbar + ubar)) / (2 + rs)
-            np.add(zbar, ubar, out=x)
+            # x = (2v + rs*(zbar + ubar)) / (2 + rs), ubar in the scratch vector
+            np.add(zbar, work, out=x)
             x *= c
             # cv*v is formed in the scratch vector each time rather than kept:
             # one n-vector fewer
             x += np.multiply(vflat, cv, out=work)
             balance = k == next_check
             checked = balance or (k - 1) % stride == 0 or k == cfg.max_iters
+            if checked:
+                # P = ||x - v||^2 + lam * J(x), both through the scratch
+                # vector before it holds this iteration's means, so the
+                # clique norms add only their window sum's row and column
+                # passes and result to the solve's state
+                np.subtract(x, vflat, out=work)
+                primal = float(work @ work)
+                np.multiply(x, x, out=work)
+                primal += cfg.lam * float(smoothed_clique_norms(work.reshape(shape), side,
+                                                                0.0).sum())
 
-            np.subtract(x, r, out=r)  # q = w / alpha
+            for ri in r:
+                # q = w / alpha, a row at a time: x broadcast over the whole
+                # stack would take a ufunc buffer
+                np.subtract(x, ri, out=ri)
             # Z = shrink(alpha*q) scales each tile of alpha*q by
             # c = max(1 - tau/(alpha*||q_tile||), 0), so r = Z - q is
             # (alpha*c - 1) q on the tiles and (alpha - 1) q off them: r times
@@ -549,7 +613,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 # g = 0 would lose the q that a rescale or U reads
                 scale[scale == 0.0] = np.finfo(float).eps
             if balance:
-                primal_sq = stack.primal_sq(x, alpha, work)  # rp^2 = ||Z - 1 x^T||_F^2
+                primal_sq = stack.primal_sq(x, work)  # rp^2 = ||Z - 1 x^T||_F^2
             np.subtract(x, rbar, out=work)  # mean(q), with the previous mean(r)
             r *= alpha - 1.0
             stack.scale_tiles()
@@ -562,17 +626,10 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 zbar_step = np.sqrt(s) * float(np.sqrt(zbar @ zbar))  # rd / rho
             np.add(rbar, work, out=zbar)
             work *= alpha
-            np.subtract(zbar, work, out=ubar)
+            ubar = np.subtract(zbar, work, out=work)
             if not checked:
                 continue
 
-            # P = ||x - v||^2 + lam * J(x), both through the scratch vector,
-            # so the clique norms add only their window sum's row and
-            # column passes and result to the solve's state
-            np.subtract(x, vflat, out=work)
-            primal = float(work @ work)
-            np.multiply(x, x, out=work)
-            primal += cfg.lam * float(smoothed_clique_norms(work.reshape(shape), side, 0.0).sum())
             # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
             dual_lin = -rs * float(ubar @ vflat)
             dual_quad = 0.25 * rs * rs * float(ubar @ ubar)
@@ -588,14 +645,16 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 reason = "converged"
             elif support_tol is not None:
                 # the radius from both sides of the gap (module docstring),
-                # with xt - x = v + (rs/2)*ubar - x in the scratch vector
-                np.multiply(ubar, 0.5 * rs, out=work)
-                work += vflat
-                work -= x
+                # from xt - x = v + (rs/2)*ubar - x, the one vector a
+                # checked iteration allocates beyond the window sum's
+                dist = np.multiply(ubar, 0.5 * rs)
+                dist += vflat
+                dist -= x
                 radius = _support_radius(
-                    float(np.sqrt(work @ work)),
+                    float(np.sqrt(dist @ dist)),
                     gap + roundoff * (primal + abs(dual_lin) + dual_quad))
-                if radius <= support_tol * float(np.abs(x).max()):
+                del dist
+                if radius <= support_tol * max(float(x.max()), -float(x.min())):
                     reason = "support-certified"
             final = reason != "max-iterations" or k == cfg.max_iters
 
@@ -614,20 +673,12 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 rho /= f
                 rho_changes += 1
                 ubar *= f
-            if final or f != 1.0:
-                # on the tiles U = f*alpha(c - 1)/(alpha*c - 1) r, which is
-                # f(1 - 1/g) r, and with Z kept the rescaled r is
-                # (f + (f - 1)(1 - alpha)c/(alpha*c - 1)) r, which is
-                # (f + alpha - 1 + (1 - f)/g) r / alpha; off the tiles U = 0
-                # and r stays
-                top, add = (-f, f) if final else ((1.0 - f) / alpha, (f + alpha - 1.0) / alpha)
-                np.divide(top, scale, out=scale)
-                scale += add
-                stack.scale_tiles()
             if final:
+                stack.scale_tiles(stack.dual_factors(scale, f))  # r becomes U
                 stack.clear_off_tiles()
                 break
             if f != 1.0:
+                stack.scale_tiles(stack.rescale_factors(scale, f))
                 np.add.reduce(r, axis=0, out=rbar)
                 rbar /= s
 

@@ -387,14 +387,15 @@ def assert_one_copy_stack(side, extent, support_tol=None):
 
 
 def test_prox_holds_one_copy_stack():
-    # the working vectors peak at 10.54 n here (NumPy 2.4), of which NumPy's
-    # ufunc buffer of 8,192 entries in the products that broadcast is 3.6 n
+    # the working vectors peak at 8.45 n here (NumPy 2.4): four resident
+    # n-vectors, the tile scales and the gap's window sum.  No product
+    # broadcasts an n-vector over the stack, which took NumPy's ufunc buffer
+    # of 8,192 entries (3.6 n here)
     assert_one_copy_stack(6, 48)
 
 
 def test_prox_holds_one_copy_stack_at_side_8():
-    # the working vectors peak at 10.41 n here (NumPy 2.4), of which the
-    # ufunc buffer is 2 n
+    # the working vectors peak at 8.30 n here (NumPy 2.4)
     assert_one_copy_stack(8, 64)
 
 
