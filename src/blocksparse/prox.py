@@ -60,60 +60,86 @@ and ``(alpha - 1) q`` off the tiles.  An iteration therefore sets
 ``r = x - r``, which is ``q``, takes the tile norms, multiplies ``r`` by
 ``alpha - 1`` and then each tile by ``g = (alpha*c - 1)/(alpha - 1)``, all
 in place.  Since
-``Z = r + q``, ``zbar = mean(r) + mean(q)`` with ``mean(q) = x - mean(r)`` of
-the previous iteration, and ``ubar = mean(Z - w) = zbar - alpha*mean(q)``:
-one reduction of the stack per iteration, and ``mean(r)`` is kept as an
-n-vector.
+``Z = r + q`` and ``U = r + (1 - alpha) q``, the x-update reads
+``zbar + ubar = 2 mean(r) + (2 - alpha) mean(q)``, with
+``mean(q) = x - mean(r)`` of the previous iteration: one reduction of the
+stack per iteration, and ``mean(r)`` and ``mean(q)`` are kept as n-vectors.
 
-``(q, Z, U)`` is recovered from ``r`` and the kept scales where a check
-needs it (:class:`_TileStack`): on a tile ``q = r/((alpha - 1) g)``, and
-with it ``Z = r + q`` and ``U = r + (1 - alpha) q = (1 - 1/g) r``; off the
-tiles ``g`` counts as 1 and ``U = 0``.  One step back,
+``(q, Z, U)`` is recovered from ``r`` and the kept scales where the penalty
+or the end needs it (:class:`_TileStack`): on a tile ``q = r/((alpha - 1) g)``,
+and with it ``Z = r + q`` and ``U = r + (1 - alpha) q = (1 - 1/g) r``; off
+the tiles ``g`` counts as 1 and ``U = 0``.  One step back,
 ``r_{j-1} = x_j - q_j``.  A tile with ``alpha*c = 1`` has ``r = 0`` and has
-lost ``q``, so a checked iteration (below) sets every ``g`` that rounds to
-exactly 0 to ``eps``: ``r = (alpha - 1)*eps*q`` there, a move of at most
-``eps*|q|``.  A balancing check's primal residual is summed from ``q`` before
-``r`` is scaled, a copy of ``Z`` at a time in the scratch vector.  ``U`` is
-formed once, at the end, in the place of ``r``.  So beyond its input a solve
-holds the ``s*n`` entries of ``r`` and the tail, the
-``(side, side, H//side, W//side)`` scales and four working n-vectors:
-``x``, ``zbar``, ``mean(r)`` and a scratch vector, which carries ``ubar``
-from the end of one iteration to the x-update of the next.
+lost ``q``, so every iteration sets each ``g`` that rounds to exactly 0 to
+``eps``: ``r = (alpha - 1)*eps*q`` there, a move of at most ``eps*|q|``.
+``U`` is formed once, at the end, in the place of ``r``.  So beyond its
+input a solve holds the ``s*n`` entries of ``r`` and the tail, three arrays
+of ``(side, side, H//side, W//side)`` tile scales (about ``n`` entries each)
+and four working n-vectors: ``x``, the last iteration's ``x``, ``mean(r)``
+and a scratch vector, which carries ``mean(q)`` from the end of one
+iteration to the x-update of the next.  An estimate of the penalty (below)
+allocates three n-vectors more, and a checked iteration one.
 
 **Adaptive penalty.**  Every solve starts at ``x = v``, ``z^i = v``,
 ``u^i = 0`` and ``rho0 = 1 + RHO_START_WEIGHT*lam/max|v|`` (1 when ``v = 0``),
-so its path depends on its input ``(v, lam)`` alone.  ``rho`` is then
-balanced by residuals (Boyd et al. 2011, section 3.4.1), which leaves its
-start free.  At iterations ``BALANCE_FIRST * 2**j`` (10, 20, 40, ...), after
-the stop tests, the loop
-compares the primal residual ``rp = ||Z - 1 x^T||_F``, summed a copy at a
-time, with the dual residual
-``rd = rho*sqrt(s)*||zbar_k - zbar_{k-1}||``.  Both live in the ``s x n``
-stack space: ``rd`` is ``rho*||1 (zbar_k - zbar_{k-1})^T||_F``, the step of
-the mean spread over the ``s`` copies.  It is not Boyd et al.'s dual
-residual for this splitting: with ``x`` the first block and ``Z`` the
-second, theirs is ``rho*s*(zbar_k - zbar_{k-1})`` in the ``n``-space, of
-norm ``sqrt(s)`` times ``rd``, and it raises ``rho`` less readily.  The
-stack-space form was chosen by measurement (constants below).  If
-``rp > BALANCE_RATIO*rd``, ``rho`` is multiplied by ``BALANCE_FACTOR``; if
-``rd > BALANCE_RATIO*rp``, it is divided by it.  Where both ``rp`` and
-``rd/rho`` are at most ``1024*s*eps*sqrt(s*n)*max|v|`` they are rounding
-error of a converged solve, not an imbalance, and ``rho`` stays.  A change
-by ``f = rho_old/rho_new`` scales the scaled duals to ``f*U`` and keeps
-``Z``, which in the loop's variables multiplies each tile of ``r`` by
-``f + (f - 1)(1 - alpha)c/(alpha*c - 1)``, leaves ``r`` off the tiles, where
-``U = 0``, sets ``ubar = f*ubar`` and takes ``mean(r)`` anew; ``tau``,
-``s*rho`` and the x-update's weights follow the new ``rho``.  The doubling
-schedule allows at most ``floor(log2(max_iters/BALANCE_FIRST)) + 1`` changes, so ``rho`` is fixed
-after the last check and the fixed-penalty convergence theory applies from
-there (He, Yang & Wang 2000, *Alternating direction method with
+so its path depends on its input ``(v, lam)`` alone.  At every
+``SPECTRAL_STRIDE``-th iteration ``k``, after the stop tests, ``rho`` is set
+by spectral penalty selection (Xu, Figueiredo & Goldstein 2017, *Adaptive
+ADMM with spectral penalty parameter selection*; Xu, Figueiredo, Yuan, Studer
+& Goldstein 2017, *Adaptive relaxed ADMM*).  For the constraint
+``1 x^T - Z = 0`` the multiplier is ``lam_k = rho*U_k``, and ``-lam_k`` is a
+subgradient of the penalty at ``Z_k``, so ``dZ = Z_k - Z_{k-2}`` and
+``dlam = lam_k - lam_{k-2}`` sample its curvature.  With ``dG = -dZ`` the
+steepest-descent step ``||dlam||^2/<dG, dlam>`` and the minimum-gradient
+step ``<dG, dlam>/||dG||^2`` give the hybrid ``beta``: the latter where it
+exceeds half the former, else the former less half the latter.  ``rho``
+moves to the power of two nearest ``beta``, as a multiple of ``rho``, when
+the correlation ``<dG, dlam>/(||dG|| ||dlam||)`` exceeds
+``SPECTRAL_MIN_CORRELATION`` and neither ``||dZ||`` nor ``||dU||`` is below
+``SPECTRAL_NOISE*sqrt(s)*||v||``, the rounding noise of their recovery.
+Only this ``beta`` of the two dual curvatures is estimated.  The other,
+``alpha``, would come from the x-update's multipliers
+``lamhat_k = rho*(U_{k-1} + Z_{k-1} - 1 x_k^T)``; the x-update makes
+``sum_i lamhat_k^i = 2(x_k - v)``, so its minimum-gradient estimate is
+``2/s`` on every solve, but its steepest-descent estimate needs the stack
+three iterations back, two more scale arrays and an ``x`` more, which
+does not fit beside one stack in ``s*n + 12n``.
+
+The products are streamed a copy at a time from ``r_k``: ``q_k``, one step
+back to ``r_{k-1}`` and ``q_{k-1}``, and one more to ``r_{k-2}`` and
+``q_{k-2}``, from the scales of the last three iterations and the last
+``x``; no ``Z`` or ``U`` stack is formed.  ``SPECTRAL_STRIDE >= 3`` keeps
+every change of ``rho`` outside that window.  The same stream sums the
+primal residual ``rp = ||Z_k - 1 x_k^T||_F``.  Where the correlation test
+fails, ``rho`` falls back on residual balancing (Boyd et al. 2011, section
+3.4.1) against ``rd = rho*sqrt(s)*||zbar_k - zbar_{k-1}||``, the step of the
+mean spread over the ``s`` copies in the stack space: it gives a verdict of
+``BALANCE_FACTOR`` up where ``rp > BALANCE_RATIO*rd``, down where
+``rd > BALANCE_RATIO*rp``, and none otherwise, and the verdict is taken only
+where the last estimate gave the same one, since balancing at every estimate
+made ``rho`` oscillate.  Where both ``rp`` and ``rd/rho`` are at most
+``1024*s*eps*sqrt(s*n)*max|v|`` they are rounding error of a converged
+solve, and ``rho`` stays.
+
+Every change is a power of two, at most ``1 + SPECTRAL_SAFEGUARD/k**2``
+(Xu et al.'s safeguard), so none comes after iteration
+``sqrt(SPECTRAL_SAFEGUARD)``, and ``rho`` stays within ``RHO_OCTAVES`` powers
+of two of ``rho0``.  So the changes are finitely many and bounded, ``rho`` is
+fixed after the last one, and the fixed-penalty convergence theory applies
+from there (He, Yang & Wang 2000, *Alternating direction method with
 self-adaptive penalty parameters for monotone variational inequalities*).
-Both residuals scale with the data and ``rho0`` depends only on
-``lam/max|v|``, so ``(c*v, c*lam)`` follows ``c`` times the path of
-``(v, lam)`` and makes the same balancing decisions.  The multiplier
-``-rho*U`` is unchanged by the rescale, so the certificate below holds at
-every iteration with the ``rho`` its z-update used, and the ``rho`` reported
-is the final one, to be paired with the final ``u``.
+A change by ``f = rho_old/rho_new`` scales the scaled duals to ``f*U`` and
+keeps ``Z``, which in the loop's variables multiplies each tile of ``r`` by
+``f + (f - 1)(1 - alpha)c/(alpha*c - 1)``, leaves ``r`` off the tiles, where
+``U = 0``, and takes ``mean(r)`` anew, with ``mean(q) = zbar - mean(r)``;
+``tau``, ``s*rho`` and the x-update's weights follow the new ``rho``.  The
+estimates, both residuals and their floors scale with the data, ``rho0``
+depends only on ``lam/max|v|`` and a change by a power of two is exact, so
+``(c*v, c*lam)`` follows ``c`` times the path of ``(v, lam)`` and makes the
+same changes.  The multiplier ``-rho*U`` is unchanged by the rescale, so the
+certificate below holds at every iteration with the ``rho`` its z-update
+used, and the ``rho`` reported is the final one, to be paired with the final
+``u``.
 
 **Duality-gap certificate.**  The prox has the dual
 ``max_g <g, v> - ||g||^2/4`` over ``g = sum_c P_c^T w_c`` with every
@@ -136,17 +162,17 @@ The gap is needed only to decide when to stop (Boyd et al. 2011, section
 3.3), and at CoLaMP's size (32x32, side 2) evaluating it took 23% of an
 iteration.  So ``P``, ``D``, the gap and both stop tests below
 are evaluated only at the checked iterations: iteration 1, every
-``GAP_STRIDE``-th after it (``k = 1 mod GAP_STRIDE``), every balancing
-check and the last iteration ``max_iters`` allows.  ``P`` is evaluated
-right after the x-update, in the scratch vector, and the rest reads ``x``
-and ``ubar``, so apart from the zero guard of ``g`` above the iterates are
-those of a solve that checks
-every iteration.  The solve stops at the first checked
+``GAP_STRIDE``-th after it (``k = 1 mod GAP_STRIDE``) and the last
+iteration ``max_iters`` allows.  ``P`` is evaluated right after the
+x-update, in the scratch vector, and ``D`` from ``ubar`` formed in one
+allocated n-vector, so the iterates are those of a solve that checks every
+iteration.  The solve stops at the first checked
 iteration whose gap passes, never before the first iteration whose gap
 would pass, and every stop is decided by the gap computed exactly at the
 iteration it ends on.  The gap is not monotone (below), so a stop can come
-more than ``GAP_STRIDE - 1`` iterations late: in CoLaMP's calls on the
-cs-colamp benchmark's problems (seed 0) 27 of 55 calls stopped 5 to 11
+more than ``GAP_STRIDE - 1`` iterations late: with residual balancing at
+iterations 10, 20, 40, ..., in CoLaMP's calls on the cs-colamp benchmark's
+problems (seed 0) 27 of 55 calls stopped 5 to 11
 iterations later than a solve checking every iteration; 14 of them passed
 their support test at iteration 22 and failed it at 25.
 
@@ -192,7 +218,7 @@ is largest, ``sqrt(G)``, at ``d = sqrt(G)``, and it is ``sqrt(G/2)`` at
 (Ndiaye, Fercoq, Gramfort & Salmon 2017, *Gap Safe screening rules for
 sparsity enforcing penalties*).  On the cs-colamp benchmark's problems
 (seed 0) CoLaMP's prox calls took 10,746 iterations against the one-sided
-bound's 14,537.  The allowance ``e = n*eps*(P + |<g, v>| + ||g||^2/4)``
+bound's 14,537, with residual balancing at iterations 10, 20, 40, ....  The allowance ``e = n*eps*(P + |<g, v>| + ||g||^2/4)``
 stands for the rounding error of the computed gap: where ``x* = 0`` and
 ``x`` is solver residue, roundoff can make the computed ``P - D`` zero, and
 without ``e`` that residue would pass as support (``v`` one spike, ``lam``
@@ -233,17 +259,20 @@ from .regularizer import smoothed_clique_norms
 RELAXATION = 1.8
 
 # The duality gap and the stop tests run at iteration 1, every GAP_STRIDE-th
-# iteration after it, every balancing check and the cap (module docstring).
-# On the cs-colamp benchmark's problems (seed 0) CoLaMP's prox calls take
-# 10,493 iterations checked at every one and 10,746 at stride 4.  Measured
-# with the earlier one-sided support stop: 14,252 and 14,537 iterations, and
-# the time per iteration fell from 0.136 to 0.108 ms (traced, one BLAS
-# thread); on cs-colamp seeds 0-2, strides 2, 4 and 8 took 42,532, 43,140 and
-# 43,372 iterations against 42,477, and recovered the same problems.
+# iteration after it and the cap (module docstring).  Measured before the
+# spectral penalty, with residual balancing at iterations 10, 20, 40, ...: on
+# the cs-colamp benchmark's problems (seed 0) CoLaMP's prox calls took 10,493
+# iterations checked at every one and 10,746 at stride 4; with the earlier
+# one-sided support stop, 14,252 and 14,537 iterations, and the time per
+# iteration fell from 0.136 to 0.108 ms (traced, one BLAS thread); on
+# cs-colamp seeds 0-2, strides 2, 4 and 8 took 42,532, 43,140 and 43,372
+# iterations against 42,477, and recovered the same problems.
 GAP_STRIDE = 4
 
 # Starting penalty rho0 = 1 + RHO_START_WEIGHT*lam/max|v| (1 when v = 0), the
-# same for (c*v, c*lam) at every c > 0.  With the benchmark's generators, one
+# same for (c*v, c*lam) at every c > 0.  Measured before the spectral
+# penalty, with residual balancing at iterations 10, 20, 40, ...: with the
+# benchmark's generators, one
 # BLAS thread and the gap checked at every iteration, weights 1, 2, 4 and 8
 # took 900, 840, 774 and 877 prox iterations on prox-denoise seeds 0-3;
 # 44,226, 42,477, 39,883 and 41,626 in CoLaMP's calls on cs-colamp seeds 0-2;
@@ -253,16 +282,58 @@ GAP_STRIDE = 4
 # termination it had with the start lam + 1.
 RHO_START_WEIGHT = 2.0
 
-# Residual balancing of rho (module docstring): checked at iterations
-# BALANCE_FIRST, 2*BALANCE_FIRST, 4*BALANCE_FIRST, ..., rho is multiplied or
-# divided by BALANCE_FACTOR when one residual exceeds BALANCE_RATIO times the
-# other.  On the cs-colamp benchmark's problems (seed 0), with the gap checked
-# at every iteration, CoLaMP's prox calls took 28,486 iterations at a fixed
-# rho, 23,456 at Boyd et al.'s ratio 10 and 17,124 at ratio 2.  With Boyd et
-# al.'s n-space dual residual rho*s*||zbar_k - zbar_{k-1}|| in place of the
-# stack-space one they took 20,224, and prox-denoise's seed-0 side-4 lam-0.2
-# case took 169 iterations against 112 (120 at a fixed rho).
-BALANCE_FIRST = 10
+# Spectral penalty selection (module docstring).  Counts are prox
+# iterations on the benchmark's prox-denoise seeds 0-7 and in CoLaMP's calls
+# on cs-colamp seeds 0-3 (42,309 there with residual balancing at iterations
+# 10, 20, 40, ...); times are alternating in-process rounds, one BLAS thread,
+# on a 2-core host.
+#
+# Every SPECTRAL_STRIDE-th iteration rho is estimated.  Strides 2, 3, 4 and 6
+# took 1,072, 1,160, 1,080 and 1,296 and 11,558, 10,262, 15,590 and 14,666
+# iterations.  At stride 2 the stream cost about two iterations per estimate
+# at 128x128 and made prox-denoise's rounds 1.1-1.5 times the balancing
+# rule's; stride 3 had the fastest cs-colamp rounds.  The stream needs a
+# stride of at least 3 (module docstring).
+SPECTRAL_STRIDE = 3
+# The estimate counts where the correlation of -dZ and dlam exceeds this.
+# At stride 2, before the octave range and the fallback's second verdict,
+# 0.1, 0.15 and 0.2 took 1,060, 1,156 and 1,544 and 13,978, 12,886 and
+# 13,970 iterations; at 0.05 a prox-denoise call ran to its 1,000-iteration
+# cap.
+SPECTRAL_MIN_CORRELATION = 0.15
+# A change at iteration k is at most a factor 1 + SPECTRAL_SAFEGUARD/k**2, so
+# none comes after iteration 1,000.  In the runs above 1e6 and 1e10 took the
+# same 1,156 and 12,886 iterations and 1e5 took 1,164 and 12,902; at 1e4 rho
+# froze at iteration 100 on a poor value and a prox-denoise call ran to its
+# cap.
+SPECTRAL_SAFEGUARD = 1e6
+# Steps of Z or U below SPECTRAL_NOISE*sqrt(s)*||v|| count as the rounding
+# noise of their recovery from the stack, which divides by the kept scales.
+# Without it a 1x1 problem at lam 3.25 changed rho by a different power of
+# two at v and at 3v for 61 of 2,002 values of v, as its steps of U fell to
+# rounding; the counts above did not move.
+SPECTRAL_NOISE = 1e-8
+# rho stays within RHO_OCTAVES powers of two of rho0.  6, 8, 10, 12 and 16
+# took 484, 496, 528, 556 and 592 iterations on prox-denoise seeds 0-3 and
+# 11,353, 7,293, 5,817, 5,973 and 6,161 on cs-colamp seeds 0-1, at stride 2.
+# At 12 and 16 a 6x9 side-4 solve at lam 0.1 reached rho = 2,290 and a
+# computed gap of -4.5e-10 against ||v||^2 = 30: the rounding of the dual
+# point grows with rho.
+RHO_OCTAVES = 10
+
+# Residual balancing, the fallback where the correlation test fails: rho is
+# multiplied or divided by BALANCE_FACTOR when one residual exceeds
+# BALANCE_RATIO times the other at two estimates in a row.  Taken at every
+# estimate instead, at stride 2, it made rho oscillate: a 12x13 side-6 solve
+# at lam 10 kept a relative gap of 0.12 after 300 iterations, against 3e-8
+# with the second verdict.  On the cs-colamp benchmark's problems (seed
+# 0), measured before the spectral rule with the gap checked at every
+# iteration and balancing at iterations 10, 20, 40, ..., CoLaMP's prox calls
+# took 28,486 iterations at a fixed rho, 23,456 at Boyd et al.'s ratio 10 and
+# 17,124 at ratio 2.  With Boyd et al.'s n-space dual residual
+# rho*s*||zbar_k - zbar_{k-1}|| in place of the stack-space one they took
+# 20,224, and prox-denoise's seed-0 side-4 lam-0.2 case took 169 iterations
+# against 112 (120 at a fixed rho).
 BALANCE_RATIO = 2.0
 BALANCE_FACTOR = 2.0
 
@@ -272,11 +343,19 @@ class ProxConfig:
     """Weight and ADMM controls for :func:`prox_block_norm`.
 
     The ADMM penalty is not a setting: it starts at ``rho0`` of the module
-    docstring, from ``lam`` and ``max|v|``, and is balanced by residuals.  The
-    final penalty is ``report.extra["rho"]`` and the number of changes
-    ``report.extra["rho_changes"]``.  The solve stops at the first checked
-    iteration (iteration 1, every ``GAP_STRIDE``-th after it, each balancing
-    check and the cap) whose duality gap ``P - D`` of the module docstring
+    docstring, from ``lam`` and ``max|v|``, and every ``SPECTRAL_STRIDE``-th
+    iteration moves by a power of two to the spectral estimate of the
+    penalty's curvature, streamed from the one stack of duals, or, where
+    that estimate's correlation test fails, by residual balancing.  Every
+    change is at most ``1 + SPECTRAL_SAFEGUARD/k**2`` at iteration ``k`` and
+    ``rho`` stays within ``RHO_OCTAVES`` powers of two of ``rho0``, so the
+    changes are finitely many and the fixed-penalty convergence theory
+    applies after the last.  The final penalty is ``report.extra["rho"]``;
+    ``report.extra["rho_spectral"]`` and ``report.extra["rho_fallback"]``
+    count the changes each rule made, and ``report.extra["rho_changes"]``
+    their sum.  The solve stops at the first checked iteration (iteration 1,
+    every ``GAP_STRIDE``-th after it and the cap) whose duality gap ``P - D``
+    of the module docstring
     is at most ``tol_rel*P + tol_abs*||v||^2``: ``P`` is the prox objective
     at the current ``x`` and ``D`` the dual value of ``g = -rho * sum_i u^i``,
     which the z-update keeps feasible.  ``tol_abs = tol_rel = 0`` disables
@@ -386,20 +465,33 @@ class _TileStack:
         for tiles, tile in self.copies:
             tiles *= self.repeated(factors, tile)
 
-    def r_of(self, qi: np.ndarray, tile: tuple, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``r = (alpha - 1) g q`` of the copy ``tile`` from its ``q``, in
-        ``out``: the map an iteration applies."""
-        np.multiply(qi, self.alpha - 1.0, out=out)
-        tiles = self.tiles_of(out, tile)
-        tiles *= self.repeated(g, tile)
-        return out
+    def tile_rows(self, vec: np.ndarray, tile: tuple) -> list:
+        """The rows of the clique tiles of the copy ``tile`` in the n-vector
+        ``vec``: ``side`` views of shape ``(nh, nw*side)``, row ``j`` of
+        every tile, which a copy's factors scale without broadcasting: over
+        the tile rows NumPy's ufunc would buffer up to 8,192 entries."""
+        tiles = self.tiles_of(vec, tile)
+        return [tiles[:, j] for j in range(self.side)]
 
-    def q_of(self, ri: np.ndarray, tile: tuple, g: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``q = r / ((alpha - 1) g)`` of the copy ``tile`` from its ``r``, in
-        ``out``; ``Z = r + q`` and ``U = r + (1 - alpha) q``."""
-        np.divide(ri, self.alpha - 1.0, out=out)
-        tiles = self.tiles_of(out, tile)
-        tiles /= self.repeated(g, tile)
+    def q_of(self, ri: np.ndarray, g: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+        """``q = r / ((alpha - 1) g)`` of copy ``i`` from its ``r``, in
+        ``out``, which may be ``ri``; ``Z = r + q`` and
+        ``U = r + (1 - alpha) q``.  Off the tiles ``g`` counts as 1."""
+        a, b, th, tw = tile = self.tiles[i]
+        inverse = np.reciprocal(g[a, b, :th, :tw])
+        inverse *= 1.0 / (self.alpha - 1.0)
+        inverse = inverse.repeat(self.side, axis=-1)
+        for src, dst in zip(self.tile_rows(ri, tile), self.tile_rows(out, tile)):
+            np.multiply(src, inverse, out=dst)
+        # the pixels outside the tiles: the rows above and below them, and
+        # beside them to the left and right
+        (h, w), bottom, right = self.grid, a + th * self.side, b + tw * self.side
+        src, dst = ri.reshape(self.grid), out.reshape(self.grid)
+        for (top, low), (left, high) in (((0, a), (0, w)), ((bottom, h), (0, w)),
+                                         ((a, bottom), (0, b)), ((a, bottom), (right, w))):
+            if top < low and left < high:
+                np.multiply(src[top:low, left:high], 1.0 / (self.alpha - 1.0),
+                            out=dst[top:low, left:high])
         return out
 
     def dual_factors(self, g: np.ndarray, f: float) -> np.ndarray:
@@ -421,17 +513,39 @@ class _TileStack:
         g += (f + alpha - 1.0) / alpha
         return g
 
-    def primal_sq(self, x: np.ndarray, work: np.ndarray) -> float:
-        """``||Z - 1 x^T||_F^2`` for ``Z = r + q``, the rows of :attr:`r`
-        holding ``q``, with ``r`` recovered from the scales in :attr:`scale`,
-        a copy at a time through ``work``."""
-        total = 0.0
-        for qi, tile in zip(self.r, self.tiles):
-            self.r_of(qi, tile, self.scale, work)
-            work += qi
-            work -= x
-            total += float(work @ work)
-        return total
+    def spectral_products(self, x: np.ndarray, x_prev: np.ndarray, scales: list,
+                          work: np.ndarray) -> tuple:
+        """``(||Z_k - 1 x_k^T||^2, ||dZ||^2, <dZ, dU>, ||dU||^2)`` for
+        ``dZ = Z_k - Z_{k-2}`` and ``dU = U_k - U_{k-2}``, both ``U`` at the
+        current penalty, streamed a copy at a time from the stack, which
+        holds ``r_k``, the current and last ``x`` and the kept scales
+        ``(g_k, g_{k-1}, g_{k-2})``: ``q_k`` from ``r_k``, one step back to
+        ``r_{k-1} = x_k - q_k`` and ``q_{k-1}``, and one more to
+        ``r_{k-2}`` and ``q_{k-2}``, none of them rescaled after their
+        iteration.  The n-vector ``work`` is overwritten, and two more are
+        allocated."""
+        g, g_prev, g_prev2 = scales
+        alpha = self.alpha
+        a, (b, c) = work, np.empty((2, x.size))
+        primal_sq = dz_sq = dzu = du_sq = 0.0
+        for i, ri in enumerate(self.r):
+            self.q_of(ri, g, i, a)                  # q_k
+            np.subtract(x, a, out=b)                # r_{k-1}
+            np.subtract(ri, b, out=c)               # Z_k - x_k
+            primal_sq += float(c @ c)
+            self.q_of(b, g_prev, i, b)              # q_{k-1}
+            np.subtract(x_prev, b, out=b)           # r_{k-2}
+            self.q_of(b, g_prev2, i, c)             # q_{k-2}
+            a -= c                                  # q_k - q_{k-2}
+            np.subtract(ri, b, out=b)               # r_k - r_{k-2}
+            np.add(a, b, out=c)                     # dZ
+            # dU = (r_k - r_{k-2}) + (1 - alpha)(q_k - q_{k-2})
+            a *= 1.0 - alpha
+            a += b
+            dz_sq += float(c @ c)
+            dzu += float(c @ a)
+            du_sq += float(a @ a)
+        return primal_sq, dz_sq, dzu, du_sq
 
     def clear_off_tiles(self) -> None:
         """Set every entry of :attr:`r` outside its copy's tiles to 0."""
@@ -462,6 +576,54 @@ def _support_radius(dist: float, gap: float) -> float:
     gap = max(gap, 0.0)
     slack = 2.0 * gap - dist * dist
     return 0.5 * (dist + math.sqrt(slack)) if slack >= 0.0 else math.sqrt(gap)
+
+
+class _PenaltyRule:
+    """The penalty's changes at the estimate iterations (module docstring),
+    counted by the rule that made them.
+
+    ``rho`` stays ``rho0 * 2**octave`` for an integer ``octave`` with
+    ``|octave| <= RHO_OCTAVES``.  Residuals at most ``floor`` are rounding
+    error, and steps of ``Z`` or ``U`` at most ``noise`` the rounding noise
+    of their recovery from the stack.
+    """
+
+    def __init__(self, floor: float, noise: float):
+        self.floor, self.noise = floor, noise
+        self.octave = 0
+        self.pending = 0  # the fallback's last verdict, in octaves, not yet taken
+        self.changes = {"rho_spectral": 0, "rho_fallback": 0}
+
+    def step(self, k: int, rho: float, primal_res: float, zbar_step: float,
+             dz_sq: float, dzu: float, du_sq: float) -> float:
+        """``f = rho_old/rho_new`` at estimate iteration ``k``, from the
+        primal residual, ``rd/rho`` and the products of
+        :meth:`_TileStack.spectral_products`."""
+        if max(primal_res, zbar_step) <= self.floor:  # both are rounding error
+            self.pending = 0
+            return 1.0
+        dz, du = math.sqrt(dz_sq), math.sqrt(du_sq)
+        if min(dz, du) > self.noise and -dzu > SPECTRAL_MIN_CORRELATION * dz * du:
+            rule, self.pending = "rho_spectral", 0
+            steepest = -rho * du_sq / dzu
+            least = -rho * dzu / dz_sq
+            beta = least if 2.0 * least > steepest else steepest - 0.5 * least
+            up = round(math.log2(min(max(beta / rho, 2.0 ** -64), 2.0 ** 64)))
+        else:
+            # residual balancing, taken where two verdicts in a row agree
+            rule, dual_res = "rho_fallback", rho * zbar_step
+            verdict = (int(primal_res > BALANCE_RATIO * dual_res)
+                       - int(dual_res > BALANCE_RATIO * primal_res))
+            up, self.pending = (verdict, 0) if verdict == self.pending else (0, verdict)
+        # at most a factor 1 + SPECTRAL_SAFEGUARD/k**2, within the octaves
+        steps = int(math.log2(1.0 + SPECTRAL_SAFEGUARD / (k * k)))
+        up = max(-steps, min(steps, up))
+        up = max(-RHO_OCTAVES, min(RHO_OCTAVES, self.octave + up)) - self.octave
+        if not up:
+            return 1.0
+        self.octave += up
+        self.changes[rule] += 1
+        return 2.0 ** -up
 
 
 def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
@@ -539,22 +701,28 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
         # x* = 0 with gap 0 (module docstring)
         report = SolverReport([], [], "converged", iterations=0,
                               wall_clock=time.perf_counter() - t0,
-                              extra={"rho": rho, "rho_changes": 0})
+                              extra={"rho": rho, "rho_changes": 0, "rho_spectral": 0,
+                                     "rho_fallback": 0})
         return ProxResult(np.zeros(shape), report, u=_screened_duals(v, side, rho))
 
     alpha = RELAXATION
     stack = _TileStack(cliques, alpha)
-    r, scale = stack.r, stack.scale
+    r = stack.r
     # the carried dual r = (U - (1 - alpha) Z) / alpha, with U = 0 and Z = v
     # at the start, makes the relaxed z-update point
-    # w = alpha*x + (1 - alpha) Z - U = alpha * (x - r)
+    # w = alpha*x + (1 - alpha) Z - U = alpha * (x - r); its tile scales are 1
     np.multiply(vflat, (alpha - 1.0) / alpha, out=r)
     rbar = r[0].copy()  # mean(r)
-    x = np.empty(n)
-    zbar = vflat.copy()
-    # the scratch vector, which holds ubar from the end of one iteration to
-    # the x-update of the next
-    work = np.zeros(n)
+    # the scratch vector, which holds mean(q) from the end of one iteration
+    # to the x-update of the next: zbar = mean(r) + mean(q) is v at the start
+    work = vflat / alpha
+    # the kept tile scales, newest first: this iteration's, the last one's
+    # and the one before; the start's are 1, as the rotation at each
+    # iteration's start makes the last array the oldest
+    stack.scale.fill(1.0)
+    scales = [stack.scale, np.ones_like(stack.scale), np.ones_like(stack.scale)]
+    # this iteration's x and the last one's
+    x, x_prev = np.empty(n), np.empty(n)
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []
@@ -566,8 +734,9 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     # residuals below this, in data units, are rounding error: in converged
     # solves of up to 19x19 they settled at up to 1.5*s*eps*sqrt(s*n)*max|v|
     balance_floor = 1024.0 * s * np.finfo(float).eps * np.sqrt(s * n) * peak
-    next_check = BALANCE_FIRST
-    rho_changes = 0
+    # steps of Z or U below this are taken for the rounding noise of their
+    # recovery from the stack, which divides by the kept scales
+    penalty = _PenaltyRule(balance_floor, SPECTRAL_NOISE * math.sqrt(s * v_sq))
     stride = GAP_STRIDE
 
     with np.errstate(divide="ignore"):
@@ -576,17 +745,22 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
             rs = rho * s
             c = rs / (2.0 + rs)
             cv = 2.0 / (2.0 + rs)
-            # x = (2v + rs*(zbar + ubar)) / (2 + rs), ubar in the scratch vector
-            np.add(zbar, work, out=x)
-            x *= c
-            # cv*v is formed in the scratch vector each time rather than kept:
-            # one n-vector fewer
+            x, x_prev = x_prev, x
+            scales.insert(0, scales.pop())
+            stack.scale = scale = scales[0]
+            estimate = k % SPECTRAL_STRIDE == 0
+            checked = (k - 1) % stride == 0 or k == cfg.max_iters
+            if estimate:
+                zbar_prev = np.add(rbar, work)
+            # x = (2v + rs*(zbar + ubar)) / (2 + rs) with
+            # zbar + ubar = 2 mean(r) + (2 - alpha) mean(q)
+            np.multiply(rbar, 2.0 * c, out=x)
+            work *= (2.0 - alpha) * c
+            x += work
             x += np.multiply(vflat, cv, out=work)
-            balance = k == next_check
-            checked = balance or (k - 1) % stride == 0 or k == cfg.max_iters
             if checked:
                 # P = ||x - v||^2 + lam * J(x), both through the scratch
-                # vector before it holds this iteration's means, so the
+                # vector before it holds this iteration's mean(q), so the
                 # clique norms add only their window sum's row and column
                 # passes and result to the solve's state
                 np.subtract(x, vflat, out=work)
@@ -609,80 +783,74 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
             np.divide(tau / (alpha - 1.0), scale, out=scale)
             np.subtract(1.0, scale, out=scale)
             np.maximum(scale, -1.0 / (alpha - 1.0), out=scale)
-            if checked:
-                # g = 0 would lose the q that a rescale or U reads
+            if not scale.all():
+                # g = 0 would lose the q that the estimate, a rescale and U read
                 scale[scale == 0.0] = np.finfo(float).eps
-            if balance:
-                primal_sq = stack.primal_sq(x, work)  # rp^2 = ||Z - 1 x^T||_F^2
             np.subtract(x, rbar, out=work)  # mean(q), with the previous mean(r)
             r *= alpha - 1.0
             stack.scale_tiles()
             np.add.reduce(r, axis=0, out=rbar)  # r.sum without its Python overhead
             rbar /= s
-            # zbar = mean(Z) = mean(r) + mean(q); ubar = mean(Z - w) = zbar - alpha*mean(q)
-            if balance:
-                zbar -= rbar
-                zbar -= work
-                zbar_step = np.sqrt(s) * float(np.sqrt(zbar @ zbar))  # rd / rho
-            np.add(rbar, work, out=zbar)
-            work *= alpha
-            ubar = np.subtract(zbar, work, out=work)
-            if not checked:
-                continue
 
-            # D = <g, v> - ||g||^2/4 at the feasible dual point g = -rho*s*ubar
-            dual_lin = -rs * float(ubar @ vflat)
-            dual_quad = 0.25 * rs * rs * float(ubar @ ubar)
-            dual = dual_lin - dual_quad
-            gap = primal - dual
-            if not np.isfinite(gap):
-                # a weight far above the data's scale overflowed P or D
-                raise ConfigError(f"lam {cfg.lam:g} overflows the prox objective "
-                                  "or its dual value")
-            objective_trace.append(primal)
-            residual_trace.append(gap)
-            if certify and gap <= cfg.tol_rel * primal + gap_floor:
-                reason = "converged"
-            elif support_tol is not None:
-                # the radius from both sides of the gap (module docstring),
-                # from xt - x = v + (rs/2)*ubar - x, the one vector a
-                # checked iteration allocates beyond the window sum's
-                dist = np.multiply(ubar, 0.5 * rs)
-                dist += vflat
-                dist -= x
-                radius = _support_radius(
-                    float(np.sqrt(dist @ dist)),
-                    gap + roundoff * (primal + abs(dual_lin) + dual_quad))
-                del dist
-                if radius <= support_tol * max(float(x.max()), -float(x.min())):
-                    reason = "support-certified"
+            if checked:
+                # D = <g, v> - ||g||^2/4 at the feasible dual point
+                # g = -rho*s*ubar, ubar = mean(r) + (1 - alpha) mean(q)
+                ubar = np.multiply(work, 1.0 - alpha)
+                ubar += rbar
+                dual_lin = -rs * float(ubar @ vflat)
+                dual_quad = 0.25 * rs * rs * float(ubar @ ubar)
+                dual = dual_lin - dual_quad
+                gap = primal - dual
+                if not np.isfinite(gap):
+                    # a weight far above the data's scale overflowed P or D
+                    raise ConfigError(f"lam {cfg.lam:g} overflows the prox objective "
+                                      "or its dual value")
+                objective_trace.append(primal)
+                residual_trace.append(gap)
+                if certify and gap <= cfg.tol_rel * primal + gap_floor:
+                    reason = "converged"
+                elif support_tol is not None:
+                    # the radius from both sides of the gap (module docstring),
+                    # from xt - x = v + (rs/2)*ubar - x, formed in place of ubar
+                    ubar *= 0.5 * rs
+                    ubar += vflat
+                    ubar -= x
+                    radius = _support_radius(
+                        float(np.sqrt(ubar @ ubar)),
+                        gap + roundoff * (primal + abs(dual_lin) + dual_quad))
+                    if radius <= support_tol * max(float(x.max()), -float(x.min())):
+                        reason = "support-certified"
+                del ubar
             final = reason != "max-iterations" or k == cfg.max_iters
 
             f = 1.0  # rho_old / rho_new
-            if balance and reason == "max-iterations":
-                next_check *= 2
-                primal_res = np.sqrt(primal_sq)
-                dual_res = rho * zbar_step
-                if max(primal_res, zbar_step) > balance_floor:  # not rounding error
-                    if primal_res > BALANCE_RATIO * dual_res:
-                        f = 1.0 / BALANCE_FACTOR
-                    elif dual_res > BALANCE_RATIO * primal_res:
-                        f = BALANCE_FACTOR
+            if estimate and reason == "max-iterations":
+                # rd/rho = sqrt(s) ||zbar_k - zbar_{k-1}||
+                zbar_prev -= rbar
+                zbar_prev -= work
+                zbar_step = math.sqrt(s * float(zbar_prev @ zbar_prev))
+                primal_sq, dz_sq, dzu, du_sq = stack.spectral_products(x, x_prev, scales,
+                                                                       zbar_prev)
+                f = penalty.step(k, rho, math.sqrt(primal_sq), zbar_step, dz_sq, dzu, du_sq)
+            if estimate:
+                del zbar_prev
             if f != 1.0:
-                # U becomes f*U, so -rho*U stays put
+                # U becomes f*U and Z stays, so -rho*U stays put
                 rho /= f
-                rho_changes += 1
-                ubar *= f
             if final:
                 stack.scale_tiles(stack.dual_factors(scale, f))  # r becomes U
                 stack.clear_off_tiles()
                 break
             if f != 1.0:
+                # the next estimate reads none of the kept scales
                 stack.scale_tiles(stack.rescale_factors(scale, f))
+                # zbar stays: mean(q) becomes zbar - the new mean(r)
+                work += rbar
                 np.add.reduce(r, axis=0, out=rbar)
                 rbar /= s
+                work -= rbar
 
-    extra = {"rho": rho, "rho_changes": rho_changes}
+    extra = {"rho": rho, "rho_changes": sum(penalty.changes.values()), **penalty.changes}
     if reason == "support-certified":
         extra["support_radius"] = radius
     report = SolverReport(objective_trace, residual_trace, reason, iterations=k,

@@ -81,12 +81,14 @@ class ColampConfig:
     # all-shrunk prox (x* = 0) never certifies a support and stops on them.
     # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
     # problems at m/K = 3 (K = 40, side 2, the benchmark's generators, seeds
-    # 0-7, images 0-1), 14 recover exactly at caps 1500, 1000 and 500 alike,
-    # in 43,953, 42,813 and 34,794 prox iterations, with the two-sided
-    # support radius and the gap checked every GAP_STRIDE iterations.  With
-    # the one-sided bound sqrt(gap) they took 56,880 at cap 1500; checking
-    # the gap at every iteration, 56,610, 52,128 and 38,672 at the three caps
-    # (fixed rho: 14, 14 and 13 recover).
+    # 0-7, images 0-1), 14 recover exactly in 12,912 prox iterations at cap
+    # 1500 with the spectral penalty, none capped.  Measured before it, with
+    # residual balancing at iterations 10, 20, 40, ...: 14 recovered at caps
+    # 1500, 1000 and 500 alike, in 43,953, 42,813 and 34,794 prox
+    # iterations, with the two-sided support radius and the gap checked
+    # every GAP_STRIDE iterations; with the one-sided bound sqrt(gap) they
+    # took 56,880 at cap 1500; checking the gap at every iteration, 56,610,
+    # 52,128 and 38,672 at the three caps (fixed rho: 14, 14 and 13 recover).
     prox: ProxConfig = ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)
 
     def __post_init__(self):
@@ -138,9 +140,11 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
         retried once at half the weight; if it stays empty the run terminates
         with reason ``"support-collapse"``.  ``report.extra`` holds the
         iteration count of every prox call, in call order
-        (``"prox_iterations"``), and how many calls stopped for each reason
-        (``"prox_terminations"``).  Measurements whose norm overflows raise
-        ``ConfigError``.
+        (``"prox_iterations"``), how many calls stopped for each reason
+        (``"prox_terminations"``), and how many penalty changes the calls
+        made by the spectral rule and by its fallback (``"rho_spectral"``
+        and ``"rho_fallback"``, summed over the calls).  Measurements whose
+        norm overflows raise ``ConfigError``.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != model.m:
@@ -166,6 +170,8 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
     support_size = 0
     prox_iterations: list[int] = []
     prox_terminations: Counter = Counter()
+    # the prox calls' penalty changes, by the rule that made them
+    rho_rules: Counter = Counter(rho_spectral=0, rho_fallback=0)
     lam_n = cfg.lam0
 
     n = 0
@@ -179,6 +185,8 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
                                        support_tol=SUPPORT_REL_TOL)
             prox_iterations.append(prox_res.report.iterations)
             prox_terminations[prox_res.report.termination_reason] += 1
+            for rule in rho_rules:
+                rho_rules[rule] += prox_res.report.extra.get(rule, 0)
             support = _support_of(prox_res.x, v)
             if support.size:
                 break
@@ -204,7 +212,8 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
                           wall_clock=time.perf_counter() - t0,
                           extra={"final_lambda": lam_n, "support_size": support_size,
                                  "prox_iterations": prox_iterations,
-                                 "prox_terminations": dict(prox_terminations)})
+                                 "prox_terminations": dict(prox_terminations),
+                                 **rho_rules})
     return x.reshape(shape), report
 
 

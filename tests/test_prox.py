@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from blocksparse import (ConfigError, GridShape, ProxConfig, block_norm,
                          build_clique_system, prox, prox_block_norm)
 
-from blocksparse.prox import (BALANCE_FACTOR, BALANCE_FIRST, BALANCE_RATIO, GAP_STRIDE,
-                              RELAXATION, RHO_START_WEIGHT, _support_radius, _TileStack)
+from blocksparse.prox import (BALANCE_RATIO, GAP_STRIDE, RELAXATION, RHO_OCTAVES,
+                              RHO_START_WEIGHT, SPECTRAL_MIN_CORRELATION, SPECTRAL_SAFEGUARD,
+                              SPECTRAL_STRIDE, _PenaltyRule, _support_radius, _TileStack)
 
 import helpers
 from helpers import group_shrink
@@ -216,6 +217,37 @@ def test_prox_optimality_certificate():
             assert np.max(np.abs(g[i][~covered])) < tol if (~covered).any() else True
 
 
+def explicit_path(v, cs, lam, iters):
+    """The iterates ``(xs, zs, us, rhos)`` of a zero-tolerance solve after
+    each iteration ``k = 0, ..., iters``, with ``Z`` and ``U`` as whole
+    stacks.  The path is deterministic, so iterate k is the final state of a
+    solve capped at k iterations, and rho after iteration k is that solve's
+    final rho; the starting state at k = 0 is Z = tile(v), U = 0,
+    rho = start_rho(v, lam), and iteration k runs at rhos[k - 1].  The solve
+    returns x and U, not Z: the u-update
+    U_k = U_{k-1} + Z_k - (alpha*x_k + (1 - alpha) Z_{k-1}), followed by a
+    rescale of U_k by rho_{k-1}/rho_k where rho changed, gives
+    Z_k = U_k*rho_k/rho_{k-1} - U_{k-1} + alpha*x_k + (1 - alpha) Z_{k-1}.
+    Each capped solve's gap is checked against the oracle's."""
+    s = cs.n_subsets
+    zs = [np.tile(v.ravel(), (s, 1))]
+    us = [np.zeros((s, v.size))]
+    xs = [None]
+    rhos = [start_rho(v, lam)]
+    for k in range(1, iters + 1):
+        res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=k, tol_abs=0.0, tol_rel=0.0))
+        assert res.report.iterations == k
+        rhos.append(res.report.extra["rho"])
+        zs.append(res.u * (rhos[k] / rhos[k - 1]) - us[k - 1]
+                  + RELAXATION * res.x.ravel() + (1.0 - RELAXATION) * zs[k - 1])
+        us.append(res.u)
+        xs.append(res.x.ravel())
+        # each cap's gap is the oracle's at that cap's own rho
+        gap = helpers.prox_gap_by_projection(v, res.x, res.u, rhos[k], lam, cs.side)
+        assert res.report.residual_trace[-1] == pytest.approx(gap, rel=1e-9, abs=1e-12)
+    return xs, zs, us, rhos
+
+
 def test_prox_residual_mostly_monotone():
     # ADMM does not promise a monotone gap.  Relaxed ADMM at a fixed rho does
     # promise (Fang, He, Liu & Yuan 2015, *Generalized alternating direction
@@ -225,39 +257,17 @@ def test_prox_residual_mostly_monotone():
     # updated, and of the multiplier rho*U.  At alpha = 1 it is He & Yuan's
     # (2015) ||dZ||^2 + ||dU||^2, which relaxation does not keep monotone: on
     # the 7x7 side-3 problems below it rises by up to 34% at alpha = 1.8.
-    # The prox balances rho, so the form is compared only between steps
-    # taken at one rho, and some solve below must change it.  The path is
-    # deterministic, so iterate k is the final state of a solve capped at k
-    # iterations, and rho after iteration k is that solve's final rho; the
-    # starting state at k = 0 is Z = tile(v), U = 0, rho = start_rho(v, lam).
-    # The solve returns x and U, not Z: the u-update
-    # U_k = U_{k-1} + Z_k - (alpha*x_k + (1 - alpha) Z_{k-1}), followed by a
-    # rescale of U_k by rho_{k-1}/rho_k where rho changed, gives
-    # Z_k = U_k*rho_k/rho_{k-1} - U_{k-1} + alpha*x_k + (1 - alpha) Z_{k-1}
+    # The prox may change rho at every SPECTRAL_STRIDE-th iteration, so the
+    # form is compared only between steps taken at one rho, some solve below
+    # must change rho and some pairs of steps must share one
     rng = np.random.default_rng(7)
     iters = 20
-    changed = 0
+    changed = compared = 0
     for size, side, lam, trials in ((5, 2, 1.0, 40), (7, 3, 3.0, 10)):
         cs = system(size, size, side)
-        s = cs.n_subsets
         for _ in range(trials):
             v = rng.standard_normal((size, size))
-            zs = [np.tile(v.ravel(), (s, 1))]
-            us = [np.zeros((s, size * size))]
-            xs = [None]
-            rhos = [start_rho(v, lam)]
-            for k in range(1, iters + 1):
-                res = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=k,
-                                                        tol_abs=0.0, tol_rel=0.0))
-                assert res.report.iterations == k
-                rhos.append(res.report.extra["rho"])
-                zs.append(res.u * (rhos[k] / rhos[k - 1]) - us[k - 1]
-                          + RELAXATION * res.x.ravel() + (1.0 - RELAXATION) * zs[k - 1])
-                us.append(res.u)
-                xs.append(res.x)
-                # each cap's gap is the oracle's at that cap's own rho
-                gap = helpers.prox_gap_by_projection(v, res.x, res.u, rhos[k], lam, side)
-                assert res.report.residual_trace[-1] == pytest.approx(gap, rel=1e-9, abs=1e-12)
+            _, zs, us, rhos = explicit_path(v, cs, lam, iters)
             changed += rhos[10] != rhos[0]  # a change with a stretch after it
 
             steps = []
@@ -269,8 +279,132 @@ def test_prox_residual_mostly_monotone():
             # U at that rho's scale
             for k in range(1, iters):
                 if rhos[k - 1] == rhos[k] == rhos[k + 1]:
+                    compared += 1
                     assert steps[k] <= steps[k - 1] * (1 + 1e-9)
-    assert changed > 0
+    assert changed > 0 and compared > 0
+
+
+@pytest.mark.parametrize("height,width,side", helpers.GEOMETRIES)
+def test_spectral_products_match_the_explicit_stacks(height, width, side, monkeypatch):
+    # at every estimate iteration k the four products the prox streams from
+    # its one stack are those of the whole stacks Z and U rebuilt from capped
+    # solves: ||Z_k - 1 x_k^T||^2, and ||dZ||^2, <dZ, dU> and ||dU||^2 for
+    # dZ = Z_k - Z_{k-2} and dU = U_k - U_{k-2}, both U at iteration k's
+    # rho.  Borders narrower than a tile, empty subsets and all-zero cliques
+    # included; changes of rho between the windows included.  Each side
+    # recovers the stacks with an absolute error of some eps*||v||, and the
+    # stream's steps back divide it by the kept scales g of the two earlier
+    # iterations.  The
+    # steps dZ and dU of a converging solve approach that error, so the
+    # vectors are compared to a relative 1e-9 plus e = 1e-12*||v||/min|g|:
+    # for ||a|| and <a, b>, errors of e propagate as |d||a||| <= e and
+    # |d<a, b>| <= (||a|| + ||b||) e
+    rng = np.random.default_rng(height * 100 + width * 10 + side)
+    v = rng.standard_normal((height, width))
+    v[rng.uniform(size=v.shape) < 0.3] = 0.0
+    cs = system(height, width, side)
+    iters = 16
+    streamed = []
+    products = _TileStack.spectral_products
+
+    def recording(self, x, x_prev, scales, work):
+        kept = [g[a, b, :th, :tw] for g in scales[1:] for a, b, th, tw in self.tiles]
+        least = min((float(np.abs(t).min()) for t in kept if t.size), default=1.0)
+        streamed.append((products(self, x, x_prev, scales, work), min(least, 1.0)))
+        return streamed[-1][0]
+
+    for lam in (0.3, 2.0):
+        xs, zs, us, rhos = explicit_path(v, cs, lam, iters)
+        streamed.clear()
+        monkeypatch.setattr(_TileStack, "spectral_products", recording)
+        rep = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=iters, tol_abs=0.0,
+                                                tol_rel=0.0)).report
+        monkeypatch.undo()
+        assert rep.extra["rho"] == rhos[iters]
+        estimates = range(SPECTRAL_STRIDE, iters + 1, SPECTRAL_STRIDE)
+        assert len(streamed) == len(estimates)
+        for k, ((primal_sq, dz_sq, dzu, du_sq), least) in zip(estimates, streamed):
+            floor = 1e-12 * np.linalg.norm(v) / least
+            dz = zs[k] - zs[k - 2]
+            du = (rhos[k] * us[k] - rhos[k - 2] * us[k - 2]) / rhos[k - 1]
+            primal = np.linalg.norm(zs[k] - xs[k])
+            dz_norm, du_norm = np.linalg.norm(dz), np.linalg.norm(du)
+            assert math.sqrt(primal_sq) == pytest.approx(primal, rel=1e-9, abs=floor)
+            assert math.sqrt(dz_sq) == pytest.approx(dz_norm, rel=1e-9, abs=floor)
+            assert math.sqrt(du_sq) == pytest.approx(du_norm, rel=1e-9, abs=floor)
+            assert dzu == pytest.approx(np.sum(dz * du), rel=1e-9,
+                                        abs=(1e-9 * dz_norm + floor) * du_norm + floor * dz_norm)
+
+
+@pytest.mark.parametrize("height,width,side", helpers.GEOMETRIES)
+def test_x_update_sums_the_hat_multipliers(height, width, side):
+    # the x-update makes sum_i lamhat_k^i = 2(x_k - v) for
+    # lamhat_k = rho (U_{k-1} + Z_{k-1} - 1 x_k^T), iteration k's rho: so
+    # <1 dx^T, d lamhat> = 2||dx||^2, and the minimum-gradient estimate of the
+    # x-side curvature is 2/s on every solve
+    rng = np.random.default_rng(height * 100 + width * 10 + side)
+    v = rng.standard_normal((height, width))
+    cs = system(height, width, side)
+    xs, zs, us, rhos = explicit_path(v, cs, 0.7, 12)
+    for k in range(1, 13):
+        hat = rhos[k - 1] * (us[k - 1] + zs[k - 1] - xs[k])
+        size = rhos[k - 1] * max(np.abs(us[k - 1]).max(), np.abs(zs[k - 1]).max(), 1.0)
+        assert np.max(np.abs(hat.sum(axis=0) - 2.0 * (xs[k] - v.ravel()))) <= 1e-12 * size * cs.n_subsets
+
+
+def test_penalty_rule_keeps_the_safeguard():
+    # every change is a power of two of at most 1 + SPECTRAL_SAFEGUARD/k**2,
+    # so none comes after iteration sqrt(SPECTRAL_SAFEGUARD), and rho stays
+    # within RHO_OCTAVES octaves of its start: the changes are bounded and
+    # finitely many, and the fixed-penalty convergence argument applies from
+    # the last one.  The draws take both rules, and every change is counted
+    rng = np.random.default_rng(32)
+    last = int(math.sqrt(SPECTRAL_SAFEGUARD))
+    for _ in range(20):
+        rule = _PenaltyRule(1e-12, 1e-9)
+        rho, changes = 1.0, 0
+        for k in list(range(2, 400, 2)) + [last - 1, last, last + 1, 10 * last]:
+            dz_sq, du_sq = 10.0 ** rng.uniform(-6, 6, 2)
+            dzu = rng.uniform(-1, 0.5) * math.sqrt(dz_sq * du_sq)
+            primal, zbar_step = 10.0 ** rng.uniform(-6, 6, 2)
+            f = rule.step(k, rho, primal, zbar_step, dz_sq, dzu, du_sq)
+            assert f == 2.0 ** round(math.log2(f))
+            assert abs(math.log2(f)) <= math.log2(1.0 + SPECTRAL_SAFEGUARD / k**2)
+            rho /= f
+            changes += f != 1.0
+            assert abs(math.log2(rho)) <= RHO_OCTAVES and rho == 2.0 ** rule.octave
+            if k > last:
+                assert f == 1.0
+        assert rule.changes["rho_spectral"] > 0 and rule.changes["rho_fallback"] > 0
+        assert rule.changes["rho_spectral"] + rule.changes["rho_fallback"] == changes
+
+
+def test_prox_penalty_freezes_after_the_safeguard(monkeypatch):
+    # with a safeguard of 64, rho may move by 2**4, 2**2, 2 and 2 at
+    # iterations 2, 4, 6 and 8 and never after: solves capped at 8 and later
+    # end at one rho, within 2**8 of the start
+    monkeypatch.setattr(prox, "SPECTRAL_SAFEGUARD", 64.0)
+    v = np.random.default_rng(33).standard_normal((12, 12))
+    cs = system(12, 12, 2)
+    rhos = {cap: prox_block_norm(v, cs, ProxConfig(lam=0.5, max_iters=cap, tol_abs=0.0,
+                                                   tol_rel=0.0)).report.extra["rho"]
+            for cap in (2, 4, 8, 9, 20, 60)}
+    assert rhos[8] == rhos[9] == rhos[20] == rhos[60]
+    assert abs(math.log2(rhos[60] / start_rho(v, 0.5))) <= 8
+
+
+def test_prox_counts_penalty_changes_by_rule():
+    # the spectral rule and its fallback both change rho on this problem,
+    # and their counts add up to every change
+    rng = np.random.default_rng(31)
+    v = np.zeros((32, 32))
+    v[4:8, 10:15] = 1.0
+    v[20:24, 3:8] = -1.0
+    v += 0.3 * rng.standard_normal(v.shape)
+    for lam in (0.3, 0.6, 1.2):
+        extra = prox_block_norm(v, system(32, 32, 2), ProxConfig(lam=lam)).report.extra
+        assert extra["rho_spectral"] + extra["rho_fallback"] == extra["rho_changes"]
+        assert extra["rho_spectral"] > 0 and extra["rho_fallback"] > 0
 
 
 @pytest.mark.parametrize("tol_abs,tol_rel", [(1e-8, 1e-6), (0.0, 1e-9), (1e-6, 0.0)])
@@ -347,7 +481,8 @@ def test_prox_zero_tolerances_run_max_iters():
 
 def test_prox_zero_center_returns_zero_at_a_finite_rho():
     # lam/max|v| is infinite at v = 0, where the solve starts at rho = 1
-    # instead; with zero tolerances it runs through two balancing checks
+    # instead; with zero tolerances it runs through eight estimates, where
+    # both residuals are 0, rounding error, and rho stays
     for cfg in (ProxConfig(lam=2.0), ProxConfig(lam=2.0, max_iters=25, tol_abs=0.0,
                                                 tol_rel=0.0)):
         res = prox_block_norm(np.zeros((6, 5)), system(6, 5, 2), cfg)
@@ -357,9 +492,9 @@ def test_prox_zero_center_returns_zero_at_a_finite_rho():
 
 def traced_peak(v, cs, support_tol=None):
     """tracemalloc peak, in bytes, of a 20-iteration zero-tolerance solve
-    at lam 0.5, which runs past the balancing check at iteration 10, where
-    rho changes, so the primal residual and the rescale of the duals are
-    measured too."""
+    at lam 0.5, which runs through six estimates of the penalty and changes
+    rho, so the streamed products and the rescale of the duals are measured
+    too."""
     cfg = ProxConfig(lam=0.5, max_iters=20, tol_abs=0.0, tol_rel=0.0)
     # also warms any lazily built state
     rep = prox_block_norm(v, cs, cfg, support_tol=support_tol).report
@@ -387,21 +522,23 @@ def assert_one_copy_stack(side, extent, support_tol=None):
 
 
 def test_prox_holds_one_copy_stack():
-    # the working vectors peak at 8.45 n here (NumPy 2.4): four resident
-    # n-vectors, the tile scales and the gap's window sum.  No product
-    # broadcasts an n-vector over the stack, which took NumPy's ufunc buffer
-    # of 8,192 entries (3.6 n here)
+    # the working vectors peak at 11.47 n here (NumPy 2.4), while the tiles
+    # are scaled at an estimate iteration: four resident n-vectors, three
+    # arrays of tile scales, the last zbar and NumPy's ufunc buffer for the
+    # broadcast tile factors (2.8 n).  No product broadcasts an n-vector over
+    # the stack, which took a buffer of 8,192 entries (3.6 n here)
     assert_one_copy_stack(6, 48)
 
 
 def test_prox_holds_one_copy_stack_at_side_8():
-    # the working vectors peak at 8.30 n here (NumPy 2.4)
+    # the working vectors peak at 11.31 n here (NumPy 2.4)
     assert_one_copy_stack(8, 64)
 
 
 def test_prox_holds_one_copy_stack_with_a_support_test():
     # a support_tol no 20-iteration solve meets, so the support test runs at
-    # every checked iteration: its radius goes through the scratch vector
+    # every checked iteration: its radius goes through the vector that holds
+    # ubar (11.46 n)
     assert_one_copy_stack(6, 48, support_tol=1e-9)
 
 
@@ -414,16 +551,10 @@ def test_prox_max_iterations_reported_not_raised():
     assert res.report.iterations == 2
 
 
-def checked_iterations(cap):
+def checked_iterations(cap, stride=GAP_STRIDE):
     """The iterations up to ``cap`` at which the prox evaluates its gap:
-    iteration 1, every ``GAP_STRIDE``-th after it, the balancing checks
-    ``BALANCE_FIRST * 2**j`` and the cap."""
-    checks = {k for k in range(1, cap + 1) if (k - 1) % GAP_STRIDE == 0} | {cap}
-    check = BALANCE_FIRST
-    while check <= cap:
-        checks.add(check)
-        check *= 2
-    return sorted(checks)
+    iteration 1, every ``stride``-th after it and the cap."""
+    return sorted({k for k in range(1, cap + 1) if (k - 1) % stride == 0} | {cap})
 
 
 def test_prox_counts_iterations_and_traces_checks():
@@ -441,52 +572,64 @@ def test_prox_counts_iterations_and_traces_checks():
         assert traced == pytest.approx(gap, rel=1e-9, abs=1e-12 * np.sum(v ** 2))
 
 
+def assert_stop_is_a_capped_state(v, cs, cfg, support_tol, stride):
+    """A solve with tolerances, its gap checked every ``stride`` iterations,
+    stops at a checked iteration ``k`` on the very state a zero-tolerance
+    solve capped at ``k`` returns, with the oracle's gap of that state.
+    Returns the solve's report."""
+    side = cs.side
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prox, "GAP_STRIDE", stride)
+        res = prox_block_norm(v, cs, cfg, support_tol=support_tol)
+        rep = res.report
+        k = rep.iterations
+        if k == 0:
+            # a weight of at least 2||v|| is screened to x = 0 and has no path
+            # (test_prox_screens_a_weight_of_twice_the_center_norm)
+            assert cfg.lam ** 2 >= 4.0 * np.sum(v ** 2) and not res.x.any()
+            return rep
+        assert k in checked_iterations(cfg.max_iters, stride)
+        capped = prox_block_norm(v, cs, ProxConfig(lam=cfg.lam, max_iters=k, tol_abs=0.0,
+                                                   tol_rel=0.0))
+    assert np.array_equal(res.x, capped.x)
+    if k % SPECTRAL_STRIDE or rep.termination_reason == "max-iterations":
+        # no estimate of the penalty runs after the stop's gap check
+        assert np.array_equal(res.u, capped.u)
+        assert capped.report.extra["rho"] == rep.extra["rho"]
+        assert capped.report.extra["rho_changes"] == rep.extra["rho_changes"]
+    else:
+        # a stop at an estimate iteration comes before the estimate, which
+        # the capped solve then runs: its rho may change, with u rescaled so
+        # that -rho*u is kept up to the rescale's rounding
+        assert capped.report.extra["rho_changes"] - rep.extra["rho_changes"] in (0, 1)
+        g = -rep.extra["rho"] * res.u
+        g_capped = -capped.report.extra["rho"] * capped.u
+        assert np.max(np.abs(g - g_capped)) <= 1e-12 * max(1.0, float(np.abs(g).max()))
+    gap = helpers.prox_gap_by_projection(v, res.x, res.u, rep.extra["rho"], cfg.lam, side)
+    assert rep.residual_trace[-1] == pytest.approx(gap, rel=1e-6, abs=1e-12 * np.sum(v ** 2))
+    return rep
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(helpers.GEOMETRIES), st.integers(0, 2**32 - 1), st.floats(0.05, 5.0),
        st.sampled_from([None, 3e-3]))
-@example((10, 7, 2), 1, 0.5, None)  # stops at the balancing check at 20
+@example((10, 7, 2), 1, 0.5, None)
 def test_gap_checks_do_not_perturb_the_path(geometry, seed, lam, support_tol):
-    # a solve with tolerances stops at a checked iteration k on the very
-    # state a zero-tolerance solve capped at k returns, with the oracle's gap
-    # of that state; a solve that checks every iteration stops no later.
+    # at GAP_STRIDE and at stride 1 alike, a solve stops on the state of a
+    # solve capped at its stop, and checking every iteration stops no later.
     # Checking at stride 1 need not stop within GAP_STRIDE - 1 iterations of
-    # k: the ADMM gap is not monotone, so it can pass and fail again
+    # k: the ADMM gap is not monotone, so it can pass and fail again.  At
+    # GAP_STRIDE the checked iterations 1 mod 4 are never estimate
+    # iterations; at stride 1 a stop can come at one, before its estimate
     height, width, side = geometry
     cs = system(height, width, side)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((height, width))
     v[rng.uniform(size=v.shape) < 0.3] = 0.0
     cfg = ProxConfig(lam=lam)
-    res = prox_block_norm(v, cs, cfg, support_tol=support_tol)
-    rep = res.report
-    k = rep.iterations
-    if k == 0:
-        # a weight of at least 2||v|| is screened to x = 0 and has no path
-        # (test_prox_screens_a_weight_of_twice_the_center_norm)
-        assert lam * lam >= 4.0 * np.sum(v ** 2) and not res.x.any()
-        return
-    assert k in checked_iterations(cfg.max_iters)
-    capped = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=k, tol_abs=0.0, tol_rel=0.0))
-    assert np.array_equal(res.x, capped.x)
-    if capped.report.extra["rho_changes"] == rep.extra["rho_changes"]:
-        assert np.array_equal(res.u, capped.u)
-        assert capped.report.extra["rho"] == rep.extra["rho"]
-    else:
-        # a stop at a balancing check comes before the balancing, which the
-        # capped solve then runs (about 8% of such draws): its rho changed and
-        # its u was rescaled with -rho*u kept, up to the rescale's rounding
-        blocks, rest = divmod(k, BALANCE_FIRST)
-        assert rest == 0 and blocks & (blocks - 1) == 0
-        assert capped.report.extra["rho_changes"] == rep.extra["rho_changes"] + 1
-        g = -rep.extra["rho"] * res.u
-        g_capped = -capped.report.extra["rho"] * capped.u
-        assert np.max(np.abs(g - g_capped)) <= 1e-12 * max(1.0, float(np.abs(g).max()))
-    gap = helpers.prox_gap_by_projection(v, res.x, res.u, rep.extra["rho"], lam, side)
-    assert rep.residual_trace[-1] == pytest.approx(gap, rel=1e-6, abs=1e-12 * np.sum(v ** 2))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(prox, "GAP_STRIDE", 1)
-        every = prox_block_norm(v, cs, cfg, support_tol=support_tol).report
-    assert every.iterations <= k
+    rep = assert_stop_is_a_capped_state(v, cs, cfg, support_tol, GAP_STRIDE)
+    every = assert_stop_is_a_capped_state(v, cs, cfg, support_tol, 1)
+    assert every.iterations <= rep.iterations
     assert len(every.residual_trace) == every.iterations
 
 
@@ -629,16 +772,46 @@ def test_prox_config_rejects_non_integer_max_iters():
     assert ProxConfig(lam=1.0, max_iters=np.int64(7)).max_iters == 7
 
 
+def penalty_octaves_by_definition(k, rho, z, z_old, u, mult_old, primal_res, zbar_step,
+                                  floor, noise, pending):
+    """``(up, pending)``: the octaves rho moves up at an estimate iteration
+    ``k``, before the safeguard and the range, from the full stacks, and the
+    fallback's verdict left pending.  ``dZ = Z_k - Z_{k-2}`` and
+    ``dU = U_k - U_{k-2}``, ``U_{k-2}`` the multiplier
+    ``mult_old = rho_{k-2} U_{k-2}`` over this ``rho``.  The spectral step
+    ``beta`` is the hybrid of the steepest-descent step
+    ``rho ||dU||^2 / -<dZ, dU>`` and the minimum-gradient step
+    ``rho -<dZ, dU> / ||dZ||^2``.  Where the correlation of ``-dZ`` and
+    ``dU`` exceeds ``SPECTRAL_MIN_CORRELATION`` and neither step is at most
+    ``noise``, rho moves by the power of two nearest ``beta/rho``; otherwise
+    residual balancing gives a verdict of one octave up, down or none, which
+    is taken where the last estimate's verdict was the same.  Where both
+    residuals are at most ``floor`` rho stays."""
+    if max(primal_res, zbar_step) <= floor:
+        return 0, 0
+    dz, du = z - z_old, u - mult_old / rho
+    dz_sq, dzu, du_sq = np.sum(dz * dz), np.sum(dz * du), np.sum(du * du)
+    if (min(dz_sq, du_sq) > noise**2
+            and -dzu > SPECTRAL_MIN_CORRELATION * math.sqrt(dz_sq) * math.sqrt(du_sq)):
+        steepest, least = -rho * du_sq / dzu, -rho * dzu / dz_sq
+        beta = least if 2.0 * least > steepest else steepest - least / 2.0
+        return round(math.log2(beta / rho)), 0
+    dual_res = rho * zbar_step
+    verdict = int(primal_res > BALANCE_RATIO * dual_res) - int(dual_res > BALANCE_RATIO * primal_res)
+    return (verdict, 0) if verdict == pending else (0, verdict)
+
+
 def admm_by_loop(v, side, lam, alpha):
     """The prox's relaxed ADMM iterates by definition from ``x = v``,
     ``z^i = v``, ``u^i = 0`` and ``rho = start_rho(v, lam)``, yielded as
     ``(x, u, rho)`` after each iteration: one copy per subset of
     brute-force cliques, each copy's relaxed point ``alpha*x + (1 - alpha)*z^i``
     formed on its own, each clique shrunk on its own, every sum taken over
-    the full s x n stacks.  At iterations 10, 20, 40, ... rho is balanced by
-    the residuals ``||Z - 1 x^T||_F`` and ``rho*sqrt(s)*||zbar_k - zbar_{k-1}||``
-    unless both are rounding error, and ``u`` is rescaled so that ``rho*u``
-    stays put."""
+    the full s x n stacks.  At every ``SPECTRAL_STRIDE``-th iteration rho
+    moves by :func:`penalty_octaves_by_definition` from the stacks of this
+    iteration and of two before, by at most ``log2(1 + SPECTRAL_SAFEGUARD/k**2)``
+    octaves and to at most ``RHO_OCTAVES`` octaves from the start, and
+    ``u`` is rescaled so that ``rho*u`` stays put."""
     h, w = v.shape
     s = side * side
     subsets = [[] for _ in range(s)]
@@ -646,9 +819,12 @@ def admm_by_loop(v, side, lam, alpha):
         subsets[(top % side) * side + left % side].append(idx)
     vflat = v.ravel()
     floor = 1024.0 * s * np.finfo(float).eps * np.sqrt(s * vflat.size) * np.abs(vflat).max()
+    noise = prox.SPECTRAL_NOISE * np.sqrt(s) * np.linalg.norm(vflat)
+    octave = pending = 0
     z = np.tile(vflat, (s, 1))
     u = np.zeros_like(z)
     rho = start_rho(v, lam)
+    history = [(z.copy(), rho * u)] * 2  # (Z, rho*U) of the last two iterations
     k = 0
     while True:
         k += 1
@@ -660,29 +836,27 @@ def admm_by_loop(v, side, lam, alpha):
             for idx in subsets[i]:
                 z[i, idx] = group_shrink(z[i, idx], lam / rho)
             u[i] += z[i] - xhat
-        blocks, rest = divmod(k, BALANCE_FIRST)
-        if rest == 0 and blocks & (blocks - 1) == 0:  # k = BALANCE_FIRST * 2**j
-            primal_res = np.linalg.norm(z - x)
-            dual_res = rho * np.sqrt(s) * np.linalg.norm(z.mean(axis=0) - zbar_prev)
-            if max(primal_res, dual_res / rho) <= floor:  # both rounding error
-                pass
-            elif primal_res > BALANCE_RATIO * dual_res:
-                rho *= BALANCE_FACTOR
-                u /= BALANCE_FACTOR
-            elif dual_res > BALANCE_RATIO * primal_res:
-                rho /= BALANCE_FACTOR
-                u *= BALANCE_FACTOR
+        if k % SPECTRAL_STRIDE == 0:
+            z_old, mult_old = history[0]
+            up, pending = penalty_octaves_by_definition(
+                k, rho, z, z_old, u, mult_old, np.linalg.norm(z - x),
+                np.sqrt(s) * np.linalg.norm(z.mean(axis=0) - zbar_prev), floor, noise, pending)
+            steps = int(math.log2(1.0 + SPECTRAL_SAFEGUARD / k**2))
+            up = max(-RHO_OCTAVES, min(RHO_OCTAVES, octave + max(-steps, min(steps, up)))) - octave
+            octave += up
+            u /= 2.0 ** up
+            rho *= 2.0 ** up
+        history = [history[1], (z.copy(), rho * u)]
         yield x, u, rho
 
 
 def assert_matches_clique_loop(v, side, caps):
-    # caps 10, 11 and 25 straddle the balancing checks at 10 and 20, and 31
-    # would see a check at 30, which the schedule skips.  The two paths
-    # round differently.  Before the first check they agree to 1e-12; from
-    # it on their difference grows about as the square of the cap and
-    # with the data: on 1,900 random problems of up to 12x12 with entries
-    # up to 10 it reached 2.4e-15 * cap**2 * max(1, max|v|) at caps 10 to 31
-    caps = sorted(set(caps) | {10, 11, 25, 31})
+    # caps 2, 3, 10 and 11 straddle estimates of the penalty.  The two paths
+    # round differently, and their difference grows with the cap and the
+    # data: on 300 random problems of up to 12x12 with entries up to 10, at
+    # lam 0.3 and 2, it reached 2.5e-15 * cap**2 * max(1, max|v|) at caps 1
+    # to 31, with the same rho at every cap
+    caps = sorted(set(caps) | {2, 3, 10, 11, 25, 31})
     scale = max(1.0, float(np.abs(v).max()))
     cs = system(*v.shape, side)
     for lam in (0.3, 2.0):
@@ -696,9 +870,11 @@ def assert_matches_clique_loop(v, side, caps):
                 x, u, rho = next(loop)
                 k += 1
             assert res.report.extra["rho"] == rho
-            tol = 1e-12 if cap < BALANCE_FIRST else 1e-14 * cap**2 * scale
+            tol = 1e-14 * cap**2 * scale
             assert np.max(np.abs(res.x.ravel() - x)) < tol
-            assert np.max(np.abs(res.u - u)) < tol
+            # the multiplier rho*u, in the data's units: the spectral rule
+            # can take rho far below 1, and u as far above the data
+            assert np.max(np.abs(rho * (res.u - u))) < tol
 
 
 @pytest.mark.parametrize("height,width,side", helpers.GEOMETRIES)
@@ -780,10 +956,10 @@ def test_tile_scaling_touches_each_clique_pixel_once(geometry, seed):
 def test_prox_scale_equivariance(height, width, side, data, c, lam):
     # with no tolerance test, prox(c*v, c*lam) follows c times the path of
     # prox(v, lam), iteration for iteration: the starting rho depends on
-    # lam/max|v| only, and both balancing residuals scale with c, so rho
-    # changes alike.  Every change doubles or halves rho, so final over
-    # starting rho is the same power of two in both solves.  100 iterations
-    # span the checks at 10, 20, 40 and 80
+    # lam/max|v| only, and the spectral estimates and both balancing
+    # residuals scale with c, so rho changes alike.  Every change is a power
+    # of two, so final over starting rho is the same power of two in both
+    # solves.  100 iterations span 33 estimates of the penalty
     side = min(side, height, width)
     cs = system(height, width, side)
     v = np.array(data.draw(st.lists(_entries, min_size=height * width,
