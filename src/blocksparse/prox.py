@@ -31,14 +31,15 @@ The view gives the norms of the tiles one copy row ``a`` at a time: an
 ``einsum`` sums the squares over the view's tile rows, and one product with
 ones sums those over each tile's columns, into the
 ``(side, side, H//side, W//side)`` array of tile scales.  Scaling the tiles
-in place runs copy by copy, each through the copy's own tiles, its row of
-``r`` as an ``H x W`` grid cut to rows ``[a, a + nh*side)`` and columns
-``[b, b + nw*side)``, times the scales of its copy row repeated along the
-columns.  It cannot run through the view, which spans several copies:
-NumPy's ufunc overlap check cannot prove such an output free of
-self-overlap, and it would copy the whole stack on every call.  Pixels
-outside the tiles (a border narrower than ``side``) are not scaled.  No index
-array is read.
+in place runs copy by copy, each through the grid rows its tiles span, rows
+``[a, a + nh*side)`` of its row of ``r`` as an ``H x W`` grid, a contiguous
+block: the block, seen as ``(nh, side, W)``, is multiplied by one row of
+``W`` factors per tile row, each tile's scale repeated along its columns and
+1 in the columns ``[0, b)`` and ``[b + nw*side, W)`` beside the tiles.  It
+cannot run through the view, which spans several copies: NumPy's ufunc
+overlap check cannot prove such an output free of self-overlap, and it would
+copy the whole stack on every call.  Pixels outside the tiles (a border
+narrower than ``side``) are not scaled.  No index array is read.
 
 **Relaxed iteration.**  Each iteration updates ``x``, then the stacked copies
 ``Z`` (``s x n``), then the scaled duals ``U``, with the z- and u-updates
@@ -78,7 +79,9 @@ of ``(side, side, H//side, W//side)`` tile scales (about ``n`` entries each)
 and four working n-vectors: ``x``, the last iteration's ``x``, ``mean(r)``
 and a scratch vector, which carries ``mean(q)`` from the end of one
 iteration to the x-update of the next.  An estimate of the penalty (below)
-allocates three n-vectors more, and a checked iteration one.
+allocates three n-vectors more, and a checked iteration one; the recoveries
+of an estimate and the scaling of the tiles each allocate ``n/side``
+factors.
 
 **Adaptive penalty.**  Every solve starts at ``x = v``, ``z^i = v``,
 ``u^i = 0`` and ``rho0 = 1 + RHO_START_WEIGHT*lam/max|v|`` (1 when ``v = 0``),
@@ -285,55 +288,50 @@ RHO_START_WEIGHT = 2.0
 # Spectral penalty selection (module docstring).  Counts are prox
 # iterations on the benchmark's prox-denoise seeds 0-7 and in CoLaMP's calls
 # on cs-colamp seeds 0-3 (42,309 there with residual balancing at iterations
-# 10, 20, 40, ...); times are alternating in-process rounds, one BLAS thread,
-# on a 2-core host.
+# 10, 20, 40, ...), each measured by changing one constant or mechanism of
+# the rule as it stands; the rule as it stands takes 1,160 and 10,262.  Every
+# such run converged or stopped on its support, and recovered the same
+# cs-colamp problems.
 #
 # Every SPECTRAL_STRIDE-th iteration rho is estimated.  Strides 2, 3, 4 and 6
-# took 1,072, 1,160, 1,080 and 1,296 and 11,558, 10,262, 15,590 and 14,666
-# iterations.  At stride 2 the stream cost about two iterations per estimate
-# at 128x128 and made prox-denoise's rounds 1.1-1.5 times the balancing
-# rule's; stride 3 had the fastest cs-colamp rounds.  The stream needs a
-# stride of at least 3 (module docstring).
+# took 1,004, 1,160, 1,080 and 1,296 and 18,686, 10,262, 15,590 and 14,666
+# iterations.  The stream needs a stride of at least 3 (module docstring).
 SPECTRAL_STRIDE = 3
 # The estimate counts where the correlation of -dZ and dlam exceeds this.
-# At stride 2, before the octave range and the fallback's second verdict,
-# 0.1, 0.15 and 0.2 took 1,060, 1,156 and 1,544 and 13,978, 12,886 and
-# 13,970 iterations; at 0.05 a prox-denoise call ran to its 1,000-iteration
-# cap.
+# 0.05, 0.1, 0.15, 0.2 and 0.25 took 1,200, 1,184, 1,160, 1,428 and 1,436
+# and 17,902, 10,810, 10,262, 20,870 and 33,150 iterations.
 SPECTRAL_MIN_CORRELATION = 0.15
 # A change at iteration k is at most a factor 1 + SPECTRAL_SAFEGUARD/k**2, so
-# none comes after iteration 1,000.  In the runs above 1e6 and 1e10 took the
-# same 1,156 and 12,886 iterations and 1e5 took 1,164 and 12,902; at 1e4 rho
-# froze at iteration 100 on a poor value and a prox-denoise call ran to its
-# cap.
+# none comes after iteration 1,000.  1e4, 1e5, 1e6 and 1e10 took 1,116,
+# 1,156, 1,160 and 1,160 and 16,134, 10,274, 10,262 and 10,262 iterations.
 SPECTRAL_SAFEGUARD = 1e6
 # Steps of Z or U below SPECTRAL_NOISE*sqrt(s)*||v|| count as the rounding
 # noise of their recovery from the stack, which divides by the kept scales.
-# Without it a 1x1 problem at lam 3.25 changed rho by a different power of
-# two at v and at 3v for 61 of 2,002 values of v, as its steps of U fell to
-# rounding; the counts above did not move.
+# 0, 1e-10 and 1e-8 took the same counts above, and 1e-6 took 1,160 and
+# 10,370.  Without the test the estimate follows rounding: a 2x2 side-2
+# solve at lam 0.3 ended at rho 1.4e-3 on the stack where the iterates by
+# definition ended at 1.38, a 1x2 side-1 solve ended at 4.9e-3 against 5,
+# and solves at v and c*v changed rho by different powers of two.
 SPECTRAL_NOISE = 1e-8
 # rho stays within RHO_OCTAVES powers of two of rho0.  6, 8, 10, 12 and 16
-# took 484, 496, 528, 556 and 592 iterations on prox-denoise seeds 0-3 and
-# 11,353, 7,293, 5,817, 5,973 and 6,161 on cs-colamp seeds 0-1, at stride 2.
-# At 12 and 16 a 6x9 side-4 solve at lam 0.1 reached rho = 2,290 and a
-# computed gap of -4.5e-10 against ||v||^2 = 30: the rounding of the dual
-# point grows with rho.
+# and no such range took 1,020, 1,092, 1,160, 1,192, 1,204 and 1,204 and
+# 22,022, 13,994, 10,262, 14,626, 14,762 and 14,810 iterations.
 RHO_OCTAVES = 10
 
 # Residual balancing, the fallback where the correlation test fails: rho is
 # multiplied or divided by BALANCE_FACTOR when one residual exceeds
 # BALANCE_RATIO times the other at two estimates in a row.  Taken at every
-# estimate instead, at stride 2, it made rho oscillate: a 12x13 side-6 solve
-# at lam 10 kept a relative gap of 0.12 after 300 iterations, against 3e-8
-# with the second verdict.  On the cs-colamp benchmark's problems (seed
-# 0), measured before the spectral rule with the gap checked at every
-# iteration and balancing at iterations 10, 20, 40, ..., CoLaMP's prox calls
-# took 28,486 iterations at a fixed rho, 23,456 at Boyd et al.'s ratio 10 and
-# 17,124 at ratio 2.  With Boyd et al.'s n-space dual residual
-# rho*s*||zbar_k - zbar_{k-1}|| in place of the stack-space one they took
-# 20,224, and prox-denoise's seed-0 side-4 lam-0.2 case took 169 iterations
-# against 112 (120 at a fixed rho).
+# estimate instead, it took 1,132 and 12,390 iterations in the runs above,
+# and on a 12x13 side-6 solve at lam 0.1 it made 18 changes and reached
+# rho = 1,107, where the computed gap read -4.7e-10 against ||v||^2 = 144:
+# the rounding of the dual point grows with rho.  Measured before the
+# spectral rule, on the cs-colamp benchmark's problems (seed 0), with the gap
+# checked at every iteration and balancing at iterations 10, 20, 40, ...,
+# CoLaMP's prox calls took 28,486 iterations at a fixed rho, 23,456 at Boyd
+# et al.'s ratio 10 and 17,124 at ratio 2.  With Boyd et al.'s n-space dual
+# residual rho*s*||zbar_k - zbar_{k-1}|| in place of the stack-space one they
+# took 20,224, and prox-denoise's seed-0 side-4 lam-0.2 case took 169
+# iterations against 112 (120 at a fixed rho).
 BALANCE_RATIO = 2.0
 BALANCE_FACTOR = 2.0
 
@@ -423,8 +421,6 @@ class _TileStack:
                                strides=(step * (side * n + w), step * (n + 1), step * side * w,
                                         step * w, step))
         self.tiles = [tile or (0, 0, 0, 0) for tile in cliques.tiles]
-        # each copy's own tiles in r
-        self.copies = [(self.tiles_of(ri, tile), tile) for ri, tile in zip(self.r, self.tiles)]
 
     def tiles_of(self, vec: np.ndarray, tile: tuple) -> np.ndarray:
         """The clique tiles of the copy ``tile = (a, b, nh, nw)`` in the
@@ -432,17 +428,6 @@ class _TileStack:
         (a, b, th, tw), side = tile, self.side
         grid = vec.reshape(self.grid)
         return grid[a:a + th * side, b:b + tw * side].reshape(th, side, tw * side)
-
-    def repeated(self, factors: np.ndarray, tile: tuple) -> np.ndarray:
-        """The entries of the ``(side, side, H//side, W//side)`` array
-        ``factors`` that belong to the copy ``tile``, repeated along its
-        tiles' columns: ``(nh, 1, nw*side)``, which broadcasts over the tile
-        rows of :meth:`tiles_of`."""
-        a, b, th, tw = tile
-        # repeated, the factors run along whole tile rows; broadcast over
-        # each tile's side columns instead, NumPy loops over runs of side
-        # entries, and the product took twice as long or more
-        return factors[a, b, :th, None, :tw].repeat(self.side, axis=-1)
 
     def norms(self) -> None:
         """Set :attr:`scale` to the norm of every tile of every row of
@@ -456,42 +441,59 @@ class _TileStack:
                       self._ones, out=row_scales.reshape(-1))
         np.sqrt(self.scale, out=self.scale)
 
+    def block(self, vec: np.ndarray, tile: tuple) -> np.ndarray:
+        """The grid rows that the tiles of the copy ``tile`` span in the
+        n-vector ``vec``: a contiguous ``(nh, side, W)`` view, by tile row,
+        row within the tile and column."""
+        a, _, th, _ = tile
+        return vec.reshape(self.grid)[a:a + th * self.side].reshape(th, self.side, self.grid[1])
+
+    def row_factors(self, tile_factors: np.ndarray, tile: tuple, off: float,
+                    rows: np.ndarray) -> np.ndarray:
+        """The factors of the copy ``tile`` by tile row, written into the
+        first ``nh`` rows of the ``(H//side, W)`` array ``rows``: the entry
+        of the ``(nh, nw)`` array ``tile_factors`` along each tile's columns
+        and ``off`` beside the tiles.  Returned as ``(nh, 1, W)``, which
+        broadcasts over the rows of :meth:`block`."""
+        _, b, th, tw = tile
+        rows = rows[:th]
+        rows[:, :b] = off
+        rows[:, b + tw * self.side:] = off
+        rows[:, b:b + tw * self.side] = tile_factors.repeat(self.side, axis=-1)
+        return rows[:, None, :]
+
     def scale_tiles(self, factors: Optional[np.ndarray] = None) -> None:
         """Multiply each clique tile of each row of :attr:`r` in place by its
         entry of ``factors`` (default :attr:`scale`); no other entry of the
-        buffer changes.  The factors are repeated a copy at a time, so at most
-        ``n/side`` of them are alive at once."""
+        buffer changes.  Each copy's :meth:`block` is multiplied by its
+        :meth:`row_factors`, 1 beside the tiles, which hold ``n/side``
+        entries.  A product over the tiles alone, a strided view broadcast
+        over the tile rows, took NumPy ufunc buffers 2.5 to 3 times as large
+        (1.4 n at 128x128, sides 4 and 8, and 2.8 n at 32x32, side 2), and
+        the call took 1.3 to 1.4 times as long at 128x128."""
         factors = self.scale if factors is None else factors
-        for tiles, tile in self.copies:
-            tiles *= self.repeated(factors, tile)
+        rows = np.empty((self.grid[0] // self.side, self.grid[1]))
+        for ri, tile in zip(self.r, self.tiles):
+            a, b, th, tw = tile
+            block = self.block(ri, tile)
+            block *= self.row_factors(factors[a, b, :th, :tw], tile, 1.0, rows)
 
-    def tile_rows(self, vec: np.ndarray, tile: tuple) -> list:
-        """The rows of the clique tiles of the copy ``tile`` in the n-vector
-        ``vec``: ``side`` views of shape ``(nh, nw*side)``, row ``j`` of
-        every tile, which a copy's factors scale without broadcasting: over
-        the tile rows NumPy's ufunc would buffer up to 8,192 entries."""
-        tiles = self.tiles_of(vec, tile)
-        return [tiles[:, j] for j in range(self.side)]
-
-    def q_of(self, ri: np.ndarray, g: np.ndarray, i: int, out: np.ndarray) -> np.ndarray:
+    def q_of(self, ri: np.ndarray, g: np.ndarray, i: int, out: np.ndarray,
+             rows: np.ndarray) -> np.ndarray:
         """``q = r / ((alpha - 1) g)`` of copy ``i`` from its ``r``, in
         ``out``, which may be ``ri``; ``Z = r + q`` and
-        ``U = r + (1 - alpha) q``.  Off the tiles ``g`` counts as 1."""
+        ``U = r + (1 - alpha) q``.  Off the tiles ``g`` counts as 1.  The
+        ``(H//side, W)`` array ``rows`` holds the :meth:`row_factors`."""
         a, b, th, tw = tile = self.tiles[i]
+        off = 1.0 / (self.alpha - 1.0)
         inverse = np.reciprocal(g[a, b, :th, :tw])
-        inverse *= 1.0 / (self.alpha - 1.0)
-        inverse = inverse.repeat(self.side, axis=-1)
-        for src, dst in zip(self.tile_rows(ri, tile), self.tile_rows(out, tile)):
-            np.multiply(src, inverse, out=dst)
-        # the pixels outside the tiles: the rows above and below them, and
-        # beside them to the left and right
-        (h, w), bottom, right = self.grid, a + th * self.side, b + tw * self.side
-        src, dst = ri.reshape(self.grid), out.reshape(self.grid)
-        for (top, low), (left, high) in (((0, a), (0, w)), ((bottom, h), (0, w)),
-                                         ((a, bottom), (0, b)), ((a, bottom), (right, w))):
-            if top < low and left < high:
-                np.multiply(src[top:low, left:high], 1.0 / (self.alpha - 1.0),
-                            out=dst[top:low, left:high])
+        inverse *= off
+        np.multiply(self.block(ri, tile), self.row_factors(inverse, tile, off, rows),
+                    out=self.block(out, tile))
+        # the rows above and below the tiles
+        w = self.grid[1]
+        for span in (slice(0, a * w), slice((a + th * self.side) * w, None)):
+            np.multiply(ri[span], off, out=out[span])
         return out
 
     def dual_factors(self, g: np.ndarray, f: float) -> np.ndarray:
@@ -522,20 +524,21 @@ class _TileStack:
         ``(g_k, g_{k-1}, g_{k-2})``: ``q_k`` from ``r_k``, one step back to
         ``r_{k-1} = x_k - q_k`` and ``q_{k-1}``, and one more to
         ``r_{k-2}`` and ``q_{k-2}``, none of them rescaled after their
-        iteration.  The n-vector ``work`` is overwritten, and two more are
-        allocated."""
+        iteration.  The n-vector ``work`` is overwritten, and two more and
+        the ``n/side`` factors of :meth:`q_of` are allocated."""
         g, g_prev, g_prev2 = scales
         alpha = self.alpha
         a, (b, c) = work, np.empty((2, x.size))
+        rows = np.empty((self.grid[0] // self.side, self.grid[1]))
         primal_sq = dz_sq = dzu = du_sq = 0.0
         for i, ri in enumerate(self.r):
-            self.q_of(ri, g, i, a)                  # q_k
+            self.q_of(ri, g, i, a, rows)            # q_k
             np.subtract(x, a, out=b)                # r_{k-1}
             np.subtract(ri, b, out=c)               # Z_k - x_k
             primal_sq += float(c @ c)
-            self.q_of(b, g_prev, i, b)              # q_{k-1}
+            self.q_of(b, g_prev, i, b, rows)        # q_{k-1}
             np.subtract(x_prev, b, out=b)           # r_{k-2}
-            self.q_of(b, g_prev2, i, c)             # q_{k-2}
+            self.q_of(b, g_prev2, i, c, rows)       # q_{k-2}
             a -= c                                  # q_k - q_{k-2}
             np.subtract(ri, b, out=b)               # r_k - r_{k-2}
             np.add(a, b, out=c)                     # dZ
