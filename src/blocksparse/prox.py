@@ -113,11 +113,30 @@ back to ``r_{k-1}`` and ``q_{k-1}``, and one more to ``r_{k-2}`` and
 ``q_{k-2}``, from the scales of the last three iterations and the last
 ``x``; no ``Z`` or ``U`` stack is formed.  ``SPECTRAL_STRIDE >= 3`` keeps
 every change of ``rho`` outside that window.  The same stream sums the
-primal residual ``rp = ||Z_k - 1 x_k^T||_F``.  Where the correlation test
-fails, ``rho`` falls back on residual balancing (Boyd et al. 2011, section
-3.4.1) against ``rd = rho*sqrt(s)*||zbar_k - zbar_{k-1}||``, the step of the
+primal residual ``rp = ||Z_k - 1 x_k^T||_F``.  It reads only copy row 0,
+the ``side`` copies ``(0, b)`` whose tiles start on the grid's top row, and
+multiplies its four sums by ``side``, so that the noise test, the rounding
+floor and balancing below compare quantities at the whole stack's scale; at
+side 1 that is the one copy.  The copies are translates of one another, so
+a fixed sample of them estimates the same curvature, as subsampled
+curvature pairs do in stochastic quasi-Newton methods (Byrd, Hansen,
+Nocedal & Singer 2016, *A stochastic quasi-Newton method for large-scale
+optimization*), and an estimate costs a ``side``-th of a stream of every
+copy.  Row 0 has no fewer tiles than any other copy row, and of the samples
+measured it took the fewest iterations in CoLaMP's calls, where they
+differed most.  In prox iterations on the benchmark's prox-denoise seeds
+0-7 and in CoLaMP's calls on cs-colamp seeds 0-3, every copy took 1,160
+and 10,262, copy row 0 1,016 and 10,138, copy column 0 1,032 and 11,154,
+the diagonal copies ``(a, a)`` 1,092 and 10,794, the last copy row 1,148
+and 13,210, and a copy row rotated at each estimate 956 and 16,302; on
+seeds 10-17 and 10-13, which chose nothing, every copy took 1,136 and
+10,484 and row 0 980 and 10,380.
+
+Where the correlation test fails, ``rho`` falls back on residual balancing
+(Boyd et al. 2011, section 3.4.1) against
+``rd = rho*sqrt(s)*||zbar_k - zbar_{k-1}||``, the step of the
 mean spread over the ``s`` copies in the stack space: it gives a verdict of
-``BALANCE_FACTOR`` up where ``rp > BALANCE_RATIO*rd``, down where
+a factor 2 up where ``rp > BALANCE_RATIO*rd``, down where
 ``rd > BALANCE_RATIO*rp``, and none otherwise, and the verdict is taken only
 where the last estimate gave the same one, since balancing at every estimate
 made ``rho`` oscillate.  Where both ``rp`` and ``rd/rho`` are at most
@@ -173,11 +192,11 @@ iteration.  The solve stops at the first checked
 iteration whose gap passes, never before the first iteration whose gap
 would pass, and every stop is decided by the gap computed exactly at the
 iteration it ends on.  The gap is not monotone (below), so a stop can come
-more than ``GAP_STRIDE - 1`` iterations late: with residual balancing at
-iterations 10, 20, 40, ..., in CoLaMP's calls on the cs-colamp benchmark's
-problems (seed 0) 27 of 55 calls stopped 5 to 11
-iterations later than a solve checking every iteration; 14 of them passed
-their support test at iteration 22 and failed it at 25.
+more than ``GAP_STRIDE - 1`` iterations late: in CoLaMP's calls on the
+cs-colamp benchmark's problems (seed 0) 40 of 55 calls stopped 1 to 9
+iterations later than a solve checking every iteration, and 7 of them
+passed their stop test between two checked iterations and failed it at the
+next one.
 
 At a checked iteration the solve stops when
 ``P - D <= tol_rel*P + tol_abs*||v||^2``.  Both terms
@@ -220,8 +239,9 @@ is largest, ``sqrt(G)``, at ``d = sqrt(G)``, and it is ``sqrt(G/2)`` at
 ``sqrt(G) <= support_tol * max|x|``, on which gap-safe screening rests
 (Ndiaye, Fercoq, Gramfort & Salmon 2017, *Gap Safe screening rules for
 sparsity enforcing penalties*).  On the cs-colamp benchmark's problems
-(seed 0) CoLaMP's prox calls took 10,746 iterations against the one-sided
-bound's 14,537, with residual balancing at iterations 10, 20, 40, ....  The allowance ``e = n*eps*(P + |<g, v>| + ||g||^2/4)``
+(seed 0) CoLaMP's prox calls took 2,487 iterations against the one-sided
+bound's 2,935 (10,746 against 14,537 with residual balancing at iterations
+10, 20, 40, ...).  The allowance ``e = n*eps*(P + |<g, v>| + ||g||^2/4)``
 stands for the rounding error of the computed gap: where ``x* = 0`` and
 ``x`` is solver residue, roundoff can make the computed ``P - D`` zero, and
 without ``e`` that residue would pass as support (``v`` one spike, ``lam``
@@ -262,25 +282,27 @@ from .regularizer import smoothed_clique_norms
 RELAXATION = 1.8
 
 # The duality gap and the stop tests run at iteration 1, every GAP_STRIDE-th
-# iteration after it and the cap (module docstring).  Measured before the
-# spectral penalty, with residual balancing at iterations 10, 20, 40, ...: on
-# the cs-colamp benchmark's problems (seed 0) CoLaMP's prox calls took 10,493
-# iterations checked at every one and 10,746 at stride 4; with the earlier
-# one-sided support stop, 14,252 and 14,537 iterations, and the time per
-# iteration fell from 0.136 to 0.108 ms (traced, one BLAS thread); on
-# cs-colamp seeds 0-2, strides 2, 4 and 8 took 42,532, 43,140 and 43,372
-# iterations against 42,477, and recovered the same problems.
+# iteration after it and the cap (module docstring).  Strides 1, 2, 4 and 8
+# took 977, 990, 1,016 and 1,040 prox iterations on the benchmark's
+# prox-denoise seeds 0-7 and 9,593, 9,848, 10,138 and 15,498 in CoLaMP's calls
+# on cs-colamp seeds 0-3, with the same recoveries; at the 23% of an
+# iteration that a check costs at CoLaMP's size (module docstring), stride 4
+# is the cheapest of the four.  Measured before the spectral penalty, with
+# residual balancing at iterations 10, 20, 40, ...: the time per iteration on
+# cs-colamp fell from 0.136 ms at stride 1 to 0.108 ms at stride 4 (traced,
+# one BLAS thread).
 GAP_STRIDE = 4
 
 # Starting penalty rho0 = 1 + RHO_START_WEIGHT*lam/max|v| (1 when v = 0), the
-# same for (c*v, c*lam) at every c > 0.  Measured before the spectral
-# penalty, with residual balancing at iterations 10, 20, 40, ...: with the
-# benchmark's generators, one
-# BLAS thread and the gap checked at every iteration, weights 1, 2, 4 and 8
-# took 900, 840, 774 and 877 prox iterations on prox-denoise seeds 0-3;
-# 44,226, 42,477, 39,883 and 41,626 in CoLaMP's calls on cs-colamp seeds 0-2;
-# and 59,771, 56,610, 55,000 and 51,832 on 16 CoLaMP problems at m/K = 3,
-# which recovered the same 14 at every weight.  2 is the weight checked on the
+# same for (c*v, c*lam) at every c > 0.  Weights 1, 2, 4 and 8 took 1,144,
+# 1,016, 1,012 and 1,060 prox iterations on prox-denoise seeds 0-7; 18,554,
+# 10,138, 13,350 and 12,178 in CoLaMP's calls on cs-colamp seeds 0-3; and
+# 13,422, 13,030, 13,839 and 13,409 on 16 CoLaMP problems at m/K = 3 (the
+# benchmark's generators, seeds 0-7, images 0-1), which recovered the same 14
+# at every weight.  Measured before the spectral penalty, with residual
+# balancing at iterations 10, 20, 40, ... and the gap checked at every
+# iteration, weight 4 took 4-8% fewer iterations than 2; adapting rho every
+# SPECTRAL_STRIDE iterations left 2 the best.  2 is the weight checked on the
 # CS sweeps: at seed 0 every row kept the support, error, outer iterations and
 # termination it had with the start lam + 1.
 RHO_START_WEIGHT = 2.0
@@ -289,51 +311,51 @@ RHO_START_WEIGHT = 2.0
 # iterations on the benchmark's prox-denoise seeds 0-7 and in CoLaMP's calls
 # on cs-colamp seeds 0-3 (42,309 there with residual balancing at iterations
 # 10, 20, 40, ...), each measured by changing one constant or mechanism of
-# the rule as it stands; the rule as it stands takes 1,160 and 10,262.  Every
+# the rule as it stands; the rule as it stands takes 1,016 and 10,138.  Every
 # such run converged or stopped on its support, and recovered the same
 # cs-colamp problems.
 #
 # Every SPECTRAL_STRIDE-th iteration rho is estimated.  Strides 2, 3, 4 and 6
-# took 1,004, 1,160, 1,080 and 1,296 and 18,686, 10,262, 15,590 and 14,666
+# took 996, 1,016, 1,056 and 1,172 and 13,182, 10,138, 16,610 and 12,662
 # iterations.  The stream needs a stride of at least 3 (module docstring).
 SPECTRAL_STRIDE = 3
 # The estimate counts where the correlation of -dZ and dlam exceeds this.
-# 0.05, 0.1, 0.15, 0.2 and 0.25 took 1,200, 1,184, 1,160, 1,428 and 1,436
-# and 17,902, 10,810, 10,262, 20,870 and 33,150 iterations.
+# 0.05, 0.1, 0.15, 0.2 and 0.25 took 1,256, 1,108, 1,016, 1,344 and 1,400
+# and 14,202, 15,362, 10,138, 16,394 and 20,890 iterations.
 SPECTRAL_MIN_CORRELATION = 0.15
 # A change at iteration k is at most a factor 1 + SPECTRAL_SAFEGUARD/k**2, so
-# none comes after iteration 1,000.  1e4, 1e5, 1e6 and 1e10 took 1,116,
-# 1,156, 1,160 and 1,160 and 16,134, 10,274, 10,262 and 10,262 iterations.
+# none comes after iteration 1,000.  1e4, 1e5, 1e6 and 1e10 took 1,020,
+# 1,016, 1,016 and 1,016 and 11,038, 10,190, 10,138 and 10,170 iterations.
 SPECTRAL_SAFEGUARD = 1e6
 # Steps of Z or U below SPECTRAL_NOISE*sqrt(s)*||v|| count as the rounding
 # noise of their recovery from the stack, which divides by the kept scales.
-# 0, 1e-10 and 1e-8 took the same counts above, and 1e-6 took 1,160 and
-# 10,370.  Without the test the estimate follows rounding: a 2x2 side-2
-# solve at lam 0.3 ended at rho 1.4e-3 on the stack where the iterates by
-# definition ended at 1.38, a 1x2 side-1 solve ended at 4.9e-3 against 5,
+# 0, 1e-10 and 1e-8 took the same counts above, and 1e-6 took 1,016 and
+# 10,450.  Without the test the estimate follows rounding: a 2x2 side-2
+# solve at lam 0.3 moved rho to 1.4e-3 on the stack where the iterates by
+# definition moved it to 2.8, a 1x2 side-1 solve ended at 4.9e-3 against 5,
 # and solves at v and c*v changed rho by different powers of two.
 SPECTRAL_NOISE = 1e-8
 # rho stays within RHO_OCTAVES powers of two of rho0.  6, 8, 10, 12 and 16
-# and no such range took 1,020, 1,092, 1,160, 1,192, 1,204 and 1,204 and
-# 22,022, 13,994, 10,262, 14,626, 14,762 and 14,810 iterations.
+# and no such range took 940, 984, 1,016, 1,028, 1,028 and 1,028 and
+# 21,166, 14,030, 10,138, 10,366, 10,550 and 10,598 iterations.
 RHO_OCTAVES = 10
 
 # Residual balancing, the fallback where the correlation test fails: rho is
-# multiplied or divided by BALANCE_FACTOR when one residual exceeds
-# BALANCE_RATIO times the other at two estimates in a row.  Taken at every
-# estimate instead, it took 1,132 and 12,390 iterations in the runs above,
-# and on a 12x13 side-6 solve at lam 0.1 it made 18 changes and reached
-# rho = 1,107, where the computed gap read -4.7e-10 against ||v||^2 = 144:
-# the rounding of the dual point grows with rho.  Measured before the
-# spectral rule, on the cs-colamp benchmark's problems (seed 0), with the gap
-# checked at every iteration and balancing at iterations 10, 20, 40, ...,
-# CoLaMP's prox calls took 28,486 iterations at a fixed rho, 23,456 at Boyd
-# et al.'s ratio 10 and 17,124 at ratio 2.  With Boyd et al.'s n-space dual
-# residual rho*s*||zbar_k - zbar_{k-1}|| in place of the stack-space one they
-# took 20,224, and prox-denoise's seed-0 side-4 lam-0.2 case took 169
-# iterations against 112 (120 at a fixed rho).
+# doubled or halved when one residual exceeds BALANCE_RATIO times the other
+# at two estimates in a row.  Ratios 1.5, 2, 4 and 10 took 1,016, 1,016,
+# 1,060 and 1,132 and 10,754, 10,138, 11,246 and 14,082 iterations in the
+# runs above.  Taken at every estimate instead, the verdict took 984 and
+# 12,530, and on a 12x13 side-6 solve at lam 0.1 it made 19 changes and
+# reached rho = 1,107, where the computed gap read -4.0e-10 against
+# ||v||^2 = 144: the rounding of the dual point grows with rho.  Measured
+# before the spectral rule, on the cs-colamp benchmark's problems (seed 0),
+# with the gap checked at every iteration and balancing at iterations 10,
+# 20, 40, ..., CoLaMP's prox calls took 28,486 iterations at a fixed rho,
+# 23,456 at Boyd et al.'s ratio 10 and 17,124 at ratio 2.  With Boyd et
+# al.'s n-space dual residual rho*s*||zbar_k - zbar_{k-1}|| in place of the
+# stack-space one they took 20,224, and prox-denoise's seed-0 side-4 lam-0.2
+# case took 169 iterations against 112 (120 at a fixed rho).
 BALANCE_RATIO = 2.0
-BALANCE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -350,11 +372,12 @@ class ProxConfig:
     changes are finitely many and the fixed-penalty convergence theory
     applies after the last.  The final penalty is ``report.extra["rho"]``;
     ``report.extra["rho_spectral"]`` and ``report.extra["rho_fallback"]``
-    count the changes each rule made, and ``report.extra["rho_changes"]``
-    their sum.  The solve stops at the first checked iteration (iteration 1,
-    every ``GAP_STRIDE``-th after it and the cap) whose duality gap ``P - D``
-    of the module docstring
-    is at most ``tol_rel*P + tol_abs*||v||^2``: ``P`` is the prox objective
+    count the changes each rule made, ``report.extra["rho_changes"]``
+    their sum, and ``report.extra["rho_estimates"]`` the estimates that
+    streamed the stack, 0 where the solve is screened.  The solve stops at
+    the first checked iteration (iteration 1, every ``GAP_STRIDE``-th after
+    it and the cap) whose duality gap ``P - D`` of the module docstring is
+    at most ``tol_rel*P + tol_abs*||v||^2``: ``P`` is the prox objective
     at the current ``x`` and ``D`` the dual value of ``g = -rho * sum_i u^i``,
     which the z-update keeps feasible.  ``tol_abs = tol_rel = 0`` disables
     the test, so exactly ``max_iters`` iterations run.  The report's traces
@@ -519,19 +542,24 @@ class _TileStack:
                           work: np.ndarray) -> tuple:
         """``(||Z_k - 1 x_k^T||^2, ||dZ||^2, <dZ, dU>, ||dU||^2)`` for
         ``dZ = Z_k - Z_{k-2}`` and ``dU = U_k - U_{k-2}``, both ``U`` at the
-        current penalty, streamed a copy at a time from the stack, which
-        holds ``r_k``, the current and last ``x`` and the kept scales
+        current penalty, each estimated as ``side`` times its sum over copy
+        row 0, the copies ``(0, b)``: the copies are translates of one
+        another, row 0 has no fewer tiles than any other row, and of the
+        samples measured it chose the penalty best (module docstring).
+        Streamed a copy at a time from the stack, which holds ``r_k``, the
+        current and last ``x`` and the kept scales
         ``(g_k, g_{k-1}, g_{k-2})``: ``q_k`` from ``r_k``, one step back to
         ``r_{k-1} = x_k - q_k`` and ``q_{k-1}``, and one more to
         ``r_{k-2}`` and ``q_{k-2}``, none of them rescaled after their
-        iteration.  The n-vector ``work`` is overwritten, and two more and
-        the ``n/side`` factors of :meth:`q_of` are allocated."""
+        iteration, so an estimate makes ``3*side`` calls of :meth:`q_of`.
+        The n-vector ``work`` is overwritten, and two more and the
+        ``n/side`` factors of :meth:`q_of` are allocated."""
         g, g_prev, g_prev2 = scales
-        alpha = self.alpha
+        alpha, side = self.alpha, self.side
         a, (b, c) = work, np.empty((2, x.size))
-        rows = np.empty((self.grid[0] // self.side, self.grid[1]))
+        rows = np.empty((self.grid[0] // side, self.grid[1]))
         primal_sq = dz_sq = dzu = du_sq = 0.0
-        for i, ri in enumerate(self.r):
+        for i, ri in enumerate(self.r[:side]):  # copy row 0: (0, b), b < side
             self.q_of(ri, g, i, a, rows)            # q_k
             np.subtract(x, a, out=b)                # r_{k-1}
             np.subtract(ri, b, out=c)               # Z_k - x_k
@@ -548,7 +576,7 @@ class _TileStack:
             dz_sq += float(c @ c)
             dzu += float(c @ a)
             du_sq += float(a @ a)
-        return primal_sq, dz_sq, dzu, du_sq
+        return side * primal_sq, side * dz_sq, side * dzu, side * du_sq
 
     def clear_off_tiles(self) -> None:
         """Set every entry of :attr:`r` outside its copy's tiles to 0."""
@@ -596,12 +624,14 @@ class _PenaltyRule:
         self.octave = 0
         self.pending = 0  # the fallback's last verdict, in octaves, not yet taken
         self.changes = {"rho_spectral": 0, "rho_fallback": 0}
+        self.estimates = 0  # calls of step, each after one stream of the stack
 
     def step(self, k: int, rho: float, primal_res: float, zbar_step: float,
              dz_sq: float, dzu: float, du_sq: float) -> float:
         """``f = rho_old/rho_new`` at estimate iteration ``k``, from the
         primal residual, ``rd/rho`` and the products of
         :meth:`_TileStack.spectral_products`."""
+        self.estimates += 1
         if max(primal_res, zbar_step) <= self.floor:  # both are rounding error
             self.pending = 0
             return 1.0
@@ -705,7 +735,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
         report = SolverReport([], [], "converged", iterations=0,
                               wall_clock=time.perf_counter() - t0,
                               extra={"rho": rho, "rho_changes": 0, "rho_spectral": 0,
-                                     "rho_fallback": 0})
+                                     "rho_fallback": 0, "rho_estimates": 0})
         return ProxResult(np.zeros(shape), report, u=_screened_duals(v, side, rho))
 
     alpha = RELAXATION
@@ -853,7 +883,8 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 rbar /= s
                 work -= rbar
 
-    extra = {"rho": rho, "rho_changes": sum(penalty.changes.values()), **penalty.changes}
+    extra = {"rho": rho, "rho_changes": sum(penalty.changes.values()), **penalty.changes,
+             "rho_estimates": penalty.estimates}
     if reason == "support-certified":
         extra["support_radius"] = radius
     report = SolverReport(objective_trace, residual_trace, reason, iterations=k,

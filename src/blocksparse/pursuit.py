@@ -81,10 +81,12 @@ class ColampConfig:
     # all-shrunk prox (x* = 0) never certifies a support and stops on them.
     # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
     # problems at m/K = 3 (K = 40, side 2, the benchmark's generators, seeds
-    # 0-7, images 0-1), 14 recover exactly in 12,912 prox iterations at cap
-    # 1500 with the spectral penalty, none capped.  Measured before it, with
-    # residual balancing at iterations 10, 20, 40, ...: 14 recovered at caps
-    # 1500, 1000 and 500 alike, in 43,953, 42,813 and 34,794 prox
+    # 0-7, images 0-1), 14 recover exactly in 13,030 prox iterations with the
+    # spectral penalty at caps 1500, 1000 and 500 alike, none capped (12,912
+    # at cap 1500 with each estimate streamed from every copy, not copy row
+    # 0).  Measured before the spectral penalty, with residual balancing at
+    # iterations 10, 20, 40, ...: 14 recovered at caps 1500, 1000 and 500
+    # alike, in 43,953, 42,813 and 34,794 prox
     # iterations, with the two-sided support radius and the gap checked
     # every GAP_STRIDE iterations; with the one-sided bound sqrt(gap) they
     # took 56,880 at cap 1500; checking the gap at every iteration, 56,610,
@@ -143,7 +145,8 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
         (``"prox_iterations"``), how many calls stopped for each reason
         (``"prox_terminations"``), and how many penalty changes the calls
         made by the spectral rule and by its fallback (``"rho_spectral"``
-        and ``"rho_fallback"``, summed over the calls).  Measurements whose
+        and ``"rho_fallback"``) and how many penalty estimates they ran
+        (``"rho_estimates"``), each summed over the calls.  Measurements whose
         norm overflows raise ``ConfigError``.
     """
     y = np.asarray(y, dtype=float).ravel()
@@ -170,8 +173,9 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
     support_size = 0
     prox_iterations: list[int] = []
     prox_terminations: Counter = Counter()
-    # the prox calls' penalty changes, by the rule that made them
-    rho_rules: Counter = Counter(rho_spectral=0, rho_fallback=0)
+    # the prox calls' penalty changes, by the rule that made them, and their
+    # penalty estimates
+    rho_rules: Counter = Counter(rho_spectral=0, rho_fallback=0, rho_estimates=0)
     lam_n = cfg.lam0
 
     n = 0

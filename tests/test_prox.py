@@ -288,7 +288,8 @@ def test_prox_residual_mostly_monotone():
 def test_spectral_products_match_the_explicit_stacks(height, width, side, monkeypatch):
     # at every estimate iteration k the four products the prox streams from
     # its one stack are those of the whole stacks Z and U rebuilt from capped
-    # solves: ||Z_k - 1 x_k^T||^2, and ||dZ||^2, <dZ, dU> and ||dU||^2 for
+    # solves, summed over copy row 0 and multiplied by side (sampled_sum):
+    # ||Z_k - 1 x_k^T||^2, and ||dZ||^2, <dZ, dU> and ||dU||^2 for
     # dZ = Z_k - Z_{k-2} and dU = U_k - U_{k-2}, both U at iteration k's
     # rho.  Borders narrower than a tile, empty subsets and all-zero cliques
     # included; changes of rho between the windows included.  Each side
@@ -327,12 +328,12 @@ def test_spectral_products_match_the_explicit_stacks(height, width, side, monkey
             floor = 1e-12 * np.linalg.norm(v) / least
             dz = zs[k] - zs[k - 2]
             du = (rhos[k] * us[k] - rhos[k - 2] * us[k - 2]) / rhos[k - 1]
-            primal = np.linalg.norm(zs[k] - xs[k])
-            dz_norm, du_norm = np.linalg.norm(dz), np.linalg.norm(du)
+            primal = math.sqrt(sampled_sum((zs[k] - xs[k]) ** 2))
+            dz_norm, du_norm = math.sqrt(sampled_sum(dz * dz)), math.sqrt(sampled_sum(du * du))
             assert math.sqrt(primal_sq) == pytest.approx(primal, rel=1e-9, abs=floor)
             assert math.sqrt(dz_sq) == pytest.approx(dz_norm, rel=1e-9, abs=floor)
             assert math.sqrt(du_sq) == pytest.approx(du_norm, rel=1e-9, abs=floor)
-            assert dzu == pytest.approx(np.sum(dz * du), rel=1e-9,
+            assert dzu == pytest.approx(sampled_sum(dz * du), rel=1e-9,
                                         abs=(1e-9 * dz_norm + floor) * du_norm + floor * dz_norm)
 
 
@@ -403,9 +404,44 @@ def test_prox_counts_penalty_changes_by_rule():
     v[20:24, 3:8] = -1.0
     v += 0.3 * rng.standard_normal(v.shape)
     for lam in (0.3, 0.6, 1.2):
-        extra = prox_block_norm(v, system(32, 32, 2), ProxConfig(lam=lam)).report.extra
+        rep = prox_block_norm(v, system(32, 32, 2), ProxConfig(lam=lam)).report
+        extra = rep.extra
         assert extra["rho_spectral"] + extra["rho_fallback"] == extra["rho_changes"]
         assert extra["rho_spectral"] > 0 and extra["rho_fallback"] > 0
+        # every SPECTRAL_STRIDE-th iteration streams an estimate, but not the
+        # one a stop test ends
+        stopped_on_estimate = (rep.termination_reason != "max-iterations"
+                               and rep.iterations % SPECTRAL_STRIDE == 0)
+        assert extra["rho_estimates"] == rep.iterations // SPECTRAL_STRIDE - stopped_on_estimate
+        assert extra["rho_changes"] <= extra["rho_estimates"]
+
+
+@pytest.mark.parametrize("side", [3, 4])
+def test_penalty_estimate_streams_one_copy_row(side, monkeypatch):
+    # an estimate recovers q three times for each copy it streams, and it
+    # streams copy row 0, the side copies (0, b): 3*side recoveries, where
+    # streaming the whole stack took 3*side**2
+    streams = []
+    recover, products = _TileStack.q_of, _TileStack.spectral_products
+
+    def counting_products(self, *args):
+        streams.append([])
+        return products(self, *args)
+
+    def counting_q_of(self, ri, g, i, out, rows):
+        streams[-1].append(i)
+        return recover(self, ri, g, i, out, rows)
+
+    monkeypatch.setattr(_TileStack, "spectral_products", counting_products)
+    monkeypatch.setattr(_TileStack, "q_of", counting_q_of)
+    height, width = 4 * side + 1, 3 * side + 2
+    v = np.random.default_rng(side).standard_normal((height, width))
+    rep = prox_block_norm(v, system(height, width, side),
+                          ProxConfig(lam=0.5, max_iters=12, tol_abs=0.0, tol_rel=0.0)).report
+    assert len(streams) == 12 // SPECTRAL_STRIDE
+    for copies in streams:
+        assert len(copies) == 3 * side and sorted(set(copies)) == list(range(side))
+    assert rep.extra["rho_estimates"] == len(streams)
 
 
 @pytest.mark.parametrize("tol_abs,tol_rel", [(1e-8, 1e-6), (0.0, 1e-9), (1e-6, 0.0)])
@@ -700,6 +736,7 @@ def test_prox_screens_a_weight_of_twice_the_center_norm(lam):
     rep = res.report
     assert rep.termination_reason == "converged" and rep.iterations == 0
     assert np.all(res.x == 0) and rep.extra["rho"] == start_rho(v, lam)
+    assert rep.extra["rho_estimates"] == 0
     gap = helpers.prox_gap_by_projection(v, res.x, res.u, rep.extra["rho"], lam, 2)
     assert abs(gap) <= 1e-12 * np.sum(v ** 2)
 
@@ -775,13 +812,23 @@ def test_prox_config_rejects_non_integer_max_iters():
     assert ProxConfig(lam=1.0, max_iters=np.int64(7)).max_iters == 7
 
 
+def sampled_sum(products):
+    """The sum of an ``s x n`` stack of products over copy row 0, its first
+    ``side`` rows, times ``side``: the prox's estimate of the sum over every
+    copy."""
+    side = math.isqrt(len(products))
+    return side * np.sum(products[:side])
+
+
 def penalty_octaves_by_definition(k, rho, z, z_old, u, mult_old, primal_res, zbar_step,
                                   floor, noise, pending):
     """``(up, pending)``: the octaves rho moves up at an estimate iteration
     ``k``, before the safeguard and the range, from the full stacks, and the
     fallback's verdict left pending.  ``dZ = Z_k - Z_{k-2}`` and
     ``dU = U_k - U_{k-2}``, ``U_{k-2}`` the multiplier
-    ``mult_old = rho_{k-2} U_{k-2}`` over this ``rho``.  The spectral step
+    ``mult_old = rho_{k-2} U_{k-2}`` over this ``rho``, are sampled on copy
+    row 0, the ``side`` copies ``(0, b)``, and each sum over them is
+    multiplied by ``side`` (:func:`sampled_sum`).  The spectral step
     ``beta`` is the hybrid of the steepest-descent step
     ``rho ||dU||^2 / -<dZ, dU>`` and the minimum-gradient step
     ``rho -<dZ, dU> / ||dZ||^2``.  Where the correlation of ``-dZ`` and
@@ -793,7 +840,7 @@ def penalty_octaves_by_definition(k, rho, z, z_old, u, mult_old, primal_res, zba
     if max(primal_res, zbar_step) <= floor:
         return 0, 0
     dz, du = z - z_old, u - mult_old / rho
-    dz_sq, dzu, du_sq = np.sum(dz * dz), np.sum(dz * du), np.sum(du * du)
+    dz_sq, dzu, du_sq = sampled_sum(dz * dz), sampled_sum(dz * du), sampled_sum(du * du)
     if (min(dz_sq, du_sq) > noise**2
             and -dzu > SPECTRAL_MIN_CORRELATION * math.sqrt(dz_sq) * math.sqrt(du_sq)):
         steepest, least = -rho * du_sq / dzu, -rho * dzu / dz_sq
@@ -809,9 +856,11 @@ def admm_by_loop(v, side, lam, alpha):
     ``z^i = v``, ``u^i = 0`` and ``rho = start_rho(v, lam)``, yielded as
     ``(x, u, rho)`` after each iteration: one copy per subset of
     brute-force cliques, each copy's relaxed point ``alpha*x + (1 - alpha)*z^i``
-    formed on its own, each clique shrunk on its own, every sum taken over
-    the full s x n stacks.  At every ``SPECTRAL_STRIDE``-th iteration rho
-    moves by :func:`penalty_octaves_by_definition` from the stacks of this
+    formed on its own, each clique shrunk on its own, every sum of the
+    iteration taken over the full s x n stacks and those of the penalty
+    estimate over copy row 0, times ``side``.  At every
+    ``SPECTRAL_STRIDE``-th iteration rho moves by
+    :func:`penalty_octaves_by_definition` from the stacks of this
     iteration and of two before, by at most ``log2(1 + SPECTRAL_SAFEGUARD/k**2)``
     octaves and to at most ``RHO_OCTAVES`` octaves from the start, and
     ``u`` is rescaled so that ``rho*u`` stays put."""
@@ -842,7 +891,7 @@ def admm_by_loop(v, side, lam, alpha):
         if k % SPECTRAL_STRIDE == 0:
             z_old, mult_old = history[0]
             up, pending = penalty_octaves_by_definition(
-                k, rho, z, z_old, u, mult_old, np.linalg.norm(z - x),
+                k, rho, z, z_old, u, mult_old, math.sqrt(sampled_sum((z - x) ** 2)),
                 np.sqrt(s) * np.linalg.norm(z.mean(axis=0) - zbar_prev), floor, noise, pending)
             steps = int(math.log2(1.0 + SPECTRAL_SAFEGUARD / k**2))
             up = max(-RHO_OCTAVES, min(RHO_OCTAVES, octave + max(-steps, min(steps, up)))) - octave

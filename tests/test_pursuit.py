@@ -263,8 +263,8 @@ def test_report_keeps_every_prox_report(monkeypatch, seed, k, lam0, max_iters):
     assert terminations == dict(Counter(r.termination_reason for r in seen))
     assert sum(terminations.values()) == len(seen)
     assert sum(report.extra["prox_iterations"]) == sum(r.iterations for r in seen)
-    # the penalty changes of every call, by rule, summed
-    for rule in ("rho_spectral", "rho_fallback"):
+    # the penalty changes of every call, by rule, and its estimates, summed
+    for rule in ("rho_spectral", "rho_fallback", "rho_estimates"):
         assert report.extra[rule] == sum(r.extra[rule] for r in seen)
     assert (report.extra["rho_spectral"] + report.extra["rho_fallback"]
             == sum(r.extra["rho_changes"] for r in seen))
