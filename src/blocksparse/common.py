@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TERMINATION_REASONS = ("converged", "max-iterations", "support-collapse", "support-certified")
+TERMINATION_REASONS = ("converged", "max-iterations", "support-collapse", "support-certified",
+                       "stalled", "underdetermined")
 
 
 class ConfigError(ValueError):

@@ -7,6 +7,11 @@ each support refinement is a global minimizer), (3) the minimum-norm least
 squares fit on the detected support columns plus truncation to the K largest
 entries, and (4) a residual update.  The prox weight grows geometrically
 across iterations, which increasingly penalizes isolated blocky noise.
+
+The residual is not monotone across outer iterations, so the pursuit keeps
+its lowest-residual iterate and returns it, and it stops with ``"stalled"``
+once that iterate is ``STALL_PATIENCE`` outer iterations old, as Subspace
+Pursuit halts once its residual stops falling (Dai & Milenkovic, 2009).
 """
 
 from __future__ import annotations
@@ -27,6 +32,14 @@ from .prox import ProxConfig, prox_block_norm
 # solve stops once its duality gap certifies every pixel above it as support
 SUPPORT_REL_TOL = 3e-3
 ZERO_SOLUTION_REL_TOL = 1e-8  # all-shrunk prox outputs leave only solver-noise entries
+# The pursuit stops with "stalled" once its lowest residual is this many outer
+# iterations old.  Of the 16 blocky 32x32 problems at m/K = 3 (K = 40, side
+# 2, the benchmark's generators, seeds 0-7, images 0-1), 14 recover in 13,030
+# prox iterations and 170 outer iterations when the pursuit runs to its 50
+# and returns the last iterate.  Patience 3 recovers 12 in 6,163 prox
+# iterations, 5 the same 14 in 7,377 (89 outer), and 10 the same 14 in 7,927
+# (99 outer).  At m/K = 4 all 16 recover in 3,769 with or without the stop.
+STALL_PATIENCE = 5
 
 
 @dataclass(frozen=True)
@@ -81,10 +94,11 @@ class ColampConfig:
     # all-shrunk prox (x* = 0) never certifies a support and stops on them.
     # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
     # problems at m/K = 3 (K = 40, side 2, the benchmark's generators, seeds
-    # 0-7, images 0-1), 14 recover exactly in 13,030 prox iterations with the
-    # spectral penalty at caps 1500, 1000 and 500 alike, none capped (12,912
+    # 0-7, images 0-1), 14 recover exactly in 7,377 prox iterations, none
+    # capped, with the spectral penalty and the stall stop (STALL_PATIENCE);
+    # 13,030 without the stop, at caps 1500, 1000 and 500 alike, and 12,912
     # at cap 1500 with each estimate streamed from every copy, not copy row
-    # 0).  Measured before the spectral penalty, with residual balancing at
+    # 0.  Measured before the spectral penalty, with residual balancing at
     # iterations 10, 20, 40, ...: 14 recovered at caps 1500, 1000 and 500
     # alike, in 43,953, 42,813 and 34,794 prox
     # iterations, with the two-sided support radius and the gap checked
@@ -137,11 +151,20 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
     Returns
     -------
     (x, report)
-        Recovered image ``(H, W)`` and a report tracing ``||Phi x - y||^2``
-        and ``||r||`` per iteration.  An empty support after the prox is
-        retried once at half the weight; if it stays empty the run terminates
-        with reason ``"support-collapse"``.  ``report.extra`` holds the
-        iteration count of every prox call, in call order
+        The lowest-residual iterate as an image ``(H, W)``, and a report
+        tracing ``||Phi x - y||^2`` and ``||r||`` at every outer iteration
+        run.  The run stops with ``"converged"`` once ``||r|| <= eps_res``,
+        where the last iterate is the best, or with ``"underdetermined"``
+        instead when that iterate has ``m`` or more nonzeros, whose
+        least-squares fit meets any ``y``.  It stops with ``"stalled"`` once
+        the best iterate is ``STALL_PATIENCE`` outer iterations old, and
+        with ``"max-iterations"`` at ``cfg.max_iters``.  An empty support
+        after the prox is retried once at half the weight; if it stays empty
+        the run terminates with reason ``"support-collapse"``.
+        ``report.extra`` holds the outer iteration of the returned iterate
+        (``"best_iteration"``, 0 for the zero start), its nonzero count
+        (``"support_size"``), the iteration count of every prox call, in
+        call order
         (``"prox_iterations"``), how many calls stopped for each reason
         (``"prox_terminations"``), and how many penalty changes the calls
         made by the spectral rule and by its fallback (``"rho_spectral"``
@@ -170,13 +193,15 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
-    support_size = 0
     prox_iterations: list[int] = []
     prox_terminations: Counter = Counter()
     # the prox calls' penalty changes, by the rule that made them, and their
     # penalty estimates
     rho_rules: Counter = Counter(rho_spectral=0, rho_fallback=0, rho_estimates=0)
     lam_n = cfg.lam0
+
+    # the lowest-residual iterate so far, and its outer iteration (0: x = 0)
+    best_x, best_residual, best_iteration = x, np.inf, 0
 
     n = 0
     while n < cfg.max_iters and float(np.linalg.norm(r)) > eps_res:
@@ -204,21 +229,29 @@ def colamp_solve(y, model: MeasurementModel, cliques: CliqueSystem,
         x = np.zeros(model.n)
         x[support] = truncate_top_k(x_s, cfg.k)
         r = y - model.forward(x)
-        support_size = int(np.count_nonzero(x))
 
         objective_trace.append(float(r @ r))
         residual_trace.append(float(np.linalg.norm(r)))
+        if residual_trace[-1] < best_residual:
+            best_x, best_residual, best_iteration = x, residual_trace[-1], n
+        elif n - best_iteration >= STALL_PATIENCE:
+            reason = "stalled"
+            break
 
-    if reason != "support-collapse" and float(np.linalg.norm(r)) <= eps_res:
-        reason = "converged"
+    support_size = int(np.count_nonzero(best_x))
+    if reason == "max-iterations" and float(np.linalg.norm(r)) <= eps_res:
+        # the last iterate, the only one within eps_res, so the best; with m
+        # or more columns any y has an exact fit, which certifies nothing
+        reason = "converged" if support_size < model.m else "underdetermined"
 
     report = SolverReport(objective_trace, residual_trace, reason, iterations=n,
                           wall_clock=time.perf_counter() - t0,
                           extra={"final_lambda": lam_n, "support_size": support_size,
+                                 "best_iteration": best_iteration,
                                  "prox_iterations": prox_iterations,
                                  "prox_terminations": dict(prox_terminations),
                                  **rho_rules})
-    return x.reshape(shape), report
+    return best_x.reshape(shape), report
 
 
 def _support_of(x_r: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -181,12 +181,20 @@ def test_memory_benchmark_reruns_equal_apart_from_measurements(tmp_path):
 def test_jobs_do_not_change_results(tmp_path):
     # rpca-decompose's 10,240-entry stack is long enough for a threaded BLAS
     # to split a dot product, so its rows check that no metric uses one;
-    # cs-recovery-sweep's rows come from CoLaMP, and so from the prox
-    for name, flags, jobs in (("blocktv-denoise", dict(lam=0.1), 3), ("rpca-decompose", {}, 2),
-                              ("cs-recovery-sweep", dict(m_over_k=3.0), 2)):
-        p1 = run_experiment(name, small_cfg(tmp_path / name / "j1", trials=2, jobs=1, **flags))
-        p2 = run_experiment(name, small_cfg(tmp_path / name / "j2", trials=2, jobs=jobs, **flags))
-        assert helpers.read_csv_without_timing(p1) == helpers.read_csv_without_timing(p2), name
+    # cs-recovery-sweep's rows come from CoLaMP, and so from the prox, and
+    # at m/K 1 from a pursuit that stalls and returns its best iterate
+    cases = (("blocktv-denoise", dict(lam=0.1), 3), ("rpca-decompose", {}, 2),
+             ("cs-recovery-sweep", dict(m_over_k=3.0), 2),
+             ("cs-recovery-sweep", dict(m_over_k=1.0), 2))
+    for case, (name, flags, jobs) in enumerate(cases):
+        out = tmp_path / str(case)
+        p1 = run_experiment(name, small_cfg(out / "j1", trials=2, jobs=1, **flags))
+        p2 = run_experiment(name, small_cfg(out / "j2", trials=2, jobs=jobs, **flags))
+        rows = helpers.read_csv_without_timing(p1)
+        assert rows == helpers.read_csv_without_timing(p2), (name, flags)
+        if flags.get("m_over_k") == 1.0:
+            column = rows[0].index("termination")
+            assert {row[column] for row in rows[1:]} == {"stalled"}
 
 
 def test_resolve_config_defaults():

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,6 +292,15 @@ def test_colamp_rejects_measurements_whose_norm_overflows():
             colamp_solve(c * y, model, cs, ColampConfig(k=4, lam0=0.6 * c, eps_res=eps_res))
 
 
+def _stalling_problem():
+    # a small analogue of the benchmark's failing problem: m/K = 1.25 at
+    # 16x16, where the residual bottoms out at outer iteration 14 of 50
+    rng = np.random.default_rng(41)
+    truth = make_blocky_image(16, 16, 12, 2, rng)
+    model = MeasurementModel(gaussian_measurement_matrix(15, 256, rng))
+    return model.forward(truth), model, system(16, 16), ColampConfig(k=12)
+
+
 def test_colamp_is_scale_equivariant():
     # every prox call starts from its own (v, lam) at a scale-free rho, and
     # every other threshold is relative, so scaling y and lam0 by c scales the
@@ -308,6 +318,46 @@ def test_colamp_is_scale_equivariant():
         assert rc.iterations == report.iterations
         assert rc.extra["prox_iterations"] == report.extra["prox_iterations"]
         assert np.linalg.norm(xc - c * x) <= 1e-12 * c * np.linalg.norm(x)
+    # a stalled run keeps its best iterate, and so its stop, at every scale
+    y, model, cs, cfg = _stalling_problem()
+    x, report = colamp_solve(y, model, cs, cfg)
+    assert report.termination_reason == "stalled"
+    for c in (2.0 ** 10, 2.0 ** -10, 100.0):
+        xc, rc = colamp_solve(c * y, model, cs, replace(cfg, lam0=c * cfg.lam0))
+        assert rc.termination_reason == "stalled"
+        assert rc.extra["best_iteration"] == report.extra["best_iteration"]
+        assert rc.iterations == report.iterations
+        assert np.array_equal(np.flatnonzero(xc), np.flatnonzero(x))
+        assert rc.extra["prox_iterations"] == report.extra["prox_iterations"]
+        assert np.linalg.norm(xc - c * x) <= 1e-12 * c * np.linalg.norm(x)
+
+
+def test_stalled_pursuit_returns_its_best_iterate():
+    y, model, cs, cfg = _stalling_problem()
+    x, report = colamp_solve(y, model, cs, cfg)
+    best = report.extra["best_iteration"]
+    assert report.termination_reason == "stalled"
+    assert 0 < best and report.iterations == best + pursuit.STALL_PATIENCE < cfg.max_iters
+    # every iterate stays in the traces; the returned one is the first with
+    # the lowest residual
+    assert len(report.residual_trace) == report.iterations
+    residual = float(np.linalg.norm(y - model.phi @ x.ravel()))
+    assert residual == min(report.residual_trace) == report.residual_trace[best - 1]
+    assert report.residual_trace.index(residual) == best - 1
+    assert report.extra["support_size"] == np.count_nonzero(x) <= cfg.k
+
+
+def test_exact_fit_on_m_columns_is_underdetermined():
+    # K >= m: the first support has every pixel, whose least-squares fit
+    # meets any y, so the zero residual certifies nothing
+    rng = np.random.default_rng(50)
+    truth = make_blocky_image(8, 8, 16, 2, rng)
+    model = MeasurementModel(gaussian_measurement_matrix(20, 64, rng))
+    y = model.forward(truth)
+    x, report = colamp_solve(y, model, system(8, 8), ColampConfig(k=64))
+    assert report.termination_reason == "underdetermined"
+    assert report.extra["support_size"] == np.count_nonzero(x) >= model.m
+    assert report.residual_trace[-1] <= 1e-6 * np.linalg.norm(y)
 
 
 _entries = st.one_of(st.just(0.0), st.floats(0.05, 3.0), st.floats(-3.0, -0.05))
