@@ -66,22 +66,20 @@ in place.  Since
 ``mean(q) = x - mean(r)`` of the previous iteration: one reduction of the
 stack per iteration, and ``mean(r)`` and ``mean(q)`` are kept as n-vectors.
 
-``(q, Z, U)`` is recovered from ``r`` and the kept scales where the penalty
+``U`` is recovered from ``r`` and the scales where a change of the penalty
 or the end needs it (:class:`_TileStack`): on a tile ``q = r/((alpha - 1) g)``,
-and with it ``Z = r + q`` and ``U = r + (1 - alpha) q = (1 - 1/g) r``; off
-the tiles ``g`` counts as 1 and ``U = 0``.  One step back,
-``r_{j-1} = x_j - q_j``.  A tile with ``alpha*c = 1`` has ``r = 0`` and has
-lost ``q``, so every iteration sets each ``g`` that rounds to exactly 0 to
-``eps``: ``r = (alpha - 1)*eps*q`` there, a move of at most ``eps*|q|``.
-``U`` is formed once, at the end, in the place of ``r``.  So beyond its
-input a solve holds the ``s*n`` entries of ``r`` and the tail, three arrays
-of ``(side, side, H//side, W//side)`` tile scales (about ``n`` entries each)
-and four working n-vectors: ``x``, the last iteration's ``x``, ``mean(r)``
-and a scratch vector, which carries ``mean(q)`` from the end of one
-iteration to the x-update of the next.  An estimate of the penalty (below)
-allocates three n-vectors more, and a checked iteration one; the recoveries
-of an estimate and the scaling of the tiles each allocate ``n/side``
-factors.
+so ``U = r + (1 - alpha) q = (1 - 1/g) r``; off the tiles ``g`` counts as 1
+and ``U = 0``.  A tile with ``alpha*c = 1`` has ``r = 0`` and has lost ``q``,
+so every iteration sets each ``g`` that rounds to exactly 0 to ``eps``:
+``r = (alpha - 1)*eps*q`` there, a move of at most ``eps*|q|``.  ``U`` is
+formed once, at the end, in the place of ``r``.  So beyond its input a solve
+holds the ``s*n`` entries of ``r`` and the tail, one
+``(side, side, H//side, W//side)`` array of tile scales (about ``n``
+entries) and three working n-vectors: ``x``, ``mean(r)`` and a scratch
+vector, which carries ``mean(q)`` from the end of one iteration to the
+x-update of the next.  An estimate of the penalty (below) keeps two
+n-vectors from two iterations before it and allocates three more, a checked
+iteration allocates one, and the scaling of the tiles ``n/side`` factors.
 
 **Adaptive penalty.**  Every solve starts at ``x = v``, ``z^i = v``,
 ``u^i = 0`` and ``rho0 = 1 + RHO_START_WEIGHT*lam/max|v|`` (1 when ``v = 0``),
@@ -99,38 +97,35 @@ exceeds half the former, else the former less half the latter.  ``rho``
 moves to the power of two nearest ``beta``, as a multiple of ``rho``, when
 the correlation ``<dG, dlam>/(||dG|| ||dlam||)`` exceeds
 ``SPECTRAL_MIN_CORRELATION`` and neither ``||dZ||`` nor ``||dU||`` is below
-``SPECTRAL_NOISE*sqrt(s)*||v||``, the rounding noise of their recovery.
+``SPECTRAL_NOISE*sqrt(s)*||v||``, the rounding noise of forming them.
 Only this ``beta`` of the two dual curvatures is estimated.  The other,
 ``alpha``, would come from the x-update's multipliers
 ``lamhat_k = rho*(U_{k-1} + Z_{k-1} - 1 x_k^T)``; the x-update makes
 ``sum_i lamhat_k^i = 2(x_k - v)``, so its minimum-gradient estimate is
-``2/s`` on every solve, but its steepest-descent estimate needs the stack
-three iterations back, two more scale arrays and an ``x`` more, which
-does not fit beside one stack in ``s*n + 12n``.
+``2/s`` on every solve, and its steepest-descent estimate, which would need
+``U + Z`` of iterations ``k - 1`` and ``k - 3`` as well, is not taken.
 
-The products are streamed a copy at a time from ``r_k``: ``q_k``, one step
-back to ``r_{k-1}`` and ``q_{k-1}``, and one more to ``r_{k-2}`` and
-``q_{k-2}``, from the scales of the last three iterations and the last
-``x``; no ``Z`` or ``U`` stack is formed.  ``SPECTRAL_STRIDE >= 3`` keeps
-every change of ``rho`` outside that window.  The same stream sums the
-primal residual ``rp = ||Z_k - 1 x_k^T||_F``.  It reads only copy row 0,
-the ``side`` copies ``(0, b)`` whose tiles start on the grid's top row, and
-multiplies its four sums by ``side``, so that the noise test, the rounding
-floor and balancing below compare quantities at the whole stack's scale; at
-side 1 that is the one copy.  The copies are translates of one another, so
-a fixed sample of them estimates the same curvature, as subsampled
-curvature pairs do in stochastic quasi-Newton methods (Byrd, Hansen,
-Nocedal & Singer 2016, *A stochastic quasi-Newton method for large-scale
-optimization*), and an estimate costs a ``side``-th of a stream of every
-copy.  Row 0 has no fewer tiles than any other copy row, and of the samples
-measured it took the fewest iterations in CoLaMP's calls, where they
-differed most.  In prox iterations on the benchmark's prox-denoise seeds
-0-7 and in CoLaMP's calls on cs-colamp seeds 0-3, every copy took 1,160
-and 10,262, copy row 0 1,016 and 10,138, copy column 0 1,032 and 11,154,
-the diagonal copies ``(a, a)`` 1,092 and 10,794, the last copy row 1,148
-and 13,210, and a copy row rotated at each estimate 956 and 16,302; on
-seeds 10-17 and 10-13, which chose nothing, every copy took 1,136 and
-10,484 and row 0 980 and 10,380.
+The products are sampled on copy 0 alone, the subset ``(0, 0)``, which is
+never empty and has no fewer tiles than any other copy.  Two iterations
+before each estimate the solve forms its ``q = x - r`` before the stack's
+pass ``r = x - r`` and, after the tiles are scaled, keeps
+``Z_{k-2} = r + q`` and ``U_{k-2} = r + (1 - alpha) q``; at the estimate
+iteration ``k`` it forms ``Z_k`` and ``U_k`` the same way.  ``rho`` changes
+only at estimates and ``SPECTRAL_STRIDE >= 3``, so both ``U`` are at one
+penalty.  Copy 0's ``||Z_k - x_k||^2``, for the square of the primal
+residual ``rp = ||Z_k - 1 x_k^T||_F``, and its ``||dZ||^2``, ``<dZ, dU>``
+and ``||dU||^2`` are multiplied by ``s``, so that the noise test, the
+rounding floor and balancing below compare quantities at the whole stack's
+scale.  The copies are translates of one another, so one of them
+estimates the same curvature, as subsampled curvature pairs do in
+stochastic quasi-Newton methods (Byrd, Hansen, Nocedal & Singer 2016, *A
+stochastic quasi-Newton method for large-scale optimization*).  In prox
+iterations on the benchmark's prox-denoise seeds 0-7 and in CoLaMP's calls
+on cs-colamp seeds 0-3, copy 0 takes 1,104 and 8,614, where copy row 0,
+the ``side`` copies ``(0, b)`` recovered from ``r`` by dividing by the tile
+scales of the last three iterations, took 1,016 and 7,550 at about a
+quarter more time per iteration; on seeds 10-17 and 10-13, which chose
+nothing, 1,168 and 8,484 against 980 and 7,792.
 
 Where the correlation test fails, ``rho`` falls back on residual balancing
 (Boyd et al. 2011, section 3.4.1) against
@@ -283,78 +278,71 @@ RELAXATION = 1.8
 
 # The duality gap and the stop tests run at iteration 1, every GAP_STRIDE-th
 # iteration after it and the cap (module docstring).  Strides 1, 2, 4 and 8
-# took 977, 990, 1,016 and 1,040 prox iterations on the benchmark's
-# prox-denoise seeds 0-7 and 9,593, 9,848, 10,138 and 15,498 in CoLaMP's calls
+# took 1,065, 1,078, 1,104 and 1,152 prox iterations on the benchmark's
+# prox-denoise seeds 0-7 and 8,284, 8,450, 8,614 and 8,770 in CoLaMP's calls
 # on cs-colamp seeds 0-3, with the same recoveries; at the 23% of an
 # iteration that a check costs at CoLaMP's size (module docstring), stride 4
-# is the cheapest of the four.  Measured before the spectral penalty, with
-# residual balancing at iterations 10, 20, 40, ...: the time per iteration on
-# cs-colamp fell from 0.136 ms at stride 1 to 0.108 ms at stride 4 (traced,
-# one BLAS thread).
+# is the cheapest of the four.
 GAP_STRIDE = 4
 
 # Starting penalty rho0 = 1 + RHO_START_WEIGHT*lam/max|v| (1 when v = 0), the
-# same for (c*v, c*lam) at every c > 0.  Weights 1, 2, 4 and 8 took 1,144,
-# 1,016, 1,012 and 1,060 prox iterations on prox-denoise seeds 0-7; 18,554,
-# 10,138, 13,350 and 12,178 in CoLaMP's calls on cs-colamp seeds 0-3; and
-# 13,422, 13,030, 13,839 and 13,409 on 16 CoLaMP problems at m/K = 3 (the
-# benchmark's generators, seeds 0-7, images 0-1), which recovered the same 14
-# at every weight.  Measured before the spectral penalty, with residual
-# balancing at iterations 10, 20, 40, ... and the gap checked at every
-# iteration, weight 4 took 4-8% fewer iterations than 2; adapting rho every
-# SPECTRAL_STRIDE iterations left 2 the best.  2 is the weight checked on the
-# CS sweeps: at seed 0 every row kept the support, error, outer iterations and
-# termination it had with the start lam + 1.
+# same for (c*v, c*lam) at every c > 0.  Weights 1, 2, 4 and 8 took 1,152,
+# 1,104, 1,204 and 1,124 prox iterations on prox-denoise seeds 0-7; 8,686,
+# 8,614, 9,242 and 8,802 in CoLaMP's calls on cs-colamp seeds 0-3; and 8,128,
+# 7,767, 7,640 and 8,816 on 16 CoLaMP problems at m/K = 3 (the benchmark's
+# generators, seeds 0-7, images 0-1), which recovered the same 14 at every
+# weight.  2 is the weight checked on the CS sweeps: at seed 0 every row kept
+# the support, error, outer iterations and termination it had with the start
+# lam + 1.
 RHO_START_WEIGHT = 2.0
 
 # Spectral penalty selection (module docstring).  Counts are prox
 # iterations on the benchmark's prox-denoise seeds 0-7 and in CoLaMP's calls
-# on cs-colamp seeds 0-3 (42,309 there with residual balancing at iterations
-# 10, 20, 40, ...), each measured by changing one constant or mechanism of
-# the rule as it stands; the rule as it stands takes 1,016 and 10,138.  Every
-# such run converged or stopped on its support, and recovered the same
+# on cs-colamp seeds 0-3, each measured by changing one constant or mechanism
+# of the rule as it stands; the rule as it stands takes 1,104 and 8,614.
+# Every such run converged or stopped on its support, and recovered the same
 # cs-colamp problems.
 #
-# Every SPECTRAL_STRIDE-th iteration rho is estimated.  Strides 2, 3, 4 and 6
-# took 996, 1,016, 1,056 and 1,172 and 13,182, 10,138, 16,610 and 12,662
-# iterations.  The stream needs a stride of at least 3 (module docstring).
+# Every SPECTRAL_STRIDE-th iteration rho is estimated.  Strides 3, 4, 5 and 6
+# took 1,104, 1,104, 1,136 and 1,136 and 8,614, 8,394, 9,714 and 10,306
+# iterations, and on 16 CoLaMP problems at m/K = 3 (RHO_START_WEIGHT) 7,767,
+# 8,763, 8,947 and 10,411, recovering the same 14.  The kept copy 0 needs a
+# stride of at least 3 (module docstring).
 SPECTRAL_STRIDE = 3
 # The estimate counts where the correlation of -dZ and dlam exceeds this.
-# 0.05, 0.1, 0.15, 0.2 and 0.25 took 1,256, 1,108, 1,016, 1,344 and 1,400
-# and 14,202, 15,362, 10,138, 16,394 and 20,890 iterations.
+# 0.05, 0.1, 0.15, 0.2 and 0.25 took 1,244, 1,124, 1,104, 1,084 and 1,284
+# and 10,614, 8,902, 8,614, 10,622 and 17,450 iterations.  At seed 0 the
+# test passes at 122 of 654 estimates on cs-colamp and 20 of 44 on
+# prox-denoise, and the fallback below sets rho at the others.
 SPECTRAL_MIN_CORRELATION = 0.15
 # A change at iteration k is at most a factor 1 + SPECTRAL_SAFEGUARD/k**2, so
-# none comes after iteration 1,000.  1e4, 1e5, 1e6 and 1e10 took 1,020,
-# 1,016, 1,016 and 1,016 and 11,038, 10,190, 10,138 and 10,170 iterations.
+# none comes after iteration 1,000.  1e4, 1e5, 1e6 and 1e10 took 1,100,
+# 1,104, 1,104 and 1,104 and 16,026 (4 calls capped), 8,642, 8,614 and 8,618.
 SPECTRAL_SAFEGUARD = 1e6
 # Steps of Z or U below SPECTRAL_NOISE*sqrt(s)*||v|| count as the rounding
-# noise of their recovery from the stack, which divides by the kept scales.
-# 0, 1e-10 and 1e-8 took the same counts above, and 1e-6 took 1,016 and
-# 10,450.  Without the test the estimate follows rounding: a 2x2 side-2
-# solve at lam 0.3 moved rho to 1.4e-3 on the stack where the iterates by
-# definition moved it to 2.8, a 1x2 side-1 solve ended at 4.9e-3 against 5,
-# and solves at v and c*v changed rho by different powers of two.
+# noise of forming them as r + q and r + (1 - alpha) q.  0, 1e-10 and 1e-8
+# took the same counts above, and 1e-6 took 1,104 and 8,562.  Without the
+# test the estimate follows rounding: a 2x2 side-2 solve ended at rho 1.38
+# where the iterates by definition ended at 1.35e-3, and 1x1 solves at v and
+# 3v made 3 and 9 changes of rho.
 SPECTRAL_NOISE = 1e-8
 # rho stays within RHO_OCTAVES powers of two of rho0.  6, 8, 10, 12 and 16
-# and no such range took 940, 984, 1,016, 1,028, 1,028 and 1,028 and
-# 21,166, 14,030, 10,138, 10,366, 10,550 and 10,598 iterations.
+# and no such range took 1,004, 1,052, 1,104, 1,152, 1,156 and 1,156 and
+# 16,778, 9,426, 8,614, 8,874, 8,986 and 9,002 iterations.
 RHO_OCTAVES = 10
 
 # Residual balancing, the fallback where the correlation test fails: rho is
 # doubled or halved when one residual exceeds BALANCE_RATIO times the other
-# at two estimates in a row.  Ratios 1.5, 2, 4 and 10 took 1,016, 1,016,
-# 1,060 and 1,132 and 10,754, 10,138, 11,246 and 14,082 iterations in the
-# runs above.  Taken at every estimate instead, the verdict took 984 and
-# 12,530, and on a 12x13 side-6 solve at lam 0.1 it made 19 changes and
-# reached rho = 1,107, where the computed gap read -4.0e-10 against
-# ||v||^2 = 144: the rounding of the dual point grows with rho.  Measured
-# before the spectral rule, on the cs-colamp benchmark's problems (seed 0),
-# with the gap checked at every iteration and balancing at iterations 10,
-# 20, 40, ..., CoLaMP's prox calls took 28,486 iterations at a fixed rho,
-# 23,456 at Boyd et al.'s ratio 10 and 17,124 at ratio 2.  With Boyd et
-# al.'s n-space dual residual rho*s*||zbar_k - zbar_{k-1}|| in place of the
-# stack-space one they took 20,224, and prox-denoise's seed-0 side-4 lam-0.2
-# case took 169 iterations against 112 (120 at a fixed rho).
+# at two estimates in a row.  Ratios 1.5, 2, 4 and 10 took 1,076, 1,104,
+# 1,152 and 1,188 and 9,054, 8,614, 8,022 and 7,726 iterations in the runs
+# above, and 8,023, 7,767, 7,128 and 8,599 on the 16 problems at m/K = 3.
+# Taken at every estimate instead, the verdict took 1,048 and 10,062; before
+# copy 0 was sampled, it made 19 changes on a 12x13 side-6 solve at lam 0.1
+# and reached rho = 1,107, where the computed gap read -4.0e-10 against
+# ||v||^2 = 144: the rounding of the dual point grows with rho.  Before the
+# spectral rule, Boyd et al.'s n-space dual residual
+# rho*s*||zbar_k - zbar_{k-1}|| in place of the stack-space one took 20,224
+# iterations in CoLaMP's calls at cs-colamp seed 0, against 17,124.
 BALANCE_RATIO = 2.0
 
 
@@ -365,7 +353,7 @@ class ProxConfig:
     The ADMM penalty is not a setting: it starts at ``rho0`` of the module
     docstring, from ``lam`` and ``max|v|``, and every ``SPECTRAL_STRIDE``-th
     iteration moves by a power of two to the spectral estimate of the
-    penalty's curvature, streamed from the one stack of duals, or, where
+    penalty's curvature, sampled on consensus copy 0, or, where
     that estimate's correlation test fails, by residual balancing.  Every
     change is at most ``1 + SPECTRAL_SAFEGUARD/k**2`` at iteration ``k`` and
     ``rho`` stays within ``RHO_OCTAVES`` powers of two of ``rho0``, so the
@@ -373,8 +361,8 @@ class ProxConfig:
     applies after the last.  The final penalty is ``report.extra["rho"]``;
     ``report.extra["rho_spectral"]`` and ``report.extra["rho_fallback"]``
     count the changes each rule made, ``report.extra["rho_changes"]``
-    their sum, and ``report.extra["rho_estimates"]`` the estimates that
-    streamed the stack, 0 where the solve is screened.  The solve stops at
+    their sum, and ``report.extra["rho_estimates"]`` the estimates taken,
+    0 where the solve is screened.  The solve stops at
     the first checked iteration (iteration 1, every ``GAP_STRIDE``-th after
     it and the cap) whose duality gap ``P - D`` of the module docstring is
     at most ``tol_rel*P + tol_abs*||v||^2``: ``P`` is the prox objective
@@ -413,7 +401,7 @@ class ProxResult:
 
 class _TileStack:
     """The carried duals ``r``, one row per copy, their tile view and the
-    tile scales, with the recoveries of ``q``, ``Z`` and ``U`` from them.
+    tile scales.
 
     ``buffer`` holds the ``s x n`` rows of :attr:`r` followed by the zero
     tail that :attr:`view` spills into (module docstring).  :attr:`scale`
@@ -422,13 +410,11 @@ class _TileStack:
     holds each copy's ``(a, b, nh, nw)``, an empty subset's ``(0, 0, 0, 0)``.
 
     An iteration maps ``r_{j-1}`` to ``q_j = x_j - r_{j-1}`` and then to
-    ``r_j = (alpha - 1) g_j q_j``, with ``g_j`` the kept scale of each tile
-    and 1 off the tiles.  So, a copy at a time, :meth:`q_of` recovers
-    ``q_j = r_j / ((alpha - 1) g_j)``, ``Z_j = r_j + q_j`` and
-    ``U_j = r_j + (1 - alpha) q_j``, and one step back
-    ``r_{j-1} = x_j - q_j``; on the whole stack :meth:`dual_factors` and
-    :meth:`rescale_factors` turn the scales into the factors that take ``r``
-    to ``U`` and to the ``r`` of a new penalty.
+    ``r_j = (alpha - 1) g_j q_j``, with ``g_j`` the scale of each tile and 1
+    off the tiles, so ``q_j = r_j / ((alpha - 1) g_j)``.  On the whole stack
+    :meth:`dual_factors` and :meth:`rescale_factors` turn the scales into
+    the factors that take ``r`` to ``U = r + (1 - alpha) q`` and to the
+    ``r`` of a new penalty.
     """
 
     def __init__(self, cliques: CliqueSystem, alpha: float = RELAXATION):
@@ -444,13 +430,6 @@ class _TileStack:
                                strides=(step * (side * n + w), step * (n + 1), step * side * w,
                                         step * w, step))
         self.tiles = [tile or (0, 0, 0, 0) for tile in cliques.tiles]
-
-    def tiles_of(self, vec: np.ndarray, tile: tuple) -> np.ndarray:
-        """The clique tiles of the copy ``tile = (a, b, nh, nw)`` in the
-        n-vector ``vec``: a ``(nh, side, nw*side)`` view."""
-        (a, b, th, tw), side = tile, self.side
-        grid = vec.reshape(self.grid)
-        return grid[a:a + th * side, b:b + tw * side].reshape(th, side, tw * side)
 
     def norms(self) -> None:
         """Set :attr:`scale` to the norm of every tile of every row of
@@ -471,17 +450,17 @@ class _TileStack:
         a, _, th, _ = tile
         return vec.reshape(self.grid)[a:a + th * self.side].reshape(th, self.side, self.grid[1])
 
-    def row_factors(self, tile_factors: np.ndarray, tile: tuple, off: float,
+    def row_factors(self, tile_factors: np.ndarray, tile: tuple,
                     rows: np.ndarray) -> np.ndarray:
         """The factors of the copy ``tile`` by tile row, written into the
         first ``nh`` rows of the ``(H//side, W)`` array ``rows``: the entry
         of the ``(nh, nw)`` array ``tile_factors`` along each tile's columns
-        and ``off`` beside the tiles.  Returned as ``(nh, 1, W)``, which
+        and 1 beside the tiles.  Returned as ``(nh, 1, W)``, which
         broadcasts over the rows of :meth:`block`."""
         _, b, th, tw = tile
         rows = rows[:th]
-        rows[:, :b] = off
-        rows[:, b + tw * self.side:] = off
+        rows[:, :b] = 1.0
+        rows[:, b + tw * self.side:] = 1.0
         rows[:, b:b + tw * self.side] = tile_factors.repeat(self.side, axis=-1)
         return rows[:, None, :]
 
@@ -499,25 +478,7 @@ class _TileStack:
         for ri, tile in zip(self.r, self.tiles):
             a, b, th, tw = tile
             block = self.block(ri, tile)
-            block *= self.row_factors(factors[a, b, :th, :tw], tile, 1.0, rows)
-
-    def q_of(self, ri: np.ndarray, g: np.ndarray, i: int, out: np.ndarray,
-             rows: np.ndarray) -> np.ndarray:
-        """``q = r / ((alpha - 1) g)`` of copy ``i`` from its ``r``, in
-        ``out``, which may be ``ri``; ``Z = r + q`` and
-        ``U = r + (1 - alpha) q``.  Off the tiles ``g`` counts as 1.  The
-        ``(H//side, W)`` array ``rows`` holds the :meth:`row_factors`."""
-        a, b, th, tw = tile = self.tiles[i]
-        off = 1.0 / (self.alpha - 1.0)
-        inverse = np.reciprocal(g[a, b, :th, :tw])
-        inverse *= off
-        np.multiply(self.block(ri, tile), self.row_factors(inverse, tile, off, rows),
-                    out=self.block(out, tile))
-        # the rows above and below the tiles
-        w = self.grid[1]
-        for span in (slice(0, a * w), slice((a + th * self.side) * w, None)):
-            np.multiply(ri[span], off, out=out[span])
-        return out
+            block *= self.row_factors(factors[a, b, :th, :tw], tile, rows)
 
     def dual_factors(self, g: np.ndarray, f: float) -> np.ndarray:
         """In place, the scales ``g`` become the factors that take each tile
@@ -537,46 +498,6 @@ class _TileStack:
         np.divide((1.0 - f) / alpha, g, out=g)
         g += (f + alpha - 1.0) / alpha
         return g
-
-    def spectral_products(self, x: np.ndarray, x_prev: np.ndarray, scales: list,
-                          work: np.ndarray) -> tuple:
-        """``(||Z_k - 1 x_k^T||^2, ||dZ||^2, <dZ, dU>, ||dU||^2)`` for
-        ``dZ = Z_k - Z_{k-2}`` and ``dU = U_k - U_{k-2}``, both ``U`` at the
-        current penalty, each estimated as ``side`` times its sum over copy
-        row 0, the copies ``(0, b)``: the copies are translates of one
-        another, row 0 has no fewer tiles than any other row, and of the
-        samples measured it chose the penalty best (module docstring).
-        Streamed a copy at a time from the stack, which holds ``r_k``, the
-        current and last ``x`` and the kept scales
-        ``(g_k, g_{k-1}, g_{k-2})``: ``q_k`` from ``r_k``, one step back to
-        ``r_{k-1} = x_k - q_k`` and ``q_{k-1}``, and one more to
-        ``r_{k-2}`` and ``q_{k-2}``, none of them rescaled after their
-        iteration, so an estimate makes ``3*side`` calls of :meth:`q_of`.
-        The n-vector ``work`` is overwritten, and two more and the
-        ``n/side`` factors of :meth:`q_of` are allocated."""
-        g, g_prev, g_prev2 = scales
-        alpha, side = self.alpha, self.side
-        a, (b, c) = work, np.empty((2, x.size))
-        rows = np.empty((self.grid[0] // side, self.grid[1]))
-        primal_sq = dz_sq = dzu = du_sq = 0.0
-        for i, ri in enumerate(self.r[:side]):  # copy row 0: (0, b), b < side
-            self.q_of(ri, g, i, a, rows)            # q_k
-            np.subtract(x, a, out=b)                # r_{k-1}
-            np.subtract(ri, b, out=c)               # Z_k - x_k
-            primal_sq += float(c @ c)
-            self.q_of(b, g_prev, i, b, rows)        # q_{k-1}
-            np.subtract(x_prev, b, out=b)           # r_{k-2}
-            self.q_of(b, g_prev2, i, c, rows)       # q_{k-2}
-            a -= c                                  # q_k - q_{k-2}
-            np.subtract(ri, b, out=b)               # r_k - r_{k-2}
-            np.add(a, b, out=c)                     # dZ
-            # dU = (r_k - r_{k-2}) + (1 - alpha)(q_k - q_{k-2})
-            a *= 1.0 - alpha
-            a += b
-            dz_sq += float(c @ c)
-            dzu += float(c @ a)
-            du_sq += float(a @ a)
-        return side * primal_sq, side * dz_sq, side * dzu, side * du_sq
 
     def clear_off_tiles(self) -> None:
         """Set every entry of :attr:`r` outside its copy's tiles to 0."""
@@ -609,6 +530,19 @@ def _support_radius(dist: float, gap: float) -> float:
     return 0.5 * (dist + math.sqrt(slack)) if slack >= 0.0 else math.sqrt(gap)
 
 
+def _sampled_products(old: tuple, new: tuple, x: np.ndarray, s: int) -> tuple:
+    """``s`` times copy 0's ``(||Z_k - x_k||^2, ||dZ||^2, <dZ, dU>,
+    ||dU||^2)``, ``dZ = Z_k - Z_{k-2}`` and ``dU = U_k - U_{k-2}``, from
+    ``old = (Z_{k-2}, U_{k-2})`` and ``new = (Z_k, U_k)``, both ``U`` at the
+    current penalty: the estimate of their sums over every copy (module
+    docstring).  ``old`` and ``Z_k`` are overwritten."""
+    (dz, du), (z, u) = old, new
+    dz -= z  # -dZ
+    du -= u  # -dU
+    z -= x
+    return s * float(z @ z), s * float(dz @ dz), s * float(dz @ du), s * float(du @ du)
+
+
 class _PenaltyRule:
     """The penalty's changes at the estimate iterations (module docstring),
     counted by the rule that made them.
@@ -616,7 +550,7 @@ class _PenaltyRule:
     ``rho`` stays ``rho0 * 2**octave`` for an integer ``octave`` with
     ``|octave| <= RHO_OCTAVES``.  Residuals at most ``floor`` are rounding
     error, and steps of ``Z`` or ``U`` at most ``noise`` the rounding noise
-    of their recovery from the stack.
+    of forming them.
     """
 
     def __init__(self, floor: float, noise: float):
@@ -624,13 +558,13 @@ class _PenaltyRule:
         self.octave = 0
         self.pending = 0  # the fallback's last verdict, in octaves, not yet taken
         self.changes = {"rho_spectral": 0, "rho_fallback": 0}
-        self.estimates = 0  # calls of step, each after one stream of the stack
+        self.estimates = 0  # calls of step
 
     def step(self, k: int, rho: float, primal_res: float, zbar_step: float,
              dz_sq: float, dzu: float, du_sq: float) -> float:
         """``f = rho_old/rho_new`` at estimate iteration ``k``, from the
         primal residual, ``rd/rho`` and the products of
-        :meth:`_TileStack.spectral_products`."""
+        :func:`_sampled_products`."""
         self.estimates += 1
         if max(primal_res, zbar_step) <= self.floor:  # both are rounding error
             self.pending = 0
@@ -743,19 +677,16 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     r = stack.r
     # the carried dual r = (U - (1 - alpha) Z) / alpha, with U = 0 and Z = v
     # at the start, makes the relaxed z-update point
-    # w = alpha*x + (1 - alpha) Z - U = alpha * (x - r); its tile scales are 1
+    # w = alpha*x + (1 - alpha) Z - U = alpha * (x - r)
     np.multiply(vflat, (alpha - 1.0) / alpha, out=r)
     rbar = r[0].copy()  # mean(r)
     # the scratch vector, which holds mean(q) from the end of one iteration
     # to the x-update of the next: zbar = mean(r) + mean(q) is v at the start
     work = vflat / alpha
-    # the kept tile scales, newest first: this iteration's, the last one's
-    # and the one before; the start's are 1, as the rotation at each
-    # iteration's start makes the last array the oldest
-    stack.scale.fill(1.0)
-    scales = [stack.scale, np.ones_like(stack.scale), np.ones_like(stack.scale)]
-    # this iteration's x and the last one's
-    x, x_prev = np.empty(n), np.empty(n)
+    scale = stack.scale  # written by every iteration's norms
+    x = np.empty(n)
+    # copy 0's (Z, U) from two iterations before the next estimate
+    kept = None
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []
@@ -767,8 +698,8 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     # residuals below this, in data units, are rounding error: in converged
     # solves of up to 19x19 they settled at up to 1.5*s*eps*sqrt(s*n)*max|v|
     balance_floor = 1024.0 * s * np.finfo(float).eps * np.sqrt(s * n) * peak
-    # steps of Z or U below this are taken for the rounding noise of their
-    # recovery from the stack, which divides by the kept scales
+    # steps of Z or U below this are taken for the rounding noise of forming
+    # them as r + q and r + (1 - alpha) q
     penalty = _PenaltyRule(balance_floor, SPECTRAL_NOISE * math.sqrt(s * v_sq))
     stride = GAP_STRIDE
 
@@ -778,10 +709,8 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
             rs = rho * s
             c = rs / (2.0 + rs)
             cv = 2.0 / (2.0 + rs)
-            x, x_prev = x_prev, x
-            scales.insert(0, scales.pop())
-            stack.scale = scale = scales[0]
             estimate = k % SPECTRAL_STRIDE == 0
+            keep = (k + 2) % SPECTRAL_STRIDE == 0
             checked = (k - 1) % stride == 0 or k == cfg.max_iters
             if estimate:
                 zbar_prev = np.add(rbar, work)
@@ -802,6 +731,8 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 primal += cfg.lam * float(smoothed_clique_norms(work.reshape(shape), side,
                                                                 0.0).sum())
 
+            if keep or estimate:
+                q0 = np.subtract(x, r[0])  # copy 0's q
             for ri in r:
                 # q = w / alpha, a row at a time: x broadcast over the whole
                 # stack would take a ufunc buffer
@@ -817,13 +748,21 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
             np.subtract(1.0, scale, out=scale)
             np.maximum(scale, -1.0 / (alpha - 1.0), out=scale)
             if not scale.all():
-                # g = 0 would lose the q that the estimate, a rescale and U read
+                # g = 0 would lose the q that a rescale and U divide r by
                 scale[scale == 0.0] = np.finfo(float).eps
             np.subtract(x, rbar, out=work)  # mean(q), with the previous mean(r)
             r *= alpha - 1.0
             stack.scale_tiles()
             np.add.reduce(r, axis=0, out=rbar)  # r.sum without its Python overhead
             rbar /= s
+            if keep or estimate:
+                # copy 0's Z = r + q and U = r + (1 - alpha) q, in place of q
+                copy0 = np.add(r[0], q0), q0
+                q0 *= 1.0 - alpha
+                q0 += r[0]
+                del q0
+            if keep:
+                kept, copy0 = copy0, None
 
             if checked:
                 # D = <g, v> - ||g||^2/4 at the feasible dual point
@@ -862,11 +801,11 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 zbar_prev -= rbar
                 zbar_prev -= work
                 zbar_step = math.sqrt(s * float(zbar_prev @ zbar_prev))
-                primal_sq, dz_sq, dzu, du_sq = stack.spectral_products(x, x_prev, scales,
-                                                                       zbar_prev)
+                primal_sq, dz_sq, dzu, du_sq = _sampled_products(kept, copy0, x, s)
                 f = penalty.step(k, rho, math.sqrt(primal_sq), zbar_step, dz_sq, dzu, du_sq)
             if estimate:
                 del zbar_prev
+                kept = copy0 = None
             if f != 1.0:
                 # U becomes f*U and Z stays, so -rho*U stays put
                 rho /= f
@@ -875,7 +814,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 stack.clear_off_tiles()
                 break
             if f != 1.0:
-                # the next estimate reads none of the kept scales
+                # no copy 0 is kept across a change: the next is kept after it
                 stack.scale_tiles(stack.rescale_factors(scale, f))
                 # zbar stays: mean(q) becomes zbar - the new mean(r)
                 work += rbar

@@ -34,11 +34,11 @@ SUPPORT_REL_TOL = 3e-3
 ZERO_SOLUTION_REL_TOL = 1e-8  # all-shrunk prox outputs leave only solver-noise entries
 # The pursuit stops with "stalled" once its lowest residual is this many outer
 # iterations old.  Of the 16 blocky 32x32 problems at m/K = 3 (K = 40, side
-# 2, the benchmark's generators, seeds 0-7, images 0-1), 14 recover in 13,030
-# prox iterations and 170 outer iterations when the pursuit runs to its 50
-# and returns the last iterate.  Patience 3 recovers 12 in 6,163 prox
-# iterations, 5 the same 14 in 7,377 (89 outer), and 10 the same 14 in 7,927
-# (99 outer).  At m/K = 4 all 16 recover in 3,769 with or without the stop.
+# 2, the benchmark's generators, seeds 0-7, images 0-1), 14 recover in 13,768
+# prox iterations and 168 outer iterations when the pursuit runs to its 50
+# and returns the last iterate.  Patience 3 recovers 12 in 6,598 prox
+# iterations, 5 the same 14 in 7,767 (87 outer), and 10 the same 14 in 8,329
+# (97 outer).  At m/K = 4 all 16 recover in 3,729 with or without the stop.
 STALL_PATIENCE = 5
 
 
@@ -94,15 +94,16 @@ class ColampConfig:
     # all-shrunk prox (x* = 0) never certifies a support and stops on them.
     # The cap binds on calls that certify slowly.  Of 16 blocky 32x32
     # problems at m/K = 3 (K = 40, side 2, the benchmark's generators, seeds
-    # 0-7, images 0-1), 14 recover exactly in 7,377 prox iterations, none
+    # 0-7, images 0-1), 14 recover exactly in 7,767 prox iterations, none
     # capped, with the spectral penalty and the stall stop (STALL_PATIENCE);
-    # 13,030 without the stop, at caps 1500, 1000 and 500 alike, and 12,912
-    # at cap 1500 with each estimate streamed from every copy, not copy row
-    # 0.  Measured before the spectral penalty, with residual balancing at
-    # iterations 10, 20, 40, ...: 14 recovered at caps 1500, 1000 and 500
-    # alike, in 43,953, 42,813 and 34,794 prox
-    # iterations, with the two-sided support radius and the gap checked
-    # every GAP_STRIDE iterations; with the one-sided bound sqrt(gap) they
+    # 13,768 without the stop, at caps 1500, 1000 and 500 alike.  With each
+    # estimate streamed from copy row 0, not sampled on copy 0, they took
+    # 7,377 with the stop and 13,030 without it, and from every copy 12,912
+    # without it.  Measured before the spectral penalty, with residual
+    # balancing at iterations 10, 20, 40, ...: 14 recovered at caps 1500,
+    # 1000 and 500 alike, in 43,953, 42,813 and 34,794 prox iterations, with
+    # the two-sided support radius and the gap checked every GAP_STRIDE
+    # iterations; with the one-sided bound sqrt(gap) they
     # took 56,880 at cap 1500; checking the gap at every iteration, 56,610,
     # 52,128 and 38,672 at the three caps (fixed rho: 14, 14 and 13 recover).
     prox: ProxConfig = ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)

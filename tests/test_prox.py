@@ -286,51 +286,46 @@ def test_prox_residual_mostly_monotone():
 
 @pytest.mark.parametrize("height,width,side", helpers.GEOMETRIES)
 def test_spectral_products_match_the_explicit_stacks(height, width, side, monkeypatch):
-    # at every estimate iteration k the four products the prox streams from
-    # its one stack are those of the whole stacks Z and U rebuilt from capped
-    # solves, summed over copy row 0 and multiplied by side (sampled_sum):
-    # ||Z_k - 1 x_k^T||^2, and ||dZ||^2, <dZ, dU> and ||dU||^2 for
+    # at every estimate iteration k the penalty rule reads the products of
+    # the whole stacks Z and U rebuilt from capped solves, summed over copy 0
+    # and multiplied by s (sampled_sum): the primal residual
+    # ||Z_k - 1 x_k^T||, and ||dZ||^2, <dZ, dU> and ||dU||^2 for
     # dZ = Z_k - Z_{k-2} and dU = U_k - U_{k-2}, both U at iteration k's
     # rho.  Borders narrower than a tile, empty subsets and all-zero cliques
     # included; changes of rho between the windows included.  Each side
-    # recovers the stacks with an absolute error of some eps*||v||, and the
-    # stream's steps back divide it by the kept scales g of the two earlier
-    # iterations.  The
+    # forms the stacks with an absolute error of some eps*||v||, and the
     # steps dZ and dU of a converging solve approach that error, so the
-    # vectors are compared to a relative 1e-9 plus e = 1e-12*||v||/min|g|:
-    # for ||a|| and <a, b>, errors of e propagate as |d||a||| <= e and
+    # vectors are compared to a relative 1e-9 plus e = 1e-12*||v||: for
+    # ||a|| and <a, b>, errors of e propagate as |d||a||| <= e and
     # |d<a, b>| <= (||a|| + ||b||) e
     rng = np.random.default_rng(height * 100 + width * 10 + side)
     v = rng.standard_normal((height, width))
     v[rng.uniform(size=v.shape) < 0.3] = 0.0
     cs = system(height, width, side)
     iters = 16
-    streamed = []
-    products = _TileStack.spectral_products
+    floor = 1e-12 * np.linalg.norm(v)
+    read = []
+    step = _PenaltyRule.step
 
-    def recording(self, x, x_prev, scales, work):
-        kept = [g[a, b, :th, :tw] for g in scales[1:] for a, b, th, tw in self.tiles]
-        least = min((float(np.abs(t).min()) for t in kept if t.size), default=1.0)
-        streamed.append((products(self, x, x_prev, scales, work), min(least, 1.0)))
-        return streamed[-1][0]
+    def recording(self, k, rho, primal_res, zbar_step, dz_sq, dzu, du_sq):
+        read.append((k, primal_res, dz_sq, dzu, du_sq))
+        return step(self, k, rho, primal_res, zbar_step, dz_sq, dzu, du_sq)
 
     for lam in (0.3, 2.0):
         xs, zs, us, rhos = explicit_path(v, cs, lam, iters)
-        streamed.clear()
-        monkeypatch.setattr(_TileStack, "spectral_products", recording)
+        read.clear()
+        monkeypatch.setattr(_PenaltyRule, "step", recording)
         rep = prox_block_norm(v, cs, ProxConfig(lam=lam, max_iters=iters, tol_abs=0.0,
                                                 tol_rel=0.0)).report
         monkeypatch.undo()
         assert rep.extra["rho"] == rhos[iters]
-        estimates = range(SPECTRAL_STRIDE, iters + 1, SPECTRAL_STRIDE)
-        assert len(streamed) == len(estimates)
-        for k, ((primal_sq, dz_sq, dzu, du_sq), least) in zip(estimates, streamed):
-            floor = 1e-12 * np.linalg.norm(v) / least
+        assert [k for k, *_ in read] == list(range(SPECTRAL_STRIDE, iters + 1, SPECTRAL_STRIDE))
+        for k, primal_res, dz_sq, dzu, du_sq in read:
             dz = zs[k] - zs[k - 2]
             du = (rhos[k] * us[k] - rhos[k - 2] * us[k - 2]) / rhos[k - 1]
             primal = math.sqrt(sampled_sum((zs[k] - xs[k]) ** 2))
             dz_norm, du_norm = math.sqrt(sampled_sum(dz * dz)), math.sqrt(sampled_sum(du * du))
-            assert math.sqrt(primal_sq) == pytest.approx(primal, rel=1e-9, abs=floor)
+            assert primal_res == pytest.approx(primal, rel=1e-9, abs=floor)
             assert math.sqrt(dz_sq) == pytest.approx(dz_norm, rel=1e-9, abs=floor)
             assert math.sqrt(du_sq) == pytest.approx(du_norm, rel=1e-9, abs=floor)
             assert dzu == pytest.approx(sampled_sum(dz * du), rel=1e-9,
@@ -408,40 +403,12 @@ def test_prox_counts_penalty_changes_by_rule():
         extra = rep.extra
         assert extra["rho_spectral"] + extra["rho_fallback"] == extra["rho_changes"]
         assert extra["rho_spectral"] > 0 and extra["rho_fallback"] > 0
-        # every SPECTRAL_STRIDE-th iteration streams an estimate, but not the
+        # every SPECTRAL_STRIDE-th iteration takes an estimate, but not the
         # one a stop test ends
         stopped_on_estimate = (rep.termination_reason != "max-iterations"
                                and rep.iterations % SPECTRAL_STRIDE == 0)
         assert extra["rho_estimates"] == rep.iterations // SPECTRAL_STRIDE - stopped_on_estimate
         assert extra["rho_changes"] <= extra["rho_estimates"]
-
-
-@pytest.mark.parametrize("side", [3, 4])
-def test_penalty_estimate_streams_one_copy_row(side, monkeypatch):
-    # an estimate recovers q three times for each copy it streams, and it
-    # streams copy row 0, the side copies (0, b): 3*side recoveries, where
-    # streaming the whole stack took 3*side**2
-    streams = []
-    recover, products = _TileStack.q_of, _TileStack.spectral_products
-
-    def counting_products(self, *args):
-        streams.append([])
-        return products(self, *args)
-
-    def counting_q_of(self, ri, g, i, out, rows):
-        streams[-1].append(i)
-        return recover(self, ri, g, i, out, rows)
-
-    monkeypatch.setattr(_TileStack, "spectral_products", counting_products)
-    monkeypatch.setattr(_TileStack, "q_of", counting_q_of)
-    height, width = 4 * side + 1, 3 * side + 2
-    v = np.random.default_rng(side).standard_normal((height, width))
-    rep = prox_block_norm(v, system(height, width, side),
-                          ProxConfig(lam=0.5, max_iters=12, tol_abs=0.0, tol_rel=0.0)).report
-    assert len(streams) == 12 // SPECTRAL_STRIDE
-    for copies in streams:
-        assert len(copies) == 3 * side and sorted(set(copies)) == list(range(side))
-    assert rep.extra["rho_estimates"] == len(streams)
 
 
 @pytest.mark.parametrize("tol_abs,tol_rel", [(1e-8, 1e-6), (0.0, 1e-9), (1e-6, 0.0)])
@@ -530,8 +497,8 @@ def test_prox_zero_center_returns_zero_at_a_finite_rho():
 def traced_peak(v, cs, support_tol=None):
     """tracemalloc peak, in bytes, of a 20-iteration zero-tolerance solve
     at lam 0.5, which runs through six estimates of the penalty and changes
-    rho, so the streamed products and the rescale of the duals are measured
-    too."""
+    rho, so the kept copy, the estimates and the rescale of the duals are
+    measured too."""
     cfg = ProxConfig(lam=0.5, max_iters=20, tol_abs=0.0, tol_rel=0.0)
     # also warms any lazily built state
     rep = prox_block_norm(v, cs, cfg, support_tol=support_tol).report
@@ -559,25 +526,26 @@ def assert_one_copy_stack(side, extent, support_tol=None):
 
 
 def test_prox_holds_one_copy_stack():
-    # the working vectors peak at 11.65 n here (NumPy 2.4), in the stream of
-    # an estimate: four resident n-vectors, three arrays of tile scales, the
-    # last zbar and two more n-vectors, the n/side row factors of the
-    # recoveries and NumPy's ufunc buffer for their product broadcast over a
-    # copy's block (0.95 n).  Scaling the tiles peaks at 9.60 n.  No product
-    # broadcasts an n-vector over the stack, which took a buffer of 8,192
-    # entries (3.6 n here)
+    # the working vectors peak at 10.36 n here (NumPy 2.4), at the dual value
+    # of an iteration that checks its gap and estimates the penalty: three
+    # resident n-vectors, one array of tile scales, the last zbar, copy 0's
+    # Z and U from two iterations before and from this one, and ubar.
+    # Scaling the tiles peaks at 9.59 n, with its n/side row factors and
+    # NumPy's ufunc buffer for their product broadcast over a copy's block
+    # (0.95 n).  No product broadcasts an n-vector over the stack, which
+    # took a buffer of 8,192 entries (3.6 n here)
     assert_one_copy_stack(6, 48)
 
 
 def test_prox_holds_one_copy_stack_at_side_8():
-    # the working vectors peak at 11.45 n here (NumPy 2.4)
+    # the working vectors peak at 10.26 n here (NumPy 2.4)
     assert_one_copy_stack(8, 64)
 
 
 def test_prox_holds_one_copy_stack_with_a_support_test():
     # a support_tol no 20-iteration solve meets, so the support test runs at
     # every checked iteration: its radius goes through the vector that holds
-    # ubar (11.63 n)
+    # ubar (10.39 n)
     assert_one_copy_stack(6, 48, support_tol=1e-9)
 
 
@@ -813,11 +781,9 @@ def test_prox_config_rejects_non_integer_max_iters():
 
 
 def sampled_sum(products):
-    """The sum of an ``s x n`` stack of products over copy row 0, its first
-    ``side`` rows, times ``side``: the prox's estimate of the sum over every
-    copy."""
-    side = math.isqrt(len(products))
-    return side * np.sum(products[:side])
+    """The sum of an ``s x n`` stack of products over copy 0, its first row,
+    times ``s``: the prox's estimate of the sum over every copy."""
+    return len(products) * products[0].sum()
 
 
 def penalty_octaves_by_definition(k, rho, z, z_old, u, mult_old, primal_res, zbar_step,
@@ -827,8 +793,7 @@ def penalty_octaves_by_definition(k, rho, z, z_old, u, mult_old, primal_res, zba
     fallback's verdict left pending.  ``dZ = Z_k - Z_{k-2}`` and
     ``dU = U_k - U_{k-2}``, ``U_{k-2}`` the multiplier
     ``mult_old = rho_{k-2} U_{k-2}`` over this ``rho``, are sampled on copy
-    row 0, the ``side`` copies ``(0, b)``, and each sum over them is
-    multiplied by ``side`` (:func:`sampled_sum`).  The spectral step
+    0, and each sum over it is multiplied by ``s`` (:func:`sampled_sum`).  The spectral step
     ``beta`` is the hybrid of the steepest-descent step
     ``rho ||dU||^2 / -<dZ, dU>`` and the minimum-gradient step
     ``rho -<dZ, dU> / ||dZ||^2``.  Where the correlation of ``-dZ`` and
@@ -858,7 +823,7 @@ def admm_by_loop(v, side, lam, alpha):
     brute-force cliques, each copy's relaxed point ``alpha*x + (1 - alpha)*z^i``
     formed on its own, each clique shrunk on its own, every sum of the
     iteration taken over the full s x n stacks and those of the penalty
-    estimate over copy row 0, times ``side``.  At every
+    estimate over copy 0, times ``s``.  At every
     ``SPECTRAL_STRIDE``-th iteration rho moves by
     :func:`penalty_octaves_by_definition` from the stacks of this
     iteration and of two before, by at most ``log2(1 + SPECTRAL_SAFEGUARD/k**2)``
