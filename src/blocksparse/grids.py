@@ -57,8 +57,8 @@ class CliqueSystem:
     ``[b, b + nw*side)`` exactly, so cliques within one subset never share a
     pixel, and the subset is that region reshaped to ``(nh, side, nw, side)``.
     The prox builds its strided view of all subsets from this geometry.
-    :attr:`tiles` holds ``(a, b, nh, nw)`` per subset, or ``None`` when
-    ``nh`` or ``nw`` is 0 and the subset is empty (possible on small grids).
+    :attr:`tiles` holds ``(a, b, nh, nw)`` per subset; ``nh`` or ``nw`` is 0
+    where the subset is empty (possible on small grids).
     Only fully-contained patches count: no wraparound, no zero padding, so
     border pixels simply belong to fewer cliques.
 
@@ -78,8 +78,7 @@ class CliqueSystem:
         tiles = []
         for a in range(side):
             for b in range(side):
-                nh, nw = (shape.height - a) // side, (shape.width - b) // side
-                tiles.append((a, b, nh, nw) if nh and nw else None)
+                tiles.append((a, b, (shape.height - a) // side, (shape.width - b) // side))
         self.tiles = tuple(tiles)
 
 

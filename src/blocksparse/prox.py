@@ -119,13 +119,7 @@ rounding floor and balancing below compare quantities at the whole stack's
 scale.  The copies are translates of one another, so one of them
 estimates the same curvature, as subsampled curvature pairs do in
 stochastic quasi-Newton methods (Byrd, Hansen, Nocedal & Singer 2016, *A
-stochastic quasi-Newton method for large-scale optimization*).  In prox
-iterations on the benchmark's prox-denoise seeds 0-7 and in CoLaMP's calls
-on cs-colamp seeds 0-3, copy 0 takes 1,104 and 8,614, where copy row 0,
-the ``side`` copies ``(0, b)`` recovered from ``r`` by dividing by the tile
-scales of the last three iterations, took 1,016 and 7,550 at about a
-quarter more time per iteration; on seeds 10-17 and 10-13, which chose
-nothing, 1,168 and 8,484 against 980 and 7,792.
+stochastic quasi-Newton method for large-scale optimization*).
 
 Where the correlation test fails, ``rho`` falls back on residual balancing
 (Boyd et al. 2011, section 3.4.1) against
@@ -188,8 +182,8 @@ iteration whose gap passes, never before the first iteration whose gap
 would pass, and every stop is decided by the gap computed exactly at the
 iteration it ends on.  The gap is not monotone (below), so a stop can come
 more than ``GAP_STRIDE - 1`` iterations late: in CoLaMP's calls on the
-cs-colamp benchmark's problems (seed 0) 40 of 55 calls stopped 1 to 9
-iterations later than a solve checking every iteration, and 7 of them
+cs-colamp benchmark's problems (seed 0) 18 of 23 calls stopped 1 to 19
+iterations later than a solve checking every iteration, and 6 of them
 passed their stop test between two checked iterations and failed it at the
 next one.
 
@@ -234,9 +228,8 @@ is largest, ``sqrt(G)``, at ``d = sqrt(G)``, and it is ``sqrt(G/2)`` at
 ``sqrt(G) <= support_tol * max|x|``, on which gap-safe screening rests
 (Ndiaye, Fercoq, Gramfort & Salmon 2017, *Gap Safe screening rules for
 sparsity enforcing penalties*).  On the cs-colamp benchmark's problems
-(seed 0) CoLaMP's prox calls took 2,487 iterations against the one-sided
-bound's 2,935 (10,746 against 14,537 with residual balancing at iterations
-10, 20, 40, ...).  The allowance ``e = n*eps*(P + |<g, v>| + ||g||^2/4)``
+(seed 0) CoLaMP's prox calls took 2,011 iterations against the one-sided
+bound's 3,283.  The allowance ``e = n*eps*(P + |<g, v>| + ||g||^2/4)``
 stands for the rounding error of the computed gap: where ``x* = 0`` and
 ``x`` is solver residue, roundoff can make the computed ``P - D`` zero, and
 without ``e`` that residue would pass as support (``v`` one spike, ``lam``
@@ -272,8 +265,7 @@ from .regularizer import smoothed_clique_norms
 
 # Over-relaxation factor alpha of the z- and u-updates, in (0, 2); alpha = 1
 # is plain ADMM.  Of 1.5, 1.6, 1.7 and 1.8, 1.8 took the fewest iterations on
-# cold 128x128 denoising (sides 4 and 8) and on CoLaMP's 32x32 calls (then
-# warm-started).
+# cold 128x128 denoising (sides 4 and 8) and on CoLaMP's 32x32 calls.
 RELAXATION = 1.8
 
 # The duality gap and the stop tests run at iteration 1, every GAP_STRIDE-th
@@ -336,13 +328,7 @@ RHO_OCTAVES = 10
 # at two estimates in a row.  Ratios 1.5, 2, 4 and 10 took 1,076, 1,104,
 # 1,152 and 1,188 and 9,054, 8,614, 8,022 and 7,726 iterations in the runs
 # above, and 8,023, 7,767, 7,128 and 8,599 on the 16 problems at m/K = 3.
-# Taken at every estimate instead, the verdict took 1,048 and 10,062; before
-# copy 0 was sampled, it made 19 changes on a 12x13 side-6 solve at lam 0.1
-# and reached rho = 1,107, where the computed gap read -4.0e-10 against
-# ||v||^2 = 144: the rounding of the dual point grows with rho.  Before the
-# spectral rule, Boyd et al.'s n-space dual residual
-# rho*s*||zbar_k - zbar_{k-1}|| in place of the stack-space one took 20,224
-# iterations in CoLaMP's calls at cs-colamp seed 0, against 17,124.
+# Taken at every estimate instead, the verdict took 1,048 and 10,062.
 BALANCE_RATIO = 2.0
 
 
@@ -406,21 +392,25 @@ class _TileStack:
     ``buffer`` holds the ``s x n`` rows of :attr:`r` followed by the zero
     tail that :attr:`view` spills into (module docstring).  :attr:`scale`
     is the ``(side, side, H//side, W//side)`` array of tile scales, which
-    :meth:`norms` writes and :meth:`scale_tiles` reads.  :attr:`tiles`
-    holds each copy's ``(a, b, nh, nw)``, an empty subset's ``(0, 0, 0, 0)``.
+    :meth:`norms` writes and :meth:`factors` maps in place.  :attr:`tiles`
+    holds each copy's ``(a, b, nh, nw)``, with ``nh`` or ``nw`` 0 for an
+    empty subset.
 
     An iteration maps ``r_{j-1}`` to ``q_j = x_j - r_{j-1}`` and then to
     ``r_j = (alpha - 1) g_j q_j``, with ``g_j`` the scale of each tile and 1
-    off the tiles, so ``q_j = r_j / ((alpha - 1) g_j)``.  On the whole stack
-    :meth:`dual_factors` and :meth:`rescale_factors` turn the scales into
-    the factors that take ``r`` to ``U = r + (1 - alpha) q`` and to the
-    ``r`` of a new penalty.
+    off the tiles, so ``q_j = r_j / ((alpha - 1) g_j)``.  On a tile
+    ``f*U = f*(r + (1 - alpha) q)`` is therefore ``(f - f/g) r``, and the
+    ``r`` of ``(f*U, Z)``, the duals rescaled to a penalty ``rho/f``, is
+    ``(f*U - (1 - alpha) Z)/alpha = ((f + alpha - 1) + (1 - f)/g) r / alpha``:
+    :meth:`factors` with ``(f, -f)`` and with ``((f + alpha - 1)/alpha,
+    (1 - f)/alpha)``, then :meth:`scale_tiles`.  Off the tiles ``U = 0``
+    and a rescale leaves ``r``.
     """
 
-    def __init__(self, cliques: CliqueSystem, alpha: float = RELAXATION):
+    def __init__(self, cliques: CliqueSystem):
         h, w, side = cliques.shape.height, cliques.shape.width, cliques.side
         n = h * w
-        self.side, self.grid, self.alpha = side, (h, w), alpha
+        self.side, self.grid, self.tiles = side, (h, w), cliques.tiles
         self.buffer = np.zeros(side * side * n + (side - 1) * (w + 1))
         self.r = self.buffer[:side * side * n].reshape(-1, n)
         self.scale = np.empty((side, side, h // side, w // side))
@@ -429,7 +419,6 @@ class _TileStack:
         self.view = as_strided(self.buffer, shape=(side, side, h // side, side, w // side * side),
                                strides=(step * (side * n + w), step * (n + 1), step * side * w,
                                         step * w, step))
-        self.tiles = [tile or (0, 0, 0, 0) for tile in cliques.tiles]
 
     def norms(self) -> None:
         """Set :attr:`scale` to the norm of every tile of every row of
@@ -443,61 +432,32 @@ class _TileStack:
                       self._ones, out=row_scales.reshape(-1))
         np.sqrt(self.scale, out=self.scale)
 
-    def block(self, vec: np.ndarray, tile: tuple) -> np.ndarray:
-        """The grid rows that the tiles of the copy ``tile`` span in the
-        n-vector ``vec``: a contiguous ``(nh, side, W)`` view, by tile row,
-        row within the tile and column."""
-        a, _, th, _ = tile
-        return vec.reshape(self.grid)[a:a + th * self.side].reshape(th, self.side, self.grid[1])
+    def factors(self, shift: float, numer: float) -> np.ndarray:
+        """Map each scale ``g`` of :attr:`scale` in place to
+        ``shift + numer/g``, and return :attr:`scale`."""
+        np.divide(numer, self.scale, out=self.scale)
+        self.scale += shift
+        return self.scale
 
-    def row_factors(self, tile_factors: np.ndarray, tile: tuple,
-                    rows: np.ndarray) -> np.ndarray:
-        """The factors of the copy ``tile`` by tile row, written into the
-        first ``nh`` rows of the ``(H//side, W)`` array ``rows``: the entry
-        of the ``(nh, nw)`` array ``tile_factors`` along each tile's columns
-        and 1 beside the tiles.  Returned as ``(nh, 1, W)``, which
-        broadcasts over the rows of :meth:`block`."""
-        _, b, th, tw = tile
-        rows = rows[:th]
-        rows[:, :b] = 1.0
-        rows[:, b + tw * self.side:] = 1.0
-        rows[:, b:b + tw * self.side] = tile_factors.repeat(self.side, axis=-1)
-        return rows[:, None, :]
-
-    def scale_tiles(self, factors: Optional[np.ndarray] = None) -> None:
+    def scale_tiles(self, factors: np.ndarray) -> None:
         """Multiply each clique tile of each row of :attr:`r` in place by its
-        entry of ``factors`` (default :attr:`scale`); no other entry of the
-        buffer changes.  Each copy's :meth:`block` is multiplied by its
-        :meth:`row_factors`, 1 beside the tiles, which hold ``n/side``
-        entries.  A product over the tiles alone, a strided view broadcast
-        over the tile rows, took NumPy ufunc buffers 2.5 to 3 times as large
-        (1.4 n at 128x128, sides 4 and 8, and 2.8 n at 32x32, side 2), and
-        the call took 1.3 to 1.4 times as long at 128x128."""
-        factors = self.scale if factors is None else factors
-        rows = np.empty((self.grid[0] // self.side, self.grid[1]))
-        for ri, tile in zip(self.r, self.tiles):
-            a, b, th, tw = tile
-            block = self.block(ri, tile)
-            block *= self.row_factors(factors[a, b, :th, :tw], tile, rows)
-
-    def dual_factors(self, g: np.ndarray, f: float) -> np.ndarray:
-        """In place, the scales ``g`` become the factors that take each tile
-        of ``r`` to ``f*U = f*(r + (1 - alpha) q)``, which is ``f(1 - 1/g) r``;
-        off the tiles ``U = 0``."""
-        np.divide(-f, g, out=g)
-        g += f
-        return g
-
-    def rescale_factors(self, g: np.ndarray, f: float) -> np.ndarray:
-        """In place, the scales ``g`` become the factors that take each tile
-        of ``r`` to the ``r`` of ``(f*U, Z)``, the duals rescaled to a penalty
-        ``rho/f``: ``(f*U - (1 - alpha) Z)/alpha`` with ``U`` and ``Z``
-        recovered from ``r`` is ``(f + alpha - 1 + (1 - f)/g) r / alpha``.
-        Off the tiles ``U = 0`` and ``r`` stays."""
-        alpha = self.alpha
-        np.divide((1.0 - f) / alpha, g, out=g)
-        g += (f + alpha - 1.0) / alpha
-        return g
+        entry of the ``(side, side, H//side, W//side)`` array ``factors``; no
+        other entry of the buffer changes.  Copy ``(a, b)`` multiplies grid
+        rows ``[a, a + nh*side)`` of its row, seen as ``(nh, side, W)``, by
+        one row of ``W`` factors per tile row, each tile's entry repeated
+        along its columns and 1 beside the tiles: ``n/side`` factors.  A
+        product over the tiles alone, a strided view broadcast over the tile
+        rows, took NumPy ufunc buffers 2.5 to 3 times as large (1.4 n at
+        128x128, sides 4 and 8, and 2.8 n at 32x32, side 2), and the call
+        took 1.3 to 1.4 times as long at 128x128."""
+        side, (h, w) = self.side, self.grid
+        rows = np.empty((h // side, w))
+        for ri, (a, b, th, tw) in zip(self.r, self.tiles):
+            row = rows[:th]
+            row[:, :b] = row[:, b + tw * side:] = 1.0
+            row[:, b:b + tw * side] = factors[a, b, :th, :tw].repeat(side, axis=-1)
+            block = ri.reshape(h, w)[a:a + th * side].reshape(th, side, w)
+            block *= row[:, None, :]
 
     def clear_off_tiles(self) -> None:
         """Set every entry of :attr:`r` outside its copy's tiles to 0."""
@@ -559,6 +519,11 @@ class _PenaltyRule:
         self.pending = 0  # the fallback's last verdict, in octaves, not yet taken
         self.changes = {"rho_spectral": 0, "rho_fallback": 0}
         self.estimates = 0  # calls of step
+
+    def extra(self, rho: float) -> dict:
+        """The report's penalty fields at the final penalty ``rho``."""
+        return {"rho": rho, "rho_changes": sum(self.changes.values()), **self.changes,
+                "rho_estimates": self.estimates}
 
     def step(self, k: int, rho: float, primal_res: float, zbar_step: float,
              dz_sq: float, dzu: float, du_sq: float) -> float:
@@ -663,17 +628,21 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     rho = 1.0 + RHO_START_WEIGHT * cfg.lam / peak if peak > 0 else 1.0
     if not np.isfinite(rho):
         raise ConfigError(f"lam {cfg.lam:g} overflows the starting penalty at max|v| {peak:g}")
+    # residuals below this, in data units, are rounding error: in converged
+    # solves of up to 19x19 they settled at up to 1.5*s*eps*sqrt(s*n)*max|v|
+    balance_floor = 1024.0 * s * np.finfo(float).eps * np.sqrt(s * n) * peak
+    # steps of Z or U below this are taken for the rounding noise of forming
+    # them as r + q and r + (1 - alpha) q
+    penalty = _PenaltyRule(balance_floor, SPECTRAL_NOISE * math.sqrt(s * v_sq))
     certify = cfg.tol_abs > 0 or cfg.tol_rel > 0
     if certify and peak > 0 and cfg.lam * cfg.lam >= 4.0 * v_sq:
         # x* = 0 with gap 0 (module docstring)
         report = SolverReport([], [], "converged", iterations=0,
-                              wall_clock=time.perf_counter() - t0,
-                              extra={"rho": rho, "rho_changes": 0, "rho_spectral": 0,
-                                     "rho_fallback": 0, "rho_estimates": 0})
+                              wall_clock=time.perf_counter() - t0, extra=penalty.extra(rho))
         return ProxResult(np.zeros(shape), report, u=_screened_duals(v, side, rho))
 
     alpha = RELAXATION
-    stack = _TileStack(cliques, alpha)
+    stack = _TileStack(cliques)
     r = stack.r
     # the carried dual r = (U - (1 - alpha) Z) / alpha, with U = 0 and Z = v
     # at the start, makes the relaxed z-update point
@@ -695,12 +664,6 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
     # per unit of the magnitudes summed, a bound on the computed gap's
     # rounding error, which the support stop adds to the gap
     roundoff = n * np.finfo(float).eps
-    # residuals below this, in data units, are rounding error: in converged
-    # solves of up to 19x19 they settled at up to 1.5*s*eps*sqrt(s*n)*max|v|
-    balance_floor = 1024.0 * s * np.finfo(float).eps * np.sqrt(s * n) * peak
-    # steps of Z or U below this are taken for the rounding noise of forming
-    # them as r + q and r + (1 - alpha) q
-    penalty = _PenaltyRule(balance_floor, SPECTRAL_NOISE * math.sqrt(s * v_sq))
     stride = GAP_STRIDE
 
     with np.errstate(divide="ignore"):
@@ -744,15 +707,14 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
             # = max(1 - tau/((alpha - 1)||q_tile||), -1/(alpha - 1)); an
             # all-zero tile has tau/0 = inf and c = 0
             stack.norms()
-            np.divide(tau / (alpha - 1.0), scale, out=scale)
-            np.subtract(1.0, scale, out=scale)
+            stack.factors(1.0, -tau / (alpha - 1.0))
             np.maximum(scale, -1.0 / (alpha - 1.0), out=scale)
             if not scale.all():
                 # g = 0 would lose the q that a rescale and U divide r by
                 scale[scale == 0.0] = np.finfo(float).eps
             np.subtract(x, rbar, out=work)  # mean(q), with the previous mean(r)
             r *= alpha - 1.0
-            stack.scale_tiles()
+            stack.scale_tiles(scale)
             np.add.reduce(r, axis=0, out=rbar)  # r.sum without its Python overhead
             rbar /= s
             if keep or estimate:
@@ -810,20 +772,19 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 # U becomes f*U and Z stays, so -rho*U stays put
                 rho /= f
             if final:
-                stack.scale_tiles(stack.dual_factors(scale, f))  # r becomes U
+                stack.scale_tiles(stack.factors(f, -f))  # r becomes U
                 stack.clear_off_tiles()
                 break
             if f != 1.0:
                 # no copy 0 is kept across a change: the next is kept after it
-                stack.scale_tiles(stack.rescale_factors(scale, f))
+                stack.scale_tiles(stack.factors((f + alpha - 1.0) / alpha, (1.0 - f) / alpha))
                 # zbar stays: mean(q) becomes zbar - the new mean(r)
                 work += rbar
                 np.add.reduce(r, axis=0, out=rbar)
                 rbar /= s
                 work -= rbar
 
-    extra = {"rho": rho, "rho_changes": sum(penalty.changes.values()), **penalty.changes,
-             "rho_estimates": penalty.estimates}
+    extra = penalty.extra(rho)
     if reason == "support-certified":
         extra["support_radius"] = radius
     report = SolverReport(objective_trace, residual_trace, reason, iterations=k,

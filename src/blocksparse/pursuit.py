@@ -96,16 +96,7 @@ class ColampConfig:
     # problems at m/K = 3 (K = 40, side 2, the benchmark's generators, seeds
     # 0-7, images 0-1), 14 recover exactly in 7,767 prox iterations, none
     # capped, with the spectral penalty and the stall stop (STALL_PATIENCE);
-    # 13,768 without the stop, at caps 1500, 1000 and 500 alike.  With each
-    # estimate streamed from copy row 0, not sampled on copy 0, they took
-    # 7,377 with the stop and 13,030 without it, and from every copy 12,912
-    # without it.  Measured before the spectral penalty, with residual
-    # balancing at iterations 10, 20, 40, ...: 14 recovered at caps 1500,
-    # 1000 and 500 alike, in 43,953, 42,813 and 34,794 prox iterations, with
-    # the two-sided support radius and the gap checked every GAP_STRIDE
-    # iterations; with the one-sided bound sqrt(gap) they
-    # took 56,880 at cap 1500; checking the gap at every iteration, 56,610,
-    # 52,128 and 38,672 at the three caps (fixed rho: 14, 14 and 13 recover).
+    # 13,768 without the stop, at caps 1500, 1000 and 500 alike.
     prox: ProxConfig = ProxConfig(lam=0.0, max_iters=1500, tol_abs=1e-11, tol_rel=1e-9)
 
     def __post_init__(self):

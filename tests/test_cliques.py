@@ -11,11 +11,7 @@ import helpers
 def tile_corners(cs):
     """Per subset, the top-left corners of the cliques its tile enumerates."""
     out = []
-    for tile in cs.tiles:
-        if tile is None:
-            out.append([])
-            continue
-        a, b, nh, nw = tile
+    for a, b, nh, nw in cs.tiles:
         out.append([(a + p * cs.side, b + q * cs.side) for p in range(nh) for q in range(nw)])
     return out
 
@@ -72,13 +68,15 @@ def test_numpy_integer_sizes_accepted():
 def test_2x2_l2_has_empty_subsets():
     cs = build_clique_system(GridShape(2, 2), 2)
     assert cs.n_subsets == 4
-    assert cs.tiles == ((0, 0, 1, 1), None, None, None)
+    assert cs.tiles[0] == (0, 0, 1, 1)
+    assert [i for i, (_, _, nh, nw) in enumerate(cs.tiles) if nh == 0 or nw == 0] == [1, 2, 3]
 
 
 def test_7x5_l5_has_empty_subsets():
     cs = build_clique_system(GridShape(7, 5), 5)
     assert cs.n_subsets == 25
-    assert [i for i, tile in enumerate(cs.tiles) if tile is not None] == [0, 5, 10]
+    empty = [i for i, (_, _, nh, nw) in enumerate(cs.tiles) if nh == 0 or nw == 0]
+    assert empty == [i for i in range(25) if i not in (0, 5, 10)]
     assert cs.tiles[5] == (1, 0, 1, 1)
 
 

@@ -41,6 +41,8 @@ DELETED = {
     build_clique_system(GridShape(4, 4), 2): (
         "corners", "indices", "subset_of", "subsets", "coverage", "n_cliques",
         "_check_image", "gather", "scatter_add"),
+    prox._TileStack: ("block", "row_factors", "dual_factors", "rescale_factors"),
+    prox._TileStack(build_clique_system(GridShape(4, 4), 2)): ("alpha",),
 }
 
 

@@ -946,25 +946,67 @@ def test_tile_scaling_touches_each_clique_pixel_once(geometry, seed):
     before = stack.buffer.copy()
     expected = before.copy()
     copies = expected[:stack.r.size].reshape(-1, height, width)
-    for i, tile in enumerate(cs.tiles):
-        if tile is None:
-            continue
-        a, b, nh, nw = tile
+    for i, (a, b, nh, nw) in enumerate(cs.tiles):
         for t in range(nh):
             for q in range(nw):
                 band = slice(a + t * side, a + (t + 1) * side)
                 cols = slice(b + q * side, b + (q + 1) * side)
                 copies[i, band, cols] = copies[i, band, cols] * stack.scale[a, b, t, q]
-    stack.scale_tiles()
+    stack.scale_tiles(stack.scale)
     assert np.array_equal(stack.buffer, expected)
     stack.norms()
-    for i, tile in enumerate(cs.tiles):
-        if tile is None:
-            continue
-        a, b, nh, nw = tile
+    for i, (a, b, nh, nw) in enumerate(cs.tiles):
         blocks = copies[i, a:a + nh * side, b:b + nw * side].reshape(nh, side, nw, side)
         assert np.allclose(stack.scale[a, b, :nh, :nw],
                            np.sqrt(np.sum(blocks ** 2, axis=(1, 3))), rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries(), st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 2.0, 4.0]),
+       st.booleans())
+def test_factor_map_forms_the_duals_and_the_rescaled_stack(geometry, seed, f, final):
+    # r = (alpha - 1) g q with g the tile's scale, 1 off the tiles, so
+    # q = r/((alpha - 1) g), U = r + (1 - alpha) q and Z = r + q.  At the end
+    # the map with (f, -f) makes each tile f*U and clear_off_tiles the rest
+    # 0; at a change of penalty the map with ((f + alpha - 1)/alpha,
+    # (1 - f)/alpha) makes each tile (f*U - (1 - alpha) Z)/alpha and leaves r
+    # off the tiles.  Each tile is compared to within 1e-12 of the size of
+    # the terms it sums
+    height, width, side = geometry
+    cs = system(height, width, side)
+    stack = _TileStack(cs)
+    alpha = RELAXATION
+    rng = np.random.default_rng(seed)
+    stack.r[:] = rng.standard_normal(stack.r.shape)
+    # the scales an iteration leaves, in [-1/(alpha - 1), 1), with eps where
+    # one rounds to 0 and the floor -1/(alpha - 1) where a tile is shrunk to 0
+    g = rng.uniform(-1.0 / (alpha - 1.0), 1.0, stack.scale.shape)
+    g[rng.random(g.shape) < 0.2] = np.finfo(float).eps
+    g[rng.random(g.shape) < 0.2] = -1.0 / (alpha - 1.0)
+    stack.scale[:] = g
+    r = stack.r.copy().reshape(-1, height, width)
+    g_pixel = np.ones(r.shape)
+    on = np.zeros(r.shape, dtype=bool)
+    for i, (a, b, nh, nw) in enumerate(cs.tiles):
+        tiles = (slice(a, a + nh * side), slice(b, b + nw * side))
+        g_pixel[i][tiles] = g[a, b, :nh, :nw].repeat(side, axis=0).repeat(side, axis=1)
+        on[i][tiles] = True
+    q = r / ((alpha - 1.0) * g_pixel)
+    if final:
+        stack.scale_tiles(stack.factors(f, -f))
+        stack.clear_off_tiles()
+        expected = f * (r + (1.0 - alpha) * q)
+        size = f * (np.abs(r) + (alpha - 1.0) * np.abs(q))
+        off = 0.0
+    else:
+        stack.scale_tiles(stack.factors((f + alpha - 1.0) / alpha, (1.0 - f) / alpha))
+        expected = (f * (r + (1.0 - alpha) * q) - (1.0 - alpha) * (r + q)) / alpha
+        size = (f * (np.abs(r) + (alpha - 1.0) * np.abs(q))
+                + (alpha - 1.0) * (np.abs(r) + np.abs(q))) / alpha
+        off = r
+    got = stack.r.reshape(r.shape)
+    assert np.all(np.abs(got - expected)[on] <= 1e-12 * size[on])
+    assert np.array_equal(got[~on], np.broadcast_to(off, r.shape)[~on])
 
 
 @settings(max_examples=40, deadline=None)
