@@ -20,18 +20,24 @@ gradient is built from them, so an iteration makes one valid window sum per
 trial and one full window sum for its gradient: the accepted point is never
 evaluated twice.
 
-A solve allocates its image-sized arrays once, before the first iteration:
-the forward differences, the squared magnitudes, the clique norms, one
-scratch image for the window sums' row pass, the weight map, the gradient
-and the trial point.  The evaluator pair, the window sums and the difference
-operators fill them through their ``out=`` and ``scratch=`` arguments, under
-the window sums' buffer rule (:mod:`blocksparse.fftops`): the clique norms
-spend the squared magnitudes, and the weight map the clique norms.  An
-accepted trial swaps buffers with ``x``, so an iteration allocates nothing
-image-sized.  Each buffer is filled by the operations, in the order, that
-made a new array before, so the iterates are those of a solve that
-allocates.  Block-TV still reaches the window sums only through the names
-:mod:`blocksparse.regularizer` binds, and uses the arrays its calls return.
+Besides its copy ``x`` of the input, a solve allocates six image-sized
+arrays once, before the first iteration: the two forward differences, the
+squared magnitudes, one scratch image, the weight map and the trial point.
+The evaluator pair, the window sums and the difference operators fill them
+through their ``out=`` and ``scratch=`` arguments, under the window sums'
+buffer rule (:mod:`blocksparse.fftops`).  The clique norms spend the squared
+magnitudes: the scratch image holds the valid window sum's row pass and
+then, at its front, the norms.  The weight map spends the norms, and the
+gradient is built in the weight map's own buffer, as :mod:`blocksparse.rpca`
+builds its.  The weight map's full window sum takes the trial point's buffer
+as its row pass: once a step is accepted that buffer holds the previous
+iterate, which nothing reads before the next line search writes its first
+trial there.  An accepted trial swaps buffers with ``x``, so an iteration
+allocates nothing image-sized.  Each buffer is filled by the operations, in
+the order, that made a new array before, so the iterates are those of a
+solve that allocates.  Block-TV still reaches the window sums only through
+the names :mod:`blocksparse.regularizer` binds, and uses the arrays its
+calls return.
 The difference operators work on the flattened image, as the window sums do,
 and fix up the one column a shift carries across a row's end.
 """
@@ -165,9 +171,8 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     # one set of buffers per solve, so that an iteration allocates nothing
     # image-sized; an accepted trial swaps its buffer with x's
     d = GradientField(np.empty(y.shape), np.empty(y.shape))
-    sq, weights, grad_buf, trial = (np.empty(y.shape) for _ in range(4))
-    scratch = np.empty(y.shape)  # the window sums' row pass
-    norms_buf = np.empty((y.shape[0] - side + 1, y.shape[1] - side + 1))
+    # scratch holds the valid window sum's row pass, then the clique norms
+    sq, weights, trial, scratch = (np.empty(y.shape) for _ in range(4))
 
     if cfg.eps is not None:
         eps = cfg.eps
@@ -183,20 +188,22 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         needs."""
         discrete_gradient(x, out=d)
         np.multiply(d.dh, d.dh, out=sq)
-        np.add(sq, np.multiply(d.dv, d.dv, out=weights), out=sq)  # weights is free here
+        # dv^2 in scratch, before the window sum's row pass overwrites it
+        np.add(sq, np.multiply(d.dv, d.dv, out=scratch), out=sq)
         # the window sum spends sq, which then takes the residual
-        norms = smoothed_clique_norms(sq, side, eps, out=norms_buf, scratch=scratch)
+        norms = smoothed_clique_norms(sq, side, eps, scratch=scratch)
         resid = np.subtract(x, y, out=sq)
         return 0.5 * float(np.vdot(resid, resid)) + lam * float(norms.sum()), norms
 
     def gradient(norms):
         """``(x - y) + lam * D^T (weight_map * d)`` at the point last
-        evaluated, ``D`` the forward difference, built in ``grad_buf``; it
-        spends ``d`` and ``norms``."""
-        weight_map = smoothed_weight_map(norms, side, out=weights, scratch=scratch)
+        evaluated, ``D`` the forward difference, built in the weight map's
+        buffer ``weights``; it spends ``d`` and ``norms``, and takes
+        ``trial`` as the full window sum's row pass."""
+        weight_map = smoothed_weight_map(norms, side, out=weights, scratch=trial)
         for channel in d:
             channel *= weight_map
-        out = discrete_gradient_adjoint(d, out=grad_buf)
+        out = discrete_gradient_adjoint(d, out=weights)
         out *= lam
         out += sq
         return out

@@ -26,19 +26,18 @@ then adds the input's entries in the order in which the valid sum of the
 padded array meets them, and the terms that come from the padding are zeros,
 so the two agree bit for bit (a zero's sign may differ).
 
-Both sums follow one buffer rule.  They take NumPy-style ``out=``, and
-allocate it when it is not given.  Each keeps at most one intermediate
+Both sums follow one buffer rule.  Each keeps at most one intermediate
 array, its row pass, in ``scratch`` when one is given: a C-contiguous float
 array of at least the larger of the input's and the output's size, of which
 the first entries are used.  A caller that passes ``scratch`` hands over its
 input, which the sum may overwrite (spend): the valid sum runs its column
-pass over it.  Without ``scratch`` a sum allocates its passes and leaves
-its input intact.  ``out`` may share memory with the input: the valid sum
-reads its input before it writes ``out``, and the full sum places it there
-by an assignment, which NumPy makes safe for overlap.  The valid sum's
-``out`` may also share memory with ``scratch``, whose row pass is spent by
-then.  ``scratch`` must not share memory with the input, nor with the full
-sum's ``out``.
+pass over it, and returns its sums in the first entries of ``scratch``,
+where its row pass is spent by then.  Without ``scratch`` a sum allocates
+its passes and its result and leaves its input intact.  The full sum takes
+NumPy-style ``out=`` and allocates it when it is not given; ``out`` may
+share memory with the input, which the full sum places there by an
+assignment that NumPy makes safe for overlap.  ``scratch`` must not share
+memory with the input, nor with the full sum's ``out``.
 
 Inputs may carry leading batch axes; the windows slide over the last two.
 The module keeps its old name because the benchmark imports it by that name.
@@ -77,15 +76,16 @@ def _shift_sum(src: np.ndarray, n: int, step: int, side: int, acc: np.ndarray) -
         acc += src[k * step:k * step + n]
 
 
-def box_correlate_valid(a: np.ndarray, side: int, out=None, scratch=None) -> np.ndarray:
+def box_correlate_valid(a: np.ndarray, side: int, scratch=None) -> np.ndarray:
     """Valid-mode correlation: sums of every fully-contained ``side x side`` box.
 
     Output spatial shape is ``(h - side + 1, w - side + 1)``, indexed by the
-    box's top-left corner.  The sums go into ``out`` if given.  ``scratch``
-    (at least ``a``'s size) holds the row pass, and the column pass then
-    overwrites ``a``: given ``scratch``, the input is spent.  Without it both
-    passes are new arrays and ``a`` is left intact.  ``out`` may share memory
-    with ``a`` or ``scratch``; ``scratch`` may not share memory with ``a``.
+    box's top-left corner.  ``scratch`` (at least ``a``'s size) holds the row
+    pass, the column pass then overwrites ``a``, and the sums are returned in
+    the first entries of ``scratch``: given ``scratch``, the input is spent
+    and the result is a view of ``scratch``.  Without it both passes and the
+    result are new arrays and ``a`` is left intact.  ``scratch`` may not
+    share memory with ``a``.
     """
     a = np.ascontiguousarray(a, dtype=float)
     h, w = a.shape[-2:]
@@ -99,9 +99,10 @@ def box_correlate_valid(a: np.ndarray, side: int, out=None, scratch=None) -> np.
     _shift_sum(a.reshape(-1), n, w, side, rows.reshape(-1))
     _shift_sum(rows.reshape(-1), n - (side - 1), 1, side, cols.reshape(-1))
     sums = cols[..., :h - side + 1, :w - side + 1]
-    rows = None  # releases an allocated row pass before the result is copied
-    if out is None:
+    if scratch is None:
+        rows = None  # releases the row pass before the result is copied
         return sums.copy()
+    out = _passes(scratch, sums.shape)  # the spent row pass's first entries
     np.copyto(out, sums)
     return out
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .common import check_positive
+from .common import ShapeError, check_positive
 
 
 def _norm(d: np.ndarray) -> float:
@@ -15,24 +15,30 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(float(np.sum(d * d)))
 
 
+def _difference(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
+    """``estimate - truth`` and ``truth``, as floats of one shape: NumPy
+    would broadcast others and score, say, a row against a column."""
+    e = np.asarray(estimate, dtype=float)
+    t = np.asarray(truth, dtype=float)
+    if e.shape != t.shape:
+        raise ShapeError(f"estimate shape {e.shape} does not match truth shape {t.shape}")
+    return e - t, t
+
+
 def relative_error(estimate, truth) -> float:
     """``||estimate - truth|| / ||truth||`` (plain ``||estimate||`` scale-free
     fallback when the truth is identically zero)."""
-    e = np.asarray(estimate, dtype=float)
-    t = np.asarray(truth, dtype=float)
+    d, t = _difference(estimate, truth)
     denom = _norm(t)
-    if denom == 0.0:
-        return _norm(e)
-    return _norm(e - t) / denom
+    return _norm(d) / (denom if denom > 0.0 else 1.0)
 
 
 def psnr_db(estimate, truth, peak: float) -> float:
     """Peak signal-to-noise ratio against a declared peak value, which must be
     finite and positive."""
     check_positive(peak, "peak")
-    e = np.asarray(estimate, dtype=float)
-    t = np.asarray(truth, dtype=float)
-    mse = float(np.mean((e - t) ** 2))
+    d, _ = _difference(estimate, truth)
+    mse = float(np.mean(d ** 2))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)

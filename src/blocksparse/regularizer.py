@@ -32,19 +32,20 @@ function adds ``eps^2`` and takes the square root in place on the window
 sums it owns.
 
 Both evaluator functions follow the window sums' buffer rule
-(:mod:`blocksparse.fftops`): NumPy-style ``out=``, and ``scratch=`` for the
-one intermediate pass, so a solver can keep their results in buffers it
-allocates once; without them they allocate, with the same result bit for
-bit.  A caller that passes ``scratch`` hands over the input, which is spent:
-the clique norms run the valid sum's column pass over their ``sq``, and the
-weight map turns its ``norms`` into reciprocals in place.
+(:mod:`blocksparse.fftops`): ``scratch=`` for the one intermediate pass, and
+NumPy-style ``out=`` on the weight map, so a solver can keep their results
+in buffers it allocates once; without them they allocate, with the same
+result bit for bit.  A caller that passes ``scratch`` hands over the input,
+which is spent: the clique norms run the valid sum's column pass over their
+``sq`` and are returned in the first entries of ``scratch``, and the weight
+map turns its ``norms`` into reciprocals in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .common import ShapeError
+from .common import ShapeError, check_finite
 from .fftops import box_correlate_full, box_correlate_valid
 from .grids import CliqueSystem
 
@@ -62,21 +63,23 @@ def block_norm(x, cliques: CliqueSystem) -> float:
         raise ShapeError(
             f"image shape {x.shape} does not match clique grid "
             f"{cliques.shape.height}x{cliques.shape.width}")
+    check_finite(x, "image")
     return float(smoothed_clique_norms(x * x, cliques.side, 0.0).sum())
 
 
-def smoothed_clique_norms(sq, side: int, eps: float, out=None, scratch=None) -> np.ndarray:
+def smoothed_clique_norms(sq, side: int, eps: float, scratch=None) -> np.ndarray:
     """Smoothed clique norms ``sqrt(box_valid(sq, side) + eps^2)``.
 
     ``sq`` holds per-pixel squared magnitudes ``(..., h, w)``, leading axes
     batched; the result is indexed by clique corner ``(..., h-side+1,
     w-side+1)`` and sums to the smoothed penalty.  Positive for ``eps > 0``;
     ``eps = 0`` gives the exact clique norms.
-    ``out`` and ``scratch`` go to the valid window sum; ``out`` may share
-    memory with ``sq`` or ``scratch``.  Given ``scratch``, the window sum
-    keeps its row pass there and its column pass in ``sq``, which is spent.
+    ``scratch`` goes to the valid window sum, which keeps its row pass there
+    and its column pass in ``sq``, which is spent; the norms are then a view
+    of the first entries of ``scratch``.  Without it the norms are a new
+    array and ``sq`` is left intact.
     """
-    norms = box_correlate_valid(sq, side, out=out, scratch=scratch)
+    norms = box_correlate_valid(sq, side, scratch=scratch)
     norms += eps * eps
     return np.sqrt(norms, out=norms)
 

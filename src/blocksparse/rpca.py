@@ -270,16 +270,13 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     z = np.zeros_like(y)
 
     alpha = 1.0 / (mu + lam / eps)
-    norms_shape = y.shape[:1] + tuple(d - side + 1 for d in y.shape[1:])
-    n_norms = math.prod(norms_shape)
 
     def clique_norms(sq):
         """The smoothed clique norms of the squares ``sq``, which the window
-        sum spends, and the new stack-sized buffer that holds its row pass
-        and then, at its front, the norms."""
+        sum spends, and the new stack-sized buffer that held its row pass:
+        the norms are a view of its first entries."""
         buf = np.empty_like(sq)
-        norms = buf.reshape(-1)[:n_norms].reshape(norms_shape)
-        return smoothed_clique_norms(sq, side, eps, out=norms, scratch=buf), buf
+        return smoothed_clique_norms(sq, side, eps, scratch=buf), buf
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []

@@ -377,6 +377,14 @@ def svt_by_svd(q, delta):
     return (u * np.maximum(s - delta, 0.0)) @ vt
 
 
+def at_front_of(result, scratch):
+    """Whether ``result`` is a C-contiguous view of the first entries of
+    ``scratch``, and of no other entry."""
+    flat = scratch.reshape(-1)
+    return (result.flags.c_contiguous and np.shares_memory(result, flat[:result.size])
+            and not np.shares_memory(result, flat[result.size:]))
+
+
 def read_pgm8(path):
     """The samples of an 8-bit binary PGM written with the plain
     ``P5\\n<width> <height>\\n255\\n`` header."""

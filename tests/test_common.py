@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from blocksparse import (BlockTvConfig, ColampConfig, ConfigError, GridShape, ProxConfig,
-                         RpcaConfig, SolverReport, build_clique_system, default_lambda,
-                         experiments, prox_block_norm, psnr_db, svt)
+                         RpcaConfig, ShapeError, SolverReport, build_clique_system,
+                         default_lambda, experiments, prox_block_norm, psnr_db, relative_error,
+                         svt)
 from blocksparse.common import check_finite, check_nonnegative, check_positive
 from blocksparse.experiments import HarnessConfig
 
@@ -67,6 +68,14 @@ def test_check_finite_rejects_nonfinite(bad):
 def test_check_finite_accepts_finite():
     check_finite(np.zeros((2, 3)), "widget")
     check_finite(-1e308, "widget")
+
+
+def test_metrics_reject_mismatched_shapes():
+    # NumPy would broadcast these to equal arrays and score them perfect
+    with pytest.raises(ShapeError, match=r"\(3, 1\) does not match truth shape \(1, 3\)"):
+        relative_error(np.ones((3, 1)), np.ones((1, 3)))
+    with pytest.raises(ShapeError, match=r"\(3,\) does not match truth shape \(1,\)"):
+        psnr_db(np.zeros(3), np.ones(1), 1.0)
 
 
 def test_range_checks_accept_their_boundary():

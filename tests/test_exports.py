@@ -58,6 +58,14 @@ def test_pgm_writer_takes_no_format_options():
     assert list(inspect.signature(matrixio.quantize).parameters) == ["image", "lo", "hi"]
 
 
+def test_valid_sum_and_clique_norms_take_no_out_option():
+    # given scratch, both return their sums in its first entries
+    assert list(inspect.signature(fftops.box_correlate_valid).parameters) == [
+        "a", "side", "scratch"]
+    assert list(inspect.signature(regularizer.smoothed_clique_norms).parameters) == [
+        "sq", "side", "eps", "scratch"]
+
+
 def test_deleted_names_are_gone():
     for owner, names in DELETED.items():
         for name in names:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from blocksparse import ShapeError
 from blocksparse.fftops import box_correlate_full, box_correlate_valid
 
+from helpers import at_front_of
+
 
 def valid_by_loop(a, side):
     h, w = a.shape[-2:]
@@ -103,23 +105,27 @@ def test_full_equals_the_valid_sum_of_the_padded_array(shape):
 def test_out_and_scratch_give_the_allocating_result(shape, side):
     a = np.random.default_rng(4).standard_normal(shape)
     h, w = shape[-2:]
-    for fn in (box_correlate_valid, box_correlate_full):
-        want = fn(a, side)
-        out = np.full(want.shape, np.nan)
-        # a larger scratch than needed: only its first entries are used
-        scratch = np.full(3 * max(a.size, want.size), np.nan)
-        spent = a.copy()
-        assert fn(spent, side, out=out, scratch=scratch) is out
-        np.testing.assert_array_equal(out, want)
-        if fn is box_correlate_valid:
-            # given scratch, the valid sum's column pass overwrites its input
-            np.testing.assert_array_equal(spent[..., :h - side + 1, :w - side + 1], want)
-        else:
-            np.testing.assert_array_equal(spent, a)
-        np.testing.assert_array_equal(fn(a.copy(), side, scratch=scratch), want)
-        out = np.full(want.shape, np.nan)
-        assert fn(a, side, out=out) is out
-        np.testing.assert_array_equal(out, want)
+    want = box_correlate_valid(a, side)
+    # a larger scratch than needed: only its first entries are used.  Given
+    # scratch, the valid sum's column pass overwrites its input, and the
+    # sums come back over the spent row pass at the front of scratch
+    scratch = np.full(3 * a.size, np.nan)
+    spent = a.copy()
+    got = box_correlate_valid(spent, side, scratch=scratch)
+    assert at_front_of(got, scratch)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(spent[..., :h - side + 1, :w - side + 1], want)
+    want = box_correlate_full(a, side)
+    out = np.full(want.shape, np.nan)
+    scratch = np.full(3 * want.size, np.nan)
+    spent = a.copy()
+    assert box_correlate_full(spent, side, out=out, scratch=scratch) is out
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(spent, a)
+    np.testing.assert_array_equal(box_correlate_full(a.copy(), side, scratch=scratch), want)
+    out = np.full(want.shape, np.nan)
+    assert box_correlate_full(a, side, out=out) is out
+    np.testing.assert_array_equal(out, want)
 
 
 @pytest.mark.parametrize("side", [1, 2, 4])
@@ -128,8 +134,7 @@ def test_valid_sum_without_scratch_leaves_its_input_intact(side):
     kept = a.copy()
     want = box_correlate_valid(a, side)
     np.testing.assert_array_equal(a, kept)
-    box_correlate_valid(a, side, out=np.empty_like(want))
-    np.testing.assert_array_equal(a, kept)
+    assert not np.shares_memory(want, a)
 
 
 def test_valid_sum_with_out_and_scratch_allocates_nothing_input_sized():
@@ -137,18 +142,17 @@ def test_valid_sum_with_out_and_scratch_allocates_nothing_input_sized():
     side = 3
     want = box_correlate_valid(a, side)
     scratch = np.empty_like(a)
-    # out apart from scratch, then at its front: the row pass is spent by
-    # the time out is written
-    for out in (np.empty_like(want), scratch.reshape(-1)[:want.size].reshape(want.shape)):
-        spent = a.copy()
-        tracemalloc.start()
-        try:
-            box_correlate_valid(spent, side, out=out, scratch=scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < a.nbytes / 2
-        np.testing.assert_array_equal(out, want)
+    spent = a.copy()
+    tracemalloc.start()
+    try:
+        got = box_correlate_valid(spent, side, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 2
+    assert at_front_of(got, scratch)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(spent[..., :64 - side + 1, :64 - side + 1], want)
 
 
 def test_full_sum_with_out_and_scratch_allocates_nothing_output_sized():
@@ -170,22 +174,19 @@ def test_full_sum_with_out_and_scratch_allocates_nothing_output_sized():
 
 @pytest.mark.parametrize("side", [1, 2, 3])
 def test_out_may_share_memory_with_the_input(side):
-    # the input is read only before the output is written: it may be a view
-    # of the output's own storage
+    # the valid sum's result overwrites the row pass it kept in scratch,
+    # which is spent by then; scratch of any shape serves, as a flat buffer
     rng = np.random.default_rng(5)
     h, w = 7, 9
-    valid_shape = (h - side + 1, w - side + 1)
-    buffer = rng.standard_normal((h, w))
-    a = buffer.copy()
-    out = buffer.reshape(-1)[:valid_shape[0] * valid_shape[1]].reshape(valid_shape)
-    np.testing.assert_array_equal(box_correlate_valid(buffer, side, out=out),
-                                  box_correlate_valid(a, side))
-    # given scratch, the column pass writes the input before out is written
-    buffer = a.copy()
-    out = buffer.reshape(-1)[:valid_shape[0] * valid_shape[1]].reshape(valid_shape)
-    np.testing.assert_array_equal(
-        box_correlate_valid(buffer, side, out=out, scratch=np.empty(h * w)),
-        box_correlate_valid(a, side))
+    a = rng.standard_normal((h, w))
+    want = box_correlate_valid(a, side)
+    for scratch in (np.empty(h * w), np.empty((w + 1, h))):
+        buffer = a.copy()
+        got = box_correlate_valid(buffer, side, scratch=scratch)
+        assert at_front_of(got, scratch)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(buffer[:h - side + 1, :w - side + 1], want)
+    # the full sum's input may be a view of its output's own storage
     buffer = np.empty((h + side - 1, w + side - 1))
     a = buffer.reshape(-1)[:h * w].reshape(h, w)
     a[...] = rng.standard_normal((h, w))

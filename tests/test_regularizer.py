@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blocksparse import GridShape, ShapeError, block_norm, build_clique_system
+from blocksparse import ConfigError, GridShape, ShapeError, block_norm, build_clique_system
+from blocksparse.fftops import box_correlate_valid
 from blocksparse.regularizer import smoothed_clique_norms, smoothed_weight_map
 
 import helpers
@@ -51,6 +52,16 @@ def test_value_matches_loop_oracle():
 def test_value_shape_mismatch():
     with pytest.raises(ShapeError):
         block_norm(np.zeros((3, 4)), system(4, 4, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_value_rejects_a_nonfinite_image(bad):
+    x = np.ones((8, 8))
+    x[3, 4] = bad
+    with pytest.raises(ConfigError, match="image must be finite"):
+        block_norm(x, system(8, 8, 2))
+    with pytest.raises(ConfigError, match="image must be finite"):
+        block_norm(np.full((8, 8), bad), system(8, 8, 2))
 
 
 def test_smoothed_at_zero():
@@ -198,16 +209,22 @@ def test_weight_map_sums_reciprocal_norms_over_covering_cliques():
 @pytest.mark.parametrize("shape", [(6, 7), (3, 6, 7)])
 def test_evaluator_buffers_give_the_allocating_result(shape):
     # given scratch, each evaluator spends its input: the clique norms their
-    # squares, the weight map its norms, which become the reciprocals
+    # squares, which take the window sums, and the weight map its norms,
+    # which become the reciprocals.  The norms come back at the front of
+    # scratch
     rng = np.random.default_rng(12)
     sq = rng.uniform(0.0, 2.0, shape)
     side, eps = 2, 0.1
+    h, w = shape[-2:]
     norms = smoothed_clique_norms(sq, side, eps)
     weights = smoothed_weight_map(norms, side)
     scratch = np.full(sq.size, np.nan)
-    out = np.full(norms.shape, np.nan)
-    assert smoothed_clique_norms(sq.copy(), side, eps, out=out, scratch=scratch) is out
-    np.testing.assert_array_equal(out, norms)
+    spent = sq.copy()
+    got = smoothed_clique_norms(spent, side, eps, scratch=scratch)
+    assert helpers.at_front_of(got, scratch)
+    np.testing.assert_array_equal(got, norms)
+    np.testing.assert_array_equal(spent[..., :h - side + 1, :w - side + 1],
+                                  box_correlate_valid(sq, side))
     spent = norms.copy()
     out = np.full(weights.shape, np.nan)
     assert smoothed_weight_map(spent, side, out=out, scratch=scratch) is out
@@ -229,19 +246,28 @@ def test_weight_map_without_scratch_leaves_its_norms_intact():
 
 
 def test_evaluator_out_may_share_memory_with_its_input():
-    # the norms may overwrite their squared magnitudes, and the weight map
-    # the norms it reads: here the norms fill the first entries of the
-    # weight map's buffer, with and without scratch
+    # the clique norms come back at the front of scratch, over the row pass
+    # they spent, and the weight map may write over the norms it reads, with
+    # the spent squares as its row pass.  Without scratch the norms are a new
+    # array and the squares are intact, and the weight map may still write
+    # over norms placed at the front of its output
     rng = np.random.default_rng(13)
     h, w, side, eps = 6, 7, 3, 0.1
     sq = rng.uniform(0.0, 2.0, (h, w))
     want_norms = smoothed_clique_norms(sq, side, eps)
     want_weights = smoothed_weight_map(want_norms, side)
-    nv = (h - side + 1) * (w - side + 1)
-    for scratch in (None, np.empty(h * w)):
-        buffer = sq.copy()
-        norms = buffer.reshape(-1)[:nv].reshape(want_norms.shape)
-        assert smoothed_clique_norms(buffer, side, eps, out=norms, scratch=scratch) is norms
-        np.testing.assert_array_equal(norms, want_norms)
-        assert smoothed_weight_map(norms, side, out=buffer, scratch=scratch) is buffer
-        np.testing.assert_array_equal(buffer, want_weights)
+    buffer, scratch = sq.copy(), np.empty((h, w))
+    norms = smoothed_clique_norms(buffer, side, eps, scratch=scratch)
+    assert helpers.at_front_of(norms, scratch)
+    np.testing.assert_array_equal(norms, want_norms)
+    assert smoothed_weight_map(norms, side, out=scratch, scratch=buffer) is scratch
+    np.testing.assert_array_equal(scratch, want_weights)
+    buffer = sq.copy()
+    norms = smoothed_clique_norms(buffer, side, eps)
+    np.testing.assert_array_equal(buffer, sq)
+    assert not np.shares_memory(norms, buffer)
+    np.testing.assert_array_equal(norms, want_norms)
+    placed = buffer.reshape(-1)[:norms.size].reshape(norms.shape)
+    placed[...] = norms
+    assert smoothed_weight_map(placed, side, out=buffer) is buffer
+    np.testing.assert_array_equal(buffer, want_weights)
