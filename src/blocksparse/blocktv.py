@@ -27,17 +27,15 @@ The evaluator pair, the window sums and the difference operators fill them
 through their ``out=`` and ``scratch=`` arguments, under the window sums'
 buffer rule (:mod:`blocksparse.fftops`).  The clique norms spend the squared
 magnitudes: the scratch image holds the valid window sum's row pass and
-then, at its front, the norms.  The weight map spends the norms, and the
-gradient is built in the weight map's own buffer, as :mod:`blocksparse.rpca`
-builds its.  The weight map's full window sum takes the trial point's buffer
-as its row pass: once a step is accepted that buffer holds the previous
-iterate, which nothing reads before the next line search writes its first
-trial there.  An accepted trial swaps buffers with ``x``, so an iteration
-allocates nothing image-sized.  Each buffer is filled by the operations, in
-the order, that made a new array before, so the iterates are those of a
-solve that allocates.  Block-TV still reaches the window sums only through
-the names :mod:`blocksparse.regularizer` binds, and uses the arrays its
-calls return.
+then, at its front, the norms.  The weight map spends the norms: it forms
+their reciprocals in place and places them in its own buffer before its full
+window sum's row pass overwrites the scratch image.  The gradient is built
+in the weight map's buffer, as :mod:`blocksparse.rpca` builds its.  An
+accepted trial swaps buffers with ``x``, so an iteration allocates nothing
+image-sized.  Each buffer is filled by the operations, in the order, that
+made a new array before, so the iterates are those of a solve that
+allocates.  Block-TV still reaches the window sums only through the names
+:mod:`blocksparse.regularizer` binds, and uses the arrays its calls return.
 The difference operators work on the flattened image, as the window sums do,
 and fix up the one column a shift carries across a row's end.
 """
@@ -198,9 +196,9 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     def gradient(norms):
         """``(x - y) + lam * D^T (weight_map * d)`` at the point last
         evaluated, ``D`` the forward difference, built in the weight map's
-        buffer ``weights``; it spends ``d`` and ``norms``, and takes
-        ``trial`` as the full window sum's row pass."""
-        weight_map = smoothed_weight_map(norms, side, out=weights, scratch=trial)
+        buffer ``weights``; it spends ``d`` and ``norms``, and ``scratch``,
+        which holds the norms, takes the full window sum's row pass."""
+        weight_map = smoothed_weight_map(norms, side, out=weights, scratch=scratch)
         for channel in d:
             channel *= weight_map
         out = discrete_gradient_adjoint(d, out=weights)

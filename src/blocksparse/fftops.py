@@ -26,18 +26,20 @@ then adds the input's entries in the order in which the valid sum of the
 padded array meets them, and the terms that come from the padding are zeros,
 so the two agree bit for bit (a zero's sign may differ).
 
-Both sums follow one buffer rule.  Each keeps at most one intermediate
-array, its row pass, in ``scratch`` when one is given: a C-contiguous float
-array of at least the larger of the input's and the output's size, of which
-the first entries are used.  A caller that passes ``scratch`` hands over its
-input, which the sum may overwrite (spend): the valid sum runs its column
-pass over it, and returns its sums in the first entries of ``scratch``,
-where its row pass is spent by then.  Without ``scratch`` a sum allocates
-its passes and its result and leaves its input intact.  The full sum takes
+Both sums follow one buffer rule.  Each keeps one intermediate array, its
+row pass, in ``scratch`` when one is given, else in a new array.
+``scratch`` is a C-contiguous float array of at least the larger of the
+input's and the output's size, of which the first entries are used.  The
+valid sum spends its input (a C-contiguous float array; any other is
+copied first): it runs its column pass over it, and returns its sums in the
+first entries of the row pass, which is spent by then, so it allocates at
+most that one pass.  The full sum places its input in its output before
+its row pass, so its ``scratch`` may hold that input, which the row pass
+then overwrites; otherwise the input is left intact.  It takes
 NumPy-style ``out=`` and allocates it when it is not given; ``out`` may
 share memory with the input, which the full sum places there by an
 assignment that NumPy makes safe for overlap.  ``scratch`` must not share
-memory with the input, nor with the full sum's ``out``.
+memory with the valid sum's input, nor with the full sum's ``out``.
 
 Inputs may carry leading batch axes; the windows slide over the last two.
 The module keeps its old name because the benchmark imports it by that name.
@@ -80,29 +82,23 @@ def box_correlate_valid(a: np.ndarray, side: int, scratch=None) -> np.ndarray:
     """Valid-mode correlation: sums of every fully-contained ``side x side`` box.
 
     Output spatial shape is ``(h - side + 1, w - side + 1)``, indexed by the
-    box's top-left corner.  ``scratch`` (at least ``a``'s size) holds the row
-    pass, the column pass then overwrites ``a``, and the sums are returned in
-    the first entries of ``scratch``: given ``scratch``, the input is spent
-    and the result is a view of ``scratch``.  Without it both passes and the
-    result are new arrays and ``a`` is left intact.  ``scratch`` may not
-    share memory with ``a``.
+    box's top-left corner.  The row pass goes to ``scratch`` (at least
+    ``a``'s size) or a new array, the column pass then overwrites ``a``,
+    which is spent, and the sums are returned in the first entries of the
+    row pass.  ``scratch`` may not share memory with ``a``.
     """
     a = np.ascontiguousarray(a, dtype=float)
     h, w = a.shape[-2:]
     if side > min(h, w):
         raise ValueError(f"box side {side} exceeds array extent {h}x{w}")
     rows = _passes(scratch, a.shape)
-    cols = np.empty(a.shape) if scratch is None else a  # given scratch, the column pass spends a
     # rows[..., r, :] sums a's rows r to r + side - 1 (for r < h - side + 1),
-    # and cols[..., r, c] sums rows[..., r, c:c + side] (for c < w - side + 1)
+    # and a[..., r, c] then sums rows[..., r, c:c + side] (for c < w - side + 1)
     n = a.size - (side - 1) * w
     _shift_sum(a.reshape(-1), n, w, side, rows.reshape(-1))
-    _shift_sum(rows.reshape(-1), n - (side - 1), 1, side, cols.reshape(-1))
-    sums = cols[..., :h - side + 1, :w - side + 1]
-    if scratch is None:
-        rows = None  # releases the row pass before the result is copied
-        return sums.copy()
-    out = _passes(scratch, sums.shape)  # the spent row pass's first entries
+    _shift_sum(rows.reshape(-1), n - (side - 1), 1, side, a.reshape(-1))
+    sums = a[..., :h - side + 1, :w - side + 1]
+    out = rows.reshape(-1)[:sums.size].reshape(sums.shape)  # over the spent row pass
     np.copyto(out, sums)
     return out
 
@@ -114,8 +110,10 @@ def box_correlate_full(a: np.ndarray, side: int, out=None, scratch=None) -> np.n
     sums ``a`` over the box positions that cover it.  It equals the valid
     sum of ``a`` zero-padded by ``side - 1`` on each side, bit for bit.
     The input is placed in ``out``, which must be C-contiguous, and
-    ``scratch`` (at least the output's size) holds the row pass.  ``out``
-    may share memory with ``a``; ``scratch`` may share memory with neither.
+    ``scratch`` (at least the output's size) then holds the row pass, so
+    ``scratch`` may hold ``a``, which it then overwrites; otherwise ``a`` is
+    left intact.  ``out`` may share memory with ``a``; ``scratch`` may not
+    share memory with ``out``.
     """
     a = np.asarray(a, dtype=float)
     h, w = a.shape[-2:]

@@ -13,16 +13,23 @@ _MATRIX_MAGIC = b"BSMX1\n"
 
 
 def quantize(image, lo: float, hi: float) -> np.ndarray:
-    """Affinely map ``[lo, hi]`` to ``[0, 255]`` with clipping and rounding."""
-    if hi <= lo:
-        raise ValueError("need hi > lo to quantize")
+    """Affinely map ``[lo, hi]`` to ``[0, 255]`` with clipping and rounding.
+
+    Raises ``ValueError`` unless the image is finite and ``lo < hi`` with
+    ``hi - lo`` finite: a NaN or an infinity, in the image or in the scaled
+    samples, has no sample value, and casting it to ``uint8`` is undefined.
+    """
     a = np.asarray(image, dtype=float)
+    if not (lo < hi and np.isfinite(hi - lo) and np.isfinite(a).all()):
+        raise ValueError("quantize needs a finite image and bounds lo < hi with hi - lo finite")
     return np.rint(np.clip((a - lo) / (hi - lo), 0.0, 1.0) * 255).astype(np.uint8)
 
 
 def write_pgm(path, image) -> None:
     """Write a grayscale image as 8-bit binary PGM, its data range mapped to
-    ``[0, 255]`` (a constant image is written as zeros)."""
+    ``[0, 255]`` (a constant image is written as zeros).  Raises
+    ``ValueError``, through :func:`quantize`, on a non-finite image or one
+    whose range overflows."""
     a = np.asarray(image, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"PGM needs a 2-D image, got shape {a.shape}")
@@ -60,6 +67,8 @@ def read_matrix(path) -> np.ndarray:
             raise ValueError("malformed dimension line")
         rows, cols = int(dims[0]), int(dims[1])
         payload = fh.read(rows * cols * 8)
-    if len(payload) != rows * cols * 8:
-        raise ValueError("truncated matrix payload")
+        if len(payload) != rows * cols * 8:
+            raise ValueError("truncated matrix payload")
+        if fh.read(1):
+            raise ValueError("bytes after the matrix payload")
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()

@@ -79,7 +79,8 @@ entries) and three working n-vectors: ``x``, ``mean(r)`` and a scratch
 vector, which carries ``mean(q)`` from the end of one iteration to the
 x-update of the next.  An estimate of the penalty (below) keeps two
 n-vectors from two iterations before it and allocates three more, a checked
-iteration allocates one, and the scaling of the tiles ``n/side`` factors.
+iteration allocates two (the gap's valid window sum's row pass and ``ubar``,
+below), and the scaling of the tiles ``n/side`` factors.
 
 **Adaptive penalty.**  Every solve starts at ``x = v``, ``z^i = v``,
 ``u^i = 0`` and ``rho0 = 1 + RHO_START_WEIGHT*lam/max|v|`` (1 when ``v = 0``),
@@ -166,8 +167,9 @@ it stands, and the dual value ``D = <g, v> - ||g||^2/4`` costs two n-vector
 dot products.  The primal value ``P = ||x - v||^2 + lam * J(x)`` costs four
 n-vector passes and the exact clique norms of ``x*x`` from the regularizer's
 evaluator (:func:`blocksparse.regularizer.smoothed_clique_norms` at
-``eps = 0``): one valid window sum, which allocates its row and column
-passes and its result, and their square root in place.
+``eps = 0``): one valid window sum, which spends the ``x*x`` it is given and
+allocates only its row pass, at whose front it returns the sums, and their
+square root in place.
 
 The gap is needed only to decide when to stop (Boyd et al. 2011, section
 3.3), and at CoLaMP's size (32x32, side 2) evaluating it took 23% of an
@@ -685,9 +687,9 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
             x += np.multiply(vflat, cv, out=work)
             if checked:
                 # P = ||x - v||^2 + lam * J(x), both through the scratch
-                # vector before it holds this iteration's mean(q), so the
-                # clique norms add only their window sum's row and column
-                # passes and result to the solve's state
+                # vector before it holds this iteration's mean(q): the clique
+                # norms spend it and add only their window sum's row pass to
+                # the solve's state
                 np.subtract(x, vflat, out=work)
                 primal = float(work @ work)
                 np.multiply(x, x, out=work)

@@ -32,13 +32,13 @@ function adds ``eps^2`` and takes the square root in place on the window
 sums it owns.
 
 Both evaluator functions follow the window sums' buffer rule
-(:mod:`blocksparse.fftops`): ``scratch=`` for the one intermediate pass, and
-NumPy-style ``out=`` on the weight map, so a solver can keep their results
-in buffers it allocates once; without them they allocate, with the same
-result bit for bit.  A caller that passes ``scratch`` hands over the input,
-which is spent: the clique norms run the valid sum's column pass over their
-``sq`` and are returned in the first entries of ``scratch``, and the weight
-map turns its ``norms`` into reciprocals in place.
+(:mod:`blocksparse.fftops`) and spend their input: the clique norms run the
+valid sum's column pass over their ``sq`` and are returned in the first
+entries of its row pass, and the weight map turns its ``norms`` into
+reciprocals in place.  ``scratch=`` says where the one intermediate pass
+goes, and NumPy-style ``out=`` where the weight map goes, so a solver can
+keep them in buffers it allocates once; without them they allocate, with
+the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -74,10 +74,8 @@ def smoothed_clique_norms(sq, side: int, eps: float, scratch=None) -> np.ndarray
     batched; the result is indexed by clique corner ``(..., h-side+1,
     w-side+1)`` and sums to the smoothed penalty.  Positive for ``eps > 0``;
     ``eps = 0`` gives the exact clique norms.
-    ``scratch`` goes to the valid window sum, which keeps its row pass there
-    and its column pass in ``sq``, which is spent; the norms are then a view
-    of the first entries of ``scratch``.  Without it the norms are a new
-    array and ``sq`` is left intact.
+    The valid window sum spends ``sq`` and keeps its row pass in ``scratch``
+    or a new array; the norms are a view of its first entries.
     """
     norms = box_correlate_valid(sq, side, scratch=scratch)
     norms += eps * eps
@@ -89,12 +87,11 @@ def smoothed_weight_map(norms: np.ndarray, side: int, out=None, scratch=None) ->
     ``1/norm`` over the cliques covering each pixel, from the
     output of :func:`smoothed_clique_norms`.
 
-    ``out`` and ``scratch`` go to the full window sum (see
-    :func:`blocksparse.fftops.box_correlate_full`).  Given ``scratch``, the
-    reciprocals overwrite ``norms``, which is spent, and with ``out`` as well
-    the map allocates nothing.  Without ``scratch`` the reciprocals are a new
-    array and ``norms`` is left intact.  ``out`` may share memory with
-    ``norms``.
+    The reciprocals overwrite ``norms``, which is spent.  ``out`` and
+    ``scratch`` go to the full window sum (see
+    :func:`blocksparse.fftops.box_correlate_full`), so with both, and
+    ``out`` apart from ``norms``, the map allocates nothing.  Either may
+    share memory with ``norms``; ``scratch`` may not share memory with
+    ``out``.
     """
-    inverse = np.divide(1.0, norms, out=None if scratch is None else norms)
-    return box_correlate_full(inverse, side, out=out, scratch=scratch)
+    return box_correlate_full(np.divide(1.0, norms, out=norms), side, out=out, scratch=scratch)

@@ -296,7 +296,7 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
         h_old = h_new
         # gx = lam * x * weights + gz and gz = mu * (z + x - y), built in
         # place: the weights in the norms' buffer, before gz is allocated.
-        # Without scratch the weight map allocates 1/norms and a row pass
+        # Without scratch the weight map allocates its row pass
         gx = smoothed_weight_map(norms, side, out=norms_buf)
         norms = norms_buf = None
         gx *= x

@@ -29,6 +29,13 @@ def test_gradient_rejects_vector():
         discrete_gradient(np.zeros(5))
 
 
+@pytest.mark.parametrize("dh,dv", [(np.zeros((4, 5)), np.zeros((5, 4))),
+                                   (np.zeros(5), np.zeros(5))])
+def test_adjoint_rejects_channels_that_are_not_matching_2d_arrays(dh, dv):
+    with pytest.raises(ShapeError, match="matching 2-D"):
+        discrete_gradient_adjoint(GradientField(dh, dv))
+
+
 def test_adjoint_identity():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -158,6 +165,23 @@ def test_an_iteration_allocates_nothing_image_sized(monkeypatch):
     rises = [peak - held for (held, _), (_, peak) in zip(readings, readings[1:])]
     assert max(rises) <= y.nbytes / 4, f"peak rose {max(rises) / y.nbytes:.2f} images"
     assert report.extra["halvings"] > 0  # rejected trials ran between the calls
+
+
+def test_the_weight_map_takes_the_norms_buffer_as_its_row_pass(monkeypatch):
+    # the full window sum places the reciprocals in the weight map's buffer
+    # before its row pass overwrites them, so the trial point is never lent
+    weights = blocktv.smoothed_weight_map
+    lent = []
+
+    def recording(norms, side, **buffers):
+        lent.append(helpers.at_front_of(norms, buffers["scratch"]))
+        return weights(norms, side, **buffers)
+
+    monkeypatch.setattr(blocktv, "smoothed_weight_map", recording)
+    rng = np.random.default_rng(7)
+    y = make_piecewise_constant(16, 16, rng) + 0.1 * rng.standard_normal((16, 16))
+    _, report = denoise_block_tv(y, BlockTvConfig(lam=0.1, max_iters=10, tol_obj=0.0))
+    assert len(lent) == report.iterations == 10 and all(lent)
 
 
 def test_a_solve_holds_seven_images():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blocksparse import ConfigError, GridShape, build_clique_system
+from blocksparse import ConfigError, GridShape, ShapeError, build_clique_system
 
 import helpers
 
@@ -24,6 +24,11 @@ def test_grid_shape_basics():
 def test_grid_shape_rejects_empty():
     with pytest.raises(ConfigError):
         GridShape(0, 4)
+
+
+def test_grid_shape_of_rejects_a_vector():
+    with pytest.raises(ShapeError, match="2-D"):
+        GridShape.of(np.zeros(5))
 
 
 def test_3x3_l2_counts():

@@ -8,7 +8,7 @@ import pytest
 from blocksparse import (BlockTvConfig, ColampConfig, ConfigError, GridShape, ProxConfig,
                          RpcaConfig, ShapeError, SolverReport, build_clique_system,
                          default_lambda, experiments, prox_block_norm, psnr_db, relative_error,
-                         svt)
+                         support_prf, support_set, svt)
 from blocksparse.common import check_finite, check_nonnegative, check_positive
 from blocksparse.experiments import HarnessConfig
 
@@ -76,6 +76,12 @@ def test_metrics_reject_mismatched_shapes():
         relative_error(np.ones((3, 1)), np.ones((1, 3)))
     with pytest.raises(ShapeError, match=r"\(3,\) does not match truth shape \(1,\)"):
         psnr_db(np.zeros(3), np.ones(1), 1.0)
+
+
+def test_metrics_of_an_exact_estimate_and_of_empty_supports():
+    assert psnr_db(np.ones((2, 2)), np.ones((2, 2)), 1.0) == math.inf
+    assert support_set(np.zeros((3, 3))).size == 0
+    assert support_prf(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)) == (1.0, 1.0, 1.0)
 
 
 def test_range_checks_accept_their_boundary():

@@ -59,7 +59,7 @@ def test_pgm_writer_takes_no_format_options():
 
 
 def test_valid_sum_and_clique_norms_take_no_out_option():
-    # given scratch, both return their sums in its first entries
+    # both return their sums in the first entries of their row pass
     assert list(inspect.signature(fftops.box_correlate_valid).parameters) == [
         "a", "side", "scratch"]
     assert list(inspect.signature(regularizer.smoothed_clique_norms).parameters) == [

@@ -33,7 +33,7 @@ def full_by_loop(a, side):
 def test_window_sums_match_loops(shape):
     a = np.random.default_rng(0).standard_normal(shape)
     for side in range(1, min(shape[-2:]) + 1):
-        valid = box_correlate_valid(a, side)
+        valid = box_correlate_valid(a.copy(), side)  # the valid sum spends its input
         full = box_correlate_full(a, side)
         np.testing.assert_allclose(valid, valid_by_loop(a, side), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(full, full_by_loop(a, side), rtol=1e-12, atol=1e-12)
@@ -48,7 +48,7 @@ def test_zero_window_beside_large_values_sums_to_zero():
     a = np.zeros((16, 16))
     a[:, :6] = 1e3 * np.random.default_rng(1).random((16, 6))
     for side in (2, 4):
-        assert np.all(box_correlate_valid(a, side)[:, 6:] == 0.0)
+        assert np.all(box_correlate_valid(a.copy(), side)[:, 6:] == 0.0)
         assert np.all(box_correlate_full(a, side)[:, 6 + side - 1:] == 0.0)
 
 
@@ -82,7 +82,7 @@ def operands(draw):
 @example((np.array([[0.0, 0.0], [1.0, 1.5]]), np.array([[5e-324]]), 2))
 def test_full_is_adjoint_of_valid(ops):
     a, b, side = ops
-    lhs = float(np.sum(box_correlate_valid(a, side) * b))
+    lhs = float(np.sum(box_correlate_valid(a.copy(), side) * b))
     rhs = float(np.sum(a * box_correlate_full(b, side)))
     scale = float(np.sum(np.abs(a) * box_correlate_full(np.abs(b), side)))
     tiny = max(a.size, b.size) * np.finfo(float).smallest_subnormal
@@ -105,10 +105,10 @@ def test_full_equals_the_valid_sum_of_the_padded_array(shape):
 def test_out_and_scratch_give_the_allocating_result(shape, side):
     a = np.random.default_rng(4).standard_normal(shape)
     h, w = shape[-2:]
-    want = box_correlate_valid(a, side)
-    # a larger scratch than needed: only its first entries are used.  Given
-    # scratch, the valid sum's column pass overwrites its input, and the
-    # sums come back over the spent row pass at the front of scratch
+    want = box_correlate_valid(a.copy(), side)
+    # a larger scratch than needed: only its first entries are used.  The
+    # valid sum's column pass overwrites its input, and the sums come back
+    # over the spent row pass at the front of scratch
     scratch = np.full(3 * a.size, np.nan)
     spent = a.copy()
     got = box_correlate_valid(spent, side, scratch=scratch)
@@ -129,18 +129,29 @@ def test_out_and_scratch_give_the_allocating_result(shape, side):
 
 
 @pytest.mark.parametrize("side", [1, 2, 4])
-def test_valid_sum_without_scratch_leaves_its_input_intact(side):
-    a = np.random.default_rng(6).standard_normal((3, 6, 5))
-    kept = a.copy()
-    want = box_correlate_valid(a, side)
-    np.testing.assert_array_equal(a, kept)
-    assert not np.shares_memory(want, a)
+def test_valid_sum_without_scratch_spends_its_input_and_allocates_one_pass(side):
+    # the column pass overwrites the input, and the sums come back at the
+    # front of the one array the sum allocates, its row pass
+    a = np.random.default_rng(6).standard_normal((4, 64, 64))
+    want = valid_by_loop(a, side)
+    spent = a.copy()
+    tracemalloc.start()
+    try:
+        got = box_correlate_valid(spent, side)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * a.nbytes
+    assert got.base is not None and at_front_of(got, got.base)
+    assert not np.shares_memory(got, spent)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(spent[..., :64 - side + 1, :64 - side + 1], got)
 
 
 def test_valid_sum_with_out_and_scratch_allocates_nothing_input_sized():
     a = np.random.default_rng(7).standard_normal((4, 64, 64))
     side = 3
-    want = box_correlate_valid(a, side)
+    want = box_correlate_valid(a.copy(), side)
     scratch = np.empty_like(a)
     spent = a.copy()
     tracemalloc.start()
@@ -179,7 +190,7 @@ def test_out_may_share_memory_with_the_input(side):
     rng = np.random.default_rng(5)
     h, w = 7, 9
     a = rng.standard_normal((h, w))
-    want = box_correlate_valid(a, side)
+    want = box_correlate_valid(a.copy(), side)
     for scratch in (np.empty(h * w), np.empty((w + 1, h))):
         buffer = a.copy()
         got = box_correlate_valid(buffer, side, scratch=scratch)
@@ -188,10 +199,19 @@ def test_out_may_share_memory_with_the_input(side):
         np.testing.assert_array_equal(buffer[:h - side + 1, :w - side + 1], want)
     # the full sum's input may be a view of its output's own storage
     buffer = np.empty((h + side - 1, w + side - 1))
-    a = buffer.reshape(-1)[:h * w].reshape(h, w)
-    a[...] = rng.standard_normal((h, w))
-    want = box_correlate_full(a.copy(), side)
-    np.testing.assert_array_equal(box_correlate_full(a, side, out=buffer), want)
+    a = rng.standard_normal((h, w))
+    want = box_correlate_full(a, side)
+    placed = buffer.reshape(-1)[:h * w].reshape(h, w)
+    placed[...] = a
+    np.testing.assert_array_equal(box_correlate_full(placed, side, out=buffer), want)
+    # and the front of its scratch: it is placed in out before the row pass
+    # overwrites scratch
+    scratch = np.empty(buffer.size)
+    held = scratch[:h * w].reshape(h, w)
+    held[...] = a
+    out = np.full(want.shape, np.nan)
+    assert box_correlate_full(held, side, out=out, scratch=scratch) is out
+    np.testing.assert_array_equal(out, want)
 
 
 def test_buffers_are_checked():

@@ -38,9 +38,29 @@ def test_pgm_rejects_3d():
         write_pgm("/tmp/never.pgm", np.zeros((2, 2, 2)))
 
 
+@pytest.mark.parametrize("image", [[[0.0, np.nan]], [[0.0, np.inf]], [[-np.inf, 0.0]],
+                                   [[-1e308, 1e308]]],
+                         ids=["nan", "inf", "-inf", "range-overflows"])
+def test_pgm_rejects_an_image_without_a_finite_range(tmp_path, image):
+    # a non-finite sample, or one scaled by an infinite range, has no 8-bit
+    # value; nothing is written
+    path = tmp_path / "e.pgm"
+    with pytest.raises(ValueError, match="finite"):
+        write_pgm(path, image)
+    assert not path.exists()
+
+
 def test_quantize_clips():
     out = quantize(np.array([[-1.0, 2.0]]), 0.0, 1.0)
     assert out.tolist() == [[0, 255]]
+
+
+@pytest.mark.parametrize("image,lo,hi", [([0.5], np.nan, 1.0), ([0.5], 0.0, np.inf),
+                                         ([0.5], -1e308, 1e308), ([np.nan], 0.0, 1.0),
+                                         ([-np.inf], 0.0, 1.0), ([0.5], 1.0, 1.0)])
+def test_quantize_rejects_nonfinite_input_and_an_empty_range(image, lo, hi):
+    with pytest.raises(ValueError, match="finite image and bounds lo < hi"):
+        quantize(image, lo, hi)
 
 
 def test_matrix_roundtrip(tmp_path):
@@ -72,6 +92,21 @@ def test_matrix_truncated(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-8])
     with pytest.raises(ValueError):
+        read_matrix(path)
+
+
+def test_matrix_rejects_bytes_after_the_payload(tmp_path):
+    path = tmp_path / "long.bsm"
+    write_matrix(path, np.ones((2, 2)))
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(ValueError, match="after the matrix payload"):
+        read_matrix(path)
+
+
+def test_matrix_malformed_dimension_line(tmp_path):
+    path = tmp_path / "dims.bsm"
+    path.write_bytes(b"BSMX1\n4\n" + b"\x00" * 32)
+    with pytest.raises(ValueError, match="malformed dimension line"):
         read_matrix(path)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blocksparse import (ConfigError, GridShape, ProxConfig, block_norm,
+from blocksparse import (ConfigError, GridShape, ProxConfig, ShapeError, block_norm,
                          build_clique_system, prox, prox_block_norm)
 
 from blocksparse.prox import (BALANCE_RATIO, GAP_STRIDE, RELAXATION, RHO_OCTAVES,
@@ -449,6 +449,42 @@ def test_prox_gap_certified_after_rescales():
                                                    abs=1e-12 * rep.objective_trace[-1])
 
 
+def test_a_tile_scale_that_rounds_to_zero_keeps_the_duals_finite(monkeypatch):
+    # at the last iteration copy 0's first tile is given the norm
+    # tau/(alpha - 1), so its scale 1 - tau/((alpha - 1)||q||) is exactly 0.
+    # The solve sets it to eps: the final U = (1 - 1/g) r would be 0 * inf.
+    # No estimate runs, so tau stays lam/rho0.  That tile lies in the
+    # support, where -rho*U projected onto the lam-ball is the optimum's
+    # dual block whatever the tile's scale, so the gap still certifies
+    monkeypatch.setattr(prox, "SPECTRAL_STRIDE", 10**9)
+    rng = np.random.default_rng(3)
+    v = 0.3 * rng.standard_normal((8, 8))
+    v[:4, :4] += 2.0
+    lam, cap = 0.8, 300
+    tau = lam / start_rho(v, lam)
+    norms, scale_tiles = _TileStack.norms, _TileStack.scale_tiles
+    first_factors = []
+
+    def pinned(self):
+        norms(self)
+        if len(first_factors) == cap - 1:
+            self.scale[0, 0, 0, 0] = tau / (RELAXATION - 1.0)
+
+    def recording(self, factors):
+        first_factors.append(float(factors[0, 0, 0, 0]))
+        scale_tiles(self, factors)
+
+    monkeypatch.setattr(_TileStack, "norms", pinned)
+    monkeypatch.setattr(_TileStack, "scale_tiles", recording)
+    res = prox_block_norm(v, system(8, 8, 2),
+                          ProxConfig(lam=lam, max_iters=cap, tol_abs=0.0, tol_rel=0.0))
+    assert res.report.iterations == cap
+    assert first_factors[cap - 1] == np.finfo(float).eps
+    assert np.all(np.isfinite(res.x)) and np.all(np.isfinite(res.u))
+    gap = helpers.prox_gap_by_projection(v, res.x, res.u, res.report.extra["rho"], lam, 2)
+    assert gap <= 1e-4 * res.report.objective_trace[-1]
+
+
 def test_prox_gap_nonnegative():
     # weak duality: every traced gap is >= 0 up to roundoff.  D sums terms
     # of the size of ||v||^2 = P(0), which can exceed P many times over, so
@@ -654,6 +690,11 @@ def test_prox_rejects_nonfinite_center():
     v[0, 0] = np.nan
     with pytest.raises(ConfigError, match="prox center must be finite"):
         prox_block_norm(v, system(6, 6, 2), ProxConfig(lam=0.5))
+
+
+def test_prox_rejects_a_center_of_the_wrong_shape():
+    with pytest.raises(ShapeError, match="does not match clique grid"):
+        prox_block_norm(np.ones((6, 5)), system(6, 6, 2), ProxConfig(lam=0.5))
 
 
 def test_prox_rejects_a_center_whose_squared_norm_overflows():

@@ -187,7 +187,7 @@ def test_clique_norms_match_loop_oracle():
     rng = np.random.default_rng(10)
     h, w, side, eps = 7, 5, 3, 0.2
     sq = rng.uniform(0.0, 2.0, (h, w))
-    norms = smoothed_clique_norms(sq, side, eps)
+    norms = smoothed_clique_norms(sq.copy(), side, eps)  # the window sum spends its input
     expected = [[math.sqrt(sq[r:r + side, c:c + side].sum() + eps * eps)
                  for c in range(w - side + 1)] for r in range(h - side + 1)]
     assert np.allclose(norms, expected, rtol=1e-12)
@@ -197,7 +197,7 @@ def test_weight_map_sums_reciprocal_norms_over_covering_cliques():
     rng = np.random.default_rng(11)
     h, w, side = 6, 7, 2
     norms = rng.uniform(0.5, 2.0, (h - side + 1, w - side + 1))
-    weights = smoothed_weight_map(norms, side)
+    weights = smoothed_weight_map(norms.copy(), side)  # the map spends its norms
     expected = np.zeros((h, w))
     for r in range(norms.shape[0]):
         for c in range(norms.shape[1]):
@@ -208,23 +208,22 @@ def test_weight_map_sums_reciprocal_norms_over_covering_cliques():
 
 @pytest.mark.parametrize("shape", [(6, 7), (3, 6, 7)])
 def test_evaluator_buffers_give_the_allocating_result(shape):
-    # given scratch, each evaluator spends its input: the clique norms their
-    # squares, which take the window sums, and the weight map its norms,
-    # which become the reciprocals.  The norms come back at the front of
-    # scratch
+    # each evaluator spends its input: the clique norms their squares, which
+    # take the window sums, and the weight map its norms, which become the
+    # reciprocals.  The norms come back at the front of scratch
     rng = np.random.default_rng(12)
     sq = rng.uniform(0.0, 2.0, shape)
     side, eps = 2, 0.1
     h, w = shape[-2:]
-    norms = smoothed_clique_norms(sq, side, eps)
-    weights = smoothed_weight_map(norms, side)
+    norms = smoothed_clique_norms(sq.copy(), side, eps)
+    weights = smoothed_weight_map(norms.copy(), side)
     scratch = np.full(sq.size, np.nan)
     spent = sq.copy()
     got = smoothed_clique_norms(spent, side, eps, scratch=scratch)
     assert helpers.at_front_of(got, scratch)
     np.testing.assert_array_equal(got, norms)
     np.testing.assert_array_equal(spent[..., :h - side + 1, :w - side + 1],
-                                  box_correlate_valid(sq, side))
+                                  box_correlate_valid(sq.copy(), side))
     spent = norms.copy()
     out = np.full(weights.shape, np.nan)
     assert smoothed_weight_map(spent, side, out=out, scratch=scratch) is out
@@ -234,37 +233,44 @@ def test_evaluator_buffers_give_the_allocating_result(shape):
                                   weights)
 
 
-def test_weight_map_without_scratch_leaves_its_norms_intact():
+def test_weight_map_without_scratch_spends_its_norms():
     norms = np.random.default_rng(14).uniform(0.5, 2.0, (3, 5, 6))
     kept = norms.copy()
     want = smoothed_weight_map(norms, 2)
-    np.testing.assert_array_equal(norms, kept)
+    np.testing.assert_array_equal(norms, 1.0 / kept)
+    norms = kept.copy()
     out = np.full(want.shape, np.nan)
     assert smoothed_weight_map(norms, 2, out=out) is out
     np.testing.assert_array_equal(out, want)
-    np.testing.assert_array_equal(norms, kept)
+    np.testing.assert_array_equal(norms, 1.0 / kept)
 
 
 def test_evaluator_out_may_share_memory_with_its_input():
     # the clique norms come back at the front of scratch, over the row pass
-    # they spent, and the weight map may write over the norms it reads, with
-    # the spent squares as its row pass.  Without scratch the norms are a new
-    # array and the squares are intact, and the weight map may still write
-    # over norms placed at the front of its output
+    # they spent.  The weight map may write over the norms it reads, with
+    # the spent squares as its row pass, or take the norms' own buffer as
+    # its row pass, as block-TV does.  Without scratch the norms are at the
+    # front of a new array, and the weight map may still write over norms
+    # placed at the front of its output
     rng = np.random.default_rng(13)
     h, w, side, eps = 6, 7, 3, 0.1
     sq = rng.uniform(0.0, 2.0, (h, w))
-    want_norms = smoothed_clique_norms(sq, side, eps)
-    want_weights = smoothed_weight_map(want_norms, side)
+    want_norms = smoothed_clique_norms(sq.copy(), side, eps)
+    want_weights = smoothed_weight_map(want_norms.copy(), side)
     buffer, scratch = sq.copy(), np.empty((h, w))
     norms = smoothed_clique_norms(buffer, side, eps, scratch=scratch)
     assert helpers.at_front_of(norms, scratch)
     np.testing.assert_array_equal(norms, want_norms)
     assert smoothed_weight_map(norms, side, out=scratch, scratch=buffer) is scratch
     np.testing.assert_array_equal(scratch, want_weights)
+    buffer, out = sq.copy(), np.empty((h, w))
+    norms = smoothed_clique_norms(buffer, side, eps, scratch=scratch)
+    assert smoothed_weight_map(norms, side, out=out, scratch=scratch) is out
+    np.testing.assert_array_equal(out, want_weights)
     buffer = sq.copy()
     norms = smoothed_clique_norms(buffer, side, eps)
-    np.testing.assert_array_equal(buffer, sq)
+    np.testing.assert_array_equal(buffer[:h - side + 1, :w - side + 1],
+                                  box_correlate_valid(sq.copy(), side))
     assert not np.shares_memory(norms, buffer)
     np.testing.assert_array_equal(norms, want_norms)
     placed = buffer.reshape(-1)[:norms.size].reshape(norms.shape)

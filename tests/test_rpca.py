@@ -81,6 +81,15 @@ def test_svt_rejects_a_stack_of_matrices():
         svt(np.ones((2, 2, 2)), 0.1)
 
 
+def test_svt_reports_an_eigendecomposition_failure(monkeypatch):
+    def failing(a, gram, floor):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(rpca, "_gram_eigh", failing)
+    with pytest.raises(NumericalError, match=r"eigendecomposition failed on \(3, 5\) matrix"):
+        svt(np.ones((3, 5)), 0.1)
+
+
 def test_svt_keeps_empty_and_extreme_scale_input():
     assert svt(np.zeros((0, 3)), 0.1).shape == (0, 3)
     # squaring these entries would overflow or underflow; the SVT rescales
@@ -347,6 +356,39 @@ def test_solve_rejects_nonfinite_stack():
     y[1, 1, 1] = np.inf
     with pytest.raises(ConfigError, match="finite"):
         solve_rpca(y, RpcaConfig())
+
+
+@pytest.mark.parametrize("shape,error", [((6, 6), ShapeError), ((1, 6, 6, 2), ShapeError),
+                                         ((6, 6, 0), ConfigError)])
+def test_solve_rejects_a_stack_that_is_not_3d_or_has_no_frames(shape, error):
+    with pytest.raises(error, match="stack"):
+        solve_rpca(np.zeros(shape), RpcaConfig())
+
+
+def test_raised_trial_norms_exhaust_the_line_search(monkeypatch):
+    # every trial's clique norms read 1e3 above their value, which raises
+    # its objective by more than the starting objective ||y||^2/2, so no
+    # step, however small, meets the majorisation test.  A negated weight
+    # map, as in block-TV's test, does not exhaust it: the test's slack of
+    # 1e-12 times the objective accepts a small enough step
+    norms_fn = rpca.smoothed_clique_norms
+    calls = []
+
+    def raised(*args, **buffers):
+        norms = norms_fn(*args, **buffers)
+        if calls:
+            norms += 1e3
+        calls.append(1)
+        return norms
+
+    monkeypatch.setattr(rpca, "smoothed_clique_norms", raised)
+    rng = np.random.default_rng(11)
+    lowrank, sparse = make_lowrank_blocksparse_stack(12, 12, 4, 2, rng, fg_side=4)
+    y = lowrank + sparse
+    assert 1e3 * default_lambda(2, 144) * 11 * 11 * 4 > 0.5 * np.sum(y * y)
+    with pytest.raises(NumericalError, match="backtracking failed"):
+        solve_rpca(y, RpcaConfig(clique_side=2))
+    assert len(calls) == 1 + 61  # the start, then the first trial and 60 halvings
 
 
 def test_solve_rejects_data_whose_objective_overflows():

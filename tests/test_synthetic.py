@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blocksparse import ConfigError
-from blocksparse.synthetic import (gaussian_measurement_matrix, make_blocky_image,
+from blocksparse.synthetic import (block_shapes, gaussian_measurement_matrix, make_blocky_image,
                                    make_lowrank_blocksparse_stack, make_piecewise_constant,
                                    sigma_for_psnr_db, sigma_for_snr_db)
 
@@ -40,9 +40,22 @@ def test_blocky_blocks_are_contiguous():
     assert sum(comps) == 40
 
 
+def test_blocky_support_size_exact_when_blocks_do_not_divide_it():
+    # 41 pixels in 4 blocks: the first block takes the extra pixel
+    img = make_blocky_image(32, 32, 41, 4, np.random.default_rng(0))
+    assert np.count_nonzero(img) == 41
+    assert block_shapes(32, 32, 41, 4) == [(1, 11), (2, 5), (2, 5), (2, 5)]
+
+
 def test_blocky_infeasible_spec():
     with pytest.raises(ConfigError):
         make_blocky_image(4, 4, 40, 4, np.random.default_rng(0))
+
+
+def test_blocky_blocks_that_fit_but_not_apart():
+    # two 2x2 blocks each fit a 4x4 image, but not with a margin between them
+    with pytest.raises(ConfigError, match="could not place disjoint blocks"):
+        make_blocky_image(4, 4, 8, 2, np.random.default_rng(0))
 
 
 def test_lowrank_stack_has_exact_rank():
