@@ -7,14 +7,17 @@ the smooth terms (block gradient from exact window sums, ``2 (side - 1)``
 adds per pixel and sum) and a backward singular-value-thresholding step on
 the nuclear norm.
 
-Inside the solve the stack is frame-major: ``y`` is copied once to a
-contiguous ``(L, H, W)`` array, so the window sums take contiguous frames and
-the SVT matrix is the plain ``(L, N)`` reshape; ``x`` and ``z`` are returned
-as ``(H, W, L)`` views of the frame-major results.  The gradients are built
-in place, and each line-search trial reuses its forward point's buffer for
-the residual.  The trial's majorisation model needs no stack pass of its
-own: the ``x`` step is ``-alpha * gx``, and the SVT moves its forward point by
-``sum(min(s, alpha)^2)`` in squared norm, ``s`` its singular values.
+Inside the solve the stack is frame-major: ``y`` is read through an ``(L, H,
+W)`` view of the caller's array, not copied, and ``x``, ``z`` and the working
+buffers are contiguous ``(L, H, W)`` arrays, so the window sums take
+contiguous frames and the SVT matrix is the plain ``(L, N)`` reshape; ``x``
+and ``z`` are returned as ``(H, W, L)`` views of the frame-major results.
+``y`` enters the iterations only elementwise.  Its squared norm, the one sum
+over it, is taken once over a copy in a working buffer, so that it adds in a
+contiguous stack's order whatever the caller's layout.  The trial's
+majorisation model needs no stack pass of its own: the ``x`` step is
+``-alpha * gx``, and the SVT moves its forward point by ``sum(min(s,
+alpha)^2)`` in squared norm, ``s`` its singular values.
 
 The SVT eigendecomposes the ``L x L`` Gram matrix of the short side instead
 of taking an SVD of the ``N x L`` matrix: 0.26 against 0.92 ms per call at
@@ -28,15 +31,29 @@ singular values, with no second SVD.
 
 In the paper's count the algorithm's state is four stack-sized buffers (X,
 Z, gradient, residual): ``4 * N * L`` entries, versus ``(2*side^2 + 4) * N *
-L`` for a consensus-ADMM treatment of the same objective.  Both gradients, the
-trial point and the window sums add temporaries on top: ``memory-benchmark``
-(tracemalloc, 16x16x4 stack, side 10) measures a peak of 9.7 stack copies,
-set inside a trial's valid window sum.  There the stack holds ``y``, ``x``,
-``z``, both gradients, the trial's ``x`` and ``z``, its squares and the
-window sum's row pass.  The squares fill the residual's buffer, and the
-column pass overwrites them; the clique norms go to the front of the row
-pass's buffer, so the squares are freed and the kept norms own one stack.
-The next gradient's weight map is built in that buffer.
+L`` for a consensus-ADMM treatment of the same objective.  The solve holds
+seven: ``x``, ``z``, the trial's SVT output, ``gx``, ``gz``, a step buffer and
+a row-pass buffer.  In each trial the step buffer holds the forward point
+``z - alpha * gz`` for the SVT, then the trial's ``x - alpha * gx``, then its
+squares, which the valid window sum spends; the row-pass buffer holds the
+residual ``y - z_new - x_new``, squared in place for its norm, then the
+window sum's row pass, whose first entries keep the clique norms.  Only an
+accepted trial's ``x`` is kept, rebuilt in place of ``x`` by the same two
+operations, so no trial ``x`` lives through the window sum.  The next weight
+map is built over the norms, with the spent ``gx`` as its row pass, so those
+two buffers swap roles each iteration, and ``gz`` is rebuilt in its own.
+tracemalloc reads a peak of about 7.2 stack copies on a 64x64x10 stack, set
+inside a trial's valid window sum; a frame-major copy of ``y`` or a trial
+``x`` held there would add a stack each.  The fraction is NumPy's buffer
+for the strided reads of ``y``, at most 8,192 entries: a whole copy of
+``memory-benchmark``'s 16x16x4 stack, which reads 8.5 copies.
+
+The four working buffers are one block per solve, which leaves the SVT's
+output an iteration's only stack-sized allocation.  As four arrays they
+read ``rpca-fbs`` ``setup_s`` of about 1.6 ms against 0.6 ms, by the heap
+each solve leaves to the benchmark's next set-up (one BLAS thread, 2-core
+x86 host).  ``x`` and ``z`` are arrays of their own, not views into the
+block, which would keep it alive with them.
 
 The block penalty comes from the regularizer's evaluator pair, batched over
 frames.  Each line-search trial computes the smoothed clique norms of its
@@ -262,29 +279,30 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     mu = cfg.mu
     t0 = time.perf_counter()
 
-    # frame-major copy: the window sums take contiguous frames, and the SVT
-    # matrix is a plain (L, n) reshape
-    y = np.ascontiguousarray(np.moveaxis(y, -1, 0))
+    # frame-major view: the window sums take (L, H, W) frames and the SVT the
+    # (L, n) matrix, both read from the solve's own contiguous buffers
+    y = np.moveaxis(y, -1, 0)
     n_frames = y.shape[0]
-    x = np.zeros_like(y)
-    z = np.zeros_like(y)
+    x = np.zeros(y.shape)
+    z = np.zeros(y.shape)
+    # the four working stacks, one block per solve: the step buffer (forward
+    # point, trial x, squares), the gradient gx, the row pass (residual, then
+    # the clique norms), and gz
+    step, gx, rows, gz = np.empty((4,) + y.shape)
 
     alpha = 1.0 / (mu + lam / eps)
-
-    def clique_norms(sq):
-        """The smoothed clique norms of the squares ``sq``, which the window
-        sum spends, and the new stack-sized buffer that held its row pass:
-        the norms are a view of its first entries."""
-        buf = np.empty_like(sq)
-        return smoothed_clique_norms(sq, side, eps, scratch=buf), buf
 
     objective_trace: list[float] = []
     residual_trace: list[float] = []
     reason = "max-iterations"
+    # ||y||^2 summed over a frame-major copy, in the order of a contiguous
+    # stack; the row pass is free until the first window sum
+    np.copyto(rows, y)
+    y_sq = float(np.einsum("ijk,ijk->", rows, rows))
     # clique norms and smooth part at the current point, later those of the
     # accepted trial; Z0 = 0 has nuclear norm 0
-    norms, norms_buf = clique_norms(x * x)
-    h_new = lam * float(norms.sum()) + 0.5 * mu * float(np.einsum("ijk,ijk->", y, y))
+    norms = smoothed_clique_norms(np.multiply(x, x, out=step), side, eps, scratch=rows)
+    h_new = lam * float(norms.sum()) + 0.5 * mu * y_sq
     if not math.isfinite(h_new):
         # finite data whose squares overflow: every trial would compare inf
         raise ConfigError("objective is not finite at the starting point")
@@ -295,13 +313,12 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     for _ in range(cfg.max_iters):
         h_old = h_new
         # gx = lam * x * weights + gz and gz = mu * (z + x - y), built in
-        # place: the weights in the norms' buffer, before gz is allocated.
-        # Without scratch the weight map allocates its row pass
-        gx = smoothed_weight_map(norms, side, out=norms_buf)
-        norms = norms_buf = None
+        # place: the weights over the norms, with the previous gradient's
+        # buffer as their row pass, which the trials' row passes then take
+        gx, rows = smoothed_weight_map(norms, side, out=rows, scratch=gx), gx
         gx *= x
         gx *= lam
-        gz = z + x
+        np.add(z, x, out=gz)
         gz -= y
         gz *= mu
         gx += gz
@@ -309,20 +326,20 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
 
         halvings = 0
         while True:
-            # x - alpha*gx and z - alpha*gz, each built in one buffer
-            x_new = gx * -alpha
-            x_new += x
-            work = gz * -alpha
-            work += z
-            z_new, s, svals = _svd_soft(work.reshape(n_frames, -1), alpha)
+            # the step buffer holds z - alpha*gz for the SVT, then the trial's
+            # x - alpha*gx, then its squares, which the window sum spends; the
+            # residual y - z_new - x_new goes to the row pass first
+            np.multiply(gz, -alpha, out=step)
+            step += z
+            z_new, s, svals = _svd_soft(step.reshape(n_frames, -1), alpha)
             z_new = z_new.reshape(y.shape)
-            # the forward point is spent: its buffer holds the residual, then
-            # the squares that the window sum spends
-            np.subtract(y, z_new, out=work)
-            work -= x_new
-            resid_sq = _sum_sq(work)
-            norms, norms_buf = clique_norms(np.multiply(x_new, x_new, out=work))
-            work = None
+            np.multiply(gx, -alpha, out=step)
+            step += x
+            np.subtract(y, z_new, out=rows)
+            rows -= step
+            resid_sq = _sum_sq(rows)
+            norms = smoothed_clique_norms(np.multiply(step, step, out=step), side, eps,
+                                          scratch=rows)
             h_new = lam * float(norms.sum()) + 0.5 * mu * resid_sq
             # the majorisation at the trial: the gradient terms of both steps
             # give -alpha/2 * grad_sq, and the SVT's move min(s, alpha) per
@@ -331,14 +348,17 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
                      + float(np.square(s - svals).sum()) / (2.0 * alpha))
             if h_new <= model + 1e-12 * abs(h_old):
                 break
-            x_new = z_new = norms = norms_buf = None  # rejected trial
+            z_new = None  # rejected trial, freed before the next SVT
             halvings += 1
             if halvings > _MAX_HALVINGS:
                 raise NumericalError("backtracking failed; the smooth gradient is suspect")
             alpha *= _BACKTRACK_SHRINK
 
         total_halvings += halvings
-        x, z = x_new, z_new
+        # the accepted trial's x, rebuilt by the trial's two operations
+        np.multiply(gx, -alpha, out=step)
+        x += step
+        z = z_new
         obj = h_new + float(svals.sum())
         objective_trace.append(obj)
         residual_trace.append(math.sqrt(resid_sq))

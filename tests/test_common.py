@@ -1,13 +1,15 @@
 import itertools
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from blocksparse import (BlockTvConfig, ColampConfig, ConfigError, GridShape, ProxConfig,
-                         RpcaConfig, ShapeError, SolverReport, build_clique_system,
-                         default_lambda, experiments, prox_block_norm, psnr_db, relative_error,
+from blocksparse import (BlockTvConfig, ColampConfig, ConfigError, GridShape,
+                         MeasurementModel, ProxConfig, RpcaConfig, ShapeError, SolverReport,
+                         build_clique_system, colamp_solve, default_lambda, denoise_block_tv,
+                         experiments, prox_block_norm, psnr_db, relative_error, solve_rpca,
                          support_prf, support_set, svt)
 from blocksparse.common import check_finite, check_nonnegative, check_positive
 from blocksparse.experiments import HarnessConfig
@@ -50,6 +52,46 @@ def test_harness_reads_iterations_not_trace_entries(monkeypatch):
     report = SolverReport([1.0], [1.0], "max-iterations", iterations=30)
     monkeypatch.setattr(experiments, "solve_rpca", lambda y, cfg: SimpleNamespace(report=report))
     assert experiments.fbs_per_iteration_seconds(2) == 0.1
+
+
+def _prox_report(lam):
+    v = np.random.default_rng(0).standard_normal((8, 8))
+    cliques = build_clique_system(GridShape(8, 8), 2)
+    return prox_block_norm(v, cliques, ProxConfig(lam=lam, max_iters=20)).report
+
+
+def _colamp_report():
+    rng = np.random.default_rng(1)
+    truth = np.zeros(64)
+    truth[[9, 10, 17, 18]] = 1.0
+    phi = rng.standard_normal((32, 64))
+    cliques = build_clique_system(GridShape(8, 8), 2)
+    return colamp_solve(phi @ truth, MeasurementModel(phi), cliques,
+                        ColampConfig(k=4, max_iters=3))[1]
+
+
+# every place a solver writes a report's wall_clock: the prox's zero weight,
+# screen and iteration, and the other three solvers
+WALL_CLOCK_RUNS = {
+    "prox-zero-weight": lambda: _prox_report(0.0),
+    "prox-screened": lambda: _prox_report(100.0),
+    "prox-iterated": lambda: _prox_report(0.5),
+    "rpca": lambda: solve_rpca(np.random.default_rng(2).standard_normal((8, 8, 3)),
+                               RpcaConfig(max_iters=5)).report,
+    "block-tv": lambda: denoise_block_tv(np.random.default_rng(3).standard_normal((8, 8)),
+                                         BlockTvConfig(lam=0.1, max_iters=5))[1],
+    "colamp": _colamp_report,
+}
+
+
+@pytest.mark.parametrize("run", WALL_CLOCK_RUNS.values(), ids=WALL_CLOCK_RUNS.keys())
+def test_report_wall_clock_lies_within_the_callers_span(run):
+    # a solver times part of its own call, so its reading is nonnegative and
+    # at most the span its caller measures around the call
+    t0 = time.perf_counter()
+    report = run()
+    span = time.perf_counter() - t0
+    assert 0.0 <= report.wall_clock <= span
 
 
 def test_report_validates_reason():

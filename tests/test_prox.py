@@ -750,6 +750,20 @@ def test_prox_screens_a_weight_of_twice_the_center_norm(lam):
     assert abs(gap) <= 1e-12 * np.sum(v ** 2)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_prox_screen_sits_at_twice_the_center_norm(scale):
+    # the screen's bound is lam = 2||v|| itself: a weight a rounding margin
+    # above it returns the exact 0 at once, and one 1e-6 below it iterates
+    v = scale * np.random.default_rng(0).standard_normal((8, 8))
+    cs = system(8, 8, 2)
+    bound = 2.0 * float(np.linalg.norm(v))
+    res = prox_block_norm(v, cs, ProxConfig(lam=bound * (1.0 + 1e-12)))
+    assert res.report.termination_reason == "converged" and res.report.iterations == 0
+    assert np.all(res.x == 0)
+    below = prox_block_norm(v, cs, ProxConfig(lam=bound * (1.0 - 1e-6), max_iters=3))
+    assert below.report.iterations >= 1
+
+
 @pytest.mark.parametrize("height,width,side", helpers.GEOMETRIES)
 def test_prox_screen_duals_cover_every_pixel_once(height, width, side):
     # each pixel's share of g = 2v sits in one copy whose tiles cover it,
