@@ -9,6 +9,13 @@ benchmark is a plain function that measures each solver's peak allocation
 with tracemalloc.  RNG streams derive from (seed, trial, point stream) and
 rows are written trials outer, points inner, so a rerun reproduces the CSV
 byte-for-byte apart from the timing and measured-memory columns.
+
+Beside its ``<name>.csv`` each experiment writes 8-bit ``.pgm`` previews
+(:func:`blocksparse.matrixio.write_pgm`).  The compressive-recovery sweep and
+the decomposition also save exact float64 state as NumPy ``.npy`` files
+(``np.save``; read back bit for bit with ``np.load``):
+``cs_measurements_m{m}.npy``, trial 0's ``(m,)`` measurements at each budget,
+and ``rpca_foreground.npy``, trial 0's ``(H, W, L)`` sparse part.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .blocktv import BlockTvConfig, denoise_block_tv
 from .common import (ConfigError, SolverReport, check_count, check_finite, check_nonnegative,
                      check_positive)
 from .grids import GridShape, build_clique_system
-from .matrixio import write_matrix, write_pgm
+from .matrixio import write_pgm
 from .metrics import psnr_db, relative_error, support_prf, support_set
 from .prox import ProxConfig, prox_block_norm
 from .pursuit import ColampConfig, MeasurementModel, colamp_solve
@@ -298,7 +305,7 @@ def _write_cs(out_dir: Path, done: list[tuple[Point, object]]) -> None:
     for point, (_, xhat, y) in done:
         m = point.params["m"]
         write_pgm(out_dir / f"cs_recovered_m{m}.pgm", xhat)
-        write_matrix(out_dir / f"cs_measurements_m{m}.bsm", y[None, :])
+        np.save(out_dir / f"cs_measurements_m{m}.npy", y)
 
 
 def _write_robust(out_dir: Path, done: list[tuple[Point, object]]) -> None:
@@ -369,7 +376,7 @@ def _write_rpca(out_dir: Path, done: list[tuple[Point, object]]) -> None:
     write_pgm(out_dir / "rpca_observed_f0.pgm", y[:, :, 0])
     write_pgm(out_dir / "rpca_foreground_f0.pgm", x[:, :, 0])
     write_pgm(out_dir / "rpca_background_f0.pgm", z[:, :, 0])
-    write_matrix(out_dir / "rpca_foreground.bsm", x.reshape(-1, x.shape[2]))
+    np.save(out_dir / "rpca_foreground.npy", x)
 
 
 def admm_formula_entries(side: int, n_pixels: int, frames: int) -> int:
@@ -508,8 +515,13 @@ def resolve_config(name: str, cfg: HarnessConfig) -> dict:
 
 
 def run_experiment(name: str, cfg: HarnessConfig) -> Path:
-    """Run one experiment, write ``<name>.csv`` plus image files into
+    """Run one experiment, write ``<name>.csv`` plus its artifacts into
     ``cfg.out_dir``, and return the CSV path.
+
+    The artifacts are 8-bit ``.pgm`` previews and, for
+    ``cs-recovery-sweep`` and ``rpca-decompose``, exact float64 solver state
+    as ``.npy`` files (``cs_measurements_m{m}.npy`` and
+    ``rpca_foreground.npy``), which ``np.load`` reads back bit for bit.
 
     A sweep trial that raises becomes a row with the failure flag; unknown
     names raise :class:`UsageError`.

@@ -111,10 +111,13 @@ class ColampConfig:
 
 
 def truncate_top_k(x_s: np.ndarray, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries (ties broken by lowest index),
-    zero the rest.  Shorter inputs pass through unchanged."""
+    """Keep the k largest-magnitude entries of a 1-D array (ties broken by
+    lowest index), zero the rest.  Shorter inputs pass through unchanged.
+    Raises :class:`ShapeError` on input that is not 1-D."""
     check_count(k, "k")
     x_s = np.asarray(x_s, dtype=float)
+    if x_s.ndim != 1:
+        raise ShapeError(f"truncate_top_k needs a 1-D array, got shape {x_s.shape}")
     if x_s.size <= k:
         return x_s.copy()
     order = np.argsort(-np.abs(x_s), kind="stable")

@@ -68,7 +68,15 @@ def test_memory_benchmark_rows(tmp_path):
     assert (tmp_path / "memory_observed_f0.pgm").exists()
 
 
-def test_rpca_experiment_rows_and_images(tmp_path):
+def test_rpca_experiment_rows_and_images(tmp_path, monkeypatch):
+    real = experiments.solve_rpca
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "solve_rpca", recording)
     cfg = small_cfg(tmp_path, trials=1)
     path = run_experiment("rpca-decompose", cfg)
     rows = list(csv.DictReader(open(path, newline="")))
@@ -79,9 +87,13 @@ def test_rpca_experiment_rows_and_images(tmp_path):
     assert row["rank_est"] == "2"
     assert row["objective_monotone"] == "1"
     for name in ("rpca_observed_f0.pgm", "rpca_foreground_f0.pgm",
-                 "rpca_background_f0.pgm", "rpca_foreground.bsm"):
+                 "rpca_background_f0.pgm"):
         assert (tmp_path / name).exists()
     assert helpers.read_pgm8(tmp_path / "rpca_observed_f0.pgm").shape == (32, 32)
+    # the exact state is the solver's sparse part, bit for bit
+    saved = np.load(tmp_path / "rpca_foreground.npy")
+    assert saved.dtype == np.float64 and saved.shape == (32, 32, 10)
+    assert np.array_equal(saved, results[0].x)
 
 
 def test_blocktv_experiment_grid(tmp_path):
@@ -105,6 +117,8 @@ def test_cs_sweep_rows_failure_isolated(tmp_path):
     assert len(rows) == 2
     assert all(r["experiment"] == "cs-recovery-sweep" for r in rows)
     assert all(r["m"] == "36" for r in rows)
+    y = np.load(tmp_path / "cs_measurements_m36.npy")
+    assert y.dtype == np.float64 and y.shape == (36,)
 
 
 def test_robust_sweep_end_to_end(tmp_path):
@@ -170,6 +184,8 @@ def test_determinism_excluding_timing(tmp_path):
     pa = run_experiment("rpca-decompose", small_cfg(a_dir, trials=1))
     pb = run_experiment("rpca-decompose", small_cfg(b_dir, trials=1))
     assert helpers.read_csv_without_timing(pa) == helpers.read_csv_without_timing(pb)
+    assert ((a_dir / "rpca_foreground.npy").read_bytes()
+            == (b_dir / "rpca_foreground.npy").read_bytes())
 
 
 def test_memory_benchmark_reruns_equal_apart_from_measurements(tmp_path):

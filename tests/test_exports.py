@@ -31,7 +31,7 @@ DELETED = {
                   "block_norm_smoothed", "block_norm_smoothed_grad", "_checked"),
     rpca: ("rpca_objective", "numerical_rank"),
     metrics: ("measured_snr_db",),
-    matrixio: ("read_pgm",),
+    matrixio: ("read_pgm", "write_matrix", "read_matrix", "quantize", "_MATRIX_MAGIC"),
     experiments: ("read_csv_without_timing", "UNREPEATABLE_COLUMNS"),
     fftops: ("_kernel_cache", "_cache_lock", "_padded_shape", "_kernel_fft",
              "_box_convolve_full"),
@@ -55,7 +55,6 @@ def test_every_export_resolves():
 def test_pgm_writer_takes_no_format_options():
     # 8-bit output over the data range is the one format the experiments write
     assert list(inspect.signature(matrixio.write_pgm).parameters) == ["path", "image"]
-    assert list(inspect.signature(matrixio.quantize).parameters) == ["image", "lo", "hi"]
 
 
 def test_valid_sum_and_clique_norms_take_no_out_option():

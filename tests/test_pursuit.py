@@ -73,6 +73,15 @@ def test_truncate_rejects_non_integer_k():
     assert np.count_nonzero(truncate_top_k(np.arange(5.0), np.int64(2))) == 2
 
 
+@pytest.mark.parametrize("x_s,k", [(np.arange(9.0).reshape(3, 3), 2), (np.float64(4.0), 1)],
+                         ids=["2-d", "0-d"])
+def test_truncate_rejects_input_that_is_not_1d(x_s, k):
+    # argsort of a 3x3 sorts each row, and indexing by it keeps whole rows:
+    # k=2 kept all nine entries; a 0-d input passed through as if shorter than k
+    with pytest.raises(ShapeError, match="1-D"):
+        truncate_top_k(x_s, k)
+
+
 # --- colamp_solve -----------------------------------------------------------
 
 def _pursuit_cfg(k=40, lam0=0.2, **kw):

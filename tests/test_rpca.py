@@ -335,9 +335,14 @@ def test_solve_reads_the_stack_in_any_layout_and_leaves_it_unchanged():
         assert got.report.termination_reason == want.report.termination_reason
 
 
-def test_default_eps_resolution():
+@pytest.mark.parametrize("max_abs", [0.5, 1.5, None], ids=["max-0.5", "max-1.5", "times-10"])
+def test_default_eps_resolution(max_abs):
+    # the default scales with max|y| and is floored at max|y| = 1; 0.5 and 1.5
+    # sit on either side of the floor, where a floor of 2 would change both
     rng = np.random.default_rng(13)
     y = 10.0 * rng.standard_normal((8, 8, 3))
+    if max_abs is not None:
+        y *= max_abs / np.max(np.abs(y))
     res = solve_rpca(y, RpcaConfig(clique_side=2, max_iters=5))
     assert res.report.extra["epsilon"] == pytest.approx(
         EPS_SCALE_REL * max(1.0, np.max(np.abs(y))))
