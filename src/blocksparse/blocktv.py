@@ -14,30 +14,43 @@ halved back in nearly every iteration, and half of all trials are rejected.
 The clique norms and their scatter come from the regularizer's evaluator
 pair, exact window sums of the per-pixel squared gradient magnitude
 ``dh^2 + dv^2``.  Each evaluation of the objective returns, with its value,
-the forward differences, smoothed clique norms and residual ``x - y`` it
-computed.  The line search keeps those of the trial it accepts, and the next
-gradient is built from them, so an iteration makes one valid window sum per
-trial and one full window sum for its gradient: the accepted point is never
-evaluated twice.
+the smoothed clique norms and residual ``x - y`` it computed.  The line
+search keeps those of the trial it accepts, and the next gradient is built
+from them, so an iteration makes one valid window sum per trial and one full
+window sum for its gradient: the accepted point is never evaluated twice.
+The gradient rebuilds the forward differences of the accepted point, two
+subtractions, rather than keep them from its evaluation in two more images.
 
-Besides its copy ``x`` of the input, a solve allocates six image-sized
-arrays once, before the first iteration: the two forward differences, the
-squared magnitudes, one scratch image, the weight map and the trial point.
+Besides its copy ``x`` of the input, a solve allocates one block of four
+image-sized arrays, before the first iteration:
+
+- ``sq`` takes an evaluation's horizontal differences, squared in place,
+  adds the squared vertical ones to them, and then, once the valid window
+  sum has spent it, the residual;
+- ``scratch`` takes the vertical differences, then the valid window sum's
+  row pass and, at its front, the clique norms, then the full window sum's
+  row pass, then the rebuilt horizontal differences;
+- two images take turns: one takes the weight map and then the gradient,
+  the other the rebuilt vertical differences and then the line search's
+  trial points.
+
 The evaluator pair, the window sums and the difference operators fill them
 through their ``out=`` and ``scratch=`` arguments, under the window sums'
-buffer rule (:mod:`blocksparse.fftops`).  The clique norms spend the squared
-magnitudes: the scratch image holds the valid window sum's row pass and
-then, at its front, the norms.  The weight map spends the norms: it forms
-their reciprocals in place and places them in its own buffer before its full
-window sum's row pass overwrites the scratch image.  The gradient is built
-in the weight map's buffer, as :mod:`blocksparse.rpca` builds its.  An
-accepted trial swaps buffers with ``x``, so an iteration allocates nothing
-image-sized.  Each buffer is filled by the operations, in the order, that
-made a new array before, so the iterates are those of a solve that
-allocates.  Block-TV still reaches the window sums only through the names
-:mod:`blocksparse.regularizer` binds, and uses the arrays its calls return.
-The difference operators work on the flattened image, as the window sums do,
-and fix up the one column a shift carries across a row's end.
+buffer rule (:mod:`blocksparse.fftops`).  The weight map spends the norms:
+it forms their reciprocals in place and places them in its own buffer
+before its full window sum's row pass overwrites the scratch image.  The
+gradient is built in the weight map's buffer, as :mod:`blocksparse.rpca`
+builds its, by the adjoint of the rebuilt differences times the map.  An
+accepted trial's buffer becomes ``x``, and ``x``'s and the spent gradient's
+take the next weight map and trial point, so an iteration allocates nothing
+image-sized.  ``x`` is returned in the solve's own copy of the input, not as
+a view that would keep the block alive.  Each buffer is filled by the
+operations, in the order, that made a new array before, so the iterates are
+those of a solve that allocates.  Block-TV still reaches the window sums
+only through the names :mod:`blocksparse.regularizer` binds, and uses the
+arrays its calls return.  The difference operators work on the flattened
+image, as the window sums do, and fix up the one column a shift carries
+across a row's end.
 """
 
 from __future__ import annotations
@@ -166,47 +179,46 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     side = build_clique_system(shape, cfg.clique_side).side  # rejects a side that does not fit
     t0 = time.perf_counter()
 
-    # one set of buffers per solve, so that an iteration allocates nothing
-    # image-sized; an accepted trial swaps its buffer with x's
-    d = GradientField(np.empty(y.shape), np.empty(y.shape))
-    # scratch holds the valid window sum's row pass, then the clique norms
-    sq, weights, trial, scratch = (np.empty(y.shape) for _ in range(4))
+    # one block of buffers per solve, so that an iteration allocates nothing
+    # image-sized; the module docstring gives each buffer's roles
+    sq, scratch, free, spare = np.empty((4,) + y.shape)
 
     if cfg.eps is not None:
         eps = cfg.eps
     else:
-        discrete_gradient(y, out=d)
+        d = discrete_gradient(y, out=GradientField(sq, scratch))
         eps = 1e-4 * max(1.0, float(np.abs(d.dh).max()), float(np.abs(d.dv).max()))
     lam = float(cfg.lam)
 
     def evaluate(x):
         """Objective at ``x`` and the smoothed clique norms it was computed
-        from.  Its forward differences are left in ``d`` and its residual
-        ``x - y`` in ``sq``: with the norms, the state :func:`gradient`
-        needs."""
-        discrete_gradient(x, out=d)
-        np.multiply(d.dh, d.dh, out=sq)
-        # dv^2 in scratch, before the window sum's row pass overwrites it
-        np.add(sq, np.multiply(d.dv, d.dv, out=scratch), out=sq)
+        from.  Its residual ``x - y`` is left in ``sq``: with the norms, the
+        state :func:`gradient` needs."""
+        dh, dv = discrete_gradient(x, out=GradientField(sq, scratch))
+        dh *= dh
+        dv *= dv
+        dh += dv  # in sq
         # the window sum spends sq, which then takes the residual
         norms = smoothed_clique_norms(sq, side, eps, scratch=scratch)
         resid = np.subtract(x, y, out=sq)
         return 0.5 * float(np.vdot(resid, resid)) + lam * float(norms.sum()), norms
 
-    def gradient(norms):
-        """``(x - y) + lam * D^T (weight_map * d)`` at the point last
-        evaluated, ``D`` the forward difference, built in the weight map's
-        buffer ``weights``; it spends ``d`` and ``norms``, and ``scratch``,
-        which holds the norms, takes the full window sum's row pass."""
-        weight_map = smoothed_weight_map(norms, side, out=weights, scratch=scratch)
+    def gradient(x, norms, out, spare):
+        """``(x - y) + lam * D^T (weight_map * D x)`` at ``x``, the point last
+        evaluated, ``D`` the forward difference, built in ``out``, which
+        first takes the weight map.  It spends ``norms``, and ``scratch``,
+        which holds them, takes the full window sum's row pass, then with
+        ``spare`` the rebuilt ``D x``."""
+        weight_map = smoothed_weight_map(norms, side, out=out, scratch=scratch)
+        d = discrete_gradient(x, out=GradientField(scratch, spare))
         for channel in d:
             channel *= weight_map
-        out = discrete_gradient_adjoint(d, out=weights)
+        out = discrete_gradient_adjoint(d, out=out)
         out *= lam
         out += sq
         return out
 
-    x = y.copy()
+    x = own = y.copy()
     grad_tol = 1e-12 * float(np.linalg.norm(y))
     objective_trace: list[float] = []
     residual_trace: list[float] = []
@@ -218,7 +230,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     total_halvings = 0
 
     for _ in range(cfg.max_iters):
-        g = gradient(norms)
+        g = gradient(x, norms, free, spare)
         gsq = float(np.vdot(g, g))
         gnorm = float(np.sqrt(gsq))
         if gnorm <= grad_tol:
@@ -226,7 +238,7 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
             break
         halvings = 0
         while True:
-            x_new = np.multiply(g, alpha, out=trial)
+            x_new = np.multiply(g, alpha, out=spare)
             np.subtract(x, x_new, out=x_new)
             obj, norms = evaluate(x_new)
             # strict decrease guards against roundoff plateaus spuriously
@@ -239,7 +251,9 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
             alpha *= 0.5
 
         total_halvings += halvings
-        x, trial = x_new, x  # the accepted trial's buffer becomes x
+        # the accepted trial's buffer becomes x; x's and the spent gradient's
+        # take the next weight map and trial point
+        x, free, spare = x_new, x, g
         objective_trace.append(obj)
         residual_trace.append(gnorm)
         if abs(obj_prev - obj) <= cfg.tol_obj * abs(obj_prev):
@@ -247,6 +261,10 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
             break
         obj_prev = obj
 
+    if x is not own:
+        # a view into the block would keep the block alive with it
+        np.copyto(own, x)
+        x = own
     report = SolverReport(objective_trace, residual_trace, reason,
                           iterations=len(objective_trace), wall_clock=time.perf_counter() - t0,
                           extra={"epsilon": eps, "halvings": total_halvings,

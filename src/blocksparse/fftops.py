@@ -19,12 +19,15 @@ buffers, and took 2 to 5 times as long as the flat form at 64x64 to
 192x192 (one thread, 2-core x86 host).
 
 The full sum needs no array larger than its output.  It places its input
-at the top left of its zeroed output, scatter-adds row shifts of that into a
-zeroed row pass, then column shifts of the row pass into the zeroed output,
-each time adding shift ``side - 1`` first and shift 0 last.  An output entry
-then adds the input's entries in the order in which the valid sum of the
-padded array meets them, and the terms that come from the padding are zeros,
-so the two agree bit for bit (a zero's sign may differ).
+at the top left of its zeroed output, then builds the row pass from row
+shifts of that, then the output from column shifts of the row pass.  Each
+pass copies in shift ``side - 1``, zeroes the entries that shift does not
+reach, and then adds the other shifts, shift 0 last.  An output entry then
+adds the input's entries in the order in which the valid sum of the padded
+array meets them, and the terms that come from the padding are zeros, so
+the two agree bit for bit (a zero's sign may differ).  The copy gives the
+bits of an add to zeros for every entry but ``-0.0``, as ``0.0 + t`` is
+``t``.
 
 Both sums follow one buffer rule.  Each keeps one intermediate array, its
 row pass, in ``scratch`` when one is given, else in a new array.
@@ -131,9 +134,12 @@ def box_correlate_full(a: np.ndarray, side: int, out=None, scratch=None) -> np.n
     # rows[..., r, :] sums the placed rows r - side + 1 to r; the shifts wrap
     # into the zero rows below each batch item, and the column pass into the
     # zero columns right of each row.  The row pass spends the placed input,
-    # so the column pass may refill out
+    # so the column pass may refill out.  Shift side - 1 is copied in, not
+    # added to zeros: 0.0 + t is t for every t but -0.0
     for src, acc, step in ((placed, rows, wf), (rows, placed, 1)):
-        acc.fill(0.0)
-        for k in range(side - 1, -1, -1):
+        top = (side - 1) * step
+        acc[:top] = 0.0
+        np.copyto(acc[top:], src[:src.size - top])
+        for k in range(side - 2, -1, -1):
             acc[k * step:] += src[:src.size - k * step]
     return out

@@ -15,29 +15,46 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(float(np.sum(d * d)))
 
 
-def _difference(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
-    """``estimate - truth`` and ``truth``, as floats of one shape: NumPy
-    would broadcast others and score, say, a row against a column."""
+def _difference(estimate, truth, peak: float = 0.0) -> tuple[np.ndarray, np.ndarray, int]:
+    """``estimate - truth`` and ``truth`` as floats of one shape (NumPy
+    would broadcast others and score, say, a row against a column), and the
+    power of two ``exp`` both were scaled by.
+
+    Arrays whose peak magnitude lies in [2^-250, 2^250] square and sum
+    without overflow, and without losing the peak's square to underflow, and
+    are left as they are (``exp`` 0).  Outside that range the peak magnitude
+    of the two and ``peak`` is brought to [0.5, 1) by a power of two, which
+    is exact.
+    """
     e = np.asarray(estimate, dtype=float)
     t = np.asarray(truth, dtype=float)
     if e.shape != t.shape:
         raise ShapeError(f"estimate shape {e.shape} does not match truth shape {t.shape}")
-    return e - t, t
+    top = max([peak] + [float(np.max(np.abs(a))) for a in (e, t) if a.size])
+    exp = 0
+    if math.isfinite(top) and top > 0.0 and not 2.0 ** -250 <= top <= 2.0 ** 250:
+        exp = -math.frexp(top)[1]
+        e, t = np.ldexp(e, exp), np.ldexp(t, exp)
+    return e - t, t, exp
 
 
 def relative_error(estimate, truth) -> float:
-    """``||estimate - truth|| / ||truth||`` (plain ``||estimate||`` scale-free
-    fallback when the truth is identically zero)."""
-    d, t = _difference(estimate, truth)
+    """``||estimate - truth|| / ||truth||``, or plain ``||estimate||`` when
+    the truth is identically zero.  Scaling both inputs by a power of two
+    leaves the ratio unchanged, however far the squares would overflow or
+    underflow."""
+    d, t, exp = _difference(estimate, truth)
     denom = _norm(t)
-    return _norm(d) / (denom if denom > 0.0 else 1.0)
+    return _norm(d) / denom if denom > 0.0 else math.ldexp(_norm(d), -exp)
 
 
 def psnr_db(estimate, truth, peak: float) -> float:
     """Peak signal-to-noise ratio against a declared peak value, which must be
-    finite and positive."""
+    finite and positive.  Scaling the inputs and the peak by one power of two
+    leaves it unchanged."""
     check_positive(peak, "peak")
-    d, _ = _difference(estimate, truth)
+    d, _, exp = _difference(estimate, truth, peak)
+    peak = math.ldexp(peak, exp)
     mse = float(np.mean(d ** 2))
     if mse == 0.0:
         return math.inf

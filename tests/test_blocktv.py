@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from blocksparse import (BlockTvConfig, ConfigError, GradientField, NumericalError, ShapeError,
                          blocktv, denoise_block_tv, discrete_gradient,
                          discrete_gradient_adjoint, psnr_db)
+from blocksparse.regularizer import smoothed_clique_norms, smoothed_weight_map
 from blocksparse.synthetic import make_piecewise_constant, sigma_for_psnr_db
 
 import helpers
@@ -184,13 +185,15 @@ def test_the_weight_map_takes_the_norms_buffer_as_its_row_pass(monkeypatch):
     assert len(lent) == report.iterations == 10 and all(lent)
 
 
-def test_a_solve_holds_seven_images():
-    # measured, not declared: beyond y a solve holds x, the trial point, the
-    # two forward differences, the squared magnitudes, the weight map, which
-    # then takes the gradient, and one scratch image for the valid window
-    # sum's row pass and, at its front, the clique norms: 7.10 images in
-    # all.  A separate buffer for the norms (0.97 of an image here) or the
-    # gradient, or any other image-sized leak, fails
+def test_a_solve_holds_five_images():
+    # measured, not declared: beyond y a solve holds x and one block of four
+    # images: the squared magnitudes, which then take the residual, one
+    # scratch image for the valid window sum's row pass and, at its front,
+    # the clique norms, and two images that take turns at the weight map,
+    # which then takes the gradient, and the trial point.  The gradient
+    # rebuilds the forward differences: 5.10 images in all.  A kept
+    # difference channel, a separate buffer for the norms (0.97 of an image
+    # here) or the gradient, or any other image-sized leak, fails
     rng = np.random.default_rng(7)
     y = make_piecewise_constant(64, 64, rng) + 0.1 * rng.standard_normal((64, 64))
     cfg = BlockTvConfig(lam=0.1, max_iters=20, tol_obj=0.0)
@@ -202,7 +205,53 @@ def test_a_solve_holds_seven_images():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert 6.5 * y.nbytes <= peak <= 7.5 * y.nbytes, f"{peak / y.nbytes:.2f} images"
+    assert 4.5 * y.nbytes <= peak <= 5.5 * y.nbytes, f"{peak / y.nbytes:.2f} images"
+
+
+def test_iterates_match_an_allocating_reference():
+    # plain gradient descent with Armijo halving, every array new: the
+    # solver's rotating buffers must give its iterates bit for bit
+    rng = np.random.default_rng(8)
+    y = make_piecewise_constant(16, 16, rng) + 0.1 * rng.standard_normal((16, 16))
+    lam, side, iters = 0.1, 2, 20
+    got, report = denoise_block_tv(y, BlockTvConfig(lam=lam, clique_side=side,
+                                                    max_iters=iters, tol_obj=0.0))
+    d = discrete_gradient(y)
+    eps = 1e-4 * max(1.0, float(np.abs(d.dh).max()), float(np.abs(d.dv).max()))
+
+    def objective(x):
+        d = discrete_gradient(x)
+        norms = smoothed_clique_norms(d.dh * d.dh + d.dv * d.dv, side, eps)
+        r = x - y
+        return 0.5 * float(np.vdot(r, r)) + lam * float(norms.sum()), norms
+
+    def gradient(x, norms):
+        w = smoothed_weight_map(norms, side)
+        d = discrete_gradient(x)
+        return lam * discrete_gradient_adjoint(GradientField(d.dh * w, d.dv * w)) + (x - y)
+
+    x, alpha, halvings = y.copy(), 1.0, 0
+    obj_prev, norms = objective(x)
+    objectives, gnorms = [], []
+    for _ in range(iters):
+        g = gradient(x, norms)
+        gsq = float(np.vdot(g, g))
+        while True:
+            x_new = x - g * alpha
+            obj, norms = objective(x_new)
+            if obj <= obj_prev - 1e-4 * alpha * gsq and obj < obj_prev:
+                break
+            halvings += 1
+            alpha *= 0.5
+        x, obj_prev = x_new, obj
+        objectives.append(obj)
+        gnorms.append(float(np.sqrt(gsq)))
+    assert halvings > 0
+    assert report.iterations == iters and report.extra["halvings"] == halvings
+    assert got.tobytes() == x.tobytes()
+    assert got.flags.owndata  # not a view that keeps the solve's buffers alive
+    assert report.objective_trace == objectives
+    assert report.residual_trace == gnorms
 
 
 def test_halvings_count_the_rejected_trials(monkeypatch):

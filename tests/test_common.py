@@ -126,6 +126,29 @@ def test_metrics_of_an_exact_estimate_and_of_empty_supports():
     assert support_prf(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)) == (1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("exp", [-520, 520])
+def test_metrics_are_scale_free_at_extreme_magnitudes(exp):
+    # at 2^-520 the squares underflow and at 2^520 they overflow; scaled by
+    # a power of two, each metric reads its unit-scale value bit for bit
+    rng = np.random.default_rng(11)
+    truth = rng.standard_normal((6, 5))
+    estimate = truth + 0.1 * rng.standard_normal((6, 5))
+    scaled = (np.ldexp(estimate, exp), np.ldexp(truth, exp))
+    assert relative_error(*scaled) == relative_error(estimate, truth)
+    assert psnr_db(*scaled, math.ldexp(3.0, exp)) == psnr_db(estimate, truth, 3.0)
+    # a zero truth falls back to the estimate's norm, at its own scale
+    assert relative_error(scaled[0], np.zeros((6, 5))) == math.ldexp(
+        relative_error(estimate, np.zeros((6, 5))), exp)
+
+
+@pytest.mark.parametrize("value", [1e-170, 1e160])
+def test_metrics_of_a_doubled_constant(value):
+    # the estimate twice the truth: relative error 1, and 0 dB at the
+    # truth's value as the peak
+    assert relative_error(np.full(4, 2 * value), np.full(4, value)) == 1.0
+    assert psnr_db(np.full(4, 2 * value), np.full(4, value), value) == 0.0
+
+
 def test_range_checks_accept_their_boundary():
     check_nonnegative(0.0, "widget")
     check_positive(5e-324, "widget")
