@@ -30,9 +30,11 @@ image-sized arrays, before the first iteration:
 - ``scratch`` takes the vertical differences, then the valid window sum's
   row pass and, at its front, the clique norms, then the full window sum's
   row pass, then the rebuilt horizontal differences;
-- two images take turns: one takes the weight map and then the gradient,
-  the other the rebuilt vertical differences and then the line search's
-  trial points.
+- ``free`` takes the weight map and then the gradient, in every
+  iteration;
+- ``spare`` takes the rebuilt vertical differences and then the line
+  search's trial points, and trades places with ``x`` when a trial is
+  accepted.
 
 The evaluator pair, the window sums and the difference operators fill them
 through their ``out=`` and ``scratch=`` arguments, under the window sums'
@@ -41,16 +43,15 @@ it forms their reciprocals in place and places them in its own buffer
 before its full window sum's row pass overwrites the scratch image.  The
 gradient is built in the weight map's buffer, as :mod:`blocksparse.rpca`
 builds its, by the adjoint of the rebuilt differences times the map.  An
-accepted trial's buffer becomes ``x``, and ``x``'s and the spent gradient's
-take the next weight map and trial point, so an iteration allocates nothing
-image-sized.  ``x`` is returned in the solve's own copy of the input, not as
-a view that would keep the block alive.  Each buffer is filled by the
-operations, in the order, that made a new array before, so the iterates are
-those of a solve that allocates.  Block-TV still reaches the window sums
-only through the names :mod:`blocksparse.regularizer` binds, and uses the
-arrays its calls return.  The difference operators work on the flattened
-image, as the window sums do, and fix up the one column a shift carries
-across a row's end.
+accepted trial's buffer becomes ``x``, and ``x``'s takes the next trial
+point, so an iteration allocates nothing image-sized.  ``x`` is returned in
+the solve's own copy of the input, not as a view that would keep the block
+alive.  Each buffer is filled by the operations, in the order, that made
+a new array before, so the iterates are those of a solve that allocates.
+Block-TV still reaches the window sums only through the names
+:mod:`blocksparse.regularizer` binds, and uses the arrays its calls return.
+The difference operators work on the flattened image, as the window sums
+do, and fix up the one column a shift carries across a row's end.
 """
 
 from __future__ import annotations
@@ -251,9 +252,8 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
             alpha *= 0.5
 
         total_halvings += halvings
-        # the accepted trial's buffer becomes x; x's and the spent gradient's
-        # take the next weight map and trial point
-        x, free, spare = x_new, x, g
+        # the accepted trial's buffer becomes x, and x's takes the next trial
+        x, spare = x_new, x
         objective_trace.append(obj)
         residual_trace.append(gnorm)
         if abs(obj_prev - obj) <= cfg.tol_obj * abs(obj_prev):

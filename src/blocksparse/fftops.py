@@ -9,25 +9,26 @@ same sum over the zero-padded array, and the adjoint of the valid sum.
 Only :mod:`blocksparse.regularizer` calls the two sums; every solver reaches
 them through its evaluator.
 
-Both run every add on whole C-contiguous arrays taken as one flat vector: a
-shift by ``k`` rows is a shift by ``k`` row lengths, and a shift by ``k``
-columns a shift by ``k``.  The entries a shift carries across a row's end,
-or a batch item's, land where the result is discarded (the valid sum's last
-``side - 1`` rows and columns) or are zeros (the full sum's padding).  A
-NumPy operation on a column slice of a 2-D array allocates iteration
-buffers, and took 2 to 5 times as long as the flat form at 64x64 to
-192x192 (one thread, 2-core x86 host).
+Both sums run one kernel twice, over rows and then over columns: output
+entry ``j`` adds the input's entries ``j``, ``j + step``, ...,
+``j + (side - 1) step`` in that order, and counts the terms past the input's
+end as 0.  Each pass runs on a whole C-contiguous array taken as one flat
+vector: a shift by ``k`` rows is a shift by ``k`` row lengths, and a shift
+by ``k`` columns a shift by ``k``.  A NumPy operation on a column slice of a
+2-D array allocates iteration buffers, and took 2 to 5 times as long as the
+flat form at 64x64 to 192x192 (one thread, 2-core x86 host).
 
-The full sum needs no array larger than its output.  It places its input
-at the top left of its zeroed output, then builds the row pass from row
-shifts of that, then the output from column shifts of the row pass.  Each
-pass copies in shift ``side - 1``, zeroes the entries that shift does not
-reach, and then adds the other shifts, shift 0 last.  An output entry then
-adds the input's entries in the order in which the valid sum of the padded
-array meets them, and the terms that come from the padding are zeros, so
-the two agree bit for bit (a zero's sign may differ).  The copy gives the
-bits of an add to zeros for every entry but ``-0.0``, as ``0.0 + t`` is
-``t``.
+The valid sum runs the two passes over its input; the entries that a shift
+carries across a row's end, or a batch item's, land in the last
+``side - 1`` rows and columns, which it discards.  The full sum places its
+input at the bottom right of its output, zeroes the top ``side - 1`` rows
+and the left ``side - 1`` columns, and runs the same two passes over that.
+A shift that runs past a batch item then reads the next item's zero rows,
+one that runs past a row reads the next row's zero columns (the row pass
+keeps them zero), and one that runs past the end counts as 0, so each
+entry is the valid sum of the zero-padded array, with the same adds in the
+same order (a zero's sign may differ).  The full sum needs no array larger
+than its output.
 
 Both sums follow one buffer rule.  Each keeps one intermediate array, its
 row pass, in ``scratch`` when one is given, else in a new array.
@@ -69,16 +70,27 @@ def _passes(scratch, shape) -> np.ndarray:
     return flat[:n].reshape(shape)
 
 
-def _shift_sum(src: np.ndarray, n: int, step: int, side: int, acc: np.ndarray) -> None:
-    """``acc[:n] = src[:n] + src[step:step + n] + ...``, ``side`` terms
-    added in that order."""
-    acc = acc[:n]
+def _shift_sum(src: np.ndarray, step: int, side: int, acc: np.ndarray) -> None:
+    """``acc[j] = src[j] + src[j + step] + ... + src[j + (side - 1) step]``,
+    ``side`` terms added in that order, those past ``src``'s end taken as 0."""
     if side == 1:
-        np.copyto(acc, src[:n])
-    else:
-        np.add(src[:n], src[step:step + n], out=acc)
+        np.copyto(acc, src)
+        return
+    np.add(src[:-step], src[step:], out=acc[:-step])
+    acc[-step:] = src[-step:]
     for k in range(2, side):
-        acc += src[k * step:k * step + n]
+        acc[:-k * step] += src[k * step:]
+
+
+def _box_passes(flat: np.ndarray, w: int, side: int, rows: np.ndarray) -> None:
+    """Overwrites ``flat``, rows of length ``w``, with its sums over the
+    ``side x side`` window at each top-left corner, terms past its end
+    taken as 0: the row pass goes to ``rows`` (``flat``'s size), and the
+    column pass back over ``flat``."""
+    # rows[..., r, :] sums the rows r to r + side - 1, and flat's [..., r, c]
+    # then sums rows[..., r, c:c + side]
+    _shift_sum(flat, w, side, rows)
+    _shift_sum(rows, 1, side, flat)
 
 
 def box_correlate_valid(a: np.ndarray, side: int, scratch=None) -> np.ndarray:
@@ -94,14 +106,10 @@ def box_correlate_valid(a: np.ndarray, side: int, scratch=None) -> np.ndarray:
     h, w = a.shape[-2:]
     if side > min(h, w):
         raise ValueError(f"box side {side} exceeds array extent {h}x{w}")
-    rows = _passes(scratch, a.shape)
-    # rows[..., r, :] sums a's rows r to r + side - 1 (for r < h - side + 1),
-    # and a[..., r, c] then sums rows[..., r, c:c + side] (for c < w - side + 1)
-    n = a.size - (side - 1) * w
-    _shift_sum(a.reshape(-1), n, w, side, rows.reshape(-1))
-    _shift_sum(rows.reshape(-1), n - (side - 1), 1, side, a.reshape(-1))
+    rows = _passes(scratch, a.shape).reshape(-1)
+    _box_passes(a.reshape(-1), w, side, rows)
     sums = a[..., :h - side + 1, :w - side + 1]
-    out = rows.reshape(-1)[:sums.size].reshape(sums.shape)  # over the spent row pass
+    out = rows[:sums.size].reshape(sums.shape)  # over the spent row pass
     np.copyto(out, sums)
     return out
 
@@ -112,34 +120,25 @@ def box_correlate_full(a: np.ndarray, side: int, out=None, scratch=None) -> np.n
     Output spatial shape is ``(h + side - 1, w + side - 1)``; entry ``(r, c)``
     sums ``a`` over the box positions that cover it.  It equals the valid
     sum of ``a`` zero-padded by ``side - 1`` on each side, bit for bit.
-    The input is placed in ``out``, which must be C-contiguous, and
-    ``scratch`` (at least the output's size) then holds the row pass, so
-    ``scratch`` may hold ``a``, which it then overwrites; otherwise ``a`` is
-    left intact.  ``out`` may share memory with ``a``; ``scratch`` may not
+    The input is placed at the bottom right of ``out``, which must be
+    C-contiguous, and ``scratch`` (at least the output's size) then holds
+    the row pass, so ``scratch`` may hold ``a``, which it then overwrites;
+    otherwise ``a`` is left intact.  ``out`` may share memory with ``a``; ``scratch`` may not
     share memory with ``out``.
     """
     a = np.asarray(a, dtype=float)
     h, w = a.shape[-2:]
-    shape = a.shape[:-2] + (h + side - 1, w + side - 1)
-    wf = shape[-1]
+    top = side - 1
+    shape = a.shape[:-2] + (h + top, w + top)
     rows = _passes(scratch, shape).reshape(-1)
     if out is None:
         out = np.empty(shape)
-    placed = flat_view(out, shape)
-    # a plain assignment into the strided view; a ufunc writing there would
-    # allocate an iteration buffer
-    out[..., :h, :w] = a
-    out[..., :h, w:] = 0.0
-    out[..., h:, :] = 0.0
-    # rows[..., r, :] sums the placed rows r - side + 1 to r; the shifts wrap
-    # into the zero rows below each batch item, and the column pass into the
-    # zero columns right of each row.  The row pass spends the placed input,
-    # so the column pass may refill out.  Shift side - 1 is copied in, not
-    # added to zeros: 0.0 + t is t for every t but -0.0
-    for src, acc, step in ((placed, rows, wf), (rows, placed, 1)):
-        top = (side - 1) * step
-        acc[:top] = 0.0
-        np.copyto(acc[top:], src[:src.size - top])
-        for k in range(side - 2, -1, -1):
-            acc[k * step:] += src[:src.size - k * step]
+    flat = flat_view(out, shape)
+    # plain assignments into the strided views; a ufunc writing there would
+    # allocate an iteration buffer.  Zeroing after the placement keeps an
+    # input held in out's own storage intact until it is placed
+    out[..., top:, top:] = a
+    out[..., :top, :] = 0.0
+    out[..., top:, :top] = 0.0
+    _box_passes(flat, shape[-1], side, rows)
     return out

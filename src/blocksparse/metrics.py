@@ -9,56 +9,83 @@ import numpy as np
 from .common import ShapeError, check_positive
 
 
-def _norm(d: np.ndarray) -> float:
+def _exponent(top: float) -> int:
+    """0 when ``top`` lies in [2^-250, 2^250] (or is 0 or not finite), else
+    the power of two ``k`` that brings it to [0.5, 1) as ``top / 2^k``.
+
+    Arrays whose peak magnitude lies in that range square and sum without
+    overflow, and without losing the peak's square to underflow; a power of
+    two scales the others there exactly.
+    """
+    if math.isfinite(top) and top > 0.0 and not 2.0 ** -250 <= top <= 2.0 ** 250:
+        return math.frexp(top)[1]
+    return 0
+
+
+def _peak(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def _sum_of_squares(d: np.ndarray) -> tuple[float, int]:
+    """``(s, k)`` with ``sum(d * d) = s 4^k``: ``d`` is divided by ``2^k``,
+    from its own peak magnitude, before it is squared."""
+    k = _exponent(_peak(d))
+    if k:
+        d = np.ldexp(d, -k)
     # NumPy's pairwise sum, not a BLAS dot product: a threaded BLAS splits long
     # products across threads, so the last digit would depend on the thread count
-    return math.sqrt(float(np.sum(d * d)))
+    return float(np.sum(d * d)), k
+
+
+def _ldexp(x: float, k: int) -> float:
+    """``x 2^k``, or inf where that overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.inf
 
 
 def _difference(estimate, truth, peak: float = 0.0) -> tuple[np.ndarray, np.ndarray, int]:
-    """``estimate - truth`` and ``truth`` as floats of one shape (NumPy
-    would broadcast others and score, say, a row against a column), and the
-    power of two ``exp`` both were scaled by.
-
-    Arrays whose peak magnitude lies in [2^-250, 2^250] square and sum
-    without overflow, and without losing the peak's square to underflow, and
-    are left as they are (``exp`` 0).  Outside that range the peak magnitude
-    of the two and ``peak`` is brought to [0.5, 1) by a power of two, which
-    is exact.
-    """
+    """``(estimate - truth) / 2^k`` and ``truth``, as floats of one shape
+    (NumPy would broadcast others and score, say, a row against a column),
+    and ``k``: the :func:`_exponent` of the peak magnitude of the two and
+    ``peak``, so that the difference cannot overflow."""
     e = np.asarray(estimate, dtype=float)
     t = np.asarray(truth, dtype=float)
     if e.shape != t.shape:
         raise ShapeError(f"estimate shape {e.shape} does not match truth shape {t.shape}")
-    top = max([peak] + [float(np.max(np.abs(a))) for a in (e, t) if a.size])
-    exp = 0
-    if math.isfinite(top) and top > 0.0 and not 2.0 ** -250 <= top <= 2.0 ** 250:
-        exp = -math.frexp(top)[1]
-        e, t = np.ldexp(e, exp), np.ldexp(t, exp)
-    return e - t, t, exp
+    k = _exponent(max(peak, _peak(e), _peak(t)))
+    d = np.ldexp(e, -k) - np.ldexp(t, -k) if k else e - t
+    return d, t, k
 
 
 def relative_error(estimate, truth) -> float:
     """``||estimate - truth|| / ||truth||``, or plain ``||estimate||`` when
     the truth is identically zero.  Scaling both inputs by a power of two
-    leaves the ratio unchanged, however far the squares would overflow or
-    underflow."""
-    d, t, exp = _difference(estimate, truth)
-    denom = _norm(t)
-    return _norm(d) / denom if denom > 0.0 else math.ldexp(_norm(d), -exp)
+    leaves the ratio unchanged, and each norm is taken at its own scale, so
+    neither underflows however far apart the two lie."""
+    d, t, k = _difference(estimate, truth)
+    (ds, dk), (ts, tk) = _sum_of_squares(d), _sum_of_squares(t)
+    if ts > 0.0:
+        return _ldexp(math.sqrt(ds) / math.sqrt(ts), dk + k - tk)
+    return _ldexp(math.sqrt(ds), dk + k)
 
 
 def psnr_db(estimate, truth, peak: float) -> float:
     """Peak signal-to-noise ratio against a declared peak value, which must be
     finite and positive.  Scaling the inputs and the peak by one power of two
-    leaves it unchanged."""
+    leaves it unchanged, and the peak and the error are each taken at their
+    own scale, so neither square overflows or underflows."""
     check_positive(peak, "peak")
-    d, _, exp = _difference(estimate, truth, peak)
-    peak = math.ldexp(peak, exp)
-    mse = float(np.mean(d ** 2))
-    if mse == 0.0:
+    d, _, k = _difference(estimate, truth, peak)
+    s, dk = _sum_of_squares(d)
+    if s == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    peak = math.ldexp(peak, -k)
+    pk = _exponent(peak)
+    peak = math.ldexp(peak, -pk)
+    # peak^2 / mse with mse = (s / n) 4^dk and the peak divided by 2^pk
+    return 10.0 * math.log10(peak * peak / (s / d.size)) + 20.0 * (pk - dk) * math.log10(2.0)
 
 
 # The support of an estimate: its entries above this fraction of its peak

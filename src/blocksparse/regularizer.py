@@ -5,8 +5,9 @@ smoothed variant replaces each norm ``||x_c||`` by ``sqrt(||x_c||^2 + eps^2)``
 so the penalty becomes differentiable everywhere.
 
 Every clique sum is an exact window sum from :mod:`blocksparse.fftops`
-(``side`` shifted adds along rows, then ``side`` along columns): a
-clique that is zero everywhere gets a norm of exactly 0.  ``tests/helpers.py``
+(one kernel adds ``side`` shifts in index order along the rows, then along
+the columns; the full sum runs it over its zero-bordered input): a clique
+that is zero everywhere gets a norm of exactly 0.  ``tests/helpers.py``
 assembles the value and gradient clique by clique as the reference.
 
 Every solver scores the penalty through one evaluator pair:

@@ -141,12 +141,26 @@ def test_metrics_are_scale_free_at_extreme_magnitudes(exp):
         relative_error(estimate, np.zeros((6, 5))), exp)
 
 
-@pytest.mark.parametrize("value", [1e-170, 1e160])
+@pytest.mark.parametrize("value", [1e-200, 1e-170, 1e160])
 def test_metrics_of_a_doubled_constant(value):
     # the estimate twice the truth: relative error 1, and 0 dB at the
     # truth's value as the peak
     assert relative_error(np.full(4, 2 * value), np.full(4, value)) == 1.0
     assert psnr_db(np.full(4, 2 * value), np.full(4, value), value) == 0.0
+    # the common peak 1 lies in range, but the truth's squares, or the
+    # error's, would underflow: each norm is taken at its own scale
+    assert psnr_db(np.full(4, 2 * value), np.full(4, value), 1.0) == pytest.approx(
+        -20.0 * math.log10(value), rel=1e-12)
+    assert relative_error(np.ones(4), np.full(4, value)) == pytest.approx(
+        abs(1.0 - value) / value, rel=1e-12)
+
+
+def test_metrics_beyond_the_float_range():
+    # a norm or ratio past the largest float reads inf, and a peak whose
+    # square would underflow still scores
+    assert relative_error(np.full(4, 1.7e308), np.zeros(4)) == math.inf
+    assert relative_error(np.full(4, 1e250), np.full(4, 1e-100)) == math.inf
+    assert psnr_db(np.ones(4), np.zeros(4), 1e-300) == pytest.approx(-6000.0, rel=1e-12)
 
 
 def test_range_checks_accept_their_boundary():

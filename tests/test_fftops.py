@@ -1,9 +1,12 @@
+import functools
+import operator
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blocksparse import ShapeError
 from blocksparse.fftops import box_correlate_full, box_correlate_valid
@@ -17,6 +20,25 @@ def valid_by_loop(a, side):
     for r in range(h - side + 1):
         for c in range(w - side + 1):
             out[..., r, c] = a[..., r:r + side, c:c + side].sum(axis=(-2, -1))
+    return out
+
+
+def valid_in_order(a, side):
+    """The valid window sums with the adds in the order the sums promise:
+    each window's rows ``a[r] + a[r + 1] + ...``, then the row sums'
+    columns, both in index order, one Python float add at a time (``sum``
+    may compensate, and NumPy's sums are pairwise)."""
+    def add(terms):
+        return functools.reduce(operator.add, terms)
+
+    h, w = a.shape[-2:]
+    out = np.empty(a.shape[:-2] + (h - side + 1, w - side + 1))
+    for idx in np.ndindex(a.shape[:-2]):
+        img = a[idx].tolist()
+        rows = [[add(img[r + i][c] for i in range(side)) for c in range(w)]
+                for r in range(h - side + 1)]
+        out[idx] = [[add(row[c + j] for j in range(side)) for c in range(w - side + 1)]
+                    for row in rows]
     return out
 
 
@@ -91,13 +113,41 @@ def test_full_is_adjoint_of_valid(ops):
 
 @pytest.mark.parametrize("shape", [(6, 7), (3, 6, 5), (2, 2, 5, 6)])
 def test_full_equals_the_valid_sum_of_the_padded_array(shape):
-    # the scatter-add meets each output entry's terms in the padded valid
-    # sum's order, and the padding's terms are zeros
+    # the full sum runs the valid sum's two passes over its input placed
+    # below and right of side - 1 zero rows and columns, so it adds each
+    # entry's terms in the padded valid sum's order; it skips the padding
+    # past its end, whose terms are zeros
     a = np.random.default_rng(3).standard_normal(shape)
     for side in range(1, 6):
         pad = [(0, 0)] * (a.ndim - 2) + [(side - 1, side - 1)] * 2
         np.testing.assert_array_equal(box_correlate_full(a, side),
                                       box_correlate_valid(np.pad(a, pad), side))
+
+
+@st.composite
+def stacks(draw):
+    """An array of 0 to 2 batch axes over images of 1 to 10 rows and columns."""
+    batch = draw(st.lists(st.integers(1, 3), max_size=2))
+    h, w = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return draw(hnp.arrays(np.float64, (*batch, h, w), elements=values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks())
+@example(np.random.default_rng(9).standard_normal((2, 6, 7)))
+def test_window_sums_add_in_index_order(a):
+    # the solvers' iterates rest on these bits: a kernel that adds the
+    # shifts in another order changes them.  The full sum takes any side,
+    # and equals the in-order valid sum of the zero-padded array
+    h, w = a.shape[-2:]
+    for side in range(1, max(h, w) + 2):
+        if side <= min(h, w):
+            np.testing.assert_array_equal(box_correlate_valid(a.copy(), side),
+                                          valid_in_order(a, side))
+        pad = [(0, 0)] * (a.ndim - 2) + [(side - 1, side - 1)] * 2
+        np.testing.assert_array_equal(box_correlate_full(a, side),
+                                      valid_in_order(np.pad(a, pad), side))
 
 
 @pytest.mark.parametrize("shape", [(6, 7), (3, 6, 5)])
