@@ -67,6 +67,8 @@ from .common import (ConfigError, NumericalError, ShapeError, SolverReport, chec
 from .grids import GridShape, build_clique_system
 from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
+_EPS = float(np.finfo(float).eps)
+
 
 class GradientField(NamedTuple):
     """Stacked forward differences of an image: ``dh[r, c] = x[r, c+1] - x[r, c]``
@@ -147,8 +149,9 @@ class BlockTvConfig:
     at the first iteration) and halving it until the objective decreases
     enough; the step never grows.  The run stops once an iteration changes
     the objective by at most ``tol_obj`` times its magnitude, or once the
-    gradient norm is at most ``1e-12 * ||y||``.  Neither test has an
-    absolute floor, so scaling ``y``, ``lam`` and ``eps`` by ``c`` leaves the
+    gradient norm is at most ``1e-12 * ||y||``, or at the objective's
+    roundoff floor (:func:`denoise_block_tv`).  No test has an absolute
+    floor, so scaling ``y``, ``lam`` and ``eps`` by ``c`` leaves the
     iteration count unchanged.
     """
 
@@ -172,7 +175,14 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
 
     Returns the restored image and a report whose objective trace is
     nonincreasing.  If the starting point already satisfies the
-    gradient-norm certificate the solver exits without stepping.
+    gradient-norm certificate the solver exits without stepping.  The
+    reason ``"stalled"`` means the solve reached the objective's roundoff
+    floor: a line-search trial was rejected whose first-order decrease
+    ``alpha * ||g||^2`` is at most the rounding of the objective,
+    ``eps_mach * |f|``, so no step could show a decrease, and the last
+    accepted iterate is returned.  A line search that rejects 61 trials
+    raises :class:`NumericalError`, as one along a gradient that is not a
+    descent direction does.
     """
     y = np.asarray(y, dtype=float)
     shape = GridShape.of(y)
@@ -249,9 +259,16 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
             halvings += 1
             if halvings > 60:
                 raise NumericalError("no acceptable step after 60 halvings")
+            if alpha * gsq <= _EPS * abs(obj_prev):
+                # even the first-order decrease is below the objective's
+                # rounding, so no smaller step can show a decrease either
+                reason = "stalled"
+                break
             alpha *= 0.5
 
         total_halvings += halvings
+        if reason == "stalled":
+            break
         # the accepted trial's buffer becomes x, and x's takes the next trial
         x, spare = x_new, x
         objective_trace.append(obj)

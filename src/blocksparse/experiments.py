@@ -392,8 +392,8 @@ def _traced_peak(solve: Callable[[], object]) -> tuple[object, int]:
     """Run ``solve()`` once untraced, then again under tracemalloc.  Returns
     the second run's result and its peak allocation in float64 entries
     (bytes // 8).  The first call of a solve in a process allocates more than
-    later ones (memory-benchmark's FBS solve at side 10: about 10,540 entries
-    cold against 9,890 warm), so the warm-up keeps that one-off cost out of
+    later ones (memory-benchmark's FBS solve at side 10: about 8,000 entries
+    cold against 6,800 warm), so the warm-up keeps that one-off cost out of
     the measured peak."""
     solve()
     tracemalloc.start()

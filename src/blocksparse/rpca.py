@@ -8,13 +8,15 @@ adds per pixel and sum) and a backward singular-value-thresholding step on
 the nuclear norm.
 
 Inside the solve the stack is frame-major: ``y`` is read through an ``(L, H,
-W)`` view of the caller's array, not copied, and ``x``, ``z`` and the working
-buffers are contiguous ``(L, H, W)`` arrays, so the window sums take
-contiguous frames and the SVT matrix is the plain ``(L, N)`` reshape; ``x``
-and ``z`` are returned as ``(H, W, L)`` views of the frame-major results.
-``y`` enters the iterations only elementwise.  Its squared norm, the one sum
-over it, is taken once over a copy in a working buffer, so that it adds in a
-contiguous stack's order whatever the caller's layout.  The trial's
+W)`` view of the caller's array and never held as a copy of its own, and
+``x``, ``z`` and the working buffers are contiguous ``(L, H, W)`` arrays, so
+the window sums take contiguous frames and the SVT matrix is the plain ``(L,
+N)`` reshape; ``x`` and ``z`` are returned as ``(H, W, L)`` views of the
+frame-major results.  ``y`` enters the iterations only elementwise, and each
+read gathers the view into a working buffer with ``np.copyto``, which needs no
+iteration buffer, before a subtraction over contiguous stacks.  Its squared
+norm, the one sum over it, is taken once over such a gather, so that it adds
+in a contiguous stack's order whatever the caller's layout.  The trial's
 majorisation model needs no stack pass of its own: the ``x`` step is
 ``-alpha * gx``, and the SVT moves its forward point by ``sum(min(s,
 alpha)^2)`` in squared norm, ``s`` its singular values.
@@ -32,28 +34,34 @@ singular values, with no second SVD.
 In the paper's count the algorithm's state is four stack-sized buffers (X,
 Z, gradient, residual): ``4 * N * L`` entries, versus ``(2*side^2 + 4) * N *
 L`` for a consensus-ADMM treatment of the same objective.  The solve holds
-seven: ``x``, ``z``, the trial's SVT output, ``gx``, ``gz``, a step buffer and
-a row-pass buffer.  In each trial the step buffer holds the forward point
-``z - alpha * gz`` for the SVT, then the trial's ``x - alpha * gx``, then its
-squares, which the valid window sum spends; the row-pass buffer holds the
-residual ``y - z_new - x_new``, squared in place for its norm, then the
-window sum's row pass, whose first entries keep the clique norms.  Only an
-accepted trial's ``x`` is kept, rebuilt in place of ``x`` by the same two
-operations, so no trial ``x`` lives through the window sum.  The next weight
-map is built over the norms, with the spent ``gx`` as its row pass, so those
-two buffers swap roles each iteration, and ``gz`` is rebuilt in its own.
-tracemalloc reads a peak of about 7.2 stack copies on a 64x64x10 stack, set
-inside a trial's valid window sum; a frame-major copy of ``y`` or a trial
-``x`` held there would add a stack each.  The fraction is NumPy's buffer
-for the strided reads of ``y``, at most 8,192 entries: a whole copy of
-``memory-benchmark``'s 16x16x4 stack, which reads 8.5 copies.
+six: ``x``, ``z``, the trial's SVT output, ``gx``, a step buffer and ``gz``'s
+buffer.  The two beyond the paper's four serve the line search, whose
+rejected trials leave ``x`` and ``z`` as they were.  In each trial the step
+buffer holds the forward point ``z - alpha * gz`` for the SVT, then the
+trial's ``x - alpha * gx``, then its squares, which the valid window sum
+spends.  ``gz``'s buffer holds ``gz`` through the SVT, then the residual
+``(y - z_new) - x_new``, squared in place for its norm, then the window
+sum's row pass, whose first entries keep the clique norms.  A rejected
+trial's ``gz`` is rebuilt by the same three operations, ``z + x``, ``- y``
+and ``* mu``, so it has the same bits; 322 of the 1,322 trials of a seed-0
+``rpca-fbs`` round are rejected.  Only an accepted trial's ``x`` is kept,
+rebuilt in place of ``x`` by the same two operations, so no trial ``x``
+lives through the window sum.  The next weight map is built in ``gx``'s
+buffer, with the norms' buffer as its row pass, which ``gz`` then takes.
+tracemalloc reads a peak of about 6.0 stack copies on a 64x64x10 stack, and
+6.6 on ``memory-benchmark``'s 16x16x4 stack, where the small arrays weigh
+more; a frame-major copy of ``y`` or a trial ``x`` held through the window
+sum would add a stack each.  With a separate ``gz`` buffer and strided reads
+of ``y`` the solve read 7.2 and 8.5 copies: a seventh stack, and NumPy's
+buffer for the strided reads, at most 8,192 entries, a whole copy of the
+16x16x4 stack.
 
-The four working buffers are one block per solve, which leaves the SVT's
-output an iteration's only stack-sized allocation.  As four arrays they
-read ``rpca-fbs`` ``setup_s`` of about 1.6 ms against 0.6 ms, by the heap
-each solve leaves to the benchmark's next set-up (one BLAS thread, 2-core
-x86 host).  ``x`` and ``z`` are arrays of their own, not views into the
-block, which would keep it alive with them.
+The three working buffers are one block per solve, which leaves the SVT's
+output a trial's only stack-sized allocation.  As separate arrays (four
+then) they read ``rpca-fbs`` ``setup_s`` of about 1.6 ms against 0.6 ms,
+by the heap each solve leaves to the benchmark's next set-up (one BLAS
+thread, 2-core x86 host).  ``x`` and ``z`` are arrays of their own, not
+views into the block, which would keep it alive with them.
 
 The block penalty comes from the regularizer's evaluator pair, batched over
 frames.  Each line-search trial computes the smoothed clique norms of its
@@ -282,15 +290,24 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     t0 = time.perf_counter()
 
     # frame-major view: the window sums take (L, H, W) frames and the SVT the
-    # (L, n) matrix, both read from the solve's own contiguous buffers
+    # (L, n) matrix, both read from the solve's own contiguous buffers, and
+    # each read of y gathers the view into one of them
     y = np.moveaxis(y, -1, 0)
     n_frames = y.shape[0]
     x = np.zeros(y.shape)
     z = np.zeros(y.shape)
-    # the four working stacks, one block per solve: the step buffer (forward
-    # point, trial x, squares), the gradient gx, the row pass (residual, then
-    # the clique norms), and gz
-    step, gx, rows, gz = np.empty((4,) + y.shape)
+    # the three working stacks, one block per solve: the step buffer (forward
+    # point, trial x, squares), the gradient gx, and gz's buffer (gz, then a
+    # trial's residual, then its row pass, which keeps the clique norms)
+    step, gx, gz = np.empty((3,) + y.shape)
+
+    def smooth_gradient(out):
+        """``mu * ((z + x) - y)`` in ``out``, with ``step`` taking ``y``."""
+        np.add(z, x, out=out)
+        np.copyto(step, y)
+        out -= step
+        out *= mu
+        return out
 
     alpha = 1.0 / (mu + lam / eps)
 
@@ -298,12 +315,12 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
     residual_trace: list[float] = []
     reason = "max-iterations"
     # ||y||^2 summed over a frame-major copy, in the order of a contiguous
-    # stack; the row pass is free until the first window sum
-    np.copyto(rows, y)
-    y_sq = float(np.einsum("ijk,ijk->", rows, rows))
+    # stack; gz's buffer is free until the first window sum
+    np.copyto(gz, y)
+    y_sq = float(np.einsum("ijk,ijk->", gz, gz))
     # clique norms and smooth part at the current point, later those of the
     # accepted trial; Z0 = 0 has nuclear norm 0
-    norms = smoothed_clique_norms(np.multiply(x, x, out=step), side, eps, scratch=rows)
+    norms = smoothed_clique_norms(np.multiply(x, x, out=step), side, eps, scratch=gz)
     h_new = lam * float(norms.sum()) + 0.5 * mu * y_sq
     if not math.isfinite(h_new):
         # finite data whose squares overflow: every trial would compare inf
@@ -314,34 +331,31 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
 
     for _ in range(cfg.max_iters):
         h_old = h_new
-        # gx = lam * x * weights + gz and gz = mu * (z + x - y), built in
-        # place: the weights over the norms, with the previous gradient's
-        # buffer as their row pass, which the trials' row passes then take
-        gx, rows = smoothed_weight_map(norms, side, out=rows, scratch=gx), gx
+        # gx = lam * x * weights + gz, built in place: the weights over the
+        # norms, with gz's buffer, which holds them, as their row pass
+        smoothed_weight_map(norms, side, out=gx, scratch=gz)
         gx *= x
         gx *= lam
-        np.add(z, x, out=gz)
-        gz -= y
-        gz *= mu
-        gx += gz
+        gx += smooth_gradient(gz)
         grad_sq = float(np.einsum("ijk,ijk->", gx, gx) + np.einsum("ijk,ijk->", gz, gz))
 
         halvings = 0
         while True:
             # the step buffer holds z - alpha*gz for the SVT, then the trial's
-            # x - alpha*gx, then its squares, which the window sum spends; the
-            # residual y - z_new - x_new goes to the row pass first
+            # x - alpha*gx, then its squares, which the window sum spends;
+            # gz's buffer takes the residual (y - z_new) - x_new first
             np.multiply(gz, -alpha, out=step)
             step += z
             z_new, s, svals = _svd_soft(step.reshape(n_frames, -1), alpha)
             z_new = z_new.reshape(y.shape)
             np.multiply(gx, -alpha, out=step)
             step += x
-            np.subtract(y, z_new, out=rows)
-            rows -= step
-            resid_sq = _sum_sq(rows)
+            np.copyto(gz, y)
+            gz -= z_new
+            gz -= step
+            resid_sq = _sum_sq(gz)
             norms = smoothed_clique_norms(np.multiply(step, step, out=step), side, eps,
-                                          scratch=rows)
+                                          scratch=gz)
             h_new = lam * float(norms.sum()) + 0.5 * mu * resid_sq
             # the majorisation at the trial: the gradient terms of both steps
             # give -alpha/2 * grad_sq, and the SVT's move min(s, alpha) per
@@ -359,6 +373,8 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
             if halvings > _MAX_HALVINGS:
                 raise NumericalError("backtracking failed; the smooth gradient is suspect")
             alpha *= _BACKTRACK_SHRINK
+            # the trial spent gz; rebuilt by the same operations, same bits
+            smooth_gradient(gz)
 
         total_halvings += halvings
         # the accepted trial's x, rebuilt by the trial's two operations

@@ -73,6 +73,58 @@ def rpca_objective_by_loop(x, z, y, lam, eps, mu, side):
     return nuclear + lam * penalty + 0.5 * mu * float(np.sum((y - z - x) ** 2))
 
 
+def rpca_fbs_by_loop(y, lam, eps, mu, side, max_iters, tol_obj):
+    """Forward-backward splitting on :func:`rpca_objective_by_loop`, as
+    :func:`blocksparse.solve_rpca` documents it, from ``x = z = 0`` and the
+    step ``1 / (mu + lam/eps)``.  Each trial takes a gradient step on ``x``
+    and an SVT step on ``z`` (:func:`svt_by_svd`); it is accepted when the
+    smooth part ``h`` meets its majorisation ``h(x, z) + <g, d> + ||d||^2 /
+    (2 alpha)``, ``d`` the trial's move, within ``1e-12 |h(x, z)|``, and
+    otherwise the step is halved, at most 60 times.  The step grows by 1.25
+    after each accepted trial.  The penalty and its gradient are summed
+    clique by clique, frame by frame.  Returns ``x``, ``z``, the objective
+    and residual traces, and the number of rejected trials."""
+    y = np.asarray(y, dtype=float)
+    h, w, n_frames = y.shape
+    idx = clique_index_lists(h, w, side)
+
+    def smooth(x, z):
+        penalty = sum(smoothed_value_by_loop(x[:, :, t], idx, eps) for t in range(n_frames))
+        return lam * penalty + 0.5 * mu * float(np.sum((y - z - x) ** 2))
+
+    x = np.zeros_like(y)
+    z = np.zeros_like(y)
+    alpha = 1.0 / (mu + lam / eps)
+    h_old = obj_prev = smooth(x, z)
+    objective, residual, halvings = [], [], 0
+    for _ in range(max_iters):
+        gz = mu * (z + x - y)
+        gx = lam * np.stack([smoothed_grad_by_loop(x[:, :, t], idx, eps)
+                             for t in range(n_frames)], axis=-1) + gz
+        for _ in range(61):
+            x_new = x - alpha * gx
+            z_new = svt_by_svd((z - alpha * gz).reshape(h * w, n_frames), alpha).reshape(y.shape)
+            dx, dz = x_new - x, z_new - z
+            h_new = smooth(x_new, z_new)
+            model = (h_old + float(np.sum(gx * dx) + np.sum(gz * dz))
+                     + float(np.sum(dx * dx) + np.sum(dz * dz)) / (2.0 * alpha))
+            if h_new <= model + 1e-12 * abs(h_old):
+                break
+            halvings += 1
+            alpha *= 0.5
+        else:
+            raise ValueError("no acceptable step after 60 halvings")
+        x, z, h_old = x_new, z_new, h_new
+        obj = h_new + float(np.linalg.svd(z.reshape(h * w, n_frames), compute_uv=False).sum())
+        objective.append(obj)
+        residual.append(float(np.linalg.norm(y - z - x)))
+        if abs(obj_prev - obj) <= tol_obj * abs(obj_prev):
+            break
+        obj_prev = obj
+        alpha *= 1.25
+    return x, z, objective, residual, halvings
+
+
 def rank_by_svd(a):
     """The number of singular values of ``a`` above 1e-8 times the largest."""
     s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)  # descending

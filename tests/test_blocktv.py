@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from blocksparse import (BlockTvConfig, ConfigError, GradientField, NumericalErr
                          blocktv, denoise_block_tv, discrete_gradient,
                          discrete_gradient_adjoint, psnr_db)
 from blocksparse.regularizer import smoothed_clique_norms, smoothed_weight_map
-from blocksparse.synthetic import make_piecewise_constant, sigma_for_psnr_db
+from blocksparse.synthetic import make_blocky_image, make_piecewise_constant, sigma_for_psnr_db
 
 import helpers
 
@@ -130,7 +131,9 @@ def test_default_eps_scales_with_the_largest_forward_difference():
 
 def test_ascent_direction_exhausts_the_line_search(monkeypatch):
     # weights negated and scaled by 10 make -g an ascent direction at the
-    # start, x = y, so every halving is rejected
+    # start, x = y, so every halving is rejected.  The trials stay above the
+    # roundoff floor that stops a solve "stalled" until the 61st, at alpha
+    # 2^-60, which reads 0.91 of it; the exhausted search is checked first
     weights = blocktv.smoothed_weight_map
     monkeypatch.setattr(blocktv, "smoothed_weight_map",
                         lambda norms, side, **buffers: -10.0 * weights(norms, side, **buffers))
@@ -138,6 +141,20 @@ def test_ascent_direction_exhausts_the_line_search(monkeypatch):
     y = make_piecewise_constant(16, 16, rng) + 0.1 * rng.standard_normal((16, 16))
     with pytest.raises(NumericalError, match="no acceptable step after 60 halvings"):
         denoise_block_tv(y, BlockTvConfig(lam=0.1))
+
+
+def test_a_solve_at_its_roundoff_floor_stops_stalled():
+    # at tol_obj 0 the objective test never stops the solve, and the
+    # gradient norm's floor here, about 1e-6, lies far above the gradient
+    # test's 1e-12 ||y||: once no step can decrease the objective at its
+    # precision, the solve returns its iterate instead of raising
+    y = make_blocky_image(16, 16, 40, 2, np.random.default_rng(1))
+    cfg = BlockTvConfig(lam=0.1, eps=0.1, tol_obj=0.0)
+    x, report = denoise_block_tv(y, cfg)
+    assert report.termination_reason == "stalled"
+    assert 0 < report.iterations < cfg.max_iters
+    capped, _ = denoise_block_tv(y, dataclasses.replace(cfg, max_iters=report.iterations))
+    assert x.tobytes() == capped.tobytes()
 
 
 def test_an_iteration_allocates_nothing_image_sized(monkeypatch):
