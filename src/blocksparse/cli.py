@@ -40,9 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale experiments for overlapping block-sparsity solvers.")
     subparsers = parser.add_subparsers(dest="experiment", required=True,
                                        metavar="<experiment>")
-    for name, experiment in EXPERIMENTS.items():
-        subparsers.add_parser(name, help=getattr(experiment, "help", experiment.__doc__),
-                              parents=[flags])
+    for name, sweep in EXPERIMENTS.items():
+        subparsers.add_parser(name, help=sweep.help, parents=[flags])
     return parser
 
 

@@ -1,14 +1,16 @@
 """Experiment harness: one table of experiments, one sweep runner, CSV rows.
 
-:data:`EXPERIMENTS` holds the five CLI experiments.  Four are :class:`Sweep`
-specs (compressive recovery versus measurement budget, noisy recovery versus
-SNR, block-TV denoising, sparse-plus-low-rank decomposition), which one runner
-gives their rows, timing, failure rows and worker processes; ``--dump-config``
-reads its axis values from the same points.  The ADMM-versus-FBS memory
-benchmark is a plain function that measures each solver's peak allocation
-with tracemalloc.  RNG streams derive from (seed, trial, point stream) and
-rows are written trials outer, points inner, so a rerun reproduces the CSV
-byte-for-byte apart from the timing and measured-memory columns.
+:data:`EXPERIMENTS` holds the five CLI experiments, each a :class:`Sweep`
+spec: compressive recovery versus measurement budget, noisy recovery versus
+SNR, block-TV denoising, sparse-plus-low-rank decomposition, and the
+ADMM-versus-FBS memory benchmark.  One runner gives them their rows, timing,
+failure rows and worker processes; ``--dump-config`` reads its axis values
+from the same points.  The memory benchmark's row per trial holds two
+tracemalloc peaks on the same planted stack, FBS's solve and the ADMM prox
+over every frame, and their ratio.  RNG streams derive from (seed, trial,
+point stream) and rows are written trials outer, points inner, so a rerun
+reproduces the CSV byte-for-byte apart from the timing and measured-memory
+columns.
 
 Beside its ``<name>.csv`` each experiment writes 8-bit ``.pgm`` previews
 (:func:`blocksparse.matrixio.write_pgm`).  The compressive-recovery sweep and
@@ -31,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .synthetic import (block_shapes, gaussian_measurement_matrix, make_blocky_i
                         make_lowrank_blocksparse_stack, make_piecewise_constant,
                         sigma_for_psnr_db, sigma_for_snr_db)
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 
 CSV_COLUMNS = (
     "schema_version", "experiment", "trial", "seed", "timestamp",
@@ -57,8 +59,8 @@ CSV_COLUMNS = (
     "n_frames", "rank_true",
     "rel_error", "psnr_db", "psnr_gain_db", "precision", "recall", "f_measure",
     "rank_est", "iterations", "inner_iterations", "inner_capped", "objective_monotone",
-    "fbs_measured_entries", "admm_measured_entries", "admm_formula_entries",
-    "memory_ratio", "per_iter_seconds", "wall_clock_s", "termination", "failed",
+    "fbs_measured_entries", "admm_measured_entries", "memory_ratio",
+    "wall_clock_s", "termination", "failed",
 )
 
 # Defaults tuned for the unit-amplitude synthetic generators; CLI flags
@@ -171,11 +173,6 @@ def write_rows(path, rows: list[dict]) -> None:
             writer.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
 
 
-def _base_row(name: str, cfg: HarnessConfig, trial: int) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "experiment": name, "trial": trial,
-            "seed": cfg.seed, "failed": False}
-
-
 def _objective_monotone(trace: list[float]) -> bool:
     return all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(trace, trace[1:]))
 
@@ -210,7 +207,8 @@ class Sweep:
 
 def _task(name: str, cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, object]:
     """One task's row, and its artifacts if it is trial 0 and succeeded."""
-    row = {**_base_row(name, cfg, trial), **point.params}
+    row = {"schema_version": SCHEMA_VERSION, "experiment": name, "trial": trial,
+           "seed": cfg.seed, "failed": False, **point.params}
     try:
         t0 = time.perf_counter()
         fields, artifacts = EXPERIMENTS[name].trial(cfg, trial, point)
@@ -379,22 +377,14 @@ def _write_rpca(out_dir: Path, done: list[tuple[Point, object]]) -> None:
     np.save(out_dir / "rpca_foreground.npy", x)
 
 
-def admm_formula_entries(side: int, n_pixels: int, frames: int) -> int:
-    """Total ADMM storage for the decomposition problem by the paper's count:
-    ``2*side^2`` stack-sized auxiliary/dual copies plus the four stack-sized
-    working variables.  This is the paper's formula, not the footprint of
-    :func:`blocksparse.prox.prox_block_norm`, which holds one stack of
-    ``side^2`` copies per frame (the row's measured entries)."""
-    return (2 * side * side + 4) * n_pixels * frames
-
-
 def _traced_peak(solve: Callable[[], object]) -> tuple[object, int]:
     """Run ``solve()`` once untraced, then again under tracemalloc.  Returns
     the second run's result and its peak allocation in float64 entries
     (bytes // 8).  The first call of a solve in a process allocates more than
-    later ones (memory-benchmark's FBS solve at side 10: about 8,000 entries
-    cold against 6,800 warm), so the warm-up keeps that one-off cost out of
-    the measured peak."""
+    later ones (memory-benchmark at side 10, trials 0-4: its FBS solve
+    8,090-8,131 entries cold against 6,752-6,858 warm, its prox over four
+    frames 113,613-113,639 against 113,213-113,324), so the warm-up keeps
+    that one-off cost out of the measured peak."""
     solve()
     tracemalloc.start()
     try:
@@ -405,73 +395,48 @@ def _traced_peak(solve: Callable[[], object]) -> tuple[object, int]:
     return result, peak // 8
 
 
-def exp_memory_benchmark(cfg: HarnessConfig, out_dir: Path) -> list[dict]:
-    """ADMM-vs-FBS peak memory, measured, and per-iteration runtime"""
-    name = "memory-benchmark"
-    side = _clique_side(name, cfg)
+def _memory_points(cfg: HarnessConfig) -> list[Point]:
+    (side,) = _sides("memory-benchmark", cfg, MEMORY_SIZE, baseline=False)
+    return [Point(0, {"clique_side": side, "n_frames": 4})]
 
-    # Measured peaks at `side`: FBS on a planted stack, the ADMM prox on one
-    # of its frames.  Row 0 compares them per frame, beside the paper's
-    # formula; row 1's admm_formula_entries is the paper's two stacks, not
-    # the measured prox, which holds one.
-    frames = 4
-    n = MEMORY_SIZE * MEMORY_SIZE
+
+def _memory_trial(cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, object]:
+    """Peak memory of FBS and of the consensus-ADMM prox on one planted
+    stack of ``L`` frames of ``n`` pixels, both measured by :func:`_traced_peak`.
+
+    The paper's claim: FBS holds four stack-sized buffers (X, Z, gradient,
+    residual), ``4 * n * L`` entries, where consensus ADMM on the same
+    objective holds ``(2 * side^2 + 4) * n * L``, its ``2 * side^2``
+    auxiliary and dual copies beside the same four.  The row tests it with
+    measured peaks alone: FBS's 20-iteration solve of the stack, and the
+    prox (5 iterations) over every frame with each frame's result kept
+    alive, so the per-frame duals add up as they would in one ADMM solve of
+    the stack.  The prox carries ``side^2`` dual copies per frame, so its
+    peak is at least ``side^2 * n * L``.  ``memory_ratio`` is the ADMM peak
+    over the FBS peak.
+    """
+    p = point.params
+    side, frames = p["clique_side"], p["n_frames"]
     lowrank, sparse = make_lowrank_blocksparse_stack(MEMORY_SIZE, MEMORY_SIZE, frames, 2,
-                                                     _rng(cfg.seed, 0, 7), fg_side=4)
+                                                     _rng(cfg.seed, trial, 7), fg_side=4)
     y = lowrank + sparse
     result, fbs_entries = _traced_peak(
         lambda: solve_rpca(y, RpcaConfig(clique_side=side, max_iters=20)))
     cliques = build_clique_system(GridShape(MEMORY_SIZE, MEMORY_SIZE), side)
-    prox_res, admm_entries = _traced_peak(
-        lambda: prox_block_norm(y[:, :, 0], cliques, ProxConfig(lam=0.1, max_iters=5)))
-    rows = [{
-        **_base_row(name, cfg, 0),
-        "clique_side": side, "n_frames": frames, "solver": "fbs",
-        "fbs_measured_entries": fbs_entries,
-        "admm_formula_entries": admm_formula_entries(side, n, frames),
-        "memory_ratio": frames * admm_entries / fbs_entries,
-        **_report_fields(result.report),
-    }, {
-        **_base_row(name, cfg, 1),
-        "clique_side": side, "n_frames": 1, "solver": "admm",
-        "admm_measured_entries": admm_entries,
-        "admm_formula_entries": 2 * side * side * n,
-        **_report_fields(prox_res.report),
-    }]
+    prox = ProxConfig(lam=0.1, max_iters=5)
+    _, admm_entries = _traced_peak(
+        lambda: [prox_block_norm(y[:, :, t], cliques, prox) for t in range(frames)])
+    return {"fbs_measured_entries": fbs_entries, "admm_measured_entries": admm_entries,
+            "memory_ratio": admm_entries / fbs_entries}, (y, result.x)
+
+
+def _write_memory(out_dir: Path, done: list[tuple[Point, object]]) -> None:
+    y, x = done[0][1]
     write_pgm(out_dir / "memory_observed_f0.pgm", y[:, :, 0])
-    write_pgm(out_dir / "memory_foreground_f0.pgm", result.x[:, :, 0])
-
-    # Per-iteration runtime at two clique sizes on a 64x64x10 stack: the
-    # window sums cost 2*(side-1) adds per pixel, so time grows with the side.
-    for trial, timing_side in enumerate((4, 16), start=2):
-        rows.append({
-            **_base_row(name, cfg, trial),
-            "clique_side": timing_side, "n_frames": 10, "solver": "fbs",
-            "per_iter_seconds": fbs_per_iteration_seconds(timing_side, seed=cfg.seed),
-        })
-    return rows
+    write_pgm(out_dir / "memory_foreground_f0.pgm", x[:, :, 0])
 
 
-def fbs_per_iteration_seconds(side: int, seed: int = 0) -> float:
-    """Median over three runs of the per-iteration wall clock of the
-    decomposition solver at a given clique size on a 64x64x10 planted stack
-    (30 iterations, forced)."""
-    height = width = 64
-    frames = 10
-    lowrank, sparse = make_lowrank_blocksparse_stack(height, width, frames, 2,
-                                                     _rng(seed, 99, side))
-    y = lowrank + sparse
-    cfg = RpcaConfig(clique_side=side, max_iters=30, tol_obj=0.0)
-    solve_rpca(y, RpcaConfig(clique_side=side, max_iters=2, tol_obj=0.0))  # warm-up run
-    samples = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        result = solve_rpca(y, cfg)
-        samples.append((time.perf_counter() - t0) / max(result.report.iterations, 1))
-    return float(np.median(samples))
-
-
-EXPERIMENTS: dict[str, Union[Sweep, Callable[[HarnessConfig, Path], list[dict]]]] = {
+EXPERIMENTS: dict[str, Sweep] = {
     "cs-recovery-sweep": Sweep(
         "compressive recovery of blocky images vs. measurement budget",
         _cs_points, _cs_trial, _write_cs, ("m_over_k", "solver"), _cs_settings),
@@ -485,32 +450,30 @@ EXPERIMENTS: dict[str, Union[Sweep, Callable[[HarnessConfig, Path], list[dict]]]
     "rpca-decompose": Sweep(
         "sparse-plus-low-rank decomposition of a planted stack",
         _rpca_points, _rpca_trial, _write_rpca, ("lam", "solver")),
-    "memory-benchmark": exp_memory_benchmark,
+    "memory-benchmark": Sweep(
+        "ADMM-vs-FBS peak memory, measured on the same stack",
+        _memory_points, _memory_trial, _write_memory, ()),
 }
 
 
-def _lookup(name: str, cfg: HarnessConfig):
-    """The table entry for ``name``, and its points if it is a sweep."""
+def _lookup(name: str, cfg: HarnessConfig) -> tuple[Sweep, list[Point]]:
+    """The sweep for ``name``, and its points."""
     if name not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {name!r}")
-    experiment = EXPERIMENTS[name]
-    if not isinstance(experiment, Sweep):
-        _sides(name, cfg, MEMORY_SIZE, baseline=False)  # it measures on MEMORY_SIZE frames
-        return experiment, None
-    return experiment, experiment.points(cfg)
+    sweep = EXPERIMENTS[name]
+    return sweep, sweep.points(cfg)
 
 
 def resolve_config(name: str, cfg: HarnessConfig) -> dict:
     """Fully-resolved configuration for ``--dump-config``: the flags, with
     each swept axis replaced by the values the runner iterates."""
-    experiment, points = _lookup(name, cfg)
+    sweep, points = _lookup(name, cfg)
     resolved = {**asdict(cfg), "experiment": name, "schema_version": SCHEMA_VERSION,
                 "clique_side": _clique_side(name, cfg)}
-    if points is not None:
-        for axis in experiment.axes:
-            values = list(dict.fromkeys(p.params[axis] for p in points))
-            resolved[axis] = values[0] if len(values) == 1 else values
-        resolved.update(experiment.settings(cfg))
+    for axis in sweep.axes:
+        values = list(dict.fromkeys(p.params[axis] for p in points))
+        resolved[axis] = values[0] if len(values) == 1 else values
+    resolved.update(sweep.settings(cfg))
     return resolved
 
 
@@ -523,22 +486,23 @@ def run_experiment(name: str, cfg: HarnessConfig) -> Path:
     as ``.npy`` files (``cs_measurements_m{m}.npy`` and
     ``rpca_foreground.npy``), which ``np.load`` reads back bit for bit.
 
-    A sweep trial that raises becomes a row with the failure flag; unknown
-    names raise :class:`UsageError`.
+    ``memory-benchmark`` writes one row per trial with the measured peaks of
+    FBS and of the ADMM prox over every frame of one stack, and their ratio.
+    A trial that raises becomes a row with the failure flag; unknown names
+    raise :class:`UsageError`.
     With ``cfg.jobs > 1`` trials run on up to ``os.cpu_count()`` ``spawn``
     worker processes with one BLAS thread each.  ``spawn`` re-imports the
     caller's ``__main__`` in every worker, so only callers whose entry code
     sits under an ``if __name__ == "__main__":`` guard (as the CLI's does)
     may pass ``jobs > 1``.
     """
-    experiment, points = _lookup(name, cfg)
+    sweep, points = _lookup(name, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now(timezone.utc).isoformat()
-    rows = (experiment(cfg, out_dir) if points is None
-            else _run_sweep(name, experiment, points, cfg, out_dir))
+    rows = _run_sweep(name, sweep, points, cfg, out_dir)
     for row in rows:
-        row.setdefault("timestamp", stamp)
+        row["timestamp"] = stamp
     csv_path = out_dir / f"{name}.csv"
     write_rows(csv_path, rows)
     return csv_path

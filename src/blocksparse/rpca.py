@@ -49,8 +49,8 @@ rebuilt in place of ``x`` by the same two operations, so no trial ``x``
 lives through the window sum.  The next weight map is built in ``gx``'s
 buffer, with the norms' buffer as its row pass, which ``gz`` then takes.
 tracemalloc reads a peak of about 6.0 stack copies on a 64x64x10 stack, and
-6.6 on ``memory-benchmark``'s 16x16x4 stack, where the small arrays weigh
-more; a frame-major copy of ``y`` or a trial ``x`` held through the window
+6.6-6.7 on ``memory-benchmark``'s 16x16x4 stacks, where the small arrays
+weigh more; a frame-major copy of ``y`` or a trial ``x`` held through the window
 sum would add a stack each.  With a separate ``gz`` buffer and strided reads
 of ``y`` the solve read 7.2 and 8.5 copies: a seventh stack, and NumPy's
 buffer for the strided reads, at most 8,192 entries, a whole copy of the
@@ -193,7 +193,9 @@ def _svd_soft(q: np.ndarray, delta: float):
 
     Works on the Gram matrix ``G = a a^T`` of the short side (``a`` is ``q``
     or its transpose): with ``G = V diag(s^2) V^T`` the result is
-    ``V diag(max(s - delta, 0) / s) V^T a``.
+    ``V diag(max(s - delta, 0) / s) V^T a``, transposed back to a
+    C-contiguous array when ``a`` is ``q.T``, so that :func:`solve_rpca`'s
+    ``z`` stays a contiguous stack when the frames outnumber the pixels.
     """
     a = q.T if q.shape[0] > q.shape[1] else q
     with np.errstate(over="ignore"):
@@ -215,7 +217,7 @@ def _svd_soft(q: np.ndarray, delta: float):
     s_shrunk = np.maximum(s - delta, 0.0)
     keep = np.divide(s_shrunk, s, out=np.zeros_like(s), where=s_shrunk > 0.0)
     out = ((v * keep) @ v.T) @ a
-    return (out if a is q else out.T), s, s_shrunk
+    return (out if a is q else np.ascontiguousarray(out.T)), s, s_shrunk
 
 
 def svt(q, delta: float) -> np.ndarray:

@@ -15,8 +15,8 @@ from blocksparse.common import check_finite, check_nonnegative
 # Columns that differ between reruns of the same seed, which byte-determinism
 # comparisons exclude: the timestamp, wall-clock readings, and tracemalloc
 # peaks, which move by tens of bytes with the interpreter's own allocations.
-UNREPEATABLE_COLUMNS = ("timestamp", "wall_clock_s", "per_iter_seconds",
-                        "fbs_measured_entries", "admm_measured_entries", "memory_ratio")
+UNREPEATABLE_COLUMNS = ("timestamp", "wall_clock_s", "fbs_measured_entries",
+                        "admm_measured_entries", "memory_ratio")
 
 # Grids (height, width, side) whose clique subsets take every shape: 7x5 side 5
 # and 2x2 side 2 have empty subsets; 5x5 side 1 has a single one; the others

@@ -79,7 +79,8 @@ def test_io_error_exit_3(tmp_path, capsys):
 
 
 def test_run_writes_csv_and_exits_zero(tmp_path, capsys):
-    code = main(["memory-benchmark", "--out-dir", str(tmp_path), "--seed", "3"])
+    code = main(["memory-benchmark", "--out-dir", str(tmp_path), "--seed", "3",
+                 "--trials", "1"])
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert out.endswith("memory-benchmark.csv")

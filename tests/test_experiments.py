@@ -5,9 +5,8 @@ import pytest
 
 from blocksparse import experiments
 from blocksparse.common import ConfigError
-from blocksparse.experiments import (CSV_COLUMNS, HarnessConfig, UsageError,
-                                     admm_formula_entries, resolve_config, run_experiment,
-                                     write_rows)
+from blocksparse.experiments import (CSV_COLUMNS, HarnessConfig, UsageError, resolve_config,
+                                     run_experiment, write_rows)
 
 import helpers
 
@@ -41,31 +40,26 @@ def test_write_rows_schema_header(tmp_path):
     assert tuple(header) == CSV_COLUMNS
 
 
-def test_admm_formula():
-    assert admm_formula_entries(10, 100, 5) == 204 * 100 * 5
-    assert admm_formula_entries(2, 16, 1) == 12 * 16
-
-
 def test_memory_benchmark_rows(tmp_path):
-    cfg = small_cfg(tmp_path)
-    path = run_experiment("memory-benchmark", cfg)
+    path = run_experiment("memory-benchmark", small_cfg(tmp_path))
     rows = list(csv.DictReader(open(path, newline="")))
-    fbs, admm = rows[0], rows[1]
     side, n, frames = 10, 16 * 16, 4
-    fbs_entries = int(fbs["fbs_measured_entries"])
-    admm_entries = int(admm["admm_measured_entries"])
-    # measured peaks hold at least the state each method needs: the prox
-    # holds its side*side*n carried duals, not the paper's two stacks
-    assert fbs_entries >= 4 * n * frames
-    assert admm_entries >= side * side * n
-    assert int(fbs["admm_formula_entries"]) == admm_formula_entries(side, n, frames)
-    assert int(admm["admm_formula_entries"]) == 2 * side * side * n
-    assert float(fbs["memory_ratio"]) == frames * admm_entries / fbs_entries
-    assert float(fbs["memory_ratio"]) > 1
-    sides = [int(r["clique_side"]) for r in rows[2:]]
-    assert sides == [4, 16]
-    assert all(float(r["per_iter_seconds"]) > 0 for r in rows[2:])
-    assert (tmp_path / "memory_observed_f0.pgm").exists()
+    # one row per trial, each with both measured peaks
+    assert [r["trial"] for r in rows] == ["0", "1"]
+    for row in rows:
+        assert row["failed"] == "0"
+        assert (row["clique_side"], row["n_frames"]) == (str(side), str(frames))
+        fbs_entries = int(row["fbs_measured_entries"])
+        admm_entries = int(row["admm_measured_entries"])
+        # measured peaks hold at least the state each method needs: FBS the
+        # paper's four stacks, the prox its side*side*n carried duals for
+        # every frame
+        assert fbs_entries >= 4 * n * frames
+        assert admm_entries >= frames * side * side * n
+        assert float(row["memory_ratio"]) == admm_entries / fbs_entries
+        assert float(row["memory_ratio"]) > 1
+    for name in ("memory_observed_f0.pgm", "memory_foreground_f0.pgm"):
+        assert helpers.read_pgm8(tmp_path / name).shape == (16, 16)
 
 
 def test_rpca_experiment_rows_and_images(tmp_path, monkeypatch):
@@ -198,10 +192,11 @@ def test_jobs_do_not_change_results(tmp_path):
     # rpca-decompose's 10,240-entry stack is long enough for a threaded BLAS
     # to split a dot product, so its rows check that no metric uses one;
     # cs-recovery-sweep's rows come from CoLaMP, and so from the prox, and
-    # at m/K 1 from a pursuit that stalls and returns its best iterate
+    # at m/K 1 from a pursuit that stalls and returns its best iterate;
+    # memory-benchmark's rows differ only in their measured peaks
     cases = (("blocktv-denoise", dict(lam=0.1), 3), ("rpca-decompose", {}, 2),
              ("cs-recovery-sweep", dict(m_over_k=3.0), 2),
-             ("cs-recovery-sweep", dict(m_over_k=1.0), 2))
+             ("cs-recovery-sweep", dict(m_over_k=1.0), 2), ("memory-benchmark", {}, 2))
     for case, (name, flags, jobs) in enumerate(cases):
         out = tmp_path / str(case)
         p1 = run_experiment(name, small_cfg(out / "j1", trials=2, jobs=1, **flags))
@@ -271,6 +266,7 @@ _SWEEP_COLUMNS = {
     "robust-cs-snr-sweep": (True, {"m_over_k": "m_over_k", "snr_db": "snr_db", "lam": "lam0"}),
     "blocktv-denoise": (True, {"lam": "lam", "input_psnr_db": "input_psnr_db"}),
     "rpca-decompose": (False, {"lam": "lam"}),
+    "memory-benchmark": (False, {}),
 }
 
 
@@ -300,7 +296,7 @@ def test_dump_config_lists_the_points_the_sweep_runs(tmp_path, monkeypatch, name
 
 _DEFAULT_FLAGS = {"clique_side": 2, "epsilon": None, "jobs": 1, "k_sparsity": 40,
                   "lam": None, "m_over_k": None, "mu": 1.0, "out_dir": ".",
-                  "schema_version": "4", "seed": 0, "snr_db": None, "trials": 20}
+                  "schema_version": "5", "seed": 0, "snr_db": None, "trials": 20}
 
 
 @pytest.mark.parametrize("name, resolved", [

@@ -357,6 +357,15 @@ def test_solve_reads_the_stack_in_any_layout_and_leaves_it_unchanged():
         assert got.report.termination_reason == want.report.termination_reason
 
 
+def test_z_stays_contiguous_when_the_frames_outnumber_the_pixels():
+    # with L > N the SVT works on the transpose of the (L, N) matrix; a z
+    # left as the transpose's view would send every later read of it
+    # through NumPy's iteration buffers
+    y = np.random.default_rng(0).standard_normal((3, 3, 16))
+    result = solve_rpca(y, RpcaConfig(clique_side=1, max_iters=5))
+    assert np.moveaxis(result.z, -1, 0).flags.c_contiguous
+
+
 @pytest.mark.parametrize("max_abs", [0.5, 1.5, None], ids=["max-0.5", "max-1.5", "times-10"])
 def test_default_eps_resolution(max_abs):
     # the default scales with max|y| and is floored at max|y| = 1; 0.5 and 1.5
