@@ -15,33 +15,20 @@ from .experiments import EXPERIMENTS, HarnessConfig, UsageError, resolve_config,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Unset flags stay out of the namespace, so HarnessConfig supplies every default.
-    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    flags.add_argument("--seed", type=int, help="master RNG seed")
-    flags.add_argument("--trials", type=int, help="trials per parameter point")
-    flags.add_argument("--jobs", type=int, help="trial worker processes")
-    flags.add_argument("--out-dir", help="output directory for CSV and images")
-    flags.add_argument("--clique-side", type=int,
-                       help="clique patch side length (per-experiment default)")
-    flags.add_argument("--lambda", dest="lam", type=float,
-                       help="regularization weight (per-experiment default)")
-    flags.add_argument("--mu", type=float, help="decomposition fidelity weight")
-    flags.add_argument("--epsilon", type=float,
-                       help="smoothing parameter (default: scale-relative)")
-    flags.add_argument("--k-sparsity", type=int, help="planted sparsity K")
-    flags.add_argument("--m-over-k", type=float,
-                       help="measurement budget as a multiple of K")
-    flags.add_argument("--snr-db", type=float,
-                       help="measurement SNR (or input PSNR for denoising)")
-    flags.add_argument("--dump-config", action="store_true", default=False,
-                       help="print the fully-resolved configuration and exit")
     parser = argparse.ArgumentParser(
         prog="blocksparse",
         description="Desk-scale experiments for overlapping block-sparsity solvers.")
     subparsers = parser.add_subparsers(dest="experiment", required=True,
                                        metavar="<experiment>")
     for name, sweep in EXPERIMENTS.items():
-        subparsers.add_parser(name, help=sweep.help, parents=[flags])
+        # Each experiment takes only the flags it reads.  Unset flags stay out
+        # of the namespace, so HarnessConfig supplies every default.
+        sub = subparsers.add_parser(name, help=sweep.help, argument_default=argparse.SUPPRESS)
+        for f in sweep.flags():
+            sub.add_argument(f.metadata["option"], dest=f.name, type=f.metadata["type"],
+                             help=f.metadata["help"])
+        sub.add_argument("--dump-config", action="store_true", default=False,
+                         help="print the fully-resolved configuration and exit")
     return parser
 
 

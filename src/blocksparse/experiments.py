@@ -5,12 +5,14 @@ spec: compressive recovery versus measurement budget, noisy recovery versus
 SNR, block-TV denoising, sparse-plus-low-rank decomposition, and the
 ADMM-versus-FBS memory benchmark.  One runner gives them their rows, timing,
 failure rows and worker processes; ``--dump-config`` reads its axis values
-from the same points.  The memory benchmark's row per trial holds two
-tracemalloc peaks on the same planted stack, FBS's solve and the ADMM prox
-over every frame, and their ratio.  RNG streams derive from (seed, trial,
-point stream) and rows are written trials outer, points inner, so a rerun
-reproduces the CSV byte-for-byte apart from the timing and measured-memory
-columns.
+from the same points.  Each experiment reads only the flags it declares: the
+runner's (:data:`RUNNER_FIELDS`) and its sweep's ``reads``.  The CLI offers
+it no other flag, and ``--dump-config`` reports no other.  The memory
+benchmark's row per trial holds two tracemalloc peaks on the same planted
+stack, FBS's solve and the ADMM prox over every frame, and their ratio.  RNG
+streams derive from (seed, trial, point stream) and rows are written trials
+outer, points inner, so a rerun reproduces the CSV byte-for-byte apart from
+the timing and measured-memory columns.
 
 Beside its ``<name>.csv`` each experiment writes 8-bit ``.pgm`` previews
 (:func:`blocksparse.matrixio.write_pgm`).  The compressive-recovery sweep and
@@ -30,7 +32,7 @@ import os
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import Field, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -65,9 +67,8 @@ CSV_COLUMNS = (
 
 # Defaults tuned for the unit-amplitude synthetic generators; CLI flags
 # override them.  The solvers' own settings are the defaults of their
-# configs (ColampConfig, BlockTvConfig, RpcaConfig).
-CLIQUE_SIDE = 2
-MEMORY_CLIQUE_SIDE = 10
+# configs (ColampConfig, BlockTvConfig, RpcaConfig), and each sweep's
+# default clique side is its Sweep's ``side``.
 MEMORY_SIZE = 16
 CS_SIZE = 32
 CS_BLOCKS = 2
@@ -90,53 +91,64 @@ class UsageError(ValueError):
     """Unknown experiment."""
 
 
+# The fields every experiment reads: its RNG seed, and how the runner runs it.
+RUNNER_FIELDS = ("seed", "trials", "jobs", "out_dir")
+
+
+def _check_seed(value, what: str) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{what} must be a nonnegative integer, got {value!r}")
+
+
+def _flag(default, option: str, kind: type, help: str, check=None, what: str = ""):
+    """A :class:`HarnessConfig` field and its command-line flag: ``option``
+    parses to ``kind``, and a set value must pass ``check(value, what)``."""
+    return field(default=default, metadata={"option": option, "type": kind, "help": help,
+                                            "check": check, "what": what})
+
+
 @dataclass
 class HarnessConfig:
-    """Flag values shared by all experiments; ``None`` means per-experiment default."""
+    """Flag values of the experiments; ``None`` means the experiment's default.
 
-    seed: int = 0
-    trials: int = 20
-    jobs: int = 1
-    out_dir: str = "."
-    clique_side: Optional[int] = None
-    lam: Optional[float] = None
-    mu: float = 1.0
-    epsilon: Optional[float] = None
-    k_sparsity: int = 40
-    m_over_k: Optional[float] = None
-    snr_db: Optional[float] = None
+    The fields are the one flag table: each one's metadata holds its option,
+    type, check and help, which both :meth:`__post_init__` and the CLI read.
+    An experiment reads only :data:`RUNNER_FIELDS` and the fields its
+    :class:`Sweep` declares in ``reads``; it ignores the others, and the CLI
+    rejects them as flags of that experiment.
+    """
+
+    seed: int = _flag(0, "--seed", int, "master RNG seed", _check_seed, "seed")
+    trials: int = _flag(20, "--trials", int, "trials per parameter point", check_count, "trials")
+    jobs: int = _flag(1, "--jobs", int, "trial worker processes", check_count, "jobs")
+    out_dir: str = _flag(".", "--out-dir", str, "output directory for CSV and images")
+    clique_side: Optional[int] = _flag(None, "--clique-side", int, "clique patch side length "
+                                       "(per-experiment default)", check_count, "clique side")
+    lam: Optional[float] = _flag(None, "--lambda", float, "regularization weight "
+                                 "(per-experiment default)", check_nonnegative, "lambda")
+    mu: Optional[float] = _flag(None, "--mu", float, "decomposition fidelity weight "
+                                "(default: the solver's)", check_positive, "mu")
+    epsilon: Optional[float] = _flag(None, "--epsilon", float, "smoothing parameter "
+                                     "(default: scale-relative)", check_positive, "epsilon")
+    k_sparsity: int = _flag(40, "--k-sparsity", int, "planted sparsity K", check_count,
+                            "k sparsity")
+    m_over_k: Optional[float] = _flag(None, "--m-over-k", float, "measurement budget as a "
+                                      "multiple of K", check_finite, "m/K")
+    # snr_db may be negative: noise louder than the signal is a valid point
+    snr_db: Optional[float] = _flag(None, "--snr-db", float, "measurement SNR (or input "
+                                    "PSNR for denoising)", check_finite, "snr_db")
 
     def __post_init__(self):
-        integral = isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
-        if not integral or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        check_count(self.trials, "trials")
-        check_count(self.jobs, "jobs")
-        check_count(self.k_sparsity, "k sparsity")
-        if self.clique_side is not None:
-            check_count(self.clique_side, "clique side")
-        check_positive(self.mu, "mu")
-        if self.epsilon is not None:
-            check_positive(self.epsilon, "epsilon")
-        if self.lam is not None:
-            check_nonnegative(self.lam, "lambda")
-        # snr_db may be negative: noise louder than the signal is a valid point
-        for what, value in (("m/K", self.m_over_k), ("snr_db", self.snr_db)):
-            if value is not None:
-                check_finite(value, what)
+        for f in fields(self):
+            value, check = getattr(self, f.name), f.metadata["check"]
+            if check is not None and (value is not None or f.default is not None):
+                check(value, f.metadata["what"])
         if self.m_over_k is not None and round(self.m_over_k * self.k_sparsity) < 1:
             raise ConfigError("m/K times K must round to at least one measurement")
 
 
-def _clique_side(name: str, cfg: HarnessConfig) -> int:
-    if cfg.clique_side is not None:
-        return cfg.clique_side
-    return MEMORY_CLIQUE_SIDE if name == "memory-benchmark" else CLIQUE_SIDE
-
-
-def _sides(name: str, cfg: HarnessConfig, size: int, baseline: bool) -> tuple[int, ...]:
-    """The resolved clique side, then the l=1 baseline if ``baseline`` is set."""
-    side = _clique_side(name, cfg)
+def _sides(side: int, size: int, baseline: bool) -> tuple[int, ...]:
+    """``side``, then the l=1 baseline if ``baseline`` is set."""
     build_clique_system(GridShape(size, size), side)  # rejects a side that does not fit
     return (side, 1) if baseline and side != 1 else (side,)
 
@@ -192,17 +204,28 @@ class Point(NamedTuple):
 @dataclass(frozen=True)
 class Sweep:
     """A pure, module-level ``trial(cfg, trial, point) -> (result fields,
-    artifacts)`` run at each of ``points(cfg)``.  ``write(out_dir, done)``
-    gets ``(point, artifacts)`` of each trial-0 task that succeeded.
-    ``--dump-config`` reports the point parameters named in ``axes`` (a
-    scalar for one value, else a list) and ``settings(cfg)``."""
+    artifacts)`` run at each of ``points(cfg, side)``, where ``side`` is
+    ``cfg.clique_side`` or, unset, the sweep's own default ``side``.
+    ``reads`` names the :class:`HarnessConfig` fields the sweep reads
+    besides :data:`RUNNER_FIELDS`.  ``write(out_dir, done)`` gets
+    ``(point, artifacts)`` of each trial-0 task that succeeded.
+    ``--dump-config`` reports the fields the sweep reads, the point
+    parameters named in ``axes`` (a scalar for one value, else a list) and
+    ``settings(cfg)``."""
 
     help: str
-    points: Callable[[HarnessConfig], list[Point]]
+    reads: tuple[str, ...]
+    side: int
+    points: Callable[[HarnessConfig, int], list[Point]]
     trial: Callable[[HarnessConfig, int, Point], tuple[dict, object]]
     write: Callable[[Path, list[tuple[Point, object]]], None]
     axes: tuple[str, ...]
     settings: Callable[[HarnessConfig], dict] = lambda cfg: {}
+
+    def flags(self) -> list[Field]:
+        """The :class:`HarnessConfig` fields the sweep reads, the runner's
+        included, in field order: its command-line flags."""
+        return [f for f in fields(HarnessConfig) if f.name in RUNNER_FIELDS + self.reads]
 
 
 def _task(name: str, cfg: HarnessConfig, trial: int, point: Point) -> tuple[dict, object]:
@@ -259,14 +282,14 @@ def _cs_settings(cfg: HarnessConfig) -> dict:
     return {"lam0": _cs_lambda0(cfg), "lam_growth": ColampConfig.lam_growth}
 
 
-def _cs_points(cfg: HarnessConfig) -> list[Point]:
-    (side,) = _sides("cs-recovery-sweep", cfg, CS_SIZE, baseline=False)
+def _cs_points(cfg: HarnessConfig, side: int) -> list[Point]:
+    (side,) = _sides(side, CS_SIZE, baseline=False)
     ratios = (cfg.m_over_k,) if cfg.m_over_k is not None else M_OVER_K_SWEEP
     return [Point(i, _cs_params(cfg, side, ratio)) for i, ratio in enumerate(ratios)]
 
 
-def _robust_points(cfg: HarnessConfig) -> list[Point]:
-    sides = _sides("robust-cs-snr-sweep", cfg, CS_SIZE, baseline=True)
+def _robust_points(cfg: HarnessConfig, side: int) -> list[Point]:
+    sides = _sides(side, CS_SIZE, baseline=True)
     ratio = cfg.m_over_k if cfg.m_over_k is not None else ROBUST_M_OVER_K
     snrs = (cfg.snr_db,) if cfg.snr_db is not None else SNR_SWEEP_POINTS
     return [Point(i, {**_cs_params(cfg, side, ratio), "snr_db": snr})
@@ -314,8 +337,8 @@ def _write_robust(out_dir: Path, done: list[tuple[Point, object]]) -> None:
         write_pgm(out_dir / f"robust_recovered_l{point.params['clique_side']}.pgm", xhat)
 
 
-def _blocktv_points(cfg: HarnessConfig) -> list[Point]:
-    sides = _sides("blocktv-denoise", cfg, BLOCKTV_SIZE, baseline=True)
+def _blocktv_points(cfg: HarnessConfig, side: int) -> list[Point]:
+    sides = _sides(side, BLOCKTV_SIZE, baseline=True)
     lams = (cfg.lam,) if cfg.lam is not None else BLOCKTV_LAMBDA_GRID
     input_psnr = cfg.snr_db if cfg.snr_db is not None else BLOCKTV_INPUT_PSNR_DB
     return [Point(0, {"clique_side": side, "lam": lam, "input_psnr_db": input_psnr,
@@ -347,10 +370,11 @@ def _write_blocktv(out_dir: Path, done: list[tuple[Point, object]]) -> None:
         write_pgm(out_dir / f"tv_denoised_l{side}.pgm", best[2])
 
 
-def _rpca_points(cfg: HarnessConfig) -> list[Point]:
-    (side,) = _sides("rpca-decompose", cfg, RPCA_SIZE, baseline=False)
+def _rpca_points(cfg: HarnessConfig, side: int) -> list[Point]:
+    (side,) = _sides(side, RPCA_SIZE, baseline=False)
     lam = cfg.lam if cfg.lam is not None else default_lambda(side, RPCA_SIZE * RPCA_SIZE)
-    return [Point(0, {"clique_side": side, "mu": cfg.mu, "epsilon": cfg.epsilon,
+    mu = cfg.mu if cfg.mu is not None else RpcaConfig.mu
+    return [Point(0, {"clique_side": side, "mu": mu, "epsilon": cfg.epsilon,
                       "n_frames": 10, "rank_true": 2, "solver": "fbs", "lam": lam})]
 
 
@@ -395,8 +419,8 @@ def _traced_peak(solve: Callable[[], object]) -> tuple[object, int]:
     return result, peak // 8
 
 
-def _memory_points(cfg: HarnessConfig) -> list[Point]:
-    (side,) = _sides("memory-benchmark", cfg, MEMORY_SIZE, baseline=False)
+def _memory_points(cfg: HarnessConfig, side: int) -> list[Point]:
+    (side,) = _sides(side, MEMORY_SIZE, baseline=False)
     return [Point(0, {"clique_side": side, "n_frames": 4})]
 
 
@@ -436,40 +460,46 @@ def _write_memory(out_dir: Path, done: list[tuple[Point, object]]) -> None:
     write_pgm(out_dir / "memory_foreground_f0.pgm", x[:, :, 0])
 
 
+_CS_READS = ("clique_side", "lam", "k_sparsity", "m_over_k")
+
 EXPERIMENTS: dict[str, Sweep] = {
     "cs-recovery-sweep": Sweep(
-        "compressive recovery of blocky images vs. measurement budget",
+        "compressive recovery of blocky images vs. measurement budget", _CS_READS, 2,
         _cs_points, _cs_trial, _write_cs, ("m_over_k", "solver"), _cs_settings),
     "robust-cs-snr-sweep": Sweep(
-        "noisy compressive recovery vs. SNR, with an l=1 baseline",
+        "noisy compressive recovery vs. SNR, with an l=1 baseline", (*_CS_READS, "snr_db"), 2,
         _robust_points, _cs_trial, _write_robust, ("m_over_k", "snr_db", "solver"),
         _cs_settings),
     "blocktv-denoise": Sweep(
         "block total-variation denoising, with an l=1 baseline",
+        ("clique_side", "lam", "epsilon", "snr_db"), 2,
         _blocktv_points, _blocktv_trial, _write_blocktv, ("lam", "input_psnr_db")),
     "rpca-decompose": Sweep(
         "sparse-plus-low-rank decomposition of a planted stack",
-        _rpca_points, _rpca_trial, _write_rpca, ("lam", "solver")),
+        ("clique_side", "lam", "mu", "epsilon"), 2,
+        _rpca_points, _rpca_trial, _write_rpca, ("lam", "mu", "solver")),
     "memory-benchmark": Sweep(
-        "ADMM-vs-FBS peak memory, measured on the same stack",
+        "ADMM-vs-FBS peak memory, measured on the same stack", ("clique_side",), 10,
         _memory_points, _memory_trial, _write_memory, ()),
 }
 
 
-def _lookup(name: str, cfg: HarnessConfig) -> tuple[Sweep, list[Point]]:
-    """The sweep for ``name``, and its points."""
+def _lookup(name: str, cfg: HarnessConfig) -> tuple[Sweep, int, list[Point]]:
+    """The sweep for ``name``, its resolved clique side, and its points."""
     if name not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {name!r}")
     sweep = EXPERIMENTS[name]
-    return sweep, sweep.points(cfg)
+    side = cfg.clique_side if cfg.clique_side is not None else sweep.side
+    return sweep, side, sweep.points(cfg, side)
 
 
 def resolve_config(name: str, cfg: HarnessConfig) -> dict:
-    """Fully-resolved configuration for ``--dump-config``: the flags, with
-    each swept axis replaced by the values the runner iterates."""
-    sweep, points = _lookup(name, cfg)
-    resolved = {**asdict(cfg), "experiment": name, "schema_version": SCHEMA_VERSION,
-                "clique_side": _clique_side(name, cfg)}
+    """Fully-resolved configuration for ``--dump-config``: the flags the
+    experiment reads, with each swept axis replaced by the values the runner
+    iterates."""
+    sweep, side, points = _lookup(name, cfg)
+    resolved = {f.name: getattr(cfg, f.name) for f in sweep.flags()}
+    resolved.update(experiment=name, schema_version=SCHEMA_VERSION, clique_side=side)
     for axis in sweep.axes:
         values = list(dict.fromkeys(p.params[axis] for p in points))
         resolved[axis] = values[0] if len(values) == 1 else values
@@ -496,7 +526,7 @@ def run_experiment(name: str, cfg: HarnessConfig) -> Path:
     sits under an ``if __name__ == "__main__":`` guard (as the CLI's does)
     may pass ``jobs > 1``.
     """
-    sweep, points = _lookup(name, cfg)
+    sweep, _, points = _lookup(name, cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = datetime.now(timezone.utc).isoformat()

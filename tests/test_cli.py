@@ -2,10 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from blocksparse.cli import main
+from blocksparse.experiments import EXPERIMENTS, HarnessConfig
 
 import helpers
 
@@ -22,13 +24,33 @@ def test_unknown_experiment_usage_error():
     assert exc.value.code == 2
 
 
-def test_bad_flag_usage_error():
+def test_bad_flag_usage_error(tmp_path, capsys):
     # a malformed value, and flags that do not exist: no step size or solver is user-set
     for flags in (["--mu", "abc"], ["--alpha", "0.1"], ["--solver", "fbs"],
                   ["--solver", "magic"]):
         with pytest.raises(SystemExit) as exc:
             main(["rpca-decompose", *flags])
         assert exc.value.code == 2
+    # a flag of the table that the experiment does not read is not one of its flags
+    undeclared = [(name, f.metadata["option"]) for name, sweep in EXPERIMENTS.items()
+                  for f in fields(HarnessConfig) if f not in sweep.flags()]
+    assert len(undeclared) == 17
+    assert ("memory-benchmark", "--lambda") in undeclared
+    for name, option in undeclared:
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--trials", "1", option, "1", "--out-dir", str(out)])
+        assert exc.value.code == 2, (name, option)
+        assert not out.exists(), (name, option)
+    # and every flag it does read is in its help
+    for name, sweep in EXPERIMENTS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        shown = capsys.readouterr().out
+        options = [f.metadata["option"] for f in sweep.flags()]
+        assert len(options) == 4 + len(sweep.reads)
+        assert all(option in shown for option in options + ["--dump-config"]), name
 
 
 def test_dump_config_prints_json(capsys):

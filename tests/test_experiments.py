@@ -294,20 +294,23 @@ def test_dump_config_lists_the_points_the_sweep_runs(tmp_path, monkeypatch, name
     assert {tuple(r[c] for c in swept) for r in rows} == expected
 
 
-_DEFAULT_FLAGS = {"clique_side": 2, "epsilon": None, "jobs": 1, "k_sparsity": 40,
-                  "lam": None, "m_over_k": None, "mu": 1.0, "out_dir": ".",
-                  "schema_version": "5", "seed": 0, "snr_db": None, "trials": 20}
+# The runner's flags, which every experiment reads, at their defaults.
+_RUNNER_FLAGS = {"jobs": 1, "out_dir": ".", "schema_version": "5", "seed": 0, "trials": 20}
 
 
 @pytest.mark.parametrize("name, resolved", [
-    ("cs-recovery-sweep", {"lam0": 0.6, "lam_growth": 1.02,
-                           "m_over_k": [1.0, 2.0, 3.0, 4.0, 5.0], "solver": "admm"}),
-    ("robust-cs-snr-sweep", {"lam0": 0.6, "lam_growth": 1.02, "m_over_k": 2.0,
+    ("cs-recovery-sweep", {"clique_side": 2, "k_sparsity": 40, "lam": None, "lam0": 0.6,
+                           "lam_growth": 1.02, "m_over_k": [1.0, 2.0, 3.0, 4.0, 5.0],
+                           "solver": "admm"}),
+    ("robust-cs-snr-sweep", {"clique_side": 2, "k_sparsity": 40, "lam": None, "lam0": 0.6,
+                             "lam_growth": 1.02, "m_over_k": 2.0,
                              "snr_db": [5.0, 10.0, 15.0, 20.0], "solver": "admm"}),
-    ("blocktv-denoise", {"input_psnr_db": 20.0, "lam": [0.05, 0.1, 0.15, 0.25, 0.4, 0.6]}),
-    ("rpca-decompose", {"lam": 0.015625, "solver": "fbs"}),
+    ("blocktv-denoise", {"clique_side": 2, "epsilon": None, "input_psnr_db": 20.0,
+                         "lam": [0.05, 0.1, 0.15, 0.25, 0.4, 0.6], "snr_db": None}),
+    ("rpca-decompose", {"clique_side": 2, "epsilon": None, "lam": 0.015625, "mu": 1.0,
+                        "solver": "fbs"}),
     ("memory-benchmark", {"clique_side": 10}),
 ])
 def test_resolve_config_at_default_flags_is_pinned(name, resolved):
-    assert resolve_config(name, HarnessConfig()) == {**_DEFAULT_FLAGS, "experiment": name,
+    assert resolve_config(name, HarnessConfig()) == {**_RUNNER_FLAGS, "experiment": name,
                                                      **resolved}
