@@ -6,11 +6,12 @@ solver families build on it: a consensus-ADMM proximal operator, a
 forward-backward splitting for sparse-plus-low-rank decomposition, and a
 greedy pursuit (CoLaMP) for compressive recovery; block total-variation
 denoising applies the penalty to image gradients.  The two smoothed
-solvers each run their own backtracking line search: block-TV tests the
-Armijo condition, and the decomposition the forward-backward majorisation.
-Every solver, the proximal operator included, scores the penalty through one
-evaluator (:mod:`blocksparse.regularizer`), whose clique sums come from one
-exact window-sum primitive (:mod:`blocksparse.fftops`).
+solvers share one backtracking descent loop, :func:`blocksparse.common.descend`,
+and differ in their acceptance tests: block-TV tests the Armijo condition,
+and the decomposition the forward-backward majorisation.  Every solver,
+the proximal operator included, scores the penalty through one evaluator
+(:mod:`blocksparse.regularizer`), whose clique sums come from one exact
+window-sum primitive (:mod:`blocksparse.fftops`).
 """
 
 from .blocktv import BlockTvConfig, GradientField, denoise_block_tv, discrete_gradient, discrete_gradient_adjoint

@@ -4,12 +4,14 @@ Minimizes ``1/2 ||x - y||^2 + lam * sum_c ||(grad x)_c||_{2,eps}`` where each
 clique gathers the horizontal and vertical forward differences over one
 ``side x side`` patch (one group of ``2*side^2`` values per patch), coupling
 edge orientation within a neighborhood.  The smoothed objective is minimized
-by gradient descent with an Armijo line search of its own.  Each search
-starts from the last accepted step and only halves it: the nonincreasing
-backtracking of Beck & Teboulle (SIAM J. Imaging Sci. 2009), which keeps the
-step at least ``1/(2L)``, ``L`` the Lipschitz constant of the smoothed
-objective's gradient.  A step that grows again after each accepted trial is
-halved back in nearly every iteration, and half of all trials are rejected.
+by gradient descent in :func:`blocksparse.common.descend`, the backtracking
+loop that RPCA shares, with Armijo's test as the solve's trial verdict and
+growth factor 1.  Each search starts from the last accepted step and only
+halves it: the nonincreasing backtracking of Beck & Teboulle (SIAM J.
+Imaging Sci. 2009), which keeps the step at least ``1/(2L)``, ``L`` the
+Lipschitz constant of the smoothed objective's gradient.  A step that grows
+again after each accepted trial is halved back in nearly every iteration,
+and half of all trials are rejected.
 
 The clique norms and their scatter come from the regularizer's evaluator
 pair, exact window sums of the per-pixel squared gradient magnitude
@@ -62,8 +64,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .common import (ConfigError, NumericalError, ShapeError, SolverReport, check_count,
-                     check_finite, check_nonnegative, check_positive, flat_view)
+from .common import (ShapeError, SolverReport, check_count, check_finite, check_nonnegative,
+                     check_positive, descend, flat_view)
 from .grids import GridShape, build_clique_system
 from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
@@ -145,14 +147,15 @@ class BlockTvConfig:
 
     ``eps=None`` resolves to ``1e-4 * max(1, max|forward difference of y|)``,
     relative to the scale of the input's gradient field.  Each step is
-    chosen by Armijo line search, starting from the last accepted step (1
-    at the first iteration) and halving it until the objective decreases
-    enough; the step never grows.  The run stops once an iteration changes
-    the objective by at most ``tol_obj`` times its magnitude, or once the
-    gradient norm is at most ``1e-12 * ||y||``, or at the objective's
-    roundoff floor (:func:`denoise_block_tv`).  No test has an absolute
-    floor, so scaling ``y``, ``lam`` and ``eps`` by ``c`` leaves the
-    iteration count unchanged.
+    chosen by Armijo line search in :func:`blocksparse.common.descend`,
+    starting from the last accepted step (1 at the first iteration) and
+    halving it until the objective decreases enough; the step never grows.
+    The run stops once an iteration changes the objective by at most
+    ``tol_obj`` times its magnitude, or once the gradient norm is at most
+    ``1e-12 * ||y||``, or at the objective's roundoff floor
+    (:func:`denoise_block_tv`).  No test has an absolute floor, so scaling
+    ``y``, ``lam`` and ``eps`` by ``c`` leaves the iteration count
+    unchanged.
     """
 
     lam: float
@@ -214,76 +217,53 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         resid = np.subtract(x, y, out=sq)
         return 0.5 * float(np.vdot(resid, resid)) + lam * float(norms.sum()), norms
 
-    def gradient(x, norms, out, spare):
+    x = own = y.copy()
+    obj, norms = evaluate(x)
+    # the gradient's squared norm and norm, and the last trial's objective,
+    # live across the closures
+    gsq = gnorm = obj_new = None
+
+    def gradient():
         """``(x - y) + lam * D^T (weight_map * D x)`` at ``x``, the point last
-        evaluated, ``D`` the forward difference, built in ``out``, which
-        first takes the weight map.  It spends ``norms``, and ``scratch``,
-        which holds them, takes the full window sum's row pass, then with
-        ``spare`` the rebuilt ``D x``."""
-        weight_map = smoothed_weight_map(norms, side, out=out, scratch=scratch)
+        evaluated, ``D`` the forward difference, built in ``free``, which
+        first takes the weight map; returns its norm.  It spends ``norms``,
+        and ``scratch``, which holds them, takes the full window sum's row
+        pass, then with ``spare`` the rebuilt ``D x``."""
+        nonlocal gsq, gnorm
+        weight_map = smoothed_weight_map(norms, side, out=free, scratch=scratch)
         d = discrete_gradient(x, out=GradientField(scratch, spare))
         for channel in d:
             channel *= weight_map
-        out = discrete_gradient_adjoint(d, out=out)
-        out *= lam
-        out += sq
-        return out
-
-    x = own = y.copy()
-    grad_tol = 1e-12 * float(np.linalg.norm(y))
-    objective_trace: list[float] = []
-    residual_trace: list[float] = []
-    reason = "max-iterations"
-    obj_prev, norms = evaluate(x)
-    if not np.isfinite(obj_prev):
-        raise ConfigError("objective is not finite at the starting point")
-    alpha = 1.0
-    total_halvings = 0
-
-    for _ in range(cfg.max_iters):
-        g = gradient(x, norms, free, spare)
+        g = discrete_gradient_adjoint(d, out=free)
+        g *= lam
+        g += sq
         gsq = float(np.vdot(g, g))
         gnorm = float(np.sqrt(gsq))
-        if gnorm <= grad_tol:
-            reason = "converged"
-            break
-        halvings = 0
-        while True:
-            x_new = np.multiply(g, alpha, out=spare)
-            np.subtract(x, x_new, out=x_new)
-            obj, norms = evaluate(x_new)
-            # strict decrease guards against roundoff plateaus spuriously
-            # satisfying the Armijo inequality at vanishing steps
-            if obj <= obj_prev - 1e-4 * alpha * gsq and obj < obj_prev:
-                break
-            halvings += 1
-            if halvings > 60:
-                raise NumericalError("no acceptable step after 60 halvings")
-            if alpha * gsq <= _EPS * abs(obj_prev):
-                # even the first-order decrease is below the objective's
-                # rounding, so no smaller step can show a decrease either
-                reason = "stalled"
-                break
-            alpha *= 0.5
+        return gnorm
 
-        total_halvings += halvings
-        if reason == "stalled":
-            break
-        # the accepted trial's buffer becomes x, and x's takes the next trial
-        x, spare = x_new, x
-        objective_trace.append(obj)
-        residual_trace.append(gnorm)
-        if abs(obj_prev - obj) <= cfg.tol_obj * abs(obj_prev):
-            reason = "converged"
-            break
-        obj_prev = obj
+    def trial(alpha, obj):
+        """``x - alpha * g`` in ``spare``, accepted on Armijo's test."""
+        nonlocal obj_new, norms
+        obj_new, norms = evaluate(np.subtract(x, np.multiply(free, alpha, out=spare), out=spare))
+        # strict decrease guards against roundoff plateaus spuriously
+        # satisfying the Armijo inequality at vanishing steps
+        if obj_new <= obj - 1e-4 * alpha * gsq and obj_new < obj:
+            return True
+        # a first-order decrease below the objective's rounding stalls the
+        # solve: no smaller step can show a decrease either
+        return None if alpha * gsq <= _EPS * abs(obj) else False
 
+    def accept(alpha):
+        """The accepted trial's buffer becomes ``x``, and ``x``'s takes the
+        next trial."""
+        nonlocal x, spare
+        x, spare = spare, x
+        return obj_new, gnorm
+
+    report = descend(gradient, trial, accept, 1.0, 1.0, cfg.max_iters, cfg.tol_obj, obj, t0,
+                     {"epsilon": eps}, grad_tol=1e-12 * float(np.linalg.norm(y)))
     if x is not own:
         # a view into the block would keep the block alive with it
         np.copyto(own, x)
         x = own
-    report = SolverReport(objective_trace, residual_trace, reason,
-                          iterations=len(objective_trace), wall_clock=time.perf_counter() - t0,
-                          extra={"epsilon": eps, "halvings": total_halvings,
-                                 "alpha_final": alpha})
     return x, report

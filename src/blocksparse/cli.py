@@ -14,12 +14,23 @@ from .common import ConfigError
 from .experiments import EXPERIMENTS, HarnessConfig, UsageError, resolve_config, run_experiment
 
 
+class _ExperimentParser(argparse.ArgumentParser):
+    """An experiment's parser.  It reports a flag it does not take itself,
+    so the usage names the experiment and the flags it reads."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blocksparse",
         description="Desk-scale experiments for overlapping block-sparsity solvers.")
     subparsers = parser.add_subparsers(dest="experiment", required=True,
-                                       metavar="<experiment>")
+                                       metavar="<experiment>", parser_class=_ExperimentParser)
     for name, sweep in EXPERIMENTS.items():
         # Each experiment takes only the flags it reads.  Unset flags stay out
         # of the namespace, so HarnessConfig supplies every default.

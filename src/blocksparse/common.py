@@ -1,8 +1,10 @@
-"""Shared solver plumbing: errors, run reports and input checks."""
+"""Shared solver plumbing: errors, run reports, input checks, and the
+backtracking descent loop under the two smoothed solvers."""
 
 from __future__ import annotations
 
 import numbers
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,3 +111,64 @@ def flat_view(a, shape=None) -> np.ndarray:
     if a.dtype != np.float64 or not a.flags.c_contiguous:
         raise ValueError("a buffer must be a C-contiguous float64 array")
     return a.reshape(-1)
+
+
+def descend(gradient, trial, accept, alpha: float, grow: float, max_iters: int,
+            tol_obj: float, obj: float, t0: float, extra: dict,
+            grad_tol: float = -1.0) -> SolverReport:
+    """Backtracking descent from a point of objective ``obj``: the loop that
+    :func:`blocksparse.rpca.solve_rpca` and
+    :func:`blocksparse.blocktv.denoise_block_tv` share.
+
+    The solver supplies what is its own, as closures over its buffers:
+
+    - ``gradient()`` builds the gradient at the current point and returns
+      its norm; a norm of at most ``grad_tol`` stops the run
+      ``"converged"`` before a step;
+    - ``trial(alpha, obj)`` builds the point a step ``alpha`` away and
+      returns its verdict: true accepts it, false halves ``alpha`` for
+      another trial, and ``None`` stops the run ``"stalled"`` at the
+      current point, for a step below the objective's roundoff;
+    - ``accept(alpha)`` makes the accepted trial the current point and
+      returns its objective and the residual to trace;
+    - ``grow`` multiplies the step after each accepted trial.
+
+    The run stops ``"converged"`` once an iteration changes the objective
+    by at most ``tol_obj`` times its magnitude.  A 61st rejected trial in
+    one iteration raises :class:`NumericalError`, before a stall verdict is
+    honoured, as along a gradient that is not a descent direction.  The
+    report's wall clock runs from ``t0``, and ``extra`` gains ``halvings``,
+    the rejected trials of the run, and ``alpha_final``, the last step.
+    """
+    if not np.isfinite(obj):
+        raise ConfigError("objective is not finite at the starting point")
+    objective_trace, residual_trace = [], []
+    reason = "max-iterations"
+    halvings = 0
+    for _ in range(max_iters):
+        if gradient() <= grad_tol:
+            reason = "converged"
+            break
+        rejected = 0
+        while not (verdict := trial(alpha, obj)):
+            rejected += 1
+            if rejected > 60:
+                raise NumericalError("backtracking failed: no acceptable step after 60 halvings")
+            if verdict is None:
+                break
+            alpha *= 0.5
+        halvings += rejected
+        if verdict is None:
+            reason = "stalled"
+            break
+        obj_new, residual = accept(alpha)
+        objective_trace.append(obj_new)
+        residual_trace.append(residual)
+        if abs(obj - obj_new) <= tol_obj * abs(obj):
+            reason = "converged"
+            break
+        obj = obj_new
+        alpha *= grow
+    extra.update(halvings=halvings, alpha_final=alpha)
+    return SolverReport(objective_trace, residual_trace, reason, iterations=len(objective_trace),
+                        wall_clock=time.perf_counter() - t0, extra=extra)

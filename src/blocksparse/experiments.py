@@ -88,7 +88,7 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 class UsageError(ValueError):
-    """Unknown experiment."""
+    """Unknown experiment, or a flag set that the experiment does not read."""
 
 
 # The fields every experiment reads: its RNG seed, and how the runner runs it.
@@ -114,8 +114,9 @@ class HarnessConfig:
     The fields are the one flag table: each one's metadata holds its option,
     type, check and help, which both :meth:`__post_init__` and the CLI read.
     An experiment reads only :data:`RUNNER_FIELDS` and the fields its
-    :class:`Sweep` declares in ``reads``; it ignores the others, and the CLI
-    rejects them as flags of that experiment.
+    :class:`Sweep` declares in ``reads``.  The CLI rejects the others as
+    flags of that experiment, and the library path, when they differ from
+    their defaults.
     """
 
     seed: int = _flag(0, "--seed", int, "master RNG seed", _check_seed, "seed")
@@ -485,10 +486,18 @@ EXPERIMENTS: dict[str, Sweep] = {
 
 
 def _lookup(name: str, cfg: HarnessConfig) -> tuple[Sweep, int, list[Point]]:
-    """The sweep for ``name``, its resolved clique side, and its points."""
+    """The sweep for ``name``, its resolved clique side, and its points.
+
+    Raises :class:`UsageError` if a field the sweep does not read differs
+    from its default, as the CLI rejects its flag."""
     if name not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {name!r}")
     sweep = EXPERIMENTS[name]
+    reads = sweep.flags()
+    stray = [f.metadata["option"] for f in fields(HarnessConfig)
+             if f not in reads and getattr(cfg, f.name) != f.default]
+    if stray:
+        raise UsageError(f"{name} does not read {', '.join(stray)}")
     side = cfg.clique_side if cfg.clique_side is not None else sweep.side
     return sweep, side, sweep.points(cfg, side)
 
@@ -518,8 +527,9 @@ def run_experiment(name: str, cfg: HarnessConfig) -> Path:
 
     ``memory-benchmark`` writes one row per trial with the measured peaks of
     FBS and of the ADMM prox over every frame of one stack, and their ratio.
-    A trial that raises becomes a row with the failure flag; unknown names
-    raise :class:`UsageError`.
+    A trial that raises becomes a row with the failure flag.  Unknown names,
+    and fields set that the experiment does not read, raise
+    :class:`UsageError` before anything is written.
     With ``cfg.jobs > 1`` trials run on up to ``os.cpu_count()`` ``spawn``
     worker processes with one BLAS thread each.  ``spawn`` re-imports the
     caller's ``__main__`` in every worker, so only callers whose entry code

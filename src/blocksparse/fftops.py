@@ -40,10 +40,9 @@ first entries of the row pass, which is spent by then, so it allocates at
 most that one pass.  The full sum places its input in its output before
 its row pass, so its ``scratch`` may hold that input, which the row pass
 then overwrites; otherwise the input is left intact.  It takes
-NumPy-style ``out=`` and allocates it when it is not given; ``out`` may
-share memory with the input, which the full sum places there by an
-assignment that NumPy makes safe for overlap.  ``scratch`` must not share
-memory with the valid sum's input, nor with the full sum's ``out``.
+NumPy-style ``out=``, which must not share memory with the input, and
+allocates it when it is not given.  ``scratch`` must not share memory with
+the valid sum's input, nor with the full sum's ``out``.
 
 Inputs may carry leading batch axes; the windows slide over the last two.
 The module keeps its old name because the benchmark imports it by that name.
@@ -123,10 +122,12 @@ def box_correlate_full(a: np.ndarray, side: int, out=None, scratch=None) -> np.n
     The input is placed at the bottom right of ``out``, which must be
     C-contiguous, and ``scratch`` (at least the output's size) then holds
     the row pass, so ``scratch`` may hold ``a``, which it then overwrites;
-    otherwise ``a`` is left intact.  ``out`` may share memory with ``a``; ``scratch`` may not
+    otherwise ``a`` is left intact.  Neither ``a`` nor ``scratch`` may
     share memory with ``out``.
     """
     a = np.asarray(a, dtype=float)
+    if out is not None and np.may_share_memory(out, a):
+        raise ValueError("out must not share memory with the input")
     h, w = a.shape[-2:]
     top = side - 1
     shape = a.shape[:-2] + (h + top, w + top)
@@ -135,8 +136,7 @@ def box_correlate_full(a: np.ndarray, side: int, out=None, scratch=None) -> np.n
         out = np.empty(shape)
     flat = flat_view(out, shape)
     # plain assignments into the strided views; a ufunc writing there would
-    # allocate an iteration buffer.  Zeroing after the placement keeps an
-    # input held in out's own storage intact until it is placed
+    # allocate an iteration buffer
     out[..., top:, top:] = a
     out[..., :top, :] = 0.0
     out[..., top:, :top] = 0.0

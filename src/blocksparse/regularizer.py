@@ -90,9 +90,8 @@ def smoothed_weight_map(norms: np.ndarray, side: int, out=None, scratch=None) ->
 
     The reciprocals overwrite ``norms``, which is spent.  ``out`` and
     ``scratch`` go to the full window sum (see
-    :func:`blocksparse.fftops.box_correlate_full`), so with both, and
-    ``out`` apart from ``norms``, the map allocates nothing.  Either may
-    share memory with ``norms``; ``scratch`` may not share memory with
-    ``out``.
+    :func:`blocksparse.fftops.box_correlate_full`), so with both the map
+    allocates nothing.  ``scratch`` may share memory with ``norms``; ``out``
+    may share memory with neither.
     """
     return box_correlate_full(np.divide(1.0, norms, out=norms), side, out=out, scratch=scratch)

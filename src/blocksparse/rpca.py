@@ -5,7 +5,10 @@ Minimizes ``||Z||_* + lam * Jeps(X) + mu/2 * ||Y - Z - X||_F^2`` over an
 penalty applied frame-wise.  Each iteration takes forward gradient steps on
 the smooth terms (block gradient from exact window sums, ``2 (side - 1)``
 adds per pixel and sum) and a backward singular-value-thresholding step on
-the nuclear norm.
+the nuclear norm.  The iterations run in :func:`blocksparse.common.descend`,
+the backtracking loop that block-TV shares, which owns the halving, the
+stops, the traces and the report; the solve supplies its gradient, its
+trial with the majorisation test, its accept step and its growth factor.
 
 Inside the solve the stack is frame-major: ``y`` is read through an ``(L, H,
 W)`` view of the caller's array and never held as a copy of its own, and
@@ -81,18 +84,16 @@ from typing import Optional
 import numpy as np
 
 from .common import (ConfigError, NumericalError, ShapeError, SolverReport, check_count,
-                     check_finite, check_nonnegative, check_positive)
+                     check_finite, check_nonnegative, check_positive, descend)
 from .grids import GridShape, build_clique_system
 from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
-_BACKTRACK_SHRINK = 0.5
 # Unlike block-TV's, the step grows again after each accepted trial.  A step
 # that never grows keeps the smallest step the early iterations needed (half
 # the starting 1/(mu + lam/eps) on the rpca-fbs benchmark) until the
 # iteration cap: there it cut f_measure from 0.911 to 0.765, 0.932 to 0.862
 # and 0.918 to 0.723 at seeds 0-2, and psnr_db by 6-8 dB.
 _BACKTRACK_GROW = 1.25
-_MAX_HALVINGS = 60
 
 # Solver-side smoothing default, relative to the data scale.  The smoothing
 # level bounds the usable step through the gradient's curvature (the initial
@@ -118,12 +119,13 @@ class RpcaConfig:
 
     ``lam=None`` resolves to :func:`default_lambda` for the frame size;
     ``eps=None`` resolves to the scale-relative smoothing default of the
-    observed stack.  Steps are chosen by backtracking line search from the
-    Lipschitz-motivated initial step ``1 / (mu + lam/eps)``.  The run stops
-    once an iteration changes the objective by at most ``tol_obj`` times its
-    magnitude.  That test and the line search's slack are relative with no
-    absolute floor, so scaling ``y`` and ``eps`` by ``c`` and ``mu`` by
-    ``1/c`` leaves the iteration count unchanged.
+    observed stack.  Steps are chosen by the backtracking line search of
+    :func:`blocksparse.common.descend` from the Lipschitz-motivated initial
+    step ``1 / (mu + lam/eps)``, grown by 1.25 after each accepted trial.
+    The run stops once an iteration changes the objective by at most
+    ``tol_obj`` times its magnitude.  That test and the line search's slack
+    are relative with no absolute floor, so scaling ``y`` and ``eps`` by
+    ``c`` and ``mu`` by ``1/c`` leaves the iteration count unchanged.
     """
 
     lam: Optional[float] = None
@@ -311,93 +313,79 @@ def solve_rpca(y, cfg: RpcaConfig) -> RpcaResult:
         out *= mu
         return out
 
-    alpha = 1.0 / (mu + lam / eps)
-
-    objective_trace: list[float] = []
-    residual_trace: list[float] = []
-    reason = "max-iterations"
     # ||y||^2 summed over a frame-major copy, in the order of a contiguous
     # stack; gz's buffer is free until the first window sum
     np.copyto(gz, y)
     y_sq = float(np.einsum("ijk,ijk->", gz, gz))
     # clique norms and smooth part at the current point, later those of the
-    # accepted trial; Z0 = 0 has nuclear norm 0
+    # accepted trial; Z0 = 0 has nuclear norm 0.  The smooth part at the
+    # current point, the squared gradient norm, and the last trial's z,
+    # singular values and squared residual live across the closures
     norms = smoothed_clique_norms(np.multiply(x, x, out=step), side, eps, scratch=gz)
     h_new = lam * float(norms.sum()) + 0.5 * mu * y_sq
-    if not math.isfinite(h_new):
-        # finite data whose squares overflow: every trial would compare inf
-        raise ConfigError("objective is not finite at the starting point")
-    obj_prev = h_new
-    extra = {"lambda": lam, "epsilon": eps, "mu": mu}
-    total_halvings = 0
+    h_old = grad_sq = resid_sq = z_new = svals = None
 
-    for _ in range(cfg.max_iters):
+    def gradient():
+        """``gx = lam * x * weights + gz`` and ``gz`` at the current point,
+        built in place: the weights over the norms, with gz's buffer, which
+        holds them, as their row pass.  Returns the gradient's norm."""
+        nonlocal h_old, grad_sq, gx
         h_old = h_new
-        # gx = lam * x * weights + gz, built in place: the weights over the
-        # norms, with gz's buffer, which holds them, as their row pass
         smoothed_weight_map(norms, side, out=gx, scratch=gz)
         gx *= x
         gx *= lam
         gx += smooth_gradient(gz)
         grad_sq = float(np.einsum("ijk,ijk->", gx, gx) + np.einsum("ijk,ijk->", gz, gz))
+        return math.sqrt(grad_sq)
 
-        halvings = 0
-        while True:
-            # the step buffer holds z - alpha*gz for the SVT, then the trial's
-            # x - alpha*gx, then its squares, which the window sum spends;
-            # gz's buffer takes the residual (y - z_new) - x_new first
-            np.multiply(gz, -alpha, out=step)
-            step += z
-            z_new, s, svals = _svd_soft(step.reshape(n_frames, -1), alpha)
-            z_new = z_new.reshape(y.shape)
-            np.multiply(gx, -alpha, out=step)
-            step += x
-            np.copyto(gz, y)
-            gz -= z_new
-            gz -= step
-            resid_sq = _sum_sq(gz)
-            norms = smoothed_clique_norms(np.multiply(step, step, out=step), side, eps,
-                                          scratch=gz)
-            h_new = lam * float(norms.sum()) + 0.5 * mu * resid_sq
-            # the majorisation at the trial: the gradient terms of both steps
-            # give -alpha/2 * grad_sq, and the SVT's move min(s, alpha) per
-            # singular value adds its squared norm over 2*alpha
-            model = (h_old - 0.5 * alpha * grad_sq
-                     + float(np.square(s - svals).sum()) / (2.0 * alpha))
-            # the slack allows for roundoff.  At 2e-12 it accepts the same
-            # trials in the benchmark, where none comes within 1e-8 |h_old|
-            # of the model; in the tests a few trials do, and their checks'
-            # tolerances do not see the changed iterates
-            if h_new <= model + 1e-12 * abs(h_old):
-                break
-            z_new = None  # rejected trial, freed before the next SVT
-            halvings += 1
-            if halvings > _MAX_HALVINGS:
-                raise NumericalError("backtracking failed; the smooth gradient is suspect")
-            alpha *= _BACKTRACK_SHRINK
-            # the trial spent gz; rebuilt by the same operations, same bits
-            smooth_gradient(gz)
-
-        total_halvings += halvings
-        # the accepted trial's x, rebuilt by the trial's two operations
+    def trial(alpha, obj):
+        """The forward-backward point at step ``alpha``, accepted on the
+        majorisation test."""
+        nonlocal z_new, svals, resid_sq, norms, h_new, step, gz
+        # the step buffer holds z - alpha*gz for the SVT, then the trial's
+        # x - alpha*gx, then its squares, which the window sum spends;
+        # gz's buffer takes the residual (y - z_new) - x_new first
+        np.multiply(gz, -alpha, out=step)
+        step += z
+        z_new, s, svals = _svd_soft(step.reshape(n_frames, -1), alpha)
+        z_new = z_new.reshape(y.shape)
         np.multiply(gx, -alpha, out=step)
-        x += step
+        step += x
+        np.copyto(gz, y)
+        gz -= z_new
+        gz -= step
+        resid_sq = _sum_sq(gz)
+        norms = smoothed_clique_norms(np.multiply(step, step, out=step), side, eps,
+                                      scratch=gz)
+        h_new = lam * float(norms.sum()) + 0.5 * mu * resid_sq
+        # the majorisation at the trial: the gradient terms of both steps
+        # give -alpha/2 * grad_sq, and the SVT's move min(s, alpha) per
+        # singular value adds its squared norm over 2*alpha
+        model = (h_old - 0.5 * alpha * grad_sq
+                 + float(np.square(s - svals).sum()) / (2.0 * alpha))
+        # the slack allows for roundoff.  At 2e-12 it accepts the same
+        # trials in the benchmark, where none comes within 1e-8 |h_old|
+        # of the model; in the tests a few trials do, and their checks'
+        # tolerances do not see the changed iterates
+        if h_new <= model + 1e-12 * abs(h_old):
+            return True
+        z_new = None  # rejected trial, freed before the next SVT
+        # the trial spent gz; rebuilt by the same operations, same bits
+        smooth_gradient(gz)
+        return False
+
+    def accept(alpha):
+        """The accepted trial's ``x``, rebuilt by the trial's two
+        operations, and its ``z``."""
+        nonlocal z
+        np.multiply(gx, -alpha, out=step)
+        np.add(x, step, out=x)
         z = z_new
-        obj = h_new + float(svals.sum())
-        objective_trace.append(obj)
-        residual_trace.append(math.sqrt(resid_sq))
+        return h_new + float(svals.sum()), math.sqrt(resid_sq)
 
-        if abs(obj_prev - obj) <= cfg.tol_obj * abs(obj_prev):
-            reason = "converged"
-            break
-        obj_prev = obj
-        alpha *= _BACKTRACK_GROW
-
+    report = descend(gradient, trial, accept, 1.0 / (mu + lam / eps), _BACKTRACK_GROW,
+                     cfg.max_iters, cfg.tol_obj, h_new, t0,
+                     {"lambda": lam, "epsilon": eps, "mu": mu})
     # the last SVT's shrunk values are the singular values of z
-    extra["rank"] = _rank_of(svals, 1e-8)
-    extra["alpha_final"] = alpha
-    extra["halvings"] = total_halvings
-    report = SolverReport(objective_trace, residual_trace, reason,
-                          iterations=len(objective_trace),
-                          wall_clock=time.perf_counter() - t0, extra=extra)
+    report.extra["rank"] = _rank_of(svals, 1e-8)
     return RpcaResult(np.moveaxis(x, 0, -1), np.moveaxis(z, 0, -1), report)

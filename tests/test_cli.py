@@ -36,12 +36,17 @@ def test_bad_flag_usage_error(tmp_path, capsys):
                   for f in fields(HarnessConfig) if f not in sweep.flags()]
     assert len(undeclared) == 17
     assert ("memory-benchmark", "--lambda") in undeclared
+    capsys.readouterr()
     for name, option in undeclared:
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             main([name, "--trials", "1", option, "1", "--out-dir", str(out)])
         assert exc.value.code == 2, (name, option)
         assert not out.exists(), (name, option)
+        # the experiment's own parser reports it, with the experiment's usage
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: blocksparse {name} [-h] [--seed SEED]"), (name, err)
+        assert err.endswith(f"blocksparse {name}: error: unrecognized arguments: {option} 1\n")
     # and every flag it does read is in its help
     for name, sweep in EXPERIMENTS.items():
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from blocksparse import (BlockTvConfig, ColampConfig, ConfigError, GridShape,
                          build_clique_system, colamp_solve, default_lambda, denoise_block_tv,
                          experiments, prox_block_norm, psnr_db, relative_error, solve_rpca,
                          support_prf, support_set, svt)
+from blocksparse import common
 from blocksparse.common import check_finite, check_nonnegative, check_positive
 from blocksparse.experiments import HarnessConfig
 
@@ -210,3 +211,92 @@ def test_range_checks_reject_the_value_by_name(build, name, bad, message):
 def test_count_checks_reject_the_value_by_name(build, name, bad, message):
     with pytest.raises(ConfigError, match=f"^{name} must be {message}"):
         build(bad)
+
+
+class _ScriptedSolver:
+    """A stand-in for a smoothed solver under ``common.descend``: each trial
+    returns the next scripted verdict, and each accepted trial lowers the
+    objective by 1 and traces its step as the residual."""
+
+    def __init__(self, verdicts, gnorm=1.0, obj=10.0):
+        self.verdicts = iter(verdicts)
+        self.gnorm, self.obj = gnorm, obj
+        self.gradients, self.trials, self.accepted = 0, [], []
+
+    def gradient(self):
+        self.gradients += 1
+        return self.gnorm
+
+    def trial(self, alpha, obj):
+        self.trials.append((alpha, obj))
+        return next(self.verdicts)
+
+    def accept(self, alpha):
+        self.accepted.append(alpha)
+        self.obj -= 1.0
+        return self.obj, alpha
+
+    def run(self, max_iters=3, grow=2.0, tol_obj=0.0, **kw):
+        return common.descend(self.gradient, self.trial, self.accept, 1.0, grow, max_iters,
+                              tol_obj, self.obj, time.perf_counter(), {"tag": 1}, **kw)
+
+
+def test_descend_halves_on_rejection_and_grows_after_acceptance_only():
+    stub = _ScriptedSolver([False, False, True, True, False, True])
+    report = stub.run()
+    # each trial sees the objective at the current point
+    assert stub.trials == [(1.0, 10.0), (0.5, 10.0), (0.25, 10.0), (0.5, 9.0), (1.0, 8.0),
+                           (0.5, 8.0)]
+    assert stub.accepted == [0.25, 0.5, 0.5]
+    assert report.objective_trace == [9.0, 8.0, 7.0]
+    assert report.residual_trace == [0.25, 0.5, 0.5]
+    assert report.termination_reason == "max-iterations"
+    assert report.iterations == 3
+    assert report.extra == {"tag": 1, "halvings": 3, "alpha_final": 1.0}
+    assert 0.0 <= report.wall_clock
+
+
+def test_descend_stops_on_the_relative_objective_change():
+    # from -10 the steps change the objective by 1/10, 1/11 and 1/12 of its
+    # magnitude, and only the third is at most tol_obj
+    stub = _ScriptedSolver([True] * 5, obj=-10.0)
+    report = stub.run(max_iters=5, tol_obj=0.085)
+    assert report.termination_reason == "converged"
+    assert report.objective_trace == [-11.0, -12.0, -13.0]
+    assert report.extra["alpha_final"] == 4.0  # grown after the first two steps only
+
+
+def test_descend_raises_on_the_61st_rejection_before_a_stall():
+    stub = _ScriptedSolver([True] + [False] * 60 + [None])
+    with pytest.raises(common.NumericalError,
+                       match="^backtracking failed: no acceptable step after 60 halvings$"):
+        stub.run()
+    assert len(stub.trials) == 1 + 61
+    assert stub.trials[-1] == (2.0 * 0.5 ** 60, 9.0)
+
+
+def test_descend_stalls_without_a_trace_entry():
+    stub = _ScriptedSolver([True, False, None])
+    report = stub.run()
+    assert report.termination_reason == "stalled"
+    assert stub.accepted == [1.0]
+    assert report.objective_trace == [9.0] and report.iterations == 1
+    # the stalled trial counts as a halving, and its step is the last
+    assert report.extra == {"tag": 1, "halvings": 2, "alpha_final": 1.0}
+
+
+def test_descend_stops_on_the_gradient_norm_before_a_step():
+    stub = _ScriptedSolver([], gnorm=0.5)
+    report = stub.run(grad_tol=0.5)
+    assert report.termination_reason == "converged"
+    assert report.iterations == 0 and report.objective_trace == []
+    assert stub.gradients == 1 and stub.trials == []
+    assert report.extra == {"tag": 1, "halvings": 0, "alpha_final": 1.0}
+
+
+@pytest.mark.parametrize("obj", [math.nan, math.inf, -math.inf])
+def test_descend_rejects_a_nonfinite_start(obj):
+    stub = _ScriptedSolver([], obj=obj)
+    with pytest.raises(ConfigError, match="^objective is not finite at the starting point$"):
+        stub.run()
+    assert stub.gradients == 0

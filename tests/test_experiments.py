@@ -5,8 +5,8 @@ import pytest
 
 from blocksparse import experiments
 from blocksparse.common import ConfigError
-from blocksparse.experiments import (CSV_COLUMNS, HarnessConfig, UsageError, resolve_config,
-                                     run_experiment, write_rows)
+from blocksparse.experiments import (CSV_COLUMNS, EXPERIMENTS, HarnessConfig, UsageError,
+                                     resolve_config, run_experiment, write_rows)
 
 import helpers
 
@@ -22,6 +22,19 @@ def test_unknown_experiment_raises():
         run_experiment("mystery-sweep", HarnessConfig())
     with pytest.raises(UsageError):
         resolve_config("mystery-sweep", HarnessConfig())
+
+
+def test_library_path_rejects_fields_the_experiment_does_not_read(tmp_path):
+    # as the CLI rejects the flags: memory-benchmark reads none of these
+    out = tmp_path / "out"
+    cfg = HarnessConfig(out_dir=str(out), lam=0.2, mu=3.0, k_sparsity=41)
+    for call in (resolve_config, run_experiment):
+        with pytest.raises(UsageError,
+                           match="^memory-benchmark does not read --lambda, --mu, --k-sparsity$"):
+            call("memory-benchmark", cfg)
+    assert not out.exists()
+    # a field at its default cannot be told from an unset one
+    assert resolve_config("memory-benchmark", HarnessConfig(k_sparsity=40))["clique_side"] == 10
 
 
 def test_write_rows_validates_columns(tmp_path):
@@ -279,7 +292,9 @@ def test_dump_config_lists_the_points_the_sweep_runs(tmp_path, monkeypatch, name
     # Failure rows carry every parameter column, so stubbed solvers keep this fast.
     for solver in ("colamp_solve", "denoise_block_tv", "solve_rpca"):
         monkeypatch.setattr(experiments, solver, refuse)
-    cfg = small_cfg(tmp_path, trials=1, **flags)
+    # each flag goes only to the sweeps that read it
+    reads = {f.name for f in EXPERIMENTS[name].flags()}
+    cfg = small_cfg(tmp_path, trials=1, **{k: v for k, v in flags.items() if k in reads})
     dump = resolve_config(name, cfg)
     baseline, columns = _SWEEP_COLUMNS[name]
     swept = ("clique_side", "m_over_k", "snr_db", "lam", "input_psnr_db")

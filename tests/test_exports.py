@@ -29,7 +29,7 @@ DELETED = {
     pursuit: ("cg_solve_normal",),
     regularizer: ("block_norm_smoothed_grad_fft", "_clique_sq_norms", "default_epsilon",
                   "block_norm_smoothed", "block_norm_smoothed_grad", "_checked"),
-    rpca: ("rpca_objective", "numerical_rank"),
+    rpca: ("rpca_objective", "numerical_rank", "_BACKTRACK_SHRINK", "_MAX_HALVINGS"),
     metrics: ("measured_snr_db",),
     matrixio: ("read_pgm", "write_matrix", "read_matrix", "quantize", "_MATRIX_MAGIC"),
     experiments: ("read_csv_without_timing", "UNREPEATABLE_COLUMNS"),

@@ -247,15 +247,16 @@ def test_out_may_share_memory_with_the_input(side):
         assert at_front_of(got, scratch)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(buffer[:h - side + 1, :w - side + 1], want)
-    # the full sum's input may be a view of its output's own storage
+    # the full sum's input may not be a view of its output's own storage
     buffer = np.empty((h + side - 1, w + side - 1))
     a = rng.standard_normal((h, w))
     want = box_correlate_full(a, side)
     placed = buffer.reshape(-1)[:h * w].reshape(h, w)
     placed[...] = a
-    np.testing.assert_array_equal(box_correlate_full(placed, side, out=buffer), want)
-    # and the front of its scratch: it is placed in out before the row pass
-    # overwrites scratch
+    with pytest.raises(ValueError, match="^out must not share memory with the input$"):
+        box_correlate_full(placed, side, out=buffer)
+    # but it may be the front of its scratch: it is placed in out before the
+    # row pass overwrites scratch
     scratch = np.empty(buffer.size)
     held = scratch[:h * w].reshape(h, w)
     held[...] = a

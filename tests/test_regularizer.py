@@ -247,11 +247,9 @@ def test_weight_map_without_scratch_spends_its_norms():
 
 def test_evaluator_out_may_share_memory_with_its_input():
     # the clique norms come back at the front of scratch, over the row pass
-    # they spent.  The weight map may write over the norms it reads, with
-    # the spent squares as its row pass, or take the norms' own buffer as
-    # its row pass, as block-TV does.  Without scratch the norms are at the
-    # front of a new array, and the weight map may still write over norms
-    # placed at the front of its output
+    # they spent.  The weight map may take the norms' own buffer as its row
+    # pass, as block-TV does, but may not write over the norms it reads.
+    # Without scratch the norms are at the front of a new array
     rng = np.random.default_rng(13)
     h, w, side, eps = 6, 7, 3, 0.1
     sq = rng.uniform(0.0, 2.0, (h, w))
@@ -261,8 +259,8 @@ def test_evaluator_out_may_share_memory_with_its_input():
     norms = smoothed_clique_norms(buffer, side, eps, scratch=scratch)
     assert helpers.at_front_of(norms, scratch)
     np.testing.assert_array_equal(norms, want_norms)
-    assert smoothed_weight_map(norms, side, out=scratch, scratch=buffer) is scratch
-    np.testing.assert_array_equal(scratch, want_weights)
+    with pytest.raises(ValueError, match="^out must not share memory with the input$"):
+        smoothed_weight_map(norms, side, out=scratch, scratch=buffer)
     buffer, out = sq.copy(), np.empty((h, w))
     norms = smoothed_clique_norms(buffer, side, eps, scratch=scratch)
     assert smoothed_weight_map(norms, side, out=out, scratch=scratch) is out
@@ -275,5 +273,5 @@ def test_evaluator_out_may_share_memory_with_its_input():
     np.testing.assert_array_equal(norms, want_norms)
     placed = buffer.reshape(-1)[:norms.size].reshape(norms.shape)
     placed[...] = norms
-    assert smoothed_weight_map(placed, side, out=buffer) is buffer
-    np.testing.assert_array_equal(buffer, want_weights)
+    with pytest.raises(ValueError, match="^out must not share memory with the input$"):
+        smoothed_weight_map(placed, side, out=buffer)
