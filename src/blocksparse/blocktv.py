@@ -16,48 +16,65 @@ and half of all trials are rejected.
 The clique norms and their scatter come from the regularizer's evaluator
 pair, exact window sums of the per-pixel squared gradient magnitude
 ``dh^2 + dv^2``.  Each evaluation of the objective returns, with its value,
-the smoothed clique norms and residual ``x - y`` it computed.  The line
-search keeps those of the trial it accepts, and the next gradient is built
-from them, so an iteration makes one valid window sum per trial and one full
-window sum for its gradient: the accepted point is never evaluated twice.
-The gradient rebuilds the forward differences of the accepted point, two
-subtractions, rather than keep them from its evaluation in two more images.
+the smoothed clique norms it computed.  The line search keeps those of the
+trial it accepts, and the next gradient is built from them, so an iteration
+makes one valid window sum per trial and one full window sum for its
+gradient: the accepted point is never evaluated twice.  The gradient
+rebuilds the forward differences of the accepted point, two subtractions,
+and its residual ``x - y``, one more, rather than keep them from its
+evaluation in three more images.
 
-Besides its copy ``x`` of the input, a solve allocates one block of four
-image-sized arrays, before the first iteration:
+Besides its iterate ``x``, the solve's own copy of the input, a solve
+allocates one block of three image-sized arrays, before the first
+iteration:
 
-- ``sq`` takes an evaluation's horizontal differences, squared in place,
-  adds the squared vertical ones to them, and then, once the valid window
-  sum has spent it, the residual;
-- ``scratch`` takes the vertical differences, then the valid window sum's
-  row pass and, at its front, the clique norms, then the full window sum's
-  row pass, then the rebuilt horizontal differences;
+- ``scratch`` takes each trial point ``x - alpha * g``, which its
+  evaluation spends: the point's vertical differences overwrite it, are
+  squared in place, and then the valid window sum's row pass and, at its
+  front, the clique norms take it; then the full window sum's row pass,
+  then the rebuilt horizontal differences of ``x``;
+- ``sq`` takes a trial's residual, then its horizontal differences,
+  squared in place, to which the squared vertical ones are added, for the
+  valid window sum to spend; then the rebuilt vertical differences of
+  ``x``, then the residual ``x - y``;
 - ``free`` takes the weight map and then the gradient, in every
-  iteration;
-- ``spare`` takes the rebuilt vertical differences and then the line
-  search's trial points, and trades places with ``x`` when a trial is
-  accepted.
+  iteration, and, once a trial is accepted, ``alpha * g``.
 
-The evaluator pair, the window sums and the difference operators fill them
-through their ``out=`` and ``scratch=`` arguments, under the window sums'
-buffer rule (:mod:`blocksparse.fftops`).  The weight map spends the norms:
-it forms their reciprocals in place and places them in its own buffer
-before its full window sum's row pass overwrites the scratch image.  The
-gradient is built in the weight map's buffer, as :mod:`blocksparse.rpca`
-builds its, by the adjoint of the rebuilt differences times the map.  An
-accepted trial's buffer becomes ``x``, and ``x``'s takes the next trial
-point, so an iteration allocates nothing image-sized.  ``x`` is returned in
-the solve's own copy of the input, not as a view that would keep the block
-alive.  Each buffer is filled by the operations, in the order, that made
-a new array before, so the iterates are those of a solve that allocates.
-Block-TV still reaches the window sums only through the names
-:mod:`blocksparse.regularizer` binds, and uses the arrays its calls return.
-The difference operators work on the flattened image, as the window sums
-do, and fix up the one column a shift carries across a row's end.
+A trial point is spent where it is formed.  Its residual is summed first,
+then its horizontal differences are taken, and then its vertical ones
+overwrite it: a shift by one row that runs forward reads each entry before
+the pass writes it, and NumPy's overlap check sees that and makes no copy.
+An accepted trial is not kept: ``x`` is stepped in place by the trial's
+two operations, ``x - alpha * g``, which give the same bits.
+
+The block takes one page more than its three images, to place each at
+least ``_NEAR`` bytes, modulo the page size, from the others and from ``x``
+and ``y``.  Every pass of the solve writes one of these arrays while it
+reads others, often a few entries from where it writes, and an allocator
+that packs them leaves them 0 or 16 bytes apart modulo the page: a store
+and a later load that close look dependent to the CPU.
+
+The evaluator pair, the window sums and the difference operators fill the
+buffers through their ``out=`` and ``scratch=`` arguments, under the window
+sums' buffer rule (:mod:`blocksparse.fftops`).  The weight map spends the
+norms: it forms their reciprocals in place and places them in its own
+buffer before its full window sum's row pass overwrites the scratch image.
+The gradient is built in the weight map's buffer, as :mod:`blocksparse.rpca`
+builds its, by the adjoint of the rebuilt differences times the map, and
+the residual rebuilt in ``sq`` is added to it.  So an iteration allocates
+nothing image-sized, and ``x`` is returned as it is, not as a view that
+would keep the block alive.  Each buffer is filled by the operations, in
+the order, that made a new array before, so the iterates are those of a
+solve that allocates.  Block-TV still reaches the window sums only through
+the names :mod:`blocksparse.regularizer` binds, and uses the arrays its
+calls return.  The difference operators work on the flattened image, as the
+window sums do, and fix up the one column a shift carries across a row's
+end.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -70,6 +87,12 @@ from .grids import GridShape, build_clique_system
 from .regularizer import smoothed_clique_norms, smoothed_weight_map
 
 _EPS = float(np.finfo(float).eps)
+# a store and a later load whose addresses lie within about a cache line of
+# each other modulo the page size look dependent to the CPU: alone, a 128x128
+# subtraction whose output sat 8 to 48 bytes from an input there ran twice as
+# long
+_PAGE = 4096
+_NEAR = 128  # bytes: a cache line, and a shift by up to 7 entries
 
 
 class GradientField(NamedTuple):
@@ -86,27 +109,52 @@ def _check_apart(out, *inputs) -> None:
         raise ValueError("out must not share memory with the input")
 
 
+def _image_block(k: int, shape: tuple, *apart) -> list:
+    """``k`` new images of ``shape`` from one allocation, whose offsets
+    modulo the page size lie at least ``_NEAR`` bytes from one another's and
+    from those of the arrays in ``apart``, at most ``8 - k`` of them."""
+    n = math.prod(shape)
+    page = _PAGE // 8  # entries
+    stride = -(-n // page) * page  # whole pages per image
+    block = np.empty(k * stride + page)
+    taken = [a.ctypes.data % _PAGE for a in apart]
+    # of eight places 512 bytes apart, each array in apart rules out at most one
+    places = [c for c in range(0, _PAGE, 512)
+              if all(_NEAR <= (c - t) % _PAGE <= _PAGE - _NEAR for t in taken)]
+    # each image starts less than a page into its stride, in increasing
+    # order, so the images do not overlap
+    starts = sorted((c - block.ctypes.data) % _PAGE // 8 for c in places[:k])
+    return [block[i * stride + j:i * stride + j + n].reshape(shape) for i, j in enumerate(starts)]
+
+
 def discrete_gradient(x, out: Optional[GradientField] = None) -> GradientField:
     """Forward-difference gradient with zero last row/column.
 
     ``out``, a pair of C-contiguous float arrays shaped like ``x``, receives
-    the two channels in place of new arrays; it must not share memory with
-    ``x``.
+    the two channels in place of new arrays.  Its ``dh`` must not share
+    memory with ``x``, nor its ``dv``, unless ``dv`` is ``x`` itself, a
+    C-contiguous float array: its vertical differences then overwrite it,
+    once the horizontal ones are taken.
     """
-    x = np.ascontiguousarray(x, dtype=float)
+    in_place = out is not None and out.dv is x
+    if not in_place:
+        x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"expected a 2-D image, got shape {x.shape}")
     if out is None:
         out = GradientField(np.empty_like(x), np.empty_like(x))
     else:
-        _check_apart(out, x)
+        _check_apart(out[:1] if in_place else out, x)
     dh, dv = out
-    # the horizontal differences of the flattened image; the one across each
-    # row's end lands in the last column, which is then zeroed
-    flat = x.reshape(-1)
+    # the differences of the flattened image by one entry and by one row;
+    # the horizontal one across each row's end lands in the last column,
+    # which is then zeroed.  Both shifts run forward, so the vertical one
+    # may overwrite its own input: each entry is read before it is written
+    flat = flat_view(x)
+    n, w = flat.size, x.shape[1]
     np.subtract(flat[1:], flat[:-1], out=flat_view(dh, x.shape)[:-1])
     dh[:, -1:] = 0.0
-    np.subtract(x[1:], x[:-1], out=dv[:-1])
+    np.subtract(flat[w:], flat[:n - w], out=flat_view(dv, x.shape)[:n - w])
     dv[-1:] = 0.0
     return GradientField(dh, dv)
 
@@ -193,32 +241,38 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
     side = build_clique_system(shape, cfg.clique_side).side  # rejects a side that does not fit
     t0 = time.perf_counter()
 
-    # one block of buffers per solve, so that an iteration allocates nothing
-    # image-sized; the module docstring gives each buffer's roles
-    sq, scratch, free, spare = np.empty((4,) + y.shape)
+    # the iterate, and one block of buffers per solve placed apart from it
+    # and y, so that an iteration allocates nothing image-sized; the module
+    # docstring gives each buffer's roles
+    x = y.copy()
+    sq, scratch, free = _image_block(3, y.shape, x, y)
 
     if cfg.eps is not None:
         eps = cfg.eps
     else:
-        d = discrete_gradient(y, out=GradientField(sq, scratch))
-        eps = 1e-4 * max(1.0, float(np.abs(d.dh).max()), float(np.abs(d.dv).max()))
+        # max|d| read as max(max d, -min d), which is exact and makes no |d|
+        dh, dv = discrete_gradient(y, out=GradientField(sq, scratch))
+        eps = 1e-4 * max(1.0, float(dh.max()), -float(dh.min()),
+                         float(dv.max()), -float(dv.min()))
     lam = float(cfg.lam)
 
-    def evaluate(x):
-        """Objective at ``x`` and the smoothed clique norms it was computed
-        from.  Its residual ``x - y`` is left in ``sq``: with the norms, the
-        state :func:`gradient` needs."""
-        dh, dv = discrete_gradient(x, out=GradientField(sq, scratch))
+    def evaluate(t):
+        """Objective at ``t``, a point in ``scratch``, which it spends, and
+        the smoothed clique norms it was computed from, at ``scratch``'s
+        front."""
+        resid = np.subtract(t, y, out=sq)
+        fit = 0.5 * float(np.vdot(resid, resid))
+        # the vertical differences overwrite t
+        dh, dv = discrete_gradient(t, out=GradientField(sq, t))
         dh *= dh
         dv *= dv
         dh += dv  # in sq
-        # the window sum spends sq, which then takes the residual
+        # the window sum spends sq, and its row pass spends scratch
         norms = smoothed_clique_norms(sq, side, eps, scratch=scratch)
-        resid = np.subtract(x, y, out=sq)
-        return 0.5 * float(np.vdot(resid, resid)) + lam * float(norms.sum()), norms
+        return fit + lam * float(norms.sum()), norms
 
-    x = own = y.copy()
-    obj, norms = evaluate(x)
+    np.copyto(scratch, x)
+    obj, norms = evaluate(scratch)
     # the gradient's squared norm and norm, and the last trial's objective,
     # live across the closures
     gsq = gnorm = obj_new = None
@@ -228,23 +282,25 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         evaluated, ``D`` the forward difference, built in ``free``, which
         first takes the weight map; returns its norm.  It spends ``norms``,
         and ``scratch``, which holds them, takes the full window sum's row
-        pass, then with ``spare`` the rebuilt ``D x``."""
+        pass, then with ``sq`` the rebuilt ``D x``; ``sq`` then takes the
+        residual."""
         nonlocal gsq, gnorm
         weight_map = smoothed_weight_map(norms, side, out=free, scratch=scratch)
-        d = discrete_gradient(x, out=GradientField(scratch, spare))
+        d = discrete_gradient(x, out=GradientField(scratch, sq))
         for channel in d:
             channel *= weight_map
         g = discrete_gradient_adjoint(d, out=free)
         g *= lam
-        g += sq
+        g += np.subtract(x, y, out=sq)
         gsq = float(np.vdot(g, g))
         gnorm = float(np.sqrt(gsq))
         return gnorm
 
     def trial(alpha, obj):
-        """``x - alpha * g`` in ``spare``, accepted on Armijo's test."""
+        """``x - alpha * g`` in ``scratch``, accepted on Armijo's test."""
         nonlocal obj_new, norms
-        obj_new, norms = evaluate(np.subtract(x, np.multiply(free, alpha, out=spare), out=spare))
+        obj_new, norms = evaluate(np.subtract(x, np.multiply(free, alpha, out=scratch),
+                                              out=scratch))
         # strict decrease guards against roundoff plateaus spuriously
         # satisfying the Armijo inequality at vanishing steps
         if obj_new <= obj - 1e-4 * alpha * gsq and obj_new < obj:
@@ -254,16 +310,11 @@ def denoise_block_tv(y, cfg: BlockTvConfig) -> tuple[np.ndarray, SolverReport]:
         return None if alpha * gsq <= _EPS * abs(obj) else False
 
     def accept(alpha):
-        """The accepted trial's buffer becomes ``x``, and ``x``'s takes the
-        next trial."""
-        nonlocal x, spare
-        x, spare = spare, x
+        """The accepted trial, rebuilt in ``x`` by the trial's two
+        operations: the same bits."""
+        np.subtract(x, np.multiply(free, alpha, out=free), out=x)
         return obj_new, gnorm
 
     report = descend(gradient, trial, accept, 1.0, 1.0, cfg.max_iters, cfg.tol_obj, obj, t0,
                      {"epsilon": eps}, grad_tol=1e-12 * float(np.linalg.norm(y)))
-    if x is not own:
-        # a view into the block would keep the block alive with it
-        np.copyto(own, x)
-        x = own
     return x, report

@@ -80,7 +80,9 @@ vector, which carries ``mean(q)`` from the end of one iteration to the
 x-update of the next.  An estimate of the penalty (below) keeps two
 n-vectors from two iterations before it and allocates three more, a checked
 iteration allocates two (the gap's valid window sum's row pass and ``ubar``,
-below), and the scaling of the tiles ``n/side`` factors.
+below), and the scaling of the tiles ``n/side`` factors.  An estimate
+iteration takes its products before its gap check, and frees its five
+vectors before ``ubar`` is allocated.
 
 **Adaptive penalty.**  Every solve starts at ``x = v``, ``z^i = v``,
 ``u^i = 0`` and ``rho0 = 1 + RHO_START_WEIGHT*lam/max|v|`` (1 when ``v = 0``),
@@ -727,6 +729,16 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
                 del q0
             if keep:
                 kept, copy0 = copy0, None
+            if estimate:
+                # rd/rho = sqrt(s) ||zbar_k - zbar_{k-1}||, and the sampled
+                # products, taken before the gap check so that their vectors
+                # are freed before it allocates
+                zbar_prev -= rbar
+                zbar_prev -= work
+                zbar_step = math.sqrt(s * float(zbar_prev @ zbar_prev))
+                primal_sq, dz_sq, dzu, du_sq = _sampled_products(kept, copy0, x, s)
+                del zbar_prev
+                kept = copy0 = None
 
             if checked:
                 # D = <g, v> - ||g||^2/4 at the feasible dual point
@@ -761,15 +773,7 @@ def prox_block_norm(v, cliques: CliqueSystem, cfg: ProxConfig, *,
 
             f = 1.0  # rho_old / rho_new
             if estimate and reason == "max-iterations":
-                # rd/rho = sqrt(s) ||zbar_k - zbar_{k-1}||
-                zbar_prev -= rbar
-                zbar_prev -= work
-                zbar_step = math.sqrt(s * float(zbar_prev @ zbar_prev))
-                primal_sq, dz_sq, dzu, du_sq = _sampled_products(kept, copy0, x, s)
                 f = penalty.step(k, rho, math.sqrt(primal_sq), zbar_step, dz_sq, dzu, du_sq)
-            if estimate:
-                del zbar_prev
-                kept = copy0 = None
             if f != 1.0:
                 # U becomes f*U and Z stays, so -rho*U stays put
                 rho /= f

@@ -92,6 +92,9 @@ def smoothed_weight_map(norms: np.ndarray, side: int, out=None, scratch=None) ->
     ``scratch`` go to the full window sum (see
     :func:`blocksparse.fftops.box_correlate_full`), so with both the map
     allocates nothing.  ``scratch`` may share memory with ``norms``; ``out``
-    may share memory with neither.
+    may share memory with neither, and one that shares memory with
+    ``norms`` raises ``ValueError`` before the norms are spent.
     """
+    if out is not None and np.may_share_memory(out, norms):
+        raise ValueError("out must not share memory with the input")
     return box_correlate_full(np.divide(1.0, norms, out=norms), side, out=out, scratch=scratch)

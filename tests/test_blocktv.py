@@ -60,6 +60,12 @@ def test_gradient_buffers_give_the_allocating_result(shape):
     assert got.dh is out.dh and got.dv is out.dv
     np.testing.assert_array_equal(got.dh, want.dh)
     np.testing.assert_array_equal(got.dv, want.dv)
+    # with out.dv the image itself, the vertical differences overwrite it
+    # once the horizontal ones are taken, with the same bits
+    dh, t = np.full(shape, np.nan), x.copy()
+    got = discrete_gradient(t, out=GradientField(dh, t))
+    assert got.dh is dh and got.dv is t
+    assert dh.tobytes() == want.dh.tobytes() and t.tobytes() == want.dv.tobytes()
     # the adjoint ignores the last column of dh and the last row of dv
     g = GradientField(rng.standard_normal(shape), rng.standard_normal(shape))
     want = discrete_gradient_adjoint(g)
@@ -79,6 +85,29 @@ def test_gradient_out_must_not_share_memory_with_the_input():
         discrete_gradient_adjoint(g, out=g.dv)
     with pytest.raises(ValueError, match="C-contiguous float64"):
         discrete_gradient(x, out=GradientField(np.empty((4, 3)).T, np.empty_like(x)))
+    # only x itself may take the vertical channel, and only a C-contiguous
+    # float64 x: not a view of it, nor with the horizontal channel over it
+    with pytest.raises(ValueError, match="out must not share memory"):
+        discrete_gradient(x, out=GradientField(np.empty_like(x), x[:]))
+    with pytest.raises(ValueError, match="out must not share memory"):
+        discrete_gradient(x, out=GradientField(x, x))
+    f = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        discrete_gradient(f, out=GradientField(np.empty_like(f), f))
+
+
+def test_the_in_place_vertical_shift_makes_no_copy():
+    # the shift by one row runs forward, so NumPy's overlap check lets the
+    # subtraction write over its own input; a copy would trace a whole image
+    x = np.random.default_rng(12).standard_normal((128, 128))
+    dh = np.empty_like(x)
+    tracemalloc.start()
+    try:
+        discrete_gradient(x, out=GradientField(dh, x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes / 64, f"{peak} bytes"
 
 
 def test_config_validation():
@@ -202,27 +231,51 @@ def test_the_weight_map_takes_the_norms_buffer_as_its_row_pass(monkeypatch):
     assert len(lent) == report.iterations == 10 and all(lent)
 
 
-def test_a_solve_holds_five_images():
-    # measured, not declared: beyond y a solve holds x and one block of four
-    # images: the squared magnitudes, which then take the residual, one
-    # scratch image for the valid window sum's row pass and, at its front,
-    # the clique norms, and two images that take turns at the weight map,
-    # which then takes the gradient, and the trial point.  The gradient
-    # rebuilds the forward differences: 5.10 images in all.  A kept
-    # difference channel, a separate buffer for the norms (0.97 of an image
-    # here) or the gradient, or any other image-sized leak, fails
+def test_a_solve_holds_four_images():
+    # measured, not declared: beyond y a solve holds x and one block of three
+    # images: one that takes each trial point, whose vertical differences
+    # overwrite it, and then the valid window sum's row pass and, at its
+    # front, the clique norms; one for the residual and the squared
+    # magnitudes; and one for the weight map, which then takes the gradient.
+    # The gradient rebuilds the forward differences and the residual, and
+    # the block takes one page more, to place its images: 4.24 images in all
+    # at sides 2 and 4, of which the page is 0.125.  A kept trial point,
+    # difference channel or residual, a separate buffer for the norms or the
+    # gradient, or any other image-sized leak, fails
     rng = np.random.default_rng(7)
     y = make_piecewise_constant(64, 64, rng) + 0.1 * rng.standard_normal((64, 64))
-    cfg = BlockTvConfig(lam=0.1, max_iters=20, tol_obj=0.0)
-    denoise_block_tv(y, cfg)  # warms any lazily built state
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        denoise_block_tv(y, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert 4.5 * y.nbytes <= peak <= 5.5 * y.nbytes, f"{peak / y.nbytes:.2f} images"
+    for side in (2, 4):
+        cfg = BlockTvConfig(lam=0.1, clique_side=side, max_iters=20, tol_obj=0.0)
+        denoise_block_tv(y, cfg)  # warms any lazily built state
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            denoise_block_tv(y, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 3.5 * y.nbytes <= peak <= 4.5 * y.nbytes, f"side {side}: {peak / y.nbytes:.2f} images"
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (13, 7), (1, 40)])
+@pytest.mark.parametrize("near", [(0, 8), (1024, 1040), (2048, 4088)])
+def test_the_block_places_its_images_apart_modulo_the_page(shape, near):
+    # a store and a load that lie within a cache line of each other modulo
+    # the page size look dependent to the CPU, so each image of the block
+    # starts at least _NEAR bytes, modulo the page, from the others and from
+    # the arrays it is kept apart from, here placed at the given offsets
+    arena = np.empty(4096)
+    first = (-arena.ctypes.data % 4096) // 8
+    apart = [arena[first + off // 8:][:8] for off in near]
+    images = blocktv._image_block(3, shape, *apart)
+    offsets = [a.ctypes.data % 4096 for a in images + apart]
+    assert [a.ctypes.data % 4096 for a in apart] == list(near)
+    for i, a in enumerate(images):
+        assert a.shape == shape and a.flags.c_contiguous and a.dtype == np.float64
+        for j, b in enumerate(offsets):
+            if j != i:
+                assert blocktv._NEAR <= (offsets[i] - b) % 4096 <= 4096 - blocktv._NEAR
+        assert not any(np.shares_memory(a, b) for b in images[i + 1:])
 
 
 def test_iterates_match_an_allocating_reference():

@@ -562,26 +562,27 @@ def assert_one_copy_stack(side, extent, support_tol=None):
 
 
 def test_prox_holds_one_copy_stack():
-    # the working vectors peak at 10.36 n here (NumPy 2.4), at the dual value
-    # of an iteration that checks its gap and estimates the penalty: three
-    # resident n-vectors, one array of tile scales, the last zbar, copy 0's
-    # Z and U from two iterations before and from this one, and ubar.
-    # Scaling the tiles peaks at 9.59 n, with its n/side row factors and
-    # NumPy's ufunc buffer for their product broadcast over a copy's block
-    # (0.95 n).  No product broadcasts an n-vector over the stack, which
-    # took a buffer of 8,192 entries (3.6 n here)
+    # the working vectors peak at 9.58 n here (NumPy 2.4), while an
+    # iteration that estimates the penalty scales its tiles: three resident
+    # n-vectors, one array of tile scales, the last zbar, copy 0's Z and U
+    # from two iterations before and its q, and the scaling's n/side row
+    # factors with NumPy's ufunc buffer for their product broadcast over a
+    # copy's block (0.95 n).  The estimate frees its vectors before its gap
+    # check allocates ubar, which beside them peaked at 10.35 n.  No product
+    # broadcasts an n-vector over the stack, which took a buffer of 8,192
+    # entries (3.6 n here)
     assert_one_copy_stack(6, 48)
 
 
 def test_prox_holds_one_copy_stack_at_side_8():
-    # the working vectors peak at 10.26 n here (NumPy 2.4)
+    # the working vectors peak at 9.41 n here (NumPy 2.4)
     assert_one_copy_stack(8, 64)
 
 
 def test_prox_holds_one_copy_stack_with_a_support_test():
     # a support_tol no 20-iteration solve meets, so the support test runs at
     # every checked iteration: its radius goes through the vector that holds
-    # ubar (10.39 n)
+    # ubar (9.57 n)
     assert_one_copy_stack(6, 48, support_tol=1e-9)
 
 

@@ -261,8 +261,9 @@ def test_evaluator_out_may_share_memory_with_its_input():
     np.testing.assert_array_equal(norms, want_norms)
     with pytest.raises(ValueError, match="^out must not share memory with the input$"):
         smoothed_weight_map(norms, side, out=scratch, scratch=buffer)
-    buffer, out = sq.copy(), np.empty((h, w))
-    norms = smoothed_clique_norms(buffer, side, eps, scratch=scratch)
+    # a rejected call leaves the norms as they were
+    np.testing.assert_array_equal(norms, want_norms)
+    out = np.empty((h, w))
     assert smoothed_weight_map(norms, side, out=out, scratch=scratch) is out
     np.testing.assert_array_equal(out, want_weights)
     buffer = sq.copy()
@@ -275,3 +276,4 @@ def test_evaluator_out_may_share_memory_with_its_input():
     placed[...] = norms
     with pytest.raises(ValueError, match="^out must not share memory with the input$"):
         smoothed_weight_map(placed, side, out=buffer)
+    np.testing.assert_array_equal(placed, want_norms)

@@ -357,6 +357,32 @@ def test_solve_reads_the_stack_in_any_layout_and_leaves_it_unchanged():
         assert got.report.termination_reason == want.report.termination_reason
 
 
+def test_the_starting_objective_is_the_same_in_any_layout(monkeypatch):
+    # ||y||^2 is summed over the solve's contiguous frame-major copy, so every
+    # layout of the stack starts the loop from the same bits.  The iterates
+    # cannot show a sum taken in another order: the starting objective
+    # enters only the first trial's test and the first convergence test, so
+    # it is read where the solve hands it to the loop
+    starts = []
+    descend = rpca.descend
+
+    def recording(*args, **kwargs):
+        starts.append(args[7])  # obj, the objective at the starting point
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(rpca, "descend", recording)
+    rng = np.random.default_rng(23)
+    lowrank, sparse = make_lowrank_blocksparse_stack(12, 10, 4, 1, rng, fg_side=3)
+    y = lowrank + sparse
+    spaced = np.zeros((12, 10, 8))
+    spaced[:, :, ::2] = y
+    frame_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(y, -1, 0)), 0, -1)
+    cfg = RpcaConfig(clique_side=2, max_iters=1)
+    for stack in (y, np.asfortranarray(y), spaced[:, :, ::2], frame_major):
+        solve_rpca(stack, cfg)
+    assert [start.hex() for start in starts[1:]] == [starts[0].hex()] * 3
+
+
 def test_z_stays_contiguous_when_the_frames_outnumber_the_pixels():
     # with L > N the SVT works on the transpose of the (L, N) matrix; a z
     # left as the transpose's view would send every later read of it
